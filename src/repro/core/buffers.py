@@ -72,6 +72,7 @@ class ReceiveBuffer:
         self._present = bytearray(capacity)  # the reassembly bitmap
         self._read_pos = 0  # physical index of first unread in-seq byte
         self._unread = 0  # in-sequence bytes the app has not read yet
+        self._out_of_order = 0  # bitmap bytes set past rcv_nxt
 
     # ------------------------------------------------------------------
     # state inspection
@@ -92,8 +93,7 @@ class ReceiveBuffer:
 
     def out_of_order_bytes(self) -> int:
         """Bytes parked in the reassembly region (diagnostics)."""
-        # the bitmap holds 0/1 bytes, so sum() counts set entries at C speed
-        return sum(self._present) - self._unread
+        return self._out_of_order
 
     # ------------------------------------------------------------------
     # writing (from the network)
@@ -121,10 +121,12 @@ class ReceiveBuffer:
         start = (nxt + rel_offset) % cap
         n = len(data)
         first = min(n, cap - start)
+        rest = n - first
+        fresh = n - present.count(1, start, start + first)
         buf[start:start + first] = data[:first]
         present[start:start + first] = b"\x01" * first
-        rest = n - first
         if rest:
+            fresh -= present.count(1, 0, rest)
             buf[:rest] = data[first:]
             present[:rest] = b"\x01" * rest
         # absorb any now-contiguous prefix into the in-sequence region:
@@ -140,6 +142,7 @@ class ReceiveBuffer:
                 gap = present.find(0, 0, tail)
                 advanced += tail if gap < 0 else gap
         self._unread += advanced
+        self._out_of_order += fresh - advanced
         return advanced
 
     # ------------------------------------------------------------------
@@ -173,20 +176,27 @@ class ReceiveBuffer:
         space.
         """
         blocks: List[Tuple[int, int]] = []
+        present = self._present
         nxt = (self._read_pos + self._unread) % self.capacity
         limit = self.capacity - self._unread
-        run_start: Optional[int] = None
-        for off in range(limit):
-            present = self._present[(nxt + off) % self.capacity]
-            if present and run_start is None:
-                run_start = off
-            elif not present and run_start is not None:
-                blocks.append(
-                    (seq_add(rcv_nxt, run_start), seq_add(rcv_nxt, off))
-                )
-                run_start = None
-                if len(blocks) >= max_blocks:
-                    return blocks
-        if run_start is not None:
-            blocks.append((seq_add(rcv_nxt, run_start), seq_add(rcv_nxt, limit)))
-        return blocks[:max_blocks]
+        # the window is at most two ring segments: ``head`` bytes from
+        # ``nxt`` up to the physical end, then the rest from index 0
+        head = min(limit, self.capacity - nxt)
+
+        def edge(value: int, off: int) -> int:
+            """First window offset >= ``off`` whose bitmap byte is
+            ``value``, or ``limit``."""
+            if off < head:
+                at = present.find(value, nxt + off, nxt + head)
+                if at >= 0:
+                    return at - nxt
+                off = head
+            at = present.find(value, off - head, limit - head)
+            return limit if at < 0 else at + head
+
+        left = edge(1, 0)
+        while left < limit and len(blocks) < max_blocks:
+            right = edge(0, left)
+            blocks.append((seq_add(rcv_nxt, left), seq_add(rcv_nxt, right)))
+            left = edge(1, right)
+        return blocks

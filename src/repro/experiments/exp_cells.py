@@ -45,7 +45,7 @@ def single_hop_cell(
         "window": window,
         "mss_bytes": mss,
         "goodput_bps": result.goodput_bps,
-        "retransmissions": result.retransmissions,
+        "retransmissions": result.retransmits,
         "bytes_delivered": result.bytes_delivered,
     }
 

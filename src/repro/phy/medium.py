@@ -18,10 +18,12 @@ Hot-path design: connectivity is queried on every carrier-sense,
 collision-mark, and delivery pass, but the topology only changes on
 ``register``/``force_link``/``block_link``.  The medium therefore keeps
 a cached adjacency structure (``neighbor_sets``) built once per
-topology change, so the per-event cost is a set lookup instead of a
-``math.hypot`` over all N radios.  Construct with ``use_cache=False``
-to force the original geometric path (the determinism regression test
-asserts both paths produce byte-identical event traces).
+topology change, and on top of it a per-receiver list of the frames
+audible there right now, so carrier sense is one truth test and
+collision marking costs O(degree) whatever the size of the network.
+Construct with ``use_cache=False`` to force the original geometric
+path, which scans every frame in flight (the determinism regression
+test asserts both paths produce byte-identical event traces).
 
 Scale design: the adjacency rebuild itself used to be an O(n²)
 pairwise distance sweep, which dominates setup (and every topology
@@ -163,12 +165,15 @@ class Medium:
         #: sender -> [(rcv_id, radio), ...] in registration order; lets
         #: the delivery pass iterate without rebuilding pairs per frame
         self._neighbor_radios: Optional[Dict[int, List[Tuple[int, "Radio"]]]] = None
-        #: (a, b) sender-pair -> receivers that hear both (minus the two
-        #: senders themselves).  Topology is static between cache
-        #: invalidations, so the intersection behind collision marking
-        #: is computed once per concurrent-sender pair instead of once
-        #: per overlapping frame — the dominant cost in dense meshes.
-        self._pair_overlap: Dict[Tuple[int, int], Set[int]] = {}
+        #: receiver -> transmissions audible there right now: collision
+        #: and carrier sense are asked *at a receiver*, so channel state
+        #: follows radio range, not network size.  Dropped and rebuilt
+        #: (from ``_active``) together with the adjacency cache.
+        self._audible: Optional[Dict[int, List[Transmission]]] = None
+        #: sender -> ((rcv_id, that receiver's ``_audible`` list), ...)
+        #: over the *full* topology: the per-frame loops look nothing up
+        self._hearer_air: Optional[
+            Dict[int, Tuple[Tuple[int, List[Transmission]], ...]]] = None
         #: optional commit-point tap installed by the sharded tier
         #: (repro.sim.shard): called as ``hook(sender_id, frame,
         #: air_start, air_time)`` the moment ``Radio.transmit`` commits
@@ -271,7 +276,8 @@ class Medium:
         self._neighbor_sets = None
         self._neighbor_lists = None
         self._neighbor_radios = None
-        self._pair_overlap.clear()
+        self._audible = None
+        self._hearer_air = None
 
     def _in_range_uncached(self, a: int, b: int) -> bool:
         if a == b:
@@ -370,14 +376,27 @@ class Medium:
         else:
             sets = self._build_sets_brute(sources, known)
         # registration-ordered receiver lists (registered radios only)
+        order = {nid: i for i, nid in enumerate(ids)}
         self._neighbor_lists = {
-            a: [b for b in ids if b in sets[a]] for a in sources
+            a: sorted((b for b in sets[a] if b in order),
+                      key=order.__getitem__)
+            for a in sources
         }
         radios = self.radios
         self._neighbor_radios = {
             a: [(b, radios[b]) for b in hearers]
             for a, hearers in self._neighbor_lists.items()
         }
+        # frames already on the air are audible under the new topology
+        audible: Dict[int, List[Transmission]] = {nid: [] for nid in ids}
+        self._hearer_air = {
+            a: tuple((b, audible[b]) for b in hearers)
+            for a, hearers in self._neighbor_lists.items()
+        }
+        for tx in self._active:
+            for _, heard in self._hearer_air[tx.sender.node_id]:
+                heard.append(tx)
+        self._audible = audible
         self._neighbor_sets = sets
         self.cache_rebuilds += 1
         return sets
@@ -418,59 +437,52 @@ class Medium:
     # ------------------------------------------------------------------
     def carrier_busy(self, node_id: int) -> bool:
         """True if any ongoing transmission is audible at ``node_id``."""
-        active = self._active
-        if not active:
-            return False
         if self.use_cache:
-            sets = self._neighbor_sets
-            if sets is None:
-                sets = self._build_cache()
-            for tx in active:
-                if node_id in sets[tx.sender.node_id]:
-                    if self._metrics is not None:
-                        self._node_counter(
-                            self._m_carrier_busy, "phy.carrier_busy", node_id
-                        ).inc()
-                    return True
+            audible = self._audible
+            if audible is None:
+                self._build_cache()
+                audible = self._audible
+            if not audible[node_id]:
+                return False
+        elif not any(
+            self._in_range_uncached(tx.sender.node_id, node_id)
+            for tx in self._active
+        ):
             return False
-        busy = any(
-            self._in_range_uncached(tx.sender.node_id, node_id) for tx in active
-        )
-        if busy and self._metrics is not None:
+        if self._metrics is not None:
             self._node_counter(
                 self._m_carrier_busy, "phy.carrier_busy", node_id
             ).inc()
-        return busy
+        return True
+
+    def _join_air(self, tx: Transmission) -> None:
+        """Collision-mark ``tx`` and make it audible at its hearers.
+
+        A receiver that already hears something gets a corrupted copy
+        of the new frame and of every frame it was hearing.
+        """
+        hearer_air = self._hearer_air
+        if hearer_air is None:
+            self._build_cache()
+            hearer_air = self._hearer_air
+        spoiled = tx.spoiled
+        for rcv_id, heard in hearer_air[tx.sender.node_id]:
+            if heard:
+                spoiled.add(rcv_id)
+                for other in heard:
+                    other.spoiled.add(rcv_id)
+            heard.append(tx)
 
     def begin_transmission(self, sender: "Radio", frame: object, air_time: float) -> Transmission:
         """Put a frame on the air; schedules its own completion."""
         now = self.sim.now
         tx = Transmission(sender, frame, now, now + air_time)
         sender_id = sender.node_id
-        # Collision marking: any receiver that can hear both this frame and
-        # an already-ongoing one gets a corrupted copy of each.
         if self.use_cache:
-            if self._active:
-                sets = self._neighbor_sets
-                if sets is None:
-                    sets = self._build_cache()
-                pairs = self._pair_overlap
-                for other in self._active:
-                    other_id = other.sender.node_id
-                    key = (sender_id, other_id)
-                    both = pairs.get(key)
-                    if both is None:
-                        both = sets[sender_id] & sets[other_id]
-                        both.discard(sender_id)
-                        both.discard(other_id)
-                        # the overlap is symmetric; share one set under
-                        # both key orders (never mutated after build)
-                        pairs[key] = both
-                        pairs[(other_id, sender_id)] = both
-                    if both:
-                        tx.spoiled |= both
-                        other.spoiled |= both
+            self._join_air(tx)
         else:
+            # Brute-force oracle: any receiver that hears both this frame
+            # and an already-ongoing one gets a corrupted copy of each.
             for other in self._active:
                 for rcv_id in self.radios:
                     if rcv_id == sender_id or rcv_id == other.sender.node_id:
@@ -491,14 +503,18 @@ class Medium:
         return tx
 
     def _end_transmission(self, tx: Transmission) -> None:
-        self._active.remove(tx)
         sender_id = tx.sender.node_id
         if self.use_cache:
+            # a rebuild re-derives the audible lists from ``_active``,
+            # so it must still see ``tx`` there
             if self._neighbor_radios is None:
                 self._build_cache()
-            assert self._neighbor_radios is not None
-            receivers = self._neighbor_radios.get(sender_id, ())
+            self._active.remove(tx)
+            for _, heard in self._hearer_air[sender_id]:
+                heard.remove(tx)
+            receivers = self._neighbor_radios[sender_id]
         else:
+            self._active.remove(tx)
             receivers = [
                 (rcv_id, radio)
                 for rcv_id, radio in self.radios.items()

@@ -373,24 +373,7 @@ class ShardMedium(Medium):
             return
         now = self.sim.now
         tx = Transmission(radio, frame, now, now + air_time)
-        if self._active:
-            sets = self._neighbor_sets
-            if sets is None:
-                sets = self._build_cache()
-            pairs = self._pair_overlap
-            for other in self._active:
-                other_id = other.sender.node_id
-                key = (sender_id, other_id)
-                both = pairs.get(key)
-                if both is None:
-                    both = sets[sender_id] & sets[other_id]
-                    both.discard(sender_id)
-                    both.discard(other_id)
-                    pairs[key] = both
-                    pairs[(other_id, sender_id)] = both
-                if both:
-                    tx.spoiled |= both
-                    other.spoiled |= both
+        self._join_air(tx)
         self._active.append(tx)
         self.sim.schedule_unref(air_time, self._end_transmission, tx)
 

@@ -86,6 +86,9 @@ def probe_tcp_connection(conn) -> List[str]:
     if present < rb._unread:
         out.append(f"recv_buf bitmap {present}B < unread={rb._unread} "
                    f"(negative out-of-order bytes)")
+    if rb.out_of_order_bytes() != present - rb._unread:
+        out.append(f"recv_buf out-of-order count {rb.out_of_order_bytes()}B "
+                   f"!= bitmap {present}B - unread={rb._unread}")
 
     # --- no data sequenced past our FIN ---
     if conn._fin_seq is not None:

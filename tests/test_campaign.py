@@ -611,6 +611,25 @@ class TestLegacyShim:
                      "ayadi_energy"):
             assert cell in cat
 
+    def test_every_catalog_cell_runs_at_its_smallest_size(self):
+        """A cell that raises never caches (``single_hop_cell`` did, on
+        a misnamed result attribute): run each grid cell once, quick."""
+        from repro.experiments import exp_cells
+        from repro.experiments.runner import default_catalog
+
+        cat = default_catalog()
+        cells = [name for name in cat.names()
+                 if cat.get(name).__module__ == exp_cells.__name__]
+        assert len(cells) >= 4
+        report = run_quiet({"name": "every-cell", "experiments": cells,
+                            "seeds": [0], "quick": True})
+        assert not report.execution["errors"]
+        assert [c.experiment for c in report.cells] == cells
+        for cell in report.cells:
+            assert not cell.errors
+            (result,) = cell.results
+            assert isinstance(result, dict) and result, cell.experiment
+
 
 # ----------------------------------------------------------------------
 # CLI

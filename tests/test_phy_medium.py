@@ -1,5 +1,7 @@
 """Medium behaviour: range, delivery, collisions, hidden terminals."""
 
+import random
+
 import pytest
 
 from repro.mac.frame import Frame, FrameKind
@@ -273,3 +275,117 @@ def test_spatial_index_invalidated_on_register():
     Radio(sim, medium, node_id=2, position=(0.0, 5.0))
     assert medium.neighbor_sets[0] == {1, 2}
     assert medium.cache_rebuilds == rebuilds + 1
+
+
+# ----------------------------------------------------------------------
+# per-receiver channel state: must equal the brute-force oracle
+# ----------------------------------------------------------------------
+def _drive_random_schedule(use_cache, seed):
+    """One random grid under one random schedule of overlapping frames
+    and mid-flight topology faults; everything observable is logged."""
+    rng = random.Random(seed)
+    cols, rows = rng.randint(2, 6), rng.randint(2, 6)
+    # 6 m puts diagonals in range of each other (10 m), 8 m does not
+    spacing = rng.choice((6.0, 8.0))
+    sim = Simulator()
+    medium = Medium(sim, rng=RngStreams(1), comm_range=10.0,
+                    use_cache=use_cache)
+    radios = [
+        Radio(sim, medium, node_id=i,
+              position=(spacing * (i % cols), spacing * (i // cols)))
+        for i in range(cols * rows)
+    ]
+    nodes = range(len(radios))
+    log = []
+    for radio in radios:
+        radio.on_frame = (lambda f, s, me=radio.node_id:
+                          log.append(("rx", sim.now, me, s, f)))
+    txs = []
+
+    def begin(sender, air_time):
+        txs.append(medium.begin_transmission(
+            radios[sender], len(txs), air_time))
+
+    def sense():
+        log.append(("cs", sim.now,
+                    [medium.carrier_busy(n) for n in nodes]))
+
+    at = 0.0
+    for _ in range(rng.randint(30, 80)):
+        at += rng.choice((0.0, 0.0003, 0.001, 0.004))
+        roll = rng.random()
+        a, b = rng.sample(nodes, 2)
+        if roll < 0.65:
+            sim.schedule_at(at, begin, a, rng.choice((0.0005, 0.002, 0.006)))
+        elif roll < 0.75:
+            sim.schedule_at(at, medium.block_link, a, b)
+        elif roll < 0.83:
+            sim.schedule_at(at, medium.unblock_link, a, b)
+        elif roll < 0.92:
+            sim.schedule_at(at, medium.force_link, a, b)
+        else:
+            sim.schedule_at(at, medium.drop_in_flight, a)
+        if rng.random() < 0.5:  # else the next frame edge rebuilds
+            sim.schedule_at(at, sense)
+    sim.run()
+    assert not medium._active
+    return log, [sorted(tx.spoiled) for tx in txs], medium
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_receiver_channel_state_matches_brute_force(seed):
+    log, spoiled, medium = _drive_random_schedule(True, seed)
+    ref_log, ref_spoiled, _ = _drive_random_schedule(False, seed)
+    assert spoiled == ref_spoiled
+    assert log == ref_log  # carrier sense answers and delivery order
+    assert any(spoiled) and any(entry[0] == "rx" for entry in log)
+    # nothing stays audible once the air is idle
+    assert not any(medium.carrier_busy(n) for n in medium.radios)
+
+
+def _entries(value, seen):
+    """Entries held in a container and the containers inside it, each
+    container counted once however many others share it."""
+    if isinstance(value, dict):
+        inner = value.values()
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        inner = value
+    else:
+        return 0
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    return len(value) + sum(_entries(v, seen) for v in inner)
+
+
+def test_medium_state_does_not_grow_with_concurrent_sender_pairs():
+    """Scale guard without a clock: many far-apart senders on the air
+    at once must cost nothing per *pair* of them."""
+    side = 30
+    sim, medium, radios = make_net(
+        [(8.0 * (i % side), 8.0 * (i // side)) for i in range(side * side)])
+    degree = max(len(hearers) for hearers in medium.neighbor_sets.values())
+
+    def held():
+        seen = set()
+        return sum(_entries(v, seen) for k, v in vars(medium).items()
+                   if k not in ("radios", "positions"))
+
+    idle = held()
+    # adjacency in its four shapes plus the audible table
+    assert idle <= 12 * len(radios) * degree
+    # every third node of every third row: 100 senders, no common hearer
+    senders = [radios[r * side + c]
+               for r in range(0, side, 3) for c in range(0, side, 3)]
+    for round_ in range(3):
+        for radio in senders:
+            medium.begin_transmission(radio, round_, 0.004)
+        assert len(medium._active) == len(senders)
+        # 4,950 sender pairs are on the air: each frame costs its own
+        # entry and one per hearer, each pair nothing
+        assert held() - idle <= len(senders) * (degree + 1)
+        sim.run()
+        assert held() == idle
+    assert medium.frames_collided == 0
+    assert medium.frames_delivered == 3 * sum(
+        len(medium.neighbors(r.node_id)) for r in senders)

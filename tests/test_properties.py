@@ -121,6 +121,45 @@ class TestReceiveBufferProperties:
         assert 0 <= buf.window <= cap
         assert buf.available + buf.window == cap
 
+    @given(st.integers(min_value=4, max_value=48),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 60),
+                              st.integers(1, 12)),
+                    min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200)
+    def test_sack_ranges_match_per_byte_reference(self, cap, ops, max_blocks):
+        """Edge-to-edge hopping over the ring against the byte-by-byte
+        walk it replaced, through wrap-around and more runs than
+        ``max_blocks``; the maintained out-of-order count against the
+        bitmap."""
+        buf = ReceiveBuffer(cap)
+        rcv_nxt = 0xFFFFFFF0  # the blocks cross the 2^32 wrap too
+        for is_read, a, b in ops:
+            if is_read:
+                buf.read(b)
+            else:
+                rcv_nxt = seq_add(rcv_nxt, buf.write(a % cap, bytes(b)))
+            assert (buf.out_of_order_bytes()
+                    == sum(buf._present) - buf.available)
+            assert (buf.sack_ranges(rcv_nxt, max_blocks)
+                    == _sack_ranges_per_byte(buf, rcv_nxt, max_blocks))
+
+
+def _sack_ranges_per_byte(buf, rcv_nxt, max_blocks):
+    """The reference: walk the whole window one bitmap byte at a time."""
+    nxt = (buf._read_pos + buf.available) % buf.capacity
+    window = [buf._present[(nxt + off) % buf.capacity]
+              for off in range(buf.window)] + [0]
+    blocks, run_start = [], None
+    for off, present in enumerate(window):
+        if present and run_start is None:
+            run_start = off
+        elif not present and run_start is not None:
+            blocks.append((seq_add(rcv_nxt, run_start),
+                           seq_add(rcv_nxt, off)))
+            run_start = None
+    return blocks[:max_blocks]
+
 
 class TestSackProperties:
     @given(st.lists(

@@ -126,6 +126,12 @@ def test_detects_recv_buffer_overflow():
     assert_fires(engine, "recv_buf unread", layer="tcp")
 
 
+def test_detects_out_of_order_count_drift():
+    _net, xfer, engine = live_transfer()
+    xfer.connection.recv_buf._out_of_order += 3
+    assert_fires(engine, "out-of-order count", layer="tcp")
+
+
 def test_detects_data_sequenced_past_fin():
     _net, xfer, engine = live_transfer()
     conn = xfer.connection
