@@ -66,9 +66,9 @@ def _stack(net, node_id: int, **kwargs) -> TcpStack:
 
 
 def one_hop_bulk(duration: float = 60.0, seed: int = 1,
-                 accel: bool = False, fidelity: str = "full") -> Dict:
+                 fidelity: str = "full") -> Dict:
     """Bulk TCP transfer between two embedded nodes, one clean hop."""
-    net = build_pair(seed=seed, accel=accel, fidelity=fidelity)
+    net = build_pair(seed=seed, fidelity=fidelity)
     params = tcplp_params()
     src, dst = _stack(net, 1), _stack(net, 0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
@@ -85,9 +85,9 @@ def one_hop_bulk(duration: float = 60.0, seed: int = 1,
 
 
 def three_hop_hidden(duration: float = 60.0, seed: int = 1,
-                     accel: bool = False, fidelity: str = "full") -> Dict:
+                     fidelity: str = "full") -> Dict:
     """Bulk TCP over the 3-hop hidden-terminal chain (§7.1 setup)."""
-    net = build_chain(3, seed=seed, accel=accel, fidelity=fidelity)
+    net = build_chain(3, seed=seed, fidelity=fidelity)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -106,9 +106,9 @@ def three_hop_hidden(duration: float = 60.0, seed: int = 1,
 
 
 def duty_cycled_polling(duration: float = 60.0, seed: int = 0,
-                        accel: bool = False, fidelity: str = "full") -> Dict:
+                        fidelity: str = "full") -> Dict:
     """Uplink bulk transfer from a duty-cycled (polling) endpoint."""
-    net = build_pair(seed=seed, accel=accel, fidelity=fidelity)
+    net = build_pair(seed=seed, fidelity=fidelity)
     poll = PollParams(poll_interval=0.1, fast_poll_interval=0.1,
                       listen_window=0.1,
                       hold_uplink_while_listening=True)
@@ -131,14 +131,14 @@ def duty_cycled_polling(duration: float = 60.0, seed: int = 0,
 
 def loss_sweep(duration: float = 40.0, seed: int = 1,
                rates=(0.0, 0.09, 0.18),
-               accel: bool = False, fidelity: str = "full") -> Dict:
+               fidelity: str = "full") -> Dict:
     """Figure 9-style sweep: one-hop bulk under ambient frame loss."""
     events = 0
     delivered = 0
     goodputs = []
     wall = 0.0
     for rate in rates:
-        net = build_pair(seed=seed, accel=accel, fidelity=fidelity)
+        net = build_pair(seed=seed, fidelity=fidelity)
         if rate > 0:
             net.medium.loss_models.append(UniformLoss(rate, net.rng))
         params = tcplp_params()
@@ -160,7 +160,7 @@ def loss_sweep(duration: float = 40.0, seed: int = 1,
 
 
 def chaos_faults(duration: float = 40.0, seed: int = 7,
-                 accel: bool = False, fidelity: str = "full") -> Dict:
+                 fidelity: str = "full") -> Dict:
     """Compound fault schedule on a 2-hop chain (docs/faults.md).
 
     The relay (node 1) crashes mid-transfer and cold-restarts 3 s
@@ -172,7 +172,7 @@ def chaos_faults(duration: float = 40.0, seed: int = 7,
     from repro.faults import FaultInjector, FaultSchedule
 
     net = build_chain(2, seed=seed, with_cloud=False,
-                      accel=accel, fidelity=fidelity)
+                      fidelity=fidelity)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     schedule = FaultSchedule.from_dict({
@@ -205,7 +205,7 @@ def chaos_faults(duration: float = 40.0, seed: int = 7,
 
 
 def dense_mesh(duration: float = 20.0, seed: int = 3,
-               accel: bool = False, fidelity: str = "full") -> Dict:
+               fidelity: str = "full") -> Dict:
     """24 concurrent TCP flows across a 100-node router grid.
 
     Flow pattern (all 3-4 hop Manhattan routes, senders spread over the
@@ -216,8 +216,7 @@ def dense_mesh(duration: float = 20.0, seed: int = 3,
     established flows — the regime a production mesh actually sees.
     """
     rows = cols = 10
-    net = build_grid_mesh(rows, cols, seed=seed, accel=accel,
-                          fidelity=fidelity)
+    net = build_grid_mesh(rows, cols, seed=seed, fidelity=fidelity)
     params = tcplp_params(window_segments=2)
     specs = []
     # west-bound: rightmost column toward mid-grid, one per row 0..8
@@ -262,10 +261,10 @@ def sharded_mesh(duration: float = 7.0, seed: int = 3, shards: int = 4,
     2-hop sensor streams (20) — 205 concurrent flows staggered 10 ms
     apart so connection setup overlaps established traffic.
 
-    Deliberately *not* in ``SCENARIOS``: it refuses ``accel``/hybrid
-    (shards run on the oracle kernel only) and spawns worker processes,
-    so the generic per-kernel sweep in ``tools/bench.py`` does not
-    apply.  ``tools/bench.py --shard-curve`` is the driver.
+    Deliberately *not* in ``SCENARIOS``: it refuses hybrid fidelity
+    and spawns worker processes, so the generic per-tier sweep in
+    ``tools/bench.py`` does not apply.  ``tools/bench.py --shard-curve``
+    is the driver.
     """
     from repro.sim.shard import ShardRecipe, run_sharded
 
@@ -315,14 +314,13 @@ def sharded_mesh(duration: float = 7.0, seed: int = 3, shards: int = 4,
 
 
 def _campaign_cell(quick: bool, frames: int = 3, seed: int = 1,
-                   duration: float = 10.0, accel: bool = False,
-                   fidelity: str = "full") -> Dict:
+                   duration: float = 10.0, fidelity: str = "full") -> Dict:
     """One campaign grid cell: a short one-hop bulk transfer.
 
     Module-level (the campaign catalog contract) so pooled campaign
     runs could dispatch it; here it runs serially in-process.
     """
-    net = build_pair(seed=seed, accel=accel, fidelity=fidelity)
+    net = build_pair(seed=seed, fidelity=fidelity)
     mss = mss_for_frames(frames)
     params = TcpParams(mss=mss, send_buffer=4 * mss, recv_buffer=4 * mss)
     src, dst = _stack(net, 1), _stack(net, 0)
@@ -337,7 +335,7 @@ def _campaign_cell(quick: bool, frames: int = 3, seed: int = 1,
 
 
 def campaign_grid(duration: float = 10.0, seed: int = 1,
-                  accel: bool = False, fidelity: str = "full") -> Dict:
+                  fidelity: str = "full") -> Dict:
     """The campaign engine as a perf scenario (docs/campaigns.md).
 
     Expands a 2-frames x 2-seeds grid over :func:`_campaign_cell` and
@@ -356,7 +354,7 @@ def campaign_grid(duration: float = 10.0, seed: int = 1,
         "experiments": ["bulk_cell"],
         "grid": {"frames": [2, 5], "duration": [duration]},
         "seeds": [seed, seed + 1],
-        "kernel": {"accel": accel, "fidelity": fidelity},
+        "kernel": {"fidelity": fidelity},
     }
     t0 = time.perf_counter()
     report = run_campaign(spec, store=None, catalog=catalog,

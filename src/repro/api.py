@@ -13,10 +13,9 @@ The surface, by area:
 
 **Simulation kernel** —
 :class:`~repro.sim.engine.Simulator` (the discrete-event core),
-:func:`make_simulator` (kernel-tier selection: ``accel=True`` for the
-trace-identical accelerated kernel, ``fidelity="hybrid"`` for analytic
-bulk-transfer fast-forwarding; equivalently ``Simulator(accel=...,
-fidelity=...)``),
+:func:`make_simulator` (``fidelity="hybrid"`` for analytic
+bulk-transfer fast-forwarding, equivalently ``Simulator(fidelity=...)``;
+``shards=N`` for the sharded tier),
 :class:`~repro.sim.rng.RngStreams` (named deterministic RNG streams),
 :class:`~repro.sim.metrics.MetricsRegistry` (labelled counters /
 gauges / histograms with deterministic snapshots).
@@ -175,45 +174,40 @@ from repro.sim.shard import (
 from repro.verify import InvariantEngine
 
 
-def make_simulator(accel: bool = False, fidelity: str = "full",
-                   shards: int = 1, recipe=None):
+def make_simulator(fidelity: str = "full", shards: int = 1, recipe=None):
     """Build a simulator on the requested kernel tier.
 
-    ``accel=False, fidelity="full"`` (the default) returns the oracle
-    kernel — the reference implementation every other tier is gated
-    against.  ``accel=True`` returns the accelerated kernel
-    (:class:`repro.sim.fastcore.FastSimulator`), which replays
-    byte-identical event traces at a higher event rate.
-    ``fidelity="hybrid"`` (implies accel) additionally fast-forwards
-    steady-state bulk-transfer phases analytically; hybrid runs are
-    gated on *metric* equivalence (goodput within 2%, identical
-    retransmit/fault counters), not trace equivalence.  The topology
-    builders accept the same two knobs and pass them through.
+    ``fidelity="full"`` (the default) returns the kernel every other
+    tier is gated against.  ``fidelity="hybrid"`` additionally
+    fast-forwards steady-state bulk-transfer phases analytically;
+    hybrid runs are gated on *metric* equivalence (goodput within 2%,
+    identical retransmit/fault counters), not trace equivalence.  The
+    topology builders accept the same knob and pass it through.
 
     ``shards=N`` (N > 1, or N == 1 with a ``recipe``) returns a
     :class:`~repro.sim.shard.ShardedSimulator` instead: N worker
     processes advancing a spatially-partitioned mesh in conservative
     lock-stepped windows, gated on *byte-identical* merged traces and
-    metric snapshots against the single-process oracle.  Because every
+    metric snapshots against the single-process run.  Because every
     worker rebuilds the network from a picklable description, sharded
     runs are driven by a :class:`~repro.sim.shard.ShardRecipe` (the
     ``recipe`` argument) rather than by an in-process ``Network``;
-    ``accel`` and non-full fidelity are refused in combination with
-    sharding.
+    hybrid fidelity warps the clock globally and is refused in
+    combination with sharding.
     """
     if recipe is not None or shards != 1:
         if recipe is None:
             raise ValueError(
                 "shards > 1 needs a ShardRecipe: workers rebuild the "
                 "network from it (see repro.sim.shard.ShardRecipe)")
-        if accel or fidelity != "full":
+        if fidelity != "full":
             raise ValueError(
-                "sharding runs on the oracle kernel only "
-                "(accel=False, fidelity='full')")
+                "hybrid fidelity warps the clock globally and is not "
+                "shardable (fidelity='full' only)")
         from repro.sim.shard import ShardedSimulator
 
         return ShardedSimulator(recipe, shards=shards)
-    return Simulator(accel=accel, fidelity=fidelity)
+    return Simulator(fidelity=fidelity)
 
 
 def run_experiments(quick: bool = True, only=None, jobs: int = 1,

@@ -12,7 +12,7 @@ knobs, expanded deterministically into :class:`RunSpec` cells::
       "grid": {"protocol": ["tcp", "coap"], "loss": [0.0, 0.09, 0.15]},
       "seeds": [0, 1, 2],
       "faults": null,
-      "kernel": {"accel": false, "fidelity": "full"},
+      "kernel": {"fidelity": "full"},
       "runner": {"jobs": 4, "timeout_s": null, "retries": 0,
                  "retry_backoff_s": 2.0, "verify": false, "metrics": false},
       "stats": {"confidence": 0.95, "method": "t", "warmup": 0,
@@ -43,7 +43,7 @@ from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 
 #: kernel-knob defaults; ``shards`` deliberately absent — sharded runs
 #: are driven by a ShardRecipe, not by the experiment registry
-_KERNEL_DEFAULTS = {"accel": False, "fidelity": "full"}
+_KERNEL_DEFAULTS = {"fidelity": "full"}
 
 #: runner-block defaults, mirroring ``runner.main()``'s legacy flags
 #: (the flag -> field migration table lives in docs/api.md)
@@ -104,7 +104,7 @@ class RunSpec:
     seed: Optional[int] = None
     quick: bool = True
     faults: Optional[tuple] = None   # canonical JSON string, or None
-    kernel: tuple = (("accel", False), ("fidelity", "full"))
+    kernel: tuple = (("fidelity", "full"),)
 
     @classmethod
     def build(cls, experiment: str, params: Dict, seed, quick: bool,
@@ -281,9 +281,6 @@ class CampaignSpec:
 
         kernel = _check_block(spec.get("kernel"), _KERNEL_DEFAULTS,
                               "kernel")
-        if not isinstance(kernel["accel"], bool):
-            _fail("kernel.accel", f"must be a boolean, "
-                                  f"got {kernel['accel']!r}")
         if kernel["fidelity"] not in ("full", "hybrid"):
             _fail("kernel.fidelity", f"must be 'full' or 'hybrid', "
                                      f"got {kernel['fidelity']!r}")

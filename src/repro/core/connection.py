@@ -315,7 +315,7 @@ class TcpConnection:
         ``(signature, snd_una, srtt)`` where ``signature`` is a cheap
         tuple that changes on any transient — cwnd move, retransmission,
         RTO, fast retransmit, zero-window probe, or SACK activity.  The
-        controller (:class:`repro.sim.fastcore.HybridController`) only
+        controller (:class:`repro.sim.hybrid.HybridController`) only
         fast-forwards while the signature stays flat and ``snd_una``
         keeps advancing for K RTTs.
         """

@@ -80,11 +80,10 @@ def build_pair(
     seed: int = 0,
     node_config: Optional[NodeConfig] = None,
     spacing: float = 5.5,
-    accel: bool = False,
     fidelity: str = "full",
 ) -> Network:
     """Two embedded nodes in direct radio range (node ids 0 and 1)."""
-    sim = Simulator(accel=accel, fidelity=fidelity)
+    sim = Simulator(fidelity=fidelity)
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=10.0)
     routing = StaticRouting()
@@ -118,12 +117,11 @@ def build_single_hop(
     seed: int = 0,
     node_config: Optional[NodeConfig] = None,
     wired_loss: float = 0.0,
-    accel: bool = False,
     fidelity: str = "full",
 ) -> Network:
     """Figure 2: embedded endpoint (1) <-> border router (0) <-> cloud."""
     net = build_chain(1, seed=seed, node_config=node_config,
-                      wired_loss=wired_loss, accel=accel, fidelity=fidelity)
+                      wired_loss=wired_loss, fidelity=fidelity)
     return net
 
 
@@ -135,7 +133,6 @@ def build_chain(
     comm_range: float = 10.0,
     wired_loss: float = 0.0,
     with_cloud: bool = True,
-    accel: bool = False,
     fidelity: str = "full",
 ) -> Network:
     """A line of ``num_hops + 1`` nodes; node 0 is the border router.
@@ -146,7 +143,7 @@ def build_chain(
     """
     if num_hops < 1:
         raise ValueError("need at least one hop")
-    sim = Simulator(accel=accel, fidelity=fidelity)
+    sim = Simulator(fidelity=fidelity)
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=comm_range)
     routing = StaticRouting()
@@ -194,7 +191,6 @@ def build_testbed(
     wired_loss: float = 0.0,
     sleepy_leaves: bool = True,
     retry_delay: float = 0.04,
-    accel: bool = False,
     fidelity: str = "full",
 ) -> Network:
     """The §9 office testbed: border router 1, routers 2-5, leaves 12-15.
@@ -202,7 +198,7 @@ def build_testbed(
     ``retry_delay`` defaults to the 40 ms the §7.1 study recommends —
     without it, hidden terminals on the backbone cripple the mesh.
     """
-    sim = Simulator(accel=accel, fidelity=fidelity)
+    sim = Simulator(fidelity=fidelity)
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=10.0)
     router_ids = [1, 2, 3, 4, 5]
@@ -351,7 +347,6 @@ def build_grid_mesh(
     retry_delay: float = 0.04,
     with_cloud: bool = False,
     wired_loss: float = 0.0,
-    accel: bool = False,
     fidelity: str = "full",
 ) -> Network:
     """A ``rows x cols`` lattice of always-on routers.
@@ -369,7 +364,7 @@ def build_grid_mesh(
     if rows * cols > CLOUD_ID:
         raise ValueError(f"grid of {rows * cols} nodes collides with "
                          f"CLOUD_ID {CLOUD_ID}")
-    sim = Simulator(accel=accel, fidelity=fidelity)
+    sim = Simulator(fidelity=fidelity)
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=comm_range)
     placeholder = StaticRouting()  # replaced once radios are registered
@@ -395,7 +390,6 @@ def build_random_mesh(
     with_cloud: bool = False,
     wired_loss: float = 0.0,
     max_tries: int = 64,
-    accel: bool = False,
     fidelity: str = "full",
 ) -> Network:
     """``num_nodes`` always-on routers placed uniformly at random.
@@ -417,7 +411,7 @@ def build_random_mesh(
     side = area if area is not None else (
         comm_range * 0.55 * math.sqrt(num_nodes)
     )
-    sim = Simulator(accel=accel, fidelity=fidelity)
+    sim = Simulator(fidelity=fidelity)
     rng = RngStreams(seed)
     positions = _draw_random_positions(
         rng, num_nodes, side, comm_range, max_tries,

@@ -24,7 +24,7 @@ a :class:`~repro.faults.injector.FaultInjector`; all randomness comes
 from named :class:`repro.sim.rng.RngStreams` streams so two runs with
 the same seed are byte-identical.  Every injection is logged as a
 ``layer="fault"`` TraceEvent (and mirrored to the PR 2 observability
-bus/metrics when attached).  :mod:`repro.faults.invariants` checks the
+bus/metrics when attached).  :mod:`repro.verify.postrun` checks the
 end-to-end contract after a run.
 
 The module-level ``auto_inject``/``maybe_attach`` pair mirrors

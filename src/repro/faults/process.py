@@ -461,7 +461,7 @@ async def run_gateway_chaos(
 ) -> Dict[str, Any]:
     """Drive ``schedule``'s client abuse at a live gateway; verify recovery.
 
-    Brings up the smoke topology (1-hop accelerated mesh, echo mote)
+    Brings up the smoke topology (1-hop mesh, echo mote)
     behind a gateway with overload protection on, fires each gateway
     op at its scheduled wall time, then (1) runs a clean recovery
     probe — which must succeed with bounded latency — and (2) polls
@@ -477,7 +477,7 @@ async def run_gateway_chaos(
     from repro.gateway.server import Gateway, MoteBinding, install_echo
     from repro.verify import check_gateway_quiescent
 
-    net = build_chain(1, seed=seed, accel=True)
+    net = build_chain(1, seed=seed)
     install_echo(net, 1, 7)
     limits = GatewayLimits(
         max_connections=max_connections,

@@ -5,7 +5,7 @@ schedule fires (Gilbert-Elliott bursty loss, a link flap, a relay
 crash-and-reboot, sender clock drift starting just below the 32-bit
 timestamp wrap), then:
 
-1. checks every :mod:`repro.faults.invariants` invariant — stream
+1. checks every :mod:`repro.verify.postrun` invariant — stream
    integrity, clean teardown, recover-or-fail within bound;
 2. runs the identical scenario a second time and requires the two
    fault-event logs and delivered byte streams to be byte-identical
@@ -25,7 +25,8 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.faults import FaultInjector, FaultSchedule, invariants
+from repro.faults import FaultInjector, FaultSchedule
+from repro.verify import postrun
 
 #: the checked-in smoke schedule — edit deliberately; CI pins seed 7
 SMOKE_SCHEDULE = {
@@ -89,7 +90,7 @@ def run_once(seed: int = 7, deadline: float = 240.0,
     conn.on_close = lambda: done_at.__setitem__(0, net.sim.now)
     net.sim.run(until=deadline)
 
-    violations = invariants.check_all(
+    violations = postrun.check_all(
         net.sim,
         stacks=(stack_tx, stack_rx),
         sent=payload,

@@ -25,7 +25,7 @@ from repro.gateway.server import Gateway, MoteBinding, install_echo, install_sin
 
 
 async def serve(args) -> int:
-    net = build_chain(args.hops, seed=args.seed, accel=True)
+    net = build_chain(args.hops, seed=args.seed)
     mote = args.hops  # the far end of the chain
     if args.app == "echo":
         install_echo(net, mote, args.sim_port)

@@ -84,7 +84,7 @@ async def run_smoke(
     max_connections: int = 256,
 ) -> dict:
     """Run the full smoke sequence; returns the artifact dict."""
-    net = build_chain(1, seed=seed, accel=True)
+    net = build_chain(1, seed=seed)
     mote = 1
     install_echo(net, mote, 7)
     install_echo(net, mote, 7, kind="udp")

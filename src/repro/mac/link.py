@@ -276,7 +276,7 @@ class MacLayer:
         # randrange -> _randbelow_with_getrandbits(n) does exactly this
         # rejection loop, but its wrapper layers cost ~4us per draw at
         # CSMA rates.  Must consume getrandbits identically so seeded
-        # traces match the oracle byte for byte (pinned by
+        # traces match randint's byte for byte (pinned by
         # tests/test_fastcore_equivalence.py::test_backoff_draw_matches_randint).
         # (getrandbits is looked up per draw, not cached at __init__:
         # deepcopy treats bound builtin methods as atomic, so a cached

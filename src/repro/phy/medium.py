@@ -498,7 +498,7 @@ class Medium:
         if self._bus is not None:
             self._bus.emit("phy", sender_id, "tx_begin", air_time=air_time)
         # Handle-free schedule: nothing ever cancels a frame's air-time
-        # expiry, so the accelerated kernel can skip the Event allocation.
+        # expiry, so the kernel can skip the Event allocation.
         self.sim.schedule_unref(air_time, self._end_transmission, tx)
         return tx
 

@@ -8,11 +8,17 @@ tombstoning (the heap entry stays but is skipped), which keeps both
 
 Hot-path design notes:
 
-* The heap stores ``(time, seq, Event)`` tuples, so ordering is decided
-  by C-level tuple comparison instead of a Python ``Event.__lt__`` call
-  per heap sift — the single biggest dispatch-rate win for TCP-heavy
-  workloads, which push hundreds of thousands of heap operations per
-  simulated minute.
+* The heap stores tuples keyed ``(time, seq, ...)``, so ordering is
+  decided by C-level tuple comparison, never by a Python call per heap
+  sift — the single biggest dispatch-rate win for TCP-heavy workloads,
+  which push hundreds of thousands of heap operations per simulated
+  minute.  ``seq`` is unique, so the payload is never compared and two
+  entry shapes share the heap: ``(time, seq, Event)`` for the
+  handle-returning ``schedule*`` calls and the slim ``(time, seq, fn,
+  args)`` pushed by ``schedule_unref`` — no Event allocation and no
+  tombstone machinery for the PHY/MAC hot path, where nothing ever
+  cancels a frame's air-time expiry (docs/architecture.md §7 has the
+  measurements behind that choice).
 * Cancelled events are tombstoned, but the tombstones are *counted*
   (``cancelled_count``) and the heap is compacted in place once more
   than half of it is dead.  TCP retransmit and delayed-ACK timers are
@@ -28,9 +34,10 @@ from __future__ import annotations
 import heapq
 import logging
 import time as _time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.sim import metrics as _metrics
+from repro.sim.hybrid import HybridController
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -87,9 +94,6 @@ class Event:
         """True while the event is scheduled and may still fire."""
         return not (self.cancelled or self.fired)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -98,6 +102,39 @@ class Event:
 
 
 _new_event = Event.__new__
+
+
+class _HookView:
+    """Event-shaped, read-only view of a slim heap entry.
+
+    Built only for observers — the ``on_event`` hook sees one with
+    ``fired=True`` just before the callback runs, ``pending_events``
+    hands out ones with ``fired=False`` for entries still queued — so
+    they see the same ``time``/``seq``/``fn`` surface as for an Event.
+    """
+
+    __slots__ = ("time", "seq", "fn", "args", "fired")
+
+    #: a slim entry never repeats and cannot be cancelled
+    interval = None
+    cancelled = False
+
+    def __init__(self, time: float, seq: int, fn, args: tuple, fired: bool):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.fired = fired
+
+    @property
+    def pending(self) -> bool:
+        """True while the entry is still queued."""
+        return not self.fired
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        name = getattr(self.fn, "__qualname__", repr(self.fn))
+        state = "fired" if self.fired else "pending"
+        return f"<unref-event t={self.time:.6f} {name} {state}>"
 
 
 class RealtimePacer:
@@ -240,30 +277,21 @@ class Simulator:
     order) until the queue drains, ``until`` is reached, or ``stop()`` is
     called from within a callback.
 
-    ``Simulator(accel=True)`` (or ``fidelity="hybrid"``) transparently
-    constructs a :class:`repro.sim.fastcore.FastSimulator` — the
-    accelerated kernel tier.  The plain class is the *equivalence
-    oracle*: the accelerated kernel must replay byte-identical event
-    traces (see ``tests/test_fastcore_equivalence.py``).
+    ``fidelity="hybrid"`` attaches a
+    :class:`repro.sim.hybrid.HybridController` as ``sim.hybrid``, which
+    fast-forwards steady bulk phases analytically (metric-equivalent,
+    not trace-equivalent; see docs/architecture.md §7).
     """
 
-    def __new__(cls, accel: bool = False, fidelity: str = "full"):
-        if cls is Simulator and (accel or fidelity == "hybrid"):
-            from repro.sim.fastcore import FastSimulator
-            return super().__new__(FastSimulator)
-        return super().__new__(cls)
-
-    def __init__(self, accel: bool = False, fidelity: str = "full") -> None:
+    def __init__(self, fidelity: str = "full") -> None:
         if fidelity not in ("full", "hybrid"):
             raise SimulationError(
                 f"unknown fidelity {fidelity!r} (expected 'full' or 'hybrid')"
             )
-        #: kernel tier flags.  The oracle kernel ignores them beyond
-        #: validation (``__new__`` dispatched accel requests elsewhere).
-        self.accel = accel
         self.fidelity = fidelity
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        #: heap of ``(time, seq, Event)`` and slim ``(time, seq, fn, args)``
+        self._queue: List[tuple] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -276,6 +304,11 @@ class Simulator:
         #: callback runs — used by the determinism regression tests to
         #: capture the exact event sequence of a run
         self.on_event: Optional[Callable[[Event], None]] = None
+        #: optional seam for the shard worker, sampled once per run like
+        #: ``on_event``: called as ``on_instant(t)`` once every event of
+        #: dispatch instant ``t`` has run (before the first event of the
+        #: next instant, and when the run ends)
+        self.on_instant: Optional[Callable[[float], None]] = None
         #: observability (repro.sim.metrics / repro.sim.trace): both are
         #: None unless metrics.auto_attach() is active or the caller
         #: assigns them *before* building the network — layers cache
@@ -294,10 +327,10 @@ class Simulator:
         self.warp_hooks: List[Callable[[float], None]] = []
         #: number of analytic fast-forwards performed (observability)
         self.warps = 0
-        #: the hybrid-fidelity controller when ``fidelity="hybrid"``
-        #: (fastcore only); None otherwise.  Workload drivers check this
-        #: to register their flows for steady-state detection.
-        self.hybrid = None
+        #: the hybrid-fidelity controller when ``fidelity="hybrid"``;
+        #: None otherwise.  Workload drivers check this to register
+        #: their flows for steady-state detection.
+        self.hybrid = HybridController(self) if fidelity == "hybrid" else None
         #: the ``until`` horizon of the run in progress (None outside
         #: ``run`` or for unbounded runs) — the hybrid controller never
         #: warps without a horizon to clamp against.
@@ -342,12 +375,16 @@ class Simulator:
 
         Semantically identical to :meth:`schedule` with the returned
         Event discarded (same sequence-number consumption, same dispatch
-        order), but the contract — *no handle, so nobody can cancel it* —
-        lets the accelerated kernel skip the Event allocation entirely.
-        The oracle kernel keeps the allocation so both kernels replay
-        byte-identical traces.
+        order; ``tests/test_fastcore_equivalence.py`` holds it to that),
+        but the contract — *no handle, so nobody can cancel it* — lets
+        it push a slim ``(time, seq, fn, args)`` entry: no Event
+        allocation, no tombstone machinery.
         """
-        self.schedule(delay, fn, *args)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (self.now + delay, seq, fn, args))
 
     def warp(self, delta: float) -> None:
         """Advance the clock ``delta`` seconds analytically.
@@ -359,9 +396,7 @@ class Simulator:
         and ``warp_hooks`` fire so layers holding absolute times outside
         the heap (the medium's in-flight transmissions) shift too.
 
-        Only the hybrid-fidelity controller calls this; it lives on the
-        base class so the mechanics are inspectable (and testable)
-        without the fastcore import.
+        Only the hybrid-fidelity controller calls this.
         """
         if delta <= 0:
             raise SimulationError(f"warp delta must be positive (got {delta})")
@@ -441,7 +476,7 @@ class Simulator:
         the queue held by a running dispatch loop valid.
         """
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [e for e in queue if len(e) == 4 or not e[2].cancelled]
         heapq.heapify(queue)
         self.cancelled_count = 0
         self.compactions += 1
@@ -456,29 +491,62 @@ class Simulator:
         even if the last event fires earlier, so duty-cycle accounting over
         a fixed horizon is exact.
         """
+        self._dispatch(until, False)
+
+    def run_exclusive(self, limit: float) -> None:
+        """Process events strictly before ``limit``; advance ``now`` to it.
+
+        The sharded tier's window primitive: each lock-stepped window
+        ``[T_prev, T)`` runs events with ``time < T`` and leaves events
+        at exactly ``T`` for the next window (or for the final inclusive
+        ``run(until=T)`` step), so frames committed by a foreign shard
+        with air-start exactly ``T`` can still be injected at the
+        barrier before any local event at ``T`` executes.
+        """
+        self._dispatch(limit, True)
+
+    def _dispatch(self, until: Optional[float], strict: bool) -> None:
+        """The dispatch loop: events up to ``until``, or strictly before."""
         self._running = True
         self._stopped = False
         self._run_until = until
         # Hot loop: attribute lookups hoisted into locals.  The queue is
         # aliased, never rebound — compaction mutates it in place.  The
-        # dispatch hook is sampled once: install on_event before run().
+        # observer hooks are sampled once: install them before run().
         queue = self._queue
         heappop = _heappop
         heappush = _heappush
         limit = float("inf") if until is None else until
         hook = self.on_event
+        mark = self.on_instant
+        last: Optional[float] = None
         processed = 0
         try:
             while queue and not self._stopped:
                 time = queue[0][0]
-                if time > limit:
+                if time >= limit and (strict or time > limit):
                     break
-                ev = heappop(queue)[2]
-                if ev.cancelled:
-                    self.cancelled_count -= 1
-                    continue
+                entry = heappop(queue)
+                if len(entry) == 4:
+                    ev = None
+                else:
+                    ev = entry[2]
+                    if ev.cancelled:
+                        self.cancelled_count -= 1
+                        continue
+                if mark is not None and time != last:
+                    if last is not None:
+                        mark(last)
+                    last = time
                 self.now = time
                 processed += 1
+                if ev is None:
+                    fn = entry[2]
+                    args = entry[3]
+                    if hook is not None:
+                        hook(_HookView(time, entry[1], fn, args, True))
+                    fn(*args)
+                    continue
                 interval = ev.interval
                 if interval is None:
                     ev.fired = True
@@ -497,56 +565,8 @@ class Simulator:
             if until is not None and self.now < until and not self._stopped:
                 self.now = until
         finally:
-            self.events_processed += processed
-            self._running = False
-            self._run_until = None
-
-    def run_exclusive(self, limit: float) -> None:
-        """Process events strictly before ``limit``; advance ``now`` to it.
-
-        The sharded tier's window primitive: each lock-stepped window
-        ``[T_prev, T)`` runs events with ``time < T`` and leaves events
-        at exactly ``T`` for the next window (or for the final inclusive
-        ``run(until=T)`` step), so frames committed by a foreign shard
-        with air-start exactly ``T`` can still be injected at the
-        barrier before any local event at ``T`` executes.  Apart from
-        the strict bound the loop is ``run``'s: same dispatch order,
-        same sequence-number consumption, same periodic re-arming.
-        """
-        self._running = True
-        self._stopped = False
-        self._run_until = limit
-        queue = self._queue
-        heappop = _heappop
-        heappush = _heappush
-        hook = self.on_event
-        processed = 0
-        try:
-            while queue and not self._stopped:
-                time = queue[0][0]
-                if time >= limit:
-                    break
-                ev = heappop(queue)[2]
-                if ev.cancelled:
-                    self.cancelled_count -= 1
-                    continue
-                self.now = time
-                processed += 1
-                interval = ev.interval
-                if interval is None:
-                    ev.fired = True
-                else:
-                    ev.time = time + interval
-                    seq = self._seq
-                    self._seq = seq + 1
-                    ev.seq = seq
-                    heappush(queue, (ev.time, seq, ev))
-                if hook is not None:
-                    hook(ev)
-                ev.fn(*ev.args)
-            if self.now < limit and not self._stopped:
-                self.now = limit
-        finally:
+            if last is not None:
+                mark(last)
             self.events_processed += processed
             self._running = False
             self._run_until = None
@@ -566,9 +586,9 @@ class Simulator:
 
         Equivalent to :meth:`run` — same dispatch order, same sequence
         numbers, same periodic re-arming, because due batches are
-        delegated to ``run`` itself (so every kernel tier paces
-        identically) — except that each event fires no earlier than its
-        wall deadline ``start + (event.time - start_sim) / speed``.
+        delegated to ``run`` itself — except that each event fires no
+        earlier than its wall deadline
+        ``start + (event.time - start_sim) / speed``.
         Between batches the loop sleeps; when a ``poll`` callback is
         given it is invoked at least every ``poll_interval`` wall
         seconds so external input can inject new events mid-run (the
@@ -648,30 +668,6 @@ class Simulator:
                 poll()
         return pacer
 
-    def step(self) -> bool:
-        """Process a single event. Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            ev = _heappop(queue)[2]
-            if ev.cancelled:
-                self.cancelled_count -= 1
-                continue
-            self.now = ev.time
-            self.events_processed += 1
-            if ev.interval is None:
-                ev.fired = True
-            else:
-                ev.time += ev.interval
-                seq = self._seq
-                self._seq = seq + 1
-                ev.seq = seq
-                _heappush(queue, (ev.time, seq, ev))
-            if self.on_event is not None:
-                self.on_event(ev)
-            ev.fn(*ev.args)
-            return True
-        return False
-
     def stop(self) -> None:
         """Stop ``run`` after the current callback returns."""
         self._stopped = True
@@ -679,18 +675,30 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue:
+            head = queue[0]
+            if len(head) == 4 or not head[2].cancelled:
+                return head[0]
             _heappop(queue)
             self.cancelled_count -= 1
-        return queue[0][0] if queue else None
+        return None
 
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (O(n); for tests)."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        return sum(1 for e in self._queue if len(e) == 4 or not e[2].cancelled)
 
-    def pending_events(self) -> List[Event]:
-        """The non-cancelled events still queued, in heap order (O(n))."""
-        return [entry[2] for entry in self._queue if not entry[2].cancelled]
+    def pending_events(self) -> List[object]:
+        """The non-cancelled events still queued, in heap order (O(n)).
+
+        Slim entries appear as pending :class:`_HookView` objects.
+        """
+        out: List[object] = []
+        for e in self._queue:
+            if len(e) == 4:
+                out.append(_HookView(*e, False))
+            elif not e[2].cancelled:
+                out.append(e[2])
+        return out
 
     def armed_timers(self) -> List[object]:
         """Timers currently armed on this simulator, (expiry, name) order.

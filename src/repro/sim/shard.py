@@ -4,9 +4,9 @@ The single-process kernel dispatches one event at a time, so a
 thousand-node mesh with hundreds of flows is bounded by one core.  This
 module splits a mesh into ``N`` spatial shards, runs each shard's nodes
 in its own worker process, and keeps the composition *byte-identical*
-to the single-process run — the oracle kernel stays the ground truth
-and the ``shard-equivalence`` CI job enforces the identity at 1, 2 and
-4 shards.
+to the single-process run — that run (the *oracle* below) stays the
+ground truth and the ``shard-equivalence`` CI job enforces the identity
+at 1, 2 and 4 shards.
 
 How it stays exact
 ==================
@@ -62,7 +62,7 @@ What is refused
 
 Sharding is only offered where the ownership argument above is
 airtight: mesh builders (``grid``/``random``) without a cloud host,
-full fidelity on the oracle kernel (``accel`` is refused), per-node RNG
+full fidelity (hybrid warps the clock globally), per-node RNG
 only (global-stream chaos kinds — bursty loss, uniform loss, frame
 corruption — are refused; link flaps, node reboots and clock drift are
 replica-deterministic and allowed).
@@ -178,9 +178,6 @@ class ShardRecipe:
         if kw.get("with_cloud"):
             raise ShardError("cloud-attached meshes are not shardable "
                              "(the wired link is a global rendezvous)")
-        if kw.get("accel"):
-            raise ShardError("shards run on the oracle kernel only "
-                             "(accel=True is refused)")
         if kw.get("fidelity", "full") != "full":
             raise ShardError("hybrid fidelity warps the clock globally "
                              "and is not shardable")
@@ -391,7 +388,7 @@ def shard_adopt(medium: Medium, owned: FrozenSet[int]) -> None:
 # worker-side kernel: ghost tie ordering
 # ----------------------------------------------------------------------
 class _WorkerSim(Simulator):
-    """The oracle kernel plus the shard worker's ghost-ordering extras.
+    """The kernel plus the shard worker's ghost-ordering extras.
 
     Byte-identity across shard counts needs more than delivering ghosts
     at the right *time*: when a foreign frame's air start exactly ties a
@@ -402,18 +399,18 @@ class _WorkerSim(Simulator):
     numbers and inverts such ties (observed at scale as flipped
     hidden-terminal collision marking).
 
-    The cure: the dispatch loops below (byte-identical to the base
-    class's otherwise) also log ``(instant, seq counter)`` at each new
-    dispatch instant of the window, and :meth:`schedule_ghost` derives a
-    *fractional* sequence key from the ghost's commit instant —
-    ``seq_after(commit) - 0.5`` — which heap-sorts exactly where the
-    oracle's commit-time integer would: after everything scheduled at
-    dispatch instants ``<= commit``, before everything scheduled later.
-    Ghosts within one instant keep their coordinator order (commit, air
-    start, sender) via a per-worker ``1e-9`` ordinal, which also keeps
-    heap keys unique.  The one residual ambiguity is *intra-instant*:
-    events a committing callback schedules after its ``transmit()`` call
-    but at the same dispatch instant are indistinguishable from it here.
+    The cure: the kernel's ``on_instant`` seam logs ``(instant, seq
+    counter)`` after each dispatch instant of the window, and
+    :meth:`schedule_ghost` derives a *fractional* sequence key from the
+    ghost's commit instant — ``seq_after(commit) - 0.5`` — which
+    heap-sorts exactly where the oracle's commit-time integer would:
+    after everything scheduled at dispatch instants ``<= commit``,
+    before everything scheduled later.  Ghosts within one instant keep
+    their coordinator order (commit, air start, sender) via a per-worker
+    ``1e-9`` ordinal, which also keeps heap keys unique.  The one
+    residual ambiguity is *intra-instant*: events a committing callback
+    schedules after its ``transmit()`` call but at the same dispatch
+    instant are indistinguishable from it here.
     """
 
     def _init_shard_log(self) -> None:
@@ -421,6 +418,7 @@ class _WorkerSim(Simulator):
         self._log_s: List[int] = []
         self._log_base = self._seq
         self._ghost_ord = 0
+        self.on_instant = self._log_instant
 
     def begin_seqlog(self) -> None:
         """Start a window's (instant -> seq) log.
@@ -432,6 +430,10 @@ class _WorkerSim(Simulator):
         self._log_t = []
         self._log_s = []
         self._log_base = self._seq
+
+    def _log_instant(self, instant: float) -> None:
+        self._log_t.append(instant)
+        self._log_s.append(self._seq)
 
     def schedule_ghost(self, air_start: float, commit: float,
                        fn, *args) -> Event:
@@ -447,109 +449,6 @@ class _WorkerSim(Simulator):
         ev.sim = self
         heapq.heappush(self._queue, (air_start, key, ev))
         return ev
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Base-class ``run`` plus the per-instant seq logging."""
-        self._running = True
-        self._stopped = False
-        self._run_until = until
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        limit = float("inf") if until is None else until
-        hook = self.on_event
-        processed = 0
-        log_t = self._log_t
-        log_s = self._log_s
-        last: Optional[float] = None
-        try:
-            while queue and not self._stopped:
-                time = queue[0][0]
-                if time > limit:
-                    break
-                ev = heappop(queue)[2]
-                if ev.cancelled:
-                    self.cancelled_count -= 1
-                    continue
-                if time != last:
-                    if last is not None:
-                        log_t.append(last)
-                        log_s.append(self._seq)
-                    last = time
-                self.now = time
-                processed += 1
-                interval = ev.interval
-                if interval is None:
-                    ev.fired = True
-                else:
-                    ev.time = time + interval
-                    seq = self._seq
-                    self._seq = seq + 1
-                    ev.seq = seq
-                    heappush(queue, (ev.time, seq, ev))
-                if hook is not None:
-                    hook(ev)
-                ev.fn(*ev.args)
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-        finally:
-            if last is not None:
-                log_t.append(last)
-                log_s.append(self._seq)
-            self.events_processed += processed
-            self._running = False
-            self._run_until = None
-
-    def run_exclusive(self, limit: float) -> None:
-        """Base-class ``run_exclusive`` plus the per-instant seq logging."""
-        self._running = True
-        self._stopped = False
-        self._run_until = limit
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        hook = self.on_event
-        processed = 0
-        log_t = self._log_t
-        log_s = self._log_s
-        last: Optional[float] = None
-        try:
-            while queue and not self._stopped:
-                time = queue[0][0]
-                if time >= limit:
-                    break
-                ev = heappop(queue)[2]
-                if ev.cancelled:
-                    self.cancelled_count -= 1
-                    continue
-                if time != last:
-                    if last is not None:
-                        log_t.append(last)
-                        log_s.append(self._seq)
-                    last = time
-                self.now = time
-                processed += 1
-                interval = ev.interval
-                if interval is None:
-                    ev.fired = True
-                else:
-                    ev.time = time + interval
-                    seq = self._seq
-                    self._seq = seq + 1
-                    ev.seq = seq
-                    heappush(queue, (ev.time, seq, ev))
-                if hook is not None:
-                    hook(ev)
-                ev.fn(*ev.args)
-            if self.now < limit and not self._stopped:
-                self.now = limit
-        finally:
-            if last is not None:
-                log_t.append(last)
-                log_s.append(self._seq)
-            self.events_processed += processed
-            self._running = False
-            self._run_until = None
 
 
 # ----------------------------------------------------------------------
@@ -763,7 +662,7 @@ def _build_worker(payload: Dict[str, Any]):
             _metrics.auto_attach(False)
     owned = frozenset(payload["owned"])
     shard_adopt(net.medium, owned)
-    # worker kernel: same dispatch loops + ghost seq-key machinery (the
+    # worker kernel: the same dispatch loop + ghost seq-key machinery (the
     # class swap and its log survive checkpoint capture/restore)
     net.sim.__class__ = _WorkerSim
     net.sim._init_shard_log()

@@ -1,4 +1,4 @@
-"""End-of-run invariant checks (promoted from ``repro.faults.invariants``).
+"""End-of-run invariant checks.
 
 These run once, after a simulation finishes, and check the end-to-end
 contract the paper's §2 case for TCP rests on:

@@ -169,7 +169,7 @@ def probe_kernel(sim, last_now: float) -> List[str]:
     for i in range(n):
         entry = queue[i]
         time_i, seq_i = entry[0], entry[1]
-        # the accelerated kernel mixes slim handle-free 4-tuples
+        # schedule_unref mixes slim handle-free 4-tuples
         # (time, seq, fn, args) into the heap; only full Event entries
         # can be tombstoned
         if len(entry) == 3 and entry[2].cancelled:

@@ -87,39 +87,30 @@ def test_api_names_are_the_implementation_objects():
 
 
 def test_make_simulator_selects_kernel_tiers():
-    from repro.sim.fastcore import FastSimulator
-
     sim = api.make_simulator()
     assert type(sim) is api.Simulator
-    assert (sim.accel, sim.fidelity) == (False, "full")
-
-    fast = api.make_simulator(accel=True)
-    assert type(fast) is FastSimulator
-    assert isinstance(fast, api.Simulator)  # substitutable everywhere
-    assert fast.accel is True and fast.hybrid is None
+    assert (sim.fidelity, sim.hybrid) == ("full", None)
 
     hybrid = api.make_simulator(fidelity="hybrid")
-    assert type(hybrid) is FastSimulator
+    assert type(hybrid) is api.Simulator
     assert hybrid.hybrid is not None
 
 
 def test_simulator_constructor_matches_make_simulator():
-    from repro.sim.fastcore import FastSimulator
-
-    # the facade helper and the constructor are the same dispatch
-    assert type(api.Simulator(accel=True)) is FastSimulator
-    assert type(api.Simulator()) is api.Simulator
+    # one kernel: the removed tier switch is an error, not a silent no-op
+    for factory in (api.Simulator, api.make_simulator, api.build_pair):
+        with pytest.raises(TypeError):
+            factory(accel=True)
 
 
 def test_topology_builders_thread_kernel_knobs():
-    from repro.sim.fastcore import FastSimulator
-
-    net = api.build_pair(seed=0, accel=True)
-    assert type(net.sim) is FastSimulator
-    net2 = api.build_chain(2, seed=0, fidelity="hybrid")
-    assert net2.sim.hybrid is not None
-    net3 = api.build_pair(seed=0)
-    assert type(net3.sim) is api.Simulator
+    builders = (api.build_pair, api.build_single_hop,
+                lambda **kw: api.build_chain(2, **kw), api.build_testbed,
+                lambda **kw: api.build_grid_mesh(2, 2, **kw),
+                lambda **kw: api.build_random_mesh(4, **kw))
+    for build in builders:
+        assert type(build(seed=0).sim) is api.Simulator
+        assert build(seed=0, fidelity="hybrid").sim.hybrid is not None
 
 
 def test_run_experiments_is_callable_with_runner_signature():

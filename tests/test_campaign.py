@@ -150,6 +150,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown keys"):
             CampaignSpec.from_dict({"experiments": ["x"], "grids": {}})
 
+    def test_removed_kernel_knob_is_an_unknown_key(self):
+        with pytest.raises(ValueError,
+                           match=r"kernel: unknown keys \['accel'\]"):
+            CampaignSpec.from_dict({"experiments": ["x"],
+                                    "kernel": {"accel": True}})
+
     def test_grid_values_must_be_scalars(self):
         with pytest.raises(ValueError, match="JSON scalars"):
             CampaignSpec.from_dict(
@@ -268,13 +274,13 @@ class TestExpansion:
 
     def test_params_order_does_not_change_identity(self):
         a = RunSpec.build("e", {"a": 1, "b": 2}, 0, True, None,
-                          {"accel": False, "fidelity": "full"})
+                          {"fidelity": "full"})
         b = RunSpec.build("e", {"b": 2, "a": 1}, 0, True, None,
-                          {"fidelity": "full", "accel": False})
+                          {"fidelity": "full"})
         assert a.run_id("s") == b.run_id("s")
 
     def test_seed_changes_run_id_but_not_cell_id(self):
-        kernel = {"accel": False, "fidelity": "full"}
+        kernel = {"fidelity": "full"}
         a = RunSpec.build("e", {"x": 1}, 0, True, None, kernel)
         b = RunSpec.build("e", {"x": 1}, 1, True, None, kernel)
         assert a.run_id("s") != b.run_id("s")
@@ -343,7 +349,7 @@ class TestCaching:
     def test_store_roundtrip_and_atomicity(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s")
         run = RunSpec.build("e", {"x": 1}, 0, True, None,
-                            {"accel": False, "fidelity": "full"})
+                            {"fidelity": "full"})
         key = store.key_for(run)
         assert store.load(key) is None
         store.save(key, {"ok": True, "result": {"v": 1}})

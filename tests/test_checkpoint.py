@@ -121,10 +121,9 @@ class TestResumeDeterminism:
         net.sim.run(until=11.0)
         sim2, _roots = manager.latest().restore()
         clone = next(
-            ev.fn.__self__ for _t, _s, ev in sim2._queue
-            if not ev.cancelled
-            and isinstance(getattr(ev.fn, "__self__", None),
-                           CheckpointManager))
+            ev.fn.__self__ for ev in sim2.pending_events()
+            if isinstance(getattr(ev.fn, "__self__", None),
+                          CheckpointManager))
         # the ring of past snapshots is excluded from the snapshot...
         assert clone.taken == 0 and not clone.checkpoints
         sim2.run(until=21.0)

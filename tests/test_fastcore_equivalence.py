@@ -1,18 +1,22 @@
-"""Accelerated-kernel equivalence oracle (repro.sim.fastcore).
+"""Kernel equivalence: the slim-entry path against a live reference.
 
-The contract: ``Simulator(accel=True)`` is a pure speed change.  Same
-seed, byte-identical event trace — times, sequence numbers and dispatch
-order — on every scenario family the bench suite covers (clean chain,
-dense mesh, compound chaos faults), across seeds.  The oracle kernel in
-``repro.sim.engine`` is deliberately untouched so any fast-kernel bug
-shows up as a trace divergence here, not as a silently different result.
+The contract of the slim path is ``schedule_unref(d, fn, *a)`` ≡
+``schedule(d, fn, *a)`` with the handle dropped.  The reference kernel
+is therefore three lines of test code — ``schedule_unref`` patched to
+call ``schedule`` — and the suite compares full ``(time, seq,
+qualname)`` traces against it on every scenario family the bench suite
+covers (clean chain, dense mesh, compound chaos faults), across seeds.
+Each trace is additionally pinned to the sha256 it had at commit
+af24a93 on the then-separate plain kernel, so folding the slim path
+into ``Simulator`` is itself proven behaviour-neutral.
 
 ``fidelity="hybrid"`` is held to the weaker *metric* contract it
-advertises: goodput within 2% of the oracle, identical retransmit/RTO
-counters, and it must actually have cruised (``sim.warps > 0``) while
-processing far fewer events.
+advertises: goodput within 2% of full fidelity, identical
+retransmit/RTO counters, and it must actually have cruised
+(``sim.warps > 0``) while processing far fewer events.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -23,8 +27,7 @@ from repro.experiments.topology import build_chain, build_grid_mesh, build_pair
 from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.checkpoint import CheckpointManager, TraceHook
-from repro.sim.engine import Simulator
-from repro.sim.fastcore import FastSimulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.verify.probes import probe_kernel
 
 CHAOS_SPEC = {
@@ -44,6 +47,41 @@ def _stack(net, nid, params=None):
                     sleepy=node.sleepy)
 
 
+#: sha256 of each traced run at af24a93, plain kernel (see _digest)
+PINNED = {
+    ("chain", 1): "f0d48c1ff658f8ebcd8d33d759882c480211f1988a4ea2951ca28e374562e243",
+    ("chain", 2): "de28457f1b3e2f8981df8b746fcd246f380d7bea728444ad028c0c8dc59c0427",
+    ("chain", 3): "100ad43394df4e14e2c4ee36357cde41a7a2eecf7a14fe5314c77aaaf6e1af23",
+    ("chain", 4): "a46fbd54b51fa5be1cb7ace9e83ef8b93e49a679034f0b73b2036b2ffccbf097",
+    ("chain", 5): "318aa4639d00e53c57ebe6bd8c2dda25c10a4c1140db1eb2702c6bde5c585a15",
+    ("mesh", 3): "1e8fdebb178baf6c04f264088cba73207775f992aa7b1c305093c0daf54d2331",
+    ("mesh", 11): "b59abb96133ccf4f74411a022a71a53fd9db2bfdb7da83fc43ada05b27fedac7",
+    ("chaos", 7): "cf605478e8a4c001e9d26651da607298749dc71c12b2320803472f6acef12a29",
+    ("chaos", 23): "e9d6e89c5faeef5c912e43ec022f8be5e09a772d84037306caaa6b37a125fb31",
+}
+
+
+def _reference_schedule_unref(self, delay, fn, *args):
+    self.schedule(delay, fn, *args)
+
+
+def _digest(trace):
+    h = hashlib.sha256()
+    for time, seq, name in trace:
+        h.update(f"{time!r} {seq} {name}\n".encode())
+    return h.hexdigest()
+
+
+def _slim_and_reference(run, seed, monkeypatch):
+    slim = run(seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "schedule_unref", _reference_schedule_unref)
+        reference = run(seed)
+    assert len(reference[0]) > 5000  # the run exercised the whole stack
+    assert slim == reference
+    return slim
+
+
 def _trace(sim):
     entries = []
     sim.on_event = lambda ev: entries.append(
@@ -51,9 +89,9 @@ def _trace(sim):
     return entries
 
 
-def _chain_run(accel: bool, seed: int):
+def _chain_run(seed: int):
     """3-hop hidden-terminal bulk transfer, fully traced."""
-    net = build_chain(3, seed=seed, accel=accel)
+    net = build_chain(3, seed=seed)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -64,9 +102,9 @@ def _chain_run(accel: bool, seed: int):
     return trace, round(res.goodput_kbps, 3), net.medium.frames_delivered
 
 
-def _mesh_run(accel: bool, seed: int):
+def _mesh_run(seed: int):
     """A small router mesh with staggered concurrent flows, traced."""
-    net = build_grid_mesh(4, 4, seed=seed, accel=accel)
+    net = build_grid_mesh(4, 4, seed=seed)
     params = tcplp_params(window_segments=2)
     specs = [FlowSpec(src=3, dst=0, start=0.0),
              FlowSpec(src=15, dst=12, start=0.25),
@@ -79,9 +117,9 @@ def _mesh_run(accel: bool, seed: int):
             net.medium.frames_delivered, res.flows_connected)
 
 
-def _chaos_run(accel: bool, seed: int):
+def _chaos_run(seed: int):
     """2-hop chain under compound faults (flap + reboot + loss), traced."""
-    net = build_chain(2, seed=seed, with_cloud=False, accel=accel)
+    net = build_chain(2, seed=seed, with_cloud=False)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     injector = FaultInjector(net, FaultSchedule.from_dict(CHAOS_SPEC)).arm()
@@ -98,48 +136,33 @@ def _chaos_run(accel: bool, seed: int):
 # byte-identical traces, per scenario family, across seeds
 # ======================================================================
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_chain_trace_identical(seed):
-    oracle = _chain_run(accel=False, seed=seed)
-    fast = _chain_run(accel=True, seed=seed)
-    assert len(oracle[0]) > 5000  # the run exercised the whole stack
-    assert fast == oracle
+def test_chain_trace_identical(seed, monkeypatch):
+    slim = _slim_and_reference(_chain_run, seed, monkeypatch)
+    assert _digest(slim[0]) == PINNED["chain", seed]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_mesh_trace_identical(seed):
-    oracle = _mesh_run(accel=False, seed=seed)
-    fast = _mesh_run(accel=True, seed=seed)
-    assert oracle[3] > 0  # flows actually connected
-    assert len(oracle[0]) > 5000
-    assert fast == oracle
+def test_mesh_trace_identical(seed, monkeypatch):
+    slim = _slim_and_reference(_mesh_run, seed, monkeypatch)
+    assert slim[3] > 0  # flows actually connected
+    assert _digest(slim[0]) == PINNED["mesh", seed]
 
 
 @pytest.mark.parametrize("seed", [7, 23])
-def test_chaos_trace_identical(seed):
-    oracle = _chaos_run(accel=False, seed=seed)
-    fast = _chaos_run(accel=True, seed=seed)
-    assert oracle[3] > 0  # faults actually fired
-    assert len(oracle[0]) > 5000
-    assert fast == oracle
+def test_chaos_trace_identical(seed, monkeypatch):
+    slim = _slim_and_reference(_chaos_run, seed, monkeypatch)
+    assert slim[3] > 0  # faults actually fired
+    assert _digest(slim[0]) == PINNED["chaos", seed]
 
 
 # ======================================================================
-# kernel construction and dispatch
+# kernel construction
 # ======================================================================
-def test_accel_flag_dispatches_to_fast_simulator():
-    assert type(Simulator()) is Simulator
-    fast = Simulator(accel=True)
-    assert type(fast) is FastSimulator
-    assert fast.accel is True and fast.fidelity == "full"
-    assert fast.hybrid is None
-
-
 def test_hybrid_fidelity_implies_fast_kernel_and_controller():
+    assert Simulator().hybrid is None
     sim = Simulator(fidelity="hybrid")
-    assert type(sim) is FastSimulator
+    assert type(sim) is Simulator
     assert sim.hybrid is not None
-    from repro.sim.engine import SimulationError
-
     with pytest.raises(SimulationError, match="fidelity"):
         Simulator(fidelity="approximate")
 
@@ -147,19 +170,20 @@ def test_hybrid_fidelity_implies_fast_kernel_and_controller():
 def test_deepcopy_preserves_kernel_class():
     import copy
 
-    fast = Simulator(accel=True)
-    fast.schedule(1.0, fast.stop)
-    clone = copy.deepcopy(fast)
-    assert type(clone) is FastSimulator
-    assert clone.pending_count() == 1
+    sim = Simulator()
+    sim.schedule(1.0, sim.stop)
+    sim.schedule_unref(2.0, sim.stop)
+    clone = copy.deepcopy(sim)
+    clone.run()  # the copied callbacks stop the clone, not the original
+    assert (type(clone), clone.now, clone.pending_count()) == (Simulator, 1.0, 1)
+    assert (sim.now, sim.pending_count()) == (0.0, 2)
 
 
 # ======================================================================
-# schedule_unref semantics under both kernels
+# schedule_unref semantics
 # ======================================================================
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_schedule_unref_semantics(accel):
-    sim = Simulator(accel=accel)
+def test_schedule_unref_semantics():
+    sim = Simulator()
     fired = []
     assert sim.schedule_unref(2.0, fired.append, "slim") is None
     ev = sim.schedule(1.0, fired.append, "event")
@@ -174,20 +198,14 @@ def test_schedule_unref_semantics(accel):
     assert sim.pending_count() == 0
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_schedule_unref_rejects_negative_delay(accel):
-    from repro.sim.engine import SimulationError
-
-    sim = Simulator(accel=accel)
+def test_schedule_unref_rejects_negative_delay():
+    sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_unref(-0.1, lambda: None)
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_warp_shifts_both_entry_shapes(accel):
-    from repro.sim.engine import SimulationError
-
-    sim = Simulator(accel=accel)
+def test_warp_shifts_both_entry_shapes():
+    sim = Simulator()
     fired = []
     sim.schedule_unref(2.0, lambda: fired.append(("slim", sim.now)))
     sim.schedule(3.0, lambda: fired.append(("event", sim.now)))
@@ -202,10 +220,10 @@ def test_warp_shifts_both_entry_shapes(accel):
 
 
 # ======================================================================
-# invariant probes and checkpointing see through the fast kernel
+# invariant probes and checkpointing see through slim entries
 # ======================================================================
 def test_probe_kernel_clean_on_accel_mid_run():
-    sim = Simulator(accel=True)
+    sim = Simulator()
     for i in range(50):
         sim.schedule_unref(0.1 * i + 5.0, lambda: None)
     events = [sim.schedule(0.1 * i + 5.0, lambda: None) for i in range(50)]
@@ -218,7 +236,7 @@ def test_probe_kernel_clean_on_accel_mid_run():
 
 
 def test_checkpoint_resume_byte_identical_on_accel():
-    net = build_chain(2, seed=11, with_cloud=False, accel=True)
+    net = build_chain(2, seed=11, with_cloud=False)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -233,7 +251,7 @@ def test_checkpoint_resume_byte_identical_on_accel():
     reference = hook.suffix_after(cp)
     assert len(reference) > 100
     sim2, _roots = cp.restore()
-    assert type(sim2) is FastSimulator  # the kernel tier survives restore
+    assert any(len(e) == 4 for e in sim2._queue)  # slim entries restored
     hook2 = TraceHook().attach(sim2)
     sim2.run(until=12.0)
     assert hook2.entries == reference

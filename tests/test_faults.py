@@ -23,12 +23,12 @@ from repro.faults import (
     SkewedClock,
     auto_inject,
     drain_auto,
-    invariants,
 )
 from repro.phy.medium import UniformLoss
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.timers import Timer
+from repro.verify import postrun as invariants
 
 
 # ======================================================================

@@ -214,7 +214,7 @@ class TestLoadgenReport:
 # ----------------------------------------------------------------------
 def _gateway_net(seed=1):
     """One-hop mesh with a cloud uplink; mote 1 runs TCP+UDP echo."""
-    net = build_chain(1, seed=seed, accel=True)
+    net = build_chain(1, seed=seed)
     tcp_echo = install_echo(net, 1, 7)
     udp_echo = install_echo(net, 1, 7, kind="udp")
     return net, tcp_echo, udp_echo
@@ -371,7 +371,7 @@ class TestGatewayEndToEnd:
         """A client that resets mid-upload must leave no state behind:
         no bridge, no pinned splice bytes, sim-side teardown done."""
         async def scenario():
-            net = build_chain(1, seed=1, accel=True)
+            net = build_chain(1, seed=1)
             sink = install_sink(net, 1, 7)
             sink.pause()  # keep bytes in flight inside the bridge
             gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
@@ -413,7 +413,7 @@ class TestGatewayEndToEnd:
         """A paused sink closes its receive window; the upload must
         stall losslessly and finish once the mote drains."""
         async def scenario():
-            net = build_chain(1, seed=1, accel=True)
+            net = build_chain(1, seed=1)
             sink = install_sink(net, 1, 7)
             sink.pause()  # mote advertises zero window once buffers fill
             gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
@@ -448,7 +448,7 @@ class TestGatewayEndToEnd:
 
     def test_sink_receives_bulk_upload(self):
         async def scenario():
-            net = build_chain(1, seed=1, accel=True)
+            net = build_chain(1, seed=1)
             sink = install_sink(net, 1, 7)
             gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
                          speed=50.0, slack_budget=5.0)
@@ -478,13 +478,13 @@ class TestGatewayEndToEnd:
 
 class TestAttachWiredHost:
     def test_duplicate_and_wireless_topologies_rejected(self):
-        net = build_chain(1, seed=1, accel=True)
+        net = build_chain(1, seed=1)
         attach_wired_host(net, 1001)
         with pytest.raises(ValueError):
             attach_wired_host(net, 1001)  # id already in use
         with pytest.raises(ValueError):
             attach_wired_host(net, 1000)  # the cloud host's own id
-        bare = build_chain(1, seed=1, accel=True, with_cloud=False)
+        bare = build_chain(1, seed=1, with_cloud=False)
         with pytest.raises(ValueError):
             attach_wired_host(bare, 1001)
 

@@ -137,14 +137,12 @@ def test_cancel_heavy_load_triggers_compaction():
     assert sim.events_processed == 1
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_cancel_heavy_workload_keeps_heap_bounded(accel):
+def test_cancel_heavy_workload_keeps_heap_bounded():
     """The TCP rexmit-timer pattern — every tick re-arms a batch of
     timers and cancels the previous batch — must not grow the heap, and
-    the tombstone accounting must agree with the heap afterwards under
-    both kernels (the accelerated one mixes slim handle-free entries
-    into the same heap)."""
-    sim = Simulator(accel=accel)
+    the tombstone accounting must agree with the heap afterwards even
+    with slim handle-free entries mixed into the same heap."""
+    sim = Simulator()
     live = []
 
     def tick():
@@ -152,7 +150,7 @@ def test_cancel_heavy_workload_keeps_heap_bounded(accel):
             ev.cancel()
         live.clear()
         live.extend(sim.schedule(5.0, lambda: None) for _ in range(40))
-        # handle-free churn rides along (slim 4-tuples on the fast kernel)
+        # handle-free churn rides along (slim 4-tuples)
         sim.schedule_unref(0.005, lambda: None)
 
     sim.schedule_periodic(0.01, tick)
@@ -169,10 +167,9 @@ def test_cancel_heavy_workload_keeps_heap_bounded(accel):
     assert tombstones == sim.cancelled_count
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_compaction_preserves_pending_dispatch_order(accel):
+def test_compaction_preserves_pending_dispatch_order():
     """Compacting mid-flight must not reorder or drop survivors."""
-    sim = Simulator(accel=accel)
+    sim = Simulator()
     fired = []
     keep = [sim.schedule(1.0 + 0.1 * i, fired.append, i) for i in range(5)]
     doomed = [sim.schedule(10.0, lambda: fired.append("dead"))
@@ -185,6 +182,19 @@ def test_compaction_preserves_pending_dispatch_order(accel):
     sim.run()
     assert fired == [0, 1, 2, "slim", 3, 4]
     assert all(ev.fired for ev in keep)
+
+
+def test_slim_entry_views_report_pending_until_dispatched():
+    sim = Simulator()
+    sim.schedule_unref(1.0, lambda: None)
+    (queued,) = sim.pending_events()
+    assert queued.pending and not queued.fired and not queued.cancelled
+    seen = []
+    sim.on_event = seen.append
+    sim.run()
+    (dispatched,) = seen
+    assert dispatched.fired and not dispatched.pending
+    assert (dispatched.time, dispatched.seq) == (queued.time, queued.seq)
 
 
 def test_double_cancel_counts_once():

@@ -313,7 +313,7 @@ class TestBenchClassification:
         monkeypatch.setattr(bench, "BASELINE_PATH", baseline_path)
 
         def fake_run_all(smoke, trials, only=None, results=None,
-                         accel=False, fidelity="full"):
+                         fidelity="full"):
             return results
 
         drifted = {"s": {"events": 101, "frames_delivered": 10,

@@ -239,7 +239,7 @@ def _shed_total(snap, reason):
 
 class TestSheddingEndToEnd:
     def _gateway(self, limits, **kwargs):
-        net = build_chain(1, seed=1, accel=True)
+        net = build_chain(1, seed=1)
         install_echo(net, 1, 7)
         return Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
                        speed=50.0, slack_budget=10.0, limits=limits,
@@ -290,7 +290,7 @@ class TestSheddingEndToEnd:
 
     def test_open_breaker_sheds_instantly_after_sim_failures(self):
         async def scenario():
-            net = build_chain(1, seed=1, accel=True)  # nothing on port 9
+            net = build_chain(1, seed=1)  # nothing on port 9
             gw = Gateway(
                 net, [MoteBinding(node_id=1, sim_port=9)],
                 speed=200.0, slack_budget=10.0,
@@ -326,7 +326,7 @@ class TestSheddingEndToEnd:
 
     def test_establish_timeout_reaps_stuck_session(self):
         async def scenario():
-            net = build_chain(1, seed=1, accel=True)  # nothing on port 9
+            net = build_chain(1, seed=1)  # nothing on port 9
             gw = Gateway(
                 net, [MoteBinding(node_id=1, sim_port=9)],
                 speed=50.0, slack_budget=10.0,
@@ -375,7 +375,7 @@ class TestSheddingEndToEnd:
 
     def test_splice_budget_pauses_then_drains_clean(self):
         async def scenario():
-            net = build_chain(1, seed=1, accel=True)
+            net = build_chain(1, seed=1)
             sink = install_sink(net, 1, 7)
             sink.pause()  # zero-window mote: bytes pile up in the bridge
             gw = Gateway(

@@ -87,7 +87,7 @@ def gate_kwargs(**overrides):
 @pytest.mark.parametrize("mutate, match", [
     (dict(builder="chain"), "not shardable"),
     (dict(builder_kwargs=gate_kwargs(with_cloud=True)), "cloud"),
-    (dict(builder_kwargs=gate_kwargs(accel=True)), "oracle kernel"),
+    (dict(builder_kwargs=gate_kwargs(node_config=object())), "node_config"),
     (dict(builder_kwargs=gate_kwargs(fidelity="hybrid")), "fidelity"),
     (dict(tx_turnaround=0.0), "tx_turnaround"),
     (dict(flows=[FlowSpec(src=0, dst=1, dst_is_cloud=True)]), "cloud"),
@@ -108,8 +108,8 @@ def test_make_simulator_shard_surface():
     with pytest.raises(ValueError, match="ShardRecipe"):
         make_simulator(shards=2)
     recipe = default_gate_recipe()
-    with pytest.raises(ValueError, match="oracle kernel"):
-        make_simulator(shards=2, recipe=recipe, accel=True)
+    with pytest.raises(ValueError, match="fidelity"):
+        make_simulator(shards=2, recipe=recipe, fidelity="hybrid")
     sharded = make_simulator(shards=2, recipe=recipe)
     try:
         assert isinstance(sharded, ShardedSimulator)
@@ -119,24 +119,44 @@ def test_make_simulator_shard_surface():
 
 
 # ----------------------------------------------------------------------
+# the window primitive: run_exclusive is run()'s loop with a strict bound
+# ----------------------------------------------------------------------
+def test_run_exclusive_leaves_events_at_the_limit_queued():
+    sim = Simulator()
+    order = []
+    sim.schedule(1.0, order.append, "event<")
+    sim.schedule_unref(1.5, order.append, "slim<")
+    sim.schedule(2.0, order.append, "event=")
+    sim.schedule_unref(2.0, order.append, "slim=")
+    sim.run_exclusive(2.0)
+    assert order == ["event<", "slim<"]
+    assert (sim.now, sim.pending_count()) == (2.0, 2)
+    sim.run(until=2.0)  # the inclusive bound takes both shapes
+    assert order == ["event<", "slim<", "event=", "slim="]
+
+
+# ----------------------------------------------------------------------
 # ghost tie ordering (the _WorkerSim seq-key machinery)
 # ----------------------------------------------------------------------
 def test_ghost_seq_key_orders_at_commit_instant():
     # A ghost committed at t=1.2 must dispatch after events scheduled
     # at instants <= 1.2 and before events scheduled later, even when
-    # all of them fire at the same time — the oracle's tie order.
-    sim = Simulator()
-    sim.__class__ = _WorkerSim
-    sim._init_shard_log()
-    order = []
-    sim.schedule_at(1.0, lambda: sim.schedule_at(5.0, order.append, "a"))
-    sim.schedule_at(1.5, lambda: sim.schedule_at(5.0, order.append, "b"))
-    sim.begin_seqlog()
-    sim.run_exclusive(2.0)
-    sim.schedule_ghost(5.0, 1.2, order.append, "ghost")
-    sim.begin_seqlog()
-    sim.run(until=6.0)
-    assert order == ["a", "ghost", "b"]
+    # all of them fire at the same time — the oracle's tie order,
+    # against Event and slim local entries alike.
+    for name in ("schedule", "schedule_unref"):
+        sim = Simulator()
+        sim.__class__ = _WorkerSim
+        sim._init_shard_log()
+        order = []
+        local = getattr(sim, name)
+        local(1.0, local, 4.0, order.append, "a")
+        local(1.5, local, 3.5, order.append, "b")
+        sim.begin_seqlog()
+        sim.run_exclusive(2.0)
+        sim.schedule_ghost(5.0, 1.2, order.append, "ghost")
+        sim.begin_seqlog()
+        sim.run(until=6.0)
+        assert order == ["a", "ghost", "b"], name
 
 
 def test_ghost_keys_stay_unique_and_monotone():

@@ -80,18 +80,6 @@ def test_stop_halts_run():
     assert fired == [1, 3]
 
 
-def test_step_processes_one_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert fired == [1, 2]
-    assert not sim.step()
-
-
 def test_peek_time_skips_cancelled():
     sim = Simulator()
     ev = sim.schedule(1.0, lambda: None)

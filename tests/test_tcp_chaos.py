@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from repro.core.simplified import tcplp_params, uip_params
 from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_chain, build_pair
-from repro.faults import FaultInjector, FaultSchedule, invariants
+from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.models import SkewedClock
 from repro.phy.medium import UniformLoss
 from repro.sim.rng import RngStreams
+from repro.verify import postrun as invariants
 
 
 def run_transfer(net, payload, sender_id, receiver_id, params_tx, params_rx,

@@ -8,16 +8,12 @@ behavioural metrics that must NOT move when the kernel gets faster.
 Modes
 -----
 * default (full): N trials per scenario at full durations (median +
-  spread, so speedup claims are not single-sample noise); unless a
-  kernel is pinned with ``--accel``/``--fidelity``, the full run
-  benches the oracle kernel, the accelerated kernel, and the hybrid
-  tier (on its bulk scenarios) and writes all of them to
-  ``BENCH_kernel.json`` at the repo root.
-* ``--accel`` / ``--fidelity hybrid``: pin the kernel tier.  Accel runs
-  are behaviourally byte-identical to oracle runs, so in smoke mode
-  they are gated against the *same* ``baseline.json`` — any drift is a
-  fastcore equivalence bug.  Hybrid runs are metric-equivalent only and
-  are never compared against the baseline.
+  spread, so speedup claims are not single-sample noise); unless
+  ``--fidelity hybrid`` pins the tier, the full run benches full
+  fidelity and the hybrid tier (on its bulk scenarios) and writes both
+  to ``BENCH_kernel.json`` at the repo root.
+* ``--fidelity hybrid``: bench only the hybrid tier.  Hybrid runs are
+  metric-equivalent only and are never compared against the baseline.
 * ``--profile [DIR]``: additionally run each selected scenario under
   ``cProfile`` and write ``DIR/<scenario>.pstats`` (default
   ``bench_profiles/``) as a CI artifact; the directory is created if
@@ -94,7 +90,7 @@ HYBRID_SCENARIOS = ("one_hop_bulk", "three_hop_hidden")
 
 
 def run_scenario(name: str, smoke: bool, trials: int,
-                 accel: bool = False, fidelity: str = "full") -> dict:
+                 fidelity: str = "full") -> dict:
     """``trials`` runs of one scenario: median wall time + spread.
 
     Smoke mode keys ``events_per_sec`` off the *fastest* trial (robust
@@ -109,7 +105,7 @@ def run_scenario(name: str, smoke: bool, trials: int,
     walls = []
     result = None
     for _ in range(trials):
-        r = fn(duration=duration, accel=accel, fidelity=fidelity)
+        r = fn(duration=duration, fidelity=fidelity)
         if result is not None:
             for key in BEHAVIOURAL_KEYS:
                 if r.get(key) != result.get(key):
@@ -132,8 +128,7 @@ def run_scenario(name: str, smoke: bool, trials: int,
 
 
 def run_all(smoke: bool, trials: int, only=None,
-            accel: bool = False, fidelity: str = "full",
-            scenario_names=None) -> dict:
+            fidelity: str = "full", scenario_names=None) -> dict:
     if only:
         unknown = sorted(set(only) - set(scenarios.SCENARIOS))
         if unknown:
@@ -142,15 +137,13 @@ def run_all(smoke: bool, trials: int, only=None,
                 f"choose from {list(scenarios.SCENARIOS)}"
             )
     results = {}
-    kernel = "hybrid" if fidelity == "hybrid" else ("accel" if accel else "oracle")
     for name in (scenario_names or scenarios.SCENARIOS):
         if only and name not in only:
             continue
         t0 = time.perf_counter()
-        results[name] = run_scenario(name, smoke, trials,
-                                     accel=accel, fidelity=fidelity)
+        results[name] = run_scenario(name, smoke, trials, fidelity=fidelity)
         r = results[name]
-        print(f"[{name}] ({kernel}) {r['events_per_sec']:>8} events/sec  "
+        print(f"[{name}] ({fidelity}) {r['events_per_sec']:>8} events/sec  "
               f"(events={r['events']}, wall={r['wall_s']:.3f}s "
               f"[{r['wall_s_min']:.3f}..{r['wall_s_max']:.3f} over "
               f"{r['trials']} trials], "
@@ -159,8 +152,7 @@ def run_all(smoke: bool, trials: int, only=None,
 
 
 def profile_scenarios(out_dir: str, smoke: bool, only=None,
-                      accel: bool = False, fidelity: str = "full",
-                      trials: int = 1) -> None:
+                      fidelity: str = "full", trials: int = 1) -> None:
     """cProfile runs per scenario, dumped as pstats (CI artifact).
 
     With ``trials > 1`` every trial is profiled into its own
@@ -171,7 +163,7 @@ def profile_scenarios(out_dir: str, smoke: bool, only=None,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = "_hybrid" if fidelity == "hybrid" else ("_accel" if accel else "")
+    suffix = "_hybrid" if fidelity == "hybrid" else ""
     for name in scenarios.SCENARIOS:
         if only and name not in only:
             continue
@@ -180,7 +172,7 @@ def profile_scenarios(out_dir: str, smoke: bool, only=None,
         for trial in range(max(1, trials)):
             prof = cProfile.Profile()
             prof.enable()
-            fn(duration=duration, accel=accel, fidelity=fidelity)
+            fn(duration=duration, fidelity=fidelity)
             prof.disable()
             tag = f"_trial{trial + 1}" if trials > 1 else ""
             path = out / f"{name}{suffix}{tag}.pstats"
@@ -290,7 +282,7 @@ def compare_to_baseline(results: dict, baseline: dict,
                         f"(run --update-baseline)")
             continue
         # Determinism guard: behaviour must match the baseline exactly,
-        # on any machine (and on any trace-equivalent kernel tier).
+        # on any machine.
         for key in BEHAVIOURAL_KEYS:
             if current.get(key) != base.get(key):
                 behavioural.append(
@@ -407,11 +399,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=None,
                         help="trials per scenario (default: 3 full, "
                              "1 smoke)")
-    parser.add_argument("--accel", action="store_true",
-                        help="run on the accelerated kernel "
-                             "(Simulator(accel=True)); byte-identical "
-                             "behaviour, so smoke mode gates against "
-                             "the same baseline.json")
     parser.add_argument("--fidelity", choices=("full", "hybrid"),
                         default="full",
                         help="kernel fidelity; 'hybrid' fast-forwards "
@@ -493,26 +480,24 @@ def main(argv=None) -> int:
     if args.fidelity == "hybrid" and args.smoke:
         raise SystemExit("hybrid mode is metric-equivalent only; it has "
                          "no baseline to smoke-gate against")
-    pinned = args.accel or args.fidelity != "full"
+    pinned = args.fidelity != "full"
     results = run_all(smoke=smoke, trials=trials, only=args.only,
-                      accel=args.accel, fidelity=args.fidelity)
+                      fidelity=args.fidelity)
     document = {
         "mode": "smoke" if smoke else "full",
-        "kernel": ("hybrid" if args.fidelity == "hybrid"
-                   else ("accel" if args.accel else "oracle")),
+        "kernel": args.fidelity,
         "python": platform.python_version(),
         "results": results,
     }
 
     if args.profile is not None:
         profile_scenarios(args.profile, smoke=smoke, only=args.only,
-                          accel=args.accel, fidelity=args.fidelity,
-                          trials=trials)
+                          fidelity=args.fidelity, trials=trials)
 
     if args.update_baseline:
         if pinned:
             raise SystemExit("refusing to update baseline.json from a "
-                             "non-oracle kernel")
+                             "hybrid-fidelity run")
         BASELINE_PATH.write_text(json.dumps(document, indent=2) + "\n")
         print(f"wrote {BASELINE_PATH}")
         return 0
@@ -544,24 +529,8 @@ def main(argv=None) -> int:
         return 0
 
     if not pinned:
-        # Default full run: publish every kernel tier side by side.
-        # Accel must be behaviourally identical to oracle (the trace-
-        # equivalence suite guards that; assert the headline numbers
-        # here too), hybrid is reported with its goodput delta.
-        accel_results = run_all(smoke=False, trials=trials, only=args.only,
-                                accel=True)
-        for name, r in accel_results.items():
-            base = results[name]
-            for key in BEHAVIOURAL_KEYS:
-                if r.get(key) != base.get(key):
-                    print(f"FAIL accel behavioural drift: {name}.{key} "
-                          f"{base.get(key)} -> {r.get(key)}",
-                          file=sys.stderr)
-                    return EXIT_BEHAVIOURAL
-            r["speedup_vs_oracle"] = round(
-                r["events_per_sec"] / base["events_per_sec"], 3)
-        document["results_accel"] = accel_results
-
+        # Default full run: publish the hybrid tier next to full
+        # fidelity, with its goodput delta.
         hybrid_only = [n for n in HYBRID_SCENARIOS
                        if not args.only or n in args.only]
         if hybrid_only:
@@ -570,7 +539,7 @@ def main(argv=None) -> int:
                                      scenario_names=hybrid_only)
             for name, r in hybrid_results.items():
                 base = results[name]
-                r["wall_speedup_vs_oracle"] = round(
+                r["wall_speedup_vs_full"] = round(
                     base["wall_s"] / r["wall_s"], 2)
                 r["goodput_delta_pct"] = round(
                     (r["goodput_kbps"] - base["goodput_kbps"])
