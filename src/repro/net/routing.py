@@ -7,12 +7,18 @@ over the router connectivity graph (BFS on the medium's geometry),
 attaches each leaf to its best (nearest) router, and sends all
 off-mesh traffic toward the border router.  Experiments that need an
 exact path (the chain topologies of §7) use :class:`StaticRouting`.
+
+A Thread router holds a next hop per *router*, not per pair, and a
+workload only ever asks about the destinations its flows use, so
+:class:`MeshRouting` keeps one BFS tree per destination asked about and
+grows it only as far as the farthest node that has asked: what routing
+costs follows the traffic, not the size of the mesh.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class StaticRouting:
@@ -42,20 +48,21 @@ class StaticRouting:
         return self._table.get((node, dst))
 
 
-def _bfs_next_hops(adj: Dict[int, List[int]], source: int) -> Dict[int, int]:
-    """For each reachable node, its next hop on a shortest path *toward*
-    ``source`` (i.e. parent pointers of a BFS tree rooted at source)."""
-    parent: Dict[int, int] = {}
-    visited: Set[int] = {source}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        for v in adj.get(u, ()):  # deterministic: adjacency lists are sorted
-            if v not in visited:
-                visited.add(v)
-                parent[v] = u
-                frontier.append(v)
-    return parent
+class _RouteTree:
+    """A BFS tree rooted at one destination, grown on demand.
+
+    ``parent[v]`` is v's next hop toward the root.  A paused search
+    visits nodes in the same order as a finished one (same root, same
+    sorted adjacency, the queue saved in ``frontier``), so every parent
+    pointer is the one the full BFS assigns; an empty ``frontier``
+    means the tree is complete.
+    """
+
+    __slots__ = ("parent", "frontier")
+
+    def __init__(self, root: int):
+        self.parent: Dict[int, Optional[int]] = {root: None}
+        self.frontier = deque([root])
 
 
 class MeshRouting:
@@ -77,12 +84,15 @@ class MeshRouting:
         self.border_id = border_id
         self.router_ids = sorted(set(router_ids) | {border_id})
         self.leaf_parents = dict(leaf_parents or {})
-        self._next: Dict[Tuple[int, int], int] = {}
         #: frozen copy for the per-packet membership test; next_hop is
         #: called once per fragment per hop, so on hundred-node meshes
         #: rebuilding set(router_ids) there dominated forwarding cost
         self._router_set = frozenset(self.router_ids)
-        self._built = False
+        #: router -> sorted in-range routers, as of the last rebuild();
+        #: None until then
+        self._adj: Optional[Dict[int, List[int]]] = None
+        #: destination -> its BFS tree, created on first ask
+        self._trees: Dict[int, _RouteTree] = {}
 
     @classmethod
     def build(
@@ -110,19 +120,17 @@ class MeshRouting:
         return routing
 
     def rebuild(self, medium) -> None:
-        """(Re)compute router-mesh shortest paths from current geometry."""
-        self._router_set = frozenset(self.router_ids)
-        adj: Dict[int, List[int]] = {}
-        for r in self.router_ids:
-            adj[r] = sorted(
-                n for n in self.router_ids if n != r and medium.in_range(r, n)
-            )
-        self._next = {}
-        for dst in self.router_ids:
-            parents = _bfs_next_hops(adj, dst)
-            for node, hop in parents.items():
-                self._next[(node, dst)] = hop
-        self._built = True
+        """Take the router mesh from current geometry; forget old routes.
+
+        Routes are static until the next call: lookups grow shortest-path
+        trees over the adjacency captured here, not over the live medium.
+        """
+        routers = self._router_set = frozenset(self.router_ids)
+        self._adj = {
+            r: sorted(n for n in medium.neighbors(r) if n in routers)
+            for r in self.router_ids
+        }
+        self._trees = {}
 
     def parent_of(self, leaf: int) -> int:
         """The Thread parent router of a leaf."""
@@ -136,7 +144,7 @@ class MeshRouting:
 
     def next_hop(self, node: int, dst: int) -> Optional[int]:
         """Next hop from ``node`` toward ``dst``."""
-        if not self._built:
+        if self._adj is None:
             raise RuntimeError("call rebuild()/build() before routing")
         if node == dst:
             return None
@@ -157,9 +165,26 @@ class MeshRouting:
         return self._mesh_hop(node, dst)
 
     def _mesh_hop(self, node: int, dst: int) -> Optional[int]:
+        """Next hop on a shortest router path (None if unreachable).
+
+        Two dict lookups once ``dst``'s tree has reached ``node``;
+        otherwise the tree's BFS resumes until it does or runs out.
+        """
         if node == dst:
             return None
-        return self._next.get((node, dst))
+        tree = self._trees.get(dst)
+        if tree is None:
+            tree = self._trees[dst] = _RouteTree(dst)
+        parent = tree.parent
+        frontier = tree.frontier
+        adj = self._adj
+        while frontier and node not in parent:
+            u = frontier.popleft()
+            for v in adj.get(u, ()):  # sorted: ties break by id
+                if v not in parent:
+                    parent[v] = u
+                    frontier.append(v)
+        return parent.get(node)
 
     def hops_between(self, a: int, b: int) -> int:
         """Hop count of the current route from a to b (for experiments)."""
