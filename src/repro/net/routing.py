@@ -176,6 +176,9 @@ class MeshRouting:
         if tree is None:
             tree = self._trees[dst] = _RouteTree(dst)
         parent = tree.parent
+        hop = parent.get(node)
+        if hop is not None:
+            return hop
         frontier = tree.frontier
         adj = self._adj
         while frontier and node not in parent:

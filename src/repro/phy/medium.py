@@ -21,9 +21,9 @@ a cached adjacency structure (``neighbor_sets``) built once per
 topology change, and on top of it a per-receiver list of the frames
 audible there right now, so carrier sense is one truth test and
 collision marking costs O(degree) whatever the size of the network.
-Construct with ``use_cache=False`` to force the original geometric
-path, which scans every frame in flight (the determinism regression
-test asserts both paths produce byte-identical event traces).
+The original geometric path, which scans every frame in flight, lives
+on as ``tests/reference_medium.py``; the determinism regression tests
+assert both produce byte-identical event traces.
 
 Scale design: the adjacency rebuild itself used to be an O(n²)
 pairwise distance sweep, which dominates setup (and every topology
@@ -31,8 +31,7 @@ change) on hundred-node meshes.  The rebuild now buckets positions
 into a uniform grid with cell size ``comm_range`` and only tests the
 3x3 cell neighborhood of each node, so a rebuild costs O(n · degree).
 The resulting neighbor sets are identical to the brute-force sweep
-(asserted by tests/test_phy_medium.py); construct with
-``use_spatial_index=False`` to force the pairwise path.
+(kept in tests/reference_medium.py, asserted by tests/test_phy_medium.py).
 """
 
 from __future__ import annotations
@@ -119,15 +118,23 @@ class _LinkSet(set):
 class Transmission:
     """One frame in flight on the channel."""
 
-    __slots__ = ("sender", "frame", "start", "end", "spoiled")
+    __slots__ = ("sender", "frame", "start", "end", "spoiled",
+                 "on_done", "args")
 
-    def __init__(self, sender: "Radio", frame: object, start: float, end: float):
+    def __init__(self, sender: "Radio", frame: object, start: float,
+                 end: float, on_done: Optional[Callable[..., None]] = None,
+                 args: tuple = ()):
         self.sender = sender
         self.frame = frame
         self.start = start
         self.end = end
         #: receivers whose copy was corrupted by an overlapping transmission
         self.spoiled: Set[int] = set()
+        #: the sending radio's end-of-air completion, run by the same
+        #: event that delivers the frame; None for a frame whose sender
+        #: is not driven from here (a shard's ghost, a bare test frame)
+        self.on_done = on_done
+        self.args = args
 
 
 class Medium:
@@ -139,15 +146,11 @@ class Medium:
         params: Optional[PhyParams] = None,
         rng: Optional[RngStreams] = None,
         comm_range: float = 10.0,
-        use_cache: bool = True,
-        use_spatial_index: bool = True,
     ):
         self.sim = sim
         self.params = params or PhyParams()
         self.rng = rng or RngStreams(0)
         self.comm_range = comm_range
-        self.use_cache = use_cache
-        self.use_spatial_index = use_spatial_index
         self.radios: Dict[int, "Radio"] = {}
         self.positions: Dict[int, Tuple[float, float]] = {}
         self._active: List[Transmission] = []
@@ -288,14 +291,13 @@ class Medium:
             return True
         return self.distance(a, b) <= self.comm_range
 
-    def _spatial_buckets(self) -> Dict[Tuple[int, int], List[int]]:
+    def _spatial_buckets(self, cell: float) -> Dict[Tuple[int, int], List[int]]:
         """Uniform-grid bucketing of registered positions.
 
-        Cell size equals ``comm_range``, so every node within range of
-        ``a`` lives in the 3x3 cell neighborhood of ``a``'s cell.
+        With ``cell >= comm_range`` every node within range of ``a``
+        lives in the 3x3 cell neighborhood of ``a``'s cell.
         Rebuilt together with (and invalidated by) the adjacency cache.
         """
-        cell = self.comm_range
         buckets: Dict[Tuple[int, int], List[int]] = {}
         for nid in self.radios:
             x, y = self.positions[nid]
@@ -307,19 +309,20 @@ class Medium:
                 bucket.append(nid)
         return buckets
 
-    def _build_sets_grid(self, sources: List[int],
-                         known: Set[int]) -> Dict[int, Set[int]]:
+    def _build_sets(self, sources: List[int],
+                    known: Set[int]) -> Dict[int, Set[int]]:
         """Neighbor sets via spatial bucketing: O(n · degree).
 
         Produces exactly the sets the pairwise sweep would: the same
         distance predicate (``math.hypot(...) <= comm_range``) decides
         range, blocked links beat forced links beat distance.
         """
-        cell = self.comm_range
         comm_range = self.comm_range
+        # any positive cell works when nothing is in range by distance
+        cell = comm_range if comm_range > 0 else 1.0
         positions = self.positions
         blocked = self._blocked_links
-        buckets = self._spatial_buckets()
+        buckets = self._spatial_buckets(cell)
         forced_out: Dict[int, List[int]] = {}
         for a, b in self._forced_links:
             forced_out.setdefault(a, []).append(b)
@@ -345,18 +348,6 @@ class Medium:
             sets[a] = hears_a
         return sets
 
-    def _build_sets_brute(self, sources: List[int],
-                          known: Set[int]) -> Dict[int, Set[int]]:
-        """Neighbor sets via the original O(n²) pairwise sweep."""
-        sets: Dict[int, Set[int]] = {}
-        for a in sources:
-            hears_a: Set[int] = set()
-            for b in known:
-                if a != b and self._in_range_uncached(a, b):
-                    hears_a.add(b)
-            sets[a] = hears_a
-        return sets
-
     def _build_cache(self) -> Dict[int, Set[int]]:
         """(Re)build the adjacency cache from the current topology."""
         ids = list(self.radios)
@@ -371,10 +362,7 @@ class Medium:
             if b not in known:
                 known.add(b)
                 sources.append(b)
-        if self.use_spatial_index and self.comm_range > 0:
-            sets = self._build_sets_grid(sources, known)
-        else:
-            sets = self._build_sets_brute(sources, known)
+        sets = self._build_sets(sources, known)
         # registration-ordered receiver lists (registered radios only)
         order = {nid: i for i, nid in enumerate(ids)}
         self._neighbor_lists = {
@@ -411,25 +399,23 @@ class Medium:
 
     def in_range(self, a: int, b: int) -> bool:
         """True if node b can hear node a's transmissions."""
-        if self.use_cache:
-            sets = self._neighbor_sets
-            if sets is None:
-                sets = self._build_cache()
-            hears_a = sets.get(a)
-            if hears_a is not None:
-                return b in hears_a
-            # a is unknown to the cache (never registered, never forced)
+        sets = self._neighbor_sets
+        if sets is None:
+            sets = self._build_cache()
+        hears_a = sets.get(a)
+        if hears_a is not None:
+            return b in hears_a
+        # a is unknown to the cache (never registered, never forced)
         return self._in_range_uncached(a, b)
 
     def neighbors(self, node_id: int) -> List[int]:
         """Nodes that can hear ``node_id``."""
-        if self.use_cache:
-            if self._neighbor_lists is None:
-                self._build_cache()
-            assert self._neighbor_lists is not None
-            hearers = self._neighbor_lists.get(node_id)
-            if hearers is not None:
-                return list(hearers)
+        if self._neighbor_lists is None:
+            self._build_cache()
+        assert self._neighbor_lists is not None
+        hearers = self._neighbor_lists.get(node_id)
+        if hearers is not None:
+            return list(hearers)
         return [n for n in self.radios if self._in_range_uncached(node_id, n)]
 
     # ------------------------------------------------------------------
@@ -437,17 +423,11 @@ class Medium:
     # ------------------------------------------------------------------
     def carrier_busy(self, node_id: int) -> bool:
         """True if any ongoing transmission is audible at ``node_id``."""
-        if self.use_cache:
+        audible = self._audible
+        if audible is None:
+            self._build_cache()
             audible = self._audible
-            if audible is None:
-                self._build_cache()
-                audible = self._audible
-            if not audible[node_id]:
-                return False
-        elif not any(
-            self._in_range_uncached(tx.sender.node_id, node_id)
-            for tx in self._active
-        ):
+        if not audible[node_id]:
             return False
         if self._metrics is not None:
             self._node_counter(
@@ -473,30 +453,28 @@ class Medium:
                     other.spoiled.add(rcv_id)
             heard.append(tx)
 
-    def begin_transmission(self, sender: "Radio", frame: object, air_time: float) -> Transmission:
-        """Put a frame on the air; schedules its own completion."""
+    def begin_transmission(
+        self,
+        sender: "Radio",
+        frame: object,
+        air_time: float,
+        on_done: Optional[Callable[..., None]] = None,
+        args: tuple = (),
+    ) -> Transmission:
+        """Put a frame on the air; schedules its own completion.
+
+        One event ends the frame for everyone: it delivers to the
+        hearers and then, given ``on_done``, runs the sender's
+        ``_end_air(on_done, args)``.
+        """
         now = self.sim.now
-        tx = Transmission(sender, frame, now, now + air_time)
-        sender_id = sender.node_id
-        if self.use_cache:
-            self._join_air(tx)
-        else:
-            # Brute-force oracle: any receiver that hears both this frame
-            # and an already-ongoing one gets a corrupted copy of each.
-            for other in self._active:
-                for rcv_id in self.radios:
-                    if rcv_id == sender_id or rcv_id == other.sender.node_id:
-                        continue
-                    if self._in_range_uncached(
-                        sender_id, rcv_id
-                    ) and self._in_range_uncached(other.sender.node_id, rcv_id):
-                        tx.spoiled.add(rcv_id)
-                        other.spoiled.add(rcv_id)
+        tx = Transmission(sender, frame, now, now + air_time, on_done, args)
+        self._join_air(tx)
         self._active.append(tx)
         if self._metrics is not None:
-            self._node_counter(self._m_tx, "phy.tx", sender_id).inc()
+            self._node_counter(self._m_tx, "phy.tx", sender.node_id).inc()
         if self._bus is not None:
-            self._bus.emit("phy", sender_id, "tx_begin", air_time=air_time)
+            self._bus.emit("phy", sender.node_id, "tx_begin", air_time=air_time)
         # Handle-free schedule: nothing ever cancels a frame's air-time
         # expiry, so the kernel can skip the Event allocation.
         self.sim.schedule_unref(air_time, self._end_transmission, tx)
@@ -504,72 +482,87 @@ class Medium:
 
     def _end_transmission(self, tx: Transmission) -> None:
         sender_id = tx.sender.node_id
-        if self.use_cache:
-            # a rebuild re-derives the audible lists from ``_active``,
-            # so it must still see ``tx`` there
-            if self._neighbor_radios is None:
-                self._build_cache()
-            self._active.remove(tx)
-            for _, heard in self._hearer_air[sender_id]:
-                heard.remove(tx)
-            receivers = self._neighbor_radios[sender_id]
-        else:
-            self._active.remove(tx)
-            receivers = [
-                (rcv_id, radio)
-                for rcv_id, radio in self.radios.items()
-                if rcv_id != sender_id
-                and self._in_range_uncached(sender_id, rcv_id)
-            ]
+        # a rebuild re-derives the audible lists from ``_active``,
+        # so it must still see ``tx`` there
+        if self._neighbor_radios is None:
+            self._build_cache()
+        self._active.remove(tx)
+        for _, heard in self._hearer_air[sender_id]:
+            heard.remove(tx)
+        self._deliver(tx, self._neighbor_radios[sender_id])
+
+    def _deliver(self, tx: Transmission,
+                 receivers: List[Tuple[int, "Radio"]]) -> None:
+        """Hand ``tx`` to each receiver that got a clean copy, then tell
+        the sender its frame has left the air."""
+        sender_id = tx.sender.node_id
         spoiled = tx.spoiled
+        frame = tx.frame
+        start = tx.start
         loss_models = self.loss_models
         frame_filters = self.frame_filters
-        now = self.sim.now
-        start = tx.start
         metrics = self._metrics
         bus = self._bus
-        for rcv_id, radio in receivers:
-            if rcv_id in spoiled:
-                self.frames_collided += 1
+        if (metrics is None and bus is None
+                and not loss_models and not frame_filters):
+            # Nothing observes or perturbs this run: a frame is clean
+            # wherever it was not spoiled and was listened to throughout.
+            for rcv_id, radio in receivers:
+                if rcv_id in spoiled:
+                    self.frames_collided += 1
+                # inlined Radio.listened_throughout, as below
+                elif (radio.energy.state is _LISTEN
+                        and radio._listen_since <= start):
+                    self.frames_delivered += 1
+                    radio.deliver(frame, sender_id)
+        else:
+            now = self.sim.now
+            for rcv_id, radio in receivers:
+                if rcv_id in spoiled:
+                    self.frames_collided += 1
+                    if metrics is not None:
+                        self._node_counter(
+                            self._m_collisions, "phy.collisions", rcv_id
+                        ).inc()
+                    if bus is not None:
+                        bus.emit("phy", rcv_id, "collision", sender=sender_id)
+                    continue
+                # Inlined Radio.listened_throughout (hot: once per
+                # potential receiver per frame): continuously in LISTEN
+                # since tx start?
+                if (radio.energy.state is not _LISTEN
+                        or radio._listen_since > start):
+                    # Asleep, deaf (hardware-CSMA backoff), or transmitting.
+                    if metrics is not None:
+                        self._node_counter(
+                            self._m_missed, "phy.missed_not_listening", rcv_id
+                        ).inc()
+                    continue
+                if loss_models and any(
+                    loss(sender_id, rcv_id, now) for loss in loss_models
+                ):
+                    self.frames_lost += 1
+                    if metrics is not None:
+                        self._node_counter(
+                            self._m_losses, "phy.losses", rcv_id
+                        ).inc()
+                    if bus is not None:
+                        bus.emit("phy", rcv_id, "loss", sender=sender_id)
+                    continue
+                if frame_filters and any(
+                    f(frame, sender_id, rcv_id) for f in frame_filters
+                ):
+                    self.frames_lost += 1
+                    if metrics is not None:
+                        self._node_counter(
+                            self._m_losses, "phy.losses", rcv_id
+                        ).inc()
+                    continue
+                self.frames_delivered += 1
                 if metrics is not None:
                     self._node_counter(
-                        self._m_collisions, "phy.collisions", rcv_id
+                        self._m_deliveries, "phy.deliveries", rcv_id
                     ).inc()
-                if bus is not None:
-                    bus.emit("phy", rcv_id, "collision", sender=sender_id)
-                continue
-            # Inlined Radio.listened_throughout (hot: once per potential
-            # receiver per frame): continuously in LISTEN since tx start?
-            if radio.energy.state is not _LISTEN or radio._listen_since > start:
-                # Asleep, deaf (hardware-CSMA backoff), or transmitting.
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_missed, "phy.missed_not_listening", rcv_id
-                    ).inc()
-                continue
-            if loss_models and any(
-                loss(sender_id, rcv_id, now) for loss in loss_models
-            ):
-                self.frames_lost += 1
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_losses, "phy.losses", rcv_id
-                    ).inc()
-                if bus is not None:
-                    bus.emit("phy", rcv_id, "loss", sender=sender_id)
-                continue
-            if frame_filters and any(
-                f(tx.frame, sender_id, rcv_id) for f in frame_filters
-            ):
-                self.frames_lost += 1
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_losses, "phy.losses", rcv_id
-                    ).inc()
-                continue
-            self.frames_delivered += 1
-            if metrics is not None:
-                self._node_counter(
-                    self._m_deliveries, "phy.deliveries", rcv_id
-                ).inc()
-            radio.deliver(tx.frame, sender_id)
+                radio.deliver(frame, sender_id)
+        if tx.on_done is not None:
+            tx.sender._end_air(tx.on_done, tx.args)

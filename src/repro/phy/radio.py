@@ -251,10 +251,12 @@ class Radio:
         energy.state = _TX
         energy._since = now
         air = self._air_base + frame_bytes * self._air_per_byte
-        self.medium.begin_transmission(self, frame, air)
-        self.sim.schedule_unref(air, self._end_air, on_done, args)
+        # the medium's end-of-frame event also runs our _end_air
+        self.medium.begin_transmission(self, frame, air, on_done, args)
 
     def _end_air(self, on_done: Callable[..., None], args: tuple = ()) -> None:
+        """The frame has left the air (called by the medium after it
+        has delivered the frame to the hearers)."""
         if not self.powered:
             return  # crashed mid-air; the frame was spoiled on the medium
         self._tx_busy = False

@@ -360,10 +360,11 @@ class ShardMedium(Medium):
         """Put a foreign shard's committed frame on this shard's air.
 
         Mirrors :meth:`Medium.begin_transmission` *without* the sender's
-        metrics/trace (those belong to the sender's owner shard) and
-        with the owner-side ``powered`` guard: if the replicated fault
-        schedule crashed the sender before air start, the owner's
-        ``_start_air`` dropped the frame, so the ghost must vanish too.
+        metrics/trace and end-of-air completion (those belong to the
+        sender's owner shard) and with the owner-side ``powered`` guard:
+        if the replicated fault schedule crashed the sender before air
+        start, the owner's ``_start_air`` dropped the frame, so the
+        ghost must vanish too.
         """
         radio = self.radios[sender_id]
         if not radio.powered:
@@ -377,8 +378,6 @@ class ShardMedium(Medium):
 
 def shard_adopt(medium: Medium, owned: FrozenSet[int]) -> None:
     """Turn a built medium into this shard's :class:`ShardMedium`."""
-    if not medium.use_cache:
-        raise ShardError("sharding requires the medium adjacency cache")
     medium.__class__ = ShardMedium
     medium._shard_owned = frozenset(owned)
     medium._invalidate_cache()

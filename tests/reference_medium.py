@@ -1,0 +1,73 @@
+"""The medium before it cached anything, kept as the oracle.
+
+:class:`BruteMedium` answers every question from geometry: range is a
+distance test per pair; carrier sense and collision marking
+(``_join_air``, which ``begin_transmission`` calls before the frame
+joins ``_active``) scan every frame in flight; delivery sweeps every
+registered radio; and the neighbour sets come from the O(n²) pairwise
+sweep.  The equivalence suites (tests/test_phy_medium.py,
+tests/test_kernel_fastpath.py) hold :class:`repro.phy.medium.Medium`
+to byte-identical behaviour against it.
+"""
+
+from repro.phy.medium import Medium
+
+
+class BruteMedium(Medium):
+    """A :class:`Medium` that never consults the adjacency cache."""
+
+    def _build_sets(self, sources, known):
+        """Neighbor sets via the original O(n²) pairwise sweep."""
+        return {
+            a: {b for b in known if a != b and self._in_range_uncached(a, b)}
+            for a in sources
+        }
+
+    def in_range(self, a, b):
+        return self._in_range_uncached(a, b)
+
+    def neighbors(self, node_id):
+        return [n for n in self.radios if self._in_range_uncached(node_id, n)]
+
+    def carrier_busy(self, node_id):
+        if not any(
+            self._in_range_uncached(tx.sender.node_id, node_id)
+            for tx in self._active
+        ):
+            return False
+        if self._metrics is not None:
+            self._node_counter(
+                self._m_carrier_busy, "phy.carrier_busy", node_id
+            ).inc()
+        return True
+
+    def _join_air(self, tx):
+        # any receiver that hears both this frame and an already-ongoing
+        # one gets a corrupted copy of each
+        sender_id = tx.sender.node_id
+        for other in self._active:
+            for rcv_id in self.radios:
+                if rcv_id == sender_id or rcv_id == other.sender.node_id:
+                    continue
+                if self._in_range_uncached(
+                    sender_id, rcv_id
+                ) and self._in_range_uncached(other.sender.node_id, rcv_id):
+                    tx.spoiled.add(rcv_id)
+                    other.spoiled.add(rcv_id)
+
+    def _end_transmission(self, tx):
+        sender_id = tx.sender.node_id
+        self._active.remove(tx)
+        self._deliver(tx, [
+            (rcv_id, radio)
+            for rcv_id, radio in self.radios.items()
+            if rcv_id != sender_id
+            and self._in_range_uncached(sender_id, rcv_id)
+        ])
+
+
+def use_brute_medium(medium: Medium) -> None:
+    """Swap an already-built medium onto the brute path (the registered
+    radios and link overrides carry over; anything cached is dropped)."""
+    medium.__class__ = BruteMedium
+    medium._invalidate_cache()

@@ -19,15 +19,17 @@ from repro.phy.radio import Radio
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.timers import PeriodicTimer
+from tests.reference_medium import use_brute_medium
 
 
 # ----------------------------------------------------------------------
 # determinism: the optimised kernel replays the exact same event trace
 # ----------------------------------------------------------------------
-def _traced_chain_run(use_cache: bool):
+def _traced_chain_run(brute: bool = False):
     """Run a short 3-hop TCP transfer, recording every dispatched event."""
     net = build_chain(3, seed=1)
-    net.medium.use_cache = use_cache
+    if brute:
+        use_brute_medium(net.medium)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -39,7 +41,8 @@ def _traced_chain_run(use_cache: bool):
 
     trace = []
     net.sim.on_event = lambda ev: trace.append(
-        (ev.time, ev.seq, getattr(ev.fn, "__qualname__", repr(ev.fn)))
+        (ev.time, ev.seq, getattr(ev.fn, "__qualname__", repr(ev.fn))
+         .replace("BruteMedium.", "Medium."))
     )
     src, dst = stack(3), stack(0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
@@ -49,8 +52,8 @@ def _traced_chain_run(use_cache: bool):
 
 
 def test_same_seed_reproduces_identical_event_trace():
-    trace_a, goodput_a, delivered_a = _traced_chain_run(use_cache=True)
-    trace_b, goodput_b, delivered_b = _traced_chain_run(use_cache=True)
+    trace_a, goodput_a, delivered_a = _traced_chain_run()
+    trace_b, goodput_b, delivered_b = _traced_chain_run()
     assert len(trace_a) > 5000  # the run actually exercised the stack
     assert trace_a == trace_b
     assert (goodput_a, delivered_a) == (goodput_b, delivered_b)
@@ -59,8 +62,8 @@ def test_same_seed_reproduces_identical_event_trace():
 def test_adjacency_cache_does_not_change_the_simulation():
     """Cached and geometric connectivity paths must be byte-identical:
     same event times, same dispatch order, same RNG draw order."""
-    cached, goodput_c, delivered_c = _traced_chain_run(use_cache=True)
-    uncached, goodput_u, delivered_u = _traced_chain_run(use_cache=False)
+    cached, goodput_c, delivered_c = _traced_chain_run()
+    uncached, goodput_u, delivered_u = _traced_chain_run(brute=True)
     assert cached == uncached
     assert (goodput_c, delivered_c) == (goodput_u, delivered_u)
 

@@ -9,6 +9,7 @@ from repro.phy.medium import Medium, UniformLoss
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from tests.reference_medium import BruteMedium
 
 
 def make_net(positions, comm_range=10.0, seed=1):
@@ -198,10 +199,9 @@ def _random_positions(n, side, seed):
 def _build_both(positions, comm_range=10.0, mutate=None):
     """The same topology through the spatial-index and brute paths."""
     mediums = []
-    for use_spatial in (True, False):
+    for medium_cls in (Medium, BruteMedium):
         sim = Simulator()
-        medium = Medium(sim, rng=RngStreams(1), comm_range=comm_range,
-                        use_spatial_index=use_spatial)
+        medium = medium_cls(sim, rng=RngStreams(1), comm_range=comm_range)
         for i, pos in enumerate(positions):
             Radio(sim, medium, node_id=i, position=pos)
         if mutate is not None:
@@ -258,6 +258,16 @@ def test_spatial_index_boundary_distance_exact():
     assert grid.in_range(0, 1)
 
 
+def test_spatial_index_zero_range_leaves_only_forced_links():
+    # no cell size follows from comm_range=0; co-located nodes are still
+    # in range (distance 0 <= 0) and forced links still answer
+    positions = [(0.0, 0.0), (0.0, 0.0), (3.0, 4.0), (-2.5, 7.0)]
+    grid, brute = _build_both(
+        positions, comm_range=0.0, mutate=lambda m: m.force_link(2, 3))
+    assert grid.neighbor_sets == brute.neighbor_sets
+    assert grid.neighbor_sets == {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+
+
 def test_spatial_index_cross_cell_neighbors():
     # in range but in different grid cells (straddling a cell border)
     positions = [(9.9, 0.0), (10.1, 0.0), (19.0, 9.5), (-0.5, -0.5)]
@@ -280,7 +290,7 @@ def test_spatial_index_invalidated_on_register():
 # ----------------------------------------------------------------------
 # per-receiver channel state: must equal the brute-force oracle
 # ----------------------------------------------------------------------
-def _drive_random_schedule(use_cache, seed):
+def _drive_random_schedule(medium_cls, seed):
     """One random grid under one random schedule of overlapping frames
     and mid-flight topology faults; everything observable is logged."""
     rng = random.Random(seed)
@@ -288,8 +298,7 @@ def _drive_random_schedule(use_cache, seed):
     # 6 m puts diagonals in range of each other (10 m), 8 m does not
     spacing = rng.choice((6.0, 8.0))
     sim = Simulator()
-    medium = Medium(sim, rng=RngStreams(1), comm_range=10.0,
-                    use_cache=use_cache)
+    medium = medium_cls(sim, rng=RngStreams(1), comm_range=10.0)
     radios = [
         Radio(sim, medium, node_id=i,
               position=(spacing * (i % cols), spacing * (i // cols)))
@@ -334,8 +343,8 @@ def _drive_random_schedule(use_cache, seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_receiver_channel_state_matches_brute_force(seed):
-    log, spoiled, medium = _drive_random_schedule(True, seed)
-    ref_log, ref_spoiled, _ = _drive_random_schedule(False, seed)
+    log, spoiled, medium = _drive_random_schedule(Medium, seed)
+    ref_log, ref_spoiled, _ = _drive_random_schedule(BruteMedium, seed)
     assert spoiled == ref_spoiled
     assert log == ref_log  # carrier sense answers and delivery order
     assert any(spoiled) and any(entry[0] == "rx" for entry in log)
