@@ -20,7 +20,7 @@ Layers (one module each):
 * :mod:`~repro.campaign.catalog` — ``ExperimentCatalog`` and the
   shared name resolver;
 * :mod:`~repro.campaign.store` — content-addressed ``ResultStore``
-  (code-salted hashes, atomic writes, free resume);
+  (code-salted hashes, one append-only segment per salt, free resume);
 * :mod:`~repro.campaign.stats` — repetition aggregation with t or
   bootstrap confidence intervals;
 * :mod:`~repro.campaign.engine` — job execution (serial / pool /

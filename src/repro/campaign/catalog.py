@@ -91,6 +91,7 @@ class ExperimentCatalog:
 
     def __init__(self, entries: Optional[Dict[str, Callable]] = None):
         self._entries: Dict[str, Callable] = dict(entries or {})
+        self._accepted: Dict[str, Tuple[frozenset, bool]] = {}
 
     # -- mutation ------------------------------------------------------
 
@@ -103,10 +104,12 @@ class ExperimentCatalog:
         if not callable(factory):
             raise ValueError(f"factory for {name!r} is not callable")
         self._entries[name] = factory
+        self._accepted.pop(name, None)
 
     def unregister(self, name: str) -> None:
         """Remove an entry (idempotent, like the legacy shim)."""
         self._entries.pop(name, None)
+        self._accepted.pop(name, None)
 
     def copy(self) -> "ExperimentCatalog":
         """An independent catalog with the same entries."""
@@ -128,18 +131,25 @@ class ExperimentCatalog:
         """Shared-resolver front end scoped to this catalog."""
         return resolve_selection(selection, self._entries)
 
-    def accepted_params(self, name: str) -> Tuple[set, bool]:
+    def accepted_params(self, name: str) -> Tuple[frozenset, bool]:
         """``(keyword names, accepts_var_keyword)`` for ``name``.
 
         The first positional parameter (``quick``) is excluded; a
         factory wrapped in ``functools.partial`` is unwrapped so
-        pre-bound arguments don't count as free parameters.
+        pre-bound arguments don't count as free parameters.  The
+        signature is inspected once per registration of ``name``.
         """
-        fn = self.get(name)
+        cached = self._accepted.get(name)
+        if cached is None:
+            cached = self._accepted[name] = self._inspect(self.get(name))
+        return cached
+
+    @staticmethod
+    def _inspect(fn: Callable) -> Tuple[frozenset, bool]:
         try:
             sig = inspect.signature(fn)
         except (TypeError, ValueError):
-            return set(), True  # unintrospectable: trust the caller
+            return frozenset(), True  # unintrospectable: trust the caller
         names = set()
         var_kw = False
         params = list(sig.parameters.values())
@@ -154,7 +164,7 @@ class ExperimentCatalog:
             elif p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
                             inspect.Parameter.KEYWORD_ONLY):
                 names.add(p.name)
-        return names, var_kw
+        return frozenset(names), var_kw
 
     # -- dunders -------------------------------------------------------
 

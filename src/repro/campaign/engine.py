@@ -29,7 +29,7 @@ from repro.campaign.catalog import ExperimentCatalog
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate, auto_metrics
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, code_salt
 
 
 @dataclass(frozen=True)
@@ -402,33 +402,10 @@ def run_campaign(
         spec = CampaignSpec.from_dict(spec)
     catalog = catalog or _default_catalog()
     runs = spec.expand(catalog)
-    salt = store.salt if store is not None else \
-        __import__("repro.campaign.store", fromlist=["code_salt"]
-                   ).code_salt()
+    salt = store.salt if store is not None else code_salt()
 
     t0 = time.perf_counter()
-    records: Dict[str, Dict] = {}   # run_id -> stored-record shape
-    hits = 0
-    to_execute: List[Tuple[str, RunSpec]] = []
-    for run in runs:
-        run_id = run.run_id(salt)
-        if run_id in records:
-            continue  # identical runs collapse to one execution
-        cached = store.load(run_id) if store is not None else None
-        if cached is not None:
-            records[run_id] = cached
-            hits += 1
-        else:
-            to_execute.append((run_id, run))
-
-    jobs = []
-    for run_id, run in to_execute:
-        accepted, var_kw = catalog.accepted_params(run.experiment)
-        jobs.append(Job.build(key=run_id, experiment=run.experiment,
-                              quick=run.quick,
-                              params=run.call_params(accepted, var_kw),
-                              label=_run_label(run)))
-    by_id = dict(to_execute)
+    run_ids = [run.run_id(salt) for run in runs]
     options = ExecOptions(
         jobs=spec.runner["jobs"],
         collect_metrics=spec.runner["metrics"],
@@ -438,46 +415,17 @@ def run_campaign(
         retries=spec.runner["retries"],
         retry_backoff=spec.runner["retry_backoff_s"],
     )
-    errors: Dict[str, str] = {}
+    records, hits, misses, errors, interrupted = resolve_runs(
+        runs, run_ids, options, catalog, store, salt, progress=progress,
+        label=spec.name or "campaign")
 
-    def _on_record(record: Record) -> None:
-        run_id, result, wall, ok, snaps, fsum, viol = record
-        stored = {
-            "run": by_id[run_id].to_dict(),
-            "ok": ok,
-            "result": result,
-            "wall_s": round(wall, 3),
-            "metrics_snapshots": snaps,
-            "fault_injections": fsum,
-            "violations": viol,
-            "salt": salt,
-        }
-        records[run_id] = stored
-        if not ok:
-            errors[run_id] = result.get("error", "failed") \
-                if isinstance(result, dict) else "failed"
-        elif store is not None:
-            # failures are never cached: they must re-execute next time
-            store.save(run_id, stored)
-
-    interrupted = False
-    if jobs:
-        label = spec.name or "campaign"
-        progress(f"[{label}] {len(runs)} runs: {hits} cached, "
-                 f"{len(jobs)} to execute")
-        _, interrupted = execute_jobs(jobs, options,
-                                      CatalogResolver(catalog),
-                                      progress=progress,
-                                      on_record=_on_record)
-
-    report = _build_report(spec, runs, records, salt)
+    report = _build_report(spec, runs, run_ids, records, salt)
     report.execution = {
         "runs": len(runs),
         "cache_hits": hits,
-        "cache_misses": len(jobs),
-        "executed": len(jobs),
-        "completed": sum(1 for rid in (r.run_id(salt) for r in runs)
-                         if rid in records),
+        "cache_misses": misses,
+        "executed": misses,
+        "completed": sum(1 for run_id in run_ids if run_id in records),
         "errors": errors,
         "interrupted": interrupted,
         "wall_s": round(time.perf_counter() - t0, 3),
@@ -495,22 +443,92 @@ def run_campaign(
     return report
 
 
+def resolve_runs(
+    runs: List[RunSpec],
+    run_ids: List[str],
+    options: ExecOptions,
+    catalog: ExperimentCatalog,
+    store: Optional[ResultStore],
+    salt: str,
+    progress=print,
+    label: Optional[str] = None,
+) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool]:
+    """Look each run up, execute the misses, save what succeeded: the
+    one path under :func:`run_campaign` and the search probes.
+
+    ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
+    caller.  Returns ``(records, hits, misses, errors, interrupted)``:
+    ``records`` maps run id to the stored-record shape of every run
+    that was cached or has finished, ``misses`` counts the runs handed
+    to :func:`execute_jobs`, ``errors`` maps the failed ones to their
+    message.  A ``label`` announces the hit/miss split before they run.
+    """
+    records: Dict[str, Dict] = {}
+    missing: Dict[str, RunSpec] = {}
+    for run_id, run in zip(run_ids, runs):
+        if run_id in records or run_id in missing:
+            continue  # identical runs collapse to one execution
+        cached = store.load(run_id) if store is not None else None
+        if cached is not None:
+            records[run_id] = cached
+        else:
+            missing[run_id] = run
+    hits = len(records)
+    errors: Dict[str, str] = {}
+    if not missing:
+        return records, hits, 0, errors, False
+    jobs = []
+    for run_id, run in missing.items():
+        accepted, var_kw = catalog.accepted_params(run.experiment)
+        jobs.append(Job.build(key=run_id, experiment=run.experiment,
+                              quick=run.quick,
+                              params=run.call_params(accepted, var_kw),
+                              label=_run_label(run)))
+
+    def _on_record(record: Record) -> None:
+        run_id, result, wall, ok, snaps, fsum, viol = record
+        stored = {
+            "run": missing[run_id].to_dict(),
+            "ok": ok,
+            "result": result,
+            "wall_s": round(wall, 3),
+            "metrics_snapshots": snaps,
+            "fault_injections": fsum,
+            "violations": viol,
+            "salt": salt,
+        }
+        records[run_id] = stored
+        if not ok:
+            errors[run_id] = _error_text(result)
+        elif store is not None:
+            # failures are never cached: they must re-execute next time
+            store.save(run_id, stored)
+
+    if label is not None:
+        progress(f"[{label}] {len(runs)} runs: {hits} cached, "
+                 f"{len(jobs)} to execute")
+    _, interrupted = execute_jobs(jobs, options, CatalogResolver(catalog),
+                                  progress=progress, on_record=_on_record)
+    return records, hits, len(jobs), errors, interrupted
+
+
+def _error_text(result) -> str:
+    return result.get("error", "failed") if isinstance(result, dict) \
+        else "failed"
+
+
 def _build_report(spec: CampaignSpec, runs: List[RunSpec],
-                  records: Dict[str, Dict], salt: str) -> CampaignReport:
+                  run_ids: List[str], records: Dict[str, Dict],
+                  salt: str) -> CampaignReport:
     """Group runs into cells and aggregate repetition statistics."""
-    cells: List[CellResult] = []
     by_cell: Dict[str, CellResult] = {}
-    order: List[str] = []
-    st = spec.stats
-    for run in runs:
+    for run, run_id in zip(runs, run_ids):
         cid = run.cell_id()
-        if cid not in by_cell:
-            by_cell[cid] = CellResult(
+        cell = by_cell.get(cid)
+        if cell is None:
+            cell = by_cell[cid] = CellResult(
                 experiment=run.experiment, params=run.params_dict,
                 seeds=[], run_ids=[], results=[], metrics={})
-            order.append(cid)
-        cell = by_cell[cid]
-        run_id = run.run_id(salt)
         record = records.get(run_id)
         if record is None:
             continue  # interrupted before this run executed
@@ -520,39 +538,37 @@ def _build_report(spec: CampaignSpec, runs: List[RunSpec],
             cell.results.append(record["result"])
         else:
             cell.results.append(None)
-            err = record["result"]
-            msg = err.get("error", "failed") if isinstance(err, dict) \
-                else "failed"
-            cell.errors.append(f"seed={run.seed}: {msg}")
-    for cid in order:
-        cell = by_cell[cid]
+            cell.errors.append(
+                f"seed={run.seed}: {_error_text(record['result'])}")
+    st = spec.stats
+    policy = {key: st[key] for key in ("confidence", "method", "warmup",
+                                       "outlier_iqr", "bootstrap_samples")}
+    for cid, cell in by_cell.items():
         ok_results = [r for r in cell.results if r is not None]
         names = st["metrics"] if st["metrics"] is not None \
             else auto_metrics(ok_results)
+        # only the bootstrap draws random numbers: seed them per cell
         rng_seed = int(hashlib.sha256(cid.encode()).hexdigest()[:12],
-                       16)
+                       16) if st["method"] == "bootstrap" else 0
+        dicts = [r for r in ok_results if isinstance(r, dict)]
+        lone = len(dicts) == 1  # one repetition: no lists to build
         for metric in names:
-            samples = [
-                r[metric] for r in ok_results
-                if isinstance(r, dict)
-                and isinstance(r.get(metric), (int, float))
-                and not isinstance(r.get(metric), bool)
-            ]
-            if not samples:
-                continue
-            cell.metrics[metric] = aggregate(
-                samples,
-                confidence=st["confidence"],
-                method=st["method"],
-                warmup=st["warmup"],
-                outlier_iqr=st["outlier_iqr"],
-                bootstrap_samples=st["bootstrap_samples"],
-                rng_seed=rng_seed,
-            )
-        cells.append(cell)
+            if lone:
+                v = dicts[0].get(metric)
+                samples = (v,) if isinstance(v, (int, float)) \
+                    and not isinstance(v, bool) else ()
+            else:
+                samples = [
+                    v for v in [r.get(metric) for r in dicts]
+                    if isinstance(v, (int, float))
+                    and not isinstance(v, bool)
+                ]
+            if samples:
+                cell.metrics[metric] = aggregate(samples, rng_seed=rng_seed,
+                                                 **policy)
     return CampaignReport(
         name=spec.name,
         spec_digest=spec.digest(),
         salt=salt,
-        cells=cells,
+        cells=list(by_cell.values()),
     )

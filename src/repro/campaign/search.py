@@ -36,7 +36,7 @@ catalog and :func:`repro.models.throughput.segment_energy_model`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 _OBJECTIVE_DEFAULTS = {
     "metric": None,       # required
@@ -183,8 +183,7 @@ def run_search(spec, catalog, store=None,
     optimum) and the volatile counters (cache hits, executed runs)
     for the execution sidecar.
     """
-    from repro.campaign.engine import (CatalogResolver, ExecOptions, Job,
-                                       _run_label, execute_jobs)
+    from repro.campaign.engine import ExecOptions, resolve_runs
     from repro.campaign.spec import RunSpec
     from repro.campaign.store import code_salt
 
@@ -207,7 +206,6 @@ def run_search(spec, catalog, store=None,
     seeds = spec.seeds if takes_seed else [None]
     salt = store.salt if store is not None else code_salt()
     sign = 1.0 if obj["mode"] == "min" else -1.0
-    resolver = CatalogResolver(catalog)
     options = ExecOptions(jobs=1, fault_spec=spec.faults,
                           verify=spec.runner["verify"])
     counters = {"cache_hits": 0, "executed": 0}
@@ -221,45 +219,15 @@ def run_search(spec, catalog, store=None,
                               seed=s, quick=spec.quick,
                               faults=spec.faults, kernel=spec.kernel)
                 for s in seeds]
-        records = {}
-        jobs: List[Job] = []
-        by_id = {}
-        for run in runs:
-            rid = run.run_id(salt)
-            cached = store.load(rid) if store is not None else None
-            if cached is not None:
-                records[rid] = cached
-                counters["cache_hits"] += 1
-            else:
-                by_id[rid] = run
-                jobs.append(Job.build(
-                    key=rid, experiment=experiment, quick=run.quick,
-                    params=run.call_params(accepted, var_kw),
-                    label=_run_label(run)))
-
-        def _on_record(record):
-            rid, result, wall, ok, snaps, fsum, viol = record
-            stored = {
-                "run": by_id[rid].to_dict(),
-                "ok": ok,
-                "result": result,
-                "wall_s": round(wall, 3),
-                "metrics_snapshots": snaps,
-                "fault_injections": fsum,
-                "violations": viol,
-                "salt": salt,
-            }
-            records[rid] = stored
-            if ok and store is not None:
-                store.save(rid, stored)
-
-        if jobs:
-            counters["executed"] += len(jobs)
-            execute_jobs(jobs, options, resolver, progress=progress,
-                         on_record=_on_record)
+        run_ids = [run.run_id(salt) for run in runs]
+        records, hits, misses, _errors, _interrupted = resolve_runs(
+            runs, run_ids, options, catalog, store, salt,
+            progress=progress)
+        counters["cache_hits"] += hits
+        counters["executed"] += misses
         samples = []
-        for run in runs:
-            record = records.get(run.run_id(salt))
+        for run_id in run_ids:
+            record = records.get(run_id)
             if record is None or not record["ok"]:
                 continue
             result = record["result"]

@@ -34,10 +34,11 @@ grid, one axis is optimised against a scalar metric.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 
@@ -87,6 +88,11 @@ def _check_block(block, defaults: Dict, path: str) -> Dict:
 
 def _json_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
+
+
+#: canonical JSON (sorted keys, no whitespace): what identities hash
+_canonical_json = json.JSONEncoder(sort_keys=True,
+                                   separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -160,24 +166,26 @@ class RunSpec:
 
     # -- content addressing -------------------------------------------
 
+    @functools.cached_property
+    def _identity(self) -> Tuple[str, str]:
+        """``(canonical, cell_id)``, serialized once from one dict."""
+        d = self.to_dict()
+        canonical = _canonical_json(d)
+        del d["seed"]
+        return canonical, _canonical_json(d)
+
     def canonical(self) -> str:
         """Canonical JSON: the hashed identity of this run."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return self._identity[0]
 
     def run_id(self, salt: str = "") -> str:
         """Content address: sha256(code-version salt + canonical spec)."""
-        h = hashlib.sha256()
-        h.update(salt.encode())
-        h.update(b"\x00")
-        h.update(self.canonical().encode())
-        return h.hexdigest()
+        return hashlib.sha256(
+            f"{salt}\x00{self._identity[0]}".encode()).hexdigest()
 
     def cell_id(self) -> str:
         """Identity of the cell this run repeats (seed excluded)."""
-        d = self.to_dict()
-        d.pop("seed")
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return self._identity[1]
 
 
 @dataclass
@@ -402,9 +410,8 @@ class CampaignSpec:
 
     def digest(self) -> str:
         """sha256 of the canonicalized spec (for report provenance)."""
-        canon = json.dumps(self.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return hashlib.sha256(
+            _canonical_json(self.to_dict()).encode()).hexdigest()
 
     def runner_kwargs(self) -> Dict:
         """This spec as ``run_all_detailed`` keyword arguments.

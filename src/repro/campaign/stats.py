@@ -140,6 +140,15 @@ def aggregate(
     (stdev 0); with none (everything discarded) all statistics are
     ``None`` and ``n`` is 0.
     """
+    if len(values) == 1 and not warmup:
+        # a lone repetition has nothing to discard, sort or bound;
+        # ``+ 0.0`` is what ``sum()`` below does to it (-0.0 -> 0.0)
+        only = float(values[0])
+        mean = only + 0.0
+        return {"n": 1, "confidence": confidence, "method": method,
+                "discarded_warmup": 0, "discarded_outliers": 0,
+                "mean": mean, "median": only, "stdev": 0.0, "min": only,
+                "max": only, "ci_low": mean, "ci_high": mean}
     raw = [float(v) for v in values]
     kept = raw[warmup:]
     discarded_warmup = len(raw) - len(kept)

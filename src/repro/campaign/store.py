@@ -7,11 +7,19 @@ simulator silently invalidates the whole cache — a cached result is
 only ever returned for the exact code that produced it.  (Pass an
 explicit ``salt`` to pin or namespace a store, e.g. in tests.)
 
-Records are one JSON file per run under ``root/<aa>/<hash>.json``
-(two-level fan-out, git-object style), written atomically via a
-temp-file rename so an interrupted campaign never leaves a torn
-record — which is what makes resume-after-interrupt free: the next
-run finds every completed record and executes only the delta.
+Records live in one append-only *segment* per salt,
+``root/<sha256(salt)[:32]>.jsonl``, one line ``<run_id>\\t<json>\\n``
+each.  Opening a store scans its segment for newlines once and keeps
+``run_id -> (offset, length)``; no JSON is parsed and no record body
+retained until :meth:`ResultStore.load` reads that one slice.
+:meth:`ResultStore.save` is a single ``write`` on an ``O_APPEND``
+descriptor, so a record is in the file whole or (a writer killed
+mid-write, a full disk) as a torn last line — which is a miss, and is
+fenced off with a newline before anything is appended after it.  That
+makes resume-after-interrupt free: the next run finds every completed
+record and executes only the delta.  A store sees its own writes at
+once and other processes' appends the next time it is opened; older
+code versions' results sit in their own segment files.
 
 Failed runs are deliberately **not** cached: a crash or timeout
 should re-execute on the next attempt, not be replayed from disk.
@@ -19,15 +27,19 @@ should re-execute on the next attempt, not be replayed from disk.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import tempfile
+import re
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.campaign.spec import RunSpec
 
 _SALT_CACHE: Dict[str, str] = {}
+
+#: a record line opens with the run id ``RunSpec.run_id`` makes, then a tab
+_LINE_HEAD = re.compile(rb"([0-9a-f]{64})\t")
 
 
 def code_salt(package_root=None) -> str:
@@ -37,8 +49,6 @@ def code_salt(package_root=None) -> str:
     checkout; changes whenever any ``repro`` module changes.  Cached
     per process (the tree is only a couple hundred files).
     """
-    import hashlib
-
     if package_root is None:
         import repro
 
@@ -60,59 +70,97 @@ def code_salt(package_root=None) -> str:
 
 
 class ResultStore:
-    """A directory of content-addressed run records."""
+    """A directory of content-addressed run records, one segment file
+    per code salt (layout and guarantees in the module docstring)."""
 
     def __init__(self, root, salt: Optional[str] = None):
+        self._fd: Optional[int] = None  # opened on first load or save
         self.root = Path(root)
         self.salt = code_salt() if salt is None else salt
         self.root.mkdir(parents=True, exist_ok=True)
+        digest = hashlib.sha256(self.salt.encode()).hexdigest()[:32]
+        self.segment = self.root / f"{digest}.jsonl"
+        self._index: Dict[str, Tuple[int, int]] = {}  # id -> body slice
+        self._torn = False  # the segment does not end in a newline
+        self._scan()
+
+    def _scan(self) -> None:
+        """Index every whole line of the segment; bodies stay on disk."""
+        try:
+            data = self.segment.read_bytes()
+        except FileNotFoundError:
+            return
+        index, head, find = self._index, _LINE_HEAD.match, data.find
+        pos = 0
+        end = find(b"\n")
+        while end >= 0:
+            match = head(data, pos, end)
+            if match is not None:
+                body = match.end()
+                index[match.group(1).decode()] = (body, end - body)
+            pos = end + 1
+            end = find(b"\n", pos)
+        self._torn = pos < len(data)
+
+    def _descriptor(self) -> int:
+        if self._fd is None:
+            self._fd = os.open(self.segment,
+                               os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        return self._fd
+
+    def close(self) -> None:
+        """Release the segment descriptor (reopened if used again)."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    __del__ = close
 
     # -- addressing ----------------------------------------------------
 
     def key_for(self, run: RunSpec) -> str:
         return run.run_id(self.salt)
 
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     # -- record IO -----------------------------------------------------
 
     def load(self, key: str) -> Optional[Dict]:
-        """The stored record, or ``None`` on miss (or a torn record —
-        impossible via :meth:`save`, but a corrupt file degrades to a
-        miss rather than poisoning the campaign)."""
-        path = self.path_for(key)
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
+        """The stored record, or ``None`` on a miss — which a line that
+        does not parse (a torn write) is too, rather than an exception
+        that poisons the campaign."""
+        where = self._index.get(key)
+        if where is None:
             return None
+        try:
+            return json.loads(os.pread(self._descriptor(), where[1],
+                                       where[0]).decode())
         except (OSError, ValueError):
             return None
 
     def save(self, key: str, record: Dict) -> Path:
-        """Atomic write: serialize to a temp file, then rename."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, sort_keys=True, default=str)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        """Append one record line with a single ``write``."""
+        head = key.encode() + b"\t"
+        if not _LINE_HEAD.fullmatch(head):
+            raise ValueError(f"not a run id: {key!r}")
+        body = json.dumps(record, sort_keys=True, default=str).encode()
+        line = head + body + b"\n"
+        if self._torn:
+            line = b"\n" + line  # never glue a record onto a torn tail
+        fd = self._descriptor()
+        self._torn = True  # until the whole line is known to be out
+        if os.write(fd, line) != len(line):
+            raise OSError(f"short write to {self.segment}")
+        self._torn = False
+        # O_APPEND left the descriptor's offset just past this line
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        self._index[key] = (end - len(body) - 1, len(body))
+        return self.segment
 
     def __contains__(self, run) -> bool:
         key = run if isinstance(run, str) else self.key_for(run)
-        return self.path_for(key).exists()
+        return key in self._index
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._index)
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r}, {len(self)} records)"

@@ -1,10 +1,13 @@
 """Campaign engine: spec validation, expansion determinism, caching,
 statistics, search, and the legacy-runner compatibility shims."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,13 @@ def failing_cell(quick, x=1, seed=0):
     if x == 2:
         raise RuntimeError("x=2 always fails")
     return {"value": x}
+
+
+def slow_cell(quick, x=0, seed=0):
+    """Slow enough that a campaign over it can be killed part-way."""
+    del quick
+    time.sleep(0.02)
+    return {"value": 3 * x + seed}
 
 
 def make_catalog():
@@ -124,6 +134,33 @@ class TestExperimentCatalog:
         accepted, var_kw = make_catalog().accepted_params("linear_cell")
         assert accepted == {"x", "scale", "seed"}
         assert not var_kw
+
+    def test_accepted_params_inspects_once_per_registration(
+            self, monkeypatch):
+        inspected = []
+        real = inspect.signature
+
+        def counting(fn, *args, **kwargs):
+            inspected.append(fn)
+            return real(fn, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        cat = make_catalog()
+        for _ in range(3):
+            assert cat.accepted_params("linear_cell")[0] == {
+                "x", "scale", "seed"}
+        assert inspected == [linear_cell]
+        # the same name re-registered with another signature is seen
+        cat.register("linear_cell", seedless_cell)
+        assert cat.accepted_params("linear_cell") == ({"x"}, False)
+        assert inspected == [linear_cell, seedless_cell]
+        cat.unregister("linear_cell")
+        with pytest.raises(ValueError, match="unknown experiment"):
+            cat.accepted_params("linear_cell")
+        # a copy inspects for itself: it may be re-registered apart
+        clone = make_catalog().copy()
+        clone.register("seedless_cell", linear_cell)
+        assert "scale" in clone.accepted_params("seedless_cell")[0]
 
     def test_legacy_shims_route_to_default_catalog(self):
         from repro.experiments import runner
@@ -298,6 +335,35 @@ _CACHE_SPEC = {
     "seeds": [0, 1],
 }
 
+_RESUME_SPEC = {
+    "name": "resume-test",
+    "experiments": ["slow_cell"],
+    "grid": {"x": list(range(40))},
+}
+
+#: what a child process runs until the resume test kills it
+_RESUME_SCRIPT = """
+import sys
+from repro.campaign import ResultStore, run_campaign
+from tests.test_campaign import _RESUME_SPEC, _resume_catalog
+run_campaign(dict(_RESUME_SPEC), catalog=_resume_catalog(),
+             store=ResultStore(sys.argv[1], salt="pinned"),
+             progress=lambda *_: None)
+"""
+
+
+def _resume_catalog():
+    return ExperimentCatalog({"slow_cell": slow_cell})
+
+
+def _numbered_runs(count):
+    return [RunSpec.build("e", {"x": x}, 0, True, None,
+                          {"fidelity": "full"}) for x in range(count)]
+
+
+def _numbered_record(x, pad=0):
+    return {"ok": True, "result": {"v": x, "pad": "p" * pad}}
+
 
 class TestCaching:
     def test_second_run_all_hits_byte_identical(self, tmp_path):
@@ -356,8 +422,146 @@ class TestCaching:
         assert store.load(key)["result"] == {"v": 1}
         assert run in store and len(store) == 1
         # corrupt record degrades to a miss, not an exception
-        store.path_for(key).write_text("{torn")
+        store.segment.write_text(f"{key}\t{{torn\n")
         assert store.load(key) is None
+        assert ResultStore(tmp_path / "store", salt="s").load(key) is None
+
+    def test_save_refuses_a_key_that_is_not_a_run_id(self, tmp_path):
+        store = ResultStore(tmp_path / "store", salt="s")
+        for key in ("", "short", "g" * 64, "a" * 63 + "\n", "a" * 65):
+            with pytest.raises(ValueError, match="not a run id"):
+                store.save(key, {"ok": True})
+        assert len(store) == 0 and not store.segment.exists()
+
+    def test_torn_tail_is_a_miss_and_never_poisons_a_neighbour(
+            self, tmp_path):
+        keys = [run.run_id("s") for run in _numbered_runs(6)]
+        whole = ResultStore(tmp_path / "whole", salt="s")
+        for x, key in enumerate(keys[:5]):
+            whole.save(key, _numbered_record(x))
+        data = whole.segment.read_bytes()
+        fifth = data.rindex(b"\n", 0, -1) + 1  # where record 5 starts
+        assert data[fifth:].startswith(keys[4].encode())
+
+        def first_four(store):
+            return [store.load(key) for key in keys[:4]]
+
+        intact = [_numbered_record(x) for x in range(4)]
+        for cut in range(fifth, len(data)):
+            root = tmp_path / f"cut-{cut}"
+            root.mkdir()
+            (root / whole.segment.name).write_bytes(data[:cut])
+            store = ResultStore(root, salt="s")
+            assert first_four(store) == intact
+            assert store.load(keys[4]) is None and keys[4] not in store
+            # the next record starts a line of its own, whatever the
+            # tail was, and a fresh open finds it and its neighbours
+            store.save(keys[5], _numbered_record(5))
+            assert store.load(keys[5]) == _numbered_record(5)
+            fresh = ResultStore(root, salt="s")
+            assert fresh.load(keys[5]) == _numbered_record(5)
+            assert first_four(fresh) == intact
+            # the torn record is a miss, or — when the cut took only
+            # its newline — whole again; never somebody else's bytes
+            assert fresh.load(keys[4]) in (None, _numbered_record(4))
+
+    def test_two_stores_interleave_saves_on_one_root(self, tmp_path):
+        root = tmp_path / "store"
+        writers = [ResultStore(root, salt="s"), ResultStore(root, salt="s")]
+        keys = [run.run_id("s") for run in _numbered_runs(200)]
+        for x, key in enumerate(keys):
+            writers[x % 2].save(key, _numbered_record(x, pad=x))
+        for x, key in enumerate(keys):
+            # own writes are visible at once (the offsets a store keeps
+            # survive the other's appends), the other's on the next open
+            assert writers[x % 2].load(key) == _numbered_record(x, pad=x)
+            assert writers[1 - x % 2].load(key) is None
+        fresh = ResultStore(root, salt="s")
+        assert len(fresh) == 200
+        assert [fresh.load(key) for key in keys] == [
+            _numbered_record(x, pad=x) for x in range(200)]
+        assert [path.name for path in root.iterdir()] == [
+            fresh.segment.name]
+
+    def test_concurrent_writers_lose_no_record(self, tmp_path):
+        """More writers than this host has cores, each with its own
+        store on one root, appending records of up to several pages."""
+        root = tmp_path / "store"
+        keys = [run.run_id("s") for run in _numbered_runs(240)]
+        failures = []
+
+        def writer(share):
+            try:
+                store = ResultStore(root, salt="s")
+                for x in share:
+                    store.save(keys[x], _numbered_record(x, pad=97 * x))
+                for x in share:
+                    assert store.load(keys[x]) == _numbered_record(
+                        x, pad=97 * x)
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+                raise
+
+        threads = [threading.Thread(target=writer,
+                                    args=(range(k, 240, 4),))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not failures
+        fresh = ResultStore(root, salt="s")
+        assert len(fresh) == 240
+        for x, key in enumerate(keys):
+            assert fresh.load(key) == _numbered_record(x, pad=97 * x)
+
+    def test_run_id_is_hashed_once_per_run(self, tmp_path, monkeypatch):
+        hashed = []
+        real = RunSpec.run_id
+
+        def counting(run, salt=""):
+            hashed.append(run)
+            return real(run, salt)
+
+        monkeypatch.setattr(RunSpec, "run_id", counting)
+        store = ResultStore(tmp_path / "store", salt="s1")
+        for hits in (0, 4):  # cold, then fully cached
+            del hashed[:]
+            report = run_quiet(dict(_CACHE_SPEC), store=store,
+                               catalog=make_catalog())
+            assert report.execution["cache_hits"] == hits
+            assert len(hashed) == len(set(hashed)) == 4
+
+    def test_killed_campaign_resumes_with_what_landed(self, tmp_path):
+        root = tmp_path / "store"
+        segment = ResultStore(root, salt="pinned").segment
+        child = subprocess.Popen(
+            [sys.executable, "-c", _RESUME_SCRIPT, str(root)],
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join([str(SRC), str(SRC.parent)])})
+        try:
+            deadline = time.monotonic() + 60
+            while not (segment.exists()
+                       and segment.read_bytes().count(b"\n") >= 10):
+                assert child.poll() is None, "ended before the kill"
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            child.kill()  # SIGKILL: no handler, no flush, no goodbye
+            child.wait(timeout=60)
+        landed = len(ResultStore(root, salt="pinned"))
+        assert 10 <= landed < 40
+        resumed = run_quiet(dict(_RESUME_SPEC), catalog=_resume_catalog(),
+                            store=ResultStore(root, salt="pinned"))
+        assert resumed.execution["cache_hits"] == landed
+        assert resumed.execution["cache_misses"] == 40 - landed
+        assert not resumed.execution["errors"]
+        uninterrupted = run_quiet(
+            dict(_RESUME_SPEC), catalog=_resume_catalog(),
+            store=ResultStore(tmp_path / "uninterrupted", salt="pinned"))
+        assert uninterrupted.execution["cache_misses"] == 40
+        assert resumed.to_json() == uninterrupted.to_json()
 
     def test_plan_campaign_reports_cache_status(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s1")
@@ -654,6 +858,7 @@ class TestCampaignCli:
                         cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         assert "byte-identical report" in out.stdout
+        assert "store: 8 records / 1 segments / " in out.stdout
 
     def test_dry_run_plan(self, tmp_path):
         spec_path = tmp_path / "spec.json"

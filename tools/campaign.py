@@ -27,8 +27,10 @@ Modes
 * ``--smoke``: the CI campaign gate.  Runs a built-in 2x2x2 campaign
   (``ayadi_energy`` over frames x loss, 2 seeds' worth of cells)
   twice against a fresh store: the first pass must execute every run,
-  the second must be 100% cache hits and serialize a byte-identical
-  report.  Exits non-zero on any miss, re-execution, or byte drift.
+  the second — through a newly opened ``ResultStore``, so every hit is
+  read back from the segment file — must be 100% cache hits and
+  serialize a byte-identical report.  Exits non-zero on any miss,
+  re-execution, or byte drift.
 * ``--jobs N``: override the spec's ``runner.jobs`` fan-out.
 """
 
@@ -103,11 +105,17 @@ def _smoke(store_dir: str) -> int:
         print(f"smoke FAILED: first pass had errors {ex1['errors']}",
               file=sys.stderr)
         return 1
+    # a store answers from its own index: only a fresh one, which has
+    # to find pass 1's records in the segment file, gates the format
+    store = ResultStore(store_dir)
     second = run_campaign(dict(SMOKE_SPEC), store=store,
                           progress=lambda *_: None)
     ex2 = second.execution
     print(f"pass 2: {ex2['runs']} runs, {ex2['cache_misses']} executed, "
           f"{ex2['cache_hits']} cached, {ex2['wall_s']:.2f}s")
+    segments = sorted(store.root.glob("*.jsonl"))
+    print(f"store: {len(store)} records / {len(segments)} segments / "
+          f"{sum(path.stat().st_size for path in segments)} bytes")
     if ex2["cache_misses"] or ex2["cache_hits"] != ex1["runs"]:
         print("smoke FAILED: second pass re-executed runs (expected "
               "100% cache hits)", file=sys.stderr)
