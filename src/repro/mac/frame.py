@@ -37,7 +37,7 @@ class FrameKind(enum.Enum):
     DATA_REQUEST = "command"  # the only MAC command we use
 
 
-@dataclass(slots=True)
+@dataclass(init=False, slots=True)
 class Frame:
     """A MAC frame in flight.
 
@@ -61,13 +61,27 @@ class Frame:
     #: every load, CCA and delivery
     byte_size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.kind is FrameKind.ACK:
+    # Written out (the dataclass still generates __eq__ and __repr__)
+    # so a frame costs one call to build, not __init__ + __post_init__.
+    def __init__(self, kind: FrameKind, src: int, dst: int, seq: int = 0,
+                 pending: bool = False, ack_request: bool = True,
+                 payload: object = None, payload_bytes: int = 0,
+                 retries_used: int = 0) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.seq = seq
+        self.pending = pending
+        self.ack_request = ack_request
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.retries_used = retries_used
+        if kind is FrameKind.ACK:
             self.byte_size = ACK_FRAME_BYTES
-        elif self.kind is FrameKind.DATA_REQUEST:
+        elif kind is FrameKind.DATA_REQUEST:
             self.byte_size = DATA_HEADER_BYTES + COMMAND_ID_BYTES
         else:
-            self.byte_size = DATA_HEADER_BYTES + self.payload_bytes
+            self.byte_size = DATA_HEADER_BYTES + payload_bytes
 
     @property
     def is_broadcast(self) -> bool:

@@ -26,10 +26,15 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Set
 
 from repro.mac.frame import BROADCAST, Frame, FrameKind
+from repro.phy.energy import RadioState
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
+
+_LISTEN = RadioState.LISTEN
+_ACK = FrameKind.ACK
+_DATA_REQUEST = FrameKind.DATA_REQUEST
 
 
 @dataclass
@@ -150,11 +155,12 @@ class MacLayer:
         on_done: Optional[Callable[[bool], None]] = None,
     ) -> bool:
         """Queue a frame for ``dst``.  Returns False on tail drop."""
+        seq = self._seq = (self._seq + 1) & 0xFF
         frame = Frame(
             kind=FrameKind.DATA,
             src=self.node_id,
             dst=dst,
-            seq=self._next_seq(),
+            seq=seq,
             ack_request=(dst != BROADCAST),
             payload=payload,
             payload_bytes=payload_bytes,
@@ -183,11 +189,12 @@ class MacLayer:
         transport above may be stalled waiting for exactly the ACK they
         will fetch.
         """
+        seq = self._seq = (self._seq + 1) & 0xFF
         frame = Frame(
             kind=FrameKind.DATA_REQUEST,
             src=self.node_id,
             dst=parent,
-            seq=self._next_seq(),
+            seq=seq,
             ack_request=True,
         )
         op = _TxOp(frame, None)
@@ -232,10 +239,6 @@ class MacLayer:
     # ------------------------------------------------------------------
     # transmit state machine
     # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        self._seq = (self._seq + 1) & 0xFF
-        return self._seq
-
     def _enqueue_indirect(self, child: int, op: _TxOp) -> bool:
         q = self._indirect.setdefault(child, deque())
         if len(q) >= self.params.indirect_queue_limit:
@@ -260,11 +263,9 @@ class MacLayer:
         self.radio.load(op.frame.byte_size, self._loaded, op)
 
     def _loaded(self, op: _TxOp) -> None:
+        """The frame is in the radio's buffer: run CSMA from the start."""
         if op is not self._current:
             return
-        self._start_csma(op)
-
-    def _start_csma(self, op: _TxOp) -> None:
         op.nb = 0
         op.be = self.params.min_be
         self._backoff(op)
@@ -281,27 +282,31 @@ class MacLayer:
         # (getrandbits is looked up per draw, not cached at __init__:
         # deepcopy treats bound builtin methods as atomic, so a cached
         # one would still point at the pre-checkpoint RNG after restore.)
-        n = 1 << op.be
-        k = n.bit_length()
+        be = op.be
+        n = 1 << be
+        k = be + 1  # n.bit_length()
         getrandbits = self._csma_rng.getrandbits
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        delay = r * self.radio.params.unit_backoff
-        if self.radio.deaf_csma:
-            self.radio.go_deaf()
-        else:
-            self.radio.listen()
-        self.sim.schedule_unref(delay, self._cca, op)
+        radio = self.radio
+        if radio.deaf_csma:
+            radio.go_deaf()
+        elif radio.energy.state is not _LISTEN:
+            radio.listen()
+        self.sim.schedule_unref(r * radio.params.unit_backoff, self._cca, op)
 
     def _cca(self, op: _TxOp) -> None:
         if op is not self._current:
             return  # op was aborted
         radio = self.radio
-        if radio._tx_busy or not radio.channel_clear():
+        params = self.params
+        # clear-channel assessment: energy detect at this node
+        if radio._tx_busy or radio.medium.carrier_busy(self.node_id):
             op.nb += 1
-            op.be = min(op.be + 1, self.params.max_be)
-            if op.nb > self.params.max_csma_backoffs:
+            be = op.be + 1
+            op.be = be if be < params.max_be else params.max_be
+            if op.nb > params.max_csma_backoffs:
                 self._counts["mac.csma_failures"] += 1
                 if self._m_csma_fail is not None:
                     self._m_csma_fail.inc()
@@ -312,9 +317,12 @@ class MacLayer:
             else:
                 self._backoff(op)
             return
-        radio.listen()  # leave deaf state before TX
-        self._cpu._busy += self.params.per_frame_cpu
-        radio.transmit_loaded(op.frame, op.frame.byte_size, self._tx_done, op)
+        if radio.energy.state is not _LISTEN:
+            radio.listen()  # leave deaf state before TX
+        self._cpu._busy += params.per_frame_cpu
+        # the frame is already in the radio's buffer (``_kick`` loaded it)
+        frame = op.frame
+        radio.transmit(frame, frame.byte_size, self._tx_done, op, skip_spi=True)
         self._counts["mac.frames_tx"] += 1
         if self._m_frames_tx is not None:
             self._m_frames_tx.inc()
@@ -371,9 +379,8 @@ class MacLayer:
         self.sim.schedule_unref(delay, self._retry_fire, op)
 
     def _retry_fire(self, op: _TxOp) -> None:
-        if op is not self._current:
-            return
-        self._start_csma(op)
+        # a retry reuses the loaded buffer and re-runs CSMA from the start
+        self._loaded(op)
 
     def _finish(self, op: _TxOp, success: bool) -> None:
         op.frame.retries_used = op.retries
@@ -393,14 +400,42 @@ class MacLayer:
     # ------------------------------------------------------------------
     def _on_frame(self, frame: Frame, sender_id: int) -> None:
         self._cpu._busy += self.params.per_frame_cpu
-        if frame.kind is FrameKind.ACK:
-            self._handle_ack(frame)
+        kind = frame.kind
+        if kind is _ACK:
+            # Imm-ACKs carry no addresses: hardware only matches an ACK
+            # during the ack-wait window right after its own transmission
+            # (the ack timer is pending).  Without this gate we would
+            # swallow ACKs meant for other nodes.
+            op = self._current
+            timer = self._ack_timer_event
+            if (op is not None and op.frame.ack_request
+                    and timer is not None
+                    and not timer.cancelled and not timer.fired
+                    and frame.seq == op.frame.seq):
+                timer.cancel()
+                self._ack_timer_event = None
+                if (op.frame.kind is _DATA_REQUEST
+                        and self.on_poll_ack is not None):
+                    self.on_poll_ack(frame.pending)
+                self._finish(op, True)
             return
         if frame.dst != self.node_id and frame.dst != BROADCAST:
             return  # not for us (promiscuous reception not modelled)
         if frame.ack_request:
-            self._send_ack(frame)
-        if frame.kind is FrameKind.DATA_REQUEST:
+            # link ACK one RX->TX turnaround from now; a data request's
+            # tells the child whether frames are parked for it
+            ack = Frame(
+                kind=_ACK,
+                src=self.node_id,
+                dst=frame.src,
+                seq=frame.seq,
+                pending=(kind is _DATA_REQUEST
+                         and self.indirect_depth(frame.src) > 0),
+                ack_request=False,
+            )
+            self.sim.schedule_unref(
+                self.radio.params.turnaround_time, self._ack_fire, ack)
+        if kind is _DATA_REQUEST:
             self._handle_data_request(frame)
             return
         # duplicate suppression: the sender repeats a frame whose ACK we
@@ -413,38 +448,6 @@ class MacLayer:
             self.on_data_pending(frame.pending)
         if self.on_receive is not None:
             self.on_receive(frame.payload, frame.src, frame)
-
-    def _handle_ack(self, frame: Frame) -> None:
-        op = self._current
-        if op is None or not op.frame.ack_request:
-            return
-        # Imm-ACKs carry no addresses: hardware only matches an ACK during
-        # the ack-wait window right after its own transmission.  Without
-        # this gate we would swallow ACKs meant for other nodes.
-        if self._ack_timer_event is None or not self._ack_timer_event.pending:
-            return
-        if frame.seq != op.frame.seq:
-            return
-        if self._ack_timer_event is not None:
-            self._ack_timer_event.cancel()
-            self._ack_timer_event = None
-        if op.frame.kind is FrameKind.DATA_REQUEST and self.on_poll_ack is not None:
-            self.on_poll_ack(frame.pending)
-        self._finish(op, True)
-
-    def _send_ack(self, data_frame: Frame) -> None:
-        pending = False
-        if data_frame.kind is FrameKind.DATA_REQUEST:
-            pending = self.indirect_depth(data_frame.src) > 0
-        ack = Frame(
-            kind=FrameKind.ACK,
-            src=self.node_id,
-            dst=data_frame.src,
-            seq=data_frame.seq,
-            pending=pending,
-            ack_request=False,
-        )
-        self.sim.schedule_unref(self.radio.params.turnaround_time, self._ack_fire, ack)
 
     def _ack_fire(self, ack: Frame) -> None:
         if not self.radio.powered:

@@ -132,9 +132,13 @@ class Transmission:
         self.spoiled: Set[int] = set()
         #: the sending radio's end-of-air completion, run by the same
         #: event that delivers the frame; None for a frame whose sender
-        #: is not driven from here (a shard's ghost, a bare test frame)
+        #: is not released from here (a shard's ghost, a bare test
+        #: frame, a frame cut short by its sender's crash)
         self.on_done = on_done
         self.args = args
+
+
+_new_transmission = Transmission.__new__
 
 
 class Medium:
@@ -261,11 +265,14 @@ class Medium:
         mid-transmission: the truncated frame is unreceivable at every
         listener (FCS failure), but the transmission object stays on
         the channel so overlap/collision accounting remains correct
-        until its scheduled end time.
+        until its scheduled end time.  Its end of air no longer
+        releases the sender: that radio lost the frame with its power,
+        and may be rebooted and transmitting again by then.
         """
         for tx in self._active:
             if tx.sender.node_id == node_id:
                 tx.spoiled.update(self.radios)
+                tx.on_done = None
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance between two registered nodes."""
@@ -463,12 +470,22 @@ class Medium:
     ) -> Transmission:
         """Put a frame on the air; schedules its own completion.
 
-        One event ends the frame for everyone: it delivers to the
-        hearers and then, given ``on_done``, runs the sender's
-        ``_end_air(on_done, args)``.
+        One event ends the frame for everyone: ``_end_transmission``
+        delivers it to the hearers and then, given ``on_done``, returns
+        the sender to LISTEN and runs ``on_done(*args)``.
         """
-        now = self.sim.now
-        tx = Transmission(sender, frame, now, now + air_time, on_done, args)
+        sim = self.sim
+        now = sim.now
+        # built by slot stores, as the kernel builds an Event: one per
+        # frame on the air (``__init__`` serves the cold constructors)
+        tx = _new_transmission(Transmission)
+        tx.sender = sender
+        tx.frame = frame
+        tx.start = now
+        tx.end = now + air_time
+        tx.spoiled = set()
+        tx.on_done = on_done
+        tx.args = args
         self._join_air(tx)
         self._active.append(tx)
         if self._metrics is not None:
@@ -477,11 +494,14 @@ class Medium:
             self._bus.emit("phy", sender.node_id, "tx_begin", air_time=air_time)
         # Handle-free schedule: nothing ever cancels a frame's air-time
         # expiry, so the kernel can skip the Event allocation.
-        self.sim.schedule_unref(air_time, self._end_transmission, tx)
+        sim.schedule_unref(air_time, self._end_transmission, tx)
         return tx
 
     def _end_transmission(self, tx: Transmission) -> None:
-        sender_id = tx.sender.node_id
+        """The one event that ends a frame: it leaves the air, every
+        hearer that got a clean copy receives it, the sender is released."""
+        sender = tx.sender
+        sender_id = sender.node_id
         # a rebuild re-derives the audible lists from ``_active``,
         # so it must still see ``tx`` there
         if self._neighbor_radios is None:
@@ -489,13 +509,7 @@ class Medium:
         self._active.remove(tx)
         for _, heard in self._hearer_air[sender_id]:
             heard.remove(tx)
-        self._deliver(tx, self._neighbor_radios[sender_id])
-
-    def _deliver(self, tx: Transmission,
-                 receivers: List[Tuple[int, "Radio"]]) -> None:
-        """Hand ``tx`` to each receiver that got a clean copy, then tell
-        the sender its frame has left the air."""
-        sender_id = tx.sender.node_id
+        receivers = self._neighbor_radios[sender_id]
         spoiled = tx.spoiled
         frame = tx.frame
         start = tx.start
@@ -503,6 +517,7 @@ class Medium:
         frame_filters = self.frame_filters
         metrics = self._metrics
         bus = self._bus
+        now = self.sim.now
         if (metrics is None and bus is None
                 and not loss_models and not frame_filters):
             # Nothing observes or perturbs this run: a frame is clean
@@ -516,7 +531,6 @@ class Medium:
                     self.frames_delivered += 1
                     radio.deliver(frame, sender_id)
         else:
-            now = self.sim.now
             for rcv_id, radio in receivers:
                 if rcv_id in spoiled:
                     self.frames_collided += 1
@@ -564,5 +578,16 @@ class Medium:
                         self._m_deliveries, "phy.deliveries", rcv_id
                     ).inc()
                 radio.deliver(frame, sender_id)
-        if tx.on_done is not None:
-            tx.sender._end_air(tx.on_done, tx.args)
+        on_done = tx.on_done
+        if on_done is not None and sender.powered:
+            # The frame has left the air: the sender returns to
+            # listening (inlined EnergyLedger.transition, as in
+            # Radio.transmit); its MAC may immediately put it to sleep.
+            sender._tx_busy = False
+            sender.frames_sent += 1
+            energy = sender.energy
+            energy._totals[energy.state.index] += now - energy._since
+            energy.state = _LISTEN
+            energy._since = now
+            sender._listen_since = now
+            on_done(*tx.args)

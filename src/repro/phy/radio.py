@@ -19,7 +19,6 @@ from repro.phy.medium import Medium
 from repro.phy.params import PhyParams
 from repro.sim.engine import Simulator
 
-_LISTEN = RadioState.LISTEN
 _TX = RadioState.TX
 
 
@@ -42,22 +41,26 @@ class Radio:
         self.deaf_csma = deaf_csma
         self.energy = EnergyLedger(sim)
         self.cpu = CpuMeter(sim)
-        # Timing constants folded once at construction: air/SPI time is
-        # computed for every load, transmit and delivery, and the PHY
-        # constants never change after a radio is built.
+        # PHY constants folded once at construction: air/SPI time is
+        # computed and the frame size checked for every load, transmit
+        # and delivery, and they never change after a radio is built.
         p = self.params
         self._air_per_byte = 8.0 / p.bit_rate
         self._air_base = p.phy_preamble_bytes * self._air_per_byte
         self._spi_factor = p.spi_overhead_factor - 1.0
         self._tx_turnaround = p.tx_turnaround
+        self._max_frame_bytes = p.max_frame_bytes
         #: set by the MAC layer: called with (frame, sender_id) on clean receive
         self.on_frame: Optional[Callable[[object, int], None]] = None
         self._listen_since: float = sim.now
         self._tx_busy = False
         self._load_busy = False
-        #: False while the node is crashed (fault injection); scheduled
-        #: radio callbacks check this so in-flight work evaporates
+        #: False while the node is crashed (fault injection)
         self.powered = True
+        #: bumped by every power_off; a scheduled completion carries the
+        #: epoch it was scheduled in, so work in flight at a crash
+        #: evaporates however soon the radio is powered again
+        self._power_epoch = 0
         self.frames_sent = 0
         self.frames_received = 0
         medium.register(self, position)
@@ -104,6 +107,7 @@ class Radio:
         if not self.powered:
             return
         self.powered = False
+        self._power_epoch += 1
         self._tx_busy = False
         self._load_busy = False
         self.medium.drop_in_flight(self.node_id)
@@ -147,13 +151,6 @@ class Radio:
         return self.energy.state is RadioState.LISTEN and self._listen_since <= since
 
     # ------------------------------------------------------------------
-    # channel assessment
-    # ------------------------------------------------------------------
-    def channel_clear(self) -> bool:
-        """Clear-channel assessment (energy detect at this node)."""
-        return not self.medium.carrier_busy(self.node_id)
-
-    # ------------------------------------------------------------------
     # transmit path
     # ------------------------------------------------------------------
     def load(self, frame_bytes: int, on_done: Callable[..., None], *args: object) -> None:
@@ -171,16 +168,18 @@ class Radio:
             raise RuntimeError(f"node {self.node_id}: SPI load while powered off")
         if self._load_busy:
             raise RuntimeError(f"node {self.node_id}: SPI load while loading")
-        self._validate_size(frame_bytes)
+        if frame_bytes > self._max_frame_bytes:
+            raise self._oversize(frame_bytes)
         self._load_busy = True
         spi = (self._air_base + frame_bytes * self._air_per_byte) * self._spi_factor
         self.cpu._busy += spi
         # handle-free: an SPI load completion is never cancelled
-        self.sim.schedule_unref(spi, self._finish_load, on_done, args)
+        self.sim.schedule_unref(spi, self._finish_load, self._power_epoch, on_done, args)
 
-    def _finish_load(self, on_done: Callable[..., None], args: tuple = ()) -> None:
-        if not self.powered:
-            return  # crashed mid-load; the buffer is gone
+    def _finish_load(self, epoch: int, on_done: Callable[..., None],
+                     args: tuple = ()) -> None:
+        if epoch != self._power_epoch:
+            return  # crashed mid-load (rebooted or not); the buffer is gone
         self._load_busy = False
         on_done(*args)
 
@@ -210,66 +209,46 @@ class Radio:
             raise RuntimeError(f"node {self.node_id}: transmit while powered off")
         if self._tx_busy:
             raise RuntimeError(f"node {self.node_id}: transmit while busy")
-        self._validate_size(frame_bytes)
+        if frame_bytes > self._max_frame_bytes:
+            raise self._oversize(frame_bytes)
         self._tx_busy = True
+        air = self._air_base + frame_bytes * self._air_per_byte
         if skip_spi:
             delay = self._tx_turnaround
         else:
-            delay = (self._air_base + frame_bytes * self._air_per_byte) * self._spi_factor
+            delay = air * self._spi_factor
             self.cpu._busy += delay
+        now = self.sim.now
         hook = self.medium.tx_commit_hook
         if hook is not None:
-            air = self._air_base + frame_bytes * self._air_per_byte
-            hook(self.node_id, frame, self.sim.now + delay, air)
+            hook(self.node_id, frame, now + delay, air)
         if delay:
-            self.sim.schedule_unref(delay, self._start_air, frame, frame_bytes, on_done, args)
-        else:
-            self._start_air(frame, frame_bytes, on_done, args)
-
-    def transmit_loaded(
-        self, frame: object, frame_bytes: int, on_done: Callable[..., None], *args: object
-    ) -> None:
-        """Put the previously-loaded frame on the air (post-CSMA)."""
-        self.transmit(frame, frame_bytes, on_done, *args, skip_spi=True)
-
-    def _validate_size(self, frame_bytes: int) -> None:
-        if frame_bytes > self.params.max_frame_bytes:
-            raise ValueError(
-                f"frame of {frame_bytes} B exceeds 802.15.4 maximum "
-                f"{self.params.max_frame_bytes} B"
-            )
-
-    def _start_air(self, frame: object, frame_bytes: int,
-                   on_done: Callable[..., None], args: tuple = ()) -> None:
-        if not self.powered:
-            return  # crashed between SPI load and air phase
-        # Inlined EnergyLedger.transition(TX) — two transitions per frame
-        # on the air makes the call overhead itself measurable.
+            self.sim.schedule_unref(delay, self._start_air, self._power_epoch,
+                                    frame, air, on_done, args)
+            return
+        # Commit and air start coincide.  Inlined EnergyLedger.transition(TX)
+        # — two transitions per frame on the air makes the call overhead
+        # itself measurable.
         energy = self.energy
-        now = self.sim.now
         energy._totals[energy.state.index] += now - energy._since
         energy.state = _TX
         energy._since = now
-        air = self._air_base + frame_bytes * self._air_per_byte
-        # the medium's end-of-frame event also runs our _end_air
+        # the medium's end-of-frame event also releases this radio
         self.medium.begin_transmission(self, frame, air, on_done, args)
 
-    def _end_air(self, on_done: Callable[..., None], args: tuple = ()) -> None:
-        """The frame has left the air (called by the medium after it
-        has delivered the frame to the hearers)."""
-        if not self.powered:
-            return  # crashed mid-air; the frame was spoiled on the medium
-        self._tx_busy = False
-        self.frames_sent += 1
-        # Return to listening (inlined transition, see _start_air); the
-        # MAC may immediately put us to sleep.
-        energy = self.energy
-        now = self.sim.now
-        energy._totals[energy.state.index] += now - energy._since
-        energy.state = _LISTEN
-        energy._since = now
-        self._listen_since = now
-        on_done(*args)
+    def _oversize(self, frame_bytes: int) -> ValueError:
+        return ValueError(
+            f"frame of {frame_bytes} B exceeds 802.15.4 maximum "
+            f"{self._max_frame_bytes} B"
+        )
+
+    def _start_air(self, epoch: int, frame: object, air: float,
+                   on_done: Callable[..., None], args: tuple = ()) -> None:
+        """The air phase of a ``transmit`` that had to wait for it."""
+        if epoch != self._power_epoch:
+            return  # crashed between commit and air phase
+        self.energy.transition(_TX)
+        self.medium.begin_transmission(self, frame, air, on_done, args)
 
     # ------------------------------------------------------------------
     # receive path (called by the medium)

@@ -3,13 +3,16 @@
 :class:`BruteMedium` answers every question from geometry: range is a
 distance test per pair; carrier sense and collision marking
 (``_join_air``, which ``begin_transmission`` calls before the frame
-joins ``_active``) scan every frame in flight; delivery sweeps every
-registered radio; and the neighbour sets come from the O(n²) pairwise
-sweep.  The equivalence suites (tests/test_phy_medium.py,
-tests/test_kernel_fastpath.py) hold :class:`repro.phy.medium.Medium`
-to byte-identical behaviour against it.
+joins ``_active``) scan every frame in flight; the end of a frame
+(``_end_transmission``: delivery, then the sender's release) sweeps
+every registered radio through one general loop; and the neighbour
+sets come from the O(n²) pairwise sweep.  The equivalence suites
+(tests/test_phy_medium.py, tests/test_kernel_fastpath.py) hold
+:class:`repro.phy.medium.Medium` to byte-identical behaviour against
+it.
 """
 
+from repro.phy.energy import RadioState
 from repro.phy.medium import Medium
 
 
@@ -55,15 +58,51 @@ class BruteMedium(Medium):
                     tx.spoiled.add(rcv_id)
                     other.spoiled.add(rcv_id)
 
+    def _count(self, cache, name, rcv_id):
+        if self._metrics is not None:
+            self._node_counter(getattr(self, cache), name, rcv_id).inc()
+
     def _end_transmission(self, tx):
-        sender_id = tx.sender.node_id
+        """The whole end of a frame through one loop that tests
+        everything for every radio in range (``Medium`` picks one of
+        two specialised loops per frame)."""
+        sender, frame, now = tx.sender, tx.frame, self.sim.now
+        sender_id = sender.node_id
+        bus = self._bus
         self._active.remove(tx)
-        self._deliver(tx, [
-            (rcv_id, radio)
-            for rcv_id, radio in self.radios.items()
-            if rcv_id != sender_id
-            and self._in_range_uncached(sender_id, rcv_id)
-        ])
+        for rcv_id, radio in self.radios.items():
+            if rcv_id == sender_id or not self._in_range_uncached(
+                    sender_id, rcv_id):
+                continue
+            if rcv_id in tx.spoiled:
+                self.frames_collided += 1
+                self._count("_m_collisions", "phy.collisions", rcv_id)
+                if bus is not None:
+                    bus.emit("phy", rcv_id, "collision", sender=sender_id)
+            elif not radio.listened_throughout(tx.start):
+                self._count("_m_missed", "phy.missed_not_listening", rcv_id)
+            elif any(loss(sender_id, rcv_id, now)
+                     for loss in self.loss_models):
+                self.frames_lost += 1
+                self._count("_m_losses", "phy.losses", rcv_id)
+                if bus is not None:
+                    bus.emit("phy", rcv_id, "loss", sender=sender_id)
+            elif any(drop(frame, sender_id, rcv_id)
+                     for drop in self.frame_filters):
+                self.frames_lost += 1
+                self._count("_m_losses", "phy.losses", rcv_id)
+            else:
+                self.frames_delivered += 1
+                self._count("_m_deliveries", "phy.deliveries", rcv_id)
+                radio.deliver(frame, sender_id)
+        if tx.on_done is not None and sender.powered:
+            # the frame has left the air: the sender listens again,
+            # then its MAC hears about it
+            sender._tx_busy = False
+            sender.frames_sent += 1
+            sender.energy.transition(RadioState.LISTEN)
+            sender._listen_since = now
+            tx.on_done(*tx.args)
 
 
 def use_brute_medium(medium: Medium) -> None:

@@ -10,11 +10,13 @@ Each trace is additionally pinned to a sha256, so a change to the
 kernel or the stack under it is proven behaviour-neutral or shows up
 here.  The pins taken at af24a93 (before the slim path was folded into
 ``Simulator``) held until a frame's end of air became one event —
-``Medium._end_transmission`` now runs the sender's ``Radio._end_air``
-itself — which removes one event and one ``seq`` per frame from every
-trace.  They were re-taken at that change; with the ``Radio._end_air``
-rows dropped, the ``(time, qualname)`` projection of all nine traces
-was identical before and after it (digests in CHANGES.md, PR16).
+``Medium._end_transmission`` releases the sender itself, where a
+second event used to run ``Radio._end_air`` — which removes one event
+and one ``seq`` per frame from every trace.  They were re-taken at that
+change; with the ``Radio._end_air`` rows dropped, the ``(time,
+qualname)`` projection of all nine traces was identical before and
+after it (digests in CHANGES.md, PR16).  Flattening the frame path to
+one call per layer boundary (PR19) changed no event, so the pins held.
 
 ``fidelity="hybrid"`` is held to the weaker *metric* contract it
 advertises: goodput within 2% of full fidelity, identical

@@ -24,6 +24,8 @@ from repro.faults import (
     auto_inject,
     drain_auto,
 )
+from repro.mac.frame import Frame, FrameKind
+from repro.phy.energy import RadioState
 from repro.phy.medium import UniformLoss
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -359,6 +361,93 @@ class TestInjector:
         inj = FaultInjector(net, _flap_schedule()).arm()
         net.sim.run(until=5.0)
         assert inj.summary() == {"link_down": 2, "link_up": 2}
+
+
+# ======================================================================
+# an outage shorter than the work it interrupts
+# ======================================================================
+class TestShortOutage:
+    """``FaultSchedule`` accepts any ``outage >= 0``, so a radio can be
+    back up before the SPI load or the frame it was cut off in would
+    have ended; none of that pre-crash work may complete afterwards."""
+
+    @staticmethod
+    def _frame(seq):
+        return Frame(kind=FrameKind.DATA, src=0, dst=1, seq=seq,
+                     payload=seq, payload_bytes=80)
+
+    def test_load_cut_off_by_a_crash_never_completes(self):
+        # a 100 B load takes 3.392 ms; the radio is off from 1 to 2 ms
+        net = build_pair(seed=1)
+        sim, radio = net.sim, net.nodes[0].radio
+        done = []
+        radio.load(100, done.append, "pre-crash")
+        sim.schedule_at(0.001, radio.power_off)
+        sim.schedule_at(0.002, radio.power_on)
+        sim.schedule_at(0.0025, radio.load, 100, done.append, "post-reboot")
+        sim.run(until=0.0045)  # the first load would have ended at 3.392 ms
+        assert done == []
+        assert radio._load_busy
+        with pytest.raises(RuntimeError):
+            radio.load(100, done.append, "while loading")
+        sim.run(until=0.01)
+        assert done == ["post-reboot"] and not radio._load_busy
+
+    def test_transmit_cut_off_in_its_spi_phase_never_reaches_the_air(self):
+        # the same outage over a transmit that does its own SPI load
+        net = build_pair(seed=1)
+        sim, radio, medium = net.sim, net.nodes[0].radio, net.medium
+        heard, done = [], []
+        net.nodes[1].radio.on_frame = lambda frame, src: heard.append(frame.seq)
+        radio.transmit(self._frame(1), 103, done.append, 1)
+        sim.schedule_at(0.001, radio.power_off)
+        sim.schedule_at(0.002, radio.power_on)
+        sim.schedule_at(0.0025, radio.transmit, self._frame(2), 103,
+                        done.append, 2)
+        sim.run(until=0.0065)  # frame 2 is on the air from 5.988 to 9.476 ms
+        assert [tx.frame.seq for tx in medium._active] == [2]
+        sim.run(until=0.0075)  # frame 1 would have left the air at 6.976 ms
+        assert radio._tx_busy and radio.state is RadioState.TX
+        sim.run(until=0.01)
+        assert heard == [2] and done == [2] and radio.frames_sent == 1
+
+    def test_reboot_mid_air_does_not_release_the_rebooted_radio(self):
+        # 103 B are on the air for 3.488 ms; the crash cuts frame 1 short
+        net = build_pair(seed=1)
+        sim, radio = net.sim, net.nodes[0].radio
+        heard, done = [], []
+        net.nodes[1].radio.on_frame = lambda frame, src: heard.append(frame.seq)
+        radio.transmit(self._frame(1), 103, done.append, 1, skip_spi=True)
+        sim.schedule_at(0.001, radio.power_off)
+        sim.schedule_at(0.0015, radio.power_on)
+        sim.schedule_at(0.002, lambda: radio.transmit(
+            self._frame(2), 103, done.append, 2, skip_spi=True))
+        sim.run(until=0.004)  # frame 1's end of air was due at 3.488 ms
+        assert radio._tx_busy and radio.state is RadioState.TX
+        assert done == [] and radio.frames_sent == 0
+        sim.run(until=0.01)
+        # frame 2 overlapped the truncated frame 1 at the receiver
+        assert heard == [] and net.medium.frames_collided == 2
+        assert done == [2] and radio.frames_sent == 1
+
+    def test_half_millisecond_reboot_of_a_relay_mid_load(self):
+        net = build_chain(2, seed=1, with_cloud=False)
+        sim, relay = net.sim, net.nodes[1]
+        got = []
+        net.nodes[0].mac.on_receive = (
+            lambda payload, src, frame: got.append(payload))
+        FaultInjector(net, FaultSchedule.from_dict({"faults": [
+            {"kind": "node_reboot", "node": 1, "at": 1.001,
+             "outage": 0.0005},
+        ]})).arm()
+        # 77 B of payload make a 100 B frame: loading until 1.003392
+        sim.schedule_at(1.0, relay.mac.send, "pre-crash", 77, 0)
+        sim.schedule_at(1.002, relay.mac.send, "post-reboot", 77, 0)
+        sim.run(until=1.0045)  # the second load ends at 1.005392
+        assert relay.radio.powered and relay.radio._load_busy
+        sim.run(until=2.0)
+        assert got == ["post-reboot"]
+        assert not relay.radio._load_busy and not relay.radio._tx_busy
 
 
 # ======================================================================

@@ -7,6 +7,8 @@ pin that contract down, plus the cache-invalidation and compaction
 behaviour itself.
 """
 
+import sys
+
 import pytest
 
 from repro.core.simplified import tcplp_params
@@ -16,6 +18,7 @@ from repro.experiments.workload import BulkTransfer
 from repro.mac.frame import Frame, FrameKind
 from repro.phy.medium import Medium
 from repro.phy.radio import Radio
+from repro.sim import metrics as metrics_mod
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.timers import PeriodicTimer
@@ -25,8 +28,9 @@ from tests.reference_medium import use_brute_medium
 # ----------------------------------------------------------------------
 # determinism: the optimised kernel replays the exact same event trace
 # ----------------------------------------------------------------------
-def _traced_chain_run(brute: bool = False):
-    """Run a short 3-hop TCP transfer, recording every dispatched event."""
+def _hidden_chain(brute: bool = False):
+    """The 3-hop hidden-terminal bulk transfer of
+    ``bench/workloads.py::chain_hidden``, built but not yet run."""
     net = build_chain(3, seed=1)
     if brute:
         use_brute_medium(net.medium)
@@ -39,14 +43,24 @@ def _traced_chain_run(brute: bool = False):
         return TcpStack(net.sim, node.ipv6, nid, cpu=node.radio.cpu,
                         sleepy=node.sleepy)
 
+    xfer = BulkTransfer(net.sim, stack(3), stack(0), receiver_id=0,
+                        params=params, receiver_params=params)
+    return net, xfer
+
+
+def _record_events(sim):
     trace = []
-    net.sim.on_event = lambda ev: trace.append(
+    sim.on_event = lambda ev: trace.append(
         (ev.time, ev.seq, getattr(ev.fn, "__qualname__", repr(ev.fn))
          .replace("BruteMedium.", "Medium."))
     )
-    src, dst = stack(3), stack(0)
-    xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
-                        receiver_params=params)
+    return trace
+
+
+def _traced_chain_run(brute: bool = False):
+    """Run a short 3-hop TCP transfer, recording every dispatched event."""
+    net, xfer = _hidden_chain(brute)
+    trace = _record_events(net.sim)
     res = xfer.measure(5.0, 10.0)
     return trace, res.goodput_kbps, net.medium.frames_delivered
 
@@ -66,6 +80,65 @@ def test_adjacency_cache_does_not_change_the_simulation():
     uncached, goodput_u, delivered_u = _traced_chain_run(brute=True)
     assert cached == uncached
     assert (goodput_c, delivered_c) == (goodput_u, delivered_u)
+
+
+def _watched_chain_run(watch):
+    """The chain under one way of watching the channel: everything a
+    delivery loop or the sender's release can leave behind."""
+    metrics_mod.auto_attach(watch in ("metrics", "bus"),
+                            capture_trace=watch == "bus")
+    try:
+        net, xfer = _hidden_chain()
+    finally:
+        metrics_mod.auto_attach(False)
+    if watch == "filter":
+        net.medium.frame_filters.append(lambda frame, src, dst: False)
+    trace = _record_events(net.sim)
+    xfer.measure(5.0, 10.0)
+    medium = net.medium
+    radios = [(r.frames_sent, r.frames_received, r.cpu.busy_time(),
+               r.energy._settled(), r._listen_since)
+              for r in medium.radios.values()]
+    return trace, medium.frames_delivered, medium.frames_collided, radios
+
+
+def test_observed_and_unobserved_delivery_are_the_same_simulation():
+    """``Medium._end_transmission`` delivers through one of two loops:
+    a metrics registry, a trace bus or an inert frame filter each take
+    the observed one, and none of them may change a single event."""
+    bare = _watched_chain_run(None)
+    assert len(bare[0]) > 5000 and bare[2] > 0  # frames, and collisions
+    for watch in ("metrics", "bus", "filter"):
+        assert _watched_chain_run(watch) == bare, watch
+
+
+def test_python_calls_per_frame_budget():
+    """Host time on the frame path follows Python-level calls almost
+    one for one (docs/architecture.md §7), and the count repeats
+    exactly, so a budget on it guards the path on any host: 27.8 calls
+    per delivered frame before the path was flattened to one call per
+    layer boundary and one per event, 19.6 after."""
+    net, _ = _hidden_chain()
+    sim, medium = net.sim, net.medium
+    sim.run(until=10.0)
+    events0, frames0 = sim.events_processed, medium.frames_delivered
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        sim.run(until=50.0)
+    finally:
+        sys.setprofile(previous)
+    frames = medium.frames_delivered - frames0
+    # the same work as when the budget was set
+    assert (frames, sim.events_processed - events0) == (14192, 30833)
+    assert calls / frames <= 21
 
 
 # ----------------------------------------------------------------------

@@ -114,13 +114,13 @@ def test_failed_indirect_frame_requeues_for_next_poll():
 def test_data_request_jumps_send_queue():
     sim, medium, macs = make_macs([(0, 0), (5, 0)])
     kinds = []
-    orig = macs[0].radio.transmit_loaded
+    orig = macs[0].radio.transmit
 
-    def spy(frame, nbytes, cb, *args):
+    def spy(frame, nbytes, cb, *args, **kwargs):
         kinds.append(frame.kind)
-        orig(frame, nbytes, cb, *args)
+        orig(frame, nbytes, cb, *args, **kwargs)
 
-    macs[0].radio.transmit_loaded = spy
+    macs[0].radio.transmit = spy
     for i in range(3):
         macs[0].send(i, 80, dst=1)
     macs[0].send_data_request(parent=1)
