@@ -175,13 +175,20 @@ class TcpTransport(TransportAdapter):
         self.sim.schedule(self.reconnect_delay, self._connect)
 
     def pull(self) -> None:
-        """Move readings from the app queue into the send buffer."""
+        """Hand TCP every whole reading the send buffer can take.
+
+        One ``send()`` per drain step: every ``send()`` runs
+        ``output()``, and TCP (FreeBSD's ``tcp_output``, Nagle off)
+        sends a lone sub-MSS write at once when it is all the socket
+        holds, so a write per reading would put one reading in each
+        segment.  Handing over all that fits lets TCP cut full-sized
+        segments, as ``CoapTransport`` sizes its messages.
+        """
         if self.app is None or self.conn is None or not self.conn.is_open:
             return
-        rb = self.app.config.reading_bytes
-        while self.app.can_send() and self.conn.send_buf.free >= rb:
-            data = self.app.pop_readings(1)
-            self.conn.send(data)
+        room = self.conn.send_buf.free // self.app.config.reading_bytes
+        if room and self.app.can_send():
+            self.conn.send(self.app.pop_readings(room))
 
 
 class CoapTransport(TransportAdapter):

@@ -106,6 +106,20 @@ def _median(ordered: List[float]) -> float:
                                              + ordered[mid])
 
 
+def _sample_stdev(kept: List[float], mean: float) -> float:
+    """Sample standard deviation; ``inf`` when it is out of range."""
+    try:
+        return math.sqrt(sum((v - mean) ** 2 for v in kept)
+                         / (len(kept) - 1))
+    except OverflowError:
+        # float ** raises where ``*`` would give inf, and one huge
+        # metric must not kill a whole report: hypot scales by the
+        # largest magnitude instead of squaring it.  Only this branch
+        # uses it, so every in-range report keeps its bytes.
+        return (math.hypot(*(v - mean for v in kept))
+                / math.sqrt(len(kept) - 1))
+
+
 def bootstrap_ci(values: Sequence[float], confidence: float,
                  samples: int = 1000, rng_seed: int = 0):
     """Percentile-bootstrap CI on the mean; deterministic in
@@ -180,7 +194,7 @@ def aggregate(
         stdev = 0.0
         ci_low = ci_high = mean
     else:
-        stdev = math.sqrt(sum((v - mean) ** 2 for v in kept) / (n - 1))
+        stdev = _sample_stdev(kept, mean)
         if method == "t":
             half = t_critical(n - 1, confidence) * stdev / math.sqrt(n)
             ci_low, ci_high = mean - half, mean + half

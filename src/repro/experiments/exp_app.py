@@ -58,6 +58,12 @@ class AppRunResult:
     generated: int
     delivered: int
     overflowed: int
+    #: data messages the leaves put on the air (TCP data segments or
+    #: CoAP messages, retransmissions included): generated readings per
+    #: message says how full they were
+    data_segments: int
+    #: frames the leaves' MAC queues refused (a burst outran the radio)
+    mac_tail_drops: int
 
 
 def _leaf_duty_cycles(net: Network) -> Dict[str, float]:
@@ -90,7 +96,6 @@ def run_app_study(
     net = build_testbed(seed=seed, leaf_poll=LEAF_POLL, wired_loss=injected_loss)
     server = ReadingServer(net.sim)
     apps: List[AnemometerNode] = []
-    transports = []
 
     if protocol == "tcp":
         cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
@@ -132,29 +137,28 @@ def run_app_study(
         # unsynchronised boot: stagger drains across the batch period
         app.start(phase=idx * sample_interval * 64 / (len(net.leaf_ids) or 1))
         apps.append(app)
-        transports.append(transport)
 
     net.sim.run(until=warmup)
     net.reset_meters()
     delivered_before = server.total_readings()
     generated_before = sum(a.generated for a in apps)
-    retx_before, rto_before = _transport_retransmissions(protocol, net, transports)
+    before = _leaf_counters(net)
     net.sim.run(until=warmup + duration)
 
     generated = sum(a.generated for a in apps) - generated_before
     delivered = server.total_readings() - delivered_before
-    retx, rtos = _transport_retransmissions(protocol, net, transports)
+    counts = {name: value - before[name]
+              for name, value in _leaf_counters(net).items()}
     duty = _leaf_duty_cycles(net)
     return AppRunResult(
         protocol=protocol if confirmable else f"{protocol}-unreliable",
         reliability=min(1.0, delivered / generated) if generated else 1.0,
         radio_duty_cycle=duty["radio"],
         cpu_duty_cycle=duty["cpu"],
-        retransmissions=retx - retx_before,
-        rto_events=rtos - rto_before,
         generated=generated,
         delivered=delivered,
         overflowed=sum(a.overflowed for a in apps),
+        **counts,
     )
 
 
@@ -164,15 +168,23 @@ def _readings_per_message(mss_frames: int) -> int:
     return max(1, mss_for_frames(mss_frames, to_cloud=True) // 82)
 
 
-def _transport_retransmissions(protocol, net, transports) -> tuple:
-    # both stacks record into their leaf node's TraceRecorder
-    retx = rtos = 0
-    for leaf_id in net.leaf_ids:
-        counters = net.nodes[leaf_id].trace.counters
-        retx += counters.get("tcp.retransmits")
-        retx += counters.get("coap.retransmissions")
-        rtos += counters.get("tcp.rto_events")
-    return retx, rtos
+#: AppRunResult field -> the leaf counters it sums (both transports and
+#: the MAC record into their leaf node's TraceRecorder)
+_LEAF_COUNTERS = {
+    "retransmissions": ("tcp.retransmits", "coap.retransmissions"),
+    "rto_events": ("tcp.rto_events",),
+    "data_segments": ("tcp.data_segs_sent", "coap.messages_sent"),
+    "mac_tail_drops": ("mac.tail_drops",),
+}
+
+
+def _leaf_counters(net: Network) -> Dict[str, int]:
+    """The leaves' transport and MAC-queue counters, summed."""
+    traces = [net.nodes[leaf_id].trace.counters for leaf_id in net.leaf_ids]
+    return {
+        field: sum(t.get(name) for t in traces for name in names)
+        for field, names in _LEAF_COUNTERS.items()
+    }
 
 
 def run_fig8_batching(
@@ -190,6 +202,8 @@ def run_fig8_batching(
                 "radio_dc": r.radio_duty_cycle,
                 "cpu_dc": r.cpu_duty_cycle,
                 "reliability": r.reliability,
+                "data_segments": r.data_segments,
+                "mac_tail_drops": r.mac_tail_drops,
             })
     return rows
 
@@ -214,6 +228,8 @@ def run_fig9_loss_sweep(
                 "rtos_per_10min": r.rto_events * 600 / duration,
                 "radio_dc": r.radio_duty_cycle,
                 "cpu_dc": r.cpu_duty_cycle,
+                "data_segments": r.data_segments,
+                "mac_tail_drops": r.mac_tail_drops,
             })
     return rows
 

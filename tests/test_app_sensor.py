@@ -1,5 +1,7 @@
 """Anemometer application: sampling, queueing, batching, transports."""
 
+import math
+
 import pytest
 
 from repro.app.coap import CoapClient
@@ -11,9 +13,11 @@ from repro.app.sensor import (
     TcpTransport,
 )
 from repro.core.params import linux_like_params
+from repro.core.seqnum import seq_add
 from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
-from repro.experiments.topology import CLOUD_ID, build_chain
+from repro.experiments.exp_app import LEAF_POLL
+from repro.experiments.topology import CLOUD_ID, build_chain, build_testbed
 from repro.sim.engine import Simulator
 
 
@@ -149,3 +153,75 @@ def test_phase_staggers_first_sample():
     assert app.generated == 0
     sim.run(until=6.5)
     assert app.generated == 1
+
+
+def test_batched_tcp_drain_sends_full_sized_segments():
+    # a drain is one write per buffer-fill, so TCP cuts MSS-sized
+    # segments; only the segment that ends a fill (all the socket held
+    # at that moment) may carry fewer than 5 readings
+    net = build_chain(1, seed=2)
+    server = ReadingServer(net.sim)
+    cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
+                           default_params=linux_like_params())
+    server.attach_tcp(cloud_stack, port=8000)
+    ipv6 = net.nodes[1].ipv6
+    segments = []  # (stream offset one past the segment, payload bytes)
+    originate = ipv6.send
+
+    def record_segments(dst, next_header, seg, *args, **kwargs):
+        if seg.data:
+            segments.append((seq_add(seg.seq, len(seg.data)), len(seg.data)))
+        originate(dst, next_header, seg, *args, **kwargs)
+
+    ipv6.send = record_segments
+    stack = TcpStack(net.sim, ipv6, 1)
+    transport = TcpTransport(net.sim, stack, CLOUD_ID, server_port=8000,
+                             params=tcplp_params(mss_frames=5, to_cloud=True))
+    conn = transport.conn
+    fill_ends = set()  # stream offsets where a buffer-fill ended
+    write = conn.send
+
+    def record_fills(data):
+        accepted = write(data)
+        assert accepted == len(data)  # pull() sizes a fill to the room
+        fill_ends.add(seq_add(conn.snd_una, conn.send_buf.used))
+        return accepted
+
+    conn.send = record_fills
+    app = AnemometerNode(net.sim, transport, AnemometerConfig(
+        batching=True, batch_size=64, queue_capacity=64))
+    app.start()
+    net.sim.run(until=80.0)
+    assert server.tcp_readings == 64
+    assert stack.trace.counters.get("tcp.retransmits") == 0
+    full = 5 * 82
+    assert len(segments) <= math.ceil(64 * 82 / full) + 3
+    short = [end for end, size in segments if size < full]
+    assert set(short) <= fill_ends, segments
+
+
+def test_staggered_leaves_drain_without_queue_drops_or_retransmits():
+    # the four §9 leaves at zero injected loss: a drain of full-sized
+    # segments fits the leaf's MAC queue, so nothing is tail-dropped
+    # and TCP has nothing to repair
+    net = build_testbed(seed=0, leaf_poll=LEAF_POLL)
+    server = ReadingServer(net.sim)
+    cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
+                           default_params=linux_like_params())
+    server.attach_tcp(cloud_stack, port=8000)
+    for idx, leaf_id in enumerate(net.leaf_ids):
+        leaf = net.nodes[leaf_id]
+        stack = TcpStack(net.sim, leaf.ipv6, leaf_id, trace=leaf.trace,
+                         cpu=leaf.radio.cpu, sleepy=leaf.sleepy)
+        transport = TcpTransport(
+            net.sim, stack, CLOUD_ID, server_port=8000,
+            params=tcplp_params(mss_frames=5, to_cloud=True))
+        app = AnemometerNode(net.sim, transport, AnemometerConfig(
+            batching=True, batch_size=64, queue_capacity=64))
+        app.start(phase=idx * 16.0)
+    net.sim.run(until=2 * 64.0 + 3 * 16.0 + 12.0)
+    assert server.tcp_readings >= 4 * 2 * 64
+    for leaf_id in net.leaf_ids:
+        counters = net.nodes[leaf_id].trace.counters
+        assert counters.get("mac.tail_drops") == 0, leaf_id
+        assert counters.get("tcp.retransmits") == 0, leaf_id

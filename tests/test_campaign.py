@@ -3,6 +3,7 @@ statistics, search, and the legacy-runner compatibility shims."""
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -611,6 +612,20 @@ class TestStats:
         assert agg["discarded_outliers"] == 1
         assert agg["n"] == 3
         assert agg["mean"] == pytest.approx((5.0 + 6.0 + 5.5) / 3)
+
+    @pytest.mark.parametrize("method", ["t", "bootstrap"])
+    def test_huge_samples_do_not_overflow(self, method):
+        # deviations of 1e200 cannot be squared in a float; the spread
+        # itself (1e200) is representable and must come back finite
+        agg = aggregate([1e200, 2e200, 3e200], method=method,
+                        bootstrap_samples=50)
+        assert agg["mean"] == pytest.approx(2e200)
+        assert agg["stdev"] == pytest.approx(1e200)
+        assert agg["ci_low"] <= agg["mean"] <= agg["ci_high"] < math.inf
+        # a spread beyond the float range reads inf, never an exception
+        agg = aggregate([-1.7e308, 1.7e308], method=method,
+                        bootstrap_samples=50)
+        assert agg["stdev"] == math.inf
 
     def test_auto_metrics_numeric_common_fields(self):
         results = [{"a": 1, "b": True, "c": "x", "d": 2.5},

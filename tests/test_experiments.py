@@ -102,6 +102,10 @@ class TestAppStudy:
             r = run_app_study(proto, batching=True, duration=400.0,
                               warmup=60.0)
             assert r.reliability > 0.97, proto
+            # a batched drain leaves as near-full messages (5 readings
+            # fit one) and the leaf's MAC queue absorbs it
+            assert r.generated / r.data_segments > 4, proto
+            assert r.mac_tail_drops == 0, proto
 
     def test_cocoa_collapses_at_15_percent_but_not_tcp_coap(self):
         results = {
