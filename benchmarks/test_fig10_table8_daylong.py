@@ -46,10 +46,12 @@ def test_table8_day_averages(benchmark):
           r["cpu_dc"] * 100] for r in rows],
     )
     by_proto = {r["protocol"]: r for r in rows}
-    # reliable transports deliver ~everything despite the diurnal loss;
-    # unreliable (nonconfirmable) rows eat the raw loss rate
-    assert by_proto["tcp"]["reliability"] > 0.95
-    assert by_proto["coap"]["reliability"] > 0.95
+    # reliable transports deliver ~everything despite the diurnal loss
+    # (the run's delivered / (generated - still queued at the end), so
+    # a batch straddling the end is not a loss); unreliable
+    # (nonconfirmable) rows eat the raw loss rate
+    assert by_proto["tcp"]["reliability"] > 0.98
+    assert by_proto["coap"]["reliability"] > 0.98
     assert by_proto["unreliable+batch"]["reliability"] < (
         by_proto["coap"]["reliability"]
     )

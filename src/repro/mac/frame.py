@@ -18,8 +18,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: Broadcast short address.
-BROADCAST = 0xFFFF
+# The broadcast short address: the radio's address filter knows it
+# too, so the one definition lives below the MAC.
+from repro.phy.params import BROADCAST
 
 DATA_HEADER_BYTES = 23  # includes the 2-byte FCS trailer
 ACK_FRAME_BYTES = 5
@@ -60,6 +61,10 @@ class Frame:
     #: kind and payload size are fixed, and the MAC/PHY consult this for
     #: every load, CCA and delivery
     byte_size: int = field(init=False, repr=False, compare=False)
+    #: an Imm-ACK carries no addresses on the wire (``src``/``dst`` are
+    #: simulator bookkeeping): the radio's address filter matches it by
+    #: sequence number instead of by ``dst``
+    is_ack: bool = field(init=False, repr=False, compare=False)
 
     # Written out (the dataclass still generates __eq__ and __repr__)
     # so a frame costs one call to build, not __init__ + __post_init__.
@@ -76,7 +81,8 @@ class Frame:
         self.payload = payload
         self.payload_bytes = payload_bytes
         self.retries_used = retries_used
-        if kind is FrameKind.ACK:
+        is_ack = self.is_ack = kind is FrameKind.ACK
+        if is_ack:
             self.byte_size = ACK_FRAME_BYTES
         elif kind is FrameKind.DATA_REQUEST:
             self.byte_size = DATA_HEADER_BYTES + COMMAND_ID_BYTES

@@ -54,7 +54,10 @@ class MacParams:
     tx_queue_limit: int = 40  # frames; tail-dropped beyond this
     indirect_queue_limit: int = 30  # frames parked per sleepy child
     indirect_max_retries: int = 6  # link retries for indirect frames (§9.5 fix)
-    per_frame_cpu: float = 0.0003  # MAC processing cost per frame (CPU meter)
+    #: MAC processing cost (CPU meter) per frame put on the air and per
+    #: frame received — that is, passed up by the radio's address
+    #: filter: an overheard frame never interrupts the MCU
+    per_frame_cpu: float = 0.0003
 
 
 class _TxOp:
@@ -229,6 +232,7 @@ class MacLayer:
         if self._ack_timer_event is not None:
             self._ack_timer_event.cancel()
             self._ack_timer_event = None
+            self.radio.ack_seq = None
         self._current = None
         self._queue.clear()
         for q in self._indirect.values():
@@ -333,6 +337,9 @@ class MacLayer:
         if not op.frame.ack_request:
             self._finish(op, True)
             return
+        # the ack-wait: the radio's address filter passes an Imm-ACK
+        # with this sequence number until the timer is disarmed
+        self.radio.ack_seq = op.frame.seq
         self._ack_timer_event = self.sim.schedule(
             self.params.ack_wait, self._ack_timeout, op
         )
@@ -341,6 +348,7 @@ class MacLayer:
         if op is not self._current:
             return
         self._ack_timer_event = None
+        self.radio.ack_seq = None
         self._counts["mac.ack_timeouts"] += 1
         if self._m_ack_timeouts is not None:
             self._m_ack_timeouts.inc()
@@ -385,7 +393,6 @@ class MacLayer:
     def _finish(self, op: _TxOp, success: bool) -> None:
         op.frame.retries_used = op.retries
         self._current = None
-        self._ack_timer_event = None
         if success:
             self._counts["mac.tx_success"] += 1
         if op.on_done is not None:
@@ -399,28 +406,23 @@ class MacLayer:
     # receive path
     # ------------------------------------------------------------------
     def _on_frame(self, frame: Frame, sender_id: int) -> None:
+        """The radio's upcall: ``frame`` passed its address filter
+        (``Radio.accepts``), so it is this node's to process."""
         self._cpu._busy += self.params.per_frame_cpu
         kind = frame.kind
         if kind is _ACK:
-            # Imm-ACKs carry no addresses: hardware only matches an ACK
-            # during the ack-wait window right after its own transmission
-            # (the ack timer is pending).  Without this gate we would
-            # swallow ACKs meant for other nodes.
+            # Imm-ACKs carry no addresses: the radio's address filter
+            # passes one only during our ack-wait, with the sequence
+            # number of the frame in flight.
             op = self._current
-            timer = self._ack_timer_event
-            if (op is not None and op.frame.ack_request
-                    and timer is not None
-                    and not timer.cancelled and not timer.fired
-                    and frame.seq == op.frame.seq):
-                timer.cancel()
-                self._ack_timer_event = None
-                if (op.frame.kind is _DATA_REQUEST
-                        and self.on_poll_ack is not None):
-                    self.on_poll_ack(frame.pending)
-                self._finish(op, True)
+            self._ack_timer_event.cancel()
+            self._ack_timer_event = None
+            self.radio.ack_seq = None
+            if (op.frame.kind is _DATA_REQUEST
+                    and self.on_poll_ack is not None):
+                self.on_poll_ack(frame.pending)
+            self._finish(op, True)
             return
-        if frame.dst != self.node_id and frame.dst != BROADCAST:
-            return  # not for us (promiscuous reception not modelled)
         if frame.ack_request:
             # link ACK one RX->TX turnaround from now; a data request's
             # tells the child whether frames are parked for it

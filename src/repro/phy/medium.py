@@ -40,7 +40,7 @@ import math
 from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.phy.energy import RadioState
-from repro.phy.params import PhyParams
+from repro.phy.params import BROADCAST, PhyParams
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -522,14 +522,33 @@ class Medium:
                 and not loss_models and not frame_filters):
             # Nothing observes or perturbs this run: a frame is clean
             # wherever it was not spoiled and was listened to throughout.
-            for rcv_id, radio in receivers:
-                if rcv_id in spoiled:
-                    self.frames_collided += 1
-                # inlined Radio.listened_throughout, as below
-                elif (radio.energy.state is _LISTEN
-                        and radio._listen_since <= start):
-                    self.frames_delivered += 1
-                    radio.deliver(frame, sender_id)
+            # Inlined Radio.accepts, the frame classified once so that
+            # a clean hearer costs one comparison.
+            is_ack = getattr(frame, "is_ack", None)
+            if is_ack:
+                seq = frame.seq
+                for rcv_id, radio in receivers:
+                    if rcv_id in spoiled:
+                        self.frames_collided += 1
+                    # inlined Radio.listened_throughout, as below
+                    elif (radio.energy.state is _LISTEN
+                            and radio._listen_since <= start):
+                        self.frames_delivered += 1
+                        if radio.ack_seq == seq:
+                            radio.deliver(frame, sender_id)
+            else:
+                # None: nothing to match (a broadcast, a bare test frame)
+                dst = None if is_ack is None else frame.dst
+                if dst == BROADCAST:
+                    dst = None
+                for rcv_id, radio in receivers:
+                    if rcv_id in spoiled:
+                        self.frames_collided += 1
+                    elif (radio.energy.state is _LISTEN
+                            and radio._listen_since <= start):
+                        self.frames_delivered += 1
+                        if rcv_id == dst or dst is None:
+                            radio.deliver(frame, sender_id)
         else:
             for rcv_id, radio in receivers:
                 if rcv_id in spoiled:
@@ -577,7 +596,11 @@ class Medium:
                     self._node_counter(
                         self._m_deliveries, "phy.deliveries", rcv_id
                     ).inc()
-                radio.deliver(frame, sender_id)
+                # The address filter comes last: an overheard frame is
+                # a clean reception like any other up to here (same
+                # counters, same loss draws), it just is not read out.
+                if radio.accepts(frame):
+                    radio.deliver(frame, sender_id)
         on_done = tx.on_done
         if on_done is not None and sender.powered:
             # The frame has left the air: the sender returns to

@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: The 802.15.4 broadcast short address.  Defined here, below the MAC,
+#: because the transceiver's address filter (``Radio.accepts``) knows it.
+BROADCAST = 0xFFFF
+
 
 @dataclass
 class PhyParams:

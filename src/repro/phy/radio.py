@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from repro.phy.energy import CpuMeter, EnergyLedger, RadioState
 from repro.phy.medium import Medium
-from repro.phy.params import PhyParams
+from repro.phy.params import BROADCAST, PhyParams
 from repro.sim.engine import Simulator
 
 _TX = RadioState.TX
@@ -50,8 +50,12 @@ class Radio:
         self._spi_factor = p.spi_overhead_factor - 1.0
         self._tx_turnaround = p.tx_turnaround
         self._max_frame_bytes = p.max_frame_bytes
-        #: set by the MAC layer: called with (frame, sender_id) on clean receive
+        #: set by the MAC layer: called with (frame, sender_id) for each
+        #: clean frame the address filter passes
         self.on_frame: Optional[Callable[[object, int], None]] = None
+        #: sequence number of the link ACK the MAC is waiting for, None
+        #: outside an ack-wait (written by the MAC with its ack timer)
+        self.ack_seq: Optional[int] = None
         self._listen_since: float = sim.now
         self._tx_busy = False
         self._load_busy = False
@@ -110,6 +114,7 @@ class Radio:
         self._power_epoch += 1
         self._tx_busy = False
         self._load_busy = False
+        self.ack_seq = None
         self.medium.drop_in_flight(self.node_id)
         if self.energy.state is not RadioState.SLEEP:
             self.energy.transition(RadioState.SLEEP)
@@ -253,8 +258,33 @@ class Radio:
     # ------------------------------------------------------------------
     # receive path (called by the medium)
     # ------------------------------------------------------------------
+    def accepts(self, frame: object) -> bool:
+        """The transceiver's address filter: is a clean ``frame`` ours?
+
+        The AT86RF233's extended operating mode matches addresses in
+        hardware, as it generates the link ACK: a data or command frame
+        passes at the node it is addressed to and, broadcast, at every
+        node; an Imm-ACK carries no address and passes at a radio that
+        is waiting for its sequence number (``ack_seq``) — so a
+        bystander in its own ack-wait on the same number takes a
+        neighbour's ACK for its own, as on the hardware.  A frame that
+        fails was still received by the channel's account (the medium
+        counts it, it collided, it kept the radio listening); it is
+        never read out, so it costs the MCU nothing.  Duck-typed: an
+        object that does not say whether it is an ACK (a bare test
+        frame) has nothing to match and passes everywhere.
+        """
+        is_ack = getattr(frame, "is_ack", None)
+        if is_ack is None:
+            return True
+        if is_ack:
+            return frame.seq == self.ack_seq
+        dst = frame.dst
+        return dst == self.node_id or dst == BROADCAST
+
     def deliver(self, frame: object, sender_id: int) -> None:
-        """A clean frame arrived; charge the SPI read-out and pass it up."""
+        """A clean frame passed the address filter (the medium asks
+        ``accepts`` first): charge the SPI read-out and pass it up."""
         if not self.powered:
             return
         self.frames_received += 1

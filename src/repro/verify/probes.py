@@ -142,16 +142,28 @@ def probe_reassembler(reasm) -> List[str]:
 # MAC
 # ----------------------------------------------------------------------
 def probe_mac(mac) -> List[str]:
-    """An armed ACK wait must belong to an in-flight ACK-requesting frame."""
+    """An armed ACK wait must belong to an in-flight ACK-requesting
+    frame, and the radio's ACK window (``Radio.ack_seq``, which its
+    address filter matches Imm-ACKs against) must be open only inside
+    one, on that frame's sequence number."""
     out: List[str] = []
     ev = mac._ack_timer_event
-    if ev is not None and ev.pending:
-        op = mac._current
+    armed = ev is not None and ev.pending
+    op = mac._current
+    if armed:
         if op is None:
             out.append("ack timer armed with no in-flight transmission")
         elif not op.frame.ack_request:
             out.append(f"ack timer armed for frame to {op.frame.dst} "
                        f"that did not request an ACK")
+    seq = mac.radio.ack_seq
+    if seq is not None:
+        if not armed:
+            out.append(f"radio's ack window open on seq {seq} with no "
+                       f"ack timer armed")
+        elif op is not None and seq != op.frame.seq:
+            out.append(f"radio's ack window open on seq {seq}, in-flight "
+                       f"frame has seq {op.frame.seq}")
     return out
 
 

@@ -94,7 +94,8 @@ class BruteMedium(Medium):
             else:
                 self.frames_delivered += 1
                 self._count("_m_deliveries", "phy.deliveries", rcv_id)
-                radio.deliver(frame, sender_id)
+                if radio.accepts(frame):
+                    radio.deliver(frame, sender_id)
         if tx.on_done is not None and sender.powered:
             # the frame has left the air: the sender listens again,
             # then its MAC hears about it

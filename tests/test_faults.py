@@ -430,6 +430,31 @@ class TestShortOutage:
         assert heard == [] and net.medium.frames_collided == 2
         assert done == [2] and radio.frames_sent == 1
 
+    def test_power_cycle_mid_ack_wait_closes_the_ack_window(self):
+        # the link ACK starts one 192 us turnaround into the ack-wait;
+        # the radio loses power, and with it the wait, before that
+        net = build_pair(seed=1)
+        sim, sender, radio = net.sim, net.nodes[0].mac, net.nodes[0].radio
+        got = []
+        net.nodes[1].mac.on_receive = (
+            lambda payload, src, frame: got.append(payload))
+        sender.send("x", 20, 1)
+        while radio.ack_seq is None:
+            sim.run(until=sim.now + 1e-5)
+        radio.power_off()
+        assert radio.ack_seq is None
+        radio.power_on()  # listening again before the ACK's first bit
+        sim.run(until=sim.now + sender.params.ack_wait)
+        # the ACK arrived cleanly at a radio that no longer waited for it
+        assert net.medium.frames_delivered == 2
+        assert radio.frames_received == 0
+        assert sender.trace.counters.get("mac.ack_timeouts") == 1
+        sim.run()
+        # the MAC, which did not crash, retried and was acknowledged
+        assert sender.trace.counters.get("mac.tx_success") == 1
+        assert net.nodes[1].mac.trace.counters.get("mac.duplicates") == 1
+        assert got == ["x"] and radio.ack_seq is None
+
     def test_half_millisecond_reboot_of_a_relay_mid_load(self):
         net = build_chain(2, seed=1, with_cloud=False)
         sim, relay = net.sim, net.nodes[1]

@@ -1,5 +1,6 @@
 """Link-layer behaviour: delivery, ACKs, retries, dedup, hidden terminals."""
 
+from repro.mac.frame import BROADCAST, Frame, FrameKind
 from repro.mac.link import MacLayer, MacParams
 from repro.phy.medium import Medium
 from repro.phy.radio import Radio
@@ -107,7 +108,6 @@ def test_duplicate_suppression_when_ack_lost():
 
 
 def test_broadcast_no_ack_no_retry():
-    from repro.mac.frame import BROADCAST
     sim, medium, macs = make_macs([(0, 0), (5, 0), (5, 5)])
     got = []
     macs[1].on_receive = lambda p, s, f: got.append((1, p))
@@ -209,3 +209,89 @@ def test_multiple_indirect_frames_drain_with_pending_bits():
     sim.run(until=2.0)
     assert got == [0, 1, 2]
     assert pendings == [True, True, False]
+
+
+# ----------------------------------------------------------------------
+# the radio's address filter, as the MAC drives it
+# ----------------------------------------------------------------------
+def _run_to_ack_wait(sim, mac):
+    """Advance to the first instant ``mac`` waits for a link ACK."""
+    while mac.radio.ack_seq is None:
+        assert sim.now < 1.0, "never entered an ack-wait"
+        sim.run(until=sim.now + 1e-5)
+
+
+def test_address_filter_spares_a_bystander_the_frame_and_its_ack():
+    sim, medium, macs = make_macs([(0, 0), (5, 0), (0, 5)])
+    got = []
+    macs[2].on_receive = lambda p, s, f: got.append(p)
+    macs[0].send(b"x", 20, dst=1)
+    sim.run()
+    assert macs[0].trace.counters.get("mac.tx_success") == 1
+    # the channel delivered both frames to both of their hearers ...
+    assert medium.frames_delivered == 4
+    # ... and node 2 was interrupted by neither
+    bystander = macs[2].radio
+    assert got == [] and bystander.frames_received == 0
+    assert bystander.cpu.busy_time() == 0.0
+    assert macs[0].radio.frames_received == macs[1].radio.frames_received == 1
+
+
+def test_address_filter_ack_window_is_exactly_the_ack_wait():
+    sim, medium, macs = make_macs([(0, 0), (5, 0)])
+    mac, radio = macs[0], macs[0].radio
+    # matched ACK
+    mac.send(b"x", 20, dst=1)
+    assert radio.ack_seq is None  # loading, CSMA and air time are no ack-wait
+    _run_to_ack_wait(sim, mac)
+    assert radio.ack_seq == mac._current.frame.seq
+    sim.run()
+    assert mac.trace.counters.get("mac.tx_success") == 1
+    assert radio.ack_seq is None
+    # timeout: nobody answers for node 9; closed between the retries too
+    mac.params.retry_delay = 0.04
+    mac.send(b"y", 20, dst=9)
+    _run_to_ack_wait(sim, mac)
+    sim.run(until=sim.now + mac.params.ack_wait)
+    assert mac.trace.counters.get("mac.ack_timeouts") == 1
+    assert radio.ack_seq is None and mac._current is not None
+    sim.run()
+    assert mac.trace.counters.get("mac.tx_failures") == 1
+    assert radio.ack_seq is None
+    # reset (node crash) in the middle of a wait
+    mac.send(b"z", 20, dst=1)
+    _run_to_ack_wait(sim, mac)
+    mac.reset()
+    assert radio.ack_seq is None
+    # broadcasts ask for no ACK and open no window
+    mac.send(b"b", 20, dst=BROADCAST)
+    sim.run()
+    assert radio.ack_seq is None
+
+
+def test_address_filter_false_positive_on_a_shared_sequence_number():
+    """Imm-ACKs carry no address, so a radio waiting on the same
+    sequence number cannot tell a neighbour's ACK from its own: the
+    false positive of the hardware, kept."""
+    sim, medium, macs = make_macs([(0, 0), (5, 0), (0, 5)])
+    done = []
+    macs[2].send(b"into the void", 20, dst=9, on_done=done.append)
+    _run_to_ack_wait(sim, macs[2])
+    seq = macs[2].radio.ack_seq
+    # node 1 acknowledges somebody else's frame with that number
+    ack = Frame(kind=FrameKind.ACK, src=1, dst=0, seq=seq, ack_request=False)
+    macs[1].radio.transmit(ack, ack.byte_size, lambda: None, skip_spi=True)
+    sim.run()
+    assert done == [True]
+    assert macs[2].trace.counters.get("mac.ack_timeouts") == 0
+    assert macs[2].radio.ack_seq is None
+    # node 0 heard the same ACK outside any ack-wait and ignored it
+    assert macs[0].radio.frames_received == 0
+    # with another number the wait runs out and the frame fails
+    macs[2].send(b"again", 20, dst=9, on_done=done.append)
+    _run_to_ack_wait(sim, macs[2])
+    ack = Frame(kind=FrameKind.ACK, src=1, dst=0,
+                seq=(macs[2].radio.ack_seq + 1) & 0xFF, ack_request=False)
+    macs[1].radio.transmit(ack, ack.byte_size, lambda: None, skip_spi=True)
+    sim.run()
+    assert done == [True, False]

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from repro.mac.frame import Frame, FrameKind
+from repro.mac.frame import BROADCAST, Frame, FrameKind
 from repro.phy.medium import Medium, UniformLoss
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from tests.reference_medium import BruteMedium
+from tests.reference_medium import BruteMedium, use_brute_medium
 
 
 def make_net(positions, comm_range=10.0, seed=1):
@@ -185,6 +185,63 @@ def test_oversized_frame_rejected():
     sim, medium, radios = make_net([(0, 0), (5, 0)])
     with pytest.raises(ValueError):
         radios[0].transmit(frame(0, 1), 200, on_done=lambda: None)
+
+
+# ----------------------------------------------------------------------
+# the radio's address filter, through each of the three delivery loops
+# ----------------------------------------------------------------------
+DELIVERY_LOOPS = ("unobserved", "observed", "brute")
+
+
+def _overhearing_net(loop):
+    """Three radios in mutual range; each logs the frames it reads out."""
+    sim, medium, radios = make_net([(0, 0), (5, 0), (0, 5)])
+    if loop == "brute":
+        use_brute_medium(medium)
+    elif loop == "observed":
+        medium.frame_filters.append(lambda f, src, dst: False)
+    heard = {r.node_id: [] for r in radios}
+    for r in radios:
+        r.on_frame = lambda f, s, log=heard[r.node_id]: log.append(f)
+    return sim, medium, radios, heard
+
+
+@pytest.mark.parametrize("loop", DELIVERY_LOOPS)
+def test_address_filter_keeps_an_overheard_frame_from_the_mcu(loop):
+    sim, medium, radios, heard = _overhearing_net(loop)
+    unicast = frame(0, 1)
+    radios[0].transmit(unicast, unicast.byte_size, lambda: None, skip_spi=True)
+    sim.run()
+    # both neighbours received it cleanly as far as the channel knows
+    assert medium.frames_delivered == 2 and medium.frames_collided == 0
+    assert heard == {0: [], 1: [unicast], 2: []}
+    assert radios[1].frames_received == 1 and radios[1].cpu.busy_time() > 0
+    # the bystander never read it out: no SPI time, no upcall, no count
+    assert radios[2].frames_received == 0
+    assert radios[2].cpu.busy_time() == 0.0
+    # a broadcast, and a frame object with nothing to match, pass everywhere
+    for everyone in (frame(0, BROADCAST), object()):
+        radios[0].transmit(everyone, 73, lambda: None, skip_spi=True)
+        sim.run()
+        assert heard[1][-1] is everyone and heard[2][-1] is everyone
+    assert medium.frames_delivered == 6
+    assert (radios[1].frames_received, radios[2].frames_received) == (3, 2)
+
+
+@pytest.mark.parametrize("loop", DELIVERY_LOOPS)
+def test_address_filter_passes_an_imm_ack_only_where_it_is_awaited(loop):
+    sim, medium, radios, heard = _overhearing_net(loop)
+    # an Imm-ACK carries no address on the wire: ``dst`` must not matter
+    ack = Frame(kind=FrameKind.ACK, src=0, dst=1, seq=7, ack_request=False)
+    radios[2].ack_seq = 7   # in an ack-wait on that number
+    radios[1].ack_seq = 8   # waiting for another one; radio 0 for none
+    radios[0].transmit(ack, ack.byte_size, lambda: None, skip_spi=True)
+    sim.run()
+    assert medium.frames_delivered == 2
+    assert heard == {0: [], 1: [], 2: [ack]}
+    assert radios[1].frames_received == 0 and radios[1].cpu.busy_time() == 0.0
+    assert radios[2].accepts(ack) and not radios[1].accepts(ack)
+    assert not radios[0].accepts(ack)
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,26 @@ def test_detects_orphaned_ack_timer():
     mac._ack_timer_event = None
 
 
+def test_detects_ack_window_out_of_step_with_the_ack_timer():
+    """The ACK window is state in two places (the MAC's timer, the
+    radio's ``ack_seq``); out of step, the address filter would pass a
+    stranger's ACK or refuse our own."""
+    net, _xfer, engine = live_transfer()
+    mac, sim = net.nodes[1].mac, net.sim
+    while mac._ack_timer_event is not None:  # to an instant outside a wait
+        sim.run(until=sim.now + 1e-4)
+    mac.radio.ack_seq = 5
+    v = assert_fires(engine, "no ack timer armed", layer="mac")
+    assert v.probe == "probe_mac"
+    mac.radio.ack_seq = None
+    while mac._ack_timer_event is None:  # and into the next one
+        sim.run(until=sim.now + 1e-4)
+    mac.radio.ack_seq ^= 1
+    assert_fires(engine, "in-flight frame has seq", layer="mac")
+    mac.radio.ack_seq ^= 1
+    assert not engine.check_now()
+
+
 # ======================================================================
 # Kernel probes
 # ======================================================================
