@@ -85,6 +85,33 @@ def resolve_socket_option(params: TcpParams, name: str):
     )
 
 
+def node_instruments(metrics, node_id: int) -> tuple:
+    """The node-labelled ``tcp.*`` instruments of ``metrics``.
+
+    Every connection of a node shares them, so :class:`TcpStack`
+    resolves the bundle once and hands it to each connection it makes
+    (a lookup sorts its label set; a gateway opens two connections per
+    client).  The order is the one ``TcpConnection.__init__`` unpacks.
+    """
+    return (
+        metrics.counter("tcp.segs_sent", node=node_id),
+        metrics.counter("tcp.segs_rcvd", node=node_id),
+        {
+            kind: metrics.counter("tcp.retransmits", node=node_id, kind=kind)
+            for kind in ("rto", "fast", "sack")
+        },
+        metrics.counter("tcp.dupacks", node=node_id),
+        metrics.counter("tcp.rto_events", node=node_id),
+        metrics.counter("tcp.zero_window_probes", node=node_id),
+        metrics.counter("tcp.sack_blocks_sent", node=node_id),
+        metrics.gauge("tcp.cwnd", node=node_id),
+        metrics.gauge("tcp.ssthresh", node=node_id),
+        metrics.gauge("tcp.srtt_seconds", node=node_id),
+        metrics.gauge("tcp.rto_seconds", node=node_id),
+        metrics.histogram("tcp.rtt_seconds", node=node_id),
+    )
+
+
 class TcpState(enum.Enum):
     """RFC 793 connection states."""
 
@@ -117,6 +144,7 @@ class TcpConnection:
         trace: Optional[TraceRecorder] = None,
         cpu=None,
         on_cleanup: Optional[Callable[["TcpConnection"], None]] = None,
+        instruments: Optional[tuple] = None,
     ):
         self.sim = sim
         self.network = network
@@ -223,24 +251,11 @@ class TcpConnection:
         metrics = getattr(sim, "metrics", None)
         self._rexmit_kind = "rto"
         if metrics is not None:
-            nid = local_id
-            self._m_segs_sent = metrics.counter("tcp.segs_sent", node=nid)
-            self._m_segs_rcvd = metrics.counter("tcp.segs_rcvd", node=nid)
-            self._m_retransmits = {
-                kind: metrics.counter("tcp.retransmits", node=nid, kind=kind)
-                for kind in ("rto", "fast", "sack")
-            }
-            self._m_dupacks = metrics.counter("tcp.dupacks", node=nid)
-            self._m_rto_events = metrics.counter("tcp.rto_events", node=nid)
-            self._m_zwp = metrics.counter(
-                "tcp.zero_window_probes", node=nid)
-            self._m_sack_blocks = metrics.counter(
-                "tcp.sack_blocks_sent", node=nid)
-            self._g_cwnd = metrics.gauge("tcp.cwnd", node=nid)
-            self._g_ssthresh = metrics.gauge("tcp.ssthresh", node=nid)
-            self._g_srtt = metrics.gauge("tcp.srtt_seconds", node=nid)
-            self._g_rto = metrics.gauge("tcp.rto_seconds", node=nid)
-            self._h_rtt = metrics.histogram("tcp.rtt_seconds", node=nid)
+            (self._m_segs_sent, self._m_segs_rcvd, self._m_retransmits,
+             self._m_dupacks, self._m_rto_events, self._m_zwp,
+             self._m_sack_blocks, self._g_cwnd, self._g_ssthresh,
+             self._g_srtt, self._g_rto, self._h_rtt,
+             ) = instruments or node_instruments(metrics, local_id)
             self.cc.on_window_change = self._on_window_change
             self.rtt.on_update = self._on_rtt_update
         else:

@@ -17,7 +17,11 @@ import copy
 import functools
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.connection import TcpConnection, resolve_socket_option
+from repro.core.connection import (
+    TcpConnection,
+    node_instruments,
+    resolve_socket_option,
+)
 from repro.core.params import TcpParams
 from repro.core.segment import FLAG_ACK, FLAG_RST, Segment
 from repro.net.ipv6 import PROTO_TCP, Ipv6Packet
@@ -82,6 +86,11 @@ class TcpStack:
         self._next_port = EPHEMERAL_BASE
         self._iss = 1000
         self._awaiting: set = set()
+        #: the registry this node's metric handles were resolved against
+        #: (at the first connection, as a stack that never opens one
+        #: registers nothing), and the handles its connections share
+        self._metrics = None
+        self._instruments: Optional[tuple] = None
         network.register(PROTO_TCP, self._on_packet)
         stacks = getattr(network, "tcp_stacks", None)
         if stacks is not None:
@@ -198,6 +207,13 @@ class TcpStack:
         key = (local_port, peer_id, peer_port)
         if key in self._connections:
             raise ValueError(f"connection {key} already exists")
+        metrics = getattr(self.sim, "metrics", None)
+        if metrics is not self._metrics:
+            self._metrics = metrics
+            self._instruments = (
+                None if metrics is None
+                else node_instruments(metrics, self.node_id)
+            )
         conn = TcpConnection(
             self.sim,
             self.network,
@@ -211,6 +227,7 @@ class TcpStack:
             trace=self.trace,
             cpu=self.cpu,
             on_cleanup=self._cleanup,
+            instruments=self._instruments,
         )
         if self.sleepy is not None:
             # checkpoint-safe hook: partial over the bound method, not a

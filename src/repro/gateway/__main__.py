@@ -59,14 +59,21 @@ async def serve(args) -> int:
           f"tcp://{tcp_host}:{tcp_port} and udp://{tcp_host}:{udp_port} "
           f"(speed {args.speed}x, {args.hops}-hop mesh)")
     print("try:  printf hello | nc -q1 %s %d" % (tcp_host, tcp_port))
+
+    def report() -> None:
+        s = gateway.slack_stats()
+        print(f"[stats] sim t={net.sim.now:.1f}s "
+              f"slack last={s['last_slack']:.3f}s "
+              f"max={s['max_slack']:.3f}s "
+              f"input lag max={s['max_input_lag']:.3f}s "
+              f"violations={s['violations']}")
+
     try:
         while True:
             await asyncio.sleep(args.stats_interval)
-            s = gateway.slack_stats()
-            print(f"[stats] sim t={net.sim.now:.1f}s "
-                  f"slack last={s['last_slack']:.3f}s "
-                  f"max={s['max_slack']:.3f}s "
-                  f"violations={s['violations']}")
+            # read inside the simulation: an idle gateway leaves
+            # sim.now unread between dispatches
+            gateway.runner.inject(report)
     except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:

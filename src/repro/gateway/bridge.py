@@ -131,7 +131,7 @@ class TcpBridge(asyncio.Protocol):
             return
         self._admitted = True
         self.gateway.on_bridge_open(self)
-        self._open_sim()
+        self.gateway.runner.inject(self._open_sim)
 
     def data_received(self, data: bytes) -> None:
         if self._closed:
@@ -141,50 +141,40 @@ class TcpBridge(asyncio.Protocol):
         self._pending_bytes += len(data)
         self.gateway.count_bytes_in(len(data))
         self.gateway.splice_acquire(self, len(data))
-        self._drain_into_sim()
+        self.gateway.runner.inject(self._drain_into_sim)
 
     def eof_received(self) -> bool:
         # client finished sending; keep the socket half-open so the
         # mote's remaining bytes still reach it
         self._client_eof = True
-        self._maybe_close_sim()
+        self.gateway.runner.inject(self._maybe_close_sim)
         return True
 
     def connection_lost(self, exc) -> None:
         if not self._admitted:
             return
-        self._teardown(abort=True)
+        self._teardown()
         self.gateway.on_bridge_closed(self)
 
     def pause_writing(self) -> None:
-        # the client reads slower than the mote sends: stop consuming
-        # from the simulated socket, so its receive window closes and
-        # the mote sees genuine end-to-end flow control
         self._write_paused = True
-        if self.conn is not None:
-            self.conn.on_data = None
+        self.gateway.runner.inject(self._sync_sim_reads)
 
     def resume_writing(self) -> None:
         self._write_paused = False
-        conn = self.conn
-        if conn is not None and not self._closed:
-            conn.on_data = self._on_sim_data
-            data = conn.recv()
-            if data:
-                self._on_sim_data(data)
-            self.gateway.runner.nudge()
+        self.gateway.runner.inject(self._sync_sim_reads)
 
     def reap(self, reason: str) -> None:
         """Shed an already-admitted client (deadline or budget abuse)."""
         if self._closed:
             return
         self.gateway.count_shed(reason, self.binding)
-        self._teardown(abort=True)
+        self._teardown()
         if self.transport is not None and not self.transport.is_closing():
             self.transport.abort()
 
     # ------------------------------------------------------------------
-    # simulated side
+    # simulated side: run by the simulator, or handed to runner.inject
     # ------------------------------------------------------------------
     def _open_sim(self) -> None:
         self._retry_handle = None
@@ -203,7 +193,6 @@ class TcpBridge(asyncio.Protocol):
         conn.on_error = self._sim_error
         conn.on_peer_close = self._on_sim_peer_close
         conn.on_close = self._on_sim_close
-        self.gateway.runner.nudge()
 
     def _on_sim_connect(self) -> None:
         self.established = True
@@ -225,6 +214,21 @@ class TcpBridge(asyncio.Protocol):
     def _on_sim_send_space(self) -> None:
         self._drain_into_sim()
 
+    def _sync_sim_reads(self) -> None:
+        # while the client reads slower than the mote sends, stop
+        # consuming from the simulated socket, so its receive window
+        # closes and the mote sees genuine end-to-end flow control
+        conn = self.conn
+        if conn is None or self._closed:
+            return
+        if self._write_paused:
+            conn.on_data = None
+        else:
+            conn.on_data = self._on_sim_data
+            data = conn.recv()
+            if data:
+                self._on_sim_data(data)
+
     def _sim_error(self, err) -> None:
         # fully detach the failed connection: its teardown still fires
         # on_close, which must not close the real socket while a retry
@@ -245,14 +249,14 @@ class TcpBridge(asyncio.Protocol):
             delay = self.backoff.next_delay()
             self.gateway.count_retry()
             self._retry_handle = asyncio.get_running_loop().call_later(
-                delay, self._open_sim
+                delay, self.gateway.runner.inject, self._open_sim
             )
             return
         self.gateway.breaker_failure(self.binding)
         self.gateway.count_error()
         _log.warning("bridge to node %s:%s failed: %s",
                      self.binding.node_id, self.binding.sim_port, err)
-        self._teardown(abort=True)
+        self._teardown()
         if self.transport is not None and not self.transport.is_closing():
             self.transport.abort()
 
@@ -297,7 +301,6 @@ class TcpBridge(asyncio.Protocol):
                 break
         if moved:
             self.gateway.splice_release(self, moved)
-            self.gateway.runner.nudge()
         self._update_backpressure()
         self._maybe_close_sim()
 
@@ -318,9 +321,8 @@ class TcpBridge(asyncio.Protocol):
         if (self._client_eof and not self._pending
                 and self.established and self.conn is not None):
             self.conn.close()
-            self.gateway.runner.nudge()
 
-    def _teardown(self, abort: bool) -> None:
+    def _teardown(self) -> None:
         if self._closed:
             return
         self._closed = True
@@ -333,17 +335,15 @@ class TcpBridge(asyncio.Protocol):
             self._pending_bytes = 0
         conn, self.conn = self.conn, None
         if conn is not None:
+            # detach at once (the backlog before the abort must not
+            # call into a closed bridge); the abort itself is an input
             conn.on_connect = None
             conn.on_data = None
             conn.on_send_space = None
             conn.on_error = None
             conn.on_peer_close = None
             conn.on_close = None
-            if abort:
-                conn.abort()
-            else:
-                conn.close()
-            self.gateway.runner.nudge()
+            self.gateway.runner.inject(conn.abort)
 
 
 class UdpBridge(asyncio.DatagramProtocol):
@@ -361,6 +361,9 @@ class UdpBridge(asyncio.DatagramProtocol):
         self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
+        self.gateway.runner.inject(self._forward, data, addr, _time.monotonic())
+
+    def _forward(self, data: bytes, addr, t0: float) -> None:
         gw = self.gateway
         port = gw.alloc_udp_port()
         try:
@@ -369,12 +372,11 @@ class UdpBridge(asyncio.DatagramProtocol):
             gw.count_error()
             return
         handle = asyncio.get_running_loop().call_later(
-            self.timeout, self._expire, port
+            self.timeout, gw.runner.inject, self._expire, port
         )
-        self._pending[port] = (addr, _time.monotonic(), handle)
+        self._pending[port] = (addr, t0, handle)
         gw.count_bytes_in(len(data))
         gw.udp_send(self.binding, src_port=port, data=data)
-        gw.runner.nudge()
 
     def _make_reply_handler(self, port: int):
         def _on_reply(dgram, packet) -> None:
@@ -400,9 +402,9 @@ class UdpBridge(asyncio.DatagramProtocol):
             self.gateway.count_error()
 
     def close(self) -> None:
-        for port, (_addr, _t0, handle) in list(self._pending.items()):
+        for port, (_addr, _t0, handle) in self._pending.items():
             handle.cancel()
-            self.gateway.udp_stack.unbind(port)
+            self.gateway.runner.inject(self.gateway.udp_stack.unbind, port)
         self._pending.clear()
         if self.transport is not None:
             self.transport.close()

@@ -12,8 +12,9 @@ latency-percentile report, the pacer's slack summary, and the full
 metrics snapshot are written to a JSON artifact.
 
 Exit status is non-zero on any failed exchange, a corrupted bulk echo,
-silent (uncounted) shedding, or any real-time slack violation — the
-pacing and shedding contracts are gates, not suggestions.
+silent (uncounted) shedding, any real-time slack violation, or an input
+that found the simulated clock more than the slack budget behind the
+wall — the pacing and shedding contracts are gates, not suggestions.
 
 Run it directly::
 
@@ -152,6 +153,7 @@ async def run_smoke(
         and udp.errors == 0
         and overload_ok
         and slack["violations"] == 0
+        and slack["max_input_lag"] <= slack_budget
     )
     artifact = {
         "ok": ok,
@@ -222,6 +224,7 @@ def main(argv=None) -> int:
           f"{over['corrupt']} corrupt, p99={olat['p99'] * 1000:.1f}ms "
           f"ok={over['ok']}")
     print(f"slack: max={slack['max_slack']:.3f}s "
+          f"input lag max={slack['max_input_lag']:.3f}s "
           f"violations={slack['violations']} "
           f"(budget {slack['slack_budget']}s, speed {slack['speed']}x)")
     if not artifact["ok"]:

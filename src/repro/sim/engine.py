@@ -157,6 +157,13 @@ class RealtimePacer:
     increments, a ``rt/slack_violation`` trace event is emitted, and a
     rate-limited ``logging`` warning fires — a real-time serving tier
     must never fall behind silently.
+
+    **Input lag** is the same quantity at the other crossing: how far
+    the simulated clock was behind the wall when an outside input
+    arrived, in wall seconds (:meth:`observe_input`,
+    ``rt.input_lag_seconds``, ``max_input_lag``) — an input stamped
+    with the instant of its arrival takes effect only after the backlog
+    that is due before it.
     """
 
     def __init__(
@@ -184,12 +191,14 @@ class RealtimePacer:
         self.max_slack = 0.0
         self.violations = 0
         self.observations = 0
+        self.max_input_lag = 0.0
         self._last_warn_wall: Optional[float] = None
         if metrics is not None:
             self._g_slack = metrics.gauge("rt.slack_last_seconds")
             self._g_slack_max = metrics.gauge("rt.slack_max_seconds")
             self._h_slack = metrics.histogram("rt.slack_seconds")
             self._c_violations = metrics.counter("rt.slack_violations")
+            self._h_input_lag = metrics.histogram("rt.input_lag_seconds")
             self._g_speed = metrics.gauge("rt.speed")
             self._g_speed.set(speed)
         else:
@@ -197,6 +206,7 @@ class RealtimePacer:
             self._g_slack_max = None
             self._h_slack = None
             self._c_violations = None
+            self._h_input_lag = None
             self._g_speed = None
 
     def resync(self, sim_now: float) -> None:
@@ -252,6 +262,14 @@ class RealtimePacer:
                 )
         return slack
 
+    def observe_input(self, lag: float) -> None:
+        """Record the clock's ``lag`` behind the wall at an input's
+        arrival (wall seconds; zero or less: it was not behind)."""
+        if lag > self.max_input_lag:
+            self.max_input_lag = lag
+        if self._h_input_lag is not None:
+            self._h_input_lag.observe(max(0.0, lag))
+
     def stats(self) -> dict:
         """JSON-ready slack summary (the gateway smoke artifact shape)."""
         return {
@@ -261,6 +279,7 @@ class RealtimePacer:
             "max_slack": self.max_slack,
             "violations": self.violations,
             "observations": self.observations,
+            "max_input_lag": self.max_input_lag,
         }
 
 
@@ -665,7 +684,19 @@ class Simulator:
                     pacer.observe(t_next, clock())
                 self.run(until=sim_dl)
             if poll is not None:
-                poll()
+                # poll schedules relative to ``now``: dispatch what came
+                # due during the sleep and bring the clock to the wall
+                # first, or its input lands one sleep in the past
+                wall = clock()
+                due = pacer.sim_due(wall)
+                horizon = due if until is None else min(due, until)
+                t_next = self.peek_time()
+                if t_next is not None and t_next <= horizon:
+                    pacer.observe(t_next, wall)
+                if horizon > self.now:
+                    self.run(until=horizon)
+                if not self._stopped:
+                    poll()
         return pacer
 
     def stop(self) -> None:

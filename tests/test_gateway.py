@@ -9,7 +9,9 @@ they exercise the whole stack the CI smoke job gates — just smaller.
 import asyncio
 import json
 import socket
+import statistics
 import struct
+import time
 
 import pytest
 
@@ -26,6 +28,9 @@ from repro.gateway import (
     run_tcp_loadgen,
     run_udp_loadgen,
 )
+from repro.core.socket_api import TcpStack
+from repro.gateway.runtime import PacedSimRunner
+from repro.net.udp import UdpStack
 from repro.sim.engine import RealtimePacer, SimulationError, Simulator
 from repro.sim.metrics import MetricsRegistry
 
@@ -103,7 +108,7 @@ class TestRealtimePacer:
         stats = RealtimePacer(speed=4.0, clock=FakeClock()).stats()
         assert set(stats) == {
             "speed", "slack_budget", "last_slack", "max_slack",
-            "violations", "observations",
+            "violations", "observations", "max_input_lag",
         }
         assert stats["speed"] == 4.0
 
@@ -132,6 +137,24 @@ class TestRunRealtime:
         assert sim.now == pytest.approx(1.0)
         assert pacer.violations == 0
         assert pacer.observations >= 3
+
+    def test_poll_input_lands_at_the_current_instant(self):
+        """What ``poll`` schedules is stamped with the instant of the
+        poll, not with the clock as the sleep before it left it."""
+        clock = FakeClock()
+        sim = Simulator()
+        pacer = RealtimePacer(speed=10.0, clock=clock)
+        polled = []
+
+        def poll():
+            polled.append((pacer.sim_due(clock()), sim.now))
+
+        sim.schedule(0.75, lambda: None)  # dispatched on the way to a poll
+        sim.run_realtime(until=2.0, clock=clock, sleep=clock.advance,
+                         poll=poll, poll_interval=0.05, pacer=pacer)
+        assert len(polled) >= 3
+        for due, now in polled:
+            assert now == pytest.approx(min(due, 2.0))
 
     def test_slow_dispatch_is_loud(self):
         clock = FakeClock()
@@ -366,6 +389,8 @@ class TestGatewayEndToEnd:
         gw = asyncio.run(scenario())
         assert len(gw._bridges) == 0
         assert gw.sim.metrics.snapshot()["gauges"]["gw.active"] == 0
+        # the aborts the teardown injected ran before pacing stopped
+        assert gw.tcp_stack.active_connections() == 0
 
     def test_mid_splice_client_disconnect_releases_everything(self):
         """A client that resets mid-upload must leave no state behind:
@@ -428,8 +453,7 @@ class TestGatewayEndToEnd:
                 await writer.drain()
                 await asyncio.sleep(0.5)
                 stalled = sink.bytes  # nothing consumed while paused
-                sink.resume()
-                gw.runner.nudge()
+                gw.runner.inject(sink.resume)
                 # sink drains, sees the FIN, closes: client gets EOF
                 eof = await asyncio.wait_for(reader.read(-1), 60)
                 writer.close()
@@ -445,6 +469,46 @@ class TestGatewayEndToEnd:
         assert stalled == 0
         assert sink.bytes == nbytes
         assert eof == b""
+
+    def test_slow_client_pauses_the_mote_then_receives_everything(self):
+        """While the client's socket is full (``pause_writing``) the
+        bridge stops consuming from the simulated connection; once it
+        drains, every echoed byte arrives."""
+        async def scenario():
+            net, _, _ = _gateway_net()
+            gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
+                         speed=50.0, slack_budget=5.0)
+            await gw.start()
+            try:
+                host, port = gw.endpoint(0)
+                reader, writer = await asyncio.open_connection(host, port)
+                for _ in range(100):
+                    if gw.active_bridges():
+                        break
+                    await asyncio.sleep(0.01)
+                bridge, = gw._bridges
+                bridge.pause_writing()
+                payload = bytes(range(256)) * 8  # 2 KiB
+                writer.write(payload)
+                writer.write_eof()
+                await writer.drain()
+                await asyncio.sleep(0.5)  # 25 simulated seconds
+                counters = gw.sim.metrics.snapshot()["counters"]
+                held = counters["gw.bytes_out"]
+                bridge.resume_writing()
+                echoed = await asyncio.wait_for(reader.read(-1), 60)
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
+                return payload, held, echoed
+            finally:
+                await gw.aclose()
+
+        payload, held, echoed = asyncio.run(scenario())
+        assert held == 0
+        assert echoed == payload
 
     def test_sink_receives_bulk_upload(self):
         async def scenario():
@@ -474,6 +538,192 @@ class TestGatewayEndToEnd:
         sink, nbytes = asyncio.run(scenario())
         assert sink.accepted == 1
         assert sink.bytes == nbytes
+
+
+# ----------------------------------------------------------------------
+# the pacing contract: in at the wall instant, out at the deadline
+# ----------------------------------------------------------------------
+def _sim_tcp_echo_seconds(nbytes=64):
+    """Simulated SYN -> echo time of the gateway's path, no wall clock."""
+    net, _, _ = _gateway_net()
+    stack = TcpStack(net.sim, net.cloud, net.cloud.node_id)
+    done = []
+    conn = stack.connect(1, 7)
+    conn.on_connect = lambda: conn.send(bytes(nbytes))
+    conn.on_data = lambda data: done.append(net.sim.now)
+    net.sim.run(until=5.0)
+    return done[0]
+
+
+def _sim_udp_echo_seconds(nbytes=64):
+    net, _, _ = _gateway_net()
+    stack = UdpStack(net.cloud)
+    done = []
+    stack.bind(40000, lambda dgram, packet: done.append(net.sim.now))
+    stack.send(1, 40000, 7, bytes(nbytes), nbytes)
+    net.sim.run(until=5.0)
+    return done[0]
+
+
+class TestPacingContract:
+    """Both crossings between the wall and the simulated clock: an
+    outside input enters at the simulated instant of its arrival, and
+    a due event leaves at its wall deadline (docs/architecture.md §10).
+    """
+
+    SPEED = 25.0
+
+    def test_idle_gateway_answers_no_faster_than_the_model(self):
+        floor = 0.9 * _sim_tcp_echo_seconds() / self.SPEED
+
+        async def scenario():
+            net, _, _ = _gateway_net()
+            gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
+                         speed=self.SPEED)
+            await gw.start()
+            pacer = gw.runner.pacer
+            try:
+                latencies, slacks = [], []
+                for _ in range(8):
+                    # idle, and out of step with any 50 ms polling tick
+                    await asyncio.sleep(0.225)
+                    # slack while serving the exchange: a busy host
+                    # waking an idle timer late is not what is pinned
+                    pacer.max_slack = 0.0
+                    report = await run_tcp_loadgen(
+                        *gw.endpoint(0), connections=1, payload=bytes(64))
+                    assert report.completed == 1
+                    latencies.append(report.max)
+                    slacks.append(pacer.max_slack)
+                return latencies, slacks, gw.slack_stats()
+            finally:
+                await gw.aclose()
+
+        latencies, slacks, stats = asyncio.run(scenario())
+        assert min(latencies) >= floor
+        assert max(slacks) < 0.010
+        # the idle gaps are not lag: nothing was overdue during them
+        assert 0.0 <= stats["max_input_lag"] < 0.010
+        assert stats["violations"] == 0
+
+    def test_idle_gateway_udp_obeys_the_same_floor(self):
+        floor = 0.9 * _sim_udp_echo_seconds() / self.SPEED
+
+        async def scenario():
+            net, _, _ = _gateway_net()
+            gw = Gateway(
+                net, [MoteBinding(node_id=1, sim_port=7, kind="udp")],
+                speed=self.SPEED,
+            )
+            await gw.start()
+            try:
+                latencies = []
+                for _ in range(8):
+                    await asyncio.sleep(0.125)
+                    report = await run_udp_loadgen(
+                        *gw.endpoint(0), connections=1, payload=bytes(64))
+                    assert report.completed == 1
+                    latencies.append(report.max)
+                return latencies
+            finally:
+                await gw.aclose()
+
+        assert min(asyncio.run(scenario())) >= floor
+
+    def test_input_during_a_lag_lands_after_the_backlog(self):
+        async def scenario():
+            sim = Simulator()
+            runner = PacedSimRunner(sim, speed=self.SPEED).start()
+            pacer = runner.pacer
+            loop = asyncio.get_running_loop()
+            order, arrival = [], []
+
+            def outside_input():
+                # a socket callback: runs when the task next yields
+                arrival.append(pacer.sim_due(pacer.clock()))
+                runner.inject(lambda: order.append(("first", sim.now)))
+                runner.inject(lambda: order.append(("second", sim.now)))
+
+            def burn():
+                loop.call_soon(outside_input)
+                time.sleep(0.020)  # the simulation falls 0.5 s behind
+
+            sim.schedule(0.05, burn)
+            for i in range(1, 5):  # comes due while the burn runs
+                sim.schedule(0.05 + 0.1 * i, order.append, ("backlog", i))
+            await asyncio.sleep(0.1)
+            await runner.stop()
+            return order, arrival[0], pacer.stats()
+
+        order, arrival, stats = asyncio.run(scenario())
+        assert [tag for tag, _ in order] == ["backlog"] * 4 + ["first", "second"]
+        assert order[4][1] >= arrival
+        assert order[5][1] >= order[4][1]
+        # the input found the clock about one burn behind the wall
+        assert 0.010 < stats["max_input_lag"] < 0.100
+
+    def test_near_deadline_is_not_rounded_up_to_a_millisecond(self):
+        async def scenario():
+            sim = Simulator()
+            runner = PacedSimRunner(sim, speed=1.0).start()
+            pacer = runner.pacer
+            late = []
+
+            def arm():
+                sim.schedule(300e-6, fired, pacer.wall_for(sim.now + 300e-6))
+
+            def fired(deadline):
+                late.append(pacer.clock() - deadline)
+
+            for _ in range(20):
+                runner.inject(arm)
+                await asyncio.sleep(0.005)
+            await runner.stop()
+            return late
+
+        late = asyncio.run(scenario())
+        assert len(late) == 20
+        assert min(late) >= 0.0
+        assert statistics.median(late) < 0.0005
+
+    def test_idle_gateway_blocks_instead_of_spinning(self):
+        async def scenario():
+            net, _, _ = _gateway_net()
+            gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
+                         speed=self.SPEED)
+            await gw.start()
+            try:
+                await asyncio.sleep(0.05)
+                cpu0 = time.process_time()
+                await asyncio.sleep(0.3)
+                return time.process_time() - cpu0
+            finally:
+                await gw.aclose()
+
+        assert asyncio.run(scenario()) < 0.1 * 0.3
+
+    def test_stop_and_aclose_return_promptly_from_a_fine_wait(self):
+        async def scenario():
+            net, _, _ = _gateway_net()
+            # a deadline always nearer than the selector's resolution:
+            # the dispatch task never blocks, it yields
+            net.sim.schedule_periodic(0.0005, lambda: None)
+            gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)], speed=1.0)
+            await gw.start()
+            await asyncio.sleep(0.02)
+            t0 = time.perf_counter()
+            await gw.runner.stop()
+            stopped = time.perf_counter() - t0
+            gw.runner.start()
+            await asyncio.sleep(0.02)
+            t0 = time.perf_counter()
+            await gw.aclose()
+            return stopped, time.perf_counter() - t0, gw.runner.running
+
+        stopped, closed, running = asyncio.run(scenario())
+        assert stopped < 0.05
+        assert closed < 0.05
+        assert not running
 
 
 class TestAttachWiredHost:

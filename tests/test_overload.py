@@ -397,8 +397,7 @@ class TestSheddingEndToEnd:
                         break
                     await asyncio.sleep(0.05)
                 paused_snap = gw.sim.metrics.snapshot()
-                sink.resume()
-                gw.runner.nudge()
+                gw.runner.inject(sink.resume)
                 assert await asyncio.wait_for(reader.read(-1), 60) == b""
                 await _close_quietly(writer)
                 for _ in range(100):
