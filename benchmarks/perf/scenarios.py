@@ -65,10 +65,9 @@ def _stack(net, node_id: int, **kwargs) -> TcpStack:
                     sleepy=node.sleepy, **kwargs)
 
 
-def one_hop_bulk(duration: float = 60.0, seed: int = 1,
-                 fidelity: str = "full") -> Dict:
+def one_hop_bulk(duration: float = 60.0, seed: int = 1) -> Dict:
     """Bulk TCP transfer between two embedded nodes, one clean hop."""
-    net = build_pair(seed=seed, fidelity=fidelity)
+    net = build_pair(seed=seed)
     params = tcplp_params()
     src, dst = _stack(net, 1), _stack(net, 0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
@@ -84,10 +83,9 @@ def one_hop_bulk(duration: float = 60.0, seed: int = 1,
     }
 
 
-def three_hop_hidden(duration: float = 60.0, seed: int = 1,
-                     fidelity: str = "full") -> Dict:
+def three_hop_hidden(duration: float = 60.0, seed: int = 1) -> Dict:
     """Bulk TCP over the 3-hop hidden-terminal chain (§7.1 setup)."""
-    net = build_chain(3, seed=seed, fidelity=fidelity)
+    net = build_chain(3, seed=seed)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -105,10 +103,9 @@ def three_hop_hidden(duration: float = 60.0, seed: int = 1,
     }
 
 
-def duty_cycled_polling(duration: float = 60.0, seed: int = 0,
-                        fidelity: str = "full") -> Dict:
+def duty_cycled_polling(duration: float = 60.0, seed: int = 0) -> Dict:
     """Uplink bulk transfer from a duty-cycled (polling) endpoint."""
-    net = build_pair(seed=seed, fidelity=fidelity)
+    net = build_pair(seed=seed)
     poll = PollParams(poll_interval=0.1, fast_poll_interval=0.1,
                       listen_window=0.1,
                       hold_uplink_while_listening=True)
@@ -130,15 +127,14 @@ def duty_cycled_polling(duration: float = 60.0, seed: int = 0,
 
 
 def loss_sweep(duration: float = 40.0, seed: int = 1,
-               rates=(0.0, 0.09, 0.18),
-               fidelity: str = "full") -> Dict:
+               rates=(0.0, 0.09, 0.18)) -> Dict:
     """Figure 9-style sweep: one-hop bulk under ambient frame loss."""
     events = 0
     delivered = 0
     goodputs = []
     wall = 0.0
     for rate in rates:
-        net = build_pair(seed=seed, fidelity=fidelity)
+        net = build_pair(seed=seed)
         if rate > 0:
             net.medium.loss_models.append(UniformLoss(rate, net.rng))
         params = tcplp_params()
@@ -159,8 +155,7 @@ def loss_sweep(duration: float = 40.0, seed: int = 1,
     }
 
 
-def chaos_faults(duration: float = 40.0, seed: int = 7,
-                 fidelity: str = "full") -> Dict:
+def chaos_faults(duration: float = 40.0, seed: int = 7) -> Dict:
     """Compound fault schedule on a 2-hop chain (docs/faults.md).
 
     The relay (node 1) crashes mid-transfer and cold-restarts 3 s
@@ -171,8 +166,7 @@ def chaos_faults(duration: float = 40.0, seed: int = 7,
     """
     from repro.faults import FaultInjector, FaultSchedule
 
-    net = build_chain(2, seed=seed, with_cloud=False,
-                      fidelity=fidelity)
+    net = build_chain(2, seed=seed, with_cloud=False)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     schedule = FaultSchedule.from_dict({
@@ -204,8 +198,7 @@ def chaos_faults(duration: float = 40.0, seed: int = 7,
     }
 
 
-def dense_mesh(duration: float = 20.0, seed: int = 3,
-               fidelity: str = "full") -> Dict:
+def dense_mesh(duration: float = 20.0, seed: int = 3) -> Dict:
     """24 concurrent TCP flows across a 100-node router grid.
 
     Flow pattern (all 3-4 hop Manhattan routes, senders spread over the
@@ -216,7 +209,7 @@ def dense_mesh(duration: float = 20.0, seed: int = 3,
     established flows — the regime a production mesh actually sees.
     """
     rows = cols = 10
-    net = build_grid_mesh(rows, cols, seed=seed, fidelity=fidelity)
+    net = build_grid_mesh(rows, cols, seed=seed)
     params = tcplp_params(window_segments=2)
     specs = []
     # west-bound: rightmost column toward mid-grid, one per row 0..8
@@ -261,10 +254,9 @@ def sharded_mesh(duration: float = 7.0, seed: int = 3, shards: int = 4,
     2-hop sensor streams (20) — 205 concurrent flows staggered 10 ms
     apart so connection setup overlaps established traffic.
 
-    Deliberately *not* in ``SCENARIOS``: it refuses hybrid fidelity
-    and spawns worker processes, so the generic per-tier sweep in
-    ``tools/bench.py`` does not apply.  ``tools/bench.py --shard-curve``
-    is the driver.
+    Deliberately *not* in ``SCENARIOS``: it spawns worker processes,
+    so the generic sweep in ``tools/bench.py`` does not apply.
+    ``tools/bench.py --shard-curve`` is the driver.
     """
     from repro.sim.shard import ShardRecipe, run_sharded
 
@@ -314,13 +306,13 @@ def sharded_mesh(duration: float = 7.0, seed: int = 3, shards: int = 4,
 
 
 def _campaign_cell(quick: bool, frames: int = 3, seed: int = 1,
-                   duration: float = 10.0, fidelity: str = "full") -> Dict:
+                   duration: float = 10.0) -> Dict:
     """One campaign grid cell: a short one-hop bulk transfer.
 
     Module-level (the campaign catalog contract) so pooled campaign
     runs could dispatch it; here it runs serially in-process.
     """
-    net = build_pair(seed=seed, fidelity=fidelity)
+    net = build_pair(seed=seed)
     mss = mss_for_frames(frames)
     params = TcpParams(mss=mss, send_buffer=4 * mss, recv_buffer=4 * mss)
     src, dst = _stack(net, 1), _stack(net, 0)
@@ -334,8 +326,7 @@ def _campaign_cell(quick: bool, frames: int = 3, seed: int = 1,
     }
 
 
-def campaign_grid(duration: float = 10.0, seed: int = 1,
-                  fidelity: str = "full") -> Dict:
+def campaign_grid(duration: float = 10.0, seed: int = 1) -> Dict:
     """The campaign engine as a perf scenario (docs/campaigns.md).
 
     Expands a 2-frames x 2-seeds grid over :func:`_campaign_cell` and
@@ -354,7 +345,6 @@ def campaign_grid(duration: float = 10.0, seed: int = 1,
         "experiments": ["bulk_cell"],
         "grid": {"frames": [2, 5], "duration": [duration]},
         "seeds": [seed, seed + 1],
-        "kernel": {"fidelity": fidelity},
     }
     t0 = time.perf_counter()
     report = run_campaign(spec, store=None, catalog=catalog,

@@ -13,9 +13,7 @@ The surface, by area:
 
 **Simulation kernel** —
 :class:`~repro.sim.engine.Simulator` (the discrete-event core),
-:func:`make_simulator` (``fidelity="hybrid"`` for analytic
-bulk-transfer fast-forwarding, equivalently ``Simulator(fidelity=...)``;
-``shards=N`` for the sharded tier),
+:func:`make_simulator` (``shards=N`` for the sharded tier),
 :class:`~repro.sim.rng.RngStreams` (named deterministic RNG streams),
 :class:`~repro.sim.metrics.MetricsRegistry` (labelled counters /
 gauges / histograms with deterministic snapshots).
@@ -174,40 +172,28 @@ from repro.sim.shard import (
 from repro.verify import InvariantEngine
 
 
-def make_simulator(fidelity: str = "full", shards: int = 1, recipe=None):
-    """Build a simulator on the requested kernel tier.
+def make_simulator(shards: int = 1, recipe=None):
+    """Build a simulator: the kernel, or the sharded tier over it.
 
-    ``fidelity="full"`` (the default) returns the kernel every other
-    tier is gated against.  ``fidelity="hybrid"`` additionally
-    fast-forwards steady-state bulk-transfer phases analytically;
-    hybrid runs are gated on *metric* equivalence (goodput within 2%,
-    identical retransmit/fault counters), not trace equivalence.  The
-    topology builders accept the same knob and pass it through.
-
-    ``shards=N`` (N > 1, or N == 1 with a ``recipe``) returns a
+    With no arguments this is ``Simulator()``.  ``shards=N`` (N > 1, or
+    N == 1 with a ``recipe``) returns a
     :class:`~repro.sim.shard.ShardedSimulator` instead: N worker
     processes advancing a spatially-partitioned mesh in conservative
     lock-stepped windows, gated on *byte-identical* merged traces and
     metric snapshots against the single-process run.  Because every
     worker rebuilds the network from a picklable description, sharded
     runs are driven by a :class:`~repro.sim.shard.ShardRecipe` (the
-    ``recipe`` argument) rather than by an in-process ``Network``;
-    hybrid fidelity warps the clock globally and is refused in
-    combination with sharding.
+    ``recipe`` argument) rather than by an in-process ``Network``.
     """
     if recipe is not None or shards != 1:
         if recipe is None:
             raise ValueError(
                 "shards > 1 needs a ShardRecipe: workers rebuild the "
                 "network from it (see repro.sim.shard.ShardRecipe)")
-        if fidelity != "full":
-            raise ValueError(
-                "hybrid fidelity warps the clock globally and is not "
-                "shardable (fidelity='full' only)")
         from repro.sim.shard import ShardedSimulator
 
         return ShardedSimulator(recipe, shards=shards)
-    return Simulator(fidelity=fidelity)
+    return Simulator()
 
 
 def run_experiments(quick: bool = True, only=None, jobs: int = 1,

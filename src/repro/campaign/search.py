@@ -22,9 +22,9 @@ an integer axis golden-section probes round to the lattice and the
 final bracket is finished exhaustively, so the optimum is *exact*,
 not approximate.
 
-Every probe is an ordinary campaign run — same seeds, faults, kernel
-knobs, and content-addressed caching as the grid — so repeating a
-search (or widening its bounds) re-executes only unseen points.  The
+Every probe is an ordinary campaign run — same seeds, faults and
+content-addressed caching as the grid — so repeating a search (or
+widening its bounds) re-executes only unseen points.  The
 search *outcome* is deterministic; volatile facts (hits/executed)
 are reported separately for the execution sidecar.
 
@@ -217,7 +217,7 @@ def run_search(spec, catalog, store=None,
         params[obj["axis"]] = value
         runs = [RunSpec.build(experiment=experiment, params=params,
                               seed=s, quick=spec.quick,
-                              faults=spec.faults, kernel=spec.kernel)
+                              faults=spec.faults)
                 for s in seeds]
         run_ids = [run.run_id(salt) for run in runs]
         records, hits, misses, _errors, _interrupted = resolve_runs(

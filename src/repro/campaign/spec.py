@@ -2,8 +2,8 @@
 
 A campaign is a JSON/dict document (mirroring the ``FaultSchedule``
 pattern: eager validation, round-trippable ``to_dict``) declaring
-experiments x a parameter grid x seeds x fault schedule x kernel
-knobs, expanded deterministically into :class:`RunSpec` cells::
+experiments x a parameter grid x seeds x fault schedule, expanded
+deterministically into :class:`RunSpec` cells::
 
     {
       "name": "fig9-loss",
@@ -12,7 +12,6 @@ knobs, expanded deterministically into :class:`RunSpec` cells::
       "grid": {"protocol": ["tcp", "coap"], "loss": [0.0, 0.09, 0.15]},
       "seeds": [0, 1, 2],
       "faults": null,
-      "kernel": {"fidelity": "full"},
       "runner": {"jobs": 4, "timeout_s": null, "retries": 0,
                  "retry_backoff_s": 2.0, "verify": false, "metrics": false},
       "stats": {"confidence": 0.95, "method": "t", "warmup": 0,
@@ -37,14 +36,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 
-#: kernel-knob defaults; ``shards`` deliberately absent — sharded runs
-#: are driven by a ShardRecipe, not by the experiment registry
-_KERNEL_DEFAULTS = {"fidelity": "full"}
+#: most runs (cells x seeds) one campaign may declare, and so the
+#: largest ``seeds.count``; checked on the declared sizes, before the
+#: seed list or the run list is built
+MAX_RUNS = 100_000
 
 #: runner-block defaults, mirroring ``runner.main()``'s legacy flags
 #: (the flag -> field migration table lives in docs/api.md)
@@ -90,6 +91,18 @@ def _json_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
+def _is_int(value, minimum: Optional[int] = None) -> bool:
+    """An integer (``True`` is not one), at least ``minimum`` if given."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
+
+
+def _is_positive_number(value) -> bool:
+    """A finite number above zero (``True`` is not one)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
 #: canonical JSON (sorted keys, no whitespace): what identities hash
 _canonical_json = json.JSONEncoder(sort_keys=True,
                                    separators=(",", ":")).encode
@@ -110,18 +123,16 @@ class RunSpec:
     seed: Optional[int] = None
     quick: bool = True
     faults: Optional[tuple] = None   # canonical JSON string, or None
-    kernel: tuple = (("fidelity", "full"),)
 
     @classmethod
     def build(cls, experiment: str, params: Dict, seed, quick: bool,
-              faults: Optional[Dict], kernel: Dict) -> "RunSpec":
+              faults: Optional[Dict]) -> "RunSpec":
         return cls(
             experiment=experiment,
             params=tuple(sorted(params.items())),
             seed=seed,
             quick=bool(quick),
             faults=(json.dumps(faults, sort_keys=True),) if faults else None,
-            kernel=tuple(sorted(kernel.items())),
         )
 
     # -- views ---------------------------------------------------------
@@ -131,27 +142,17 @@ class RunSpec:
         return dict(self.params)
 
     @property
-    def kernel_dict(self) -> Dict:
-        return dict(self.kernel)
-
-    @property
     def faults_dict(self) -> Optional[Dict]:
         return json.loads(self.faults[0]) if self.faults else None
 
     def call_params(self, accepted: set, var_kw: bool) -> Dict:
         """The kwargs actually passed to the factory.
 
-        The seed and any non-default kernel knobs ride along when the
-        factory accepts them (spec validation already guaranteed it
-        for non-defaults).
+        The seed rides along when the factory accepts it.
         """
         kwargs = self.params_dict
         if self.seed is not None and (var_kw or "seed" in accepted):
             kwargs["seed"] = self.seed
-        for knob, value in self.kernel:
-            if value != _KERNEL_DEFAULTS[knob] and (var_kw
-                                                   or knob in accepted):
-                kwargs[knob] = value
         return kwargs
 
     def to_dict(self) -> Dict:
@@ -161,7 +162,6 @@ class RunSpec:
             "seed": self.seed,
             "quick": self.quick,
             "faults": self.faults_dict,
-            "kernel": self.kernel_dict,
         }
 
     # -- content addressing -------------------------------------------
@@ -198,14 +198,12 @@ class CampaignSpec:
     grid: Dict[str, List] = field(default_factory=dict)
     seeds: List[int] = field(default_factory=lambda: [0])
     faults: Optional[Dict] = None
-    kernel: Dict = field(default_factory=lambda: dict(_KERNEL_DEFAULTS))
     runner: Dict = field(default_factory=lambda: dict(_RUNNER_DEFAULTS))
     stats: Dict = field(default_factory=lambda: dict(_STATS_DEFAULTS))
     objective: Optional[Dict] = None
 
     _TOP_KEYS = {"name", "experiment", "experiments", "quick", "grid",
-                 "seeds", "faults", "kernel", "runner", "stats",
-                 "objective"}
+                 "seeds", "faults", "runner", "stats", "objective"}
 
     # -- construction --------------------------------------------------
 
@@ -265,21 +263,23 @@ class CampaignSpec:
             if extra:
                 _fail("seeds", f"unknown keys {sorted(extra)}")
             count = seeds.get("count")
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 1:
-                _fail("seeds.count", f"must be a positive integer, "
-                                     f"got {count!r}")
+            if not _is_int(count, 1) or count > MAX_RUNS:
+                _fail("seeds.count", f"must be an integer in "
+                                     f"1..{MAX_RUNS}, got {count!r}")
             base = seeds.get("base", 0)
-            if not isinstance(base, int) or isinstance(base, bool):
+            if not _is_int(base):
                 _fail("seeds.base", f"must be an integer, got {base!r}")
             seeds = list(range(base, base + count))
         if not isinstance(seeds, list) or not seeds or not all(
-                isinstance(s, int) and not isinstance(s, bool)
-                for s in seeds):
+                _is_int(s) for s in seeds):
             _fail("seeds", f"must be a non-empty list of integers "
                            f"(or {{'count': N, 'base': B}}), got {seeds!r}")
         if len(set(seeds)) != len(seeds):
             _fail("seeds", f"duplicate seeds in {seeds!r}")
+        cells = _cell_count(grid, experiments)
+        if cells * len(seeds) > MAX_RUNS:
+            _fail("grid", f"{cells} cells x {len(seeds)} seeds is more "
+                          f"than {MAX_RUNS} runs")
 
         faults = spec.get("faults")
         if faults is not None:
@@ -287,23 +287,16 @@ class CampaignSpec:
 
             faults = FaultSchedule.from_dict(faults).to_dict()
 
-        kernel = _check_block(spec.get("kernel"), _KERNEL_DEFAULTS,
-                              "kernel")
-        if kernel["fidelity"] not in ("full", "hybrid"):
-            _fail("kernel.fidelity", f"must be 'full' or 'hybrid', "
-                                     f"got {kernel['fidelity']!r}")
-
         runner = _check_block(spec.get("runner"), _RUNNER_DEFAULTS,
                               "runner")
-        if not isinstance(runner["jobs"], int) or runner["jobs"] < 1:
+        if not _is_int(runner["jobs"], 1):
             _fail("runner.jobs", f"must be an integer >= 1, "
                                  f"got {runner['jobs']!r}")
-        if runner["timeout_s"] is not None and not (
-                isinstance(runner["timeout_s"], (int, float))
-                and runner["timeout_s"] > 0):
+        if runner["timeout_s"] is not None and not _is_positive_number(
+                runner["timeout_s"]):
             _fail("runner.timeout_s", f"must be a positive number or "
                                       f"null, got {runner['timeout_s']!r}")
-        if not isinstance(runner["retries"], int) or runner["retries"] < 0:
+        if not _is_int(runner["retries"], 0):
             _fail("runner.retries", f"must be an integer >= 0, "
                                     f"got {runner['retries']!r}")
         if runner["retries"] and runner["timeout_s"] is None:
@@ -322,12 +315,11 @@ class CampaignSpec:
         if stats["method"] not in ("t", "bootstrap"):
             _fail("stats.method", f"must be 't' or 'bootstrap', "
                                   f"got {stats['method']!r}")
-        if not isinstance(stats["warmup"], int) or stats["warmup"] < 0:
+        if not _is_int(stats["warmup"], 0):
             _fail("stats.warmup", f"must be an integer >= 0, "
                                   f"got {stats['warmup']!r}")
-        if stats["outlier_iqr"] is not None and not (
-                isinstance(stats["outlier_iqr"], (int, float))
-                and stats["outlier_iqr"] > 0):
+        if stats["outlier_iqr"] is not None and not _is_positive_number(
+                stats["outlier_iqr"]):
             _fail("stats.outlier_iqr", f"must be a positive number or "
                                        f"null, got {stats['outlier_iqr']!r}")
         if stats["metrics"] is not None and not (
@@ -350,7 +342,6 @@ class CampaignSpec:
             grid={k: list(v) for k, v in grid.items()},
             seeds=list(seeds),
             faults=faults,
-            kernel=kernel,
             runner=runner,
             stats=stats,
             objective=objective,
@@ -402,7 +393,6 @@ class CampaignSpec:
             "grid": {k: list(v) for k, v in self.grid.items()},
             "seeds": list(self.seeds),
             "faults": self.faults,
-            "kernel": dict(self.kernel),
             "runner": dict(self.runner),
             "stats": dict(self.stats),
             "objective": self.objective,
@@ -482,12 +472,6 @@ class CampaignSpec:
                     _fail("seeds", f"experiment {experiment!r} does not "
                                    f"accept a seed, so repetition "
                                    f"seeds {self.seeds} cannot apply")
-                for knob, value in self.kernel.items():
-                    if value != _KERNEL_DEFAULTS[knob] and not (
-                            var_kw or knob in accepted):
-                        _fail(f"kernel.{knob}",
-                              f"experiment {experiment!r} does not "
-                              f"accept the {knob!r} knob")
             else:
                 takes_seed = True
             seeds = self.seeds if takes_seed else [None]
@@ -495,16 +479,17 @@ class CampaignSpec:
                 for seed in seeds:
                     runs.append(RunSpec.build(
                         experiment=experiment, params=point, seed=seed,
-                        quick=self.quick, faults=self.faults,
-                        kernel=self.kernel))
+                        quick=self.quick, faults=self.faults))
         return runs
 
     def cells(self) -> int:
         """Number of grid cells (runs / repetitions)."""
-        n = 1
-        for values in self.grid.values():
-            n *= len(values)
-        return n * max(1, len(self.experiments))
+        return _cell_count(self.grid, self.experiments)
+
+
+def _cell_count(grid: Dict[str, List], experiments: List[str]) -> int:
+    return (math.prod(len(values) for values in grid.values())
+            * max(1, len(experiments)))
 
 
 def _grid_points(axes: List[str], grid: Dict[str, List]):

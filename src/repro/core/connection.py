@@ -219,14 +219,11 @@ class TcpConnection:
         self.timewait_timer = Timer(sim, self._on_timewait_timeout, "tcp-2msl")
         self.keepalive_timer = Timer(sim, self._on_keepalive, "tcp-keepalive")
         self._persist_shift = 0
-        # warp-invariant idle clock (see _now_ts): keepalive must not
-        # fire because the hybrid tier skipped time analytically
-        self._last_activity = sim.now - sim.time_warped
+        self._last_activity = sim.now
         self._keepalive_unanswered = 0
 
-        # RFC 5961 challenge-ACK rate limiting — warp-invariant clock,
-        # so a hybrid fast-forward doesn't silently refresh the budget
-        self._challenge_window_start = sim.now - sim.time_warped
+        # RFC 5961 challenge-ACK rate limiting
+        self._challenge_window_start = sim.now
         self._challenges_in_window = 0
 
         # FreeBSD bad-retransmit detection (paper footnote 8)
@@ -295,14 +292,9 @@ class TcpConnection:
             self.cpu.charge(self.params.cpu_per_segment)
 
     def _now_ts(self) -> int:
-        # Timestamps measure *modelled* network time: subtract any
-        # simulated seconds the hybrid-fidelity tier skipped analytically
-        # (time_warped is 0.0 on full-fidelity runs) so an RTT estimated
-        # from an echoed timestamp never includes a warp.
-        now = self.sim.now - self.sim.time_warped
         if self.ts_clock is not None:
-            return self.ts_clock(now)
-        return int(now * 1000) & 0xFFFFFFFF
+            return self.ts_clock(self.sim.now)
+        return int(self.sim.now * 1000) & 0xFFFFFFFF
 
     def flight_size(self) -> int:
         """Bytes sent but not yet acknowledged."""
@@ -320,37 +312,6 @@ class TcpConnection:
             TcpState.FIN_WAIT_1,
             TcpState.FIN_WAIT_2,
         )
-
-    def cruise_probe(self):
-        """Phase-detection hook for the hybrid-fidelity kernel tier.
-
-        Returns ``None`` unless this connection is a steady bulk-phase
-        *candidate*: ESTABLISHED, an RTT estimate exists, and the
-        application keeps the send buffer saturated.  Otherwise returns
-        ``(signature, snd_una, srtt)`` where ``signature`` is a cheap
-        tuple that changes on any transient — cwnd move, retransmission,
-        RTO, fast retransmit, zero-window probe, or SACK activity.  The
-        controller (:class:`repro.sim.hybrid.HybridController`) only
-        fast-forwards while the signature stays flat and ``snd_una``
-        keeps advancing for K RTTs.
-        """
-        if self.state is not TcpState.ESTABLISHED:
-            return None
-        srtt = self.rtt.srtt
-        if srtt is None or srtt <= 0:
-            return None
-        if self.send_buf.free > self.mss:
-            return None  # application is not saturating the pipe
-        get = self.trace.counters.get
-        sig = (
-            self.cc.cwnd,
-            get("tcp.retransmits"),
-            get("tcp.rto_events"),
-            get("tcp.fast_retransmits"),
-            get("tcp.zero_window_probes"),
-            len(self.scoreboard.ranges),
-        )
-        return sig, self.snd_una, srtt
 
     def _set_awaiting_ack(self, value: bool) -> None:
         if value != self._awaiting_ack:
@@ -667,9 +628,7 @@ class TcpConnection:
             flags |= FLAG_PSH
         if self._timed_seq is None and not is_retransmit:
             self._timed_seq = seq
-            # warp-invariant clock: Karn RTT samples must not span an
-            # analytic fast-forward
-            self._timed_at = self.sim.now - self.sim.time_warped
+            self._timed_at = self.sim.now
         self._emit(flags=flags, seq=seq, data=data, is_retransmit=is_retransmit)
 
     def _send_ack_now(self) -> None:
@@ -678,7 +637,7 @@ class TcpConnection:
 
     def _challenge_ack(self) -> None:
         """RFC 5961 challenge ACK, rate-limited per connection."""
-        now = self.sim.now - self.sim.time_warped
+        now = self.sim.now
         if now - self._challenge_window_start >= 1.0:
             self._challenge_window_start = now
             self._challenges_in_window = 0
@@ -783,7 +742,7 @@ class TcpConnection:
         """Probe an idle connection; tear it down after enough silence."""
         if self.state is not TcpState.ESTABLISHED or not self.params.keepalive:
             return
-        idle = (self.sim.now - self.sim.time_warped) - self._last_activity
+        idle = self.sim.now - self._last_activity
         if idle < self.params.keepalive_idle:
             # activity since the probe was armed; wait out the remainder
             self.keepalive_timer.start(self.params.keepalive_idle - idle)
@@ -820,7 +779,7 @@ class TcpConnection:
         self.trace.counters.incr("tcp.segs_rcvd")
         if self._m_segs_rcvd is not None:
             self._m_segs_rcvd.inc()
-        self._last_activity = self.sim.now - self.sim.time_warped
+        self._last_activity = self.sim.now
         self._keepalive_unanswered = 0
         if self.state is TcpState.CLOSED:
             return
@@ -1093,7 +1052,7 @@ class TcpConnection:
                 sample = delta_ms / 1000.0
         elif self._timed_seq is not None and seq_gt(seg.ack, self._timed_seq):
             # Karn: only if the timed segment was never retransmitted
-            sample = (self.sim.now - self.sim.time_warped) - self._timed_at
+            sample = self.sim.now - self._timed_at
         if sample is not None:
             self.rtt.update(sample)
             self.trace.series("tcp.rtt").record(self.sim.now, sample)

@@ -80,10 +80,9 @@ def build_pair(
     seed: int = 0,
     node_config: Optional[NodeConfig] = None,
     spacing: float = 5.5,
-    fidelity: str = "full",
 ) -> Network:
     """Two embedded nodes in direct radio range (node ids 0 and 1)."""
-    sim = Simulator(fidelity=fidelity)
+    sim = Simulator()
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=10.0)
     routing = StaticRouting()
@@ -117,11 +116,10 @@ def build_single_hop(
     seed: int = 0,
     node_config: Optional[NodeConfig] = None,
     wired_loss: float = 0.0,
-    fidelity: str = "full",
 ) -> Network:
     """Figure 2: embedded endpoint (1) <-> border router (0) <-> cloud."""
     net = build_chain(1, seed=seed, node_config=node_config,
-                      wired_loss=wired_loss, fidelity=fidelity)
+                      wired_loss=wired_loss)
     return net
 
 
@@ -133,7 +131,6 @@ def build_chain(
     comm_range: float = 10.0,
     wired_loss: float = 0.0,
     with_cloud: bool = True,
-    fidelity: str = "full",
 ) -> Network:
     """A line of ``num_hops + 1`` nodes; node 0 is the border router.
 
@@ -143,7 +140,7 @@ def build_chain(
     """
     if num_hops < 1:
         raise ValueError("need at least one hop")
-    sim = Simulator(fidelity=fidelity)
+    sim = Simulator()
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=comm_range)
     routing = StaticRouting()
@@ -191,14 +188,13 @@ def build_testbed(
     wired_loss: float = 0.0,
     sleepy_leaves: bool = True,
     retry_delay: float = 0.04,
-    fidelity: str = "full",
 ) -> Network:
     """The §9 office testbed: border router 1, routers 2-5, leaves 12-15.
 
     ``retry_delay`` defaults to the 40 ms the §7.1 study recommends —
     without it, hidden terminals on the backbone cripple the mesh.
     """
-    sim = Simulator(fidelity=fidelity)
+    sim = Simulator()
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=10.0)
     router_ids = [1, 2, 3, 4, 5]
@@ -347,7 +343,6 @@ def build_grid_mesh(
     retry_delay: float = 0.04,
     with_cloud: bool = False,
     wired_loss: float = 0.0,
-    fidelity: str = "full",
 ) -> Network:
     """A ``rows x cols`` lattice of always-on routers.
 
@@ -364,7 +359,7 @@ def build_grid_mesh(
     if rows * cols > CLOUD_ID:
         raise ValueError(f"grid of {rows * cols} nodes collides with "
                          f"CLOUD_ID {CLOUD_ID}")
-    sim = Simulator(fidelity=fidelity)
+    sim = Simulator()
     rng = RngStreams(seed)
     medium = Medium(sim, rng=rng, comm_range=comm_range)
     placeholder = StaticRouting()  # replaced once radios are registered
@@ -390,7 +385,6 @@ def build_random_mesh(
     with_cloud: bool = False,
     wired_loss: float = 0.0,
     max_tries: int = 64,
-    fidelity: str = "full",
 ) -> Network:
     """``num_nodes`` always-on routers placed uniformly at random.
 
@@ -411,7 +405,7 @@ def build_random_mesh(
     side = area if area is not None else (
         comm_range * 0.55 * math.sqrt(num_nodes)
     )
-    sim = Simulator(fidelity=fidelity)
+    sim = Simulator()
     rng = RngStreams(seed)
     positions = _draw_random_positions(
         rng, num_nodes, side, comm_range, max_tries,

@@ -22,32 +22,17 @@ from repro.core.socket_api import TcpStack
 
 
 class GoodputMeter:
-    """Counts delivered bytes between start() and now.
-
-    The elapsed window is measured on the warp-invariant clock
-    (``sim.now - sim.time_warped``, the same clock TCP uses for RTT
-    and keepalive): a hybrid-fidelity warp that this meter's flow did
-    not participate in must not stretch the denominator.  Warps that
-    *do* carry this flow's modelled progress are booked explicitly by
-    the controller through :meth:`credit`, whose ``interval`` argument
-    re-adds exactly the warped seconds the credited bytes covered.
-    """
+    """Counts delivered bytes between start() and now."""
 
     def __init__(self, sim):
         self.sim = sim
         self.bytes = 0
         self._start: Optional[float] = None
-        #: warped seconds explicitly credited to this meter's window
-        self._warp_time = 0.0
         self.first_byte_at: Optional[float] = None
-
-    def _invariant_now(self) -> float:
-        return self.sim.now - getattr(self.sim, "time_warped", 0.0)
 
     def start(self) -> None:
         """Begin (or restart) the measurement window."""
-        self._start = self._invariant_now()
-        self._warp_time = 0.0
+        self._start = self.sim.now
         self.bytes = 0
 
     def on_data(self, data: bytes) -> None:
@@ -57,27 +42,11 @@ class GoodputMeter:
         if self._start is not None:
             self.bytes += len(data)
 
-    def credit(self, nbytes: int, interval: float = 0.0) -> None:
-        """Account bytes delivered analytically by the hybrid-fidelity
-        tier — no ``on_data`` callback fires during a warp, so the
-        controller books the modelled progress here.  ``interval`` is
-        the warped span the bytes covered; it is added back to this
-        meter's elapsed window so credited goodput stays rate-exact."""
-        if interval > 0 and self._start is not None:
-            self._warp_time += interval
-        if nbytes <= 0:
-            return
-        if self.first_byte_at is None:
-            self.first_byte_at = self.sim.now
-        if self._start is not None:
-            self.bytes += nbytes
-
     def elapsed(self) -> float:
-        """Measurement-window length: warp-invariant time plus any
-        explicitly credited warp spans."""
+        """Measurement-window length."""
         if self._start is None:
             return 0.0
-        return (self._invariant_now() - self._start) + self._warp_time
+        return self.sim.now - self._start
 
     def goodput_bps(self) -> float:
         """Delivered application bits per second over the window."""
@@ -145,32 +114,10 @@ class BulkTransfer:
         self._conn.on_send_space = self._fill
         self._conn.on_error = self._on_error
 
-        #: fractional-segment remainder for hybrid credit accounting
-        self._credit_carry = 0
-        hybrid = getattr(sim, "hybrid", None)
-        if hybrid is not None:
-            # hybrid-fidelity kernel: let the controller watch this flow
-            # for steady-state fast-forwarding
-            hybrid.register_flow(self)
-
     @property
     def connection(self):
         """The sender-side socket (for cwnd traces etc.)."""
         return self._conn
-
-    def hybrid_credit(self, nbytes: int, interval: float = 0.0) -> None:
-        """Book analytically fast-forwarded progress (hybrid tier):
-        delivered bytes into the meter (with the warped span they
-        covered), plus the equivalent data-segment count so per-segment
-        statistics stay comparable to oracle runs."""
-        self.meter.credit(nbytes, interval)
-        conn = self._conn
-        if conn is not None and nbytes > 0:
-            segs, self._credit_carry = divmod(
-                self._credit_carry + nbytes, conn.mss
-            )
-            if segs:
-                conn.trace.counters.incr("tcp.data_segs_sent", segs)
 
     # Bound methods throughout (no closures / builtin-method refs): the
     # whole harness must clone with the simulation under
@@ -262,20 +209,10 @@ class SensorStream:
         self._conn.on_connect = self._on_connect
         self._conn.on_error = self._on_error
 
-        hybrid = getattr(sim, "hybrid", None)
-        if hybrid is not None:
-            # paced periodic traffic must be simulated tick by tick —
-            # veto analytic fast-forwarding while this stream is live
-            hybrid.add_veto(self._cruise_veto)
-
     @property
     def connection(self):
         """The sender-side socket."""
         return self._conn
-
-    def _cruise_veto(self) -> bool:
-        conn = self._conn
-        return conn is not None and conn.state.name not in ("CLOSED", "TIME_WAIT")
 
     def _on_accept(self, conn) -> None:
         conn.on_data = self.meter.on_data

@@ -52,11 +52,6 @@ class FaultInjector:
         if self._armed:
             return self
         self._armed = True
-        hybrid = getattr(self.sim, "hybrid", None)
-        if hybrid is not None:
-            # fault activity must be simulated, never fast-forwarded:
-            # block the hybrid tier's analytic cruise while armed
-            hybrid.add_veto(self._cruise_veto)
         rng = self.net.rng
         medium = self.net.medium
         for i, fault in enumerate(self.schedule.faults):
@@ -152,9 +147,6 @@ class FaultInjector:
 
     def _clock_now(self) -> float:
         return self.sim.now
-
-    def _cruise_veto(self) -> bool:
-        return self._armed
 
     # ------------------------------------------------------------------
     # logging

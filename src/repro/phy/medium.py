@@ -199,9 +199,6 @@ class Medium:
         # label tuples.
         self._metrics = getattr(sim, "metrics", None)
         self._bus = getattr(sim, "trace_bus", None)
-        # In-flight transmissions hold absolute times outside the event
-        # heap; shift them when the hybrid tier warps the clock.
-        sim.warp_hooks.append(self._on_warp)
         if self._metrics is not None:
             self._m_tx: Dict[int, object] = {}
             self._m_collisions: Dict[int, object] = {}
@@ -209,17 +206,6 @@ class Medium:
             self._m_losses: Dict[int, object] = {}
             self._m_missed: Dict[int, object] = {}
             self._m_carrier_busy: Dict[int, object] = {}
-
-    def _on_warp(self, delta: float) -> None:
-        """Keep in-flight transmissions aligned with a warped clock.
-
-        The hybrid controller only cruises in steady state, where the
-        channel is typically idle at check boundaries, but a warp with
-        frames on the air must still preserve their remaining air time
-        and the listened-throughout window arithmetic."""
-        for tx in self._active:
-            tx.start += delta
-            tx.end += delta
 
     def _node_counter(self, cache: Dict[int, object], name: str,
                       node_id: int):

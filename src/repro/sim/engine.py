@@ -37,7 +37,6 @@ import time as _time
 from typing import Any, Callable, List, Optional
 
 from repro.sim import metrics as _metrics
-from repro.sim.hybrid import HybridController
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -295,19 +294,9 @@ class Simulator:
     The clock starts at 0.0.  ``run`` processes events in (time, insertion
     order) until the queue drains, ``until`` is reached, or ``stop()`` is
     called from within a callback.
-
-    ``fidelity="hybrid"`` attaches a
-    :class:`repro.sim.hybrid.HybridController` as ``sim.hybrid``, which
-    fast-forwards steady bulk phases analytically (metric-equivalent,
-    not trace-equivalent; see docs/architecture.md §7).
     """
 
-    def __init__(self, fidelity: str = "full") -> None:
-        if fidelity not in ("full", "hybrid"):
-            raise SimulationError(
-                f"unknown fidelity {fidelity!r} (expected 'full' or 'hybrid')"
-            )
-        self.fidelity = fidelity
+    def __init__(self) -> None:
         self.now: float = 0.0
         #: heap of ``(time, seq, Event)`` and slim ``(time, seq, fn, args)``
         self._queue: List[tuple] = []
@@ -333,27 +322,6 @@ class Simulator:
         #: assigns them *before* building the network — layers cache
         #: their instruments at construction time.
         self.metrics, self.trace_bus = _metrics.attach(self)
-        #: cumulative simulated seconds skipped analytically by the
-        #: hybrid-fidelity tier (0.0 on full-fidelity runs).  Duration
-        #: arithmetic that must measure *modelled* network time (TCP
-        #: timestamps, Karn RTT samples, keepalive idle) subtracts this
-        #: from ``now`` so a warp is invisible to it.
-        self.time_warped: float = 0.0
-        #: callbacks invoked as ``hook(delta)`` after ``warp`` shifted
-        #: the clock and the queue — layers that keep absolute times
-        #: outside the event heap (e.g. in-flight transmissions in the
-        #: medium) register here to shift them too.
-        self.warp_hooks: List[Callable[[float], None]] = []
-        #: number of analytic fast-forwards performed (observability)
-        self.warps = 0
-        #: the hybrid-fidelity controller when ``fidelity="hybrid"``;
-        #: None otherwise.  Workload drivers check this to register
-        #: their flows for steady-state detection.
-        self.hybrid = HybridController(self) if fidelity == "hybrid" else None
-        #: the ``until`` horizon of the run in progress (None outside
-        #: ``run`` or for unbounded runs) — the hybrid controller never
-        #: warps without a horizon to clamp against.
-        self._run_until: Optional[float] = None
         #: the :class:`RealtimePacer` of the last ``run_realtime`` call
         #: (None for batch runs) — slack stats survive the run.
         self.realtime_pacer: Optional[RealtimePacer] = None
@@ -404,34 +372,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._queue, (self.now + delay, seq, fn, args))
-
-    def warp(self, delta: float) -> None:
-        """Advance the clock ``delta`` seconds analytically.
-
-        Everything queued shifts forward by ``delta`` — relative spacing
-        (and therefore heap order) is preserved, so no re-heapify is
-        needed.  ``time_warped`` accumulates the skip so warp-invariant
-        duration arithmetic (``sim.now - sim.time_warped``) is unchanged,
-        and ``warp_hooks`` fire so layers holding absolute times outside
-        the heap (the medium's in-flight transmissions) shift too.
-
-        Only the hybrid-fidelity controller calls this.
-        """
-        if delta <= 0:
-            raise SimulationError(f"warp delta must be positive (got {delta})")
-        self.now += delta
-        self.time_warped += delta
-        self.warps += 1
-        queue = self._queue
-        for i, entry in enumerate(queue):
-            if len(entry) == 3:
-                ev = entry[2]
-                ev.time += delta
-                queue[i] = (ev.time, entry[1], ev)
-            else:
-                queue[i] = (entry[0] + delta, entry[1], entry[2], entry[3])
-        for hook in self.warp_hooks:
-            hook(delta)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
@@ -528,7 +468,6 @@ class Simulator:
         """The dispatch loop: events up to ``until``, or strictly before."""
         self._running = True
         self._stopped = False
-        self._run_until = until
         # Hot loop: attribute lookups hoisted into locals.  The queue is
         # aliased, never rebound — compaction mutates it in place.  The
         # observer hooks are sampled once: install them before run().
@@ -588,7 +527,6 @@ class Simulator:
                 mark(last)
             self.events_processed += processed
             self._running = False
-            self._run_until = None
 
     def run_realtime(
         self,

@@ -62,10 +62,9 @@ What is refused
 
 Sharding is only offered where the ownership argument above is
 airtight: mesh builders (``grid``/``random``) without a cloud host,
-full fidelity (hybrid warps the clock globally), per-node RNG
-only (global-stream chaos kinds — bursty loss, uniform loss, frame
-corruption — are refused; link flaps, node reboots and clock drift are
-replica-deterministic and allowed).
+per-node RNG only (global-stream chaos kinds — bursty loss, uniform
+loss, frame corruption — are refused; link flaps, node reboots and
+clock drift are replica-deterministic and allowed).
 
 Checkpoint/resume reuses :class:`repro.sim.checkpoint.Checkpoint`: at a
 barrier every worker snapshots its replica, and the coordinator adds
@@ -79,6 +78,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import heapq
+import inspect
 import json
 import multiprocessing
 import os
@@ -178,9 +178,10 @@ class ShardRecipe:
         if kw.get("with_cloud"):
             raise ShardError("cloud-attached meshes are not shardable "
                              "(the wired link is a global rendezvous)")
-        if kw.get("fidelity", "full") != "full":
-            raise ShardError("hybrid fidelity warps the clock globally "
-                             "and is not shardable")
+        accepted = inspect.signature(_builder(self.builder)).parameters
+        unknown = sorted(set(kw) - set(accepted))
+        if unknown:
+            raise ShardError(f"unknown builder kwargs {unknown}")
         if kw.get("node_config") is not None:
             raise ShardError("node_config is owned by the shard tier "
                              "(it injects the tx_turnaround PHY profile)")
@@ -211,21 +212,22 @@ class ShardRecipe:
                     )
 
 
+def _builder(name: str):
+    from repro.experiments.topology import build_grid_mesh, build_random_mesh
+
+    return build_grid_mesh if name == "grid" else build_random_mesh
+
+
 def build_network(recipe: ShardRecipe):
     """Build the recipe's network (full replica) and arm its chaos.
 
     Returns ``(net, injector)``; deterministic in the recipe alone, so
     every worker and the oracle construct identical object graphs.
     """
-    from repro.experiments.topology import build_grid_mesh, build_random_mesh
-
     config = NodeConfig(phy=PhyParams(tx_turnaround=recipe.tx_turnaround))
     kwargs = dict(recipe.builder_kwargs)
     kwargs["node_config"] = config
-    if recipe.builder == "grid":
-        net = build_grid_mesh(**kwargs)
-    else:
-        net = build_random_mesh(**kwargs)
+    net = _builder(recipe.builder)(**kwargs)
     injector = None
     if recipe.chaos is not None:
         # Armed before any TCP stack exists (flows launch later), the

@@ -87,13 +87,11 @@ def test_api_names_are_the_implementation_objects():
 
 
 def test_make_simulator_selects_kernel_tiers():
-    sim = api.make_simulator()
-    assert type(sim) is api.Simulator
-    assert (sim.fidelity, sim.hybrid) == ("full", None)
-
-    hybrid = api.make_simulator(fidelity="hybrid")
-    assert type(hybrid) is api.Simulator
-    assert hybrid.hybrid is not None
+    # no tiers left to select: the fidelity knob is an error, not a no-op
+    assert type(api.make_simulator()) is api.Simulator
+    for factory in (api.Simulator, api.make_simulator):
+        with pytest.raises(TypeError):
+            factory(fidelity="full")
 
 
 def test_simulator_constructor_matches_make_simulator():
@@ -110,7 +108,8 @@ def test_topology_builders_thread_kernel_knobs():
                 lambda **kw: api.build_random_mesh(4, **kw))
     for build in builders:
         assert type(build(seed=0).sim) is api.Simulator
-        assert build(seed=0, fidelity="hybrid").sim.hybrid is not None
+        with pytest.raises(TypeError):
+            build(seed=0, fidelity="full")
 
 
 def test_run_experiments_is_callable_with_runner_signature():

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -189,10 +190,29 @@ class TestSpecValidation:
             CampaignSpec.from_dict({"experiments": ["x"], "grids": {}})
 
     def test_removed_kernel_knob_is_an_unknown_key(self):
+        for knob in ({"accel": True}, {"fidelity": "full"}):
+            with pytest.raises(ValueError,
+                               match=r"unknown keys \['kernel'\]"):
+                CampaignSpec.from_dict({"experiments": ["x"],
+                                        "kernel": knob})
+
+    @pytest.mark.parametrize("block, path", [
+        ({"seeds": {"count": 10**9}}, "seeds.count"),
+        ({"seeds": {"count": 10**30}}, "seeds.count"),
+        ({"seeds": {"count": True}}, "seeds.count"),
+        ({"seeds": {"count": 1000},
+          "grid": {"a": list(range(101))}}, "grid"),
+        ({"runner": {"jobs": True}}, "runner.jobs"),
+        ({"runner": {"retries": True, "timeout_s": 1.0}}, "runner.retries"),
+        ({"runner": {"timeout_s": True}}, "runner.timeout_s"),
+        ({"runner": {"timeout_s": float("inf")}}, "runner.timeout_s"),
+        ({"stats": {"warmup": True}}, "stats.warmup"),
+        ({"stats": {"outlier_iqr": True}}, "stats.outlier_iqr"),
+    ])
+    def test_hostile_numbers_are_refused(self, block, path):
         with pytest.raises(ValueError,
-                           match=r"kernel: unknown keys \['accel'\]"):
-            CampaignSpec.from_dict({"experiments": ["x"],
-                                    "kernel": {"accel": True}})
+                           match=rf"campaign spec: {re.escape(path)}: "):
+            CampaignSpec.from_dict({"experiments": ["x"], **block})
 
     def test_grid_values_must_be_scalars(self):
         with pytest.raises(ValueError, match="JSON scalars"):
@@ -311,16 +331,13 @@ class TestExpansion:
         assert json.loads(out.stdout) == here
 
     def test_params_order_does_not_change_identity(self):
-        a = RunSpec.build("e", {"a": 1, "b": 2}, 0, True, None,
-                          {"fidelity": "full"})
-        b = RunSpec.build("e", {"b": 2, "a": 1}, 0, True, None,
-                          {"fidelity": "full"})
+        a = RunSpec.build("e", {"a": 1, "b": 2}, 0, True, None)
+        b = RunSpec.build("e", {"b": 2, "a": 1}, 0, True, None)
         assert a.run_id("s") == b.run_id("s")
 
     def test_seed_changes_run_id_but_not_cell_id(self):
-        kernel = {"fidelity": "full"}
-        a = RunSpec.build("e", {"x": 1}, 0, True, None, kernel)
-        b = RunSpec.build("e", {"x": 1}, 1, True, None, kernel)
+        a = RunSpec.build("e", {"x": 1}, 0, True, None)
+        b = RunSpec.build("e", {"x": 1}, 1, True, None)
         assert a.run_id("s") != b.run_id("s")
         assert a.cell_id() == b.cell_id()
 
@@ -358,8 +375,8 @@ def _resume_catalog():
 
 
 def _numbered_runs(count):
-    return [RunSpec.build("e", {"x": x}, 0, True, None,
-                          {"fidelity": "full"}) for x in range(count)]
+    return [RunSpec.build("e", {"x": x}, 0, True, None)
+            for x in range(count)]
 
 
 def _numbered_record(x, pad=0):
@@ -415,8 +432,7 @@ class TestCaching:
 
     def test_store_roundtrip_and_atomicity(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s")
-        run = RunSpec.build("e", {"x": 1}, 0, True, None,
-                            {"fidelity": "full"})
+        run = RunSpec.build("e", {"x": 1}, 0, True, None)
         key = store.key_for(run)
         assert store.load(key) is None
         store.save(key, {"ok": True, "result": {"v": 1}})

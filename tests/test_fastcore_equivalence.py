@@ -17,11 +17,6 @@ change; with the ``Radio._end_air`` rows dropped, the ``(time,
 qualname)`` projection of all nine traces was identical before and
 after it (digests in CHANGES.md, PR16).  Flattening the frame path to
 one call per layer boundary (PR19) changed no event, so the pins held.
-
-``fidelity="hybrid"`` is held to the weaker *metric* contract it
-advertises: goodput within 2% of full fidelity, identical
-retransmit/RTO counters, and it must actually have cruised
-(``sim.warps > 0``) while processing far fewer events.
 """
 
 import hashlib
@@ -31,7 +26,7 @@ import pytest
 
 from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
-from repro.experiments.topology import build_chain, build_grid_mesh, build_pair
+from repro.experiments.topology import build_chain, build_grid_mesh
 from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.checkpoint import CheckpointManager, TraceHook
@@ -166,15 +161,6 @@ def test_chaos_trace_identical(seed, monkeypatch):
 # ======================================================================
 # kernel construction
 # ======================================================================
-def test_hybrid_fidelity_implies_fast_kernel_and_controller():
-    assert Simulator().hybrid is None
-    sim = Simulator(fidelity="hybrid")
-    assert type(sim) is Simulator
-    assert sim.hybrid is not None
-    with pytest.raises(SimulationError, match="fidelity"):
-        Simulator(fidelity="approximate")
-
-
 def test_deepcopy_preserves_kernel_class():
     import copy
 
@@ -210,21 +196,6 @@ def test_schedule_unref_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_unref(-0.1, lambda: None)
-
-
-def test_warp_shifts_both_entry_shapes():
-    sim = Simulator()
-    fired = []
-    sim.schedule_unref(2.0, lambda: fired.append(("slim", sim.now)))
-    sim.schedule(3.0, lambda: fired.append(("event", sim.now)))
-    sim.warp(10.0)
-    assert sim.now == pytest.approx(10.0)
-    assert sim.time_warped == pytest.approx(10.0)
-    assert sim.warps == 1
-    sim.run()
-    assert fired == [("slim", 12.0), ("event", 13.0)]
-    with pytest.raises(SimulationError):
-        sim.warp(0.0)
 
 
 # ======================================================================
@@ -288,43 +259,3 @@ def test_backoff_draw_matches_randint():
             # and the two streams remain aligned afterwards
             assert ref_rng.random() == inl_rng.random()
 
-
-# ======================================================================
-# hybrid fidelity: metric equivalence on steady bulk transfer
-# ======================================================================
-def _bulk_run(fidelity: str):
-    net = build_pair(seed=1, fidelity=fidelity)
-    params = tcplp_params()
-    xfer = BulkTransfer(net.sim, _stack(net, 1), _stack(net, 0),
-                        receiver_id=0, params=params, receiver_params=params)
-    res = xfer.measure(10.0, 45.0)
-    counters = xfer.connection.trace.counters
-    retx = tuple(counters.get(k) for k in (
-        "tcp.retransmits", "tcp.rto_events", "tcp.fast_retransmits"))
-    return net.sim, res.goodput_kbps, retx
-
-
-def test_hybrid_metric_equivalence_on_bulk():
-    sim_o, goodput_o, retx_o = _bulk_run("full")
-    sim_h, goodput_h, retx_h = _bulk_run("hybrid")
-    assert sim_o.warps == 0
-    # it actually cruised, and skipped a large share of the event work
-    assert sim_h.warps > 0
-    assert sim_h.hybrid.cruises == sim_h.warps
-    assert sim_h.hybrid.credited_bytes > 0
-    assert sim_h.events_processed < sim_o.events_processed / 3
-    # metric contract: goodput within 2%, loss/retransmit counters equal
-    assert goodput_h == pytest.approx(goodput_o, rel=0.02)
-    assert retx_h == retx_o
-
-
-def test_hybrid_never_cruises_while_faults_armed():
-    net = build_chain(2, seed=7, with_cloud=False, fidelity="hybrid")
-    for n in net.nodes.values():
-        n.mac.params.retry_delay = 0.04
-    FaultInjector(net, FaultSchedule.from_dict(CHAOS_SPEC)).arm()
-    params = tcplp_params(window_segments=4)
-    xfer = BulkTransfer(net.sim, _stack(net, 2), _stack(net, 0),
-                        receiver_id=0, params=params, receiver_params=params)
-    xfer.measure(5.0, 10.0)
-    assert net.sim.warps == 0  # the injector's veto held

@@ -22,9 +22,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: modules whose public names are covered by the facade — downstream
 #: code must not import from them directly
 BANNED_MODULES = {
-    # hybrid fidelity is selected via Simulator(fidelity=...)/
-    # make_simulator, never by constructing the controller directly
-    "repro.sim.hybrid",
     "repro.core.socket_api",
     "repro.core.params",
     "repro.core.simplified",

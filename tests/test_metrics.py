@@ -312,8 +312,7 @@ class TestBenchClassification:
         baseline_path.write_text(json.dumps(base_doc))
         monkeypatch.setattr(bench, "BASELINE_PATH", baseline_path)
 
-        def fake_run_all(smoke, trials, only=None, results=None,
-                         fidelity="full"):
+        def fake_run_all(smoke, trials, only=None, results=None):
             return results
 
         drifted = {"s": {"events": 101, "frames_delivered": 10,

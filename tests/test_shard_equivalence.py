@@ -88,7 +88,7 @@ def gate_kwargs(**overrides):
     (dict(builder="chain"), "not shardable"),
     (dict(builder_kwargs=gate_kwargs(with_cloud=True)), "cloud"),
     (dict(builder_kwargs=gate_kwargs(node_config=object())), "node_config"),
-    (dict(builder_kwargs=gate_kwargs(fidelity="hybrid")), "fidelity"),
+    (dict(builder_kwargs=gate_kwargs(fidelity="full")), "fidelity"),
     (dict(tx_turnaround=0.0), "tx_turnaround"),
     (dict(flows=[FlowSpec(src=0, dst=1, dst_is_cloud=True)]), "cloud"),
     (dict(flows=[FlowSpec(src=3, dst=3)]), "src == dst"),
@@ -108,8 +108,6 @@ def test_make_simulator_shard_surface():
     with pytest.raises(ValueError, match="ShardRecipe"):
         make_simulator(shards=2)
     recipe = default_gate_recipe()
-    with pytest.raises(ValueError, match="fidelity"):
-        make_simulator(shards=2, recipe=recipe, fidelity="hybrid")
     sharded = make_simulator(shards=2, recipe=recipe)
     try:
         assert isinstance(sharded, ShardedSimulator)

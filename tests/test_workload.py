@@ -49,48 +49,7 @@ class TestGoodputMeter:
         meter.on_data(b"xyz")
         meter.start()
         assert meter.bytes == 0
-
-
-class TestGoodputMeterWarpInvariance:
-    """Hybrid-tier warps must not distort the metering window."""
-
-    def test_foreign_warp_does_not_inflate_elapsed(self):
-        # A warp this meter's flow did not participate in (no credit)
-        # must leave goodput untouched: the denominator is the
-        # warp-invariant clock, not raw sim.now.
-        sim = Simulator()
-        meter = GoodputMeter(sim)
-        meter.start()
-        sim.now = 10.0
-        meter.on_data(b"x" * 125)  # 1000 bits over 10 s
-        assert meter.goodput_bps() == pytest.approx(100.0)
-        sim.warp(90.0)  # someone else's fast-forward
-        assert meter.elapsed() == pytest.approx(10.0)
-        assert meter.goodput_bps() == pytest.approx(100.0)
-
-    def test_credited_warp_extends_window_with_its_bytes(self):
-        # A warp that carries this flow's modelled progress books both
-        # the bytes and the warped seconds, so the rate stays exact.
-        sim = Simulator()
-        meter = GoodputMeter(sim)
-        meter.start()
-        sim.now = 10.0
-        meter.on_data(b"x" * 125)
-        sim.warp(10.0)
-        meter.credit(125, interval=10.0)
-        assert meter.elapsed() == pytest.approx(20.0)
-        assert meter.goodput_bps() == pytest.approx(100.0)
-
-    def test_restart_clears_credited_warp_time(self):
-        sim = Simulator()
-        meter = GoodputMeter(sim)
-        meter.start()
-        sim.warp(5.0)
-        meter.credit(10, interval=5.0)
-        assert meter.elapsed() == pytest.approx(5.0)
-        meter.start()
         assert meter.elapsed() == 0.0
-        assert meter.bytes == 0
 
 
 class TestBulkTransfer:

@@ -8,12 +8,8 @@ behavioural metrics that must NOT move when the kernel gets faster.
 Modes
 -----
 * default (full): N trials per scenario at full durations (median +
-  spread, so speedup claims are not single-sample noise); unless
-  ``--fidelity hybrid`` pins the tier, the full run benches full
-  fidelity and the hybrid tier (on its bulk scenarios) and writes both
-  to ``BENCH_kernel.json`` at the repo root.
-* ``--fidelity hybrid``: bench only the hybrid tier.  Hybrid runs are
-  metric-equivalent only and are never compared against the baseline.
+  spread, so speedup claims are not single-sample noise), written to
+  ``BENCH_kernel.json`` at the repo root.
 * ``--profile [DIR]``: additionally run each selected scenario under
   ``cProfile`` and write ``DIR/<scenario>.pstats`` (default
   ``bench_profiles/``) as a CI artifact; the directory is created if
@@ -84,13 +80,8 @@ import scenarios  # noqa: E402  (needs the sys.path setup above)
 BEHAVIOURAL_KEYS = ("events", "frames_delivered", "goodput_kbps",
                     "fault_events", "fairness", "flows_connected")
 
-#: scenarios the hybrid tier is benchmarked on (steady bulk transfer;
-#: the other scenarios never enter a cruisable phase, by design)
-HYBRID_SCENARIOS = ("one_hop_bulk", "three_hop_hidden")
 
-
-def run_scenario(name: str, smoke: bool, trials: int,
-                 fidelity: str = "full") -> dict:
+def run_scenario(name: str, smoke: bool, trials: int) -> dict:
     """``trials`` runs of one scenario: median wall time + spread.
 
     Smoke mode keys ``events_per_sec`` off the *fastest* trial (robust
@@ -105,7 +96,7 @@ def run_scenario(name: str, smoke: bool, trials: int,
     walls = []
     result = None
     for _ in range(trials):
-        r = fn(duration=duration, fidelity=fidelity)
+        r = fn(duration=duration)
         if result is not None:
             for key in BEHAVIOURAL_KEYS:
                 if r.get(key) != result.get(key):
@@ -127,8 +118,7 @@ def run_scenario(name: str, smoke: bool, trials: int,
     return result
 
 
-def run_all(smoke: bool, trials: int, only=None,
-            fidelity: str = "full", scenario_names=None) -> dict:
+def run_all(smoke: bool, trials: int, only=None) -> dict:
     if only:
         unknown = sorted(set(only) - set(scenarios.SCENARIOS))
         if unknown:
@@ -137,13 +127,13 @@ def run_all(smoke: bool, trials: int, only=None,
                 f"choose from {list(scenarios.SCENARIOS)}"
             )
     results = {}
-    for name in (scenario_names or scenarios.SCENARIOS):
+    for name in scenarios.SCENARIOS:
         if only and name not in only:
             continue
         t0 = time.perf_counter()
-        results[name] = run_scenario(name, smoke, trials, fidelity=fidelity)
+        results[name] = run_scenario(name, smoke, trials)
         r = results[name]
-        print(f"[{name}] ({fidelity}) {r['events_per_sec']:>8} events/sec  "
+        print(f"[{name}] {r['events_per_sec']:>8} events/sec  "
               f"(events={r['events']}, wall={r['wall_s']:.3f}s "
               f"[{r['wall_s_min']:.3f}..{r['wall_s_max']:.3f} over "
               f"{r['trials']} trials], "
@@ -152,7 +142,7 @@ def run_all(smoke: bool, trials: int, only=None,
 
 
 def profile_scenarios(out_dir: str, smoke: bool, only=None,
-                      fidelity: str = "full", trials: int = 1) -> None:
+                      trials: int = 1) -> None:
     """cProfile runs per scenario, dumped as pstats (CI artifact).
 
     With ``trials > 1`` every trial is profiled into its own
@@ -163,7 +153,6 @@ def profile_scenarios(out_dir: str, smoke: bool, only=None,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = "_hybrid" if fidelity == "hybrid" else ""
     for name in scenarios.SCENARIOS:
         if only and name not in only:
             continue
@@ -172,10 +161,10 @@ def profile_scenarios(out_dir: str, smoke: bool, only=None,
         for trial in range(max(1, trials)):
             prof = cProfile.Profile()
             prof.enable()
-            fn(duration=duration, fidelity=fidelity)
+            fn(duration=duration)
             prof.disable()
             tag = f"_trial{trial + 1}" if trials > 1 else ""
-            path = out / f"{name}{suffix}{tag}.pstats"
+            path = out / f"{name}{tag}.pstats"
             prof.dump_stats(str(path))
             print(f"[{name}] wrote profile {path}")
 
@@ -399,11 +388,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=None,
                         help="trials per scenario (default: 3 full, "
                              "1 smoke)")
-    parser.add_argument("--fidelity", choices=("full", "hybrid"),
-                        default="full",
-                        help="kernel fidelity; 'hybrid' fast-forwards "
-                             "steady bulk phases analytically (never "
-                             "compared against baseline.json)")
     parser.add_argument("--profile", nargs="?", const="bench_profiles",
                         default=None, metavar="DIR",
                         help="also run each scenario once under "
@@ -477,27 +461,18 @@ def main(argv=None) -> int:
 
     smoke = args.smoke or args.update_baseline
     trials = args.trials if args.trials is not None else (1 if smoke else 3)
-    if args.fidelity == "hybrid" and args.smoke:
-        raise SystemExit("hybrid mode is metric-equivalent only; it has "
-                         "no baseline to smoke-gate against")
-    pinned = args.fidelity != "full"
-    results = run_all(smoke=smoke, trials=trials, only=args.only,
-                      fidelity=args.fidelity)
+    results = run_all(smoke=smoke, trials=trials, only=args.only)
     document = {
         "mode": "smoke" if smoke else "full",
-        "kernel": args.fidelity,
         "python": platform.python_version(),
         "results": results,
     }
 
     if args.profile is not None:
         profile_scenarios(args.profile, smoke=smoke, only=args.only,
-                          fidelity=args.fidelity, trials=trials)
+                          trials=trials)
 
     if args.update_baseline:
-        if pinned:
-            raise SystemExit("refusing to update baseline.json from a "
-                             "hybrid-fidelity run")
         BASELINE_PATH.write_text(json.dumps(document, indent=2) + "\n")
         print(f"wrote {BASELINE_PATH}")
         return 0
@@ -527,24 +502,6 @@ def main(argv=None) -> int:
         print(f"smoke OK: {len(results)} scenarios within "
               f"{args.tolerance:.0%} of baseline")
         return 0
-
-    if not pinned:
-        # Default full run: publish the hybrid tier next to full
-        # fidelity, with its goodput delta.
-        hybrid_only = [n for n in HYBRID_SCENARIOS
-                       if not args.only or n in args.only]
-        if hybrid_only:
-            hybrid_results = run_all(smoke=False, trials=trials,
-                                     fidelity="hybrid",
-                                     scenario_names=hybrid_only)
-            for name, r in hybrid_results.items():
-                base = results[name]
-                r["wall_speedup_vs_full"] = round(
-                    base["wall_s"] / r["wall_s"], 2)
-                r["goodput_delta_pct"] = round(
-                    (r["goodput_kbps"] - base["goodput_kbps"])
-                    / base["goodput_kbps"] * 100.0, 3)
-            document["results_hybrid"] = hybrid_results
 
     Path(args.output).write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {args.output}")
