@@ -236,75 +236,6 @@ def dense_mesh(duration: float = 20.0, seed: int = 3) -> Dict:
     }
 
 
-def sharded_mesh(duration: float = 7.0, seed: int = 3, shards: int = 4,
-                 warmup: float = 2.0) -> Dict:
-    """The thousand-node scale gate: a 25x40 router grid, 205 flows.
-
-    Runs on the sharded tier (``repro.sim.shard``): the grid is split
-    into ``shards`` spatial bands, one worker process each, advanced in
-    conservative lock-stepped windows.  ``tx_turnaround`` is set to
-    1 ms — a generous rx->tx switch that trades a little per-frame
-    latency for 5x fewer synchronization barriers than the physical
-    192 us floor; the behavioural metrics are identical at every shard
-    count (the shard-equivalence gate enforces byte-identity against
-    the oracle on the small CI mesh).
-
-    Flow pattern: five 3-hop west-bound flows per row (125), three
-    3-hop north-bound flows on every other column (60), and twenty
-    2-hop sensor streams (20) — 205 concurrent flows staggered 10 ms
-    apart so connection setup overlaps established traffic.
-
-    Deliberately *not* in ``SCENARIOS``: it spawns worker processes,
-    so the generic sweep in ``tools/bench.py`` does not apply.
-    ``tools/bench.py --shard-curve`` is the driver.
-    """
-    from repro.sim.shard import ShardRecipe, run_sharded
-
-    rows, cols = 25, 40
-    specs = []
-    # west-bound: five 3-hop flows per row
-    for r in range(rows):
-        for k in range(5):
-            col = 7 * k + 8
-            specs.append(FlowSpec(src=r * cols + col,
-                                  dst=r * cols + col - 3))
-    # north-bound: three 3-hop flows on every other column
-    for c in range(0, cols, 2):
-        for r0 in (2, 9, 16):
-            specs.append(FlowSpec(src=(r0 + 3) * cols + c,
-                                  dst=r0 * cols + c))
-    # sensor streams: 2-hop, odd columns of the upper rows
-    for i in range(20):
-        specs.append(FlowSpec(src=22 * cols + 2 * i + 1,
-                              dst=20 * cols + 2 * i + 1,
-                              kind="sensor", interval=1.0))
-    specs = [FlowSpec(src=s.src, dst=s.dst, start=0.01 * i, kind=s.kind,
-                      interval=s.interval)
-             for i, s in enumerate(specs)]
-    recipe = ShardRecipe(
-        builder="grid",
-        builder_kwargs={"rows": rows, "cols": cols, "seed": seed},
-        flows=specs,
-        params=tcplp_params(window_segments=2),
-        tx_turnaround=1e-3,
-    )
-    res = run_sharded(recipe, shards, warmup, duration)
-    agg = res["aggregate"]
-    return {
-        "events": res["events"],
-        "wall_s": res["wall_s"],
-        "goodput_kbps": round(agg["goodput_bps"] / 1000.0, 2),
-        "frames_delivered": sum(s["frames_delivered"]
-                                for s in res["per_shard"]),
-        "fairness": round(agg["fairness"], 4),
-        "flows_connected": agg["flows_connected"],
-        "shards": shards,
-        "barriers": res["barriers"],
-        "flows": len(specs),
-        "nodes": rows * cols,
-    }
-
-
 def _campaign_cell(quick: bool, frames: int = 3, seed: int = 1,
                    duration: float = 10.0) -> Dict:
     """One campaign grid cell: a short one-hop bulk transfer.

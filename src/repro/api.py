@@ -13,15 +13,10 @@ The surface, by area:
 
 **Simulation kernel** —
 :class:`~repro.sim.engine.Simulator` (the discrete-event core),
-:func:`make_simulator` (``shards=N`` for the sharded tier),
+:func:`make_simulator` (the same thing, as a function),
 :class:`~repro.sim.rng.RngStreams` (named deterministic RNG streams),
 :class:`~repro.sim.metrics.MetricsRegistry` (labelled counters /
 gauges / histograms with deterministic snapshots).
-:class:`~repro.sim.shard.ShardRecipe` /
-:class:`~repro.sim.shard.ShardedSimulator` (plus the
-:func:`run_sharded` / :func:`resume_sharded` drivers) run a
-thousand-node mesh across N worker processes with byte-identical
-results — ``make_simulator(shards=N, recipe=...)`` selects the tier.
 
 **Topologies** — :class:`~repro.experiments.topology.Network` (what a
 builder returns) and the builders: :func:`build_pair`,
@@ -47,9 +42,8 @@ with per-flow and aggregate goodput and Jain fairness), and
 :class:`~repro.faults.schedule.FaultSchedule` (validated JSON/dict
 fault specs) and :class:`~repro.faults.injector.FaultInjector` for
 in-sim faults; :class:`~repro.faults.process.ProcessFaultSchedule`
-and :func:`~repro.faults.process.run_sharded_chaos` for process-level
-chaos against the live tiers (worker kills/stalls healed
-byte-identically, abusive gateway clients — see ``tools/chaos.py``).
+for socket-level chaos against the live gateway (abusive clients — see
+``tools/chaos.py``).
 
 **Self-verification** —
 :class:`~repro.sim.checkpoint.Checkpoint` /
@@ -140,12 +134,7 @@ from repro.experiments.workload import (
     SensorStream,
     jain_fairness,
 )
-from repro.faults import (
-    FaultInjector,
-    FaultSchedule,
-    ProcessFaultSchedule,
-    run_sharded_chaos,
-)
+from repro.faults import FaultInjector, FaultSchedule, ProcessFaultSchedule
 from repro.gateway import (
     Gateway,
     GatewayLimits,
@@ -163,36 +152,11 @@ from repro.sim.checkpoint import Checkpoint, CheckpointManager
 from repro.sim.engine import RealtimePacer, Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngStreams
-from repro.sim.shard import (
-    ShardedSimulator,
-    ShardRecipe,
-    resume_sharded,
-    run_sharded,
-)
 from repro.verify import InvariantEngine
 
 
-def make_simulator(shards: int = 1, recipe=None):
-    """Build a simulator: the kernel, or the sharded tier over it.
-
-    With no arguments this is ``Simulator()``.  ``shards=N`` (N > 1, or
-    N == 1 with a ``recipe``) returns a
-    :class:`~repro.sim.shard.ShardedSimulator` instead: N worker
-    processes advancing a spatially-partitioned mesh in conservative
-    lock-stepped windows, gated on *byte-identical* merged traces and
-    metric snapshots against the single-process run.  Because every
-    worker rebuilds the network from a picklable description, sharded
-    runs are driven by a :class:`~repro.sim.shard.ShardRecipe` (the
-    ``recipe`` argument) rather than by an in-process ``Network``.
-    """
-    if recipe is not None or shards != 1:
-        if recipe is None:
-            raise ValueError(
-                "shards > 1 needs a ShardRecipe: workers rebuild the "
-                "network from it (see repro.sim.shard.ShardRecipe)")
-        from repro.sim.shard import ShardedSimulator
-
-        return ShardedSimulator(recipe, shards=shards)
+def make_simulator():
+    """Build a simulator: ``Simulator()``, the one kernel there is."""
     return Simulator()
 
 
@@ -239,11 +203,6 @@ __all__ = [
     "make_simulator",
     "RngStreams",
     "MetricsRegistry",
-    # sharded tier
-    "ShardRecipe",
-    "ShardedSimulator",
-    "run_sharded",
-    "resume_sharded",
     # topologies
     "Network",
     "CLOUD_ID",
@@ -279,7 +238,6 @@ __all__ = [
     "FaultSchedule",
     "FaultInjector",
     "ProcessFaultSchedule",
-    "run_sharded_chaos",
     # self-verification
     "Checkpoint",
     "CheckpointManager",

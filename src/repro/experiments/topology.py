@@ -272,10 +272,8 @@ def _draw_random_positions(
     max_tries: int,
     context: str,
 ) -> Dict[int, Tuple[float, float]]:
-    """The random mesh's placement draw, factored so the shard planner
-    (:mod:`repro.sim.shard`) can reproduce the exact geometry — same RNG
-    stream, same draw order — without building a network.
-    """
+    """The random mesh's placement draw: whole placements from the
+    ``"topology-placement"`` stream until one is connected."""
     for attempt in range(max_tries):
         positions = {
             nid: (rng.uniform("topology-placement", 0.0, side),

@@ -13,11 +13,9 @@ uniform loss rate.  This package injects those conditions on demand:
 * frame corruption/truncation at the PHY (dropped as FCS failures);
 * per-node clock drift/skew on the TCP timestamp clock
   (:class:`~repro.faults.models.SkewedClock`);
-* process/socket chaos against the *live tiers*
-  (:mod:`repro.faults.process`) — SIGKILL/SIGSTOP of shard workers
-  (healed by the coordinator, gated byte-identical) and abusive
-  gateway clients (resets, slow-loris, partial writes, accept storms;
-  gated on explicit shedding + recovery to quiescence).
+* socket chaos against the *live tier* (:mod:`repro.faults.process`)
+  — abusive gateway clients (resets, slow-loris, partial writes,
+  accept storms; gated on explicit shedding + recovery to quiescence).
 
 A :class:`~repro.faults.schedule.FaultSchedule` (JSON/dict spec) drives
 a :class:`~repro.faults.injector.FaultInjector`; all randomness comes
@@ -40,12 +38,7 @@ from typing import Optional
 
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FrameCorruption, GilbertElliottLoss, SkewedClock
-from repro.faults.process import (
-    ProcessFaultSchedule,
-    WorkerChaos,
-    run_gateway_chaos,
-    run_sharded_chaos,
-)
+from repro.faults.process import ProcessFaultSchedule, run_gateway_chaos
 from repro.faults.schedule import FaultSchedule
 
 __all__ = [
@@ -55,9 +48,7 @@ __all__ = [
     "GilbertElliottLoss",
     "ProcessFaultSchedule",
     "SkewedClock",
-    "WorkerChaos",
     "run_gateway_chaos",
-    "run_sharded_chaos",
     "auto_inject",
     "maybe_attach",
     "drain_auto",

@@ -1,56 +1,35 @@
-"""Process- and socket-level chaos against the live tiers.
+"""Socket-level chaos against the live tier.
 
 :mod:`repro.faults.schedule` injects faults *inside* the simulated
 world (lossy links, crashing motes).  This module attacks the
-*processes and sockets around it* — the parts a real deployment's
-operators worry about:
-
-* **shard workers** — SIGKILL a worker mid-window, or SIGSTOP it until
-  the coordinator's heartbeat timeout declares it hung.  The
-  self-healing coordinator (:class:`repro.sim.shard.ShardedSimulator`)
-  must respawn the worker from its heal base, replay the command
-  journal, and finish with merged results *byte-identical* to an
-  unkilled run;
-* **gateway clients** — abusive socket behaviour against a running
-  :class:`repro.gateway.server.Gateway`: connection resets, slow-loris
-  holds, partial writes followed by a reset, and accept storms.  The
-  gateway must shed explicitly (``gw.shed``), keep serving admitted
-  clients intact, and return to quiescence once the abuse stops.
+*sockets around it* — the part a real deployment's operators worry
+about: abusive client behaviour against a running
+:class:`repro.gateway.server.Gateway` — connection resets, slow-loris
+holds, partial writes followed by a reset, and accept storms.  The
+gateway must shed explicitly (``gw.shed``), keep serving admitted
+clients intact, and return to quiescence once the abuse stops.
 
 A :class:`ProcessFaultSchedule` (same validated-spec idiom as
 :class:`~repro.faults.schedule.FaultSchedule`) describes one chaos
-run; worker faults key on the coordinator's lock-step *window index*
-(deterministic — the same window always falls at the same sim time),
-gateway faults on wall-clock seconds from the start of the client
-script.  :func:`run_sharded_chaos` and :func:`run_gateway_chaos` drive
-the two legs; ``tools/chaos.py`` is the CLI and CI entry point.
+run; its faults fire at wall-clock seconds from the start of the
+client script.  :func:`run_gateway_chaos` drives it; ``tools/chaos.py``
+is the CLI and CI entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
-import signal
+import math
 import socket
 import struct
-import threading
 import time as _time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: kind -> (required fields, optional fields with defaults); mirrors
 #: repro.faults.schedule._SPECS so a typo'd spec fails at load time
 _SPECS: Dict[str, Tuple[Dict[str, type], Dict[str, object]]] = {
-    # -- shard-worker faults (fire at a lock-step window index) --------
-    "worker_kill": (
-        {"shard": int, "window": int},
-        {},
-    ),
-    "worker_stall": (
-        {"shard": int, "window": int},
-        {"resume_after": 30.0},
-    ),
-    # -- gateway client abuse (fire at wall seconds into the script) ---
+    # gateway client abuse (fires at wall seconds into the script)
     "client_reset": (
         {"at": float},
         {"count": 1},
@@ -69,17 +48,20 @@ _SPECS: Dict[str, Tuple[Dict[str, type], Dict[str, object]]] = {
     ),
 }
 
-_WORKER_KINDS = ("worker_kill", "worker_stall")
-_GATEWAY_KINDS = ("client_reset", "slow_loris", "partial_write",
-                  "accept_storm")
-
 
 def _coerce_number(kind: str, field: str, value, expected: type):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(
                 f"{kind}.{field} must be a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond a double
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(
+                f"{kind}.{field} must be finite, got {value!r}")
+        return number
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(
@@ -92,7 +74,7 @@ def _validate_fault(index: int, entry: object) -> Dict[str, object]:
     if not isinstance(entry, dict):
         raise ValueError(f"faults[{index}] must be an object, got {entry!r}")
     kind = entry.get("kind")
-    if kind not in _SPECS:
+    if not isinstance(kind, str) or kind not in _SPECS:
         raise ValueError(
             f"faults[{index}]: unknown kind {kind!r} "
             f"(expected one of {sorted(_SPECS)})"
@@ -109,14 +91,10 @@ def _validate_fault(index: int, entry: object) -> Dict[str, object]:
             raise ValueError(f"faults[{index}] ({kind}): missing '{field}'")
         out[field] = _coerce_number(kind, field, entry[field], expected)
     for field, default in optional.items():
-        value = entry.get(field, default)
-        if field in ("resume_after", "hold"):
-            value = _coerce_number(kind, field, value, float)
-        if field in ("count", "prelude_bytes", "bytes"):
-            value = _coerce_number(kind, field, value, int)
-        out[field] = value
+        out[field] = _coerce_number(
+            kind, field, entry.get(field, default), type(default))
     # semantic checks
-    for field in ("shard", "window", "at", "resume_after", "hold"):
+    for field in ("at", "hold"):
         if field in out and out[field] < 0:
             raise ValueError(
                 f"faults[{index}] ({kind}): {field} must be >= 0")
@@ -128,7 +106,7 @@ def _validate_fault(index: int, entry: object) -> Dict[str, object]:
 
 
 class ProcessFaultSchedule:
-    """A validated list of process/socket fault descriptions."""
+    """A validated list of socket fault descriptions."""
 
     def __init__(self, faults: List[Dict[str, object]], name: str = ""):
         self.name = name
@@ -163,162 +141,12 @@ class ProcessFaultSchedule:
         """All faults of one kind, in spec order."""
         return [f for f in self.faults if f["kind"] == kind]
 
-    def worker_faults(self) -> List[Dict[str, object]]:
-        """Shard-worker faults ordered by (window, shard)."""
-        faults = [f for f in self.faults if f["kind"] in _WORKER_KINDS]
-        return sorted(faults, key=lambda f: (f["window"], f["shard"]))
-
     def gateway_ops(self) -> List[Dict[str, object]]:
         """Gateway client operations ordered by firing time."""
-        ops = [f for f in self.faults if f["kind"] in _GATEWAY_KINDS]
-        return sorted(ops, key=lambda f: f["at"])
+        return sorted(self.faults, key=lambda f: f["at"])
 
     def __len__(self) -> int:
         return len(self.faults)
-
-
-# ----------------------------------------------------------------------
-# shard-worker chaos
-# ----------------------------------------------------------------------
-class WorkerChaos:
-    """Barrier hook that kills/stalls shard workers on schedule.
-
-    Install as ``ShardedSimulator(..., barrier_hook=WorkerChaos(sched))``
-    — the coordinator calls it as ``hook(sharded, window, t)`` at the
-    top of every lock-stepped window, so fault timing is a pure
-    function of the schedule (no wall-clock races on the kill itself).
-
-    ``worker_kill`` SIGKILLs the worker outright; ``worker_stall``
-    SIGSTOPs it and arms a daemon timer that SIGCONTs it
-    ``resume_after`` wall seconds later.  A stall longer than the
-    coordinator's ``worker_timeout`` exercises the hung-worker path
-    (heartbeat timeout -> SIGKILL -> respawn); the timer is then a
-    no-op on the dead pid.  Call :meth:`cancel` after the run to
-    release any timers and un-stop stragglers.
-    """
-
-    def __init__(self, schedule: ProcessFaultSchedule):
-        self.schedule = schedule
-        self._pending = schedule.worker_faults()
-        #: one dict per injected fault: kind, shard, window, t
-        self.fired: List[Dict[str, Any]] = []
-        self._timers: List[threading.Timer] = []
-        self._stopped_pids: set = set()
-        self._lock = threading.Lock()
-
-    def __call__(self, sharded, window: int, t: float) -> None:
-        while self._pending and self._pending[0]["window"] <= window:
-            fault = self._pending.pop(0)
-            self._fire(sharded, fault, window, t)
-
-    def _fire(self, sharded, fault: Dict[str, object], window: int,
-              t: float) -> None:
-        shard = fault["shard"]
-        if not 0 <= shard < sharded.shards:
-            raise ValueError(
-                f"{fault['kind']}: shard {shard} out of range "
-                f"(run has {sharded.shards})")
-        proc = sharded._procs[shard]
-        pid = proc.pid
-        if fault["kind"] == "worker_kill":
-            proc.kill()
-        else:
-            os.kill(pid, signal.SIGSTOP)
-            with self._lock:
-                self._stopped_pids.add(pid)
-            timer = threading.Timer(
-                fault["resume_after"], self._resume, args=(pid,))
-            timer.daemon = True
-            timer.start()
-            self._timers.append(timer)
-        self.fired.append({
-            "kind": fault["kind"],
-            "shard": shard,
-            "window": window,
-            "t": round(t, 6),
-        })
-
-    def _resume(self, pid: int) -> None:
-        with self._lock:
-            if pid not in self._stopped_pids:
-                return
-            self._stopped_pids.discard(pid)
-        try:
-            os.kill(pid, signal.SIGCONT)
-        except (ProcessLookupError, PermissionError):
-            pass  # already respawned away — SIGKILL fells stopped procs
-
-    def cancel(self) -> None:
-        """Cancel pending resume timers and un-stop any straggler."""
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-        with self._lock:
-            stopped, self._stopped_pids = self._stopped_pids, set()
-        for pid in stopped:
-            try:
-                os.kill(pid, signal.SIGCONT)
-            except (ProcessLookupError, PermissionError):
-                pass
-
-
-def run_sharded_chaos(
-    recipe,
-    shards: int,
-    schedule: ProcessFaultSchedule,
-    warmup: float,
-    duration: float,
-    heal_every: Optional[int] = None,
-    worker_timeout: Optional[float] = None,
-) -> Dict[str, Any]:
-    """The self-healing acceptance gate: chaos run == clean run.
-
-    Runs ``recipe`` twice at the same shard count — once untouched,
-    once under ``schedule``'s worker kills/stalls — and compares the
-    merged event trace, metrics snapshot and per-flow outcomes
-    byte-for-byte (sorted JSON).  The report carries the coordinator's
-    ``respawns`` log and the chaos hook's ``fired`` log; ``ok`` means
-    every scheduled fault fired, every death healed, and nothing in
-    the merged results moved.
-    """
-    from repro.sim.shard import run_sharded
-
-    clean = run_sharded(recipe, shards, warmup, duration)
-    hook = WorkerChaos(schedule)
-    try:
-        chaos = run_sharded(recipe, shards, warmup, duration,
-                            heal_every=heal_every,
-                            worker_timeout=worker_timeout,
-                            barrier_hook=hook)
-    finally:
-        hook.cancel()
-
-    mismatches: List[str] = []
-    for section in ("trace", "metrics", "flows"):
-        if (json.dumps(clean[section], sort_keys=True)
-                != json.dumps(chaos[section], sort_keys=True)):
-            mismatches.append(section)
-    scheduled = len(schedule.worker_faults())
-    report: Dict[str, Any] = {
-        "ok": (not mismatches and len(hook.fired) == scheduled
-               and len(chaos["respawns"]) >= 1),
-        "shards": shards,
-        "warmup": warmup,
-        "duration": duration,
-        "heal_every": heal_every,
-        "schedule": schedule.to_dict(),
-        "faults_scheduled": scheduled,
-        "faults_fired": hook.fired,
-        "respawns": chaos["respawns"],
-        "mismatches": mismatches,
-        "clean_wall_s": round(clean["wall_s"], 3),
-        "chaos_wall_s": round(chaos["wall_s"], 3),
-        "recovery_wall_s": round(
-            sum(r["wall_s"] for r in chaos["respawns"]), 3),
-        "barriers": chaos["barriers"],
-        "aggregate": chaos["aggregate"],
-    }
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -470,8 +298,8 @@ async def run_gateway_chaos(
     requires the probe, quiescence, zero corrupted exchanges, and that
     every storm client was either served or *explicitly* shed.
     """
-    # gateway/topology imports stay function-local: the shard-chaos leg
-    # and the schedule itself must not drag in the asyncio serving tier
+    # gateway/topology imports stay function-local: the schedule
+    # itself must not drag in the asyncio serving tier
     from repro.experiments.topology import build_chain
     from repro.gateway.limits import GatewayLimits
     from repro.gateway.server import Gateway, MoteBinding, install_echo

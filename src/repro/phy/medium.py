@@ -132,8 +132,8 @@ class Transmission:
         self.spoiled: Set[int] = set()
         #: the sending radio's end-of-air completion, run by the same
         #: event that delivers the frame; None for a frame whose sender
-        #: is not released from here (a shard's ghost, a bare test
-        #: frame, a frame cut short by its sender's crash)
+        #: is not released from here (a bare test frame, a frame cut
+        #: short by its sender's crash)
         self.on_done = on_done
         self.args = args
 
@@ -181,13 +181,6 @@ class Medium:
         #: over the *full* topology: the per-frame loops look nothing up
         self._hearer_air: Optional[
             Dict[int, Tuple[Tuple[int, List[Transmission]], ...]]] = None
-        #: optional commit-point tap installed by the sharded tier
-        #: (repro.sim.shard): called as ``hook(sender_id, frame,
-        #: air_start, air_time)`` the moment ``Radio.transmit`` commits
-        #: a frame, one lookahead before its first bit reaches the air.
-        #: None (one attribute load + identity test per transmit) for
-        #: every single-process run.
-        self.tx_commit_hook: Optional[Callable[[int, object, float, float], None]] = None
         self.cache_rebuilds = 0
         self.frames_delivered = 0
         self.frames_collided = 0
@@ -428,24 +421,6 @@ class Medium:
             ).inc()
         return True
 
-    def _join_air(self, tx: Transmission) -> None:
-        """Collision-mark ``tx`` and make it audible at its hearers.
-
-        A receiver that already hears something gets a corrupted copy
-        of the new frame and of every frame it was hearing.
-        """
-        hearer_air = self._hearer_air
-        if hearer_air is None:
-            self._build_cache()
-            hearer_air = self._hearer_air
-        spoiled = tx.spoiled
-        for rcv_id, heard in hearer_air[tx.sender.node_id]:
-            if heard:
-                spoiled.add(rcv_id)
-                for other in heard:
-                    other.spoiled.add(rcv_id)
-            heard.append(tx)
-
     def begin_transmission(
         self,
         sender: "Radio",
@@ -458,21 +433,32 @@ class Medium:
 
         One event ends the frame for everyone: ``_end_transmission``
         delivers it to the hearers and then, given ``on_done``, returns
-        the sender to LISTEN and runs ``on_done(*args)``.
+        the sender to LISTEN and runs ``on_done(*args)``.  A receiver
+        that already hears something gets a corrupted copy of the new
+        frame and of every frame it was hearing.
         """
         sim = self.sim
         now = sim.now
         # built by slot stores, as the kernel builds an Event: one per
-        # frame on the air (``__init__`` serves the cold constructors)
+        # frame on the air, so ``__init__``'s call is not paid here
         tx = _new_transmission(Transmission)
         tx.sender = sender
         tx.frame = frame
         tx.start = now
         tx.end = now + air_time
-        tx.spoiled = set()
+        tx.spoiled = spoiled = set()
         tx.on_done = on_done
         tx.args = args
-        self._join_air(tx)
+        hearer_air = self._hearer_air
+        if hearer_air is None:
+            self._build_cache()
+            hearer_air = self._hearer_air
+        for rcv_id, heard in hearer_air[sender.node_id]:
+            if heard:
+                spoiled.add(rcv_id)
+                for other in heard:
+                    other.spoiled.add(rcv_id)
+            heard.append(tx)
         self._active.append(tx)
         if self._metrics is not None:
             self._node_counter(self._m_tx, "phy.tx", sender.node_id).inc()

@@ -31,14 +31,6 @@ class PhyParams:
     cca_time: float = 128e-6  # 8 symbols of CCA detection
     unit_backoff: float = 320e-6  # aUnitBackoffPeriod = 20 symbols
     spi_overhead_factor: float = 2.0  # measured: 8.2 ms effective / 4.1 ms air
-    #: rx->tx switch time charged between committing a transmission and
-    #: its first bit on air (aTurnaroundTime is 192e-6 on real radios).
-    #: Defaults to 0.0 — commit and air-start coincide, the historical
-    #: behaviour every baseline is pinned on.  A positive value makes the
-    #: commit->air gap explicit, which is what gives the sharded
-    #: simulation tier (repro.sim.shard) its conservative lookahead: a
-    #: shard cannot be affected by a foreign frame sooner than this.
-    tx_turnaround: float = 0.0
 
     def air_time(self, frame_bytes: int) -> float:
         """Seconds a frame of ``frame_bytes`` (MPDU) occupies the channel."""

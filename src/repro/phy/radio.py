@@ -48,7 +48,6 @@ class Radio:
         self._air_per_byte = 8.0 / p.bit_rate
         self._air_base = p.phy_preamble_bytes * self._air_per_byte
         self._spi_factor = p.spi_overhead_factor - 1.0
-        self._tx_turnaround = p.tx_turnaround
         self._max_frame_bytes = p.max_frame_bytes
         #: set by the MAC layer: called with (frame, sender_id) for each
         #: clean frame the address filter passes
@@ -203,12 +202,8 @@ class Radio:
         ``on_done(*args)`` fires when the frame leaves the air.
 
         This call is the *commit point*: once it returns, the frame
-        will reach the air at ``now + delay`` unless the node crashes
-        first, where ``delay`` is the SPI transfer (non-``skip_spi``) or
-        ``PhyParams.tx_turnaround`` (``skip_spi``; 0.0 by default, which
-        keeps commit and air-start coincident as in every pinned
-        baseline).  The sharded tier installs ``Medium.tx_commit_hook``
-        to learn about commitments one lookahead ahead of the air phase.
+        will reach the air — now with ``skip_spi``, after the SPI
+        transfer without — unless the node crashes first.
         """
         if not self.powered:
             raise RuntimeError(f"node {self.node_id}: transmit while powered off")
@@ -218,19 +213,13 @@ class Radio:
             raise self._oversize(frame_bytes)
         self._tx_busy = True
         air = self._air_base + frame_bytes * self._air_per_byte
-        if skip_spi:
-            delay = self._tx_turnaround
-        else:
+        if not skip_spi:
             delay = air * self._spi_factor
             self.cpu._busy += delay
-        now = self.sim.now
-        hook = self.medium.tx_commit_hook
-        if hook is not None:
-            hook(self.node_id, frame, now + delay, air)
-        if delay:
             self.sim.schedule_unref(delay, self._start_air, self._power_epoch,
                                     frame, air, on_done, args)
             return
+        now = self.sim.now
         # Commit and air start coincide.  Inlined EnergyLedger.transition(TX)
         # — two transitions per frame on the air makes the call overhead
         # itself measurable.
@@ -249,7 +238,7 @@ class Radio:
 
     def _start_air(self, epoch: int, frame: object, air: float,
                    on_done: Callable[..., None], args: tuple = ()) -> None:
-        """The air phase of a ``transmit`` that had to wait for it."""
+        """The air phase of a ``transmit``, once its SPI load is done."""
         if epoch != self._power_epoch:
             return  # crashed between commit and air phase
         self.energy.transition(_TX)

@@ -312,11 +312,6 @@ class Simulator:
         #: callback runs — used by the determinism regression tests to
         #: capture the exact event sequence of a run
         self.on_event: Optional[Callable[[Event], None]] = None
-        #: optional seam for the shard worker, sampled once per run like
-        #: ``on_event``: called as ``on_instant(t)`` once every event of
-        #: dispatch instant ``t`` has run (before the first event of the
-        #: next instant, and when the run ends)
-        self.on_instant: Optional[Callable[[float], None]] = None
         #: observability (repro.sim.metrics / repro.sim.trace): both are
         #: None unless metrics.auto_attach() is active or the caller
         #: assigns them *before* building the network — layers cache
@@ -450,39 +445,20 @@ class Simulator:
         even if the last event fires earlier, so duty-cycle accounting over
         a fixed horizon is exact.
         """
-        self._dispatch(until, False)
-
-    def run_exclusive(self, limit: float) -> None:
-        """Process events strictly before ``limit``; advance ``now`` to it.
-
-        The sharded tier's window primitive: each lock-stepped window
-        ``[T_prev, T)`` runs events with ``time < T`` and leaves events
-        at exactly ``T`` for the next window (or for the final inclusive
-        ``run(until=T)`` step), so frames committed by a foreign shard
-        with air-start exactly ``T`` can still be injected at the
-        barrier before any local event at ``T`` executes.
-        """
-        self._dispatch(limit, True)
-
-    def _dispatch(self, until: Optional[float], strict: bool) -> None:
-        """The dispatch loop: events up to ``until``, or strictly before."""
         self._running = True
         self._stopped = False
         # Hot loop: attribute lookups hoisted into locals.  The queue is
         # aliased, never rebound — compaction mutates it in place.  The
-        # observer hooks are sampled once: install them before run().
+        # observer hook is sampled once: install it before run().
         queue = self._queue
         heappop = _heappop
         heappush = _heappush
         limit = float("inf") if until is None else until
         hook = self.on_event
-        mark = self.on_instant
-        last: Optional[float] = None
         processed = 0
         try:
             while queue and not self._stopped:
-                time = queue[0][0]
-                if time >= limit and (strict or time > limit):
+                if queue[0][0] > limit:
                     break
                 entry = heappop(queue)
                 if len(entry) == 4:
@@ -492,11 +468,7 @@ class Simulator:
                     if ev.cancelled:
                         self.cancelled_count -= 1
                         continue
-                if mark is not None and time != last:
-                    if last is not None:
-                        mark(last)
-                    last = time
-                self.now = time
+                self.now = time = entry[0]
                 processed += 1
                 if ev is None:
                     fn = entry[2]
@@ -523,8 +495,6 @@ class Simulator:
             if until is not None and self.now < until and not self._stopped:
                 self.now = until
         finally:
-            if last is not None:
-                mark(last)
             self.events_processed += processed
             self._running = False
 

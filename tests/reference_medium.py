@@ -1,9 +1,9 @@
 """The medium before it cached anything, kept as the oracle.
 
 :class:`BruteMedium` answers every question from geometry: range is a
-distance test per pair; carrier sense and collision marking
-(``_join_air``, which ``begin_transmission`` calls before the frame
-joins ``_active``) scan every frame in flight; the end of a frame
+distance test per pair; carrier sense and the collision marking in
+``begin_transmission`` (done before the frame joins ``_active``) scan
+every frame in flight; the end of a frame
 (``_end_transmission``: delivery, then the sender's release) sweeps
 every registered radio through one general loop; and the neighbour
 sets come from the O(n²) pairwise sweep.  The equivalence suites
@@ -13,7 +13,7 @@ it.
 """
 
 from repro.phy.energy import RadioState
-from repro.phy.medium import Medium
+from repro.phy.medium import Medium, Transmission
 
 
 class BruteMedium(Medium):
@@ -44,10 +44,13 @@ class BruteMedium(Medium):
             ).inc()
         return True
 
-    def _join_air(self, tx):
+    def begin_transmission(self, sender, frame, air_time, on_done=None,
+                           args=()):
+        now = self.sim.now
+        tx = Transmission(sender, frame, now, now + air_time, on_done, args)
         # any receiver that hears both this frame and an already-ongoing
         # one gets a corrupted copy of each
-        sender_id = tx.sender.node_id
+        sender_id = sender.node_id
         for other in self._active:
             for rcv_id in self.radios:
                 if rcv_id == sender_id or rcv_id == other.sender.node_id:
@@ -57,6 +60,13 @@ class BruteMedium(Medium):
                 ) and self._in_range_uncached(other.sender.node_id, rcv_id):
                     tx.spoiled.add(rcv_id)
                     other.spoiled.add(rcv_id)
+        self._active.append(tx)
+        if self._metrics is not None:
+            self._node_counter(self._m_tx, "phy.tx", sender_id).inc()
+        if self._bus is not None:
+            self._bus.emit("phy", sender_id, "tx_begin", air_time=air_time)
+        self.sim.schedule_unref(air_time, self._end_transmission, tx)
+        return tx
 
     def _count(self, cache, name, rcv_id):
         if self._metrics is not None:

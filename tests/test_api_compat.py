@@ -94,6 +94,12 @@ def test_make_simulator_selects_kernel_tiers():
             factory(fidelity="full")
 
 
+def test_make_simulator_takes_no_tier_arguments():
+    for removed in ({"shards": 2}, {"recipe": object()}):
+        with pytest.raises(TypeError):
+            api.make_simulator(**removed)
+
+
 def test_simulator_constructor_matches_make_simulator():
     # one kernel: the removed tier switch is an error, not a silent no-op
     for factory in (api.Simulator, api.make_simulator, api.build_pair):

@@ -1,15 +1,11 @@
-"""Process-chaos tests: schedule validation, the WorkerChaos hook, and
-the self-healing acceptance pin — a sharded run with workers SIGKILLed
-and SIGSTOPped mid-campaign must produce merged results byte-identical
-to an unkilled run.
-"""
+"""Process-chaos tests: schedule validation and the gateway
+quiescence check."""
 
 import json
 
 import pytest
 
-from repro.faults import ProcessFaultSchedule, WorkerChaos, run_sharded_chaos
-from repro.sim.shard import default_gate_recipe
+from repro.faults import ProcessFaultSchedule
 from repro.verify import check_gateway_quiescent
 
 
@@ -18,9 +14,6 @@ class TestProcessFaultSchedule:
         spec = {
             "name": "mixed",
             "faults": [
-                {"kind": "worker_kill", "shard": 1, "window": 3},
-                {"kind": "worker_stall", "shard": 0, "window": 10,
-                 "resume_after": 5.0},
                 {"kind": "client_reset", "at": 0.5, "count": 4},
                 {"kind": "slow_loris", "at": 1.0},
                 {"kind": "partial_write", "at": 1.5, "bytes": 16},
@@ -28,7 +21,7 @@ class TestProcessFaultSchedule:
             ],
         }
         sched = ProcessFaultSchedule.from_dict(spec)
-        assert len(sched) == 6
+        assert len(sched) == 4
         # defaults filled in
         assert sched.by_kind("slow_loris")[0]["hold"] == 10.0
         assert sched.by_kind("slow_loris")[0]["prelude_bytes"] == 4
@@ -39,16 +32,14 @@ class TestProcessFaultSchedule:
     def test_split_and_ordering(self):
         sched = ProcessFaultSchedule([
             {"kind": "accept_storm", "at": 3.0, "connections": 10},
-            {"kind": "worker_kill", "shard": 1, "window": 40},
             {"kind": "client_reset", "at": 1.0},
-            {"kind": "worker_stall", "shard": 0, "window": 4},
+            {"kind": "slow_loris", "at": 2},
         ])
-        assert [f["window"] for f in sched.worker_faults()] == [4, 40]
-        assert [f["at"] for f in sched.gateway_ops()] == [1.0, 3.0]
+        assert [f["at"] for f in sched.gateway_ops()] == [1.0, 2.0, 3.0]
 
     def test_bare_list_accepted(self):
         sched = ProcessFaultSchedule.from_dict(
-            [{"kind": "worker_kill", "shard": 0, "window": 1}])
+            [{"kind": "client_reset", "at": 0}])
         assert len(sched) == 1
 
     def test_from_json(self, tmp_path):
@@ -59,15 +50,22 @@ class TestProcessFaultSchedule:
 
     @pytest.mark.parametrize("entry,message", [
         ({"kind": "disk_full"}, "unknown kind"),
-        ({"kind": "worker_kill", "shard": 0}, "missing 'window'"),
-        ({"kind": "worker_kill", "shard": 0, "window": 1, "x": 2},
-         "unknown fields"),
-        ({"kind": "worker_kill", "shard": 0.5, "window": 1},
+        # a kind that went with the tier it attacked
+        ({"kind": "worker_kill", "window": 1}, "unknown kind"),
+        ({"kind": "client_reset", "at": 0.0, "x": 2}, "unknown fields"),
+        ({"kind": "client_reset", "at": 0.0, "count": 0.5},
          "must be an integer"),
         ({"kind": "client_reset", "at": -1.0}, "must be >= 0"),
         ({"kind": "client_reset", "at": 0.0, "count": 0}, "must be >= 1"),
         ({"kind": "accept_storm", "at": 0.0}, "missing 'connections'"),
         ("not-a-dict", "must be an object"),
+        # declared error, never a traceback or an endless sleep
+        ({"kind": ["x"]}, "unknown kind"),
+        ({"kind": "client_reset", "at": float("nan")}, "must be finite"),
+        ({"kind": "client_reset", "at": float("inf")}, "must be finite"),
+        ({"kind": "slow_loris", "at": 0.0, "hold": float("inf")},
+         "must be finite"),
+        ({"kind": "client_reset", "at": 10 ** 400}, "must be finite"),
     ])
     def test_invalid_faults_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
@@ -78,43 +76,6 @@ class TestProcessFaultSchedule:
             ProcessFaultSchedule.from_dict({"name": "x"})
         with pytest.raises(ValueError, match="unknown top-level"):
             ProcessFaultSchedule.from_dict({"faults": [], "extra": 1})
-
-
-class _FakeProc:
-    def __init__(self):
-        self.killed = False
-        self.pid = -1  # never a real pid
-
-    def kill(self):
-        self.killed = True
-
-
-class _FakeSharded:
-    def __init__(self, shards=2):
-        self.shards = shards
-        self._procs = [_FakeProc() for _ in range(shards)]
-
-
-class TestWorkerChaosHook:
-    def test_fires_once_at_or_after_its_window(self):
-        sched = ProcessFaultSchedule(
-            [{"kind": "worker_kill", "shard": 1, "window": 5}])
-        hook = WorkerChaos(sched)
-        sharded = _FakeSharded()
-        hook(sharded, 4, 0.4)
-        assert not sharded._procs[1].killed
-        hook(sharded, 7, 0.7)  # windows can jump past the target
-        assert sharded._procs[1].killed
-        assert hook.fired == [{"kind": "worker_kill", "shard": 1,
-                               "window": 7, "t": 0.7}]
-        hook(sharded, 8, 0.8)  # fires exactly once
-        assert len(hook.fired) == 1
-
-    def test_out_of_range_shard_rejected(self):
-        sched = ProcessFaultSchedule(
-            [{"kind": "worker_kill", "shard": 9, "window": 0}])
-        with pytest.raises(ValueError, match="out of range"):
-            WorkerChaos(sched)(_FakeSharded(shards=2), 0, 0.0)
 
 
 class _FakeStack:
@@ -149,39 +110,3 @@ class TestCheckGatewayQuiescent:
         assert any("bridged" in v for v in violations)
         assert any("splice" in v for v in violations)
         assert any("TCP stack" in v for v in violations)
-
-
-class TestSelfHealingByteIdentity:
-    """The PR's acceptance pin: kill AND hang workers mid-campaign;
-    the healed run's merged trace/metrics/flows must be byte-identical
-    to a clean run.  The early kill replays from the fresh build
-    payload; the late stall lands past a ``heal_every`` rebase, so it
-    replays from a checkpoint base — both heal paths in one campaign.
-    """
-
-    def test_killed_and_stalled_workers_heal_byte_identical(self):
-        schedule = ProcessFaultSchedule.from_dict({
-            "name": "test-heal",
-            "faults": [
-                {"kind": "worker_kill", "shard": 1, "window": 3},
-                # resume_after far past worker_timeout: the heartbeat
-                # timeout must declare the worker hung and respawn it
-                {"kind": "worker_stall", "shard": 0, "window": 600,
-                 "resume_after": 60.0},
-            ],
-        })
-        report = run_sharded_chaos(
-            default_gate_recipe(), 2, schedule, warmup=1.0, duration=2.0,
-            heal_every=200, worker_timeout=2.0)
-        assert report["mismatches"] == []
-        assert report["faults_scheduled"] == 2
-        assert len(report["faults_fired"]) == 2
-        assert len(report["respawns"]) == 2
-        kill, stall = report["respawns"]
-        assert kill["shard"] == 1 and stall["shard"] == 0
-        # fresh-base replay covers every window up to the kill ...
-        assert kill["windows_replayed"] == 3
-        # ... while the checkpoint rebase bounds the stall's replay
-        assert stall["windows_replayed"] < 600
-        assert "no reply" in stall["reason"]  # the hung-worker path
-        assert report["ok"]

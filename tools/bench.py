@@ -15,14 +15,6 @@ Modes
   ``bench_profiles/``) as a CI artifact; the directory is created if
   absent and with ``--trials N > 1`` each trial gets its own
   ``<scenario>_trialK.pstats`` instead of overwriting one file.
-* ``--shard-curve``: run the thousand-node ``sharded_mesh`` scenario at
-  each ``--shards`` count (default 1 2 4 8), assert the behavioural
-  results are identical across counts, and merge the scaling curve
-  (events/sec and wall-clock vs shard count, plus the wall-clock ratio
-  against the 100-node ``dense_mesh`` reference) into
-  ``BENCH_kernel.json`` as ``results_sharded``.  Exits 1 if the best
-  shard count is slower than 5x the dense_mesh full-run wall clock —
-  the paper-scale acceptance bound.
 * ``--smoke``: short durations, compared against the checked-in
   ``benchmarks/perf/baseline.json``.  Exit codes distinguish the two
   failure classes: **1** if any scenario's events/sec regresses by more
@@ -167,91 +159,6 @@ def profile_scenarios(out_dir: str, smoke: bool, only=None,
             path = out / f"{name}{tag}.pstats"
             prof.dump_stats(str(path))
             print(f"[{name}] wrote profile {path}")
-
-
-#: behavioural keys that must be identical at every shard count
-#: (``events`` is excluded by design: replicas dispatch extra muted-node
-#: bookkeeping events, so the total grows with the shard count)
-SHARD_CURVE_KEYS = ("goodput_kbps", "frames_delivered", "fairness",
-                    "flows_connected")
-
-#: the paper-scale acceptance bound: the thousand-node run must finish
-#: within this multiple of the 100-node dense_mesh full-run wall clock
-SHARD_WALL_BUDGET = 5.0
-
-
-def run_shard_curve(shard_counts, output_path: str) -> int:
-    """The thousand-node scaling curve, merged into ``BENCH_kernel.json``.
-
-    Runs ``scenarios.sharded_mesh`` once per shard count, asserts the
-    merged behavioural results are *identical* across counts (the
-    equivalence contract, checked here on aggregates because full trace
-    capture at this scale would dominate the run), and publishes
-    events/sec + wall clock per count next to the dense_mesh reference
-    wall the 5x acceptance bound is measured against.
-    """
-    out = Path(output_path)
-    document = json.loads(out.read_text()) if out.exists() else {}
-    dense_wall = (document.get("results", {})
-                  .get("dense_mesh", {}).get("wall_s"))
-    curve = {}
-    reference = None
-    for shards in shard_counts:
-        r = scenarios.sharded_mesh(shards=shards)
-        if reference is None:
-            reference = r
-        else:
-            for key in SHARD_CURVE_KEYS:
-                if r.get(key) != reference.get(key):
-                    print(f"FAIL shard-curve: shards={shards} diverged: "
-                          f"{key} {reference.get(key)} -> {r.get(key)}",
-                          file=sys.stderr)
-                    return EXIT_BEHAVIOURAL
-        entry = {
-            "shards": shards,
-            "nodes": r["nodes"],
-            "flows": r["flows"],
-            "events": r["events"],
-            "barriers": r["barriers"],
-            "wall_s": round(r["wall_s"], 4),
-            "events_per_sec": round(r["events"] / r["wall_s"]),
-            "goodput_kbps": r["goodput_kbps"],
-            "frames_delivered": r["frames_delivered"],
-            "fairness": r["fairness"],
-            "flows_connected": r["flows_connected"],
-        }
-        if dense_wall:
-            entry["wall_vs_dense_mesh"] = round(r["wall_s"] / dense_wall, 2)
-        curve[str(shards)] = entry
-        print(f"[sharded_mesh] shards={shards}: "
-              f"{entry['events_per_sec']:>8} events/sec, "
-              f"wall={entry['wall_s']:.2f}s"
-              + (f" ({entry['wall_vs_dense_mesh']}x dense_mesh)"
-                 if dense_wall else ""))
-    document["results_sharded"] = {
-        "scenario": "sharded_mesh",
-        "dense_mesh_wall_s": dense_wall,
-        "wall_budget_vs_dense_mesh": SHARD_WALL_BUDGET,
-        "curve": curve,
-    }
-    out.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"wrote {out}")
-    if dense_wall:
-        best = min(e["wall_s"] for e in curve.values())
-        if best > SHARD_WALL_BUDGET * dense_wall:
-            print(f"FAIL shard-curve: best wall {best:.2f}s exceeds "
-                  f"{SHARD_WALL_BUDGET}x dense_mesh "
-                  f"({SHARD_WALL_BUDGET * dense_wall:.2f}s)",
-                  file=sys.stderr)
-            return EXIT_PERF
-        print(f"shard-curve OK: best wall {best:.2f}s within "
-              f"{SHARD_WALL_BUDGET}x dense_mesh "
-              f"({SHARD_WALL_BUDGET * dense_wall:.2f}s)")
-    else:
-        print("shard-curve: no dense_mesh reference wall in "
-              f"{out} (run the full bench first); curve published "
-              "without the 5x acceptance check")
-    return 0
 
 
 def compare_to_baseline(results: dict, baseline: dict,
@@ -409,14 +316,6 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write metrics snapshots from the gate run "
                              "to PATH (CI artifact)")
-    parser.add_argument("--shard-curve", action="store_true",
-                        help="run the thousand-node sharded_mesh "
-                             "scenario at each --shards count and merge "
-                             "the scaling curve into BENCH_kernel.json")
-    parser.add_argument("--shards", type=int, nargs="+",
-                        default=[1, 2, 4, 8],
-                        help="shard counts for --shard-curve "
-                             "(default: 1 2 4 8)")
     parser.add_argument("--verify-overhead", action="store_true",
                         help="assert that the disabled self-verification "
                              "machinery (armed-timer registry; no "
@@ -428,9 +327,6 @@ def main(argv=None) -> int:
     if args.verify_overhead:
         return check_verify_overhead(
             trials=args.trials if args.trials is not None else 5)
-
-    if args.shard_curve:
-        return run_shard_curve(args.shards, args.output)
 
     if args.metrics_gate or args.update_metrics_golden:
         snapshots = run_metrics_snapshots(only=args.only)

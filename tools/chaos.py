@@ -1,27 +1,18 @@
 #!/usr/bin/env python
-"""Process-level chaos runner: kill the workers, abuse the sockets.
+"""Socket-level chaos runner: abuse a live gateway, require recovery.
 
-Two legs, both driven by a :class:`repro.faults.ProcessFaultSchedule`
-(see ``docs/robustness.md``):
+Driven by a :class:`repro.faults.ProcessFaultSchedule` (see
+``docs/robustness.md``): a live gateway (overload protection on) takes
+a scripted beating — connection resets, a slow-loris pack, partial
+writes, an accept storm past the admission cap.  It must shed
+explicitly (``gw.shed``), serve every admitted client intact, pass a
+clean recovery probe, and drain back to quiescence
+(:func:`repro.verify.check_gateway_quiescent`).
 
-* **shard leg** — the CI-gate grid mesh is run twice at the same shard
-  count, once clean and once with a worker SIGKILLed mid-campaign and
-  another SIGSTOPped past the coordinator's heartbeat timeout.  The
-  self-healing coordinator must respawn both from their heal base and
-  finish with merged trace/metrics/flows *byte-identical* to the clean
-  run — recovery is only real if nobody can tell it happened.
-* **gateway leg** — a live gateway (overload protection on) takes a
-  scripted beating: connection resets, a slow-loris pack, partial
-  writes, an accept storm past the admission cap.  It must shed
-  explicitly (``gw.shed``), serve every admitted client intact, pass a
-  clean recovery probe, and drain back to quiescence
-  (:func:`repro.verify.check_gateway_quiescent`).
-
-``--smoke`` runs both legs at CI-friendly sizes and exits non-zero on
-any unrecovered fault or invariant violation — the self-healing
+``--smoke`` runs the built-in schedule at a CI-friendly size and exits
+non-zero on any unrecovered fault or invariant violation — the
 contract is a gate, not a demo.  ``--spec FILE`` runs a custom
-schedule instead (worker faults -> shard leg, client faults ->
-gateway leg).
+schedule instead.
 
 Usage::
 
@@ -40,28 +31,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.faults import (  # noqa: E402
-    ProcessFaultSchedule,
-    run_gateway_chaos,
-    run_sharded_chaos,
-)
-from repro.sim.shard import default_gate_recipe  # noqa: E402
+from repro.faults import ProcessFaultSchedule, run_gateway_chaos  # noqa: E402
 
-#: the smoke's shard-leg schedule: one outright kill early, one
-#: SIGSTOP hang (resume_after far past worker_timeout, so the
-#: heartbeat-timeout path fires) later — both on checkpoint-rebased
-#: heal bases (heal_every below) so replay stays short
-SMOKE_WORKER_SPEC = {
-    "name": "chaos-smoke-workers",
-    "faults": [
-        {"kind": "worker_kill", "shard": 1, "window": 3},
-        {"kind": "worker_stall", "shard": 0, "window": 400,
-         "resume_after": 120.0},
-    ],
-}
-
-#: the smoke's gateway-leg schedule: every abuse kind once, finishing
-#: with an accept storm well past the smoke gateway's 64-conn cap
+#: the smoke's schedule: every abuse kind once, finishing with an
+#: accept storm well past the smoke gateway's 64-conn cap
 SMOKE_GATEWAY_SPEC = {
     "name": "chaos-smoke-gateway",
     "faults": [
@@ -72,23 +45,6 @@ SMOKE_GATEWAY_SPEC = {
         {"kind": "accept_storm", "at": 0.6, "connections": 200},
     ],
 }
-
-
-def run_shard_leg(schedule: ProcessFaultSchedule, shards: int,
-                  warmup: float, duration: float, heal_every,
-                  worker_timeout, progress=print) -> dict:
-    progress(f"[chaos] shard leg: {len(schedule.worker_faults())} worker "
-             f"fault(s) on the {shards}-shard gate mesh ...")
-    report = run_sharded_chaos(
-        default_gate_recipe(), shards, schedule, warmup, duration,
-        heal_every=heal_every, worker_timeout=worker_timeout)
-    respawns = report["respawns"]
-    progress(f"[chaos] shard leg: {len(report['faults_fired'])} fired, "
-             f"{len(respawns)} respawn(s) "
-             f"({report['recovery_wall_s']}s recovery wall), "
-             f"mismatches={report['mismatches'] or 'none'} "
-             f"ok={report['ok']}")
-    return report
 
 
 def run_gateway_leg(schedule: ProcessFaultSchedule,
@@ -109,19 +65,9 @@ def run_gateway_leg(schedule: ProcessFaultSchedule,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="run both built-in CI legs")
+                        help="run the built-in CI schedule")
     parser.add_argument("--spec", default=None, metavar="FILE",
                         help="JSON ProcessFaultSchedule to run instead")
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--warmup", type=float, default=1.0)
-    parser.add_argument("--duration", type=float, default=2.0)
-    parser.add_argument("--heal-every", type=int, default=300,
-                        help="checkpoint-rebase cadence for the shard "
-                             "leg (barriers; bounds replay cost)")
-    parser.add_argument("--worker-timeout", type=float, default=10.0,
-                        help="coordinator heartbeat timeout (seconds); "
-                             "a SIGSTOPped worker is declared hung and "
-                             "respawned after this long")
     parser.add_argument("--out", default="chaos_report.json")
     args = parser.parse_args(argv)
 
@@ -130,25 +76,11 @@ def main(argv=None) -> int:
 
     if args.spec:
         schedule = ProcessFaultSchedule.from_json(args.spec)
-        worker_sched = ProcessFaultSchedule(schedule.worker_faults(),
-                                            name=schedule.name)
-        gateway_sched = ProcessFaultSchedule(schedule.gateway_ops(),
-                                             name=schedule.name)
     else:
-        worker_sched = ProcessFaultSchedule.from_dict(SMOKE_WORKER_SPEC)
-        gateway_sched = ProcessFaultSchedule.from_dict(SMOKE_GATEWAY_SPEC)
+        schedule = ProcessFaultSchedule.from_dict(SMOKE_GATEWAY_SPEC)
 
-    report = {"ok": True, "legs": {}}
-    if len(worker_sched):
-        shard_leg = run_shard_leg(
-            worker_sched, args.shards, args.warmup, args.duration,
-            args.heal_every, args.worker_timeout)
-        report["legs"]["shard"] = shard_leg
-        report["ok"] = report["ok"] and shard_leg["ok"]
-    if len(gateway_sched):
-        gateway_leg = run_gateway_leg(gateway_sched)
-        report["legs"]["gateway"] = gateway_leg
-        report["ok"] = report["ok"] and gateway_leg["ok"]
+    gateway_leg = run_gateway_leg(schedule)
+    report = {"ok": gateway_leg["ok"], "legs": {"gateway": gateway_leg}}
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -158,7 +90,7 @@ def main(argv=None) -> int:
         print("chaos run FAILED: fault not recovered or invariant "
               "violated", file=sys.stderr)
         return 1
-    print("[chaos] all legs recovered clean")
+    print("[chaos] recovered clean")
     return 0
 
 

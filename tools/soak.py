@@ -113,36 +113,6 @@ def run_soak(rows: int, cols: int, duration: float, seed: int,
     }
 
 
-def run_worker_kill_leg(duration: float, seed: int,
-                        progress=print) -> Dict[str, object]:
-    """Sharded self-healing under the soak's chaos recipe.
-
-    Runs the shard gate's chaos-variant mesh twice at 2 shards — clean,
-    then with one worker SIGKILLed early and the other late — and
-    requires the healed run's merged trace/metrics/flows to be
-    byte-identical to the clean one (the same contract ``tools/chaos.py
-    --smoke`` gates per-PR, here at nightly duration).
-    """
-    from repro.faults import ProcessFaultSchedule, run_sharded_chaos
-    from repro.sim.shard import default_gate_recipe
-
-    schedule = ProcessFaultSchedule.from_dict({
-        "name": "soak-worker-kill",
-        "faults": [
-            {"kind": "worker_kill", "shard": 1, "window": 5},
-            {"kind": "worker_kill", "shard": 0, "window": 900},
-        ],
-    })
-    progress(f"[soak] worker-kill leg: 2-shard chaos mesh, "
-             f"{duration:.0f}s sim, kills at windows 5 and 900")
-    report = run_sharded_chaos(default_gate_recipe(chaos=True), 2,
-                               schedule, 1.0, duration, heal_every=300)
-    progress(f"[soak] worker-kill leg: {len(report['respawns'])} "
-             f"respawn(s), mismatches={report['mismatches'] or 'none'} "
-             f"ok={report['ok']}")
-    return report
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=10)
@@ -160,33 +130,17 @@ def main(argv=None) -> int:
                              "the small triage scenario and write "
                              "minimized_spec.json")
     parser.add_argument("--minimized-out", default="minimized_spec.json")
-    parser.add_argument("--worker-kill", action="store_true",
-                        help="also soak the sharded tier's self-healing: "
-                             "kill workers mid-campaign and require the "
-                             "healed run byte-identical to a clean one")
-    parser.add_argument("--shard-duration", type=float, default=10.0,
-                        help="measured sim seconds for the worker-kill "
-                             "leg (default 10)")
     args = parser.parse_args(argv)
 
     report = run_soak(args.rows, args.cols, args.duration, args.seed,
                       args.interval)
-    heal_failed = False
-    if args.worker_kill:
-        leg = run_worker_kill_leg(args.shard_duration, args.seed)
-        report["worker_kill"] = leg
-        heal_failed = not leg["ok"]
     violations = report["verify"]["violations"]
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(f"wrote {args.output}")
-    if heal_failed:
-        print("[soak] worker-kill leg FAILED: healed run diverged or "
-              "a death went unhealed", file=sys.stderr)
     if not violations:
-        print("[soak] clean" if not heal_failed
-              else "[soak] invariants clean, self-healing red")
-        return EXIT_VIOLATION if heal_failed else 0
+        print("[soak] clean")
+        return 0
 
     with open(args.violations_out, "w") as fh:
         json.dump(violations, fh, indent=2, sort_keys=True)
