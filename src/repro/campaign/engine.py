@@ -22,13 +22,13 @@ import functools
 import hashlib
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.campaign.stats import aggregate, auto_metrics
+from repro.campaign.stats import aggregate_cell
 from repro.campaign.store import ResultStore, code_salt
 
 
@@ -540,32 +540,13 @@ def _build_report(spec: CampaignSpec, runs: List[RunSpec],
             cell.results.append(None)
             cell.errors.append(
                 f"seed={run.seed}: {_error_text(record['result'])}")
-    st = spec.stats
-    policy = {key: st[key] for key in ("confidence", "method", "warmup",
-                                       "outlier_iqr", "bootstrap_samples")}
     for cid, cell in by_cell.items():
-        ok_results = [r for r in cell.results if r is not None]
-        names = st["metrics"] if st["metrics"] is not None \
-            else auto_metrics(ok_results)
         # only the bootstrap draws random numbers: seed them per cell
         rng_seed = int(hashlib.sha256(cid.encode()).hexdigest()[:12],
-                       16) if st["method"] == "bootstrap" else 0
-        dicts = [r for r in ok_results if isinstance(r, dict)]
-        lone = len(dicts) == 1  # one repetition: no lists to build
-        for metric in names:
-            if lone:
-                v = dicts[0].get(metric)
-                samples = (v,) if isinstance(v, (int, float)) \
-                    and not isinstance(v, bool) else ()
-            else:
-                samples = [
-                    v for v in [r.get(metric) for r in dicts]
-                    if isinstance(v, (int, float))
-                    and not isinstance(v, bool)
-                ]
-            if samples:
-                cell.metrics[metric] = aggregate(samples, rng_seed=rng_seed,
-                                                 **policy)
+                       16) if spec.stats["method"] == "bootstrap" else 0
+        cell.metrics = aggregate_cell(
+            [r for r in cell.results if r is not None], rng_seed=rng_seed,
+            **spec.stats)
     return CampaignReport(
         name=spec.name,
         spec_digest=spec.digest(),

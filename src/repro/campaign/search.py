@@ -38,6 +38,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Tuple
 
+from repro.campaign.spec import (MAX_RUNS, RunSpec, _check_block, _is_int,
+                                 _is_number, _is_positive_number)
+from repro.campaign.store import code_salt
+
 _OBJECTIVE_DEFAULTS = {
     "metric": None,       # required
     "mode": "min",
@@ -60,26 +64,16 @@ def _fail(path: str, message: str):
 
 def validate_objective(obj) -> Dict:
     """Validate and normalize an ``objective`` block (see module doc)."""
-    if not isinstance(obj, dict):
-        raise ValueError(
-            f"campaign spec: objective: must be an object, got {obj!r}")
-    unknown = set(obj) - set(_OBJECTIVE_DEFAULTS)
-    if unknown:
-        raise ValueError(
-            f"campaign spec: objective: unknown keys {sorted(unknown)} "
-            f"(expected a subset of {sorted(_OBJECTIVE_DEFAULTS)})")
-    out = dict(_OBJECTIVE_DEFAULTS)
-    out.update(obj)
+    out = _check_block(obj, _OBJECTIVE_DEFAULTS, "objective")
     for key in ("metric", "axis"):
         if not isinstance(out[key], str) or not out[key]:
             _fail(key, f"must be a non-empty string, got {out[key]!r}")
     if out["mode"] not in ("min", "max"):
         _fail("mode", f"must be 'min' or 'max', got {out['mode']!r}")
     bounds = out["bounds"]
-    if not (isinstance(bounds, list) and len(bounds) == 2 and all(
-            isinstance(b, (int, float)) and not isinstance(b, bool)
-            for b in bounds)):
-        _fail("bounds", f"must be [lo, hi] numbers, got {bounds!r}")
+    if not (isinstance(bounds, list) and len(bounds) == 2
+            and all(map(_is_number, bounds))):
+        _fail("bounds", f"must be [lo, hi] finite numbers, got {bounds!r}")
     if not bounds[0] < bounds[1]:
         _fail("bounds", f"needs lo < hi, got {bounds!r}")
     if not isinstance(out["integer"], bool):
@@ -92,11 +86,10 @@ def validate_objective(obj) -> Dict:
     if out["method"] not in ("golden", "grid"):
         _fail("method", f"must be 'golden' or 'grid', "
                         f"got {out['method']!r}")
-    if not isinstance(out["steps"], int) or isinstance(out["steps"], bool) \
-            or out["steps"] < 2:
-        _fail("steps", f"must be an integer >= 2, got {out['steps']!r}")
-    if not (isinstance(out["tolerance"], (int, float))
-            and out["tolerance"] > 0):
+    if not _is_int(out["steps"], 2) or out["steps"] > MAX_RUNS:
+        _fail("steps", f"must be an integer in 2..{MAX_RUNS}, "
+                       f"got {out['steps']!r}")
+    if not _is_positive_number(out["tolerance"]):
         _fail("tolerance", f"must be a positive number, "
                            f"got {out['tolerance']!r}")
     fixed = out["fixed"]
@@ -184,8 +177,6 @@ def run_search(spec, catalog, store=None,
     for the execution sidecar.
     """
     from repro.campaign.engine import ExecOptions, resolve_runs
-    from repro.campaign.spec import RunSpec
-    from repro.campaign.store import code_salt
 
     obj = spec.objective
     if obj is None:

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -97,10 +99,15 @@ def _is_int(value, minimum: Optional[int] = None) -> bool:
             and (minimum is None or value >= minimum))
 
 
+def _is_number(value, minimum: float = -math.inf) -> bool:
+    """A finite double (``True`` is not one), at least ``minimum``."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and minimum <= value and abs(value) <= sys.float_info.max)
+
+
 def _is_positive_number(value) -> bool:
     """A finite number above zero (``True`` is not one)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
+    return _is_number(value) and value > 0
 
 
 #: canonical JSON (sorted keys, no whitespace): what identities hash
@@ -168,15 +175,11 @@ class RunSpec:
 
     @functools.cached_property
     def _identity(self) -> Tuple[str, str]:
-        """``(canonical, cell_id)``, serialized once from one dict."""
-        d = self.to_dict()
-        canonical = _canonical_json(d)
-        del d["seed"]
-        return canonical, _canonical_json(d)
-
-    def canonical(self) -> str:
-        """Canonical JSON: the hashed identity of this run."""
-        return self._identity[0]
+        """``(canonical, cell_id)`` from one encode.  Sorted keys put
+        ``"seed"``, an int or null, last: the cell id is the canonical
+        form with that last ``,"seed":`` member cut off."""
+        canonical = _canonical_json(self.to_dict())
+        return canonical, canonical[:canonical.rindex(',"seed":')] + "}"
 
     def run_id(self, salt: str = "") -> str:
         """Content address: sha256(code-version salt + canonical spec)."""
@@ -299,6 +302,9 @@ class CampaignSpec:
         if not _is_int(runner["retries"], 0):
             _fail("runner.retries", f"must be an integer >= 0, "
                                     f"got {runner['retries']!r}")
+        if not _is_number(runner["retry_backoff_s"], 0):
+            _fail("runner.retry_backoff_s", f"must be a finite number >= 0, "
+                  f"got {runner['retry_backoff_s']!r}")
         if runner["retries"] and runner["timeout_s"] is None:
             _fail("runner.retries", "requires runner.timeout_s "
                                     "(supervised mode)")
@@ -318,6 +324,10 @@ class CampaignSpec:
         if not _is_int(stats["warmup"], 0):
             _fail("stats.warmup", f"must be an integer >= 0, "
                                   f"got {stats['warmup']!r}")
+        if not _is_int(stats["bootstrap_samples"], 1) \
+                or stats["bootstrap_samples"] > MAX_RUNS:
+            _fail("stats.bootstrap_samples", f"must be an integer in 1.."
+                  f"{MAX_RUNS}, got {stats['bootstrap_samples']!r}")
         if stats["outlier_iqr"] is not None and not _is_positive_number(
                 stats["outlier_iqr"]):
             _fail("stats.outlier_iqr", f"must be a positive number or "
@@ -475,7 +485,8 @@ class CampaignSpec:
             else:
                 takes_seed = True
             seeds = self.seeds if takes_seed else [None]
-            for point in _grid_points(axes, self.grid):
+            for values in itertools.product(*self.grid.values()):
+                point = dict(zip(axes, values))
                 for seed in seeds:
                     runs.append(RunSpec.build(
                         experiment=experiment, params=point, seed=seed,
@@ -490,16 +501,3 @@ class CampaignSpec:
 def _cell_count(grid: Dict[str, List], experiments: List[str]) -> int:
     return (math.prod(len(values) for values in grid.values())
             * max(1, len(experiments)))
-
-
-def _grid_points(axes: List[str], grid: Dict[str, List]):
-    """Cartesian product in spec order (first axis outermost)."""
-    if not axes:
-        yield {}
-        return
-    head, rest = axes[0], axes[1:]
-    for value in grid[head]:
-        for tail in _grid_points(rest, grid):
-            point = {head: value}
-            point.update(tail)
-            yield point

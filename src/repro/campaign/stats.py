@@ -154,15 +154,6 @@ def aggregate(
     (stdev 0); with none (everything discarded) all statistics are
     ``None`` and ``n`` is 0.
     """
-    if len(values) == 1 and not warmup:
-        # a lone repetition has nothing to discard, sort or bound;
-        # ``+ 0.0`` is what ``sum()`` below does to it (-0.0 -> 0.0)
-        only = float(values[0])
-        mean = only + 0.0
-        return {"n": 1, "confidence": confidence, "method": method,
-                "discarded_warmup": 0, "discarded_outliers": 0,
-                "mean": mean, "median": only, "stdev": 0.0, "min": only,
-                "max": only, "ci_low": mean, "ci_high": mean}
     raw = [float(v) for v in values]
     kept = raw[warmup:]
     discarded_warmup = len(raw) - len(kept)
@@ -230,3 +221,41 @@ def auto_metrics(results: Sequence) -> List[str]:
         }
         common = numeric if common is None else (common & numeric)
     return sorted(common or ())
+
+
+def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
+                   confidence: float = 0.95, method: str = "t",
+                   warmup: int = 0, outlier_iqr: Optional[float] = None,
+                   bootstrap_samples: int = 1000,
+                   rng_seed: int = 0) -> Dict[str, Dict]:
+    """One cell's successful results -> ``{metric: aggregate(samples)}``,
+    a metric's samples being its numeric values across the dict results
+    (none: left out); ``metrics=None`` aggregates :func:`auto_metrics`."""
+    records = {}
+    if len(results) == 1 and isinstance(results[0], dict) and not warmup:
+        # a lone repetition has nothing to discard, sort or bound, so its
+        # records are built here (a cached re-run's hot loop); ``+ 0.0``
+        # is what ``sum()`` does to a lone sample (-0.0 -> 0.0)
+        items = results[0].items() if metrics is None \
+            else [(k, results[0].get(k)) for k in metrics]
+        samples = [(k, float(v)) for k, v in items
+                   if isinstance(v, (int, float))
+                   and v is not True and v is not False]
+        if metrics is None:
+            samples.sort()  # auto_metrics' order
+        for name, v in samples:
+            mean = v + 0.0
+            records[name] = {
+                "n": 1, "confidence": confidence, "method": method,
+                "discarded_warmup": 0, "discarded_outliers": 0,
+                "mean": mean, "median": v, "stdev": 0.0, "min": v,
+                "max": v, "ci_low": mean, "ci_high": mean}
+        return records
+    dicts = [r for r in results if isinstance(r, dict)]
+    for name in auto_metrics(results) if metrics is None else metrics:
+        samples = [v for v in (r.get(name) for r in dicts)
+                   if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if samples:
+            records[name] = aggregate(samples, confidence, method, warmup,
+                                      outlier_iqr, bootstrap_samples, rng_seed)
+    return records

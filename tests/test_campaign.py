@@ -1,6 +1,7 @@
 """Campaign engine: spec validation, expansion determinism, caching,
 statistics, search, and the legacy-runner compatibility shims."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -13,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignSpec,
@@ -27,6 +30,7 @@ from repro.campaign import (
     resolve_selection,
     run_campaign,
 )
+from repro.campaign.stats import aggregate_cell
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -58,6 +62,13 @@ def failing_cell(quick, x=1, seed=0):
     if x == 2:
         raise RuntimeError("x=2 always fails")
     return {"value": x}
+
+
+def tagged_cell(quick, x=1, tag="", seed=0):
+    """Seeded cell with a string axis and a far outlier at seed 3."""
+    del quick
+    return {"value": x + 0.25 * seed + (50.0 if seed == 3 else 0.0),
+            "tag_len": len(tag), "odd": seed % 2 == 1}
 
 
 def slow_cell(quick, x=0, seed=0):
@@ -208,6 +219,17 @@ class TestSpecValidation:
         ({"runner": {"timeout_s": float("inf")}}, "runner.timeout_s"),
         ({"stats": {"warmup": True}}, "stats.warmup"),
         ({"stats": {"outlier_iqr": True}}, "stats.outlier_iqr"),
+        ({"stats": {"method": "bootstrap", "bootstrap_samples": 0}},
+         "stats.bootstrap_samples"),
+        ({"stats": {"method": "bootstrap", "bootstrap_samples": -5}},
+         "stats.bootstrap_samples"),
+        ({"stats": {"bootstrap_samples": "many"}}, "stats.bootstrap_samples"),
+        ({"stats": {"bootstrap_samples": 2.5}}, "stats.bootstrap_samples"),
+        ({"runner": {"retry_backoff_s": "x"}}, "runner.retry_backoff_s"),
+        ({"runner": {"retry_backoff_s": -1.0}}, "runner.retry_backoff_s"),
+        ({"runner": {"retry_backoff_s": float("inf")}},
+         "runner.retry_backoff_s"),
+        ({"runner": {"retry_backoff_s": True}}, "runner.retry_backoff_s"),
     ])
     def test_hostile_numbers_are_refused(self, block, path):
         with pytest.raises(ValueError,
@@ -260,9 +282,13 @@ class TestSpecValidation:
         base = {"metric": "m", "axis": "x", "bounds": [0, 10]}
         CampaignSpec.from_dict({"experiments": ["x"],
                                 "objective": dict(base)})
+        inf = float("inf")
         for patch in ({"mode": "best"}, {"bounds": [5, 5]},
                       {"method": "newton"}, {"steps": 1},
-                      {"tolerance": 0}, {"unknown_key": 1}):
+                      {"tolerance": 0}, {"unknown_key": 1},
+                      {"bounds": [-inf, inf], "integer": True},
+                      {"bounds": [0, inf]}, {"bounds": [0, 10**400]},
+                      {"tolerance": True}, {"steps": 10**9}):
             with pytest.raises(ValueError, match="objective"):
                 CampaignSpec.from_dict(
                     {"experiments": ["x"],
@@ -286,6 +312,10 @@ _EXPANSION_SPEC = {
     "grid": {"x": [2, 1], "scale": [10, 100]},
     "seeds": [1, 0],
 }
+
+#: a fault schedule whose own "seed" member the encoded run carries
+_FAULTS = {"faults": [{"kind": "bursty_loss", "p_good_bad": 0.03,
+                       "p_bad_good": 0.3}], "seed": 4}
 
 
 class TestExpansion:
@@ -340,6 +370,28 @@ class TestExpansion:
         b = RunSpec.build("e", {"x": 1}, 1, True, None)
         assert a.run_id("s") != b.run_id("s")
         assert a.cell_id() == b.cell_id()
+
+    @given(experiment=st.text(max_size=8),
+           params=st.dictionaries(
+               st.sampled_from(["loss", "seed", "x", ',"seed":']),
+               st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=8),
+                         st.sampled_from([',"seed":', ',"seed":null}'])),
+               max_size=4),
+           seed=st.one_of(st.none(), st.integers(),
+                          st.sampled_from([-1, 10**30, -10**30])),
+           quick=st.booleans(),
+           faults=st.sampled_from([None, _FAULTS]))
+    @settings(max_examples=200, deadline=None)
+    def test_cell_id_is_the_canonical_form_without_the_seed(
+            self, experiment, params, seed, quick, faults):
+        run = RunSpec.build(experiment, params, seed, quick, faults)
+        doc = run.to_dict()
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        assert run.run_id("s") == hashlib.sha256(
+            f"s\x00{encode(doc)}".encode()).hexdigest()
+        del doc["seed"]
+        assert run.cell_id() == encode(doc)
 
 
 # ----------------------------------------------------------------------
@@ -648,6 +700,36 @@ class TestStats:
                    {"a": 2, "b": False, "c": "y", "d": 0.5, "e": 9}]
         assert auto_metrics(results) == ["a", "d"]
 
+    @pytest.mark.parametrize("policy", [
+        {},
+        {"warmup": 1},
+        {"outlier_iqr": 1.5},
+        {"method": "bootstrap", "bootstrap_samples": 50, "rng_seed": 7},
+        {"metrics": ["c", "missing", "s", "a"]},
+    ])
+    @pytest.mark.parametrize("results", [
+        [{"c": 2.5, "s": "x", "b": -0.0, "flag": True, "a": 3}],
+        [{"a": a, "c": 0.5 * a, "flag": False} for a in (4, 1, 2, 3, 90)],
+        [{"a": 1, "c": 2.0, "s": "y"}, ["not", "a", "dict"]],
+        [],
+    ], ids=["lone", "repeated", "non-dict", "empty"])
+    def test_aggregate_cell_is_aggregate_per_metric(self, results, policy):
+        policy = dict(policy)
+        metrics = policy.pop("metrics", None)
+        # the per-metric loop aggregate_cell replaced, kept as reference
+        names = auto_metrics(results) if metrics is None else metrics
+        dicts = [r for r in results if isinstance(r, dict)]
+        expected = {}
+        for name in names:
+            samples = [v for v in (r.get(name) for r in dicts)
+                       if isinstance(v, (int, float))
+                       and not isinstance(v, bool)]
+            if samples:
+                expected[name] = aggregate(samples, **policy)
+        got = aggregate_cell(results, metrics=metrics, **policy)
+        # compared as the report's bytes: -0.0 == 0.0 would hide a sign
+        assert json.dumps(got) == json.dumps(expected)
+
     def test_cell_aggregation_in_report(self, tmp_path):
         report = run_quiet(dict(_CACHE_SPEC), catalog=make_catalog())
         [cell] = [c for c in report.cells if c.params["x"] == 1]
@@ -669,6 +751,30 @@ class TestReport:
         assert "execution" not in doc
         assert report.execution["runs"] == 4
         assert "execution" in report.to_dict(include_execution=True)
+
+    def test_run_id_and_report_bytes_are_pinned(self, tmp_path):
+        """Golden values: a change to either re-keys every store or
+        changes every cached report's bytes."""
+        run = RunSpec.build("fig9_cell", {"loss": 0.12, "seed": 5,
+                                          "tag": ',"seed":7'}, -3, True,
+                            _FAULTS)
+        assert run.run_id("pinned") == (
+            "876e78eb051d809e5699c85298787af8"
+            "13860b1abc6da1f33849829d68b438d1")
+        report = run_quiet(
+            {"name": "golden", "experiments": ["tagged_cell"],
+             "grid": {"tag": ["plain", 'a,"seed":1'], "x": [1, 2]},
+             "seeds": {"count": 6, "base": -2},
+             "stats": {"method": "bootstrap", "bootstrap_samples": 200,
+                       "warmup": 1, "outlier_iqr": 1.5}},
+            store=ResultStore(tmp_path / "store", salt="pinned"),
+            catalog=ExperimentCatalog({"tagged_cell": tagged_cell}))
+        value = report.cells[0].metrics["value"]
+        assert (value["n"], value["discarded_warmup"],
+                value["discarded_outliers"]) == (4, 1, 1)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "63f8ca404a34146ad8127873643cb2f8"
+            "f6f178d597c197aa5e423cd1d39375c2")
 
     def test_grid_table_two_axes_and_hidden_axis_clash(self):
         spec = {"experiments": ["linear_cell"],
