@@ -1,20 +1,18 @@
-"""Canonical kernel-performance scenarios.
+"""Canonical behaviour scenarios: the kernel's determinism fixtures.
 
 Each scenario builds a fresh network, runs a fixed workload, and
-returns raw counters: simulator events processed, wall-clock seconds,
-and the headline behavioural metrics (goodput, frames delivered).  The
-behavioural metrics are the guard rail: a kernel change that shifts
-them has changed *what* is simulated, not just how fast.
-
-``tools/bench.py`` is the driver; it computes events/sec, picks the
-best of several trials, and compares against the checked-in baseline.
-The scenarios deliberately cover the distinct hot paths:
+returns raw counters: simulator events processed and the headline
+behavioural metrics (goodput, frames delivered).  They are the guard
+rail: a kernel change that shifts them has changed *what* is
+simulated.  ``test_goldens.py`` exact-matches them, and the metrics
+snapshot of each run, against the checked-in goldens; timing lives in
+``bench/run.py``.  The scenarios deliberately cover the distinct hot
+paths:
 
 * ``one_hop_bulk`` — TCP self-clocking on a clean link: scheduler and
   TCP/6LoWPAN processing, almost no CSMA contention.
 * ``three_hop_hidden`` — the §7.1 hidden-terminal chain: collision
-  marking, link retries and carrier-sense dominate.  This is the
-  scenario the 2x kernel-speedup acceptance number is quoted on.
+  marking, link retries and carrier-sense dominate.
 * ``duty_cycled_polling`` — a sleepy endpoint polling its router:
   periodic timers, indirect queues, radio state churn.
 * ``loss_sweep`` — Figure 9-style ambient loss on one hop: loss-model
@@ -22,9 +20,8 @@ The scenarios deliberately cover the distinct hot paths:
 * ``chaos_faults`` — the ``repro.faults`` chaos gate: Gilbert–Elliott
   bursty loss, link flapping, a relay crash-and-reboot, frame
   corruption and sender clock drift on a 2-hop chain.  Gates both the
-  injector's determinism (``fault_events`` is exact-matched across
-  trials and against the baseline) and TCP's behaviour under compound
-  faults.
+  injector's determinism (``fault_events`` is exact-matched against
+  the golden) and TCP's behaviour under compound faults.
 * ``campaign_grid`` — the campaign-engine gate: a 2x2 grid of short
   bulk transfers expanded and executed through
   ``repro.api.run_campaign`` (no store), exact-matching the per-run
@@ -40,7 +37,6 @@ The scenarios deliberately cover the distinct hot paths:
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 from repro.api import (
@@ -72,12 +68,9 @@ def one_hop_bulk(duration: float = 60.0, seed: int = 1) -> Dict:
     src, dst = _stack(net, 1), _stack(net, 0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
-    t0 = time.perf_counter()
     res = xfer.measure(10.0, duration)
-    wall = time.perf_counter() - t0
     return {
         "events": net.sim.events_processed,
-        "wall_s": wall,
         "goodput_kbps": round(res.goodput_kbps, 2),
         "frames_delivered": net.medium.frames_delivered,
     }
@@ -92,12 +85,9 @@ def three_hop_hidden(duration: float = 60.0, seed: int = 1) -> Dict:
     src, dst = _stack(net, 3), _stack(net, 0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
-    t0 = time.perf_counter()
     res = xfer.measure(10.0, duration)
-    wall = time.perf_counter() - t0
     return {
         "events": net.sim.events_processed,
-        "wall_s": wall,
         "goodput_kbps": round(res.goodput_kbps, 2),
         "frames_delivered": net.medium.frames_delivered,
     }
@@ -115,12 +105,9 @@ def duty_cycled_polling(duration: float = 60.0, seed: int = 0) -> Dict:
     leaf = _stack(net, 1)
     xfer = BulkTransfer(net.sim, leaf, router, receiver_id=0,
                         params=params, receiver_params=params)
-    t0 = time.perf_counter()
     res = xfer.measure(20.0, duration)
-    wall = time.perf_counter() - t0
     return {
         "events": net.sim.events_processed,
-        "wall_s": wall,
         "goodput_kbps": round(res.goodput_kbps, 2),
         "frames_delivered": net.medium.frames_delivered,
     }
@@ -132,7 +119,6 @@ def loss_sweep(duration: float = 40.0, seed: int = 1,
     events = 0
     delivered = 0
     goodputs = []
-    wall = 0.0
     for rate in rates:
         net = build_pair(seed=seed)
         if rate > 0:
@@ -141,15 +127,12 @@ def loss_sweep(duration: float = 40.0, seed: int = 1,
         src, dst = _stack(net, 1), _stack(net, 0)
         xfer = BulkTransfer(net.sim, src, dst, receiver_id=0,
                             params=params, receiver_params=params)
-        t0 = time.perf_counter()
         res = xfer.measure(10.0, duration)
-        wall += time.perf_counter() - t0
         events += net.sim.events_processed
         delivered += net.medium.frames_delivered
         goodputs.append(round(res.goodput_kbps, 2))
     return {
         "events": events,
-        "wall_s": wall,
         "goodput_kbps": goodputs,
         "frames_delivered": delivered,
     }
@@ -186,12 +169,9 @@ def chaos_faults(duration: float = 40.0, seed: int = 7) -> Dict:
     src, dst = _stack(net, 2), _stack(net, 0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
-    t0 = time.perf_counter()
     res = xfer.measure(5.0, duration)
-    wall = time.perf_counter() - t0
     return {
         "events": net.sim.events_processed,
-        "wall_s": wall,
         "goodput_kbps": round(res.goodput_kbps, 2),
         "frames_delivered": net.medium.frames_delivered,
         "fault_events": len(injector.events),
@@ -223,12 +203,9 @@ def dense_mesh(duration: float = 20.0, seed: int = 3) -> Dict:
     specs = [FlowSpec(src=s.src, dst=s.dst, start=0.25 * i)
              for i, s in enumerate(specs)]
     flows = FlowSet(net, specs, params=params)
-    t0 = time.perf_counter()
     res = flows.measure(warmup=8.0, duration=duration)
-    wall = time.perf_counter() - t0
     return {
         "events": net.sim.events_processed,
-        "wall_s": wall,
         "goodput_kbps": round(res.aggregate_goodput_kbps, 2),
         "frames_delivered": net.medium.frames_delivered,
         "fairness": round(res.fairness, 4),
@@ -262,11 +239,10 @@ def campaign_grid(duration: float = 10.0, seed: int = 1) -> Dict:
 
     Expands a 2-frames x 2-seeds grid over :func:`_campaign_cell` and
     executes it through ``repro.api.run_campaign`` with no store, so
-    every trial runs the full expansion + execution + statistics
-    pipeline.  Guards both the engine's dispatch overhead (events/sec
-    over the summed cells) and the determinism of the whole path: the
-    per-run goodput list and summed counters are exact-matched across
-    trials and against the baseline.
+    every run goes through the full expansion + execution + statistics
+    pipeline.  Guards the determinism of the whole path: the per-run
+    goodput list and summed counters are exact-matched against the
+    golden.
     """
     from repro.api import ExperimentCatalog, run_campaign
 
@@ -277,17 +253,14 @@ def campaign_grid(duration: float = 10.0, seed: int = 1) -> Dict:
         "grid": {"frames": [2, 5], "duration": [duration]},
         "seeds": [seed, seed + 1],
     }
-    t0 = time.perf_counter()
     report = run_campaign(spec, store=None, catalog=catalog,
                           progress=lambda *_: None)
-    wall = time.perf_counter() - t0
     runs = [r for cell in report.cells for r in cell.results]
     if any(r is None for r in runs) or report.execution["errors"]:
         raise AssertionError(
             f"campaign_grid: failed runs: {report.execution['errors']}")
     return {
         "events": sum(r["events"] for r in runs),
-        "wall_s": wall,
         "goodput_kbps": [r["goodput_kbps"] for r in runs],
         "frames_delivered": sum(r["frames_delivered"] for r in runs),
         "campaign_cells": len(report.cells),
@@ -295,13 +268,13 @@ def campaign_grid(duration: float = 10.0, seed: int = 1) -> Dict:
     }
 
 
-#: scenario name -> (callable, smoke-mode duration, full-mode duration)
+#: scenario name -> (callable, measured duration in simulated seconds)
 SCENARIOS = {
-    "one_hop_bulk": (one_hop_bulk, 20.0, 60.0),
-    "three_hop_hidden": (three_hop_hidden, 20.0, 60.0),
-    "duty_cycled_polling": (duty_cycled_polling, 30.0, 60.0),
-    "loss_sweep": (loss_sweep, 15.0, 40.0),
-    "chaos_faults": (chaos_faults, 40.0, 60.0),
-    "dense_mesh": (dense_mesh, 20.0, 45.0),
-    "campaign_grid": (campaign_grid, 6.0, 15.0),
+    "one_hop_bulk": (one_hop_bulk, 20.0),
+    "three_hop_hidden": (three_hop_hidden, 20.0),
+    "duty_cycled_polling": (duty_cycled_polling, 30.0),
+    "loss_sweep": (loss_sweep, 15.0),
+    "chaos_faults": (chaos_faults, 40.0),
+    "dense_mesh": (dense_mesh, 20.0),
+    "campaign_grid": (campaign_grid, 6.0),
 }

@@ -13,7 +13,6 @@ The surface, by area:
 
 **Simulation kernel** —
 :class:`~repro.sim.engine.Simulator` (the discrete-event core),
-:func:`make_simulator` (the same thing, as a function),
 :class:`~repro.sim.rng.RngStreams` (named deterministic RNG streams),
 :class:`~repro.sim.metrics.MetricsRegistry` (labelled counters /
 gauges / histograms with deterministic snapshots).
@@ -155,11 +154,6 @@ from repro.sim.rng import RngStreams
 from repro.verify import InvariantEngine
 
 
-def make_simulator():
-    """Build a simulator: ``Simulator()``, the one kernel there is."""
-    return Simulator()
-
-
 def run_experiments(quick: bool = True, only=None, jobs: int = 1,
                     progress=print, collect_metrics: bool = False,
                     fault_spec=None, verify: bool = False,
@@ -200,7 +194,6 @@ def default_catalog():
 __all__ = [
     # kernel
     "Simulator",
-    "make_simulator",
     "RngStreams",
     "MetricsRegistry",
     # topologies

@@ -25,6 +25,7 @@ typo'd spec fails at load time, not 40 simulated seconds into a run.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Tuple
 
 #: kind -> (required fields, optional fields with defaults)
@@ -56,6 +57,14 @@ _SPECS: Dict[str, Tuple[Dict[str, type], Dict[str, object]]] = {
     ),
 }
 
+#: float-valued fields: optional ones are coerced through this set,
+#: required ones through their _SPECS type
+_FLOAT_FIELDS = {"at", "until", "repeat_every", "down_for", "outage", "skew"}
+
+#: upper bound on ``link_flap.count``: the injector schedules every flap
+#: up front, two events each (the same bound as campaign ``MAX_RUNS``)
+MAX_FLAPS = 100_000
+
 _PROBABILITY_FIELDS = {
     "p_good_bad", "p_bad_good", "loss_good", "loss_bad", "rate",
     "truncate_rate",
@@ -67,6 +76,9 @@ def _coerce_number(kind: str, field: str, value, expected: type):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(
                 f"{kind}.{field} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{kind}.{field} must be finite, got {value!r}")
         return float(value)
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -98,8 +110,7 @@ def _validate_fault(index: int, entry: object) -> Dict[str, object]:
         out[field] = _coerce_number(kind, field, entry[field], expected)
     for field, default in optional.items():
         value = entry.get(field, default)
-        if value is not None and field in ("at", "until", "repeat_every",
-                                           "down_for", "skew"):
+        if value is not None and field in _FLOAT_FIELDS:
             value = _coerce_number(kind, field, value, float)
         if field in ("count", "offset_ms") and value is not None:
             value = _coerce_number(kind, field, value, int)
@@ -125,8 +136,10 @@ def _validate_fault(index: int, entry: object) -> Dict[str, object]:
         raise ValueError(
             f"faults[{index}] ({kind}): until must exceed at")
     if kind == "link_flap":
-        if out["count"] < 1:
-            raise ValueError(f"faults[{index}] (link_flap): count must be >= 1")
+        if not 1 <= out["count"] <= MAX_FLAPS:
+            raise ValueError(
+                f"faults[{index}] (link_flap): count must be in "
+                f"1..{MAX_FLAPS}, got {out['count']!r}")
         if out["count"] > 1 and not out["repeat_every"]:
             raise ValueError(
                 f"faults[{index}] (link_flap): repeat_every required "

@@ -8,7 +8,7 @@ number streams (:mod:`repro.sim.rng`).  :mod:`repro.sim.trace` provides
 counters, time-series recorders, and the structured event-trace bus;
 :mod:`repro.sim.metrics` provides the simulator-scoped metrics registry
 (labelled counters/gauges/histograms with deterministic snapshots) that
-``tools/bench.py --metrics-gate`` turns into a CI behavioural gate.
+``benchmarks/perf/test_goldens.py`` turns into a behavioural gate.
 See ``docs/observability.md`` for how the pieces fit.
 """
 

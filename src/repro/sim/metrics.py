@@ -19,7 +19,7 @@ qualitative half — typed event records — lives in
   simulated behaviour: keys are canonically ordered, values derive
   only from simulated time and counts, and no wall-clock quantity is
   ever recorded.  Two identical seeded runs therefore produce
-  byte-identical JSON — the property ``tools/bench.py --metrics-gate``
+  byte-identical JSON — the property ``benchmarks/perf/test_goldens.py``
   turns into a whole-stack behavioural regression gate.
 
 Label conventions follow the paper's evaluation: every per-node
@@ -235,7 +235,7 @@ def diff_snapshots(golden: Dict, current: Dict) -> List[str]:
 # auto-attach: opt-in observability for simulators built out of reach
 # ----------------------------------------------------------------------
 # Scenario and experiment builders construct their Simulator internally,
-# so callers like ``tools/bench.py --metrics-gate`` cannot hand one a
+# so callers like ``benchmarks/perf/test_goldens.py`` cannot hand one a
 # registry.  auto_attach() flips a flag that makes every subsequently
 # constructed Simulator carry its *own* fresh registry (still
 # simulator-scoped — nothing is shared), and drain_attached() hands the

@@ -13,19 +13,6 @@ from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
 
-#: When True (the default), timers record themselves in their
-#: simulator's armed-timer registry on start and withdraw on stop/fire.
-#: ``tools/bench.py --verify-overhead`` flips this off to measure what
-#: the bookkeeping costs relative to a registry-free build.
-_registry_enabled = True
-
-
-def registry_enabled(enable: bool) -> None:
-    """Toggle armed-timer registration for *subsequently built* timers."""
-    global _registry_enabled
-    _registry_enabled = enable
-
-
 class Timer:
     """A restartable one-shot timer.
 
@@ -38,9 +25,7 @@ class Timer:
         self.callback = callback
         self.name = name
         self._event: Optional[Event] = None
-        self._registry = (
-            getattr(sim, "_armed_timers", None) if _registry_enabled else None
-        )
+        self._registry = getattr(sim, "_armed_timers", None)
 
     @property
     def armed(self) -> bool:
@@ -109,9 +94,7 @@ class PeriodicTimer:
         self.name = name
         self._event: Optional[Event] = None
         self._interval: Optional[float] = None
-        self._registry = (
-            getattr(sim, "_armed_timers", None) if _registry_enabled else None
-        )
+        self._registry = getattr(sim, "_armed_timers", None)
 
     @property
     def armed(self) -> bool:

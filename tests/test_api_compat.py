@@ -86,25 +86,12 @@ def test_api_names_are_the_implementation_objects():
     assert api.Simulator is Simulator
 
 
-def test_make_simulator_selects_kernel_tiers():
-    # no tiers left to select: the fidelity knob is an error, not a no-op
-    assert type(api.make_simulator()) is api.Simulator
-    for factory in (api.Simulator, api.make_simulator):
-        with pytest.raises(TypeError):
-            factory(fidelity="full")
-
-
-def test_make_simulator_takes_no_tier_arguments():
-    for removed in ({"shards": 2}, {"recipe": object()}):
-        with pytest.raises(TypeError):
-            api.make_simulator(**removed)
-
-
 def test_simulator_constructor_matches_make_simulator():
-    # one kernel: the removed tier switch is an error, not a silent no-op
-    for factory in (api.Simulator, api.make_simulator, api.build_pair):
-        with pytest.raises(TypeError):
-            factory(accel=True)
+    # one kernel: a removed tier switch is an error, not a silent no-op
+    for factory in (api.Simulator, api.build_pair):
+        for removed in ({"accel": True}, {"fidelity": "full"}, {"shards": 2}):
+            with pytest.raises(TypeError):
+                factory(**removed)
 
 
 def test_topology_builders_thread_kernel_knobs():

@@ -81,6 +81,14 @@ class TestScheduleValidation:
          "count": 0},
         {"kind": "node_reboot", "node": 1, "at": 5.0, "outage": -1.0},
         {"kind": "clock_drift", "node": 0, "skew": 0.0},
+        {"kind": "link_flap", "a": 0, "b": 1, "at": float("nan"),
+         "down_for": 1.0},
+        {"kind": "link_flap", "a": 0, "b": 1, "at": 0.0,
+         "down_for": float("inf")},
+        {"kind": "node_reboot", "node": 1, "at": float("inf"), "outage": 1.0},
+        {"kind": "clock_drift", "node": 0, "skew": float("nan")},
+        {"kind": "link_flap", "a": 0, "b": 1, "at": 0.0, "down_for": 1.0,
+         "repeat_every": 1.0, "count": 10**9},              # arm() never returns
         "not a dict",
     ])
     def test_invalid_entries_rejected(self, bad):
