@@ -133,7 +133,8 @@ from repro.experiments.workload import (
     SensorStream,
     jain_fairness,
 )
-from repro.faults import FaultInjector, FaultSchedule, ProcessFaultSchedule
+from repro.faults import FaultInjector, FaultSchedule
+from repro.faults.process import ProcessFaultSchedule
 from repro.gateway import (
     Gateway,
     GatewayLimits,

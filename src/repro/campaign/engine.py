@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -144,6 +143,8 @@ def _run_supervised(
     up to ``retries`` times with exponential backoff.  Ctrl-C
     terminates the in-flight workers and returns what completed.
     """
+    import multiprocessing  # only the supervised and pool paths fork
+
     ctx = multiprocessing.get_context("fork")
     timeout = options.timeout
     by_key = {j.key: j for j in jobs}
@@ -254,6 +255,8 @@ def execute_jobs(
     records: List[Record] = []
     interrupted = False
     if options.jobs > 1 and len(jobs) > 1:
+        import multiprocessing
+
         worker = functools.partial(
             run_job, resolver=resolver,
             collect_metrics=options.collect_metrics,

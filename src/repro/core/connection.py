@@ -130,6 +130,39 @@ class TcpState(enum.Enum):
 class TcpConnection:
     """One TCP connection endpoint (an active socket)."""
 
+    # Slotted: past 29 attributes an instance dict stops sharing its
+    # keys (CPython 3.11), so each connection would carry ~1.6 kB of
+    # private dict.  Grouped as ``__init__`` sets them.
+    __slots__ = (
+        "sim", "network", "local_id", "local_port", "peer_id", "peer_port",
+        "params", "_params_owned", "dst_is_cloud", "trace", "cpu",
+        "on_cleanup", "ts_clock",
+        "state", "send_buf", "recv_buf", "rtt", "cc", "scoreboard",
+        # send / receive sequence state
+        "iss", "snd_una", "snd_nxt", "snd_max", "snd_wnd", "snd_wl1",
+        "snd_wl2", "irs", "rcv_nxt",
+        # negotiated features
+        "mss", "sack_enabled", "ts_enabled", "ecn_enabled", "ts_recent",
+        # loss recovery, ECN and FIN state
+        "dupacks", "rto_shift", "retransmit_budget", "_timed_seq",
+        "_timed_at", "_ece_pending", "_cwr_pending", "_ecn_response_seq",
+        "_fin_pending", "_fin_seq", "_peer_offered_ecn",
+        # timers
+        "rexmt_timer", "delack_timer", "persist_timer", "timewait_timer",
+        "keepalive_timer", "_persist_shift", "_last_activity",
+        "_keepalive_unanswered", "_challenge_window_start",
+        "_challenges_in_window", "_badrexmit",
+        # application interface
+        "on_connect", "on_data", "on_peer_close", "on_close", "on_error",
+        "on_send_space", "on_awaiting_ack", "_awaiting_ack",
+        "_last_advertised_window", "bytes_delivered",
+        # observability
+        "_bus", "_rexmit_kind", "_m_segs_sent", "_m_segs_rcvd",
+        "_m_retransmits", "_m_dupacks", "_m_rto_events", "_m_zwp",
+        "_m_sack_blocks", "_g_cwnd", "_g_ssthresh", "_g_srtt", "_g_rto",
+        "_h_rtt",
+    )
+
     def __init__(
         self,
         sim,

@@ -55,7 +55,7 @@ def mss_for_frames(
     return mss
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpParams:
     """Feature flags and sizing for one TCP endpoint.
 

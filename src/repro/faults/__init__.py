@@ -13,9 +13,11 @@ uniform loss rate.  This package injects those conditions on demand:
 * frame corruption/truncation at the PHY (dropped as FCS failures);
 * per-node clock drift/skew on the TCP timestamp clock
   (:class:`~repro.faults.models.SkewedClock`);
-* socket chaos against the *live tier* (:mod:`repro.faults.process`)
-  — abusive gateway clients (resets, slow-loris, partial writes,
-  accept storms; gated on explicit shedding + recovery to quiescence).
+* socket chaos against the *live tier* (:mod:`repro.faults.process`,
+  imported from there: it loads ``asyncio``, which the in-simulation
+  faults never need) — abusive gateway clients (resets, slow-loris,
+  partial writes, accept storms; gated on explicit shedding + recovery
+  to quiescence).
 
 A :class:`~repro.faults.schedule.FaultSchedule` (JSON/dict spec) drives
 a :class:`~repro.faults.injector.FaultInjector`; all randomness comes
@@ -38,7 +40,6 @@ from typing import Optional
 
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FrameCorruption, GilbertElliottLoss, SkewedClock
-from repro.faults.process import ProcessFaultSchedule, run_gateway_chaos
 from repro.faults.schedule import FaultSchedule
 
 __all__ = [
@@ -46,9 +47,7 @@ __all__ = [
     "FaultSchedule",
     "FrameCorruption",
     "GilbertElliottLoss",
-    "ProcessFaultSchedule",
     "SkewedClock",
-    "run_gateway_chaos",
     "auto_inject",
     "maybe_attach",
     "drain_auto",

@@ -37,7 +37,7 @@ _ACK = FrameKind.ACK
 _DATA_REQUEST = FrameKind.DATA_REQUEST
 
 
-@dataclass
+@dataclass(slots=True)
 class MacParams:
     """Knobs for the CSMA-CA link layer."""
 
@@ -78,6 +78,18 @@ class _TxOp:
 class MacLayer:
     """Per-node 802.15.4 MAC."""
 
+    # Slotted: with 30 attributes an instance dict no longer shares its
+    # keys (CPython 3.11) and would cost every node ~1.6 kB on its own.
+    __slots__ = (
+        "sim", "radio", "rng", "params", "trace", "node_id",
+        "_csma_rng", "_retry_rng", "_counts", "_cpu", "_bus",
+        "_m_frames_tx", "_m_backoffs", "_m_csma_fail", "_m_retries",
+        "_m_ack_timeouts", "_m_tx_fail", "_m_tail_drops",
+        "_queue", "_current", "paused", "_ack_timer_event", "_seq",
+        "_dedup", "sleepy_children", "_indirect",
+        "on_receive", "on_poll_ack", "on_idle", "on_data_pending",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -93,11 +105,13 @@ class MacLayer:
         self.trace = trace or TraceRecorder()
         self.node_id = radio.node_id
         radio.on_frame = self._on_frame
-        # Stream objects resolved once: the per-draw f-string key build
-        # and dict lookup are measurable at CSMA rates.  Stream seeds
-        # derive from the name alone, so this draws identical sequences.
-        self._csma_rng = rng.stream(f"csma:{self.node_id}")
-        self._retry_rng = rng.stream(f"retry:{self.node_id}")
+        # Stream objects resolved on the first draw and kept: the
+        # per-draw f-string key build and dict lookup are measurable at
+        # CSMA rates, and a node that never transmits never pays for a
+        # Mersenne-Twister state.  Stream seeds derive from the name
+        # alone, so when a stream is created does not change its draws.
+        self._csma_rng = None
+        self._retry_rng = None
         # Direct handles for per-frame accounting: Counter.incr and
         # CpuMeter.charge are semantically trivial but their call
         # overhead is measurable at frame dispatch rates.
@@ -289,7 +303,10 @@ class MacLayer:
         be = op.be
         n = 1 << be
         k = be + 1  # n.bit_length()
-        getrandbits = self._csma_rng.getrandbits
+        csma_rng = self._csma_rng
+        if csma_rng is None:
+            csma_rng = self._csma_rng = self.rng.stream(f"csma:{self.node_id}")
+        getrandbits = csma_rng.getrandbits
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
@@ -383,7 +400,14 @@ class MacLayer:
         d = self.params.retry_delay
         if op.indirect_child is not None:
             d = min(d, 0.005)
-        delay = self._retry_rng.uniform(0.0, d) if d > 0 else 0.0
+        if d > 0:
+            retry_rng = self._retry_rng
+            if retry_rng is None:
+                retry_rng = self._retry_rng = self.rng.stream(
+                    f"retry:{self.node_id}")
+            delay = retry_rng.uniform(0.0, d)
+        else:
+            delay = 0.0
         self.sim.schedule_unref(delay, self._retry_fire, op)
 
     def _retry_fire(self, op: _TxOp) -> None:

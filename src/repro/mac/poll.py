@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
 
 
-@dataclass
+@dataclass(slots=True)
 class PollParams:
     """Sleepy-end-device configuration."""
 

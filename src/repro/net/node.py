@@ -28,7 +28,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeConfig:
     """Per-node configuration."""
 

@@ -16,11 +16,14 @@ at a middle node: the hidden-terminal problem studied in §7.
 
 Hot-path design: connectivity is queried on every carrier-sense,
 collision-mark, and delivery pass, but the topology only changes on
-``register``/``force_link``/``block_link``.  The medium therefore keeps
-a cached adjacency structure (``neighbor_sets``) built once per
-topology change, and on top of it a per-receiver list of the frames
-audible there right now, so carrier sense is one truth test and
-collision marking costs O(degree) whatever the size of the network.
+``register``/``force_link``/``block_link``.  The medium therefore
+rebuilds, once per topology change, the adjacency sets
+(``neighbor_sets``, for ``in_range``), a per-receiver list of the
+frames audible there right now, and one channel table that gives each
+sender its hearers as ``(receiver id, radio, audible list)`` in
+registration order.  Carrier sense is one truth test, and collision
+marking and delivery walk one sender's row: O(degree) whatever the
+size of the network.
 The original geometric path, which scans every frame in flight, lives
 on as ``tests/reference_medium.py``; the determinism regression tests
 assert both produce byte-identical event traces.
@@ -166,21 +169,17 @@ class Medium:
         self._blocked_links: Set[Tuple[int, int]] = _LinkSet(self)
         #: node -> set of nodes that hear it; None until (re)built
         self._neighbor_sets: Optional[Dict[int, Set[int]]] = None
-        #: same adjacency, but as lists in radio-registration order so
-        #: delivery iterates receivers in exactly the uncached order
-        self._neighbor_lists: Optional[Dict[int, List[int]]] = None
-        #: sender -> [(rcv_id, radio), ...] in registration order; lets
-        #: the delivery pass iterate without rebuilding pairs per frame
-        self._neighbor_radios: Optional[Dict[int, List[Tuple[int, "Radio"]]]] = None
         #: receiver -> transmissions audible there right now: collision
         #: and carrier sense are asked *at a receiver*, so channel state
         #: follows radio range, not network size.  Dropped and rebuilt
         #: (from ``_active``) together with the adjacency cache.
         self._audible: Optional[Dict[int, List[Transmission]]] = None
-        #: sender -> ((rcv_id, that receiver's ``_audible`` list), ...)
-        #: over the *full* topology: the per-frame loops look nothing up
-        self._hearer_air: Optional[
-            Dict[int, Tuple[Tuple[int, List[Transmission]], ...]]] = None
+        #: the channel table: sender -> ((rcv_id, radio, that receiver's
+        #: ``_audible`` list), ...) in radio-registration order, so
+        #: delivery iterates receivers in exactly the uncached order and
+        #: the per-frame loops look nothing up
+        self._channel: Optional[Dict[int, Tuple[
+            Tuple[int, "Radio", List[Transmission]], ...]]] = None
         self.cache_rebuilds = 0
         self.frames_delivered = 0
         self.frames_collided = 0
@@ -263,10 +262,8 @@ class Medium:
     # ------------------------------------------------------------------
     def _invalidate_cache(self) -> None:
         self._neighbor_sets = None
-        self._neighbor_lists = None
-        self._neighbor_radios = None
         self._audible = None
-        self._hearer_air = None
+        self._channel = None
 
     def _in_range_uncached(self, a: int, b: int) -> bool:
         if a == b:
@@ -349,26 +346,19 @@ class Medium:
                 known.add(b)
                 sources.append(b)
         sets = self._build_sets(sources, known)
-        # registration-ordered receiver lists (registered radios only)
+        # registration-ordered receivers (registered radios only)
         order = {nid: i for i, nid in enumerate(ids)}
-        self._neighbor_lists = {
-            a: sorted((b for b in sets[a] if b in order),
-                      key=order.__getitem__)
+        radios = self.radios
+        audible: Dict[int, List[Transmission]] = {nid: [] for nid in ids}
+        self._channel = channel = {
+            a: tuple((b, radios[b], audible[b])
+                     for b in sorted((b for b in sets[a] if b in order),
+                                     key=order.__getitem__))
             for a in sources
         }
-        radios = self.radios
-        self._neighbor_radios = {
-            a: [(b, radios[b]) for b in hearers]
-            for a, hearers in self._neighbor_lists.items()
-        }
         # frames already on the air are audible under the new topology
-        audible: Dict[int, List[Transmission]] = {nid: [] for nid in ids}
-        self._hearer_air = {
-            a: tuple((b, audible[b]) for b in hearers)
-            for a, hearers in self._neighbor_lists.items()
-        }
         for tx in self._active:
-            for _, heard in self._hearer_air[tx.sender.node_id]:
+            for _, _, heard in channel[tx.sender.node_id]:
                 heard.append(tx)
         self._audible = audible
         self._neighbor_sets = sets
@@ -396,12 +386,13 @@ class Medium:
 
     def neighbors(self, node_id: int) -> List[int]:
         """Nodes that can hear ``node_id``."""
-        if self._neighbor_lists is None:
+        channel = self._channel
+        if channel is None:
             self._build_cache()
-        assert self._neighbor_lists is not None
-        hearers = self._neighbor_lists.get(node_id)
+            channel = self._channel
+        hearers = channel.get(node_id)
         if hearers is not None:
-            return list(hearers)
+            return [rcv_id for rcv_id, _, _ in hearers]
         return [n for n in self.radios if self._in_range_uncached(node_id, n)]
 
     # ------------------------------------------------------------------
@@ -449,11 +440,11 @@ class Medium:
         tx.spoiled = spoiled = set()
         tx.on_done = on_done
         tx.args = args
-        hearer_air = self._hearer_air
-        if hearer_air is None:
+        channel = self._channel
+        if channel is None:
             self._build_cache()
-            hearer_air = self._hearer_air
-        for rcv_id, heard in hearer_air[sender.node_id]:
+            channel = self._channel
+        for rcv_id, _, heard in channel[sender.node_id]:
             if heard:
                 spoiled.add(rcv_id)
                 for other in heard:
@@ -476,12 +467,14 @@ class Medium:
         sender_id = sender.node_id
         # a rebuild re-derives the audible lists from ``_active``,
         # so it must still see ``tx`` there
-        if self._neighbor_radios is None:
+        channel = self._channel
+        if channel is None:
             self._build_cache()
+            channel = self._channel
         self._active.remove(tx)
-        for _, heard in self._hearer_air[sender_id]:
+        receivers = channel[sender_id]
+        for _, _, heard in receivers:
             heard.remove(tx)
-        receivers = self._neighbor_radios[sender_id]
         spoiled = tx.spoiled
         frame = tx.frame
         start = tx.start
@@ -499,7 +492,7 @@ class Medium:
             is_ack = getattr(frame, "is_ack", None)
             if is_ack:
                 seq = frame.seq
-                for rcv_id, radio in receivers:
+                for rcv_id, radio, _ in receivers:
                     if rcv_id in spoiled:
                         self.frames_collided += 1
                     # inlined Radio.listened_throughout, as below
@@ -513,7 +506,7 @@ class Medium:
                 dst = None if is_ack is None else frame.dst
                 if dst == BROADCAST:
                     dst = None
-                for rcv_id, radio in receivers:
+                for rcv_id, radio, _ in receivers:
                     if rcv_id in spoiled:
                         self.frames_collided += 1
                     elif (radio.energy.state is _LISTEN
@@ -522,7 +515,7 @@ class Medium:
                         if rcv_id == dst or dst is None:
                             radio.deliver(frame, sender_id)
         else:
-            for rcv_id, radio in receivers:
+            for rcv_id, radio, _ in receivers:
                 if rcv_id in spoiled:
                     self.frames_collided += 1
                     if metrics is not None:

@@ -20,6 +20,8 @@ class Timer:
     functools.partial at construction time.
     """
 
+    __slots__ = ("sim", "callback", "name", "_event", "_registry")
+
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = ""):
         self.sim = sim
         self.callback = callback
@@ -87,6 +89,9 @@ class PeriodicTimer:
     is a cheap no-op when the requested interval is already in force
     (the common case for a fixed-cadence poll loop).
     """
+
+    __slots__ = ("sim", "callback", "name", "_event", "_interval",
+                 "_registry")
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = ""):
         self.sim = sim

@@ -12,6 +12,7 @@ from repro.app.sensor import (
     ReadingServer,
     TcpTransport,
 )
+from repro.core.connection import TcpConnection
 from repro.core.params import linux_like_params
 from repro.core.seqnum import seq_add
 from repro.core.simplified import tcplp_params
@@ -155,7 +156,7 @@ def test_phase_staggers_first_sample():
     assert app.generated == 1
 
 
-def test_batched_tcp_drain_sends_full_sized_segments():
+def test_batched_tcp_drain_sends_full_sized_segments(monkeypatch):
     # a drain is one write per buffer-fill, so TCP cuts MSS-sized
     # segments; only the segment that ends a fill (all the socket held
     # at that moment) may carry fewer than 5 readings
@@ -179,15 +180,17 @@ def test_batched_tcp_drain_sends_full_sized_segments():
                              params=tcplp_params(mss_frames=5, to_cloud=True))
     conn = transport.conn
     fill_ends = set()  # stream offsets where a buffer-fill ended
-    write = conn.send
+    write = TcpConnection.send
 
-    def record_fills(data):
-        accepted = write(data)
-        assert accepted == len(data)  # pull() sizes a fill to the room
-        fill_ends.add(seq_add(conn.snd_una, conn.send_buf.used))
+    def record_fills(self, data):
+        accepted = write(self, data)
+        if self is conn:
+            assert accepted == len(data)  # pull() sizes a fill to the room
+            fill_ends.add(seq_add(conn.snd_una, conn.send_buf.used))
         return accepted
 
-    conn.send = record_fills
+    # a slotted connection refuses instance attributes: patch the class
+    monkeypatch.setattr(TcpConnection, "send", record_fills)
     app = AnemometerNode(net.sim, transport, AnemometerConfig(
         batching=True, batch_size=64, queue_capacity=64))
     app.start()

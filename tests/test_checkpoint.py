@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
-from repro.experiments.topology import build_chain
-from repro.experiments.workload import BulkTransfer
+from repro.experiments.topology import build_chain, build_grid_mesh
+from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.checkpoint import (
     Checkpoint,
@@ -71,6 +71,33 @@ class TestResumeDeterminism:
         reference = hook.suffix_after(cp)
         assert len(reference) > 100  # the tail is a real workload
         assert resume_and_trace(cp, 12.0) == reference
+
+    def test_resume_trace_identical_on_grid_mesh(self):
+        # a 4x4 mesh: one flow runs from the start, a second launches
+        # after the snapshot, so its relays create their MAC streams
+        # (first draw) and connections only in the restored run
+        net = build_grid_mesh(4, 4, seed=5)
+        flows = FlowSet(net, [FlowSpec(src=15, dst=0),
+                              FlowSpec(src=3, dst=12, start=6.0)])
+        hook = TraceHook().attach(net.sim)
+        manager = CheckpointManager(
+            net.sim, roots={"net": net, "flows": flows},
+            interval=5.0).start()
+        net.sim.run(until=10.0)
+        cp = manager.nearest_before(6.0)
+        assert cp.time == pytest.approx(5.0)
+        reference = hook.suffix_after(cp)
+        assert len(reference) > 100
+        for snapshot in (cp, Checkpoint.from_bytes(cp.to_bytes())):
+            sim2, roots = snapshot.restore()
+            streams = roots["net"].rng._streams
+            undrawn = [nid for nid in roots["net"].nodes
+                       if f"csma:{nid}" not in streams]
+            assert undrawn  # some nodes have never sent at the snapshot
+            hook2 = TraceHook().attach(sim2)
+            sim2.run(until=10.0)
+            assert hook2.entries == reference
+            assert any(f"csma:{nid}" in streams for nid in undrawn)
 
     def test_resume_trace_identical_under_chaos(self):
         net, xfer, injector = build_transfer(seed=23,

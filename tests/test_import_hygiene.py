@@ -10,9 +10,16 @@ fair game; only the modules whose public names moved behind
 
 Implemented as an AST walk so string mentions in comments/docstrings
 don't trip it.
+
+Also: ``import repro`` (the kernel and the stack) loads neither
+``asyncio`` nor ``multiprocessing`` — only the live tier and the
+campaign engine's worker pools need them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +73,15 @@ def test_no_deep_imports_of_facade_covered_modules(path):
         + "\n  ".join(hits)
         + "\nimport these names from repro.api instead"
     )
+
+
+def test_import_repro_loads_no_live_tier_or_pool_machinery():
+    # only what ``import repro`` itself adds: interpreter start-up hooks
+    # (a coverage .pth file, say) may load either on their own
+    code = ("import sys; before = set(sys.modules); import repro; "
+            "print(sorted({'asyncio', 'multiprocessing'} "
+            "& (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.faults import ProcessFaultSchedule
+from repro.faults.process import ProcessFaultSchedule
 from repro.verify import check_gateway_quiescent
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Socket-level chaos runner: abuse a live gateway, require recovery.
 
-Driven by a :class:`repro.faults.ProcessFaultSchedule` (see
+Driven by a :class:`repro.faults.process.ProcessFaultSchedule` (see
 ``docs/robustness.md``): a live gateway (overload protection on) takes
 a scripted beating — connection resets, a slow-loris pack, partial
 writes, an accept storm past the admission cap.  It must shed
@@ -31,7 +31,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.faults import ProcessFaultSchedule, run_gateway_chaos  # noqa: E402
+from repro.faults.process import ProcessFaultSchedule, run_gateway_chaos  # noqa: E402
 
 #: the smoke's schedule: every abuse kind once, finishing with an
 #: accept storm well past the smoke gateway's 64-conn cap
