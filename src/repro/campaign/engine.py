@@ -461,9 +461,11 @@ def resolve_runs(
 
     ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
     caller.  Returns ``(records, hits, misses, errors, interrupted)``:
-    ``records`` maps run id to the stored-record shape of every run
-    that was cached or has finished, ``misses`` counts the runs handed
-    to :func:`execute_jobs`, ``errors`` maps the failed ones to their
+    ``records`` maps run id to ``{"ok", "result"}`` for every run that
+    was cached or has finished — all a report or a search reads, so a
+    hit drops the rest of its stored record and a miss keeps only these
+    two of what it saves — ``misses`` counts the runs handed to
+    :func:`execute_jobs`, ``errors`` maps the failed ones to their
     message.  A ``label`` announces the hit/miss split before they run.
     """
     records: Dict[str, Dict] = {}
@@ -473,7 +475,7 @@ def resolve_runs(
             continue  # identical runs collapse to one execution
         cached = store.load(run_id) if store is not None else None
         if cached is not None:
-            records[run_id] = cached
+            records[run_id] = {"ok": True, "result": cached["result"]}
         else:
             missing[run_id] = run
     hits = len(records)
@@ -490,22 +492,21 @@ def resolve_runs(
 
     def _on_record(record: Record) -> None:
         run_id, result, wall, ok, snaps, fsum, viol = record
-        stored = {
-            "run": missing[run_id].to_dict(),
-            "ok": ok,
-            "result": result,
-            "wall_s": round(wall, 3),
-            "metrics_snapshots": snaps,
-            "fault_injections": fsum,
-            "violations": viol,
-            "salt": salt,
-        }
-        records[run_id] = stored
+        records[run_id] = {"ok": ok, "result": result}
         if not ok:
             errors[run_id] = _error_text(result)
         elif store is not None:
             # failures are never cached: they must re-execute next time
-            store.save(run_id, stored)
+            store.save(run_id, {
+                "run": missing[run_id].to_dict(),
+                "ok": ok,
+                "result": result,
+                "wall_s": round(wall, 3),
+                "metrics_snapshots": snaps,
+                "fault_injections": fsum,
+                "violations": viol,
+                "salt": salt,
+            })
 
     if label is not None:
         progress(f"[{label}] {len(runs)} runs: {hits} cached, "

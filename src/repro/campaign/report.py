@@ -9,7 +9,9 @@ execution facts (wall times, hit/miss counts, interruption) live in
 
 Three export surfaces:
 
-* :meth:`to_dict` / :meth:`to_json` — the canonical document;
+* :meth:`to_dict` / :meth:`to_json` — the canonical document, built
+  from the report's own lists and dicts rather than copies of them (a
+  caller that edits the document edits the report);
 * :meth:`write_jsonl` — one line per run (full result payload) then
   one line per cell (aggregates), for downstream tooling;
 * :meth:`grid_table` — a plain-text grid of one metric over two axes,
@@ -38,14 +40,14 @@ class CellResult:
     def to_dict(self, include_results: bool = False) -> Dict:
         d = {
             "experiment": self.experiment,
-            "params": dict(self.params),
-            "seeds": list(self.seeds),
-            "run_ids": list(self.run_ids),
-            "metrics": {k: dict(v) for k, v in self.metrics.items()},
-            "errors": list(self.errors),
+            "params": self.params,
+            "seeds": self.seeds,
+            "run_ids": self.run_ids,
+            "metrics": self.metrics,
+            "errors": self.errors,
         }
         if include_results:
-            d["results"] = list(self.results)
+            d["results"] = self.results
         return d
 
 
@@ -76,7 +78,7 @@ class CampaignReport:
             "search": self.search,
         }
         if include_execution:
-            d["execution"] = dict(self.execution)
+            d["execution"] = self.execution
         return d
 
     def to_json(self, **kwargs) -> str:

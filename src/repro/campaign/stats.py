@@ -120,6 +120,20 @@ def _sample_stdev(kept: List[float], mean: float) -> float:
                 / math.sqrt(len(kept) - 1))
 
 
+class _Record:
+    """Builds every aggregate record, as its instance ``__dict__``.
+
+    The records of a report then share one key table (CPython's
+    key-sharing instance dicts): each is a plain ``dict`` of about 170 B
+    instead of a 464-B dict literal that holds its own keys.
+    """
+
+    def __init__(self, *fields):
+        (self.n, self.confidence, self.method, self.discarded_warmup,
+         self.discarded_outliers, self.mean, self.median, self.stdev,
+         self.min, self.max, self.ci_low, self.ci_high) = fields
+
+
 def bootstrap_ci(values: Sequence[float], confidence: float,
                  samples: int = 1000, rng_seed: int = 0):
     """Percentile-bootstrap CI on the mean; deterministic in
@@ -166,18 +180,10 @@ def aggregate(
         survivors = [v for v in kept if lo <= v <= hi]
         discarded_outliers = len(kept) - len(survivors)
         kept = survivors
-    base = {
-        "n": len(kept),
-        "confidence": confidence,
-        "method": method,
-        "discarded_warmup": discarded_warmup,
-        "discarded_outliers": discarded_outliers,
-    }
     if not kept:
-        base.update({"mean": None, "median": None, "stdev": None,
-                     "min": None, "max": None, "ci_low": None,
-                     "ci_high": None})
-        return base
+        return _Record(0, confidence, method, discarded_warmup,
+                       discarded_outliers, None, None, None, None, None,
+                       None, None).__dict__
     n = len(kept)
     mean = sum(kept) / n
     ordered = sorted(kept)
@@ -195,16 +201,9 @@ def aggregate(
                 rng_seed=rng_seed)
         else:
             raise ValueError(f"unknown CI method {method!r}")
-    base.update({
-        "mean": mean,
-        "median": _median(ordered),
-        "stdev": stdev,
-        "min": ordered[0],
-        "max": ordered[-1],
-        "ci_low": ci_low,
-        "ci_high": ci_high,
-    })
-    return base
+    return _Record(n, confidence, method, discarded_warmup,
+                   discarded_outliers, mean, _median(ordered), stdev,
+                   ordered[0], ordered[-1], ci_low, ci_high).__dict__
 
 
 def auto_metrics(results: Sequence) -> List[str]:
@@ -245,11 +244,8 @@ def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
             samples.sort()  # auto_metrics' order
         for name, v in samples:
             mean = v + 0.0
-            records[name] = {
-                "n": 1, "confidence": confidence, "method": method,
-                "discarded_warmup": 0, "discarded_outliers": 0,
-                "mean": mean, "median": v, "stdev": 0.0, "min": v,
-                "max": v, "ci_low": mean, "ci_high": mean}
+            records[name] = _Record(1, confidence, method, 0, 0, mean, v,
+                                    0.0, v, v, mean, mean).__dict__
         return records
     dicts = [r for r in results if isinstance(r, dict)]
     for name in auto_metrics(results) if metrics is None else metrics:

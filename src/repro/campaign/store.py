@@ -15,8 +15,10 @@ retained until :meth:`ResultStore.load` reads that one slice.
 :meth:`ResultStore.save` is a single ``write`` on an ``O_APPEND``
 descriptor, so a record is in the file whole or (a writer killed
 mid-write, a full disk) as a torn last line — which is a miss, and is
-fenced off with a newline before anything is appended after it.  That
-makes resume-after-interrupt free: the next run finds every completed
+fenced off with a newline before anything is appended after it.  A
+line that parses but is not a record (not an object whose ``ok`` is
+``true`` and that has a ``result``) is a miss as well.  That makes
+resume-after-interrupt free: the next run finds every completed
 record and executes only the delta.  A store sees its own writes at
 once and other processes' appends the next time it is opened; older
 code versions' results sit in their own segment files.
@@ -125,16 +127,20 @@ class ResultStore:
 
     def load(self, key: str) -> Optional[Dict]:
         """The stored record, or ``None`` on a miss — which a line that
-        does not parse (a torn write) is too, rather than an exception
-        that poisons the campaign."""
+        does not parse (a torn write) or is not a record is too, rather
+        than an exception that poisons the campaign."""
         where = self._index.get(key)
         if where is None:
             return None
         try:
-            return json.loads(os.pread(self._descriptor(), where[1],
-                                       where[0]).decode())
-        except (OSError, ValueError):
+            record = json.loads(os.pread(self._descriptor(), where[1],
+                                         where[0]).decode())
+        except (OSError, ValueError, RecursionError):
             return None
+        if isinstance(record, dict) and record.get("ok") is True \
+                and "result" in record:
+            return record
+        return None
 
     def save(self, key: str, record: Dict) -> Path:
         """Append one record line with a single ``write``."""

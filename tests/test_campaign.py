@@ -1,6 +1,7 @@
 """Campaign engine: spec validation, expansion determinism, caching,
 statistics, search, and the legacy-runner compatibility shims."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -9,12 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
@@ -435,6 +437,28 @@ def _numbered_record(x, pad=0):
     return {"ok": True, "result": {"v": x, "pad": "p" * pad}}
 
 
+#: JSON values that parse but are not a record: a cached hit needs an
+#: object whose ``ok`` is ``true`` and that has a ``result``
+_NOT_A_RECORD = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["ok", "result", "x"]), inner, max_size=3),
+    max_leaves=6,
+).filter(lambda v: not (isinstance(v, dict) and v.get("ok") is True
+                        and "result" in v))
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_cache_store():
+    """``_CACHE_SPEC``'s filled segment, its run ids and its report."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root, salt="s1")
+        report = run_quiet(dict(_CACHE_SPEC), store=store,
+                           catalog=make_catalog())
+        run_ids = tuple(i for cell in report.cells for i in cell.run_ids)
+        return store.segment.read_bytes(), run_ids, report.to_json()
+
+
 class TestCaching:
     def test_second_run_all_hits_byte_identical(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s1")
@@ -533,6 +557,38 @@ class TestCaching:
             # the torn record is a miss, or — when the cut took only
             # its newline — whole again; never somebody else's bytes
             assert fresh.load(keys[4]) in (None, _numbered_record(4))
+
+    @given(body=st.binary(max_size=48) | _NOT_A_RECORD.map(
+               lambda v: json.dumps(v).encode()),
+           victim=st.integers(0, 3))
+    @example(body=b"[]", victim=0)
+    @example(body=b'{"x":1}', victim=1)
+    @example(body=b'{"ok":true}', victim=2)
+    @example(body=b"1e999", victim=3)
+    @example(body=b'{"ok":false,"result":{"value":1}}', victim=0)
+    @example(body=b"[" * 100000, victim=1)
+    @settings(max_examples=60, deadline=None)
+    def test_a_line_that_is_not_a_record_is_a_miss(self, body, victim):
+        """Whatever follows a valid run id, the campaign re-executes
+        exactly that run and reports the clean store's bytes."""
+        segment, run_ids, canonical = _clean_cache_store()
+        start = segment.index(run_ids[victim].encode() + b"\t") + 65
+        end = segment.index(b"\n", start)
+        with tempfile.TemporaryDirectory() as root:
+            ResultStore(root, salt="s1").segment.write_bytes(
+                segment[:start] + body + segment[end:])
+            store = ResultStore(root, salt="s1")
+            plan = plan_campaign(CampaignSpec.from_dict(dict(_CACHE_SPEC)),
+                                 store=store, catalog=make_catalog())
+            assert [e["run_id"] for e in plan["plan"]
+                    if not e["cached"]] == [run_ids[victim]]
+            report = run_quiet(dict(_CACHE_SPEC), store=store,
+                               catalog=make_catalog())
+            assert report.execution["cache_misses"] == 1
+            assert report.execution["cache_hits"] == 3
+            assert report.to_json() == canonical
+            assert ResultStore(root, salt="s1").load(run_ids[victim])[
+                "ok"] is True
 
     def test_two_stores_interleave_saves_on_one_root(self, tmp_path):
         root = tmp_path / "store"
@@ -776,6 +832,29 @@ class TestReport:
             "63f8ca404a34146ad8127873643cb2f8"
             "f6f178d597c197aa5e423cd1d39375c2")
 
+    @pytest.mark.parametrize("spec, catalog, sha", [
+        ({"name": "lone", "experiments": ["ayadi_energy"],
+          "grid": {"frames": [1, 3, 5], "frame_loss": [0.02, 0.1]}},
+         None,
+         "557704b5456321eea6a543e59b467025"
+         "784c48e407b16fb901fbf5e72a350a4f"),
+        ({"name": "lone-named", "experiments": ["tagged_cell"],
+          "grid": {"tag": ["", "ab"], "x": [-2, 7]}, "seeds": [3],
+          "stats": {"metrics": ["value", "missing", "odd", "tag_len"]}},
+         ExperimentCatalog({"tagged_cell": tagged_cell}),
+         "547062f166936c909a8bb6766e536f40"
+         "fb5a4f9cd2108ff97aa633d78a338b09"),
+    ], ids=["auto-metrics", "named-metrics"])
+    def test_lone_sample_report_bytes_are_pinned(self, tmp_path, spec,
+                                                 catalog, sha):
+        """A single-seed grid takes aggregate_cell's lone-sample path;
+        its report bytes are pinned like the bootstrap golden's."""
+        report = run_quiet(
+            spec, store=ResultStore(tmp_path / "store", salt="pinned"),
+            catalog=catalog)
+        assert all(len(cell.seeds) == 1 for cell in report.cells)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha
+
     def test_grid_table_two_axes_and_hidden_axis_clash(self):
         spec = {"experiments": ["linear_cell"],
                 "grid": {"x": [1, 2], "scale": [10, 100]}}
@@ -996,6 +1075,7 @@ class TestCampaignCli:
         assert out.returncode == 0, out.stderr
         assert "byte-identical report" in out.stdout
         assert "store: 8 records / 1 segments / " in out.stdout
+        assert "pass 3: 8 runs, 1 executed, 7 cached" in out.stdout
 
     def test_dry_run_plan(self, tmp_path):
         spec_path = tmp_path / "spec.json"

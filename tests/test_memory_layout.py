@@ -7,11 +7,20 @@ about 300 B, at 30 it holds its own keys and costs about 1.6 kB.  On a
 outgrow the limit declare ``__slots__`` instead.  A node that never
 transmits also never pays for its MAC's random streams: they are
 created on the first draw.
+
+A campaign holds a report of every cell in memory, and a cached re-run
+builds one from the store.  Each cell's aggregate records share one
+key table, a run keeps only ``ok`` and ``result`` of its stored record,
+and the report's document is its own lists and dicts, not copies.
 """
 
 import gc
+import sys
+import tracemalloc
 import types
 
+from repro.campaign import ResultStore, aggregate, run_campaign
+from repro.campaign.stats import aggregate_cell
 from repro.core.connection import TcpConnection
 from repro.experiments.topology import build_grid_mesh
 from repro.experiments.workload import FlowSet, FlowSpec
@@ -85,3 +94,65 @@ def test_node_that_never_sent_owns_no_mac_stream():
         assert f"csma:{nid}" not in streams, nid
         assert f"retry:{nid}" not in streams, nid
     assert all(f"csma:{nid}" in streams for nid in talkers)
+
+
+# ----------------------------------------------------------------------
+# a campaign report
+# ----------------------------------------------------------------------
+
+#: 300 cells of the analytic energy model, seven metrics each
+_GRID = {"name": "memory", "experiments": ["ayadi_energy"],
+         "grid": {"frames": list(range(1, 11)),
+                  "frame_loss": [0.01, 0.03, 0.05, 0.08, 0.12],
+                  "rtt": [0.05, 0.1, 0.2], "window": [2, 4]}}
+
+#: budgets for the grid above, in bytes: a cached re-run's report held
+#: 1.01 MB and ``to_json`` peaked at 4.05 MB (CPython 3.11, x86-64); a
+#: report of 464-B records and copied containers took 1.60 and 5.23 MB
+RETAINED_BUDGET = 1_250_000
+TO_JSON_PEAK_BUDGET = 4_600_000
+
+
+def _literal_record():
+    return {"n": 1, "confidence": 0.95, "method": "t",
+            "discarded_warmup": 0, "discarded_outliers": 0, "mean": 1.0,
+            "median": 1.0, "stdev": 0.0, "min": 1.0, "max": 1.0,
+            "ci_low": 1.0, "ci_high": 1.0}
+
+
+def test_aggregate_records_share_their_keys():
+    literal = sys.getsizeof(_literal_record())
+    records = [aggregate([1.0, 2.0, 4.0]), aggregate([]),
+               *aggregate_cell([{"a": 1.0, "b": 2}]).values(),
+               *aggregate_cell([{"a": 1.0}, {"a": 3.0}]).values()]
+    for record in records:
+        assert type(record) is dict
+        assert list(record) == list(_literal_record())
+        assert sys.getsizeof(record) < literal, record
+
+
+def _traced(fn):
+    """``(value, bytes still held, peak bytes)`` of ``fn()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = fn()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held, peak
+
+
+def test_cached_rerun_report_and_its_document_fit_their_budgets(tmp_path):
+    def rerun():
+        return run_campaign(dict(_GRID), progress=lambda *_: None,
+                            store=ResultStore(tmp_path, salt="pinned"))
+
+    canonical = rerun().to_json()
+    report, held, _ = _traced(rerun)
+    assert report.execution["cache_hits"] == len(report.cells) == 300
+    document, _, peak = _traced(report.to_json)
+    assert document == canonical
+    assert held < RETAINED_BUDGET, held
+    assert peak < TO_JSON_PEAK_BUDGET, peak

@@ -29,8 +29,11 @@ Modes
   twice against a fresh store: the first pass must execute every run,
   the second — through a newly opened ``ResultStore``, so every hit is
   read back from the segment file — must be 100% cache hits and
-  serialize a byte-identical report.  Exits non-zero on any miss,
-  re-execution, or byte drift.
+  serialize a byte-identical report.  A third pass overwrites one
+  record of the segment with a line that parses but is not a record,
+  reopens the store, and must see exactly that one miss and the same
+  bytes again.  Exits non-zero on any other miss, re-execution, or
+  byte drift.
 * ``--jobs N``: override the spec's ``runner.jobs`` fan-out.
 """
 
@@ -94,7 +97,9 @@ def _print_report(report, grid=None) -> None:
 
 
 def _smoke(store_dir: str) -> int:
-    """Run the built-in campaign twice; the second pass must be free."""
+    """Run the built-in campaign twice; the second pass must be free,
+    and a third, with one record overwritten by a non-record, must
+    re-execute that run alone."""
     store = ResultStore(store_dir)
     first = run_campaign(dict(SMOKE_SPEC), store=store,
                          progress=lambda *_: None)
@@ -125,8 +130,26 @@ def _smoke(store_dir: str) -> int:
         print("smoke FAILED: cached re-run report is not byte-identical",
               file=sys.stderr)
         return 1
+    # a line that parses but is not a record is a miss, not a crash
+    data = store.segment.read_bytes()
+    head, end = data.index(b"\t") + 1, data.index(b"\n")
+    store.segment.write_bytes(data[:head] + b'{"ok": true}' + data[end:])
+    third = run_campaign(dict(SMOKE_SPEC), store=ResultStore(store_dir),
+                         progress=lambda *_: None)
+    ex3 = third.execution
+    print(f"pass 3: {ex3['runs']} runs, {ex3['cache_misses']} executed, "
+          f"{ex3['cache_hits']} cached (one record overwritten)")
+    if ex3["cache_misses"] != 1 or ex3["errors"]:
+        print("smoke FAILED: an overwritten record was not exactly one "
+              "miss", file=sys.stderr)
+        return 1
+    if third.to_json() != a:
+        print("smoke FAILED: the report after re-executing the "
+              "overwritten record is not byte-identical", file=sys.stderr)
+        return 1
     print(f"campaign smoke OK: second pass 100% cached, "
-          f"byte-identical report ({len(a)} bytes)")
+          f"byte-identical report ({len(a)} bytes); a non-record line "
+          f"re-executed alone")
     return 0
 
 
@@ -155,7 +178,9 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: run a built-in 2x2x2 campaign "
                              "twice; the second pass must be 100%% "
-                             "cache hits with a byte-identical report")
+                             "cache hits with a byte-identical report, "
+                             "and a third, with one record overwritten "
+                             "by a non-record, exactly one miss")
     args = parser.parse_args(argv)
 
     if args.smoke:
