@@ -6,10 +6,11 @@ zero-copy matters here for memory, not CPU).
 
 :class:`ReceiveBuffer` is the flat circular receive buffer with an
 **in-place reassembly queue** (§4.3.2, Figure 1b): out-of-order bytes
-are written into the same pre-allocated circular array, past the
-in-sequence data, with a bitmap recording which bytes are present.
-Memory use is deterministic — exactly ``capacity`` bytes plus the
-bitmap — unlike FreeBSD's mbuf chains, whose overhead depends on
+are written into the same circular array, past the in-sequence data,
+with a bitmap recording which bytes are present.  Memory use is
+deterministic — exactly ``capacity`` bytes plus the bitmap once the
+first byte arrives, and neither before it (a bulk sender never receives
+a data byte) — unlike FreeBSD's mbuf chains, whose overhead depends on
 packetisation.
 """
 
@@ -68,8 +69,10 @@ class ReceiveBuffer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._buf = bytearray(capacity)
-        self._present = bytearray(capacity)  # the reassembly bitmap
+        # the ring and its reassembly bitmap, both empty until the first
+        # in-window byte arrives; an empty bitmap reads as all-absent
+        self._buf = bytearray()
+        self._present = bytearray()
         self._read_pos = 0  # physical index of first unread in-seq byte
         self._unread = 0  # in-sequence bytes the app has not read yet
         self._out_of_order = 0  # bitmap bytes set past rcv_nxt
@@ -113,13 +116,18 @@ class ReceiveBuffer:
         if rel_offset >= limit:
             return 0
         data = data[: limit - rel_offset]
+        n = len(data)
+        if not n:
+            return 0  # the byte at rcv_nxt is absent, so nothing advances
         cap = self.capacity
         buf = self._buf
+        if not buf:
+            buf = self._buf = bytearray(cap)
+            self._present = bytearray(cap)
         present = self._present
         nxt = (self._read_pos + self._unread) % cap
         # copy in at most two ring segments (slice ops, not a byte loop)
         start = (nxt + rel_offset) % cap
-        n = len(data)
         first = min(n, cap - start)
         rest = n - first
         fresh = n - present.count(1, start, start + first)

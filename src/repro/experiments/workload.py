@@ -15,6 +15,7 @@ many-flow experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.params import TcpParams
@@ -76,6 +77,13 @@ class BulkResult:
         return self.goodput_bps / 1000.0
 
 
+@lru_cache(maxsize=None)
+def _bulk_chunk(payload_byte: bytes) -> bytes:
+    """The one immutable refill chunk every bulk flow of ``payload_byte``
+    shares: a thousand flows hold one kilobyte, not a megabyte."""
+    return payload_byte * BulkTransfer.CHUNK
+
+
 class BulkTransfer:
     """Saturating one-way TCP transfer between two stacks.
 
@@ -104,7 +112,7 @@ class BulkTransfer:
         self._conn = None
         self._closed = False
         self.errors: List[str] = []
-        self._payload = payload_byte * self.CHUNK
+        self._payload = _bulk_chunk(payload_byte)
 
         receiver_stack.listen(port, self._on_accept, params=receiver_params)
         self._conn = sender_stack.connect(

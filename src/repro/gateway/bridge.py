@@ -48,7 +48,9 @@ class SessionBackoff:
     The jitter stream is seedable: a fixed ``seed`` reproduces the
     exact delay sequence, which keeps retry schedules deterministic in
     tests while still decorrelating independent bridges in production
-    (the gateway derives a distinct seed per bridge).
+    (the gateway derives a distinct seed per bridge).  The stream is
+    built on the first jittered draw: a policy with ``jitter=0`` (the
+    default) never holds a Mersenne-Twister state.
     """
 
     def __init__(
@@ -70,7 +72,8 @@ class SessionBackoff:
         self.max_attempts = max_attempts
         self.jitter = jitter
         self.attempts = 0
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
 
     @property
     def exhausted(self) -> bool:
@@ -83,7 +86,10 @@ class SessionBackoff:
         delay = min(self.ceiling, self.base * self.factor ** self.attempts)
         self.attempts += 1
         if self.jitter > 0.0:
-            delay = self._rng.uniform((1.0 - self.jitter) * delay, delay)
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._seed)
+            delay = rng.uniform((1.0 - self.jitter) * delay, delay)
         return delay
 
     def reset(self) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, KeysView, List, Optional
 
 from repro.mac.frame import BROADCAST, Frame, FrameKind
 from repro.phy.energy import RadioState
@@ -86,7 +86,7 @@ class MacLayer:
         "_m_frames_tx", "_m_backoffs", "_m_csma_fail", "_m_retries",
         "_m_ack_timeouts", "_m_tx_fail", "_m_tail_drops",
         "_queue", "_current", "paused", "_ack_timer_event", "_seq",
-        "_dedup", "sleepy_children", "_indirect",
+        "_dedup", "_indirect",
         "on_receive", "on_poll_ack", "on_idle", "on_data_pending",
     )
 
@@ -140,7 +140,9 @@ class MacLayer:
             self._m_tx_fail = None
             self._m_tail_drops = None
 
-        self._queue: Deque[_TxOp] = deque()
+        # a list, not a deque: at most ``tx_queue_limit`` (+ a few
+        # data requests) ops, and an empty deque costs ~600 B per MAC
+        self._queue: List[_TxOp] = []
         self._current: Optional[_TxOp] = None
         #: when True, no new transmissions start (Appendix C's slotted
         #: listen-after-send protocol holds uplink during listen phases)
@@ -148,7 +150,8 @@ class MacLayer:
         self._ack_timer_event = None
         self._seq = 0
         self._dedup: Dict[int, int] = {}  # src -> last accepted seq
-        self.sleepy_children: Set[int] = set()
+        #: sleepy child -> its parked frames; the keys are the sleepy
+        #: children (a child, once marked, is never unmarked)
         self._indirect: Dict[int, Deque[_TxOp]] = {}
 
         #: upcall: (payload, src, frame) for each accepted data frame
@@ -183,7 +186,7 @@ class MacLayer:
             payload_bytes=payload_bytes,
         )
         op = _TxOp(frame, on_done)
-        if dst in self.sleepy_children:
+        if dst in self._indirect:
             return self._enqueue_indirect(dst, op)
         if len(self._queue) >= self.params.tx_queue_limit:
             self.trace.counters.incr("mac.tail_drops")
@@ -215,7 +218,7 @@ class MacLayer:
             ack_request=True,
         )
         op = _TxOp(frame, None)
-        self._queue.appendleft(op)
+        self._queue.insert(0, op)
         self._kick()
 
     def queue_depth(self) -> int:
@@ -227,9 +230,13 @@ class MacLayer:
         q = self._indirect.get(child)
         return len(q) if q else 0
 
+    @property
+    def sleepy_children(self) -> KeysView[int]:
+        """The children whose frames wait for a poll (read-only view)."""
+        return self._indirect.keys()
+
     def mark_sleepy_child(self, child: int) -> None:
         """Route future frames for ``child`` through the indirect queue."""
-        self.sleepy_children.add(child)
         self._indirect.setdefault(child, deque())
 
     def reset(self) -> None:
@@ -273,7 +280,7 @@ class MacLayer:
             return
         if self.paused:
             return  # poll layer is holding uplink during a listen phase
-        self._current = self._queue.popleft()
+        self._current = self._queue.pop(0)
         op = self._current
         # SPI-load the frame buffer first (the §6.4 overhead), *then*
         # run CSMA so clear-channel assessment is fresh at air time.
@@ -510,7 +517,7 @@ class MacLayer:
         # current packet being sent — they jump the queue, and an op
         # that is still contending for the channel (not yet on the air,
         # not awaiting its ACK) is preempted and retried afterwards.
-        self._queue.appendleft(op)
+        self._queue.insert(0, op)
         cur = self._current
         if (
             cur is not None

@@ -76,7 +76,7 @@ def probe_tcp_connection(conn) -> List[str]:
 
     # --- receive buffer / reassembly bitmap accounting ---
     rb = conn.recv_buf
-    present = sum(rb._present)
+    present = sum(rb._present)  # no bitmap before the first byte: 0
     if not 0 <= rb._unread <= rb.capacity:
         out.append(f"recv_buf unread={rb._unread} outside "
                    f"[0, capacity={rb.capacity}]")

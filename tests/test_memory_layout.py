@@ -6,7 +6,11 @@ about 300 B, at 30 it holds its own keys and costs about 1.6 kB.  On a
 1,000-node mesh that difference is megabytes, so the classes that
 outgrow the limit declare ``__slots__`` instead.  A node that never
 transmits also never pays for its MAC's random streams: they are
-created on the first draw.
+created on the first draw.  Nor does it pay for containers it leaves
+empty: the MAC's transmit queue is a list, its sleepy children are the
+keys of its indirect-queue table, a connection's receive ring appears
+with its first data byte, and every bulk flow refills from one shared
+chunk.
 
 A campaign holds a report of every cell in memory, and a cached re-run
 builds one from the store.  Each cell's aggregate records share one
@@ -18,10 +22,15 @@ import gc
 import sys
 import tracemalloc
 import types
+from collections import deque
 
+import repro.core.buffers
+import repro.experiments.workload
+import repro.mac.link
 from repro.campaign import ResultStore, aggregate, run_campaign
 from repro.campaign.stats import aggregate_cell
 from repro.core.connection import TcpConnection
+from repro.core.seqnum import seq_sub
 from repro.experiments.topology import build_grid_mesh
 from repro.experiments.workload import FlowSet, FlowSpec
 from repro.mac.link import MacLayer
@@ -94,6 +103,69 @@ def test_node_that_never_sent_owns_no_mac_stream():
         assert f"csma:{nid}" not in streams, nid
         assert f"retry:{nid}" not in streams, nid
     assert all(f"csma:{nid}" in streams for nid in talkers)
+
+
+def test_mac_holds_no_set_or_deque_of_its_own():
+    net, _ = _mesh_after_run()
+    parent = net.nodes[0].mac
+    parent.mark_sleepy_child(5)
+    for node in net.nodes.values():
+        held = gc.get_referents(node.mac)
+        assert not [o for o in held if isinstance(o, (set, deque))], node
+    assert set(parent.sleepy_children) == set(parent._indirect) == {5}
+
+
+def test_bulk_sender_that_only_sent_holds_no_receive_ring():
+    net, flows = _mesh_after_run()
+    senders = [driver.connection for driver in flows.drivers]
+    receivers = [obj for obj in _reachable(net, flows)
+                 if isinstance(obj, TcpConnection) and obj not in senders]
+    assert len(receivers) == len(senders)
+    for conn in receivers:  # each has had its first byte
+        ring = conn.recv_buf
+        assert len(ring._buf) == len(ring._present) == ring.capacity
+    for conn in senders:
+        assert seq_sub(conn.snd_una, conn.iss) > 1  # data, not only SYN
+        assert not conn.recv_buf._buf and not conn.recv_buf._present
+
+
+def test_bulk_flows_share_one_payload_chunk():
+    _, flows = _mesh_after_run()
+    assert len(flows.drivers) == 2
+    assert len({id(driver._payload) for driver in flows.drivers}) == 1
+
+
+#: ``_mesh_after_run()``'s retained bytes after one warm-up call:
+#: 208.6 kB (CPython 3.11, x86-64); with a deque and a set per MAC,
+#: receive rings for the senders and a chunk per flow it held 226.8 kB
+MESH_RETAINED_BUDGETS = {(3, 11): 220_000}
+#: the share of those bytes allocated in the MAC, the receive buffer and
+#: the flow drivers, against the rest of the mesh: 0.20 on 3.11, 0.35
+#: with the containers above.  A ratio of like objects, so it holds on
+#: the versions without a measured budget too
+MESH_OWN_SHARE_BUDGET = 0.25
+_MESH_OWN_FILES = {module.__file__ for module in (
+    repro.mac.link, repro.core.buffers, repro.experiments.workload)}
+
+
+def test_mesh_after_run_fits_its_budget():
+    _mesh_after_run()  # warm: first-call caches are not the mesh's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mesh = _mesh_after_run()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert mesh[1].drivers[0].connected
+    own = sum(stat.size for stat in snapshot.statistics("filename")
+              if stat.traceback[0].filename in _MESH_OWN_FILES)
+    assert own / (held - own) < MESH_OWN_SHARE_BUDGET, (own, held)
+    budget = MESH_RETAINED_BUDGETS.get(sys.version_info[:2])
+    if budget is not None:
+        assert held < budget, held
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ budget) — every refusal must be explicit in ``gw.shed``.
 """
 
 import asyncio
+import random
 
 import pytest
 
@@ -173,6 +174,33 @@ class TestSeededBackoffJitter:
                            max_attempts=6, jitter=1.0, seed=42)
         assert [a.next_delay() for _ in range(6)] == \
                [b.next_delay() for _ in range(6)]
+        # ...and that sequence is the seed's own: one uniform draw per
+        # attempt over [0, envelope], from a stream seeded with 42
+        rng = random.Random(42)
+        expected = [rng.uniform(0.0, min(64.0, 2.0 ** n)) for n in range(6)]
+        c = SessionBackoff(base=1.0, factor=2.0, ceiling=64.0,
+                           max_attempts=6, jitter=1.0, seed=42)
+        assert [c.next_delay() for _ in range(6)] == expected
+
+    def test_zero_jitter_never_builds_a_random(self, monkeypatch):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        b = SessionBackoff(base=0.5, factor=2.0, max_attempts=3, seed=9)
+        assert [b.next_delay() for _ in range(3)] == [0.5, 1.0, 2.0]
+        b.reset()
+        b.next_delay()
+        assert built == []
+        jittered = SessionBackoff(jitter=0.5, seed=9)
+        assert built == []  # built on the first jittered draw...
+        jittered.next_delay()
+        jittered.next_delay()
+        assert built == [(9,)]  # ...and only once
 
     def test_different_seeds_decorrelate(self):
         a = SessionBackoff(base=1.0, max_attempts=5, jitter=1.0, seed=1)

@@ -144,11 +144,66 @@ class TestReceiveBufferProperties:
             assert (buf.sack_ranges(rcv_nxt, max_blocks)
                     == _sack_ranges_per_byte(buf, rcv_nxt, max_blocks))
 
+    # The ring and its bitmap are allocated by the first in-window
+    # write; before it every read path must see an empty buffer.
+    @given(st.integers(min_value=1, max_value=64),
+           st.lists(st.one_of(st.none(), st.integers(0, 80)), max_size=5))
+    def test_read_before_first_write(self, cap, reads):
+        buf = ReceiveBuffer(cap)
+        for n in reads:
+            assert buf.read(n) == b""
+        assert (buf.available, buf.window, buf.out_of_order_bytes()) \
+            == (0, cap, 0)
+        assert buf.sack_ranges(0) == [] == _sack_ranges_per_byte(buf, 0, 3)
+        assert not buf._buf and not buf._present
+
+    @given(st.integers(min_value=1, max_value=64),
+           st.binary(min_size=0, max_size=40),
+           st.booleans(), st.integers(0, 40))
+    def test_write_outside_the_window_allocates_nothing(
+            self, cap, data, beyond, slack):
+        # wholly past the window's right edge, or wholly before rcv_nxt
+        rel = cap + slack if beyond else -len(data) - slack
+        buf = ReceiveBuffer(cap)
+        assert buf.write(rel, data) == 0
+        assert not buf._buf and not buf._present
+        assert (buf.available, buf.window, buf.out_of_order_bytes()) \
+            == (0, cap, 0)
+        assert buf.sack_ranges(0) == []
+        assert buf.write(0, b"\x07") == 1 and buf.read() == b"\x07"
+
+    @given(st.integers(min_value=1, max_value=64),
+           st.lists(st.one_of(st.none(), st.integers(0, 80)), max_size=5),
+           st.integers(-20, 80),
+           st.binary(min_size=1, max_size=80))
+    def test_first_write_after_reads(self, cap, reads, rel, data):
+        buf = ReceiveBuffer(cap)
+        for n in reads:
+            buf.read(n)
+        if rel < 0:  # the part before rcv_nxt is trimmed
+            data, rel = data[-rel:], 0
+        kept = data[:max(0, cap - rel)]
+        advanced = buf.write(rel, data)
+        assert advanced == (len(kept) if rel == 0 else 0)
+        assert buf.out_of_order_bytes() == len(kept) - advanced
+        assert buf.sack_ranges(0) == _sack_ranges_per_byte(buf, 0, 3)
+        if rel and kept:
+            assert buf.sack_ranges(0) == [(rel, rel + len(kept))]
+            gap = bytes(range(1, rel + 1))
+            assert buf.write(0, gap) == rel + len(kept)
+            assert buf.read() == gap + kept
+        else:
+            assert buf.read() == kept
+        assert buf.window == cap
+
 
 def _sack_ranges_per_byte(buf, rcv_nxt, max_blocks):
-    """The reference: walk the whole window one bitmap byte at a time."""
+    """The reference: walk the whole window one bitmap byte at a time.
+    A buffer that has not yet received a byte holds no bitmap; it reads
+    as all-absent."""
+    present = buf._present or bytes(buf.capacity)
     nxt = (buf._read_pos + buf.available) % buf.capacity
-    window = [buf._present[(nxt + off) % buf.capacity]
+    window = [present[(nxt + off) % buf.capacity]
               for off in range(buf.window)] + [0]
     blocks, run_start = [], None
     for off, present in enumerate(window):
