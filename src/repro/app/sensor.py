@@ -52,7 +52,7 @@ class AnemometerNode:
     def __init__(
         self,
         sim,
-        transport: "TransportAdapter",
+        transport: "_TransportAdapter",
         config: Optional[AnemometerConfig] = None,
         trace: Optional[TraceRecorder] = None,
     ):
@@ -100,7 +100,7 @@ class AnemometerNode:
     # ------------------------------------------------------------------
     # transport-facing interface
     # ------------------------------------------------------------------
-    def can_send(self) -> bool:
+    def _can_send(self) -> bool:
         """True while the transport should keep pulling readings."""
         if not self.queue:
             if self.config.batching:
@@ -108,7 +108,7 @@ class AnemometerNode:
             return False
         return self._draining
 
-    def pop_readings(self, max_count: int) -> bytes:
+    def _pop_readings(self, max_count: int) -> bytes:
         """Remove up to ``max_count`` readings and return their bytes."""
         out = bytearray()
         for _ in range(min(max_count, len(self.queue))):
@@ -117,12 +117,8 @@ class AnemometerNode:
             self._draining = False
         return bytes(out)
 
-    def reliability_against(self, delivered: int) -> float:
-        """Delivered / generated (the §9.2 reliability metric)."""
-        return delivered / self.generated if self.generated else 1.0
 
-
-class TransportAdapter:
+class _TransportAdapter:
     """Interface both transports implement."""
 
     def attach(self, app: AnemometerNode) -> None:
@@ -132,7 +128,7 @@ class TransportAdapter:
         raise NotImplementedError
 
 
-class TcpTransport(TransportAdapter):
+class TcpTransport(_TransportAdapter):
     """Ships readings over one long-lived TCPlp connection."""
 
     def __init__(
@@ -187,11 +183,11 @@ class TcpTransport(TransportAdapter):
         if self.app is None or self.conn is None or not self.conn.is_open:
             return
         room = self.conn.send_buf.free // self.app.config.reading_bytes
-        if room and self.app.can_send():
-            self.conn.send(self.app.pop_readings(room))
+        if room and self.app._can_send():
+            self.conn.send(self.app._pop_readings(room))
 
 
-class CoapTransport(TransportAdapter):
+class CoapTransport(_TransportAdapter):
     """Ships readings as CoAP POSTs (blockwise batches, §9.1).
 
     Nonconfirmable mode has no ACK to pace the sender, so messages are
@@ -213,7 +209,7 @@ class CoapTransport(TransportAdapter):
         """Post the next block if no exchange is outstanding."""
         if self.app is None or self.client.pending() > 0:
             return
-        if not self.app.can_send():
+        if not self.app._can_send():
             return
         if not self.confirmable:
             now = self.client.sim.now
@@ -222,11 +218,11 @@ class CoapTransport(TransportAdapter):
             self._paced_until = now + self.non_pacing
             self.client.sim.schedule(self.non_pacing, self.pull)
         per_msg = self.app.config.readings_per_message
-        payload = self.app.pop_readings(per_msg)
+        payload = self.app._pop_readings(per_msg)
         if not payload:
             return
         count = len(payload) // self.app.config.reading_bytes
-        more = self.app.can_send()
+        more = self.app._can_send()
         block = (self._block_num, more, 6)
         self._block_num = (self._block_num + 1) & 0xFFF
 
@@ -275,11 +271,6 @@ class ReadingServer:
         self.coap_readings += len(payload) // self.reading_bytes
 
     # ------------------------------------------------------------------
-    @property
-    def tcp_readings(self) -> int:
-        """Whole readings delivered over TCP."""
-        return self.tcp_bytes // self.reading_bytes
-
     def total_readings(self) -> int:
         """Readings delivered over both transports."""
-        return self.tcp_readings + self.coap_readings
+        return self.tcp_bytes // self.reading_bytes + self.coap_readings

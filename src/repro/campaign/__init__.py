@@ -40,7 +40,7 @@ from repro.campaign.engine import (CatalogResolver, ExecOptions, Job,
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.search import golden_section, grid_search
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.campaign.stats import aggregate, auto_metrics, bootstrap_ci
+from repro.campaign.stats import aggregate, bootstrap_ci
 from repro.campaign.store import ResultStore, code_salt
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "aggregate",
-    "auto_metrics",
     "bootstrap_ci",
     "code_salt",
     "execute_jobs",

@@ -1,19 +1,15 @@
 """Experiment catalog: a registry object instead of module-global state.
 
-Historically the runner kept extra experiments in a module-global dict
-behind ``register_experiment``/``unregister_experiment``, so campaigns
-and tests mutated shared process state.  :class:`ExperimentCatalog` is
-the replacement: an ordinary object holding ``name -> factory``
-entries, where a factory is a callable ``factory(quick, **params)``
-returning a JSON-serialisable result.  The default catalog (the
-paper's registry plus anything registered through the legacy shims)
-lives in :func:`repro.experiments.runner.default_catalog`; campaigns
-may pass their own catalog and never touch it.
+:class:`ExperimentCatalog` is an ordinary object holding ``name ->
+factory`` entries, where a factory is a callable ``factory(quick,
+**params)`` returning a JSON-serialisable result.  The default catalog
+(the paper's registry) lives in
+:func:`repro.experiments.runner.default_catalog`; campaigns may pass
+their own catalog and never touch it.
 
 Factories must be importable module-level callables (or
 ``functools.partial`` over them) so supervised and pooled runs can
-dispatch them to worker processes — the same contract the legacy
-``register_experiment`` documented.
+dispatch them to worker processes.
 
 :func:`resolve_selection` is the one name-resolver shared by the
 runner CLI (``--only``), the programmatic API (``only=``), and
@@ -107,7 +103,7 @@ class ExperimentCatalog:
         self._accepted.pop(name, None)
 
     def unregister(self, name: str) -> None:
-        """Remove an entry (idempotent, like the legacy shim)."""
+        """Remove an entry (idempotent)."""
         self._entries.pop(name, None)
         self._accepted.pop(name, None)
 
@@ -118,7 +114,7 @@ class ExperimentCatalog:
     # -- lookup --------------------------------------------------------
 
     def names(self) -> List[str]:
-        """Registration order, like the legacy registry."""
+        """Registration order."""
         return list(self._entries)
 
     def get(self, name: str) -> Callable:

@@ -68,7 +68,7 @@ class ExecOptions:
 Record = Tuple[str, object, float, bool, object, object, object]
 
 
-def run_job(job: Job, resolver: Callable, collect_metrics: bool = False,
+def _run_job(job: Job, resolver: Callable, collect_metrics: bool = False,
             fault_spec=None, verify: bool = False) -> Record:
     """Run one job; never raises (broken runs become error records).
 
@@ -126,7 +126,7 @@ def run_job(job: Job, resolver: Callable, collect_metrics: bool = False,
 def _supervised_entry(job: Job, resolver, collect_metrics, fault_spec,
                       verify, queue) -> None:
     """Worker-process entry point for supervised runs."""
-    queue.put(run_job(job, resolver, collect_metrics=collect_metrics,
+    queue.put(_run_job(job, resolver, collect_metrics=collect_metrics,
                       fault_spec=fault_spec, verify=verify))
 
 
@@ -258,7 +258,7 @@ def execute_jobs(
         import multiprocessing
 
         worker = functools.partial(
-            run_job, resolver=resolver,
+            _run_job, resolver=resolver,
             collect_metrics=options.collect_metrics,
             fault_spec=options.fault_spec, verify=options.verify)
         with multiprocessing.Pool(
@@ -275,7 +275,7 @@ def execute_jobs(
     for job in jobs:
         progress(f"[{disp[job.key]}] running ...")
         try:
-            record = run_job(job, resolver,
+            record = _run_job(job, resolver,
                              collect_metrics=options.collect_metrics,
                              fault_spec=options.fault_spec,
                              verify=options.verify)

@@ -149,7 +149,7 @@ class RunSpec:
         return dict(self.params)
 
     @property
-    def faults_dict(self) -> Optional[Dict]:
+    def _faults_dict(self) -> Optional[Dict]:
         return json.loads(self.faults[0]) if self.faults else None
 
     def call_params(self, accepted: set, var_kw: bool) -> Dict:
@@ -168,7 +168,7 @@ class RunSpec:
             "params": self.params_dict,
             "seed": self.seed,
             "quick": self.quick,
-            "faults": self.faults_dict,
+            "faults": self._faults_dict,
         }
 
     # -- content addressing -------------------------------------------

@@ -55,14 +55,14 @@ _T_TABLE: Dict[int, Sequence[float]] = {
 _Z_LIMIT = (1.282, 1.645, 1.960, 2.326, 2.576)
 
 
-def t_critical(df: int, confidence: float) -> float:
+def _t_critical(df: int, confidence: float) -> float:
     """Two-sided Student-t critical value for ``df`` degrees of freedom.
 
     Supported confidence levels: 0.80, 0.90, 0.95, 0.98, 0.99 (other
     levels should use the bootstrap method, which takes any level).
     """
     if df < 1:
-        raise ValueError("t_critical needs df >= 1")
+        raise ValueError("t-based intervals need df >= 1")
     try:
         col = _T_CONFIDENCES.index(round(confidence, 2))
     except ValueError:
@@ -193,7 +193,7 @@ def aggregate(
     else:
         stdev = _sample_stdev(kept, mean)
         if method == "t":
-            half = t_critical(n - 1, confidence) * stdev / math.sqrt(n)
+            half = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
             ci_low, ci_high = mean - half, mean + half
         elif method == "bootstrap":
             ci_low, ci_high = bootstrap_ci(
@@ -206,7 +206,7 @@ def aggregate(
                    ordered[0], ordered[-1], ci_low, ci_high).__dict__
 
 
-def auto_metrics(results: Sequence) -> List[str]:
+def _auto_metrics(results: Sequence) -> List[str]:
     """Result fields worth aggregating: numeric scalars present in
     every repetition's result dict (bools excluded — they are flags,
     not measurements).  Non-dict results have no auto metrics."""
@@ -229,7 +229,7 @@ def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
                    rng_seed: int = 0) -> Dict[str, Dict]:
     """One cell's successful results -> ``{metric: aggregate(samples)}``,
     a metric's samples being its numeric values across the dict results
-    (none: left out); ``metrics=None`` aggregates :func:`auto_metrics`."""
+    (none: left out); ``metrics=None`` aggregates :func:`_auto_metrics`."""
     records = {}
     if len(results) == 1 and isinstance(results[0], dict) and not warmup:
         # a lone repetition has nothing to discard, sort or bound, so its
@@ -241,14 +241,14 @@ def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
                    if isinstance(v, (int, float))
                    and v is not True and v is not False]
         if metrics is None:
-            samples.sort()  # auto_metrics' order
+            samples.sort()  # _auto_metrics' order
         for name, v in samples:
             mean = v + 0.0
             records[name] = _Record(1, confidence, method, 0, 0, mean, v,
                                     0.0, v, v, mean, mean).__dict__
         return records
     dicts = [r for r in results if isinstance(r, dict)]
-    for name in auto_metrics(results) if metrics is None else metrics:
+    for name in _auto_metrics(results) if metrics is None else metrics:
         samples = [v for v in (r.get(name) for r in dicts)
                    if isinstance(v, (int, float)) and not isinstance(v, bool)]
         if samples:

@@ -60,10 +60,6 @@ class NewRenoCongestion:
             return self.max_window
         return min(self.cwnd, self.max_window)
 
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
@@ -71,7 +67,7 @@ class NewRenoCongestion:
         """A cumulative ACK advanced snd_una outside recovery."""
         if not self.enabled or acked_bytes <= 0:
             return
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # slow start
             self.cwnd += min(acked_bytes, self.mss)
         else:
             # standard appropriate-byte-counting congestion avoidance

@@ -23,7 +23,7 @@ from repro.lowpan.iphc import PROTO_TCP, CompressionContext, compressed_ipv6_byt
 TCP_HEADER_WITH_TS = 32
 
 
-def max_datagram_for_frames(frames: int) -> int:
+def _max_datagram_for_frames(frames: int) -> int:
     """Largest 6LoWPAN datagram that fits in ``frames`` 802.15.4 frames."""
     if frames < 1:
         raise ValueError("need at least one frame")
@@ -49,7 +49,7 @@ def mss_for_frames(
         dst_prefix_context=not to_cloud, dst_iid_from_mac=not to_cloud
     )
     ip_header = compressed_ipv6_bytes(PROTO_TCP, ctx)
-    mss = max_datagram_for_frames(frames) - ip_header - tcp_header
+    mss = _max_datagram_for_frames(frames) - ip_header - tcp_header
     if mss <= 0:
         raise ValueError(f"{frames} frame(s) cannot fit headers")
     return mss
@@ -112,10 +112,6 @@ class TcpParams:
     #: echoes a timestamp older than the retransmission, the timeout was
     #: spurious and cwnd/ssthresh are restored (paper footnote 8)
     bad_rexmit_detection: bool = True
-
-    def effective_window(self) -> int:
-        """Receive window this endpoint can ever advertise."""
-        return self.recv_buffer
 
     def segments_per_window(self) -> int:
         """The 'w' of the paper's Equation 2."""

@@ -29,10 +29,6 @@ class SackScoreboard:
         """Snapshot of the SACKed ranges."""
         return list(self._ranges)
 
-    def sacked_bytes(self) -> int:
-        """Total bytes the receiver reported holding."""
-        return sum((hi - lo) % (1 << 32) for lo, hi in self._ranges)
-
     def update(self, blocks: List[Tuple[int, int]], snd_una: int) -> None:
         """Merge the SACK blocks of one ACK; prune below snd_una."""
         for left, right in blocks:
@@ -64,13 +60,6 @@ class SackScoreboard:
             kept.append((seq_max(lo, snd_una), hi))
         self._ranges = kept
 
-    def is_sacked(self, left: int, right: int) -> bool:
-        """True if [left, right) lies entirely inside one SACKed range."""
-        for lo, hi in self._ranges:
-            if seq_ge(left, lo) and seq_le(right, hi):
-                return True
-        return False
-
     def first_hole(
         self, snd_una: int, snd_nxt: int, mss: int
     ) -> Optional[Tuple[int, int]]:
@@ -90,7 +79,3 @@ class SackScoreboard:
                     return cursor, (cursor + min(length, mss)) % (1 << 32)
             cursor = seq_max(cursor, hi)
         return None
-
-    def highest_sacked(self) -> Optional[int]:
-        """The right edge of the highest SACKed range."""
-        return self._ranges[-1][1] if self._ranges else None

@@ -1,10 +1,11 @@
 """TCP segments: flags, header arithmetic, and a byte codec.
 
 Segments carry real application bytes through the simulator so tests
-can assert end-to-end data integrity.  ``header_bytes`` is the exact
-wire size (20 + padded options) — this is what Table 6's "TCP: 20 B to
-44 B" row measures (20 base + 12 timestamps + 12 for one SACK block
-hits the 44-byte maximum the paper reports).
+can assert end-to-end data integrity.  ``wire_bytes`` of a segment
+without data is the exact header size (20 + padded options) — this is
+what Table 6's "TCP: 20 B to 44 B" row measures (20 base + 12
+timestamps + 12 for one SACK block hits the 44-byte maximum the paper
+reports).
 """
 
 from __future__ import annotations
@@ -70,21 +71,18 @@ class Segment:
 
     # -- sizes ----------------------------------------------------------
     @property
-    def header_bytes(self) -> int:
-        """Exact header size: 20 + padded options."""
-        return TCP_BASE_HEADER_BYTES + self.options.wire_bytes()
-
-    @property
     def wire_bytes(self) -> int:
-        """Header plus payload: what the segment costs on the wire."""
-        return self.header_bytes + len(self.data)
+        """Header (20 + padded options) plus payload: what the segment
+        costs on the wire."""
+        return (TCP_BASE_HEADER_BYTES + self.options.wire_bytes()
+                + len(self.data))
 
     @property
     def seg_len(self) -> int:
         """Sequence space consumed: data plus SYN/FIN."""
         return len(self.data) + (1 if self.syn else 0) + (1 if self.fin else 0)
 
-    def flag_names(self) -> str:
+    def _flag_names(self) -> str:
         """Human-readable flags for traces, e.g. 'SYN|ACK'."""
         names = []
         for bit, name in [
@@ -140,6 +138,6 @@ class Segment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Seg {self.src_port}->{self.dst_port} {self.flag_names()} "
+            f"<Seg {self.src_port}->{self.dst_port} {self._flag_names()} "
             f"seq={self.seq} ack={self.ack} len={len(self.data)} wnd={self.window}>"
         )

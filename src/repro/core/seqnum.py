@@ -52,8 +52,3 @@ def seq_max(a: int, b: int) -> int:
 def seq_min(a: int, b: int) -> int:
     """The earlier of two sequence numbers."""
     return a if seq_le(a, b) else b
-
-
-def seq_between(low: int, x: int, high: int) -> bool:
-    """low <= x < high on the circle."""
-    return seq_le(low, x) and seq_lt(x, high)

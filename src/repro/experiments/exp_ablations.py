@@ -46,7 +46,7 @@ ABLATIONS: Dict[str, Callable[[TcpParams], TcpParams]] = {
 }
 
 
-def run_ablation(
+def _run_ablation(
     name: str,
     scenario: str = "lossy-1hop",
     seed: int = 0,
@@ -112,6 +112,6 @@ def run_ablation_table(
 ) -> List[Dict]:
     """All ablations on one scenario."""
     return [
-        run_ablation(name, scenario=scenario, seed=seed, duration=duration)
+        _run_ablation(name, scenario=scenario, seed=seed, duration=duration)
         for name in ABLATIONS
     ]

@@ -46,7 +46,7 @@ LEAF_POLL = PollParams(poll_interval=240.0, fast_poll_interval=0.1,
 
 
 @dataclass
-class AppRunResult:
+class _AppRunResult:
     """Per-protocol outcome of one application-study run."""
 
     protocol: str
@@ -84,7 +84,7 @@ def run_app_study(
     mss_frames: int = 5,
     confirmable: bool = True,
     sample_interval: float = 1.0,
-) -> AppRunResult:
+) -> _AppRunResult:
     """One run of the §9 workload.
 
     ``protocol`` is "tcp", "coap", or "cocoa"; ``confirmable=False``
@@ -150,7 +150,7 @@ def run_app_study(
     counts = {name: value - before[name]
               for name, value in _leaf_counters(net).items()}
     duty = _leaf_duty_cycles(net)
-    return AppRunResult(
+    return _AppRunResult(
         protocol=protocol if confirmable else f"{protocol}-unreliable",
         reliability=min(1.0, delivered / generated) if generated else 1.0,
         radio_duty_cycle=duty["radio"],
@@ -168,7 +168,7 @@ def _readings_per_message(mss_frames: int) -> int:
     return max(1, mss_for_frames(mss_frames, to_cloud=True) // 82)
 
 
-#: AppRunResult field -> the leaf counters it sums (both transports and
+#: _AppRunResult field -> the leaf counters it sums (both transports and
 #: the MAC record into their leaf node's TraceRecorder)
 _LEAF_COUNTERS = {
     "retransmissions": ("tcp.retransmits", "coap.retransmissions"),

@@ -80,7 +80,7 @@ def _build_fairness_net(
 
 
 @dataclass
-class FairnessResult:
+class _FairnessResult:
     """Outcome of one two-flow experiment (one Table 9 row pair)."""
 
     hops: int
@@ -113,7 +113,7 @@ class FairnessResult:
         return (a + b) ** 2 / (2 * (a * a + b * b))
 
 
-def run_two_flows(
+def _run_two_flows(
     hops: int,
     window_segments: int = 4,
     red: bool = False,
@@ -121,7 +121,7 @@ def run_two_flows(
     seed: int = 0,
     warmup: float = 10.0,
     duration: float = 120.0,
-) -> FairnessResult:
+) -> _FairnessResult:
     """Run two simultaneous upstream flows and measure sharing."""
     red_params = RedParams(use_ecn=ecn) if red else None
     net = _build_fairness_net(hops, seed, red_params)
@@ -157,7 +157,7 @@ def run_two_flows(
             "loss": retx / segs if segs else 0.0,
             "rtt_median": percentile(rtts, 50) if rtts else 0.0,
         })
-    return FairnessResult(
+    return _FairnessResult(
         hops=hops,
         window_segments=window_segments,
         red=red,
@@ -170,7 +170,7 @@ def run_two_flows(
     )
 
 
-def run_single_flow_baseline(
+def _run_single_flow_baseline(
     hops: int, seed: int = 0, duration: float = 120.0
 ) -> float:
     """One flow alone (the Table 9 'A' / 'B' single-flow rows), kb/s."""
@@ -187,11 +187,11 @@ def run_table9(seed: int = 0, duration: float = 120.0) -> List[Dict]:
     """Table 9 plus the Appendix A RED/ECN rows."""
     rows = []
     for hops in (1, 3):
-        solo = run_single_flow_baseline(hops, seed=seed, duration=duration)
+        solo = _run_single_flow_baseline(hops, seed=seed, duration=duration)
         rows.append({"hops": hops, "config": "single flow",
                      "goodput_kbps": solo})
         for window, red in ((4, False), (7, False), (7, True)):
-            r = run_two_flows(hops, window_segments=window, red=red,
+            r = _run_two_flows(hops, window_segments=window, red=red,
                               seed=seed, duration=duration)
             rows.append({
                 "hops": hops,

@@ -13,7 +13,7 @@ from repro.models.throughput import lln_model_goodput, mathis_goodput
 DEFAULT_DELAYS = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.1)
 
 
-def run_retry_delay_point(
+def _run_retry_delay_point(
     hops: int,
     delay: float,
     seed: int = 0,
@@ -85,7 +85,7 @@ def run_fig6_sweep(
 ) -> List[Dict]:
     """Figure 6a (hops=1) / 6b-6d (hops=3): the full d sweep."""
     return [
-        run_retry_delay_point(hops, d, seed=seed, duration=duration,
+        _run_retry_delay_point(hops, d, seed=seed, duration=duration,
                               ambient_frame_loss=ambient_frame_loss)
         for d in delays
     ]
@@ -100,7 +100,7 @@ def run_fig7a_cwnd_trace(
     The signature observation (§7.3): cwnd sits pinned at the 4-segment
     maximum almost all the time despite frequent losses.
     """
-    row = run_retry_delay_point(
+    row = _run_retry_delay_point(
         3, 0.0, seed=seed, duration=duration, record_cwnd=True
     )
     series = row["cwnd_series"]
@@ -128,7 +128,7 @@ def run_eq2_validation(
     """§8: empirical goodput vs Equation 2 vs Equation 1."""
     rows = []
     for hops, d in hops_delays:
-        row = run_retry_delay_point(hops, d, seed=seed, duration=duration)
+        row = _run_retry_delay_point(hops, d, seed=seed, duration=duration)
         pred = row["predicted_kbps"]
         meas = row["goodput_kbps"]
         row["model_error"] = abs(pred - meas) / meas if meas else float("inf")

@@ -40,7 +40,7 @@ from repro.phy.medium import UniformLoss
 
 
 @dataclass
-class StackContext:
+class _StackContext:
     """How one Table 7 row's study was configured."""
 
     name: str
@@ -54,7 +54,7 @@ class StackContext:
 
 
 TABLE7_ROWS = [
-    StackContext(
+    _StackContext(
         name="uIP [112]",
         params_factory=lambda: uip_params(mss_frames=1),
         platform="telosb",
@@ -63,7 +63,7 @@ TABLE7_ROWS = [
         link_retries=2,
         paper_one_hop_kbps=1.5, paper_multihop_kbps=0.55,
     ),
-    StackContext(
+    _StackContext(
         name="uIP [50]",
         params_factory=lambda: uip_params(mss_frames=4),
         platform="hamilton",
@@ -72,7 +72,7 @@ TABLE7_ROWS = [
         link_retries=2,
         paper_one_hop_kbps=12.0, paper_multihop_kbps=12.0,
     ),
-    StackContext(
+    _StackContext(
         name="BLIP [66]",
         params_factory=lambda: blip_params(mss_frames=1),
         platform="telosb",
@@ -80,7 +80,7 @@ TABLE7_ROWS = [
         link_retries=2,
         paper_one_hop_kbps=4.8, paper_multihop_kbps=2.4,
     ),
-    StackContext(
+    _StackContext(
         name="Arch Rock [53]",
         params_factory=arch_rock_params,
         platform="telosb",
@@ -88,7 +88,7 @@ TABLE7_ROWS = [
         link_retries=2,
         paper_one_hop_kbps=15.0, paper_multihop_kbps=9.6,
     ),
-    StackContext(
+    _StackContext(
         name="TCPlp",
         params_factory=lambda: tcplp_params(),
         platform="hamilton",
@@ -97,8 +97,8 @@ TABLE7_ROWS = [
 ]
 
 
-def run_stack_context(
-    ctx: StackContext,
+def _run_stack_context(
+    ctx: _StackContext,
     hops: int,
     seed: int = 0,
     warmup: float = 10.0,
@@ -140,8 +140,8 @@ def run_table7(
     """The full Table 7: one-hop and multihop goodput per stack."""
     rows = []
     for ctx in TABLE7_ROWS:
-        one = run_stack_context(ctx, 1, seed=seed, duration=duration)
-        multi = run_stack_context(ctx, multihop_hops, seed=seed,
+        one = _run_stack_context(ctx, 1, seed=seed, duration=duration)
+        multi = _run_stack_context(ctx, multihop_hops, seed=seed,
                                   duration=duration)
         rows.append({
             "stack": ctx.name,

@@ -2,8 +2,7 @@
 
 The library deliberately has no plotting dependency; these helpers
 render the paper's figures as terminal graphics — step-function time
-series (Fig. 7a-style), horizontal bar charts (Fig. 8/9-style), and a
-topology map (Fig. 3-style).  Examples and the batch runner use them;
+series (Fig. 7a-style) and a topology map (Fig. 3-style).  Examples and the batch runner use them;
 anything fancier can consume the JSON from
 :mod:`repro.experiments.runner`.
 """
@@ -43,24 +42,7 @@ def render_series(
     return "\n".join(lines)
 
 
-def render_bars(
-    values: Dict[str, float],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """Render a labelled horizontal bar chart."""
-    if not values:
-        return "(no data)"
-    label_w = max(len(k) for k in values)
-    max_v = max(values.values()) or 1.0
-    lines = []
-    for label, value in values.items():
-        bar = "#" * max(1 if value > 0 else 0, int(round(width * value / max_v)))
-        lines.append(f"{label.ljust(label_w)} | {bar} {value:g}{unit}")
-    return "\n".join(lines)
-
-
-def render_topology(
+def _render_topology(
     positions: Dict[int, Tuple[float, float]],
     routes: Iterable[Tuple[int, int]] = (),
     width: int = 64,
@@ -125,4 +107,4 @@ def render_network_map(net) -> str:
     labels = {net.border_id: f"[{net.border_id}]"}
     for leaf in net.leaf_ids:
         labels[leaf] = f"({leaf})"
-    return render_topology(positions, routes, labels=labels)
+    return _render_topology(positions, routes, labels=labels)

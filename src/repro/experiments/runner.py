@@ -47,7 +47,7 @@ import functools
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 from repro.campaign.engine import ExecOptions, Job, execute_jobs
@@ -211,8 +211,7 @@ def _exp_ablations_3hop(quick: bool):
 
 
 #: the process-wide default catalog: the paper's figures/tables plus
-#: the parameterised campaign grid cells (exp_cells), plus anything
-#: registered through the legacy shims below
+#: the parameterised campaign grid cells (exp_cells)
 DEFAULT_CATALOG = ExperimentCatalog({
     "static_tables": _exp_static_tables,
     "fig4_mss": _exp_fig4_mss,
@@ -249,46 +248,6 @@ def default_catalog() -> ExperimentCatalog:
     return DEFAULT_CATALOG
 
 
-def register_experiment(name: str,
-                        factory: Callable[[bool], object]) -> None:
-    """Add ``name`` to the default catalog; ``factory(quick)`` runs it.
-
-    Deprecated compatibility shim over
-    ``default_catalog().register(name, factory)`` — prefer building
-    your own :class:`~repro.campaign.catalog.ExperimentCatalog` (or a
-    ``default_catalog().copy()``) and passing it to ``run_campaign``,
-    which keeps registrations out of shared process state.
-
-    Supervised (``--timeout``) runs re-import this module in a worker
-    process, so factories registered from ``__main__`` or a test module
-    must be importable there (module-level functions, not closures).
-    """
-    DEFAULT_CATALOG.register(name, factory)
-
-
-def unregister_experiment(name: str) -> None:
-    """Remove a :func:`register_experiment` entry (test cleanup).
-
-    Deprecated compatibility shim over
-    ``default_catalog().unregister(name)``.
-    """
-    DEFAULT_CATALOG.unregister(name)
-
-
-def experiment_registry(quick: bool) -> Dict[str, Callable[[], object]]:
-    """Experiment name -> runnable, scaled by ``quick``.
-
-    Compatibility view of :func:`default_catalog` (the legacy
-    zero-argument-thunk shape); campaign code uses the catalog
-    directly.
-    """
-    return {
-        name: functools.partial(factory, quick)
-        for name, factory in
-        ((n, DEFAULT_CATALOG.get(n)) for n in DEFAULT_CATALOG.names())
-    }
-
-
 def _strip_series(row: Dict) -> Dict:
     out = dict(row)
     for key in ("cwnd_series", "ssthresh_series"):
@@ -309,14 +268,13 @@ def _strip_rtt_samples(rows):
 
 
 def _registry_resolver(experiment: str, quick: bool, params: Dict):
-    """Engine resolver over :func:`experiment_registry`.
+    """Engine resolver over :data:`DEFAULT_CATALOG`.
 
-    Reads the registry at call time (inside the worker), so tests
-    that monkeypatch ``experiment_registry`` — and factories
-    registered after import — are honoured in every execution mode.
+    Reads the catalog at call time (inside the worker), so factories
+    registered after import are honoured in every execution mode.
     """
-    fn = experiment_registry(quick)[experiment]
-    return functools.partial(fn, **params) if params else fn
+    return functools.partial(DEFAULT_CATALOG.get(experiment), quick,
+                             **params)
 
 
 def run_all_detailed(
@@ -365,7 +323,7 @@ def run_all_detailed(
     :func:`~repro.campaign.catalog.resolve_selection` rules (comma- or
     space-separated, close-match suggestions on typos).
     """
-    registry_names = list(experiment_registry(quick))
+    registry_names = DEFAULT_CATALOG.names()
     selection = resolve_selection(only, registry_names)
     names: List[str] = [
         name for name in registry_names
@@ -434,14 +392,6 @@ def run_all_detailed(
     return results, meta
 
 
-def run_all(quick: bool = True, only=None, progress=print,
-            jobs: int = 1) -> Dict:
-    """Run the registry; returns {experiment: result-or-error}."""
-    results, _ = run_all_detailed(quick=quick, only=only,
-                                  progress=progress, jobs=jobs)
-    return results
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -489,7 +439,7 @@ def main(argv=None) -> int:
                              "retry, doubled per attempt (default 2.0)")
     args = parser.parse_args(argv)
     if args.list:
-        for name in experiment_registry(args.quick):
+        for name in DEFAULT_CATALOG.names():
             print(name)
         return 0
     if args.jobs < 1:

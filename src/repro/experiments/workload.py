@@ -372,7 +372,7 @@ class FlowSet:
             else:
                 self._launch(index)
 
-    def stack_for(self, node_id: int) -> TcpStack:
+    def _stack_for(self, node_id: int) -> TcpStack:
         """The shared per-node stack (built on first use)."""
         stack = self._stacks.get(node_id)
         if stack is None:
@@ -384,8 +384,8 @@ class FlowSet:
 
     def _launch(self, index: int) -> None:
         spec = self.specs[index]
-        sender = self.stack_for(spec.src)
-        receiver = self.stack_for(spec.dst)
+        sender = self._stack_for(spec.src)
+        receiver = self._stack_for(spec.dst)
         common = dict(
             port=self.ports[index],
             params=spec.params or self.params,

@@ -137,10 +137,6 @@ class ProcessFaultSchedule:
     def to_dict(self) -> Dict[str, object]:
         return {"name": self.name, "faults": [dict(f) for f in self.faults]}
 
-    def by_kind(self, kind: str) -> List[Dict[str, object]]:
-        """All faults of one kind, in spec order."""
-        return [f for f in self.faults if f["kind"] == kind]
-
     def gateway_ops(self) -> List[Dict[str, object]]:
         """Gateway client operations ordered by firing time."""
         return sorted(self.faults, key=lambda f: f["at"])
@@ -161,7 +157,7 @@ def _rst_close(writer: asyncio.StreamWriter) -> None:
     writer.transport.abort()
 
 
-async def chaos_client_reset(host: str, port: int, count: int) -> Dict[str, Any]:
+async def _chaos_client_reset(host: str, port: int, count: int) -> Dict[str, Any]:
     """Connect ``count`` clients and reset each immediately."""
     done = 0
     for _ in range(count):
@@ -174,7 +170,7 @@ async def chaos_client_reset(host: str, port: int, count: int) -> Dict[str, Any]
     return {"sent": done}
 
 
-async def chaos_partial_write(host: str, port: int, count: int,
+async def _chaos_partial_write(host: str, port: int, count: int,
                               nbytes: int) -> Dict[str, Any]:
     """Write ``nbytes`` of a request, then reset mid-exchange."""
     done = 0
@@ -190,7 +186,7 @@ async def chaos_partial_write(host: str, port: int, count: int,
     return {"sent": done}
 
 
-async def chaos_slow_loris(host: str, port: int, count: int, hold: float,
+async def _chaos_slow_loris(host: str, port: int, count: int, hold: float,
                            prelude_bytes: int) -> Dict[str, Any]:
     """Hold ``count`` connections open and idle for up to ``hold`` s.
 
@@ -220,7 +216,7 @@ async def chaos_slow_loris(host: str, port: int, count: int, hold: float,
     return {"sent": count, "reaped": sum(results)}
 
 
-async def chaos_accept_storm(host: str, port: int,
+async def _chaos_accept_storm(host: str, port: int,
                              connections: int) -> Dict[str, Any]:
     """A burst of real echo clients far past the admission cap."""
     from repro.gateway.loadgen import run_tcp_loadgen
@@ -236,7 +232,7 @@ async def chaos_accept_storm(host: str, port: int,
     }
 
 
-async def probe_echo(host: str, port: int, nbytes: int = 4096,
+async def _probe_echo(host: str, port: int, nbytes: int = 4096,
                      timeout: float = 30.0, attempts: int = 10,
                      retry_delay: float = 0.25) -> Dict[str, Any]:
     """A clean bulk echo — the post-abuse recovery probe.
@@ -330,15 +326,15 @@ async def run_gateway_chaos(
                 await asyncio.sleep(delay)
             kind = op["kind"]
             if kind == "client_reset":
-                result = await chaos_client_reset(host, port, op["count"])
+                result = await _chaos_client_reset(host, port, op["count"])
             elif kind == "partial_write":
-                result = await chaos_partial_write(
+                result = await _chaos_partial_write(
                     host, port, op["count"], op["bytes"])
             elif kind == "slow_loris":
-                result = await chaos_slow_loris(
+                result = await _chaos_slow_loris(
                     host, port, op["count"], op["hold"], op["prelude_bytes"])
             else:  # accept_storm
-                result = await chaos_accept_storm(
+                result = await _chaos_accept_storm(
                     host, port, op["connections"])
                 corrupt += result["corrupt"]
                 unshed_failures += result["errors"]
@@ -346,7 +342,7 @@ async def run_gateway_chaos(
                                 wall_s=round(_time.monotonic() - t0, 3)))
 
         last_fault_wall = _time.monotonic()
-        probe = await probe_echo(host, port, timeout=probe_timeout)
+        probe = await _probe_echo(host, port, timeout=probe_timeout)
         recovery_s = _time.monotonic() - last_fault_wall
 
         # the reaper owes us quiescence: loris/reset remnants must drain

@@ -193,9 +193,5 @@ class FaultSchedule:
             faults.append(entry)
         return {"name": self.name, "faults": faults}
 
-    def by_kind(self, kind: str) -> List[Dict[str, object]]:
-        """All faults of one kind, in spec order."""
-        return [f for f in self.faults if f["kind"] == kind]
-
     def __len__(self) -> int:
         return len(self.faults)

@@ -22,9 +22,10 @@ import sys
 from repro.experiments.topology import build_chain
 from repro.gateway.limits import GatewayLimits
 from repro.gateway.server import Gateway, MoteBinding, install_echo, install_sink
+from repro.sim.engine import RealtimePacer, SimulationError
 
 
-async def serve(args) -> int:
+async def _serve(args, limits: GatewayLimits) -> int:
     net = build_chain(args.hops, seed=args.seed)
     mote = args.hops  # the far end of the chain
     if args.app == "echo":
@@ -39,17 +40,6 @@ async def serve(args) -> int:
         MoteBinding(node_id=mote, sim_port=args.sim_port,
                     host=args.host, port=args.udp_port, kind="udp"),
     ]
-    limits = GatewayLimits(
-        max_connections=args.max_connections,
-        accept_rate=args.accept_rate,
-        establish_timeout=args.establish_timeout,
-        idle_timeout=args.idle_timeout,
-        splice_budget=args.splice_budget,
-        breaker_threshold=args.breaker_threshold,
-        backlog=args.backlog,
-        high_water=args.high_water,
-        low_water=args.low_water,
-    )
     gateway = Gateway(net, bindings, speed=args.speed,
                       slack_budget=args.slack_budget, limits=limits)
     await gateway.start()
@@ -82,7 +72,8 @@ async def serve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m repro.gateway",
+                                     description=__doc__)
     parser.add_argument("--hops", type=int, default=2,
                         help="mesh chain length (mote sits at the far end)")
     parser.add_argument("--seed", type=int, default=1)
@@ -117,8 +108,24 @@ def main(argv=None) -> int:
     overload.add_argument("--low-water", type=int, default=16 * 1024,
                           help="per-bridge resume watermark (bytes)")
     args = parser.parse_args(argv)
+    # refuse bad numbers before a socket is bound: one line, exit 2
     try:
-        return asyncio.run(serve(args))
+        RealtimePacer(speed=args.speed, slack_budget=args.slack_budget)
+        limits = GatewayLimits(
+            max_connections=args.max_connections,
+            accept_rate=args.accept_rate,
+            establish_timeout=args.establish_timeout,
+            idle_timeout=args.idle_timeout,
+            splice_budget=args.splice_budget,
+            breaker_threshold=args.breaker_threshold,
+            backlog=args.backlog,
+            high_water=args.high_water,
+            low_water=args.low_water,
+        )
+    except (ValueError, SimulationError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    try:
+        return asyncio.run(_serve(args, limits))
     except KeyboardInterrupt:
         return 0
 

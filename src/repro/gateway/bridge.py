@@ -40,7 +40,7 @@ class SessionBackoff:
 
     ``delay(n)`` for attempt ``n`` is ``base * factor**n`` clipped to
     ``ceiling``; after ``max_attempts`` failed attempts the policy is
-    ``exhausted`` and the bridge gives up on the client.
+    exhausted and the bridge gives up on the client.
 
     ``jitter`` spreads each delay uniformly over
     ``[(1 - jitter) * d, d]`` so a mass disconnect doesn't synchronize
@@ -76,12 +76,12 @@ class SessionBackoff:
         self._rng: Optional[random.Random] = None
 
     @property
-    def exhausted(self) -> bool:
+    def _exhausted(self) -> bool:
         return self.attempts >= self.max_attempts
 
-    def next_delay(self) -> float:
+    def _next_delay(self) -> float:
         """Delay before the next retry; counts the attempt."""
-        if self.exhausted:
+        if self._exhausted:
             raise RuntimeError("backoff exhausted")
         delay = min(self.ceiling, self.base * self.factor ** self.attempts)
         self.attempts += 1
@@ -249,10 +249,10 @@ class TcpBridge(asyncio.Protocol):
             conn.on_close = None
         if self._closed:
             return
-        if not self.established and not self.backoff.exhausted:
+        if not self.established and not self.backoff._exhausted:
             # session backoff: retry the simulated open while the
             # client is still waiting on the real socket
-            delay = self.backoff.next_delay()
+            delay = self.backoff._next_delay()
             self.gateway.count_retry()
             self._retry_handle = asyncio.get_running_loop().call_later(
                 delay, self.gateway.runner.inject, self._open_sim

@@ -30,6 +30,7 @@ configs opt in per deployment.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -151,10 +152,6 @@ class SpliceBudget:
         self.used = max(0, self.used - n)
 
     @property
-    def exhausted(self) -> bool:
-        return self.used > self.total
-
-    @property
     def should_resume(self) -> bool:
         return self.used <= self.total * self.resume_ratio
 
@@ -194,6 +191,11 @@ class GatewayLimits:
     reap_interval: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and (isinstance(value, bool)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number "
+                                 f"(got {value!r})")
         if self.max_connections is not None and self.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         if self.accept_rate is not None and self.accept_rate <= 0:

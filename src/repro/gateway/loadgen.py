@@ -41,7 +41,7 @@ class LoadgenReport:
     error_detail: List[str] = field(default_factory=list)
 
     @classmethod
-    def from_latencies(
+    def _from_latencies(
         cls,
         mode: str,
         latencies: List[float],
@@ -174,7 +174,7 @@ async def run_tcp_loadgen(
 
     wall0 = _time.monotonic()
     await asyncio.gather(*(one(i) for i in range(connections)))
-    return LoadgenReport.from_latencies(
+    return LoadgenReport._from_latencies(
         "tcp-echo", latencies, errors, connections,
         concurrency or connections, _time.monotonic() - wall0,
         shed=shed, corrupt=corrupt,
@@ -230,7 +230,7 @@ async def run_udp_loadgen(
 
     wall0 = _time.monotonic()
     await asyncio.gather(*(one(i) for i in range(connections)))
-    return LoadgenReport.from_latencies(
+    return LoadgenReport._from_latencies(
         "udp-echo", latencies, errors, connections,
         concurrency or connections, _time.monotonic() - wall0,
     )

@@ -12,8 +12,8 @@ and outside input never lands in the simulation's past.
 
 Slack accounting (how late each dispatch ran, how far behind the wall
 the clock was when an input arrived) is delegated to the engine's
-:class:`~repro.sim.engine.RealtimePacer`, so the gateway exports the
-same ``rt.*`` metrics as a plain :meth:`Simulator.run_realtime` loop.
+:class:`~repro.sim.engine.RealtimePacer`, which exports the ``rt.*``
+metrics.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class PacedSimRunner:
             raise RuntimeError("runner already started")
         self._stopped = False
         self.pacer.resync(self.sim.now)
-        self.sim.realtime_pacer = self.pacer
         self._task = asyncio.get_running_loop().create_task(
             self._loop(), name="paced-sim-runner"
         )

@@ -376,10 +376,6 @@ class Gateway:
         """The pacer's slack summary (see RealtimePacer.stats)."""
         return self.runner.pacer.stats()
 
-    def write_metrics(self, path) -> dict:
-        """Dump the full metrics snapshot (rt.* + gw.* + stack) to JSON."""
-        return self.sim.metrics.write_json(path)
-
 
 # ----------------------------------------------------------------------
 # in-sim applications and topology helpers

@@ -72,7 +72,7 @@ async def _bulk_echo(host: str, port: int, nbytes: int,
     }
 
 
-async def run_smoke(
+async def _run_smoke(
     out: Optional[str] = None,
     connections: int = 200,
     bulk_bytes: int = 64 * 1024,
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
                         help="gateway connection cap during the smoke")
     args = parser.parse_args(argv)
 
-    artifact = asyncio.run(run_smoke(
+    artifact = asyncio.run(_run_smoke(
         out=args.out,
         connections=args.connections,
         bulk_bytes=args.bulk_bytes,

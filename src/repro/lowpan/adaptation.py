@@ -132,10 +132,6 @@ class LowpanAdaptation:
         for frag in frags:
             self.mac.send(frag, frag.wire_bytes, next_hop, on_done=frag_done)
 
-    def frames_for(self, datagram_bytes: int) -> int:
-        """Frames needed for a datagram of this compressed size."""
-        return self.fragmenter.frames_for(datagram_bytes)
-
     def _reassemble_if_local(self, dst: int) -> bool:
         return dst == self.node_id
 

@@ -61,21 +61,13 @@ class Fragmenter:
         self.max_frame_payload = max_frame_payload
         self._tag = 0
 
-    def max_first_payload(self) -> int:
+    def _max_first_payload(self) -> int:
         """Largest FRAG1 payload (multiple of 8)."""
         return (self.max_frame_payload - FRAG1_HEADER_BYTES) // 8 * 8
 
-    def max_next_payload(self) -> int:
+    def _max_next_payload(self) -> int:
         """Largest FRAGN payload (multiple of 8)."""
         return (self.max_frame_payload - FRAGN_HEADER_BYTES) // 8 * 8
-
-    def frames_for(self, datagram_bytes: int) -> int:
-        """How many frames a datagram of this size needs."""
-        if datagram_bytes <= self.max_frame_payload:
-            return 1
-        remaining = datagram_bytes - self.max_first_payload()
-        per_next = self.max_next_payload()
-        return 1 + (remaining + per_next - 1) // per_next
 
     def fragment(self, packet: object, datagram_bytes: int, final_dst: int) -> List[Fragment]:
         """Fragment ``packet`` (of compressed size ``datagram_bytes``)."""
@@ -97,7 +89,7 @@ class Fragmenter:
                 )
             ]
         frags: List[Fragment] = []
-        first_len = self.max_first_payload()
+        first_len = self._max_first_payload()
         frags.append(
             Fragment(
                 origin=self.node_id,
@@ -111,7 +103,7 @@ class Fragmenter:
             )
         )
         offset = first_len
-        per_next = self.max_next_payload()
+        per_next = self._max_next_payload()
         while offset < datagram_bytes:
             length = min(per_next, datagram_bytes - offset)
             frags.append(

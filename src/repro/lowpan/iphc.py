@@ -25,7 +25,6 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 IPHC_BASE_BYTES = 2  # dispatch + IPHC encoding bytes
-UNCOMPRESSED_IPV6_BYTES = 40
 UNCOMPRESSED_UDP_BYTES = 8
 
 
@@ -107,8 +106,3 @@ def worst_case_ipv6() -> int:
             hop_limit_compressible=False,
         ),
     )
-
-
-def compression_savings(next_header: int, ctx: CompressionContext) -> int:
-    """Bytes saved versus the uncompressed 40-byte IPv6 header."""
-    return UNCOMPRESSED_IPV6_BYTES - compressed_ipv6_bytes(next_header, ctx)

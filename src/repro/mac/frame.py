@@ -89,10 +89,6 @@ class Frame:
         else:
             self.byte_size = DATA_HEADER_BYTES + payload_bytes
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST
-
     def encode(self, payload_bytes: Optional[bytes] = None) -> bytes:
         """Serialise to wire bytes.
 

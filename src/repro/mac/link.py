@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, KeysView, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.mac.frame import BROADCAST, Frame, FrameKind
 from repro.phy.energy import RadioState
@@ -225,15 +225,10 @@ class MacLayer:
         """Frames waiting (not counting the one in flight)."""
         return len(self._queue)
 
-    def indirect_depth(self, child: int) -> int:
+    def _indirect_depth(self, child: int) -> int:
         """Frames parked for a sleepy child."""
         q = self._indirect.get(child)
         return len(q) if q else 0
-
-    @property
-    def sleepy_children(self) -> KeysView[int]:
-        """The children whose frames wait for a poll (read-only view)."""
-        return self._indirect.keys()
 
     def mark_sleepy_child(self, child: int) -> None:
         """Route future frames for ``child`` through the indirect queue."""
@@ -463,7 +458,7 @@ class MacLayer:
                 dst=frame.src,
                 seq=frame.seq,
                 pending=(kind is _DATA_REQUEST
-                         and self.indirect_depth(frame.src) > 0),
+                         and self._indirect_depth(frame.src) > 0),
                 ack_request=False,
             )
             self.sim.schedule_unref(

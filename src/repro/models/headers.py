@@ -13,11 +13,10 @@ from typing import List
 from repro.lowpan.frag import FRAG1_HEADER_BYTES, FRAGN_HEADER_BYTES
 from repro.lowpan.iphc import best_case_ipv6, worst_case_ipv6
 from repro.mac.frame import DATA_HEADER_BYTES
-from repro.phy.params import PhyParams
 
 
 @dataclass
-class LinkRow:
+class _LinkRow:
     """One row of Table 5."""
 
     name: str
@@ -30,19 +29,19 @@ class LinkRow:
         return self.frame_bytes * 8.0 / self.bandwidth_bps
 
 
-def table5_rows() -> List[LinkRow]:
+def table5_rows() -> List[_LinkRow]:
     """Table 5: 802.15.4 versus traditional TCP/IP links."""
     return [
-        LinkRow("Gigabit Ethernet", 1e9, 1500),
-        LinkRow("Fast Ethernet", 100e6, 1500),
-        LinkRow("WiFi", 54e6, 1500),
-        LinkRow("Ethernet", 10e6, 1500),
-        LinkRow("IEEE 802.15.4", 250e3, 127),
+        _LinkRow("Gigabit Ethernet", 1e9, 1500),
+        _LinkRow("Fast Ethernet", 100e6, 1500),
+        _LinkRow("WiFi", 54e6, 1500),
+        _LinkRow("Ethernet", 10e6, 1500),
+        _LinkRow("IEEE 802.15.4", 250e3, 127),
     ]
 
 
 @dataclass
-class HeaderRow:
+class _HeaderRow:
     """One row of Table 6."""
 
     protocol: str
@@ -52,7 +51,7 @@ class HeaderRow:
     other_frames_max: int
 
 
-def table6_rows(tcp_header_min: int = 20, tcp_header_max: int = 44) -> List[HeaderRow]:
+def table6_rows(tcp_header_min: int = 20, tcp_header_max: int = 44) -> List[_HeaderRow]:
     """Table 6: per-frame header overhead under 6LoWPAN fragmentation.
 
     The first frame carries the compressed IPv6 + TCP headers; later
@@ -60,14 +59,14 @@ def table6_rows(tcp_header_min: int = 20, tcp_header_max: int = 44) -> List[Head
     5-frame MSS efficient (§6.1).
     """
     rows = [
-        HeaderRow("IEEE 802.15.4", DATA_HEADER_BYTES, DATA_HEADER_BYTES,
+        _HeaderRow("IEEE 802.15.4", DATA_HEADER_BYTES, DATA_HEADER_BYTES,
                   DATA_HEADER_BYTES, DATA_HEADER_BYTES),
-        HeaderRow("6LoWPAN Frag.", FRAG1_HEADER_BYTES, FRAG1_HEADER_BYTES,
+        _HeaderRow("6LoWPAN Frag.", FRAG1_HEADER_BYTES, FRAG1_HEADER_BYTES,
                   FRAGN_HEADER_BYTES, FRAGN_HEADER_BYTES),
-        HeaderRow("IPv6", best_case_ipv6(), worst_case_ipv6(), 0, 0),
-        HeaderRow("TCP", tcp_header_min, tcp_header_max, 0, 0),
+        _HeaderRow("IPv6", best_case_ipv6(), worst_case_ipv6(), 0, 0),
+        _HeaderRow("TCP", tcp_header_min, tcp_header_max, 0, 0),
     ]
-    total = HeaderRow(
+    total = _HeaderRow(
         "Total",
         sum(r.first_frame_min for r in rows),
         sum(r.first_frame_max for r in rows),
@@ -77,11 +76,3 @@ def table6_rows(tcp_header_min: int = 20, tcp_header_max: int = 44) -> List[Head
     rows.append(total)
     return rows
 
-
-def goodput_efficiency(mss_frames: int, app_bytes: int, phy: PhyParams = PhyParams()) -> float:
-    """Fraction of air time carrying application bytes at a given MSS."""
-    from repro.core.params import max_datagram_for_frames
-
-    datagram = max_datagram_for_frames(mss_frames)
-    frame_bytes = datagram + mss_frames * DATA_HEADER_BYTES
-    return app_bytes / frame_bytes if frame_bytes else 0.0

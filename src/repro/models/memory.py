@@ -76,7 +76,7 @@ PASSIVE_FIELDS: List[Tuple[str, int]] = [
 ]
 
 
-def struct_size(fields: List[Tuple[str, int]], align: int = 4) -> int:
+def _struct_size(fields: List[Tuple[str, int]], align: int = 4) -> int:
     """Sum of field sizes rounded up to the ABI alignment."""
     total = sum(size for _, size in fields)
     return (total + align - 1) // align * align
@@ -96,16 +96,8 @@ class MemoryFootprint:
     ram_passive_support: int
 
     @property
-    def rom_total(self) -> int:
-        return self.rom_protocol + self.rom_support + self.rom_api
-
-    @property
     def ram_active_total(self) -> int:
         return self.ram_active_protocol + self.ram_active_support
-
-    @property
-    def ram_passive_total(self) -> int:
-        return self.ram_passive_protocol + self.ram_passive_support
 
     def fraction_of_ram(self, platform_ram_bytes: int) -> float:
         """Active-socket state as a fraction of platform RAM (§4.2)."""
@@ -114,12 +106,12 @@ class MemoryFootprint:
 
 def modelled_tcb_bytes() -> int:
     """Our engine's connection state as a 32-bit C struct."""
-    return struct_size(TCB_FIELDS)
+    return _struct_size(TCB_FIELDS)
 
 
 def modelled_passive_bytes() -> int:
     """Our listener state as a 32-bit C struct."""
-    return struct_size(PASSIVE_FIELDS)
+    return _struct_size(PASSIVE_FIELDS)
 
 
 #: Paper-measured values (Tables 3 and 4), kept as reference points the

@@ -76,11 +76,6 @@ def multihop_bound(single_hop_bps: float, hops: int) -> float:
     return single_hop_bps / min(hops, 3)
 
 
-def bandwidth_delay_product(bandwidth_bps: float, rtt: float) -> float:
-    """BDP in bytes (§6.2 uses 125 kb/s × 0.1 s ≈ 1.6 KiB)."""
-    return bandwidth_bps * rtt / 8.0
-
-
 def segment_energy_model(
     frames: int,
     frame_loss: float = 0.08,

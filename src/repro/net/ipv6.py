@@ -53,7 +53,7 @@ class Ipv6Packet:
     src_is_cloud: bool = False
     dst_is_cloud: bool = False
 
-    def compression_context(self) -> CompressionContext:
+    def _compression_context(self) -> CompressionContext:
         """How much of this packet's header a mesh node can elide."""
         return CompressionContext(
             src_prefix_context=not self.src_is_cloud,
@@ -64,13 +64,13 @@ class Ipv6Packet:
             ecn_present=self.ecn != ECN_NOT_ECT,
         )
 
-    def compressed_header_bytes(self) -> int:
+    def _compressed_header_bytes(self) -> int:
         """Wire size of the IPHC-compressed IPv6 header."""
-        return compressed_ipv6_bytes(self.next_header, self.compression_context())
+        return compressed_ipv6_bytes(self.next_header, self._compression_context())
 
     def datagram_bytes(self) -> int:
         """Compressed header + payload: the 6LoWPAN datagram size."""
-        return self.compressed_header_bytes() + self.payload_bytes
+        return self._compressed_header_bytes() + self.payload_bytes
 
     # ------------------------------------------------------------------
     # byte codec (uncompressed form, used on the wired side and by tests)

@@ -24,7 +24,7 @@ PCAP_MAGIC = 0xA1B2C3D4
 LINKTYPE_RAW = 101  # raw IP; the version nibble selects v4/v6
 
 
-def encode_payload(payload: object, declared_bytes: int) -> bytes:
+def _encode_payload(payload: object, declared_bytes: int) -> bytes:
     """Best-effort byte encoding of a transport payload."""
     # imported lazily: repro.core/app import repro.net, so a module-level
     # import here would close a cycle through the package __init__s
@@ -47,9 +47,9 @@ def encode_payload(payload: object, declared_bytes: int) -> bytes:
     return bytes(declared_bytes)
 
 
-def encode_packet(packet: Ipv6Packet) -> bytes:
+def _encode_packet(packet: Ipv6Packet) -> bytes:
     """Full wire bytes of one (uncompressed) IPv6 packet."""
-    return packet.encode_header() + encode_payload(
+    return packet.encode_header() + _encode_payload(
         packet.payload, packet.payload_bytes
     )
 
@@ -70,7 +70,7 @@ class PcapWriter:
         """Append one packet, timestamped with simulated time."""
         if self._fh is None:
             raise RuntimeError("capture already closed")
-        data = encode_packet(packet)
+        data = _encode_packet(packet)
         seconds = int(self.sim.now)
         micros = int((self.sim.now - seconds) * 1e6)
         self._fh.write(struct.pack(

@@ -136,12 +136,6 @@ class MeshRouting:
         """The Thread parent router of a leaf."""
         return self.leaf_parents[leaf]
 
-    def attached_leaves(self, router: int) -> List[int]:
-        """Leaves parented to ``router``."""
-        return sorted(
-            leaf for leaf, p in self.leaf_parents.items() if p == router
-        )
-
     def next_hop(self, node: int, dst: int) -> Optional[int]:
         """Next hop from ``node`` toward ``dst``."""
         if self._adj is None:

@@ -40,7 +40,7 @@ RPL_CONTROL_BYTES = 24  # ICMPv6 header + DIO/DAO base + options (approx.)
 
 
 @dataclass
-class RplDio:
+class _RplDio:
     """DODAG Information Object (the advertised fields we need)."""
 
     dodag_id: int
@@ -53,7 +53,7 @@ class RplDio:
 
 
 @dataclass
-class RplDao:
+class _RplDao:
     """Destination Advertisement Object: 'reach ``target`` via me'."""
 
     target: int
@@ -64,7 +64,7 @@ class RplDao:
         return RPL_CONTROL_BYTES
 
 
-class RplNode:
+class _RplNode:
     """One node's RPL state machine."""
 
     def __init__(
@@ -105,7 +105,7 @@ class RplNode:
     def _send_dio(self) -> None:
         if self.rank == INFINITE_RANK:
             return  # not joined yet: nothing useful to advertise
-        dio = RplDio(dodag_id=0, rank=self.rank)
+        dio = _RplDio(dodag_id=0, rank=self.rank)
         packet = Ipv6Packet(
             src=self.node.node_id, dst=0xFFFF, next_header=PROTO_ICMPV6,
             payload=dio, payload_bytes=dio.wire_bytes, hop_limit=1,
@@ -117,11 +117,11 @@ class RplNode:
         self._dao_timer.start(self._dao_interval)
         if self.is_root or self.preferred_parent is None:
             return
-        dao = RplDao(target=self.node.node_id, advertiser=self.node.node_id)
+        dao = _RplDao(target=self.node.node_id, advertiser=self.node.node_id)
         self.trace.counters.incr("rpl.daos_sent")
         self._unicast_dao(dao, self.preferred_parent)
 
-    def _unicast_dao(self, dao: RplDao, next_hop: int) -> None:
+    def _unicast_dao(self, dao: _RplDao, next_hop: int) -> None:
         packet = Ipv6Packet(
             src=self.node.node_id, dst=next_hop,
             next_header=PROTO_ICMPV6, payload=dao,
@@ -136,12 +136,12 @@ class RplNode:
     # ------------------------------------------------------------------
     def _on_control(self, packet: Ipv6Packet) -> None:
         payload = packet.payload
-        if isinstance(payload, RplDio):
+        if isinstance(payload, _RplDio):
             self._on_dio(payload, packet.src)
-        elif isinstance(payload, RplDao):
+        elif isinstance(payload, _RplDao):
             self._on_dao(payload, packet.src)
 
-    def _on_dio(self, dio: RplDio, sender: int) -> None:
+    def _on_dio(self, dio: _RplDio, sender: int) -> None:
         if self.is_root:
             return
         candidate_rank = dio.rank + MIN_HOP_RANK_INCREASE
@@ -161,13 +161,13 @@ class RplNode:
             self._dio_trickle.hear_inconsistent()
             self._send_dao()  # announce ourselves through the new parent
 
-    def _on_dao(self, dao: RplDao, sender: int) -> None:
+    def _on_dao(self, dao: _RplDao, sender: int) -> None:
         self.trace.counters.incr("rpl.daos_received")
         self.downward[dao.target] = sender
         if not self.is_root and self.preferred_parent is not None:
             # storing mode: propagate the target up the DODAG
             self._unicast_dao(
-                RplDao(target=dao.target, advertiser=self.node.node_id),
+                _RplDao(target=dao.target, advertiser=self.node.node_id),
                 self.preferred_parent,
             )
 
@@ -182,7 +182,7 @@ class RplNode:
             self._dio_trickle.hear_inconsistent()
 
     @property
-    def joined(self) -> bool:
+    def _joined(self) -> bool:
         """True once the node has a finite rank in the DODAG."""
         return self.is_root or (
             self.preferred_parent is not None and self.rank < INFINITE_RANK
@@ -198,9 +198,9 @@ class RplRouting:
 
     def __init__(self, root_id: int):
         self.root_id = root_id
-        self._nodes: Dict[int, RplNode] = {}
+        self._nodes: Dict[int, _RplNode] = {}
 
-    def attach(self, rpl_node: RplNode) -> None:
+    def attach(self, rpl_node: _RplNode) -> None:
         self._nodes[rpl_node.node.node_id] = rpl_node
 
     def next_hop(self, node: int, dst: int) -> Optional[int]:
@@ -219,7 +219,7 @@ class RplRouting:
 
     def converged(self) -> bool:
         """True when every node has joined and the root can reach all."""
-        if any(not n.joined for n in self._nodes.values()):
+        if any(not n._joined for n in self._nodes.values()):
             return False
         root = self._nodes[self.root_id]
         others = set(self._nodes) - {self.root_id}
@@ -233,7 +233,7 @@ def enable_rpl(net, root_id: Optional[int] = None, **rpl_kwargs) -> RplRouting:
     root = net.border_id if root_id is None else root_id
     routing = RplRouting(root)
     for node_id, node in net.nodes.items():
-        rpl = RplNode(node, is_root=(node_id == root), **rpl_kwargs)
+        rpl = _RplNode(node, is_root=(node_id == root), **rpl_kwargs)
         routing.attach(rpl)
         node.routing = routing
         node.ipv6.routing = routing

@@ -35,14 +35,6 @@ class RadioState(enum.Enum):
     TX = "tx"
     DEAF = "deaf"
 
-    @property
-    def awake(self) -> bool:
-        return self is not RadioState.SLEEP
-
-    @property
-    def can_receive(self) -> bool:
-        return self is RadioState.LISTEN
-
 
 # Positional index per member, so the ledger can account into a plain
 # list — a dict keyed by enum members pays a Python-level __hash__ call
@@ -75,10 +67,6 @@ class EnergyLedger:
         totals[self.state] += self.sim.now - self._since
         return totals
 
-    def time_in(self, state: RadioState) -> float:
-        """Total seconds spent in ``state`` so far."""
-        return self._settled()[state]
-
     def elapsed(self) -> float:
         """Seconds since the ledger was created."""
         return self.sim.now - self._start_time
@@ -89,7 +77,7 @@ class EnergyLedger:
         if elapsed <= 0:
             return 0.0
         totals = self._settled()
-        awake = sum(t for s, t in totals.items() if s.awake)
+        awake = sum(t for s, t in totals.items() if s is not RadioState.SLEEP)
         return awake / elapsed
 
     def reset(self) -> None:

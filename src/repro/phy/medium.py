@@ -495,7 +495,7 @@ class Medium:
                 for rcv_id, radio, _ in receivers:
                     if rcv_id in spoiled:
                         self.frames_collided += 1
-                    # inlined Radio.listened_throughout, as below
+                    # listening continuously since tx start, as below
                     elif (radio.energy.state is _LISTEN
                             and radio._listen_since <= start):
                         self.frames_delivered += 1
@@ -525,9 +525,8 @@ class Medium:
                     if bus is not None:
                         bus.emit("phy", rcv_id, "collision", sender=sender_id)
                     continue
-                # Inlined Radio.listened_throughout (hot: once per
-                # potential receiver per frame): continuously in LISTEN
-                # since tx start?
+                # Hot (once per potential receiver per frame):
+                # continuously in LISTEN since tx start?
                 if (radio.energy.state is not _LISTEN
                         or radio._listen_since > start):
                     # Asleep, deaf (hardware-CSMA backoff), or transmitting.

@@ -37,17 +37,9 @@ class PhyParams:
         total = frame_bytes + self.phy_preamble_bytes
         return total * 8.0 / self.bit_rate
 
-    def spi_time(self, frame_bytes: int) -> float:
-        """Seconds of SPI transfer before (TX) or after (RX) the air time."""
-        return self.air_time(frame_bytes) * (self.spi_overhead_factor - 1.0)
-
     def frame_tx_time(self, frame_bytes: int) -> float:
         """End-to-end transmit time: SPI load plus air time (paper: 8.2 ms)."""
         return self.air_time(frame_bytes) * self.spi_overhead_factor
-
-    def ack_air_time(self) -> float:
-        """Air time of a link-layer acknowledgment frame."""
-        return self.air_time(self.ack_frame_bytes)
 
 
 DEFAULT_PHY = PhyParams()

@@ -150,10 +150,6 @@ class Radio:
         if self.state is not RadioState.DEAF:
             self.energy.transition(RadioState.DEAF)
 
-    def listened_throughout(self, since: float) -> bool:
-        """True if the radio has been continuously in LISTEN since ``since``."""
-        return self.energy.state is RadioState.LISTEN and self._listen_since <= since
-
     # ------------------------------------------------------------------
     # transmit path
     # ------------------------------------------------------------------

@@ -43,7 +43,7 @@ import copy
 import io
 import pickle
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class CheckpointError(Exception):
@@ -213,8 +213,7 @@ class CheckpointManager:
             self._event.cancel()
             self._event = None
 
-    def take(self) -> Checkpoint:
-        """Snapshot immediately (also appended to the ring)."""
+    def _take(self) -> None:
         cp = Checkpoint.capture(self.sim, self.roots)
         if self._event is not None and self._event.pending:
             # The run loop re-armed our periodic event before calling
@@ -223,10 +222,6 @@ class CheckpointManager:
             cp.boundary = (self._event.time, self._event.seq)
         self.checkpoints.append(cp)
         self.taken += 1
-        return cp
-
-    def _take(self) -> None:
-        self.take()
 
     def nearest_before(self, time: float) -> Optional[Checkpoint]:
         """Latest retained checkpoint with ``cp.time < time`` (or None)."""
@@ -235,10 +230,6 @@ class CheckpointManager:
             if cp.time < time and (best is None or cp.time > best.time):
                 best = cp
         return best
-
-    def latest(self) -> Optional[Checkpoint]:
-        """Most recent retained checkpoint (or None)."""
-        return self.checkpoints[-1] if self.checkpoints else None
 
     def __deepcopy__(self, memo):
         # Taken from inside Checkpoint.capture: clone everything except
@@ -265,41 +256,3 @@ def _rebuild_manager(sim, roots, interval, keep, event):
     mgr = CheckpointManager(sim, roots, interval=interval, keep=keep)
     mgr._event = event
     return mgr
-
-
-class TraceHook:
-    """A deterministic event-trace recorder for resume verification.
-
-    Install with ``attach``: records ``(time, seq, qualname)`` per
-    dispatched event — the exact byte-comparable signature the kernel
-    determinism tests use.  A plain object (not a closure) so tests and
-    tools can keep one recipe for both original and restored runs.
-    """
-
-    def __init__(self):
-        self.entries: List[Tuple[float, int, str]] = []
-
-    def attach(self, sim) -> "TraceHook":
-        sim.on_event = self
-        return self
-
-    def __call__(self, ev) -> None:
-        self.entries.append(
-            (ev.time, ev.seq, getattr(ev.fn, "__qualname__", repr(ev.fn))))
-
-    def suffix_after(self, checkpoint) -> List[Tuple[float, int, str]]:
-        """Entries after the dispatch that took ``checkpoint``.
-
-        Uses the checkpoint's trace ``boundary`` (see
-        :attr:`Checkpoint.boundary`): everything recorded after that
-        entry is what a restored run must reproduce byte-identically.
-        """
-        boundary = checkpoint.boundary
-        if boundary is None:
-            raise ValueError(
-                "checkpoint has no trace boundary (taken outside the "
-                "run loop) — slice entries by length instead")
-        for i, entry in enumerate(self.entries):
-            if (entry[0], entry[1]) == boundary:
-                return self.entries[i + 1:]
-        raise ValueError(f"boundary {boundary} not found in trace")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import time as _time
 from typing import Any, Callable, List, Optional
 
@@ -173,12 +174,14 @@ class RealtimePacer:
         metrics=None,
         trace_bus=None,
     ):
-        if speed <= 0:
-            raise SimulationError(f"realtime speed must be positive (got {speed})")
-        if slack_budget < 0:
+        if isinstance(speed, bool) or not (math.isfinite(speed) and speed > 0):
             raise SimulationError(
-                f"slack budget must be >= 0 (got {slack_budget})"
-            )
+                f"realtime speed must be a finite number > 0 (got {speed!r})")
+        if isinstance(slack_budget, bool) or not (
+                math.isfinite(slack_budget) and slack_budget >= 0):
+            raise SimulationError(
+                f"slack budget must be a finite number >= 0 "
+                f"(got {slack_budget!r})")
         self.speed = speed
         self.slack_budget = slack_budget
         self.clock = clock
@@ -317,9 +320,6 @@ class Simulator:
         #: assigns them *before* building the network — layers cache
         #: their instruments at construction time.
         self.metrics, self.trace_bus = _metrics.attach(self)
-        #: the :class:`RealtimePacer` of the last ``run_realtime`` call
-        #: (None for batch runs) — slack stats survive the run.
-        self.realtime_pacer: Optional[RealtimePacer] = None
         #: explicit registry of armed :class:`repro.sim.timers.Timer` /
         #: ``PeriodicTimer`` instances.  Timers add themselves on start
         #: and remove themselves on stop/fire, so invariant checks (e.g.
@@ -498,115 +498,6 @@ class Simulator:
             self.events_processed += processed
             self._running = False
 
-    def run_realtime(
-        self,
-        until: Optional[float] = None,
-        speed: float = 1.0,
-        slack_budget: float = 0.25,
-        clock: Callable[[], float] = _time.monotonic,
-        sleep: Callable[[float], None] = _time.sleep,
-        poll: Optional[Callable[[], None]] = None,
-        poll_interval: float = 0.05,
-        pacer: Optional[RealtimePacer] = None,
-    ) -> RealtimePacer:
-        """Dispatch events paced against the wall clock.
-
-        Equivalent to :meth:`run` — same dispatch order, same sequence
-        numbers, same periodic re-arming, because due batches are
-        delegated to ``run`` itself — except that each event fires no
-        earlier than its wall deadline
-        ``start + (event.time - start_sim) / speed``.
-        Between batches the loop sleeps; when a ``poll`` callback is
-        given it is invoked at least every ``poll_interval`` wall
-        seconds so external input can inject new events mid-run (the
-        asyncio gateway in :mod:`repro.gateway` uses the same pacer
-        with awaits instead of ``sleep``).
-
-        The simulated clock tracks the wall clock even while the queue
-        is idle, so events injected by ``poll`` are scheduled relative
-        to the *current* real-time instant.  With no ``poll``, a
-        drained queue ends the run early (``now`` jumps to ``until``,
-        matching ``run``'s horizon semantics).
-
-        Falling behind is never silent: dispatch slack is tracked per
-        due batch and exported through the attached
-        :class:`~repro.sim.metrics.MetricsRegistry` (see
-        :class:`RealtimePacer`).  Returns the pacer so callers can
-        inspect ``max_slack`` / ``violations``.
-        """
-        if pacer is None:
-            pacer = RealtimePacer(
-                speed=speed, slack_budget=slack_budget, clock=clock,
-                metrics=self.metrics, trace_bus=self.trace_bus,
-            )
-        pacer.resync(self.now)
-        self.realtime_pacer = pacer
-        self._stopped = False
-        while not self._stopped:
-            wall = clock()
-            due = pacer.sim_due(wall)
-            horizon = due if until is None else min(due, until)
-            t_next = self.peek_time()
-            if t_next is not None and t_next <= horizon:
-                # a batch is due; slack is measured on its earliest event
-                pacer.observe(t_next, wall)
-                self.run(until=horizon)
-                continue
-            if horizon > self.now:
-                # idle: keep simulated time tracking the wall so injected
-                # events land at the current real-time instant
-                self.run(until=horizon)
-                if self._stopped:
-                    break
-            if until is not None and self.now >= until:
-                break
-            if t_next is None and poll is None:
-                if until is not None:
-                    self.now = until
-                break
-            # sleep until the next event's wall deadline, the horizon,
-            # or the next poll tick — whichever comes first
-            deadlines = []
-            if t_next is not None:
-                deadlines.append((pacer.wall_for(t_next), t_next))
-            if until is not None:
-                deadlines.append((pacer.wall_for(until), until))
-            if deadlines:
-                wall_dl, sim_dl = min(deadlines)
-                wait = wall_dl - clock()
-            else:
-                wait, sim_dl = poll_interval, None
-            if poll is not None:
-                wait = min(wait, poll_interval)
-            if wait > 0:
-                # floor the sleep: a remaining wait below one float ulp
-                # of the clock value would otherwise never advance a
-                # discrete (test) clock
-                sleep(max(wait, 1e-9))
-            elif sim_dl is not None:
-                # the wall deadline has arrived, but wall_for/sim_due
-                # don't round-trip exactly so sim_due() can sit one ulp
-                # short of the deadline forever; run straight to it
-                # instead of spinning on a zero-length sleep
-                if t_next is not None and t_next <= sim_dl:
-                    pacer.observe(t_next, clock())
-                self.run(until=sim_dl)
-            if poll is not None:
-                # poll schedules relative to ``now``: dispatch what came
-                # due during the sleep and bring the clock to the wall
-                # first, or its input lands one sleep in the past
-                wall = clock()
-                due = pacer.sim_due(wall)
-                horizon = due if until is None else min(due, until)
-                t_next = self.peek_time()
-                if t_next is not None and t_next <= horizon:
-                    pacer.observe(t_next, wall)
-                if horizon > self.now:
-                    self.run(until=horizon)
-                if not self._stopped:
-                    poll()
-        return pacer
-
     def stop(self) -> None:
         """Stop ``run`` after the current callback returns."""
         self._stopped = True
@@ -621,10 +512,6 @@ class Simulator:
             _heappop(queue)
             self.cancelled_count -= 1
         return None
-
-    def pending_count(self) -> int:
-        """Number of non-cancelled events still queued (O(n); for tests)."""
-        return sum(1 for e in self._queue if len(e) == 4 or not e[2].cancelled)
 
     def pending_events(self) -> List[object]:
         """The non-cancelled events still queued, in heap order (O(n)).

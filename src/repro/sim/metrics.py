@@ -48,7 +48,7 @@ def _label_items(labels: Dict[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def metric_key(name: str, labels: LabelItems) -> str:
+def _metric_key(name: str, labels: LabelItems) -> str:
     """Render ``name{k=v,...}`` with labels in canonical order."""
     if not labels:
         return name
@@ -56,7 +56,7 @@ def metric_key(name: str, labels: LabelItems) -> str:
     return f"{name}{{{inner}}}"
 
 
-class CounterMetric:
+class _CounterMetric:
     """A monotonically increasing count for one (name, labels) pair."""
 
     __slots__ = ("value",)
@@ -68,7 +68,7 @@ class CounterMetric:
         self.value += amount
 
 
-class GaugeMetric:
+class _GaugeMetric:
     """A point-in-time value for one (name, labels) pair."""
 
     __slots__ = ("value",)
@@ -80,7 +80,7 @@ class GaugeMetric:
         self.value = value
 
 
-class HistogramMetric:
+class _HistogramMetric:
     """Fixed-bucket histogram (cumulative-style export, like Prometheus).
 
     ``bounds`` are upper bucket edges; an implicit +Inf bucket catches
@@ -105,7 +105,7 @@ class HistogramMetric:
         self.total += value
         self.count += 1
 
-    def export(self) -> Dict[str, object]:
+    def _export(self) -> Dict[str, object]:
         """JSON-ready form; bucket keys are the stringified bounds."""
         buckets = {str(b): c for b, c in zip(self.bounds, self.bucket_counts)}
         buckets["+inf"] = self.bucket_counts[-1]
@@ -136,25 +136,25 @@ class MetricsRegistry:
             self._instruments[key] = instrument
         elif not isinstance(instrument, kind):
             raise TypeError(
-                f"{metric_key(*key)} already registered as "
+                f"{_metric_key(*key)} already registered as "
                 f"{type(instrument).__name__}, not {kind.__name__}"
             )
         return instrument
 
-    def counter(self, name: str, **labels) -> CounterMetric:
+    def counter(self, name: str, **labels) -> _CounterMetric:
         """The counter for ``name`` with this exact label set."""
-        return self._get(name, labels, CounterMetric, CounterMetric)
+        return self._get(name, labels, _CounterMetric, _CounterMetric)
 
-    def gauge(self, name: str, **labels) -> GaugeMetric:
+    def gauge(self, name: str, **labels) -> _GaugeMetric:
         """The gauge for ``name`` with this exact label set."""
-        return self._get(name, labels, GaugeMetric, GaugeMetric)
+        return self._get(name, labels, _GaugeMetric, _GaugeMetric)
 
     def histogram(
         self,
         name: str,
         buckets: Optional[Sequence[float]] = None,
         **labels,
-    ) -> HistogramMetric:
+    ) -> _HistogramMetric:
         """The histogram for ``name`` with this exact label set.
 
         ``buckets`` applies on first creation only (subsequent calls
@@ -162,7 +162,7 @@ class MetricsRegistry:
         """
         bounds = DEFAULT_TIME_BUCKETS if buckets is None else buckets
         return self._get(
-            name, labels, lambda: HistogramMetric(bounds), HistogramMetric
+            name, labels, lambda: _HistogramMetric(bounds), _HistogramMetric
         )
 
     def register_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
@@ -185,26 +185,15 @@ class MetricsRegistry:
         gauges: Dict[str, float] = {}
         histograms: Dict[str, object] = {}
         for (name, labels), instrument in sorted(self._instruments.items()):
-            key = metric_key(name, labels)
-            if isinstance(instrument, CounterMetric):
+            key = _metric_key(name, labels)
+            if isinstance(instrument, _CounterMetric):
                 counters[key] = instrument.value
-            elif isinstance(instrument, GaugeMetric):
+            elif isinstance(instrument, _GaugeMetric):
                 gauges[key] = instrument.value
             else:
-                histograms[key] = instrument.export()
+                histograms[key] = instrument._export()
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-    def write_json(self, path, indent: int = 2) -> Dict[str, Dict[str, object]]:
-        """Snapshot to a JSON file (live export for external consumers,
-        e.g. the gateway's slack/latency dump); returns the snapshot."""
-        import json
-
-        snap = self.snapshot()
-        with open(path, "w") as fh:
-            json.dump(snap, fh, indent=indent, sort_keys=True)
-            fh.write("\n")
-        return snap
 
 
 def diff_snapshots(golden: Dict, current: Dict) -> List[str]:

@@ -41,15 +41,3 @@ class RngStreams:
     def random(self, name: str) -> float:
         """Draw uniform(0, 1) from the named stream."""
         return self.stream(name).random()
-
-    def randint(self, name: str, a: int, b: int) -> int:
-        """Draw an integer in [a, b] from the named stream."""
-        return self.stream(name).randint(a, b)
-
-    def choice(self, name: str, seq):
-        """Pick one element of ``seq`` from the named stream."""
-        return self.stream(name).choice(seq)
-
-    def expovariate(self, name: str, lam: float) -> float:
-        """Draw an exponential variate with rate ``lam`` (mean 1/lam)."""
-        return self.stream(name).expovariate(lam)

@@ -9,13 +9,12 @@ assert on them directly.
 (its quantitative sibling is :class:`repro.sim.metrics.MetricsRegistry`):
 typed event records stamped with simulated time, originating layer and
 node, kept either in a bounded ring buffer or as a full capture, and
-exportable to JSONL or CSV for offline analysis.  Layers emit behind
+exportable to JSONL for offline analysis.  Layers emit behind
 ``is None`` guards, so a simulation without a bus pays nothing.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import defaultdict, deque
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -79,19 +78,6 @@ class SeriesRecorder:
             return 0.0
         return sum(self.values) / len(self.values)
 
-    def time_weighted_mean(self, until: float) -> float:
-        """Mean of the step function defined by the samples up to ``until``."""
-        if not self.times:
-            return 0.0
-        total = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else until
-            t_next = min(t_next, until)
-            if t_next > t:
-                total += v * (t_next - t)
-        span = until - self.times[0]
-        return total / span if span > 0 else (self.values[-1] if self.values else 0.0)
-
 
 class TraceRecorder:
     """A container for named counters and series used by one simulation."""
@@ -107,10 +93,6 @@ class TraceRecorder:
             s = SeriesRecorder(name)
             self._series[name] = s
         return s
-
-    def has_series(self, name: str) -> bool:
-        """True if the named series has been created."""
-        return name in self._series
 
 
 class TraceEvent:
@@ -206,20 +188,6 @@ class TraceBus:
         """The retained events, oldest first."""
         return list(self._events)
 
-    def select(
-        self,
-        layer: Optional[str] = None,
-        node: Optional[int] = None,
-        kind: Optional[str] = None,
-    ) -> List[TraceEvent]:
-        """Retained events matching every given criterion."""
-        return [
-            ev for ev in self._events
-            if (layer is None or ev.layer == layer)
-            and (node is None or ev.node == node)
-            and (kind is None or ev.kind == kind)
-        ]
-
     def clear(self) -> None:
         """Drop all retained events (``emitted`` keeps counting)."""
         self._events.clear()
@@ -227,48 +195,9 @@ class TraceBus:
     # ------------------------------------------------------------------
     # export / import
     # ------------------------------------------------------------------
-    def stream_jsonl(self, path):
-        """Stream every *subsequent* event to ``path`` as JSON Lines.
-
-        Unlike :meth:`to_jsonl` (a post-hoc dump of the retained ring),
-        this subscribes a live writer, so long gateway runs can tail
-        the file while the simulation is serving.  Lines are flushed
-        per event.  Returns a zero-argument ``close()`` callable that
-        unsubscribes and closes the file.
-        """
-        fh = open(path, "w")
-
-        def _write(ev: TraceEvent) -> None:
-            fh.write(json.dumps(ev.as_dict(), sort_keys=True) + "\n")
-            fh.flush()
-
-        self.subscribe(_write)
-
-        def close() -> None:
-            self.unsubscribe(_write)
-            fh.close()
-
-        return close
-
     def to_jsonl(self, path) -> int:
         """Write retained events as JSON Lines; returns the line count."""
-        with open(path, "w") as fh:
-            for ev in self._events:
-                fh.write(json.dumps(ev.as_dict(), sort_keys=True) + "\n")
-        return len(self._events)
-
-    def to_csv(self, path) -> int:
-        """Write retained events as CSV (fields JSON-encoded in one
-        column, so arbitrary event shapes fit a fixed header)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "layer", "node", "kind", "fields"])
-            for ev in self._events:
-                writer.writerow([
-                    repr(ev.time), ev.layer, ev.node, ev.kind,
-                    json.dumps(ev.fields, sort_keys=True),
-                ])
-        return len(self._events)
+        return write_jsonl(self._events, path)
 
 
 def write_jsonl(events, path) -> int:

@@ -106,7 +106,7 @@ class InvariantEngine:
     # ------------------------------------------------------------------
     # checking
     # ------------------------------------------------------------------
-    def check_now(self) -> List[Violation]:
+    def _check_now(self) -> List[Violation]:
         """Run every probe once; returns violations found *this* sweep."""
         found_before = len(self.violations)
         self.checks_run += 1
@@ -124,7 +124,7 @@ class InvariantEngine:
         return self.violations[found_before:]
 
     def _tick(self) -> None:
-        self.check_now()
+        self._check_now()
 
     def _on_trace_event(self, ev) -> None:
         """Targeted re-probe of the layer/node a trace event touched."""

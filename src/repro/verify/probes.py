@@ -28,7 +28,7 @@ _RECOVERY_SLACK_MSS = 3
 # ----------------------------------------------------------------------
 # TCP
 # ----------------------------------------------------------------------
-def probe_tcp_connection(conn) -> List[str]:
+def _probe_tcp_connection(conn) -> List[str]:
     """Structural invariants of one live :class:`TcpConnection`."""
     out: List[str] = []
     una, nxt, smax = conn.snd_una, conn.snd_nxt, conn.snd_max
@@ -104,7 +104,7 @@ def probe_tcp_stack(stack) -> List[str]:
     """All connections of one stack, labelled by 4-tuple key."""
     out: List[str] = []
     for key, conn in list(stack._connections.items()):
-        for detail in probe_tcp_connection(conn):
+        for detail in _probe_tcp_connection(conn):
             out.append(f"conn{key}: {detail}")
     return out
 

@@ -89,7 +89,8 @@ class BruteMedium(Medium):
                 self._count("_m_collisions", "phy.collisions", rcv_id)
                 if bus is not None:
                     bus.emit("phy", rcv_id, "collision", sender=sender_id)
-            elif not radio.listened_throughout(tx.start):
+            elif not (radio.energy.state is RadioState.LISTEN
+                      and radio._listen_since <= tx.start):
                 self._count("_m_missed", "phy.missed_not_listening", rcv_id)
             elif any(loss(sender_id, rcv_id, now)
                      for loss in self.loss_models):

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.app.coap import CoapClient
 from repro.app.sensor import (
     AnemometerConfig,
@@ -33,8 +31,8 @@ class RecordingTransport:
         self.app = app
 
     def pull(self):
-        while self.app.can_send():
-            self.pulled.append(self.app.pop_readings(5))
+        while self.app._can_send():
+            self.pulled.append(self.app._pop_readings(5))
 
 
 def test_sampling_produces_82_byte_readings():
@@ -77,13 +75,6 @@ def test_queue_overflow_drops_new_readings():
     assert len(app.queue) == 5
 
 
-def test_reliability_metric():
-    sim = Simulator()
-    app = AnemometerNode(sim, RecordingTransport(), AnemometerConfig())
-    app.generated = 200
-    assert app.reliability_against(150) == pytest.approx(0.75)
-
-
 def test_readings_carry_sequence_numbers():
     sim = Simulator()
     transport = RecordingTransport()
@@ -107,7 +98,7 @@ def test_tcp_transport_end_to_end():
         batching=True, batch_size=5, queue_capacity=64))
     app.start()
     net.sim.run(until=20.0)
-    assert server.tcp_readings >= 15
+    assert server.total_readings() >= 15
     assert app.overflowed == 0
 
 
@@ -142,7 +133,7 @@ def test_tcp_transport_reconnects_after_error():
     net.sim.run(until=15.0)
     assert transport.reconnects == 1
     assert transport.conn.is_open
-    assert server.tcp_readings >= 10
+    assert server.total_readings() >= 10
 
 
 def test_phase_staggers_first_sample():
@@ -195,7 +186,7 @@ def test_batched_tcp_drain_sends_full_sized_segments(monkeypatch):
         batching=True, batch_size=64, queue_capacity=64))
     app.start()
     net.sim.run(until=80.0)
-    assert server.tcp_readings == 64
+    assert server.total_readings() == 64
     assert stack.trace.counters.get("tcp.retransmits") == 0
     full = 5 * 82
     assert len(segments) <= math.ceil(64 * 82 / full) + 3
@@ -223,7 +214,7 @@ def test_staggered_leaves_drain_without_queue_drops_or_retransmits():
             batching=True, batch_size=64, queue_capacity=64))
         app.start(phase=idx * 16.0)
     net.sim.run(until=2 * 64.0 + 3 * 16.0 + 12.0)
-    assert server.tcp_readings >= 4 * 2 * 64
+    assert server.total_readings() >= 4 * 2 * 64
     for leaf_id in net.leaf_ids:
         counters = net.nodes[leaf_id].trace.counters
         assert counters.get("mac.tail_drops") == 0, leaf_id

@@ -25,14 +25,13 @@ from repro.campaign import (
     ResultStore,
     RunSpec,
     aggregate,
-    auto_metrics,
     golden_section,
     grid_search,
     plan_campaign,
     resolve_selection,
     run_campaign,
 )
-from repro.campaign.stats import aggregate_cell
+from repro.campaign.stats import _auto_metrics, aggregate_cell
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -176,20 +175,6 @@ class TestExperimentCatalog:
         clone = make_catalog().copy()
         clone.register("seedless_cell", linear_cell)
         assert "scale" in clone.accepted_params("seedless_cell")[0]
-
-    def test_legacy_shims_route_to_default_catalog(self):
-        from repro.experiments import runner
-
-        def _shim_exp(quick):
-            return {"ok": quick}
-
-        runner.register_experiment("campaign_shim_exp", _shim_exp)
-        try:
-            assert "campaign_shim_exp" in runner.DEFAULT_CATALOG
-            assert "campaign_shim_exp" in runner.experiment_registry(True)
-        finally:
-            runner.unregister_experiment("campaign_shim_exp")
-        assert "campaign_shim_exp" not in runner.DEFAULT_CATALOG
 
 
 # ----------------------------------------------------------------------
@@ -754,7 +739,7 @@ class TestStats:
     def test_auto_metrics_numeric_common_fields(self):
         results = [{"a": 1, "b": True, "c": "x", "d": 2.5},
                    {"a": 2, "b": False, "c": "y", "d": 0.5, "e": 9}]
-        assert auto_metrics(results) == ["a", "d"]
+        assert _auto_metrics(results) == ["a", "d"]
 
     @pytest.mark.parametrize("policy", [
         {},
@@ -773,7 +758,7 @@ class TestStats:
         policy = dict(policy)
         metrics = policy.pop("metrics", None)
         # the per-metric loop aggregate_cell replaced, kept as reference
-        names = auto_metrics(results) if metrics is None else metrics
+        names = _auto_metrics(results) if metrics is None else metrics
         dicts = [r for r in results if isinstance(r, dict)]
         expected = {}
         for name in names:
@@ -1027,11 +1012,10 @@ class TestLegacyShim:
             assert name in api.__all__ and hasattr(api, name)
 
     def test_default_catalog_superset_of_registry(self):
-        from repro.experiments.runner import (default_catalog,
-                                              experiment_registry)
+        from repro.experiments.runner import DEFAULT_CATALOG, default_catalog
 
         cat = default_catalog()
-        for name in experiment_registry(quick=True):
+        for name in DEFAULT_CATALOG.names():
             assert name in cat
         for cell in ("single_hop_cell", "fig9_cell", "duty_cell",
                      "ayadi_energy"):

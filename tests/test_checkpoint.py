@@ -17,9 +17,9 @@ from repro.sim.checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointManager,
-    TraceHook,
 )
 from repro.sim.engine import Simulator
+from tests.trace_hook import TraceHook
 
 CHAOS_SPEC = {
     "name": "checkpoint-chaos",
@@ -66,7 +66,7 @@ class TestResumeDeterminism:
         manager = CheckpointManager(
             net.sim, roots={"xfer": xfer}, interval=5.0).start()
         net.sim.run(until=12.0)
-        cp = manager.latest()
+        cp = manager.checkpoints[-1]
         assert cp is not None and cp.time == pytest.approx(10.0)
         reference = hook.suffix_after(cp)
         assert len(reference) > 100  # the tail is a real workload
@@ -117,7 +117,7 @@ class TestResumeDeterminism:
         manager = CheckpointManager(
             net.sim, roots={"xfer": xfer}, interval=5.0).start()
         net.sim.run(until=12.0)
-        cp = manager.latest()
+        cp = manager.checkpoints[-1]
         path = tmp_path / "snap.ckpt"
         nbytes = cp.save(path)
         assert nbytes == path.stat().st_size > 0
@@ -131,7 +131,7 @@ class TestResumeDeterminism:
         manager = CheckpointManager(
             net.sim, roots={"xfer": xfer}, interval=5.0).start()
         net.sim.run(until=11.0)
-        cp = manager.latest()
+        cp = manager.checkpoints[-1]
         sim_a, roots_a = cp.restore()
         sim_b, roots_b = cp.restore()
         sim_a.run(until=14.0)
@@ -146,7 +146,7 @@ class TestResumeDeterminism:
         manager = CheckpointManager(
             net.sim, roots={"xfer": xfer}, interval=5.0).start()
         net.sim.run(until=11.0)
-        sim2, _roots = manager.latest().restore()
+        sim2, _roots = manager.checkpoints[-1].restore()
         clone = next(
             ev.fn.__self__ for ev in sim2.pending_events()
             if isinstance(getattr(ev.fn, "__self__", None),
@@ -156,7 +156,7 @@ class TestResumeDeterminism:
         sim2.run(until=21.0)
         # ...but the cadence survives: the clone re-checkpoints on its own
         assert clone.taken == 2
-        assert clone.latest().time == pytest.approx(20.0)
+        assert clone.checkpoints[-1].time == pytest.approx(20.0)
 
 
 # ======================================================================
@@ -213,4 +213,4 @@ class TestBoundariesAndErrors:
         assert manager.nearest_before(5.5).time == pytest.approx(5.0)
         assert manager.nearest_before(4.0) is None  # dropped from the ring
         manager.stop()
-        assert manager.latest().time == pytest.approx(6.0)
+        assert manager.checkpoints[-1].time == pytest.approx(6.0)

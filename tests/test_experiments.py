@@ -11,12 +11,12 @@ from repro.experiments.exp_duty import (
     run_adaptive_duty_cycle,
     run_duty_cycle_point,
 )
-from repro.experiments.exp_fairness import run_two_flows
+from repro.experiments.exp_fairness import _run_two_flows
 from repro.experiments.exp_retry_delay import (
     run_fig7a_cwnd_trace,
-    run_retry_delay_point,
+    _run_retry_delay_point,
 )
-from repro.experiments.exp_table7 import TABLE7_ROWS, run_stack_context
+from repro.experiments.exp_table7 import TABLE7_ROWS, _run_stack_context
 from repro.experiments.exp_throughput import (
     run_fig4_mss_sweep,
     run_fig5_buffer_sweep,
@@ -51,8 +51,8 @@ class TestThroughputExperiments:
 
 class TestRetryDelayExperiments:
     def test_d0_vs_d40_at_three_hops(self):
-        d0 = run_retry_delay_point(3, 0.0, duration=40.0)
-        d40 = run_retry_delay_point(3, 0.04, duration=40.0)
+        d0 = _run_retry_delay_point(3, 0.0, duration=40.0)
+        d40 = _run_retry_delay_point(3, 0.04, duration=40.0)
         # hidden terminals: segment loss falls sharply with d (Fig. 6b)
         assert d0["segment_loss"] > 0.03
         assert d40["segment_loss"] < 0.5 * d0["segment_loss"]
@@ -64,7 +64,7 @@ class TestRetryDelayExperiments:
         assert d40["rtt_mean"] > d0["rtt_mean"]
 
     def test_eq2_tracks_and_eq1_overshoots(self):
-        row = run_retry_delay_point(3, 0.04, duration=40.0)
+        row = _run_retry_delay_point(3, 0.04, duration=40.0)
         measured = row["goodput_kbps"]
         assert row["predicted_kbps"] == pytest.approx(measured, rel=0.45)
         assert row["mathis_kbps"] > 2 * measured
@@ -78,13 +78,13 @@ class TestRetryDelayExperiments:
 
 class TestTable7:
     def test_tcplp_beats_every_baseline(self):
-        tcplp = run_stack_context(TABLE7_ROWS[-1], 1, duration=25.0)
+        tcplp = _run_stack_context(TABLE7_ROWS[-1], 1, duration=25.0)
         for ctx in TABLE7_ROWS[:-1]:
-            base = run_stack_context(ctx, 1, duration=25.0)
+            base = _run_stack_context(ctx, 1, duration=25.0)
             assert tcplp > 2 * base, ctx.name
 
     def test_single_frame_uip_is_slowest(self):
-        uip = run_stack_context(TABLE7_ROWS[0], 1, duration=25.0)
+        uip = _run_stack_context(TABLE7_ROWS[0], 1, duration=25.0)
         assert uip < 8.0
 
 
@@ -129,18 +129,18 @@ class TestAppStudy:
 
 class TestFairness:
     def test_four_segment_windows_share_fairly(self):
-        r = run_two_flows(1, window_segments=4, duration=40.0)
+        r = _run_two_flows(1, window_segments=4, duration=40.0)
         assert r.jain_index > 0.95
         assert r.aggregate_kbps > 40
 
     def test_red_ecn_restores_three_hop_fairness(self):
         worst_plain = min(
-            run_two_flows(3, window_segments=7, duration=40.0,
+            _run_two_flows(3, window_segments=7, duration=40.0,
                           seed=s).jain_index
             for s in (0, 2)
         )
         worst_red = min(
-            run_two_flows(3, window_segments=7, red=True, duration=40.0,
+            _run_two_flows(3, window_segments=7, red=True, duration=40.0,
                           seed=s).jain_index
             for s in (0, 2)
         )

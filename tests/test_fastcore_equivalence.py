@@ -29,9 +29,10 @@ from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_chain, build_grid_mesh
 from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
-from repro.sim.checkpoint import CheckpointManager, TraceHook
+from repro.sim.checkpoint import CheckpointManager
 from repro.sim.engine import SimulationError, Simulator
 from repro.verify.probes import probe_kernel
+from tests.trace_hook import TraceHook
 
 CHAOS_SPEC = {
     "name": "equivalence-chaos",
@@ -169,8 +170,8 @@ def test_deepcopy_preserves_kernel_class():
     sim.schedule_unref(2.0, sim.stop)
     clone = copy.deepcopy(sim)
     clone.run()  # the copied callbacks stop the clone, not the original
-    assert (type(clone), clone.now, clone.pending_count()) == (Simulator, 1.0, 1)
-    assert (sim.now, sim.pending_count()) == (0.0, 2)
+    assert (type(clone), clone.now, len(clone.pending_events())) == (Simulator, 1.0, 1)
+    assert (sim.now, len(sim.pending_events())) == (0.0, 2)
 
 
 # ======================================================================
@@ -181,7 +182,7 @@ def test_schedule_unref_semantics():
     fired = []
     assert sim.schedule_unref(2.0, fired.append, "slim") is None
     ev = sim.schedule(1.0, fired.append, "event")
-    assert sim.pending_count() == 2
+    assert len(sim.pending_events()) == 2
     assert sim.peek_time() == pytest.approx(1.0)
     fns = [e.fn for e in sim.pending_events()]
     assert fired.append in fns
@@ -189,7 +190,7 @@ def test_schedule_unref_semantics():
     assert fired == ["event", "slim"]
     assert ev.fired
     assert sim.events_processed == 2
-    assert sim.pending_count() == 0
+    assert len(sim.pending_events()) == 0
 
 
 def test_schedule_unref_rejects_negative_delay():
@@ -211,7 +212,7 @@ def test_probe_kernel_clean_on_accel_mid_run():
     sim.schedule_periodic(1.0, lambda: None)
     sim.run(until=3.0)
     assert probe_kernel(sim, 0.0) == []
-    assert sim.pending_count() > 0
+    assert len(sim.pending_events()) > 0
 
 
 def test_checkpoint_resume_byte_identical_on_accel():
@@ -225,7 +226,7 @@ def test_checkpoint_resume_byte_identical_on_accel():
     manager = CheckpointManager(
         net.sim, roots={"xfer": xfer}, interval=5.0).start()
     net.sim.run(until=12.0)
-    cp = manager.latest()
+    cp = manager.checkpoints[-1]
     assert cp is not None and cp.time == pytest.approx(10.0)
     reference = hook.suffix_after(cp)
     assert len(reference) > 100

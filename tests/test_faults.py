@@ -105,7 +105,8 @@ class TestScheduleValidation:
             {"kind": "node_reboot", "node": 1, "at": 1.0, "outage": 1.0},
             {"kind": "uniform_loss", "rate": 0.2},
         ]})
-        rates = [f["rate"] for f in sched.by_kind("uniform_loss")]
+        rates = [f["rate"] for f in sched.faults
+                 if f["kind"] == "uniform_loss"]
         assert rates == [0.1, 0.2]
 
 

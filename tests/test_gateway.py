@@ -7,7 +7,6 @@ they exercise the whole stack the CI smoke job gates — just smaller.
 """
 
 import asyncio
-import json
 import socket
 import statistics
 import struct
@@ -119,81 +118,35 @@ class TestRealtimePacer:
             RealtimePacer(speed=-1.0)
         with pytest.raises(SimulationError):
             RealtimePacer(slack_budget=-0.5)
-
-
-class TestRunRealtime:
-    """Blocking real-time dispatch on the engine itself (fake clock)."""
-
-    def test_dispatch_order_matches_plain_run(self):
-        clock = FakeClock()
-        sim = Simulator()
-        fired = []
-        for t in (0.1, 0.2, 0.5):
-            sim.schedule(t, fired.append, t)
-        pacer = sim.run_realtime(
-            until=1.0, speed=10.0, clock=clock, sleep=clock.advance,
-        )
-        assert fired == [0.1, 0.2, 0.5]
-        assert sim.now == pytest.approx(1.0)
-        assert pacer.violations == 0
-        assert pacer.observations >= 3
-
-    def test_poll_input_lands_at_the_current_instant(self):
-        """What ``poll`` schedules is stamped with the instant of the
-        poll, not with the clock as the sleep before it left it."""
-        clock = FakeClock()
-        sim = Simulator()
-        pacer = RealtimePacer(speed=10.0, clock=clock)
-        polled = []
-
-        def poll():
-            polled.append((pacer.sim_due(clock()), sim.now))
-
-        sim.schedule(0.75, lambda: None)  # dispatched on the way to a poll
-        sim.run_realtime(until=2.0, clock=clock, sleep=clock.advance,
-                         poll=poll, poll_interval=0.05, pacer=pacer)
-        assert len(polled) >= 3
-        for due, now in polled:
-            assert now == pytest.approx(min(due, 2.0))
-
-    def test_slow_dispatch_is_loud(self):
-        clock = FakeClock()
-
-        def laggy_sleep(dt):
-            clock.advance(dt + 1.0)  # wildly oversleep every wait
-
-        sim = Simulator()
-        for t in (0.5, 1.0):
-            sim.schedule(t, lambda: None)
-        pacer = sim.run_realtime(
-            until=1.5, speed=1.0, slack_budget=0.25,
-            clock=clock, sleep=laggy_sleep,
-        )
-        assert pacer.violations >= 1
-        assert pacer.max_slack > 0.25
+        for speed in (float("nan"), float("inf"), True):
+            with pytest.raises(SimulationError):
+                RealtimePacer(speed=speed)
+        for budget in (float("nan"), float("inf"), False):
+            with pytest.raises(SimulationError):
+                RealtimePacer(slack_budget=budget)
 
 
 class TestSessionBackoff:
     def test_exponential_growth_clipped_at_ceiling(self):
         b = SessionBackoff(base=0.5, factor=2.0, ceiling=3.0, max_attempts=5)
-        assert [b.next_delay() for _ in range(5)] == [0.5, 1.0, 2.0, 3.0, 3.0]
-        assert b.exhausted
+        assert [b._next_delay() for _ in range(5)] == [0.5, 1.0, 2.0, 3.0, 3.0]
+        assert b._exhausted
 
     def test_exhausted_refuses_further_delays(self):
         b = SessionBackoff(base=0.1, max_attempts=1)
-        b.next_delay()
-        assert b.exhausted
+        b._next_delay()
+        assert b._exhausted
         with pytest.raises(RuntimeError):
-            b.next_delay()
+            b._next_delay()
 
     def test_reset_restarts_the_schedule(self):
         b = SessionBackoff(base=0.25, factor=2.0, max_attempts=2)
-        b.next_delay()
-        b.next_delay()
-        assert b.exhausted
+        b._next_delay()
+        b._next_delay()
+        assert b._exhausted
         b.reset()
-        assert not b.exhausted
-        assert b.next_delay() == 0.25
+        assert not b._exhausted
+        assert b._next_delay() == 0.25
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +160,7 @@ class TestSessionBackoff:
 class TestLoadgenReport:
     def test_percentile_math(self):
         lat = [i / 100.0 for i in range(1, 101)]  # 0.01 .. 1.00
-        report = LoadgenReport.from_latencies(
+        report = LoadgenReport._from_latencies(
             "tcp-echo", lat, [], requests=100, concurrency=10,
             wall_seconds=2.0,
         )
@@ -222,7 +175,7 @@ class TestLoadgenReport:
         assert "100/100 ok" in report.summary()
 
     def test_empty_run_reports_zeroes(self):
-        report = LoadgenReport.from_latencies(
+        report = LoadgenReport._from_latencies(
             "udp-echo", [], ["TimeoutError: x"] * 3,
             requests=3, concurrency=3, wall_seconds=1.0,
         )
@@ -244,7 +197,7 @@ def _gateway_net(seed=1):
 
 
 class TestGatewayEndToEnd:
-    def test_tcp_echo_roundtrip_through_mesh(self, tmp_path):
+    def test_tcp_echo_roundtrip_through_mesh(self):
         async def scenario():
             net, tcp_echo, _ = _gateway_net()
             gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)],
@@ -264,7 +217,7 @@ class TestGatewayEndToEnd:
                 except (ConnectionError, OSError):
                     pass
                 await asyncio.sleep(0)
-                snap = gw.write_metrics(tmp_path / "gw.json")
+                snap = gw.sim.metrics.snapshot()
                 return payload, echoed, tcp_echo, snap, gw.slack_stats()
             finally:
                 await gw.aclose()
@@ -278,9 +231,6 @@ class TestGatewayEndToEnd:
         assert snap["counters"]["gw.bytes_out"] == len(payload)
         assert snap["histograms"]["gw.connect_seconds"]["count"] == 1
         assert slack["violations"] == 0
-        # the artifact on disk is the same snapshot
-        on_disk = json.loads((tmp_path / "gw.json").read_text())
-        assert on_disk["counters"]["gw.accepted"] == 1
 
     def test_udp_exchange_roundtrip(self):
         async def scenario():
@@ -662,6 +612,24 @@ class TestPacingContract:
         # the input found the clock about one burn behind the wall
         assert 0.010 < stats["max_input_lag"] < 0.100
 
+    def test_slow_dispatch_is_loud(self):
+        clock = FakeClock()
+
+        async def scenario():
+            sim = Simulator()
+            runner = PacedSimRunner(sim, speed=1.0, slack_budget=0.25)
+            runner.pacer.clock = clock
+            sim.schedule(0.0, clock.advance, 1.0)  # a wall second's work
+            sim.schedule(0.5, lambda: None)  # comes due during it
+            runner.start()
+            await asyncio.sleep(0.01)
+            await runner.stop()
+            return runner.pacer
+
+        pacer = asyncio.run(scenario())
+        assert pacer.violations == 1
+        assert pacer.max_slack == pytest.approx(0.5)
+
     def test_near_deadline_is_not_rounded_up_to_a_millisecond(self):
         async def scenario():
             sim = Simulator()
@@ -726,6 +694,26 @@ class TestPacingContract:
         assert not running
 
 
+class TestCommandLine:
+    def test_bad_numbers_exit_2_before_serving(self, monkeypatch, capsys):
+        from repro.gateway import __main__ as cli
+
+        def no_serving(coro):
+            coro.close()
+            raise AssertionError("a socket would be bound")
+
+        monkeypatch.setattr(cli.asyncio, "run", no_serving)
+        for flags in (["--speed", "0"], ["--speed", "nan"],
+                      ["--slack-budget", "-1"],
+                      ["--low-water", "100", "--high-water", "10"],
+                      ["--accept-rate", "nan"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(flags)
+            assert exc.value.code == 2, flags
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "error:" in err, (flags, err)
+
+
 class TestAttachWiredHost:
     def test_duplicate_and_wireless_topologies_rejected(self):
         net = build_chain(1, seed=1)
@@ -741,32 +729,3 @@ class TestAttachWiredHost:
     def test_binding_kind_validated(self):
         with pytest.raises(ValueError):
             MoteBinding(node_id=1, sim_port=7, kind="sctp")
-
-
-class TestLiveExport:
-    def test_stream_jsonl_tails_events_live(self, tmp_path):
-        from repro.sim.trace import TraceBus
-
-        sim = Simulator()
-        bus = TraceBus(sim)
-        path = tmp_path / "live.jsonl"
-        close = bus.stream_jsonl(path)
-        bus.emit("rt", -1, "slack_violation", slack=0.5, budget=0.25)
-        bus.emit("gw", 1, "accept")
-        # flushed per event: both lines visible before close
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == 2
-        assert lines[0]["kind"] == "slack_violation"
-        close()
-        bus.emit("gw", 1, "after-close")  # no longer streamed
-        assert len(path.read_text().splitlines()) == 2
-
-    def test_write_json_snapshot(self, tmp_path):
-        m = MetricsRegistry()
-        m.counter("gw.accepted").inc(3)
-        m.gauge("gw.active").set(1.0)
-        path = tmp_path / "metrics.json"
-        snap = m.write_json(path)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == snap
-        assert on_disk["counters"]["gw.accepted"] == 3

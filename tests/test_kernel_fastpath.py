@@ -212,7 +212,7 @@ def test_cancel_heavy_load_triggers_compaction():
     assert sim.compactions >= 1
     assert sim.cancelled_count < 64
     assert len(sim._queue) <= 64 + 1
-    assert sim.pending_count() == 1
+    assert len(sim.pending_events()) == 1
     sim.run()
     assert keeper.fired
     assert sim.events_processed == 1
@@ -241,8 +241,7 @@ def test_cancel_heavy_workload_keeps_heap_bounded():
     # allowance + the periodic tick is the ceiling
     assert sim.compactions > 0
     assert len(sim._queue) <= 40 + 64 + 1
-    pend = sim.pending_events()
-    assert sim.pending_count() == len(pend) == 40 + 1
+    assert len(sim.pending_events()) == 40 + 1
     tombstones = sum(
         1 for e in sim._queue if len(e) == 3 and e[2].cancelled)
     assert tombstones == sim.cancelled_count
@@ -259,7 +258,7 @@ def test_compaction_preserves_pending_dispatch_order():
     for ev in doomed:
         ev.cancel()
     assert sim.compactions >= 1 and sim.cancelled_count < 64
-    assert sim.pending_count() == 6
+    assert len(sim.pending_events()) == 6
     sim.run()
     assert fired == [0, 1, 2, "slim", 3, 4]
     assert all(ev.fired for ev in keep)

@@ -23,7 +23,7 @@ def test_small_datagram_is_unfragmented():
 def test_large_datagram_fragments_with_8_byte_alignment():
     f = Fragmenter(node_id=1)
     frags = f.fragment("pkt", 400, final_dst=9)
-    assert len(frags) == f.frames_for(400)
+    assert len(frags) == 5  # a 96-B first payload, then 96-B ones
     assert frags[0].is_first and frags[0].packet == "pkt"
     assert all(not g.is_first and g.packet is None for g in frags[1:])
     # all non-final fragments 8-byte aligned
@@ -50,9 +50,9 @@ def test_five_frame_segment_sizing():
     # The paper's MSS=5-frames configuration: a datagram of ~480 B
     # should need exactly 5 frames.
     f = Fragmenter(node_id=1)
-    per_first, per_next = f.max_first_payload(), f.max_next_payload()
+    per_first, per_next = f._max_first_payload(), f._max_next_payload()
     size = per_first + 3 * per_next + 10
-    assert f.frames_for(size) == 5
+    assert len(f.fragment("pkt", size, final_dst=9)) == 5
 
 
 def test_tags_increment_per_datagram():

@@ -7,7 +7,6 @@ from repro.lowpan.iphc import (
     best_case_ipv6,
     compressed_ipv6_bytes,
     compressed_udp_bytes,
-    compression_savings,
     worst_case_ipv6,
 )
 
@@ -64,10 +63,3 @@ def test_udp_nhc_port_compression():
     assert compressed_udp_bytes(0xF001, 5683) == 1 + 3 + 2
     # arbitrary ports: 4 bytes of ports
     assert compressed_udp_bytes(5683, 5683) == 1 + 4 + 2
-
-
-def test_savings_positive_for_all_contexts():
-    for ecn in (False, True):
-        for hop in (False, True):
-            ctx = CompressionContext(ecn_present=ecn, hop_limit_compressible=hop)
-            assert compression_savings(PROTO_TCP, ctx) > 0

@@ -66,7 +66,7 @@ def test_indirect_queue_overflow_drops():
     results = []
     for i in range(4):
         parent.send(i, 20, dst=1, on_done=results.append)
-    assert parent.indirect_depth(1) == 2
+    assert parent._indirect_depth(1) == 2
     assert results.count(False) == 2
     assert parent.trace.counters.get("mac.indirect_drops") == 2
 
@@ -104,7 +104,7 @@ def test_failed_indirect_frame_requeues_for_next_poll():
     sim.run(until=1.0)
     if not got:
         # frame failed and went back to the indirect queue
-        assert parent.indirect_depth(1) == 1
+        assert parent._indirect_depth(1) == 1
         child.radio.listen()
         child.send_data_request(parent=0)
         sim.run(until=2.0)

@@ -33,11 +33,6 @@ def test_data_request_size():
     assert f.byte_size == 24
 
 
-def test_broadcast_flag():
-    f = Frame(kind=FrameKind.DATA, src=1, dst=BROADCAST, ack_request=False)
-    assert f.is_broadcast
-
-
 def test_encode_length_matches_byte_size():
     f = Frame(kind=FrameKind.DATA, src=1, dst=2, seq=9, payload_bytes=40)
     assert len(f.encode()) == f.byte_size

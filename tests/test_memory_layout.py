@@ -112,7 +112,7 @@ def test_mac_holds_no_set_or_deque_of_its_own():
     for node in net.nodes.values():
         held = gc.get_referents(node.mac)
         assert not [o for o in held if isinstance(o, (set, deque))], node
-    assert set(parent.sleepy_children) == set(parent._indirect) == {5}
+    assert set(parent._indirect) == {5}
 
 
 def test_bulk_sender_that_only_sent_holds_no_receive_ring():

@@ -14,7 +14,6 @@ from repro.models.memory import (
 )
 from repro.models.platforms import PLATFORMS, phy_profile
 from repro.models.throughput import (
-    bandwidth_delay_product,
     lln_model_goodput,
     mathis_goodput,
     multihop_bound,
@@ -60,10 +59,6 @@ class TestThroughputModels:
         lo = lln_model_goodput(448, 0.2, 0.01, 4)
         hi = lln_model_goodput(448, 0.2, 0.10, 4)
         assert hi < lo / 1.5
-
-    def test_bdp_matches_paper_example(self):
-        # §6.2: 125 kb/s x 0.1 s ≈ 1.6 KiB
-        assert bandwidth_delay_product(125_000, 0.1) == pytest.approx(1562.5)
 
     def test_model_input_validation(self):
         with pytest.raises(ValueError):

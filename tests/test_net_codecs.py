@@ -68,16 +68,16 @@ class TestIpv6Codec:
     def test_compressed_smaller_than_full(self):
         pkt = Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP,
                          payload=None, payload_bytes=0)
-        assert pkt.compressed_header_bytes() < IPV6_HEADER_BYTES
-        assert pkt.datagram_bytes() == pkt.compressed_header_bytes()
+        assert pkt._compressed_header_bytes() < IPV6_HEADER_BYTES
+        assert pkt.datagram_bytes() == pkt._compressed_header_bytes()
 
     def test_cloud_destination_costs_more_header(self):
         mesh = Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP,
                           payload=None, payload_bytes=0)
         cloud = Ipv6Packet(src=1, dst=1000, next_header=PROTO_TCP,
                            payload=None, payload_bytes=0, dst_is_cloud=True)
-        assert cloud.compressed_header_bytes() == (
-            mesh.compressed_header_bytes() + 16
+        assert cloud._compressed_header_bytes() == (
+            mesh._compressed_header_bytes() + 16
         )
 
     def test_ecn_makes_header_grow(self):
@@ -85,8 +85,8 @@ class TestIpv6Codec:
                            payload=None, payload_bytes=0)
         marked = Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP,
                             payload=None, payload_bytes=0, ecn=ECN_ECT0)
-        assert marked.compressed_header_bytes() == (
-            plain.compressed_header_bytes() + 1
+        assert marked._compressed_header_bytes() == (
+            plain._compressed_header_bytes() + 1
         )
 
 

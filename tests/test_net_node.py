@@ -80,7 +80,7 @@ def test_border_router_reassembles_datagrams_leaving_mesh():
 def test_make_sleepy_marks_parent():
     net = build_pair(seed=51)
     net.nodes[1].make_sleepy(net.nodes[0])
-    assert 1 in net.nodes[0].mac.sleepy_children
+    assert 1 in net.nodes[0].mac._indirect
     assert net.nodes[1].sleepy is not None
 
 

@@ -8,7 +8,7 @@ from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
 from repro.experiments.topology import CLOUD_ID, build_chain
 from repro.net.ipv6 import decode_header
-from repro.net.pcap import LINKTYPE_RAW, PcapWriter, encode_packet, read_pcap
+from repro.net.pcap import LINKTYPE_RAW, PcapWriter, _encode_packet, read_pcap
 
 
 def capture_handshake(tmp_path):
@@ -87,7 +87,7 @@ def test_encode_packet_udp_coap():
     dgram = UdpDatagram(5683, 5684, msg, msg.wire_bytes)
     pkt = Ipv6Packet(src=1, dst=2, next_header=PROTO_UDP, payload=dgram,
                      payload_bytes=dgram.wire_bytes(compressed=False))
-    raw = encode_packet(pkt)
+    raw = _encode_packet(pkt)
     assert len(raw) == 40 + 8 + msg.wire_bytes
     parsed = CoapMessage.decode(raw[48:])
     assert parsed.payload == b"reading"

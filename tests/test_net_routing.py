@@ -64,7 +64,6 @@ class TestMeshRouting:
         # toward the leaf: hop to the parent first, then the leaf
         assert routing.next_hop(0, 10) == 1
         assert routing.next_hop(1, 10) == 10
-        assert routing.attached_leaves(1) == [10]
 
     def test_off_mesh_destination_goes_to_border(self):
         medium = make_medium({0: (0, 0), 1: (8, 0)})

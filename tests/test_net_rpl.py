@@ -6,8 +6,8 @@ from repro.experiments.topology import build_chain, build_pair
 from repro.experiments.workload import BulkTransfer
 from repro.net.rpl import (
     MIN_HOP_RANK_INCREASE,
-    RplDao,
-    RplDio,
+    _RplDao,
+    _RplDio,
     enable_rpl,
 )
 
@@ -107,13 +107,13 @@ class TestRepair:
         sim.run(until=90.0)
         assert leaf.preferred_parent in (1, 2)
         assert leaf.preferred_parent != first_parent
-        assert routing._nodes[3].joined
+        assert routing._nodes[3]._joined
 
 
 class TestControlMessages:
     def test_dio_sizes(self):
-        assert RplDio(0, 256).wire_bytes == 24
-        assert RplDao(3, 3).wire_bytes == 24
+        assert _RplDio(0, 256).wire_bytes == 24
+        assert _RplDao(3, 3).wire_bytes == 24
 
     def test_root_rank_is_zero_and_stable(self):
         net, routing = rpl_chain(1)

@@ -102,7 +102,7 @@ def test_testbed_sleepy_leaves_park_downstream_traffic():
     cloud_udp.send(leaf, 5683, 7000, b"down", 4)
     net.sim.run(until=1.0)
     assert got == []
-    assert net.nodes[parent].mac.indirect_depth(leaf) == 1
+    assert net.nodes[parent].mac._indirect_depth(leaf) == 1
     # once the leaf polls (fast poll), the data arrives
     net.nodes[leaf].sleepy.set_fast_poll(True)
     net.sim.run(until=3.0)

@@ -116,8 +116,7 @@ class TestSpliceBudget:
         budget = SpliceBudget(100)
         assert budget.acquire(100)
         assert not budget.acquire(1)  # over — but the byte is counted
-        assert budget.used == 101
-        assert budget.exhausted
+        assert budget.used == 101 > budget.total
 
     def test_resume_threshold(self):
         budget = SpliceBudget(100, resume_ratio=0.75)
@@ -160,6 +159,12 @@ class TestGatewayLimits:
         {"backlog": 0},
         {"high_water": 100, "low_water": 100},
         {"reap_interval": 0.0},
+        {"accept_rate": float("nan")},
+        {"idle_timeout": float("nan")},
+        {"establish_timeout": float("inf")},
+        {"breaker_cooldown": float("nan")},
+        {"reap_interval": float("nan")},
+        {"max_connections": True},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -172,15 +177,15 @@ class TestSeededBackoffJitter:
                            max_attempts=6, jitter=1.0, seed=42)
         b = SessionBackoff(base=1.0, factor=2.0, ceiling=64.0,
                            max_attempts=6, jitter=1.0, seed=42)
-        assert [a.next_delay() for _ in range(6)] == \
-               [b.next_delay() for _ in range(6)]
+        assert [a._next_delay() for _ in range(6)] == \
+               [b._next_delay() for _ in range(6)]
         # ...and that sequence is the seed's own: one uniform draw per
         # attempt over [0, envelope], from a stream seeded with 42
         rng = random.Random(42)
         expected = [rng.uniform(0.0, min(64.0, 2.0 ** n)) for n in range(6)]
         c = SessionBackoff(base=1.0, factor=2.0, ceiling=64.0,
                            max_attempts=6, jitter=1.0, seed=42)
-        assert [c.next_delay() for _ in range(6)] == expected
+        assert [c._next_delay() for _ in range(6)] == expected
 
     def test_zero_jitter_never_builds_a_random(self, monkeypatch):
         built = []
@@ -192,38 +197,38 @@ class TestSeededBackoffJitter:
 
         monkeypatch.setattr(random, "Random", CountingRandom)
         b = SessionBackoff(base=0.5, factor=2.0, max_attempts=3, seed=9)
-        assert [b.next_delay() for _ in range(3)] == [0.5, 1.0, 2.0]
+        assert [b._next_delay() for _ in range(3)] == [0.5, 1.0, 2.0]
         b.reset()
-        b.next_delay()
+        b._next_delay()
         assert built == []
         jittered = SessionBackoff(jitter=0.5, seed=9)
         assert built == []  # built on the first jittered draw...
-        jittered.next_delay()
-        jittered.next_delay()
+        jittered._next_delay()
+        jittered._next_delay()
         assert built == [(9,)]  # ...and only once
 
     def test_different_seeds_decorrelate(self):
         a = SessionBackoff(base=1.0, max_attempts=5, jitter=1.0, seed=1)
         b = SessionBackoff(base=1.0, max_attempts=5, jitter=1.0, seed=2)
-        assert [a.next_delay() for _ in range(5)] != \
-               [b.next_delay() for _ in range(5)]
+        assert [a._next_delay() for _ in range(5)] != \
+               [b._next_delay() for _ in range(5)]
 
     def test_full_jitter_stays_under_the_exponential_envelope(self):
         b = SessionBackoff(base=0.5, factor=2.0, ceiling=4.0,
                            max_attempts=4, jitter=1.0, seed=7)
         for envelope in (0.5, 1.0, 2.0, 4.0):
-            delay = b.next_delay()
+            delay = b._next_delay()
             assert 0.0 <= delay <= envelope
 
     def test_partial_jitter_keeps_a_floor(self):
         b = SessionBackoff(base=1.0, factor=1.0, max_attempts=20,
                            jitter=0.25, seed=3)
         for _ in range(20):
-            assert 0.75 <= b.next_delay() <= 1.0
+            assert 0.75 <= b._next_delay() <= 1.0
 
     def test_zero_jitter_is_exact(self):
         b = SessionBackoff(base=0.5, factor=2.0, max_attempts=3, seed=9)
-        assert [b.next_delay() for _ in range(3)] == [0.5, 1.0, 2.0]
+        assert [b._next_delay() for _ in range(3)] == [0.5, 1.0, 2.0]
 
     def test_invalid_jitter_rejected(self):
         with pytest.raises(ValueError):

@@ -21,12 +21,6 @@ def test_effective_frame_time_is_about_8_2_ms(phy):
     assert phy.frame_tx_time(127) == pytest.approx(8.2e-3, rel=0.05)
 
 
-def test_spi_time_is_the_difference(phy):
-    assert phy.spi_time(127) == pytest.approx(
-        phy.frame_tx_time(127) - phy.air_time(127)
-    )
-
-
 def test_air_time_scales_linearly(phy):
     assert phy.air_time(60) < phy.air_time(120)
     # doubling payload doesn't double time (preamble is constant)
@@ -34,7 +28,7 @@ def test_air_time_scales_linearly(phy):
 
 
 def test_ack_air_time_is_small(phy):
-    assert phy.ack_air_time() < 0.5e-3
+    assert phy.air_time(phy.ack_frame_bytes) < 0.5e-3
 
 
 def test_unit_backoff_is_20_symbols(phy):

@@ -1,10 +1,9 @@
 """Text-rendering utilities."""
 
 from repro.experiments.plotting import (
-    render_bars,
+    _render_topology,
     render_network_map,
     render_series,
-    render_topology,
 )
 from repro.experiments.topology import build_testbed
 
@@ -31,28 +30,9 @@ class TestRenderSeries:
         assert top_row.count("#") == 10
 
 
-class TestRenderBars:
-    def test_proportional_bars(self):
-        out = render_bars({"a": 10.0, "b": 5.0}, width=20)
-        a_line, b_line = out.splitlines()
-        assert a_line.count("#") == 20
-        assert b_line.count("#") == 10
-
-    def test_zero_value_gets_no_bar(self):
-        out = render_bars({"x": 0.0, "y": 1.0})
-        assert out.splitlines()[0].count("#") == 0
-
-    def test_empty(self):
-        assert render_bars({}) == "(no data)"
-
-    def test_unit_suffix(self):
-        out = render_bars({"g": 2.5}, unit=" kb/s")
-        assert "2.5 kb/s" in out
-
-
 class TestRenderTopology:
     def test_nodes_and_routes_drawn(self):
-        out = render_topology(
+        out = _render_topology(
             {1: (0.0, 0.0), 2: (10.0, 0.0)},
             routes=[(2, 1)],
             width=30, height=5,
@@ -61,7 +41,7 @@ class TestRenderTopology:
         assert "." in out  # the route line
 
     def test_empty(self):
-        assert render_topology({}) == "(no nodes)"
+        assert _render_topology({}) == "(no nodes)"
 
     def test_network_map_shows_border_and_leaves(self):
         net = build_testbed(seed=1, sleepy_leaves=False)

@@ -23,9 +23,10 @@ class TestProcessFaultSchedule:
         sched = ProcessFaultSchedule.from_dict(spec)
         assert len(sched) == 4
         # defaults filled in
-        assert sched.by_kind("slow_loris")[0]["hold"] == 10.0
-        assert sched.by_kind("slow_loris")[0]["prelude_bytes"] == 4
-        assert sched.by_kind("client_reset")[0]["count"] == 4
+        by_kind = {f["kind"]: f for f in sched.faults}
+        assert by_kind["slow_loris"]["hold"] == 10.0
+        assert by_kind["slow_loris"]["prelude_bytes"] == 4
+        assert by_kind["client_reset"]["count"] == 4
         rebuilt = ProcessFaultSchedule.from_dict(sched.to_dict())
         assert rebuilt.to_dict() == sched.to_dict()
 

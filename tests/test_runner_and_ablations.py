@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.experiments.exp_ablations import ABLATIONS, run_ablation
-from repro.experiments.runner import experiment_registry, main, run_all
+from repro.experiments.exp_ablations import ABLATIONS, _run_ablation
+from repro.experiments.runner import DEFAULT_CATALOG, main, run_all_detailed
 
 
 class TestAblationHarness:
     def test_all_named_ablations_runnable(self):
-        row = run_ablation("full TCPlp", scenario="clean-1hop",
+        row = _run_ablation("full TCPlp", scenario="clean-1hop",
                            duration=10.0)
         assert row["goodput_kbps"] > 0
         assert row["scenario"] == "clean-1hop"
@@ -30,17 +30,29 @@ class TestAblationHarness:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            run_ablation("full TCPlp", scenario="marsnet")
+            _run_ablation("full TCPlp", scenario="marsnet")
 
     def test_lossy_scenario_produces_segment_loss(self):
-        row = run_ablation("full TCPlp", scenario="lossy-1hop",
+        row = _run_ablation("full TCPlp", scenario="lossy-1hop",
                            duration=30.0, frame_loss=0.15)
         assert row["segment_loss"] > 0.03
 
 
+def _boom(quick):
+    raise RuntimeError("injected")
+
+
+@pytest.fixture
+def boom():
+    """A ``boom`` experiment that raises, registered on the catalog."""
+    DEFAULT_CATALOG.register("boom", _boom)
+    yield
+    DEFAULT_CATALOG.unregister("boom")
+
+
 class TestRunner:
     def test_registry_covers_every_table_and_figure(self):
-        names = set(experiment_registry(quick=True))
+        names = set(DEFAULT_CATALOG.names())
         for required in (
             "static_tables", "fig4_mss", "fig5_buffer", "table7_stacks",
             "fig6a_one_hop", "fig6bcd_three_hops", "fig7a_cwnd",
@@ -51,25 +63,16 @@ class TestRunner:
             assert required in names, required
 
     def test_run_all_subset_and_error_isolation(self):
-        results = run_all(quick=True, only=["static_tables"],
-                          progress=lambda *_: None)
+        results, _ = run_all_detailed(quick=True, only=["static_tables"],
+                                      progress=lambda *_: None)
         assert set(results) == {"static_tables"}
         assert results["static_tables"]["memory_model"][
             "active_socket_bytes"] > 0
 
-    def test_broken_experiment_reported_not_raised(self, monkeypatch):
-        import repro.experiments.runner as runner_mod
-
-        registry = runner_mod.experiment_registry(True)
-
-        def boom():
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(
-            runner_mod, "experiment_registry",
-            lambda quick: {"boom": boom, "static_tables": registry["static_tables"]},
-        )
-        results = runner_mod.run_all(quick=True, progress=lambda *_: None)
+    def test_broken_experiment_reported_not_raised(self, boom):
+        results, _ = run_all_detailed(quick=True,
+                                      only=["boom", "static_tables"],
+                                      progress=lambda *_: None)
         assert results["boom"] == {"error": "RuntimeError: injected"}
         assert "memory_model" in results["static_tables"]
 
@@ -100,22 +103,10 @@ class TestRunner:
         assert list(a) == subset  # registry order, not completion order
         assert (meta_a["jobs"], meta_b["jobs"]) == (1, 4)
 
-    def test_worker_failure_propagates_to_exit_code(self, tmp_path,
-                                                    monkeypatch):
-        import repro.experiments.runner as runner_mod
-
-        registry = runner_mod.experiment_registry(True)
-
-        def boom():
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(
-            runner_mod, "experiment_registry",
-            lambda quick: {"boom": boom,
-                           "static_tables": registry["static_tables"]},
-        )
+    def test_worker_failure_propagates_to_exit_code(self, tmp_path, boom):
         out = tmp_path / "r.json"
-        code = runner_mod.main(["--quick", "-o", str(out)])
+        code = main(["--quick", "-o", str(out),
+                     "--only", "boom", "static_tables"])
         assert code == 1
         data = json.loads(out.read_text())
         assert data["boom"] == {"error": "RuntimeError: injected"}

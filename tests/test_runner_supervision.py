@@ -7,7 +7,7 @@ interrupt still yields a valid partial document with
 ``_meta.interrupted``; and ``--verify`` violations survive the worker
 process boundary.
 
-The hostile experiments are injected via ``register_experiment`` as
+The hostile experiments are registered on ``runner.DEFAULT_CATALOG`` as
 module-level functions (supervised workers fork, but keeping them
 importable matches the documented contract).
 """
@@ -52,12 +52,12 @@ def registered():
     names = []
 
     def register(name, factory):
-        runner.register_experiment(name, factory)
+        runner.DEFAULT_CATALOG.register(name, factory)
         names.append(name)
 
     yield register
     for name in names:
-        runner.unregister_experiment(name)
+        runner.DEFAULT_CATALOG.unregister(name)
 
 
 def quiet(_msg):
@@ -69,11 +69,11 @@ def quiet(_msg):
 # ======================================================================
 def test_register_and_unregister_experiment(registered):
     registered("zz_extra", _ok)
-    registry = runner.experiment_registry(quick=True)
-    assert registry["zz_extra"]() == {"ok": True, "quick": True}
-    runner.unregister_experiment("zz_extra")
-    assert "zz_extra" not in runner.experiment_registry(quick=True)
-    runner.unregister_experiment("zz_extra")  # idempotent
+    catalog = runner.DEFAULT_CATALOG
+    assert catalog.get("zz_extra")(True) == {"ok": True, "quick": True}
+    catalog.unregister("zz_extra")
+    assert "zz_extra" not in catalog.names()
+    catalog.unregister("zz_extra")  # idempotent
 
 
 # ======================================================================

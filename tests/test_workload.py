@@ -170,7 +170,7 @@ class TestFlowSet:
                  FlowSpec(src=2, dst=0, kind="sensor", interval=0.5)]
         flows = FlowSet(net, specs, params=tcplp_params())
         res = flows.measure(warmup=4.0, duration=10.0)
-        assert flows.stack_for(2) is flows._stacks[2]
+        assert flows._stack_for(2) is flows._stacks[2]
         assert len(flows._stacks) == 2  # one per node, not per flow
         assert res.flows_connected == 2
         assert res.flows[1].kind == "sensor"
