@@ -45,9 +45,6 @@ for socket-level chaos against the live gateway (abusive clients — see
 ``tools/chaos.py``).
 
 **Self-verification** —
-:class:`~repro.sim.checkpoint.Checkpoint` /
-:class:`~repro.sim.checkpoint.CheckpointManager` (deterministic
-snapshot/restore of a whole simulation) and
 :class:`~repro.verify.engine.InvariantEngine` (live cross-layer
 invariant checking; see ``docs/robustness.md``).
 
@@ -148,7 +145,6 @@ from repro.gateway import (
     run_tcp_loadgen,
     run_udp_loadgen,
 )
-from repro.sim.checkpoint import Checkpoint, CheckpointManager
 from repro.sim.engine import RealtimePacer, Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngStreams
@@ -233,8 +229,6 @@ __all__ = [
     "FaultInjector",
     "ProcessFaultSchedule",
     # self-verification
-    "Checkpoint",
-    "CheckpointManager",
     "InvariantEngine",
     # gateway
     "Gateway",

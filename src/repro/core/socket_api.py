@@ -230,8 +230,6 @@ class TcpStack:
             instruments=self._instruments,
         )
         if self.sleepy is not None:
-            # checkpoint-safe hook: partial over the bound method, not a
-            # lambda, so deepcopy/pickle clone it with the connection
             conn.on_awaiting_ack = functools.partial(self._fast_poll, key)
         self._connections[key] = conn
         return conn

@@ -127,10 +127,6 @@ class BulkTransfer:
         """The sender-side socket (for cwnd traces etc.)."""
         return self._conn
 
-    # Bound methods throughout (no closures / builtin-method refs): the
-    # whole harness must clone with the simulation under
-    # repro.sim.checkpoint, and a closure would keep pointing at the
-    # original object graph after a restore.
     def _on_accept(self, conn) -> None:
         conn.on_data = self.meter.on_data
 

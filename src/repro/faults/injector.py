@@ -83,7 +83,7 @@ class FaultInjector:
                     link=fault["link"], stream=f"fault-corrupt:{i}",
                     at=fault["at"], until=fault["until"],
                     on_corrupt=self._on_corrupt,
-                    clock=self._clock_now,  # checkpoint-safe (no lambda)
+                    clock=self._clock_now,
                 )
                 medium.frame_filters.append(model)
                 self.models.append(model)

@@ -26,11 +26,7 @@ MULTICAST_ALL = 0xFFFF
 
 
 class _FragCompletion:
-    """Joins per-fragment MAC outcomes into one datagram callback.
-
-    A plain object rather than a closure so it clones correctly with
-    the rest of the event graph under checkpoint deepcopy/pickle.
-    """
+    """Joins per-fragment MAC outcomes into one datagram callback."""
 
     __slots__ = ("remaining", "ok", "on_done")
 
@@ -71,8 +67,6 @@ class LowpanAdaptation:
         self.reassemble_per_hop = reassemble_per_hop
         # By default a node reassembles datagrams addressed to it; a
         # border router also reassembles datagrams leaving the mesh.
-        # (A bound method, not a lambda, so the object graph stays
-        # picklable for checkpoints.)
         self._should_reassemble = (
             should_reassemble or self._reassemble_if_local)
         self.fragmenter = Fragmenter(node_id)

@@ -178,9 +178,6 @@ class Reassembler:
                     self._m_overflow.inc()
                 return None
             part = _PartialDatagram(size=frag.datagram_size)
-            # partial over a bound method (not a lambda): the GC callback
-            # must survive checkpoint deepcopy/pickle with the rest of
-            # the event graph (repro.sim.checkpoint)
             part.timer = Timer(
                 self.sim, functools.partial(self._expire, key), "reasm")
             part.timer.start(self.timeout)

@@ -299,9 +299,6 @@ class MacLayer:
         # CSMA rates.  Must consume getrandbits identically so seeded
         # traces match randint's byte for byte (pinned by
         # tests/test_fastcore_equivalence.py::test_backoff_draw_matches_randint).
-        # (getrandbits is looked up per draw, not cached at __init__:
-        # deepcopy treats bound builtin methods as atomic, so a cached
-        # one would still point at the pre-checkpoint RNG after restore.)
         be = op.be
         n = 1 << be
         k = be + 1  # n.bit_length()
@@ -504,8 +501,6 @@ class MacLayer:
             return
         op = q.popleft()
         op.frame.pending = len(q) > 0  # App. C: keep child awake if more
-        # bound-method partial (not a closure) so the op's completion
-        # hook survives checkpoint deepcopy/pickle
         op.on_done = functools.partial(
             self._indirect_done, op, child, op.on_done)
         # §9.5 improvement 1: indirect messages are prioritised over the

@@ -81,7 +81,6 @@ class IcmpStack:
         self._next_ident += 1
         echo = IcmpEcho(TYPE_ECHO_REQUEST, ident, 1, payload_bytes)
         key = (ident, 1)
-        # checkpoint-safe callback (bound-method partial, not a lambda)
         timer = Timer(self.sim, functools.partial(self._timeout, key), "ping")
         timer.start(timeout)
         self._pending[key] = (self.sim.now, on_reply, timer)

@@ -119,11 +119,7 @@ def decode_header(data: bytes) -> Ipv6Packet:
 
 
 class _ChainedHandler:
-    """Two transport handlers on one protocol number, called in order.
-
-    A callable object (not a closure) so a registered chain clones
-    correctly under checkpoint deepcopy/pickle.
-    """
+    """Two transport handlers on one protocol number, called in order."""
 
     __slots__ = ("first", "second")
 

@@ -216,8 +216,7 @@ class RealtimePacer:
 
         Call once before pacing starts (and after any deliberate pause);
         resyncing forgives accumulated lateness rather than sprinting to
-        catch up, which is the right behaviour after a checkpoint
-        restore or a debugger stop.
+        catch up, which is the right behaviour after a debugger stop.
         """
         self._wall0 = self.clock()
         self._sim0 = sim_now
@@ -333,7 +332,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which would corrupt the heap
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         seq = self._seq
@@ -362,7 +361,7 @@ class Simulator:
         it push a slim ``(time, seq, fn, args)`` entry: no Event
         allocation, no tombstone machinery.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
@@ -370,7 +369,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
@@ -394,7 +393,7 @@ class Simulator:
         re-scheduled at the top of its own callback.  Cancel it to stop
         the repetition.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(
                 f"periodic interval must be positive (got {interval})"
             )
@@ -445,6 +444,8 @@ class Simulator:
         even if the last event fires earlier, so duty-cycle accounting over
         a fixed horizon is exact.
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until t=nan")
         self._running = True
         self._stopped = False
         # Hot loop: attribute lookups hoisted into locals.  The queue is

@@ -18,9 +18,6 @@ metrics and faults).  Violations are collected as structured
 :class:`Violation` records, capped at ``max_violations`` so a
 catastrophically broken run cannot eat the heap; the cap is recorded
 as a final sentinel violation.
-
-All callbacks are bound methods, so a simulation with an engine
-attached remains checkpointable (:mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations

@@ -42,8 +42,6 @@ ALLOWED = {
     "net/pcap.py::read_pcap": "oracle: test_net_pcap reads PcapWriter's files back with it",
     "net/routing.py::MeshRouting.hops_between": "oracle: test_topology_builders and test_net_routing check path lengths",
     "phy/medium.py::Medium.force_link": "topology override test_phy_medium and test_kernel_fastpath invalidate caches with",
-    "sim/checkpoint.py::CheckpointError": "what Checkpoint raises to its callers; test_checkpoint matches on it",
-    "sim/checkpoint.py::Checkpoint.capture": "the exported Checkpoint's constructor; test_checkpoint snapshots with it",
     "sim/engine.py::Simulator.pending_events": "oracle: the kernel tests count and inspect the queue with it",
     "sim/trace.py::read_jsonl": "oracle: test_metrics reads TraceBus.to_jsonl exports back with it",
 }

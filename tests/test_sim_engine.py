@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -49,8 +51,24 @@ def test_run_until_stops_and_advances_clock():
 
 def test_schedule_in_past_raises():
     sim = Simulator()
+    sim.run(until=1.0)
+    # NaN compares false both ways: let in, it would corrupt the heap order
+    for bad in (-0.1, math.nan):
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(sim.now + bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_periodic(bad, lambda: None)
+    assert sim.pending_events() == []
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    sim.schedule_periodic(1.0, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule(-0.1, lambda: None)
+        sim.run(until=math.nan)  # a NaN horizon would never stop the loop
+    assert (sim.now, sim.events_processed) == (0.0, 0)
 
 
 def test_schedule_from_callback():

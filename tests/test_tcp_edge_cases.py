@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.connection import TcpState
+from repro.core.connection import TcpConnection, TcpState
 from repro.core.segment import FLAG_ACK, FLAG_RST, FLAG_SYN, Segment
 from repro.core.simplified import (
     FEATURE_MATRIX,
@@ -13,6 +13,8 @@ from repro.core.simplified import (
 )
 from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_pair
+from repro.sim.engine import Simulator
+from tests.test_tcp_protocol import FakeNetwork
 
 
 def make_conn_pair(seed=0, params_a=None, params_b=None):
@@ -176,6 +178,107 @@ class TestTimeWait:
         assert conn.state in (TcpState.TIME_WAIT, TcpState.CLOSED)
         net.sim.run(until=30.0)
         assert conn.state is TcpState.CLOSED
+
+
+class _From:
+    """The slice of an IPv6 packet ``on_segment`` reads: the sender."""
+
+    ecn = 0
+
+    def __init__(self, src):
+        self.src = src
+
+
+class _Wire:
+    """Two connections over fake networks; the test hands segments across."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        params = tcplp_params()
+        params.time_wait = 1.0
+        self.a = TcpConnection(self.sim, FakeNetwork(), local_id=1,
+                               local_port=1000, peer_id=2, peer_port=2000,
+                               params=params, iss=5000)
+        self.b = TcpConnection(self.sim, FakeNetwork(), local_id=2,
+                               local_port=2000, peer_id=1, peer_port=1000,
+                               params=params, iss=9000)
+
+    def deliver(self, sender, count=None):
+        """Hand the first ``count`` segments ``sender`` emitted (all by
+        default) to its peer, in order."""
+        receiver = self.b if sender is self.a else self.a
+        segs = sender.network.sent[:count]
+        del sender.network.sent[:count]
+        for seg in segs:
+            receiver.on_segment(seg, _From(sender.local_id))
+        return segs
+
+    def establish(self):
+        self.a.connect()
+        syn, = self.a.network.sent
+        self.a.network.clear()
+        self.b.accept_syn(syn, _From(1))
+        self.deliver(self.b)  # SYN-ACK
+        self.deliver(self.a)  # ACK
+        assert self.a.state is self.b.state is TcpState.ESTABLISHED
+
+
+class TestCloseStateMachine:
+    def test_simultaneous_close_passes_through_closing(self):
+        wire = _Wire()
+        wire.establish()
+        wire.a.close()
+        wire.b.close()
+        assert wire.a.state is wire.b.state is TcpState.FIN_WAIT_1
+        # the FINs cross: each side sees the peer's FIN before its own
+        # FIN is acknowledged
+        fin_a, = wire.deliver(wire.a)
+        assert fin_a.fin
+        assert wire.b.state is TcpState.CLOSING
+        fin_b, = wire.deliver(wire.b, 1)
+        assert fin_b.fin
+        assert wire.a.state is TcpState.CLOSING
+        wire.deliver(wire.b)  # b's ACK of a's FIN
+        assert wire.a.state is TcpState.TIME_WAIT
+        wire.deliver(wire.a)  # a's ACK of b's FIN
+        assert wire.b.state is TcpState.TIME_WAIT
+        # both 2MSL timers expire: nothing is left open or armed
+        wire.sim.run(until=wire.sim.now + 1.5)
+        assert wire.a.state is wire.b.state is TcpState.CLOSED
+        assert wire.sim.armed_timers() == []
+
+    def test_fin_retransmitted_into_time_wait_is_reacked(self):
+        wire = _Wire()
+        wire.establish()
+        wire.a.close()
+        wire.deliver(wire.a)  # FIN -> b in CLOSE_WAIT, ACK back
+        wire.deliver(wire.b)
+        assert wire.a.state is TcpState.FIN_WAIT_2
+        wire.b.close()
+        fin_b, = wire.deliver(wire.b)
+        assert wire.a.state is TcpState.TIME_WAIT
+        wire.a.network.clear()  # the ACK of fin_b is lost ...
+        wire.a.on_segment(fin_b, _From(2))  # ... so b retransmits
+        ack, = wire.a.network.sent
+        assert ack.ack_flag and not ack.fin
+        assert ack.ack == wire.a.rcv_nxt
+        assert wire.a.state is TcpState.TIME_WAIT
+
+    def test_close_in_syn_sent_tears_down(self):
+        wire = _Wire()
+        wire.a.connect()
+        assert wire.a.state is TcpState.SYN_SENT
+        wire.a.close()
+        assert wire.a.state is TcpState.CLOSED
+        assert wire.sim.armed_timers() == []
+
+    def test_connect_on_open_and_send_on_closed_raise(self):
+        wire = _Wire()
+        with pytest.raises(RuntimeError, match="send"):
+            wire.a.send(b"x")
+        wire.establish()
+        with pytest.raises(RuntimeError, match="connect"):
+            wire.a.connect()
 
 
 class TestStackBehaviour:

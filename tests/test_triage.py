@@ -1,15 +1,17 @@
 """Tests for tools/triage.py: ddmin, schedule minimization, and the
-reproduce → minimize → replay-from-checkpoint pipeline.
+reproduce → minimize → replay-from-seed pipeline.
 
 The pipeline test uses the tool's deterministic ``--corrupt`` hook (a
 schedule-independent ``snd_nxt`` smash), so ddmin must reduce the
-fault list to empty and the checkpoint replay must reproduce the
-identical first violation.
+fault list to empty and the from-seed replay of the minimized schedule
+must reproduce the identical first violation.
 """
 
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -85,10 +87,10 @@ def test_cli_triages_seeded_corruption_end_to_end(tmp_path):
     # the corruption is schedule-independent -> minimized to no faults
     assert report["minimized_schedule"]["faults"] == []
     assert json.loads(spec_path.read_text())["faults"] == []
-    # replay from the checkpoint before t=6 reproduces the violation
+    # replaying the minimized schedule from the seed reproduces it
     replay = report["replay"]
-    assert replay["replayed"] is True
-    assert replay["checkpoint_time"] == 5.0
+    assert replay["reproduced_first"]["time"] == first["time"]
+    assert replay["replay_horizon"] == first["time"] + triage.REPLAY_SLACK
     assert replay["violations_reproduced"] >= 1
     assert replay["matches_original"] is True
 
@@ -99,3 +101,21 @@ def test_cli_clean_run_exits_zero(tmp_path):
     assert rc == 0
     report = json.loads(report_path.read_text())
     assert report["clean"] is True and report["violations"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--duration", "nan"],
+    ["--duration", "-5"],
+    ["--hops", "0"],
+    ["--corrupt", "nan"],
+])
+def test_cli_rejects_bad_numbers_before_running(argv, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(triage, "build_chain", None)  # must not be reached
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        triage.main(argv + ["-o", str(report_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err
+    assert not report_path.exists()

@@ -15,7 +15,8 @@ Artifacts (all JSON, for the CI nightly job to upload):
   structured violation list;
 * with ``--minimize`` and violations: ``minimized_spec.json`` — the
   ddmin-reduced fault schedule (see ``tools/triage.py``) that still
-  reproduces the first violation on the small triage scenario.
+  makes the small triage scenario fail.  Faults naming mesh nodes the
+  triage chain lacks are dropped before ddmin.
 
 Exit code 4 when any invariant was violated, 0 on a clean soak.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -42,6 +44,7 @@ from repro.api import (  # noqa: E402
     FlowSet,
     FlowSpec,
     InvariantEngine,
+    build_chain,
     build_grid_mesh,
     tcplp_params,
 )
@@ -49,6 +52,9 @@ from repro.faults import FaultInjector, FaultSchedule  # noqa: E402
 
 #: exit code for "the soak found an invariant violation"
 EXIT_VIOLATION = 4
+
+#: the smallest grid side ``flow_specs`` and ``soak_schedule`` address
+MIN_SIDE = 4
 
 
 def soak_schedule(rows: int, cols: int) -> Dict[str, object]:
@@ -76,6 +82,20 @@ def flow_specs(rows: int, cols: int) -> List[FlowSpec]:
     specs += [FlowSpec(src=cols + 1, dst=0)]
     return [FlowSpec(src=s.src, dst=s.dst, start=0.25 * i)
             for i, s in enumerate(specs)]
+
+
+def chain_faults(spec: Dict[str, object], hops: int) -> List[object]:
+    """The faults of ``spec`` that arm on the ``hops``-hop triage chain
+    (a mesh schedule names nodes the chain does not have)."""
+    kept = []
+    for fault in spec["faults"]:
+        net = build_chain(hops, seed=0, with_cloud=False)
+        try:
+            FaultInjector(net, FaultSchedule.from_dict([fault])).arm()
+        except ValueError:
+            continue
+        kept.append(fault)
+    return kept
 
 
 def run_soak(rows: int, cols: int, duration: float, seed: int,
@@ -131,6 +151,15 @@ def main(argv=None) -> int:
                              "minimized_spec.json")
     parser.add_argument("--minimized-out", default="minimized_spec.json")
     args = parser.parse_args(argv)
+    if min(args.rows, args.cols) < MIN_SIDE:
+        parser.exit(2, f"{parser.prog}: error: the soak grid needs at "
+                       f"least {MIN_SIDE}x{MIN_SIDE} nodes "
+                       f"(got {args.rows}x{args.cols})\n")
+    for flag, value in (("--duration", args.duration),
+                        ("--interval", args.interval)):
+        if not (math.isfinite(value) and value > 0):
+            parser.exit(2, f"{parser.prog}: error: {flag} must be a "
+                           f"positive finite number (got {value})\n")
 
     report = run_soak(args.rows, args.cols, args.duration, args.seed,
                       args.interval)
@@ -148,14 +177,20 @@ def main(argv=None) -> int:
     if args.minimize:
         import triage  # noqa: E402  (tools/ is on sys.path)
 
+        hops = 2
+
         def fails_with(candidate: Dict[str, object]) -> bool:
-            probe = triage.run_once(candidate, seed=args.seed,
-                                    duration=60.0, checkpoint_every=None)
+            probe = triage.run_once(candidate, seed=args.seed, hops=hops,
+                                    duration=60.0)
             return not probe["engine"].ok
 
-        print("[soak] minimizing schedule on the triage scenario ...")
+        schedule = report["schedule"]
+        faults = chain_faults(schedule, hops)
+        print(f"[soak] minimizing schedule on the triage scenario "
+              f"({len(schedule['faults']) - len(faults)} fault(s) name "
+              f"nodes the {hops}-hop chain lacks) ...")
         minimized = triage.minimize_schedule(
-            report["schedule"], fails_with, progress=print)
+            dict(schedule, faults=faults), fails_with, progress=print)
         with open(args.minimized_out, "w") as fh:
             json.dump(minimized, fh, indent=2, sort_keys=True)
         print(f"wrote {args.minimized_out} "

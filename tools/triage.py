@@ -6,13 +6,15 @@ run fail, this tool turns "a long chaotic run violated something" into
 a minimal, fast repro:
 
 1. **Reproduce** — run the scenario with the live
-   :class:`repro.verify.InvariantEngine` attached and periodic
-   :class:`repro.sim.checkpoint.CheckpointManager` snapshots.
+   :class:`repro.verify.InvariantEngine` attached.
 2. **Minimize** — delta-debug (ddmin) the schedule's fault list to the
-   smallest subset that still triggers the *same first* violation.
-3. **Replay** — restore the checkpoint nearest before the first
-   violation and re-run just the tail, confirming the violation
-   reproduces from the snapshot (the short repro a human then debugs).
+   smallest subset that still triggers *some* violation before the
+   first one's time plus ``REPLAY_SLACK``.
+3. **Replay** — re-run the minimized schedule from the same seed, to
+   the first violation's time plus ``REPLAY_SLACK``, and report whether
+   its first violation is the full run's (time, layer, node, probe and
+   detail).  The kernel is deterministic, so this is the short repro a
+   human then debugs.
 
 Output: ``triage_report.json`` (first violation, minimized schedule,
 replay confirmation, per-step run counts) and
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -47,7 +50,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import (  # noqa: E402
     BulkTransfer,
-    CheckpointManager,
     InvariantEngine,
     TcpStack,
     build_chain,
@@ -58,7 +60,8 @@ from repro.faults import FaultInjector, FaultSchedule  # noqa: E402
 #: exit code when a violation was found (and triaged)
 EXIT_VIOLATION = 3
 
-#: how far past the first violation a replay runs (sim seconds)
+#: how far past the first violation ddmin probes and the replay run
+#: (sim seconds)
 REPLAY_SLACK = 1.0
 
 
@@ -79,16 +82,13 @@ def run_once(
     seed: int = 7,
     hops: int = 2,
     duration: float = 40.0,
-    checkpoint_every: Optional[float] = 5.0,
     corrupt_at: Optional[float] = None,
-    keep_checkpoints: int = 64,
 ) -> Dict[str, object]:
-    """One verified, checkpointed chaos run; returns its artifacts.
+    """One verified chaos run; returns its artifacts.
 
-    The returned dict holds the ``engine`` (violations), the
-    checkpoint ``manager`` (None when ``checkpoint_every`` is None —
-    ddmin probes skip snapshots, they only read ``engine.ok``), the
-    built ``net`` and ``xfer``.
+    The returned dict holds the ``engine`` (violations), the built
+    ``net``, ``xfer`` and the fault ``injector`` (None for an empty
+    schedule).
     """
     net = build_chain(hops, seed=seed, with_cloud=False)
     for n in net.nodes.values():
@@ -106,16 +106,11 @@ def run_once(
     xfer = BulkTransfer(net.sim, _stack(hops), _stack(0), receiver_id=0,
                         params=params, receiver_params=params)
     engine = InvariantEngine(net, interval=0.5).start()
-    manager = None
-    if checkpoint_every is not None:
-        manager = CheckpointManager(
-            net.sim, roots={"xfer": xfer}, interval=checkpoint_every,
-            keep=keep_checkpoints).start()
     if corrupt_at is not None:
         net.sim.schedule_at(corrupt_at, _Corruptor(xfer))
     net.sim.run(until=duration)
     return {"net": net, "xfer": xfer, "engine": engine,
-            "manager": manager, "injector": injector}
+            "injector": injector}
 
 
 def ddmin(items: Sequence[object],
@@ -173,48 +168,23 @@ def minimize_schedule(
     return out
 
 
-def replay_from_checkpoint(result: Dict[str, object]) -> Dict[str, object]:
-    """Restore the snapshot nearest before the first violation and
-    re-run the tail; returns a JSON-ready confirmation record."""
-    engine = result["engine"]
-    manager = result["manager"]
-    first = engine.first_violation()
-    if first is None:
-        return {"replayed": False, "reason": "no violation"}
-    cp = manager.nearest_before(first.time)
-    if cp is None:
-        return {"replayed": False,
-                "reason": f"no checkpoint before t={first.time:.3f} "
-                          f"(interval too coarse?)"}
-    sim2, _roots2 = cp.restore()
-    # The restored graph carries its own InvariantEngine clone: the
-    # original engine's periodic _tick event was reachable from the
-    # heap at capture, so it was deep-copied with the sim.  Recover it
-    # through that event's bound method.
-    replay_engine = None
-    for _t, _s, ev in sim2._queue:
-        fn = getattr(ev, "fn", None)
-        owner = getattr(fn, "__self__", None)
-        if isinstance(owner, InvariantEngine) and not ev.cancelled:
-            replay_engine = owner
-            break
-    if replay_engine is None:
-        return {"replayed": False, "reason": "no engine in snapshot"}
-    replay_engine.violations.clear()
-    sim2.run(until=first.time + REPLAY_SLACK)
-    reproduced = [v for v in replay_engine.violations
-                  if v.time >= cp.time]
+def replay_from_seed(minimized: Dict[str, object], first,
+                     seed: int, hops: int,
+                     corrupt_at: Optional[float]) -> Dict[str, object]:
+    """Re-run the minimized schedule from the seed to just past the
+    ``first`` violation; returns a JSON-ready confirmation record."""
+    horizon = first.time + REPLAY_SLACK
+    replay = run_once(minimized, seed=seed, hops=hops, duration=horizon,
+                      corrupt_at=corrupt_at)["engine"]
+    reproduced = replay.first_violation()
     return {
-        "replayed": True,
-        "checkpoint_time": cp.time,
         "first_violation_time": first.time,
-        "replay_horizon": first.time + REPLAY_SLACK,
-        "violations_reproduced": len(reproduced),
-        "reproduced_first": reproduced[0].as_dict() if reproduced else None,
-        "matches_original": bool(
-            reproduced and reproduced[0].detail == first.detail
-            and reproduced[0].layer == first.layer
-        ),
+        "replay_horizon": horizon,
+        "violations_reproduced": len(replay.violations),
+        "reproduced_first": (reproduced.as_dict()
+                             if reproduced is not None else None),
+        "matches_original": (reproduced is not None
+                             and reproduced.as_dict() == first.as_dict()),
     }
 
 
@@ -223,22 +193,18 @@ def triage(
     seed: int = 7,
     hops: int = 2,
     duration: float = 40.0,
-    checkpoint_every: float = 5.0,
     corrupt_at: Optional[float] = None,
     progress: Callable[[str], None] = print,
 ) -> Dict[str, object]:
     """Full pipeline: reproduce, minimize, replay.  Returns the report."""
     progress(f"[triage] full run: {len(spec.get('faults', []))} fault(s), "
              f"{duration:.0f}s on a {hops}-hop chain (seed {seed})")
-    result = run_once(spec, seed=seed, hops=hops, duration=duration,
-                      checkpoint_every=checkpoint_every,
-                      corrupt_at=corrupt_at)
-    engine = result["engine"]
+    engine = run_once(spec, seed=seed, hops=hops, duration=duration,
+                      corrupt_at=corrupt_at)["engine"]
     report: Dict[str, object] = {
         "seed": seed,
         "hops": hops,
         "duration": duration,
-        "checkpoint_every": checkpoint_every,
         "corrupt_at": corrupt_at,
         "schedule": spec,
         "checks_run": engine.checks_run,
@@ -256,7 +222,6 @@ def triage(
     def fails_with(candidate: Dict[str, object]) -> bool:
         probe = run_once(candidate, seed=seed, hops=hops,
                          duration=min(duration, first.time + REPLAY_SLACK),
-                         checkpoint_every=None,  # probes need no snapshots
                          corrupt_at=corrupt_at)
         return not probe["engine"].ok
 
@@ -266,16 +231,13 @@ def triage(
     progress(f"[triage] minimized: {len(spec.get('faults', []))} -> "
              f"{len(minimized['faults'])} fault(s)")
 
-    progress("[triage] replaying from nearest checkpoint ...")
-    replay = replay_from_checkpoint(result)
+    progress("[triage] replaying the minimized schedule from the seed ...")
+    replay = replay_from_seed(minimized, first, seed, hops, corrupt_at)
     report["replay"] = replay
-    if replay.get("replayed"):
-        progress(f"[triage] replay from t={replay['checkpoint_time']:.1f} "
-                 f"reproduced {replay['violations_reproduced']} "
-                 f"violation(s); matches_original="
-                 f"{replay['matches_original']}")
-    else:
-        progress(f"[triage] replay skipped: {replay.get('reason')}")
+    progress(f"[triage] replay to t={replay['replay_horizon']:.1f} "
+             f"reproduced {replay['violations_reproduced']} "
+             f"violation(s); matches_original="
+             f"{replay['matches_original']}")
     return report
 
 
@@ -289,8 +251,6 @@ def main(argv=None) -> int:
                         help="chain length of the scenario (default 2)")
     parser.add_argument("--duration", type=float, default=40.0,
                         help="sim seconds for the full run (default 40)")
-    parser.add_argument("--checkpoint-every", type=float, default=5.0,
-                        help="auto-checkpoint interval (default 5)")
     parser.add_argument("--corrupt", type=float, default=None,
                         metavar="AT", dest="corrupt_at",
                         help="smash the sender's snd_nxt at sim time AT "
@@ -300,6 +260,16 @@ def main(argv=None) -> int:
                         help="where to write the runnable minimized "
                              "schedule (only on violation)")
     args = parser.parse_args(argv)
+    if args.hops < 1:
+        parser.exit(2, f"{parser.prog}: error: --hops must be at least 1 "
+                       f"(got {args.hops})\n")
+    if not (math.isfinite(args.duration) and args.duration > 0):
+        parser.exit(2, f"{parser.prog}: error: --duration must be a "
+                       f"positive finite number (got {args.duration})\n")
+    if args.corrupt_at is not None and not (
+            math.isfinite(args.corrupt_at) and args.corrupt_at >= 0):
+        parser.exit(2, f"{parser.prog}: error: --corrupt must be a "
+                       f"finite time >= 0 (got {args.corrupt_at})\n")
 
     if args.faults is not None:
         try:
@@ -314,7 +284,6 @@ def main(argv=None) -> int:
 
     report = triage(spec, seed=args.seed, hops=args.hops,
                     duration=args.duration,
-                    checkpoint_every=args.checkpoint_every,
                     corrupt_at=args.corrupt_at)
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
