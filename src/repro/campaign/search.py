@@ -38,9 +38,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Tuple
 
-from repro.campaign.spec import (MAX_RUNS, RunSpec, _check_block, _is_int,
-                                 _is_number, _is_positive_number)
+from repro.campaign.spec import MAX_RUNS, RunSpec
 from repro.campaign.store import code_salt
+from repro.checks import check_block, is_int, is_number, is_positive_number
 
 _OBJECTIVE_DEFAULTS = {
     "metric": None,       # required
@@ -64,7 +64,7 @@ def _fail(path: str, message: str):
 
 def validate_objective(obj) -> Dict:
     """Validate and normalize an ``objective`` block (see module doc)."""
-    out = _check_block(obj, _OBJECTIVE_DEFAULTS, "objective")
+    out = check_block(obj, _OBJECTIVE_DEFAULTS, "campaign spec: objective")
     for key in ("metric", "axis"):
         if not isinstance(out[key], str) or not out[key]:
             _fail(key, f"must be a non-empty string, got {out[key]!r}")
@@ -72,7 +72,7 @@ def validate_objective(obj) -> Dict:
         _fail("mode", f"must be 'min' or 'max', got {out['mode']!r}")
     bounds = out["bounds"]
     if not (isinstance(bounds, list) and len(bounds) == 2
-            and all(map(_is_number, bounds))):
+            and all(map(is_number, bounds))):
         _fail("bounds", f"must be [lo, hi] finite numbers, got {bounds!r}")
     if not bounds[0] < bounds[1]:
         _fail("bounds", f"needs lo < hi, got {bounds!r}")
@@ -86,10 +86,10 @@ def validate_objective(obj) -> Dict:
     if out["method"] not in ("golden", "grid"):
         _fail("method", f"must be 'golden' or 'grid', "
                         f"got {out['method']!r}")
-    if not _is_int(out["steps"], 2) or out["steps"] > MAX_RUNS:
+    if not is_int(out["steps"], 2) or out["steps"] > MAX_RUNS:
         _fail("steps", f"must be an integer in 2..{MAX_RUNS}, "
                        f"got {out['steps']!r}")
-    if not _is_positive_number(out["tolerance"]):
+    if not is_positive_number(out["tolerance"]):
         _fail("tolerance", f"must be a positive number, "
                            f"got {out['tolerance']!r}")
     fixed = out["fixed"]

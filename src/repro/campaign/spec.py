@@ -1,7 +1,8 @@
 """Campaign specs: a validated, declarative description of many runs.
 
-A campaign is a JSON/dict document (mirroring the ``FaultSchedule``
-pattern: eager validation, round-trippable ``to_dict``) declaring
+A campaign is a JSON/dict document (eager validation by the rules in
+:mod:`repro.checks`, as for ``FaultSchedule``; round-trippable
+``to_dict``) declaring
 experiments x a parameter grid x seeds x fault schedule, expanded
 deterministically into :class:`RunSpec` cells::
 
@@ -38,11 +39,11 @@ import hashlib
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
+from repro.checks import check_block, check_fields, is_int
 
 #: most runs (cells x seeds) one campaign may declare, and so the
 #: largest ``seeds.count``; checked on the declared sizes, before the
@@ -60,6 +61,14 @@ _RUNNER_DEFAULTS = {
     "metrics": False,     # --metrics-out (the path is a CLI concern)
 }
 
+#: (int or float, rule, nullable); see repro.checks.check_fields
+_RUNNER_NUMBERS = {
+    "jobs": (int, ">= 1", False),
+    "timeout_s": (float, "> 0", True),
+    "retries": (int, ">= 0", False),
+    "retry_backoff_s": (float, ">= 0", False),
+}
+
 _STATS_DEFAULTS = {
     "confidence": 0.95,
     "method": "t",        # "t" | "bootstrap"
@@ -69,45 +78,18 @@ _STATS_DEFAULTS = {
     "metrics": None,      # list of result fields to aggregate; None = auto
 }
 
+_STATS_NUMBERS = {
+    "warmup": (int, ">= 0", False),
+    "outlier_iqr": (float, "> 0", True),
+}
+
 
 def _fail(path: str, message: str):
     raise ValueError(f"campaign spec: {path}: {message}")
 
 
-def _check_block(block, defaults: Dict, path: str) -> Dict:
-    """Validate a ``{key: value}`` block against typed defaults."""
-    if block is None:
-        return dict(defaults)
-    if not isinstance(block, dict):
-        _fail(path, f"must be an object, got {block!r}")
-    unknown = set(block) - set(defaults)
-    if unknown:
-        _fail(path, f"unknown keys {sorted(unknown)} "
-                    f"(expected {sorted(defaults)})")
-    out = dict(defaults)
-    out.update(block)
-    return out
-
-
 def _json_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
-
-
-def _is_int(value, minimum: Optional[int] = None) -> bool:
-    """An integer (``True`` is not one), at least ``minimum`` if given."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and (minimum is None or value >= minimum))
-
-
-def _is_number(value, minimum: float = -math.inf) -> bool:
-    """A finite double (``True`` is not one), at least ``minimum``."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and minimum <= value and abs(value) <= sys.float_info.max)
-
-
-def _is_positive_number(value) -> bool:
-    """A finite number above zero (``True`` is not one)."""
-    return _is_number(value) and value > 0
 
 
 #: canonical JSON (sorted keys, no whitespace): what identities hash
@@ -217,7 +199,7 @@ class CampaignSpec:
                 f"campaign spec must be a dict, got {type(spec).__name__}")
         unknown = set(spec) - cls._TOP_KEYS
         if unknown:
-            _fail("top level", f"unknown keys {sorted(unknown)} "
+            _fail("top level", f"unknown keys {sorted(unknown, key=str)} "
                                f"(expected a subset of "
                                f"{sorted(cls._TOP_KEYS)})")
         if "experiment" in spec and "experiments" in spec:
@@ -264,17 +246,17 @@ class CampaignSpec:
         if isinstance(seeds, dict):
             extra = set(seeds) - {"count", "base"}
             if extra:
-                _fail("seeds", f"unknown keys {sorted(extra)}")
+                _fail("seeds", f"unknown keys {sorted(extra, key=str)}")
             count = seeds.get("count")
-            if not _is_int(count, 1) or count > MAX_RUNS:
+            if not is_int(count, 1) or count > MAX_RUNS:
                 _fail("seeds.count", f"must be an integer in "
                                      f"1..{MAX_RUNS}, got {count!r}")
             base = seeds.get("base", 0)
-            if not _is_int(base):
+            if not is_int(base):
                 _fail("seeds.base", f"must be an integer, got {base!r}")
             seeds = list(range(base, base + count))
         if not isinstance(seeds, list) or not seeds or not all(
-                _is_int(s) for s in seeds):
+                is_int(s) for s in seeds):
             _fail("seeds", f"must be a non-empty list of integers "
                            f"(or {{'count': N, 'base': B}}), got {seeds!r}")
         if len(set(seeds)) != len(seeds):
@@ -290,21 +272,9 @@ class CampaignSpec:
 
             faults = FaultSchedule.from_dict(faults).to_dict()
 
-        runner = _check_block(spec.get("runner"), _RUNNER_DEFAULTS,
-                              "runner")
-        if not _is_int(runner["jobs"], 1):
-            _fail("runner.jobs", f"must be an integer >= 1, "
-                                 f"got {runner['jobs']!r}")
-        if runner["timeout_s"] is not None and not _is_positive_number(
-                runner["timeout_s"]):
-            _fail("runner.timeout_s", f"must be a positive number or "
-                                      f"null, got {runner['timeout_s']!r}")
-        if not _is_int(runner["retries"], 0):
-            _fail("runner.retries", f"must be an integer >= 0, "
-                                    f"got {runner['retries']!r}")
-        if not _is_number(runner["retry_backoff_s"], 0):
-            _fail("runner.retry_backoff_s", f"must be a finite number >= 0, "
-                  f"got {runner['retry_backoff_s']!r}")
+        runner = check_block(spec.get("runner"), _RUNNER_DEFAULTS,
+                             "campaign spec: runner")
+        check_fields(runner, _RUNNER_NUMBERS, "campaign spec: runner.")
         if runner["retries"] and runner["timeout_s"] is None:
             _fail("runner.retries", "requires runner.timeout_s "
                                     "(supervised mode)")
@@ -313,7 +283,8 @@ class CampaignSpec:
                 _fail(f"runner.{flag}", f"must be a boolean, "
                                         f"got {runner[flag]!r}")
 
-        stats = _check_block(spec.get("stats"), _STATS_DEFAULTS, "stats")
+        stats = check_block(spec.get("stats"), _STATS_DEFAULTS,
+                            "campaign spec: stats")
         if not (isinstance(stats["confidence"], float)
                 and 0.0 < stats["confidence"] < 1.0):
             _fail("stats.confidence", f"must be a float in (0, 1), "
@@ -321,17 +292,11 @@ class CampaignSpec:
         if stats["method"] not in ("t", "bootstrap"):
             _fail("stats.method", f"must be 't' or 'bootstrap', "
                                   f"got {stats['method']!r}")
-        if not _is_int(stats["warmup"], 0):
-            _fail("stats.warmup", f"must be an integer >= 0, "
-                                  f"got {stats['warmup']!r}")
-        if not _is_int(stats["bootstrap_samples"], 1) \
+        check_fields(stats, _STATS_NUMBERS, "campaign spec: stats.")
+        if not is_int(stats["bootstrap_samples"], 1) \
                 or stats["bootstrap_samples"] > MAX_RUNS:
             _fail("stats.bootstrap_samples", f"must be an integer in 1.."
                   f"{MAX_RUNS}, got {stats['bootstrap_samples']!r}")
-        if stats["outlier_iqr"] is not None and not _is_positive_number(
-                stats["outlier_iqr"]):
-            _fail("stats.outlier_iqr", f"must be a positive number or "
-                                       f"null, got {stats['outlier_iqr']!r}")
         if stats["metrics"] is not None and not (
                 isinstance(stats["metrics"], list)
                 and all(isinstance(m, str) for m in stats["metrics"])):

@@ -9,7 +9,8 @@ holds, partial writes followed by a reset, and accept storms.  The
 gateway must shed explicitly (``gw.shed``), keep serving admitted
 clients intact, and return to quiescence once the abuse stops.
 
-A :class:`ProcessFaultSchedule` (same validated-spec idiom as
+A :class:`ProcessFaultSchedule` (a :class:`repro.checks.KindSchedule`,
+validated by the same rules as
 :class:`~repro.faults.schedule.FaultSchedule`) describes one chaos
 run; its faults fire at wall-clock seconds from the start of the
 client script.  :func:`run_gateway_chaos` drives it; ``tools/chaos.py``
@@ -19,130 +20,61 @@ is the CLI and CI entry point.
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import socket
 import struct
 import time as _time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-#: kind -> (required fields, optional fields with defaults); mirrors
-#: repro.faults.schedule._SPECS so a typo'd spec fails at load time
-_SPECS: Dict[str, Tuple[Dict[str, type], Dict[str, object]]] = {
-    # gateway client abuse (fires at wall seconds into the script)
-    "client_reset": (
-        {"at": float},
-        {"count": 1},
-    ),
-    "slow_loris": (
-        {"at": float},
-        {"count": 1, "hold": 10.0, "prelude_bytes": 4},
-    ),
-    "partial_write": (
-        {"at": float},
-        {"count": 1, "bytes": 8},
-    ),
-    "accept_storm": (
-        {"at": float, "connections": int},
-        {},
-    ),
-}
+from repro.checks import KindSchedule
+
+#: upper bound on the sockets one fault opens (``count``,
+#: ``connections``): the chaos client opens them in a loop, and the CI
+#: storm uses 200
+MAX_CLIENTS = 10_000
+
+#: upper bound on the bytes one client writes before going silent or
+#: resetting (``bytes``, ``prelude_bytes``): a request fragment, not an
+#: upload; the default per-bridge pause watermark is 64 KiB
+MAX_WRITE_BYTES = 64 * 1024
+
+_BOUNDS = {"count": MAX_CLIENTS, "connections": MAX_CLIENTS,
+           "prelude_bytes": MAX_WRITE_BYTES, "bytes": MAX_WRITE_BYTES}
 
 
-def _coerce_number(kind: str, field: str, value, expected: type):
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"{kind}.{field} must be a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond a double
-            number = math.inf
-        if not math.isfinite(number):
-            raise ValueError(
-                f"{kind}.{field} must be finite, got {value!r}")
-        return number
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"{kind}.{field} must be an integer, got {value!r}")
-        return value
-    return value
+class ProcessFaultSchedule(KindSchedule):
+    """A validated list of socket fault descriptions; each fires at wall
+    second ``at`` into the client script."""
 
+    #: see repro.checks.KindSchedule
+    _SPECS = {
+        "client_reset": ({"at": float}, {"count": (int, 1)}),
+        "slow_loris": ({"at": float},
+                       {"count": (int, 1), "hold": (float, 10.0),
+                        "prelude_bytes": (int, 4)}),
+        "partial_write": ({"at": float},
+                          {"count": (int, 1), "bytes": (int, 8)}),
+        "accept_storm": ({"at": float, "connections": int}, {}),
+    }
 
-def _validate_fault(index: int, entry: object) -> Dict[str, object]:
-    if not isinstance(entry, dict):
-        raise ValueError(f"faults[{index}] must be an object, got {entry!r}")
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in _SPECS:
-        raise ValueError(
-            f"faults[{index}]: unknown kind {kind!r} "
-            f"(expected one of {sorted(_SPECS)})"
-        )
-    required, optional = _SPECS[kind]
-    allowed = {"kind"} | set(required) | set(optional)
-    unknown = set(entry) - allowed
-    if unknown:
-        raise ValueError(
-            f"faults[{index}] ({kind}): unknown fields {sorted(unknown)}")
-    out: Dict[str, object] = {"kind": kind}
-    for field, expected in required.items():
-        if field not in entry:
-            raise ValueError(f"faults[{index}] ({kind}): missing '{field}'")
-        out[field] = _coerce_number(kind, field, entry[field], expected)
-    for field, default in optional.items():
-        out[field] = _coerce_number(
-            kind, field, entry.get(field, default), type(default))
-    # semantic checks
-    for field in ("at", "hold"):
-        if field in out and out[field] < 0:
-            raise ValueError(
-                f"faults[{index}] ({kind}): {field} must be >= 0")
-    for field in ("count", "connections", "prelude_bytes", "bytes"):
-        if field in out and out[field] < 1:
-            raise ValueError(
-                f"faults[{index}] ({kind}): {field} must be >= 1")
-    return out
-
-
-class ProcessFaultSchedule:
-    """A validated list of socket fault descriptions."""
-
-    def __init__(self, faults: List[Dict[str, object]], name: str = ""):
-        self.name = name
-        self.faults = [_validate_fault(i, f) for i, f in enumerate(faults)]
-
-    @classmethod
-    def from_dict(cls, spec) -> "ProcessFaultSchedule":
-        """Build from ``{"name": ..., "faults": [...]}`` (or a bare list)."""
-        if isinstance(spec, list):
-            return cls(spec)
-        if not isinstance(spec, dict):
-            raise ValueError(f"fault spec must be a dict or list, got {spec!r}")
-        faults = spec.get("faults")
-        if not isinstance(faults, list):
-            raise ValueError("fault spec needs a 'faults' list")
-        unknown = set(spec) - {"name", "faults"}
-        if unknown:
-            raise ValueError(
-                f"fault spec: unknown top-level keys {sorted(unknown)}")
-        return cls(faults, name=str(spec.get("name", "")))
-
-    @classmethod
-    def from_json(cls, path) -> "ProcessFaultSchedule":
-        """Load and validate a JSON spec file."""
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "faults": [dict(f) for f in self.faults]}
+    @staticmethod
+    def _check(index: int, out: Dict[str, object]) -> Dict[str, object]:
+        kind = out["kind"]
+        for field in ("at", "hold"):
+            if field in out and out[field] < 0:
+                raise ValueError(
+                    f"faults[{index}] ({kind}): {field} must be >= 0")
+        for field, bound in _BOUNDS.items():
+            if field in out and out[field] < 1:
+                raise ValueError(
+                    f"faults[{index}] ({kind}): {field} must be >= 1")
+            if field in out and out[field] > bound:
+                raise ValueError(
+                    f"faults[{index}] ({kind}): {field} must be <= {bound}")
+        return out
 
     def gateway_ops(self) -> List[Dict[str, object]]:
         """Gateway client operations ordered by firing time."""
         return sorted(self.faults, key=lambda f: f["at"])
-
-    def __len__(self) -> int:
-        return len(self.faults)
 
 
 # ----------------------------------------------------------------------

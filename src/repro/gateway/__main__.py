@@ -19,6 +19,7 @@ import argparse
 import asyncio
 import sys
 
+from repro.checks import is_positive_number
 from repro.experiments.topology import build_chain
 from repro.gateway.limits import GatewayLimits
 from repro.gateway.server import Gateway, MoteBinding, install_echo, install_sink
@@ -110,6 +111,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # refuse bad numbers before a socket is bound: one line, exit 2
     try:
+        if args.hops < 1:
+            raise ValueError(f"--hops must be at least 1 (got {args.hops})")
+        for flag, port in (("--tcp-port", args.tcp_port),
+                           ("--udp-port", args.udp_port),
+                           ("--sim-port", args.sim_port)):
+            if not 0 <= port <= 65535:
+                raise ValueError(f"{flag} must be in 0..65535 (got {port})")
+        if not is_positive_number(args.stats_interval):
+            raise ValueError(f"--stats-interval must be a finite number "
+                             f"> 0 (got {args.stats_interval})")
         RealtimePacer(speed=args.speed, slack_budget=args.slack_budget)
         limits = GatewayLimits(
             max_connections=args.max_connections,

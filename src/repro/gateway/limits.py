@@ -30,11 +30,11 @@ configs opt in per deployment.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.checks import check_fields
 from repro.gateway.bridge import HIGH_WATER, LOW_WATER
 
 
@@ -156,6 +156,24 @@ class SpliceBudget:
         return self.used <= self.total * self.resume_ratio
 
 
+#: GatewayLimits field -> (int or float, rule, nullable); see
+#: repro.checks.check_fields
+_FIELDS = {
+    "max_connections": (int, ">= 1", True),
+    "accept_rate": (float, "> 0", True),
+    "accept_burst": (int, ">= 1", False),
+    "establish_timeout": (float, "> 0", True),
+    "idle_timeout": (float, "> 0", True),
+    "splice_budget": (int, ">= 1", True),
+    "breaker_threshold": (int, ">= 1", True),
+    "breaker_cooldown": (float, ">= 0", False),
+    "backlog": (int, ">= 1", False),
+    "high_water": (int, ">= 1", False),
+    "low_water": (int, ">= 0", False),
+    "reap_interval": (float, "> 0", False),
+}
+
+
 @dataclass
 class GatewayLimits:
     """Overload policy consumed by :class:`~repro.gateway.server.Gateway`.
@@ -191,33 +209,9 @@ class GatewayLimits:
     reap_interval: float = 0.5
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if value is not None and (isinstance(value, bool)
-                                      or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number "
-                                 f"(got {value!r})")
-        if self.max_connections is not None and self.max_connections < 1:
-            raise ValueError("max_connections must be >= 1")
-        if self.accept_rate is not None and self.accept_rate <= 0:
-            raise ValueError("accept_rate must be > 0")
-        if self.accept_burst < 1:
-            raise ValueError("accept_burst must be >= 1")
-        for name in ("establish_timeout", "idle_timeout"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.splice_budget is not None and self.splice_budget < 1:
-            raise ValueError("splice_budget must be >= 1")
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be >= 0")
-        if self.backlog < 1:
-            raise ValueError("backlog must be >= 1")
-        if self.low_water < 0 or self.high_water <= self.low_water:
+        check_fields(vars(self), _FIELDS)
+        if self.high_water <= self.low_water:
             raise ValueError("need high_water > low_water >= 0")
-        if self.reap_interval <= 0:
-            raise ValueError("reap_interval must be > 0")
 
     @property
     def needs_reaper(self) -> bool:

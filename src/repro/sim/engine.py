@@ -37,6 +37,7 @@ import math
 import time as _time
 from typing import Any, Callable, List, Optional
 
+from repro.checks import is_number, is_positive_number
 from repro.sim import metrics as _metrics
 
 _heappush = heapq.heappush
@@ -174,11 +175,10 @@ class RealtimePacer:
         metrics=None,
         trace_bus=None,
     ):
-        if isinstance(speed, bool) or not (math.isfinite(speed) and speed > 0):
+        if not is_positive_number(speed):
             raise SimulationError(
                 f"realtime speed must be a finite number > 0 (got {speed!r})")
-        if isinstance(slack_budget, bool) or not (
-                math.isfinite(slack_budget) and slack_budget >= 0):
+        if not is_number(slack_budget, 0):
             raise SimulationError(
                 f"slack budget must be a finite number >= 0 "
                 f"(got {slack_budget!r})")

@@ -217,6 +217,10 @@ class TestSpecValidation:
         ({"runner": {"retry_backoff_s": float("inf")}},
          "runner.retry_backoff_s"),
         ({"runner": {"retry_backoff_s": True}}, "runner.retry_backoff_s"),
+        # unknown keys of mixed types are listed, not compared
+        ({"runner": {1: 0, "x": 0}}, "runner"),
+        ({"seeds": {1: 0, "x": 0}}, "seeds"),
+        ({1: 0, "x": 0}, "top level"),
     ])
     def test_hostile_numbers_are_refused(self, block, path):
         with pytest.raises(ValueError,

@@ -90,6 +90,24 @@ class TestScheduleValidation:
         {"kind": "link_flap", "a": 0, "b": 1, "at": 0.0, "down_for": 1.0,
          "repeat_every": 1.0, "count": 10**9},              # arm() never returns
         "not a dict",
+        # declared errors where a TypeError or OverflowError escaped
+        {"kind": []},                                        # unhashable kind
+        {"kind": {}},
+        {"kind": "uniform_loss", "rate": 10**400},           # beyond a double
+        {"kind": "bursty_loss", "p_good_bad": 10**400, "p_bad_good": 0.5},
+        {"kind": "link_flap", "a": 0, "b": 1, "at": 10**400,
+         "down_for": 1.0},
+        {"kind": "uniform_loss", "rate": 0.1, "at": None},
+        {"kind": "link_flap", "a": 0, "b": 1, "at": 0.0, "down_for": 1.0,
+         "count": None},
+        {"kind": "bursty_loss", "p_good_bad": 0.1, "p_bad_good": 0.5,
+         "loss_good": None},
+        {"kind": "frame_corruption", "rate": 0.1, "truncate_rate": "x"},
+        {"kind": "clock_drift", "node": 0, "offset_ms": None},
+        # accepted before, and wrong
+        {"kind": "uniform_loss", "rate": 0.1, "link": [True, False]},
+        {"kind": "clock_drift", "node": 0, "skew": 1e308},   # overflows mid-run
+        {"kind": "uniform_loss", "rate": 0.1, 1: 0, "x": 0},  # mixed keys
     ])
     def test_invalid_entries_rejected(self, bad):
         with pytest.raises(ValueError):

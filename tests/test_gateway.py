@@ -706,7 +706,11 @@ class TestCommandLine:
         for flags in (["--speed", "0"], ["--speed", "nan"],
                       ["--slack-budget", "-1"],
                       ["--low-water", "100", "--high-water", "10"],
-                      ["--accept-rate", "nan"]):
+                      ["--accept-rate", "nan"], ["--hops", "0"],
+                      ["--tcp-port", "99999"], ["--udp-port", "-1"],
+                      ["--sim-port", "65536"], ["--stats-interval", "nan"],
+                      ["--stats-interval", "0"], ["--stats-interval", "-1"],
+                      ["--stats-interval", "inf"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(flags)
             assert exc.value.code == 2, flags

@@ -165,6 +165,13 @@ class TestGatewayLimits:
         {"breaker_cooldown": float("nan")},
         {"reap_interval": float("nan")},
         {"max_connections": True},
+        {"max_connections": "x"},
+        {"max_connections": []},
+        {"max_connections": {}},
+        {"backlog": 10 ** 400},
+        {"accept_burst": None},
+        {"high_water": None},
+        {"max_connections": 1.5},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):

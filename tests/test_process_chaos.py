@@ -67,6 +67,15 @@ class TestProcessFaultSchedule:
         ({"kind": "slow_loris", "at": 0.0, "hold": float("inf")},
          "must be finite"),
         ({"kind": "client_reset", "at": 10 ** 400}, "must be finite"),
+        # the chaos client loops over these, opening a socket each
+        ({"kind": "client_reset", "at": 0.0, "count": 10 ** 12},
+         "must be <= "),
+        ({"kind": "accept_storm", "at": 0.0, "connections": 10 ** 12},
+         "must be <= "),
+        ({"kind": "partial_write", "at": 0.0, "bytes": 10 ** 12},
+         "must be <= "),
+        ({"kind": "slow_loris", "at": 0.0, "prelude_bytes": 10 ** 12},
+         "must be <= "),
     ])
     def test_invalid_faults_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -48,6 +47,7 @@ from repro.api import (  # noqa: E402
     build_grid_mesh,
     tcplp_params,
 )
+from repro.checks import is_positive_number  # noqa: E402
 from repro.faults import FaultInjector, FaultSchedule  # noqa: E402
 
 #: exit code for "the soak found an invariant violation"
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
                        f"(got {args.rows}x{args.cols})\n")
     for flag, value in (("--duration", args.duration),
                         ("--interval", args.interval)):
-        if not (math.isfinite(value) and value > 0):
+        if not is_positive_number(value):
             parser.exit(2, f"{parser.prog}: error: {flag} must be a "
                            f"positive finite number (got {value})\n")
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -55,6 +54,7 @@ from repro.api import (  # noqa: E402
     build_chain,
     tcplp_params,
 )
+from repro.checks import is_number, is_positive_number  # noqa: E402
 from repro.faults import FaultInjector, FaultSchedule  # noqa: E402
 
 #: exit code when a violation was found (and triaged)
@@ -263,11 +263,10 @@ def main(argv=None) -> int:
     if args.hops < 1:
         parser.exit(2, f"{parser.prog}: error: --hops must be at least 1 "
                        f"(got {args.hops})\n")
-    if not (math.isfinite(args.duration) and args.duration > 0):
+    if not is_positive_number(args.duration):
         parser.exit(2, f"{parser.prog}: error: --duration must be a "
                        f"positive finite number (got {args.duration})\n")
-    if args.corrupt_at is not None and not (
-            math.isfinite(args.corrupt_at) and args.corrupt_at >= 0):
+    if args.corrupt_at is not None and not is_number(args.corrupt_at, 0):
         parser.exit(2, f"{parser.prog}: error: --corrupt must be a "
                        f"finite time >= 0 (got {args.corrupt_at})\n")
 
