@@ -86,24 +86,16 @@ def resolve_socket_option(params: TcpParams, name: str):
 
 
 def node_instruments(metrics, node_id: int) -> tuple:
-    """The node-labelled ``tcp.*`` instruments of ``metrics``.
+    """The node-labelled ``tcp.*`` gauges and histogram of ``metrics``.
 
     Every connection of a node shares them, so :class:`TcpStack`
     resolves the bundle once and hands it to each connection it makes
     (a lookup sorts its label set; a gateway opens two connections per
     client).  The order is the one ``TcpConnection.__init__`` unpacks.
+    The ``tcp.*`` counters are read from the recorder's ``Counter``
+    (:data:`repro.sim.metrics.COUNTER_FAMILIES`).
     """
     return (
-        metrics.counter("tcp.segs_sent", node=node_id),
-        metrics.counter("tcp.segs_rcvd", node=node_id),
-        {
-            kind: metrics.counter("tcp.retransmits", node=node_id, kind=kind)
-            for kind in ("rto", "fast", "sack")
-        },
-        metrics.counter("tcp.dupacks", node=node_id),
-        metrics.counter("tcp.rto_events", node=node_id),
-        metrics.counter("tcp.zero_window_probes", node=node_id),
-        metrics.counter("tcp.sack_blocks_sent", node=node_id),
         metrics.gauge("tcp.cwnd", node=node_id),
         metrics.gauge("tcp.ssthresh", node=node_id),
         metrics.gauge("tcp.srtt_seconds", node=node_id),
@@ -157,10 +149,8 @@ class TcpConnection:
         "on_send_space", "on_awaiting_ack", "_awaiting_ack",
         "_last_advertised_window", "bytes_delivered",
         # observability
-        "_bus", "_rexmit_kind", "_m_segs_sent", "_m_segs_rcvd",
-        "_m_retransmits", "_m_dupacks", "_m_rto_events", "_m_zwp",
-        "_m_sack_blocks", "_g_cwnd", "_g_ssthresh", "_g_srtt", "_g_rto",
-        "_h_rtt",
+        "_bus", "_rexmit_kind", "_g_cwnd", "_g_ssthresh", "_g_srtt",
+        "_g_rto", "_h_rtt",
     )
 
     def __init__(
@@ -280,31 +270,23 @@ class TcpConnection:
         self._bus = getattr(sim, "trace_bus", None)
         metrics = getattr(sim, "metrics", None)
         self._rexmit_kind = "rto"
+        self._g_cwnd = None
         if metrics is not None:
-            (self._m_segs_sent, self._m_segs_rcvd, self._m_retransmits,
-             self._m_dupacks, self._m_rto_events, self._m_zwp,
-             self._m_sack_blocks, self._g_cwnd, self._g_ssthresh,
-             self._g_srtt, self._g_rto, self._h_rtt,
-             ) = instruments or node_instruments(metrics, local_id)
+            if instruments is None:
+                # built outside a TcpStack: export this recorder itself
+                metrics.pull_counters("tcp", local_id, self.trace.counters)
+                instruments = node_instruments(metrics, local_id)
+            (self._g_cwnd, self._g_ssthresh, self._g_srtt, self._g_rto,
+             self._h_rtt) = instruments
+        if metrics is not None or self._bus is not None:
             self.cc.on_window_change = self._on_window_change
             self.rtt.on_update = self._on_rtt_update
-        else:
-            self._m_segs_sent = None
-            self._m_segs_rcvd = None
-            self._m_retransmits = None
-            self._m_dupacks = None
-            self._m_rto_events = None
-            self._m_zwp = None
-            self._m_sack_blocks = None
-            if self._bus is not None:
-                self.cc.on_window_change = self._on_window_change
-                self.rtt.on_update = self._on_rtt_update
 
     # ------------------------------------------------------------------
     # metrics observers (wired to cc/rtt only when observability is on)
     # ------------------------------------------------------------------
     def _on_window_change(self, now: float, cwnd: int, ssthresh: int) -> None:
-        if self._m_segs_sent is not None:
+        if self._g_cwnd is not None:
             self._g_cwnd.set(cwnd)
             self._g_ssthresh.set(ssthresh)
         if self._bus is not None:
@@ -312,7 +294,7 @@ class TcpConnection:
                            cwnd=cwnd, ssthresh=ssthresh)
 
     def _on_rtt_update(self, sample: float, srtt: float, rto: float) -> None:
-        if self._m_segs_sent is not None:
+        if self._g_cwnd is not None:
             self._h_rtt.observe(sample)
             self._g_srtt.set(srtt)
             self._g_rto.set(rto)
@@ -599,17 +581,15 @@ class TcpConnection:
         if self.ecn_enabled and data:
             ecn_bits = ECN_ECT0
         self._charge_cpu()
-        self.trace.counters.incr("tcp.segs_sent")
-        if self._m_segs_sent is not None:
-            self._m_segs_sent.inc()
-            if opts.sack_blocks:
-                self._m_sack_blocks.inc(len(opts.sack_blocks))
+        counters = self.trace.counters
+        counters.incr("tcp.segs_sent")
+        if opts.sack_blocks:
+            counters.incr("tcp.sack_blocks_sent", len(opts.sack_blocks))
         if data:
-            self.trace.counters.incr("tcp.data_segs_sent")
+            counters.incr("tcp.data_segs_sent")
             if is_retransmit:
-                self.trace.counters.incr("tcp.retransmits")
-                if self._m_retransmits is not None:
-                    self._m_retransmits[self._rexmit_kind].inc()
+                counters.incr("tcp.retransmits")
+                counters.incr(f"tcp.retransmits.{self._rexmit_kind}")
                 if self._bus is not None:
                     self._bus.emit("tcp", self.local_id, "retransmit",
                                    seq=seq, kind=self._rexmit_kind,
@@ -636,8 +616,6 @@ class TcpConnection:
             if self.params.ecn:
                 flags |= FLAG_ECE | FLAG_CWR
         self.trace.counters.incr("tcp.segs_sent")
-        if self._m_segs_sent is not None:
-            self._m_segs_sent.inc()
         self._charge_cpu()
         seg = Segment(
             src_port=self.local_port,
@@ -701,8 +679,6 @@ class TcpConnection:
             self._error_out("connection timed out (data)")
             return
         self.trace.counters.incr("tcp.rto_events")
-        if self._m_rto_events is not None:
-            self._m_rto_events.inc()
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "rto",
                            shift=self.rto_shift, snd_una=self.snd_una)
@@ -754,8 +730,6 @@ class TcpConnection:
             return
         # window probe: one byte past the edge
         self.trace.counters.incr("tcp.zero_window_probes")
-        if self._m_zwp is not None:
-            self._m_zwp.inc()
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "zero_window_probe",
                            shift=self._persist_shift)
@@ -810,8 +784,6 @@ class TcpConnection:
         else:
             self._charge_cpu()
         self.trace.counters.incr("tcp.segs_rcvd")
-        if self._m_segs_rcvd is not None:
-            self._m_segs_rcvd.inc()
         self._last_activity = self.sim.now
         self._keepalive_unanswered = 0
         if self.state is TcpState.CLOSED:
@@ -1103,8 +1075,6 @@ class TcpConnection:
             return
         self.dupacks += 1
         self.trace.counters.incr("tcp.dupacks")
-        if self._m_dupacks is not None:
-            self._m_dupacks.inc()
         if self.cc.in_recovery:
             self.cc.on_dupack_in_recovery(self.sim.now)
             self.output()

@@ -87,6 +87,10 @@ class TcpOptions:
             length = data[i + 1]
             if length < 2 or i + length > len(data):
                 raise ValueError("malformed TCP option length")
+            if (kind == KIND_MSS and length != 4
+                    or kind == KIND_TIMESTAMPS and length != 10
+                    or kind == KIND_SACK and (length - 2) % 8):
+                raise ValueError(f"bad length {length} for TCP option {kind}")
             body = data[i + 2 : i + length]
             if kind == KIND_MSS:
                 (opts.mss,) = struct.unpack("!H", body)

@@ -86,9 +86,8 @@ class TcpStack:
         self._next_port = EPHEMERAL_BASE
         self._iss = 1000
         self._awaiting: set = set()
-        #: the registry this node's metric handles were resolved against
-        #: (at the first connection, as a stack that never opens one
-        #: registers nothing), and the handles its connections share
+        #: the registry this stack registered with at its first
+        #: connection, and the gauge handles its connections share
         self._metrics = None
         self._instruments: Optional[tuple] = None
         network.register(PROTO_TCP, self._on_packet)
@@ -208,12 +207,10 @@ class TcpStack:
         if key in self._connections:
             raise ValueError(f"connection {key} already exists")
         metrics = getattr(self.sim, "metrics", None)
-        if metrics is not self._metrics:
+        if metrics is not None and metrics is not self._metrics:
             self._metrics = metrics
-            self._instruments = (
-                None if metrics is None
-                else node_instruments(metrics, self.node_id)
-            )
+            metrics.pull_counters("tcp", self.node_id, self.trace.counters)
+            self._instruments = node_instruments(metrics, self.node_id)
         conn = TcpConnection(
             self.sim,
             self.network,

@@ -71,6 +71,14 @@ class Network:
         for n in self.nodes.values():
             n.reset_meters()
 
+    def attach_metrics(self, metrics) -> None:
+        """Attach ``metrics`` to a network built without one: every node
+        registers as at construction, and every TCP stack at its next
+        connection, so their counters cover the whole run."""
+        self.sim.metrics = metrics
+        for node in self.nodes.values():
+            node.export_metrics(metrics)
+
 
 def _clone_config(config: Optional[NodeConfig]) -> NodeConfig:
     return copy.deepcopy(config) if config is not None else NodeConfig()

@@ -110,7 +110,7 @@ class Gateway:
         # the pacer and the gateway both export through the registry;
         # attach one if the simulation was built without observability
         if self.sim.metrics is None:
-            self.sim.metrics = MetricsRegistry()
+            net.attach_metrics(MetricsRegistry())
         self.runner = PacedSimRunner(
             self.sim, speed=speed, slack_budget=slack_budget
         )

@@ -75,24 +75,6 @@ class LowpanAdaptation:
         )
         #: (origin, tag) -> next hop for FRAGN forwarding
         self._forward_tags: Dict[Tuple[int, int], int] = {}
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            self._m_datagrams = metrics.counter(
-                "lowpan.datagrams_sent", node=node_id)
-            self._m_fragments = metrics.counter(
-                "lowpan.fragments_sent", node=node_id)
-            self._m_forwarded = metrics.counter(
-                "lowpan.fragments_forwarded", node=node_id)
-            self._m_no_route = metrics.counter(
-                "lowpan.no_route", node=node_id)
-            self._m_hop_limit = metrics.counter(
-                "lowpan.hop_limit_exceeded", node=node_id)
-        else:
-            self._m_datagrams = None
-            self._m_fragments = None
-            self._m_forwarded = None
-            self._m_no_route = None
-            self._m_hop_limit = None
         mac.on_receive = self._on_mac_receive
 
     # ------------------------------------------------------------------
@@ -119,9 +101,6 @@ class LowpanAdaptation:
         frags = self.fragmenter.fragment(packet, datagram_bytes, final_dst)
         self.trace.counters.incr("lowpan.datagrams_sent")
         self.trace.counters.incr("lowpan.fragments_sent", len(frags))
-        if self._m_datagrams is not None:
-            self._m_datagrams.inc()
-            self._m_fragments.inc(len(frags))
         frag_done = _FragCompletion(len(frags), on_done)
         for frag in frags:
             self.mac.send(frag, frag.wire_bytes, next_hop, on_done=frag_done)
@@ -174,27 +153,19 @@ class LowpanAdaptation:
             frag.packet.hop_limit = hop_limit - 1
             if frag.packet.hop_limit <= 0:
                 self.trace.counters.incr("lowpan.hop_limit_exceeded")
-                if self._m_hop_limit is not None:
-                    self._m_hop_limit.inc()
                 return
         next_hop = self.route_lookup(frag.final_dst)
         if next_hop is None:
             self.trace.counters.incr("lowpan.no_route")
-            if self._m_no_route is not None:
-                self._m_no_route.inc()
             return
         if frag.fragmented:
             self._forward_tags[(frag.origin, frag.tag)] = next_hop
             self._trim_forward_tags()
         self.trace.counters.incr("lowpan.fragments_forwarded")
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
         self.mac.send(frag, frag.wire_bytes, next_hop)
 
     def _forward_next(self, frag: Fragment, next_hop: int) -> None:
         self.trace.counters.incr("lowpan.fragments_forwarded")
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
         self.mac.send(frag, frag.wire_bytes, next_hop)
 
     def _trim_forward_tags(self, limit: int = 64) -> None:

@@ -148,21 +148,6 @@ class Reassembler:
         self.node_id = node_id
         self._partials: Dict[Tuple[int, int], _PartialDatagram] = {}
         self._bus = getattr(sim, "trace_bus", None)
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            self._m_reassembled = metrics.counter(
-                "lowpan.reassembled", node=node_id)
-            self._m_timeouts = metrics.counter(
-                "lowpan.reassembly_timeouts", node=node_id)
-            self._m_duplicates = metrics.counter(
-                "lowpan.duplicate_fragments", node=node_id)
-            self._m_overflow = metrics.counter(
-                "lowpan.reassembly_overflow", node=node_id)
-        else:
-            self._m_reassembled = None
-            self._m_timeouts = None
-            self._m_duplicates = None
-            self._m_overflow = None
 
     def add(self, frag: Fragment) -> Optional[object]:
         """Insert a fragment; returns the packet when it completes."""
@@ -174,8 +159,6 @@ class Reassembler:
             if len(self._partials) >= self.max_buffers:
                 # deterministic memory bound: drop the new datagram
                 self.trace.counters.incr("lowpan.reassembly_overflow")
-                if self._m_overflow is not None:
-                    self._m_overflow.inc()
                 return None
             part = _PartialDatagram(size=frag.datagram_size)
             part.timer = Timer(
@@ -185,8 +168,6 @@ class Reassembler:
         span = (frag.offset, frag.length)
         if span in part.received:
             self.trace.counters.incr("lowpan.duplicate_fragments")
-            if self._m_duplicates is not None:
-                self._m_duplicates.inc()
             return None
         part.received.add(span)
         part.bytes_received += frag.length
@@ -197,8 +178,6 @@ class Reassembler:
                 part.timer.stop()
             del self._partials[key]
             self.trace.counters.incr("lowpan.reassembled")
-            if self._m_reassembled is not None:
-                self._m_reassembled.inc()
             return part.packet
         return None
 
@@ -217,8 +196,6 @@ class Reassembler:
         if key in self._partials:
             del self._partials[key]
             self.trace.counters.incr("lowpan.reassembly_timeouts")
-            if self._m_timeouts is not None:
-                self._m_timeouts.inc()
             if self._bus is not None:
                 self._bus.emit("lowpan", self.node_id, "reassembly_timeout",
                                origin=key[0], tag=key[1])

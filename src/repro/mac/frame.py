@@ -152,6 +152,8 @@ def decode_frame(data: bytes) -> Frame:
             kind=FrameKind.ACK, src=0, dst=0, seq=seq,
             pending=pending, ack_request=False,
         )
+    if len(data) < DATA_HEADER_BYTES:
+        raise ValueError("frame too short for its addressing header")
     _, _, _, dst_ext, src_ext = struct.unpack_from("<HBHQQ", data, 0)
     payload = data[21:-2]
     if kind_name == "command":

@@ -78,13 +78,11 @@ class _TxOp:
 class MacLayer:
     """Per-node 802.15.4 MAC."""
 
-    # Slotted: with 30 attributes an instance dict no longer shares its
-    # keys (CPython 3.11) and would cost every node ~1.6 kB on its own.
+    # Slotted: every node carries one, and slots are smaller than an
+    # instance dict.
     __slots__ = (
         "sim", "radio", "rng", "params", "trace", "node_id",
         "_csma_rng", "_retry_rng", "_counts", "_cpu", "_bus",
-        "_m_frames_tx", "_m_backoffs", "_m_csma_fail", "_m_retries",
-        "_m_ack_timeouts", "_m_tx_fail", "_m_tail_drops",
         "_queue", "_current", "paused", "_ack_timer_event", "_seq",
         "_dedup", "_indirect",
         "on_receive", "on_poll_ack", "on_idle", "on_data_pending",
@@ -117,28 +115,7 @@ class MacLayer:
         # overhead is measurable at frame dispatch rates.
         self._counts = self.trace.counters._counts
         self._cpu = radio.cpu
-        # Observability instruments, resolved once; all None when the
-        # simulation carries no registry so each emission site costs a
-        # single identity test on the disabled path.
         self._bus = getattr(sim, "trace_bus", None)
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            nid = self.node_id
-            self._m_frames_tx = metrics.counter("mac.frames_tx", node=nid)
-            self._m_backoffs = metrics.counter("mac.csma_backoffs", node=nid)
-            self._m_csma_fail = metrics.counter("mac.csma_failures", node=nid)
-            self._m_retries = metrics.counter("mac.link_retries", node=nid)
-            self._m_ack_timeouts = metrics.counter("mac.ack_timeouts", node=nid)
-            self._m_tx_fail = metrics.counter("mac.tx_failures", node=nid)
-            self._m_tail_drops = metrics.counter("mac.tail_drops", node=nid)
-        else:
-            self._m_frames_tx = None
-            self._m_backoffs = None
-            self._m_csma_fail = None
-            self._m_retries = None
-            self._m_ack_timeouts = None
-            self._m_tx_fail = None
-            self._m_tail_drops = None
 
         # a list, not a deque: at most ``tx_queue_limit`` (+ a few
         # data requests) ops, and an empty deque costs ~600 B per MAC
@@ -189,9 +166,7 @@ class MacLayer:
         if dst in self._indirect:
             return self._enqueue_indirect(dst, op)
         if len(self._queue) >= self.params.tx_queue_limit:
-            self.trace.counters.incr("mac.tail_drops")
-            if self._m_tail_drops is not None:
-                self._m_tail_drops.inc()
+            self._counts["mac.tail_drops"] += 1
             if self._bus is not None:
                 self._bus.emit("mac", self.node_id, "tail_drop", dst=dst)
             if on_done is not None:
@@ -291,8 +266,7 @@ class MacLayer:
         self._backoff(op)
 
     def _backoff(self, op: _TxOp) -> None:
-        if self._m_backoffs is not None:
-            self._m_backoffs.inc()
+        self._counts["mac.csma_backoffs"] += 1
         # Draw-identical inline of Random.randint(0, 2**be - 1): CPython's
         # randrange -> _randbelow_with_getrandbits(n) does exactly this
         # rejection loop, but its wrapper layers cost ~4us per draw at
@@ -328,8 +302,6 @@ class MacLayer:
             op.be = be if be < params.max_be else params.max_be
             if op.nb > params.max_csma_backoffs:
                 self._counts["mac.csma_failures"] += 1
-                if self._m_csma_fail is not None:
-                    self._m_csma_fail.inc()
                 if self._bus is not None:
                     self._bus.emit("mac", self.node_id, "csma_failure",
                                    dst=op.frame.dst, retries=op.retries)
@@ -344,8 +316,6 @@ class MacLayer:
         frame = op.frame
         radio.transmit(frame, frame.byte_size, self._tx_done, op, skip_spi=True)
         self._counts["mac.frames_tx"] += 1
-        if self._m_frames_tx is not None:
-            self._m_frames_tx.inc()
 
     def _tx_done(self, op: _TxOp) -> None:
         if op is not self._current:
@@ -366,8 +336,6 @@ class MacLayer:
         self._ack_timer_event = None
         self.radio.ack_seq = None
         self._counts["mac.ack_timeouts"] += 1
-        if self._m_ack_timeouts is not None:
-            self._m_ack_timeouts.inc()
         self._retry(op)
 
     def _retry(self, op: _TxOp) -> None:
@@ -379,16 +347,12 @@ class MacLayer:
         )
         if op.retries > limit:
             self._counts["mac.tx_failures"] += 1
-            if self._m_tx_fail is not None:
-                self._m_tx_fail.inc()
             if self._bus is not None:
                 self._bus.emit("mac", self.node_id, "tx_failure",
                                dst=op.frame.dst, retries=op.retries)
             self._finish(op, False)
             return
         self._counts["mac.link_retries"] += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
         if self._bus is not None:
             self._bus.emit("mac", self.node_id, "link_retry",
                            dst=op.frame.dst, attempt=op.retries)

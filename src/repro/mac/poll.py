@@ -70,26 +70,13 @@ class SleepyEndDevice:
         self._interval = (
             self.params.smin if self.params.adaptive else self.params.poll_interval
         )
-        self.polls_sent = 0
-        self.data_request_timeouts = 0
         self._poll_sent_at = 0.0
         self._bus = getattr(sim, "trace_bus", None)
         metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            nid = mac.node_id
-            self._m_polls = metrics.counter("mac.polls_sent", node=nid)
-            self._m_poll_timeouts = metrics.counter(
-                "mac.poll_timeouts", node=nid
-            )
-            #: time from sending a data request to its link ACK — the
-            #: §9.2 latency that fast-poll mode exists to shrink
-            self._m_poll_latency = metrics.histogram(
-                "mac.poll_latency_seconds", node=nid
-            )
-        else:
-            self._m_polls = None
-            self._m_poll_timeouts = None
-            self._m_poll_latency = None
+        #: time from sending a data request to its link ACK — the §9.2
+        #: latency that fast-poll mode exists to shrink
+        self._poll_latency = None if metrics is None else metrics.histogram(
+            "mac.poll_latency_seconds", node=mac.node_id)
 
         mac.on_poll_ack = self._on_poll_ack
         mac.on_data_pending = self._on_data_pending
@@ -147,11 +134,9 @@ class SleepyEndDevice:
         return self._interval
 
     def _poll(self) -> None:
-        self.polls_sent += 1
+        self.mac.trace.counters.incr("mac.polls_sent")
         self._awaiting_poll_ack = True
         self._poll_sent_at = self.sim.now
-        if self._m_polls is not None:
-            self._m_polls.inc()
         self.mac.radio.listen()
         self.mac.send_data_request(self.parent)
         # If the data request dies (no link ACK after retries), the MAC
@@ -163,8 +148,8 @@ class SleepyEndDevice:
 
     def _on_poll_ack(self, pending: bool) -> None:
         if self._awaiting_poll_ack:
-            if self._m_poll_latency is not None:
-                self._m_poll_latency.observe(self.sim.now - self._poll_sent_at)
+            if self._poll_latency is not None:
+                self._poll_latency.observe(self.sim.now - self._poll_sent_at)
             if self._bus is not None:
                 self._bus.emit("mac", self.mac.node_id, "poll_ack",
                                pending=pending,
@@ -197,9 +182,7 @@ class SleepyEndDevice:
 
     def _window_closed(self) -> None:
         if self._awaiting_poll_ack:
-            self.data_request_timeouts += 1
-            if self._m_poll_timeouts is not None:
-                self._m_poll_timeouts.inc()
+            self.mac.trace.counters.incr("mac.poll_timeouts")
             if self._bus is not None:
                 self._bus.emit("mac", self.mac.node_id, "poll_timeout")
             self._awaiting_poll_ack = False

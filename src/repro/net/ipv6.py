@@ -154,20 +154,6 @@ class Ipv6Layer:
         #: TCP stacks bound to this layer (fault injection crashes them)
         self.tcp_stacks: List[object] = []
         self._bus = getattr(sim, "trace_bus", None)
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            self._m_forwards = metrics.counter("net.forwards", node=node_id)
-            self._m_delivered = metrics.counter("net.delivered", node=node_id)
-            self._m_queue_drops = metrics.counter(
-                "net.queue_drops", node=node_id)
-            self._m_ecn_marks = metrics.counter("net.ecn_marks", node=node_id)
-            self._m_no_route = metrics.counter("net.no_route", node=node_id)
-        else:
-            self._m_forwards = None
-            self._m_delivered = None
-            self._m_queue_drops = None
-            self._m_ecn_marks = None
-            self._m_no_route = None
 
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:
         """Register a transport handler for a protocol number.
@@ -216,8 +202,6 @@ class Ipv6Layer:
         next_hop = self.routing.next_hop(self.node_id, packet.dst)
         if next_hop is None:
             self.trace.counters.incr("ipv6.no_route")
-            if self._m_no_route is not None:
-                self._m_no_route.inc()
             return
         wired = self.wired_links.get(next_hop)
         if wired is not None:
@@ -246,8 +230,6 @@ class Ipv6Layer:
                 self.trace.counters.incr("ipv6.no_handler")
                 return
             self.trace.counters.incr("ipv6.delivered")
-            if self._m_delivered is not None:
-                self._m_delivered.inc()
             handler(packet)
             return
         self.forward(packet)
@@ -258,8 +240,7 @@ class Ipv6Layer:
         if packet.hop_limit <= 0:
             self.trace.counters.incr("ipv6.hop_limit_exceeded")
             return
-        if self._m_forwards is not None:
-            self._m_forwards.inc()
+        self.trace.counters.incr("ipv6.forwards")
         if self.forward_queue is not None:
             self._enqueue_forward(packet)
         else:
@@ -269,16 +250,12 @@ class Ipv6Layer:
         action = self.forward_queue.enqueue(packet)
         if action == "drop":
             self.trace.counters.incr("ipv6.queue_drops")
-            if self._m_queue_drops is not None:
-                self._m_queue_drops.inc()
             if self._bus is not None:
                 self._bus.emit("net", self.node_id, "queue_drop",
                                src=packet.src, dst=packet.dst)
             return
         if action == "mark":
             self.trace.counters.incr("ipv6.ecn_marks")
-            if self._m_ecn_marks is not None:
-                self._m_ecn_marks.inc()
         self._pump_forward()
 
     def _pump_forward(self) -> None:
@@ -291,8 +268,6 @@ class Ipv6Layer:
         next_hop = self.routing.next_hop(self.node_id, packet.dst)
         if next_hop is None:
             self.trace.counters.incr("ipv6.no_route")
-            if self._m_no_route is not None:
-                self._m_no_route.inc()
             self._forward_busy = False
             self._pump_forward()
             return

@@ -83,9 +83,20 @@ class Node:
             self.ipv6.forward_queue = RedQueue(self.config.red, rng, stream=f"red:{node_id}")
         self.udp = UdpStack(self.ipv6)
         self.sleepy: Optional[SleepyEndDevice] = None
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None and self.ipv6.forward_queue is not None:
+        if sim.metrics is not None:
+            self.export_metrics(sim.metrics)
+
+    def export_metrics(self, metrics) -> None:
+        """Register this node's counters and gauge collectors with
+        ``metrics``: at construction, or when a registry is attached to
+        a built network
+        (:meth:`~repro.experiments.topology.Network.attach_metrics`)."""
+        metrics.pull_counters("node", self.node_id, self.trace.counters)
+        metrics.register_collector(self.radio.collect_metrics)
+        if self.ipv6.forward_queue is not None:
             metrics.register_collector(self._collect_queue_metrics)
+        if self.sleepy is not None:
+            metrics.pull_counters("poll", self.node_id, self.trace.counters)
 
     def _collect_queue_metrics(self, metrics) -> None:
         """Export forward-queue state as gauges (snapshot-time pull)."""
@@ -126,6 +137,9 @@ class Node:
         params = poll or self.config.poll
         parent.mac.mark_sleepy_child(self.node_id)
         self.sleepy = SleepyEndDevice(self.sim, self.mac, parent.node_id, params)
+        if self.sim.metrics is not None:
+            self.sim.metrics.pull_counters("poll", self.node_id,
+                                           self.trace.counters)
 
     def add_wired_link(self, peer_id: int, link) -> None:
         """Attach a wired link (this node becomes a border router)."""

@@ -111,6 +111,8 @@ def read_pcap(path: str):
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 24:
+        raise ValueError("truncated pcap file header")
     magic, major, minor, _tz, _sig, snaplen, network = struct.unpack_from(
         "<IHHiIII", raw, 0
     )
@@ -121,8 +123,12 @@ def read_pcap(path: str):
     records = []
     offset = 24
     while offset < len(raw):
+        if offset + 16 > len(raw):
+            raise ValueError("truncated pcap record header")
         sec, usec, incl, _orig = struct.unpack_from("<IIII", raw, offset)
         offset += 16
+        if offset + incl > len(raw):
+            raise ValueError("truncated pcap record")
         records.append((sec + usec / 1e6, raw[offset: offset + incl]))
         offset += incl
     return header, records

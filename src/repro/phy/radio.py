@@ -67,15 +67,11 @@ class Radio:
         self.frames_sent = 0
         self.frames_received = 0
         medium.register(self, position)
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            # Energy accounting is pulled at snapshot time rather than
-            # pushed per transition: the ledger already holds the state
-            # totals, so the radio hot path carries no metrics code.
-            metrics.register_collector(self._collect_metrics)
 
-    def _collect_metrics(self, metrics) -> None:
-        """Export energy/traffic state as gauges (snapshot-time pull)."""
+    def collect_metrics(self, metrics) -> None:
+        """Export energy/traffic state as gauges (snapshot-time pull,
+        registered by the node): the ledger already holds the state
+        totals, so the radio hot path carries no metrics code."""
         nid = self.node_id
         for state, seconds in self.energy._settled().items():
             metrics.gauge(

@@ -9,12 +9,13 @@ qualitative half — typed event records — lives in
   in one process (e.g. the parallel experiment runner) never share
   state.  The only module-level state is the opt-in *auto-attach* flag
   that tells freshly constructed simulators to carry a registry.
-* **Pay for what you use.**  When no registry is attached, every layer
-  caches ``None`` for its instruments at construction time and each
-  would-be emission costs a single attribute load plus an ``is None``
-  test.  When enabled, hot paths hold direct references to instrument
-  objects, so an emission is one attribute increment — no name
-  hashing, no dict lookup.
+* **Count each event once.**  A layer counts its events in its
+  :class:`~repro.sim.trace.TraceRecorder` ``Counter``, which is always
+  on.  The registry reads the ``Counter`` at snapshot time through
+  :data:`COUNTER_FAMILIES`, the one table of counter names, so no hot
+  path carries a registry handle.  Gauges and histograms are still
+  pushed, through instruments a layer resolves once, or pulled by
+  collectors.
 * **Deterministic snapshots.**  A snapshot is a pure function of
   simulated behaviour: keys are canonically ordered, values derive
   only from simulated time and counts, and no wall-clock quantity is
@@ -41,6 +42,54 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelItems = Tuple[Tuple[str, str], ...]
+
+
+#: The node-labelled counter families the registry reads from a
+#: layer's ``Counter`` at snapshot time: table -> {family: Counter key}.
+#: A table is what one registration exports (``node``: the MAC, 6LoWPAN
+#: and IPv6 layers, which share the node's recorder; ``poll``: a sleepy
+#: end device; ``tcp``: a TCP stack), so a family appears exactly when
+#: its layer is built.  A family may carry a ``kind`` label.
+COUNTER_FAMILIES: Dict[str, Dict[str, str]] = {
+    "node": {
+        "mac.frames_tx": "mac.frames_tx",
+        "mac.csma_backoffs": "mac.csma_backoffs",
+        "mac.csma_failures": "mac.csma_failures",
+        "mac.link_retries": "mac.link_retries",
+        "mac.ack_timeouts": "mac.ack_timeouts",
+        "mac.tx_failures": "mac.tx_failures",
+        "mac.tail_drops": "mac.tail_drops",
+        "lowpan.datagrams_sent": "lowpan.datagrams_sent",
+        "lowpan.fragments_sent": "lowpan.fragments_sent",
+        "lowpan.fragments_forwarded": "lowpan.fragments_forwarded",
+        "lowpan.no_route": "lowpan.no_route",
+        "lowpan.hop_limit_exceeded": "lowpan.hop_limit_exceeded",
+        "lowpan.reassembled": "lowpan.reassembled",
+        "lowpan.reassembly_timeouts": "lowpan.reassembly_timeouts",
+        "lowpan.duplicate_fragments": "lowpan.duplicate_fragments",
+        "lowpan.reassembly_overflow": "lowpan.reassembly_overflow",
+        "net.forwards": "ipv6.forwards",
+        "net.delivered": "ipv6.delivered",
+        "net.queue_drops": "ipv6.queue_drops",
+        "net.ecn_marks": "ipv6.ecn_marks",
+        "net.no_route": "ipv6.no_route",
+    },
+    "poll": {
+        "mac.polls_sent": "mac.polls_sent",
+        "mac.poll_timeouts": "mac.poll_timeouts",
+    },
+    "tcp": {
+        "tcp.segs_sent": "tcp.segs_sent",
+        "tcp.segs_rcvd": "tcp.segs_rcvd",
+        "tcp.retransmits{kind=rto}": "tcp.retransmits.rto",
+        "tcp.retransmits{kind=fast}": "tcp.retransmits.fast",
+        "tcp.retransmits{kind=sack}": "tcp.retransmits.sack",
+        "tcp.dupacks": "tcp.dupacks",
+        "tcp.rto_events": "tcp.rto_events",
+        "tcp.zero_window_probes": "tcp.zero_window_probes",
+        "tcp.sack_blocks_sent": "tcp.sack_blocks_sent",
+    },
+}
 
 
 def _label_items(labels: Dict[str, object]) -> LabelItems:
@@ -124,6 +173,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelItems], object] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        #: (table, node) -> (the Counters read, ((counter, key), ...))
+        self._pulled: Dict[Tuple[str, int], Tuple[list, list]] = {}
 
     # ------------------------------------------------------------------
     # instrument accessors
@@ -174,11 +225,33 @@ class MetricsRegistry:
         """
         self._collectors.append(fn)
 
+    def pull_counters(self, table: str, node_id: int, counts) -> None:
+        """Read ``COUNTER_FAMILIES[table]`` from ``counts``, a layer's
+        ``Counter``, into ``node=node_id`` counters at snapshot time.
+
+        The counters exist from this call on.  Counters registered under
+        one (table, node), such as two TCP stacks', are summed.
+        """
+        entry = self._pulled.get((table, node_id))
+        if entry is None:
+            handles = []
+            for family, key in COUNTER_FAMILIES[table].items():
+                name, _, kind = family.rstrip("}").partition("{kind=")
+                labels = {"kind": kind} if kind else {}
+                handles.append((self.counter(name, node=node_id, **labels),
+                                key))
+            self._pulled[(table, node_id)] = ([counts], handles)
+        elif all(c is not counts for c in entry[0]):
+            entry[0].append(counts)
+
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Deterministic, JSON-ready dump of every instrument."""
+        for sources, handles in self._pulled.values():
+            for counter, key in handles:
+                counter.value = sum(c.get(key) for c in sources)
         for collector in self._collectors:
             collector(self)
         counters: Dict[str, int] = {}

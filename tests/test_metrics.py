@@ -8,6 +8,7 @@ the checked-in metrics golden.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.socket_api import TcpStack
 from repro.sim import metrics as metrics_mod
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
+    COUNTER_FAMILIES,
     DEFAULT_TIME_BUCKETS,
     _HistogramMetric,
     MetricsRegistry,
@@ -253,6 +255,74 @@ class TestEndToEnd:
         golden = tmp_path / "golden.jsonl"
         bus.to_jsonl(golden)
         assert read_jsonl(golden) == bus.events
+
+
+def _family(key):
+    return key.split("{", 1)[0]
+
+
+#: every family the name table reads from a Counter
+TABLE_FAMILIES = {_family(f) for t in COUNTER_FAMILIES.values() for f in t}
+
+
+def _transfer_snapshot(late):
+    """A short seeded transfer, its registry attached while the network
+    is built or, ``late``, after it (as the gateway attaches one)."""
+    metrics_mod.auto_attach(not late)
+    try:
+        net = build_pair(seed=7)
+    finally:
+        metrics_mod.auto_attach(False)
+    if late:
+        net.attach_metrics(MetricsRegistry())
+    params = tcplp_params()
+    src = TcpStack(net.sim, net.nodes[1].ipv6, 1)
+    dst = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+    BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
+                 receiver_params=params).measure(1.0, 3.0)
+    return net.sim.metrics.snapshot()
+
+
+class TestCountedFamilies:
+    def test_late_attach_reads_the_same_counters(self):
+        early, late = _transfer_snapshot(False), _transfer_snapshot(True)
+        for section, keep in (("counters", lambda k: _family(k) in
+                               TABLE_FAMILIES),
+                              ("gauges", lambda k: k.startswith("phy."))):
+            want = {k: v for k, v in early[section].items() if keep(k)}
+            got = {k: v for k, v in late[section].items() if keep(k)}
+            assert got == want, section
+        assert early["counters"]["mac.frames_tx{node=0}"] > 0
+        assert {_family(k) for k in early["counters"]} >= TABLE_FAMILIES - {
+            "mac.polls_sent", "mac.poll_timeouts"}
+
+    def test_gateway_on_a_bare_network_exports_node_counters(self):
+        from repro.gateway.server import Gateway
+
+        net = build_pair(seed=1)
+        Gateway(net, [])
+        counters = net.sim.metrics.snapshot()["counters"]
+        assert "mac.frames_tx{node=1}" in counters
+        assert "net.delivered{node=0}" in counters
+
+    def test_name_table_golden_and_docs_agree(self):
+        golden = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf"
+             / "metrics_golden.json").read_text())
+        snaps = [snap for snaps in golden.values() for snap in snaps]
+        counted = {_family(k) for snap in snaps for k in snap["counters"]
+                   if "node=" in k}
+        every = {_family(k) for snap in snaps for section in snap.values()
+                 for k in section}
+        assert TABLE_FAMILIES <= counted
+        assert {f for f in counted - TABLE_FAMILIES
+                if not f.startswith("phy.")} == set()
+        doc = (REPO_ROOT / "docs" / "observability.md").read_text()
+        listed = doc.split("### Metric families by layer", 1)[1]
+        listed = listed.split("\n## ", 1)[0]
+        named = {_family(m) for m in re.findall(r"`([a-z]+\.[a-z_.]+)", listed)}
+        assert TABLE_FAMILIES <= named
+        assert {f for f in named - every if not f.startswith("rt.")} == set()
 
 
 class TestBenchClassification:

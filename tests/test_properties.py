@@ -1,10 +1,14 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import os
+import tempfile
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffers import ReceiveBuffer, SendBuffer
-from repro.core.options import TcpOptions
+from repro.core.options import KIND_NOP, TcpOptions
 from repro.core.segment import Segment
 from repro.core.seqnum import (
     MOD,
@@ -19,6 +23,8 @@ from repro.core.seqnum import (
 from repro.core.sack import SackScoreboard
 from repro.lowpan.frag import Fragmenter, Reassembler
 from repro.mac.frame import Frame, FrameKind, decode_frame
+from repro.net.ipv6 import PROTO_TCP, Ipv6Packet, decode_header
+from repro.net.pcap import PcapWriter, read_pcap
 from repro.sim.engine import Simulator
 
 seqs = st.integers(min_value=0, max_value=MOD - 1)
@@ -280,6 +286,78 @@ class TestCodecProperties:
         assert (parsed.src, parsed.dst, parsed.seq) == (src, dst, seq)
         assert parsed.pending == pending
         assert parsed.payload == payload
+
+
+def _option_length_offsets(blob: bytes, base: int = 0) -> list:
+    """Offsets of the length byte of every option in ``blob``."""
+    offsets, i = [], 0
+    while i < len(blob):
+        if blob[i] == KIND_NOP:
+            i += 1
+            continue
+        offsets.append(base + i + 1)
+        i += blob[i + 1]
+    return offsets
+
+
+def _read_pcap_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.pcap")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return read_pcap(path)
+
+
+def _decoder_surfaces() -> dict:
+    """name -> (decoder, a valid encoding, offsets of its length bytes)."""
+    opts = TcpOptions(mss=1232, sack_permitted=True, ts_val=7, ts_ecr=3,
+                      sack_blocks=[(10, 20), (30, 40)])
+    blob = opts.encode()
+    seg = Segment(src_port=1, dst_port=2, seq=5, ack=6, flags=0x10,
+                  window=100, options=opts, data=b"payload")
+    wire = seg.encode()
+    packet = Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP, payload=seg,
+                        payload_bytes=len(wire))
+    frame = Frame(kind=FrameKind.DATA, src=1, dst=2, seq=9,
+                  payload_bytes=len(wire))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.pcap")
+        with PcapWriter(path, SimpleNamespace(now=1.5)) as writer:
+            writer.write(packet)
+            writer.write(packet)
+        with open(path, "rb") as fh:
+            pcap = fh.read()
+    second = 24 + 16 + 40 + len(wire)  # the second record's header
+    return {
+        "options": (TcpOptions.decode, blob, _option_length_offsets(blob)),
+        "segment": (Segment.decode, wire,
+                    [12] + _option_length_offsets(blob, base=20)),
+        "frame": (decode_frame, frame.encode(wire), []),
+        "ipv6": (decode_header, packet.encode_header(), [4, 5]),
+        "pcap": (_read_pcap_bytes, pcap,
+                 [24 + 8, 24 + 9, second + 8, second + 9]),
+    }
+
+
+_SURFACES = _decoder_surfaces()
+
+
+class TestDecoderFuzz:
+    @given(st.sampled_from(sorted(_SURFACES)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncated_or_relengthed_input_is_a_value_error(self, name, data):
+        """Every byte decoder either parses a damaged encoding or raises
+        ValueError: the encoding is cut short at any point and some of
+        its length bytes rewritten."""
+        decode, valid, length_offsets = _SURFACES[name]
+        wire = bytearray(valid[:data.draw(st.integers(0, len(valid)))])
+        for offset in length_offsets:
+            if offset < len(wire) and data.draw(st.booleans()):
+                wire[offset] = data.draw(st.integers(0, 255))
+        try:
+            decode(bytes(wire))
+        except ValueError:
+            pass
 
 
 class TestFragmentationProperties:

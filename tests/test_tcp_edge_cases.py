@@ -154,17 +154,32 @@ class TestSimplifiedStacks:
         assert all(tcplp[k] for k in tcplp)
 
     def test_ooo_disabled_drops_out_of_order_data(self):
-        # uIP-like receiver: an out-of-order segment is dropped and
-        # later retransmitted in order
-        params_rx = uip_params(mss_frames=4)
-        net, conn, server = make_conn_pair(
-            params_a=tcplp_params(), params_b=params_rx
-        )
+        # a receiver without reassembly (uIP, GNRC) but with room for
+        # two segments drops the second when it overtakes the first,
+        # ACKs rcv_nxt at once, and takes it again once retransmitted
+        params_b = tcplp_params()
+        params_b.ooo_reassembly = params_b.delayed_ack = False
+        wire = _Wire(params_b)
+        wire.establish()
+        assert wire.b._advertised_window() >= 2 * wire.a.mss
         got = []
-        server.on_data = got.append
-        conn.send(b"ab" * 300)
-        net.sim.run(until=60.0)
-        assert b"".join(got) == b"ab" * 300
+        wire.b.on_data = got.append
+        data = bytes(range(256)) * (2 * wire.a.mss // 256 + 1)
+        data = data[:2 * wire.a.mss]
+        wire.a.send(data)
+        seg1, seg2 = wire.a.network.sent
+        wire.a.network.clear()
+        wire.b.on_segment(seg2, _From(1))
+        assert wire.b.trace.counters.get("tcp.ooo_dropped") == 1
+        dupack, = wire.b.network.sent
+        assert dupack.ack == seg1.seq and not dupack.data
+        wire.b.on_segment(seg1, _From(1))
+        assert b"".join(got) == data[:len(seg1.data)]
+        wire.deliver(wire.b)  # the ACKs
+        wire.sim.run(until=wire.sim.now + wire.a._current_rto() + 0.1)
+        wire.deliver(wire.a)  # the retransmitted second segment
+        assert wire.a.trace.counters.get("tcp.retransmits") == 1
+        assert b"".join(got) == data
 
 
 class TestTimeWait:
@@ -192,7 +207,7 @@ class _From:
 class _Wire:
     """Two connections over fake networks; the test hands segments across."""
 
-    def __init__(self):
+    def __init__(self, params_b=None):
         self.sim = Simulator()
         params = tcplp_params()
         params.time_wait = 1.0
@@ -201,7 +216,7 @@ class _Wire:
                                params=params, iss=5000)
         self.b = TcpConnection(self.sim, FakeNetwork(), local_id=2,
                                local_port=2000, peer_id=1, peer_port=1000,
-                               params=params, iss=9000)
+                               params=params_b or params, iss=9000)
 
     def deliver(self, sender, count=None):
         """Hand the first ``count`` segments ``sender`` emitted (all by
