@@ -95,7 +95,9 @@ class NewRenoCongestion:
         """Window inflation for each further duplicate ACK."""
         if not self.enabled or not self.in_recovery:
             return
-        self.cwnd += self.mss
+        # capped like enter_recovery: duplicated ACKs must not inflate
+        # cwnd without bound (only min(cwnd, max_window) is ever used)
+        self.cwnd = min(self.cwnd + self.mss, self.max_window + 3 * self.mss)
         self._record(now)
 
     def on_partial_ack(self, acked_bytes: int, now: float) -> None:

@@ -67,22 +67,47 @@ SOCKET_OPTION_ALIASES = {
 }
 
 
-def resolve_socket_option(params: TcpParams, name: str):
-    """Map a socket-option name to ``(TcpParams field, invert)``.
+class _SocketOptions:
+    """BSD setsockopt: ``set_option`` / ``get_option`` by
+    :class:`TcpParams` field or :data:`SOCKET_OPTION_ALIASES` name.
 
-    Accepts any :class:`TcpParams` field name verbatim, plus the BSD
-    aliases in :data:`SOCKET_OPTION_ALIASES`.  Shared by the
-    connection- and stack-level ``set_option``/``get_option`` wrappers.
+    The params are copied on first write, so an option never leaks to
+    sockets sharing a :class:`TcpParams`.  As with BSD, fields consumed
+    at connect time (buffers, MSS) do not resize a live connection.
     """
-    alias = SOCKET_OPTION_ALIASES.get(name)
-    if alias is not None:
-        return alias
-    if not name.startswith("_") and hasattr(params, name):
-        return (name, False)
-    raise ValueError(
-        f"unknown socket option {name!r}; use a TcpParams field "
-        f"name or one of {sorted(SOCKET_OPTION_ALIASES)}"
-    )
+
+    __slots__ = ()
+    #: the attribute holding the TcpParams the options read and write
+    _OPTIONS = "params"
+
+    def _resolve_option(self, name: str):
+        params = getattr(self, self._OPTIONS)
+        field_name, invert = SOCKET_OPTION_ALIASES.get(name, (name, False))
+        if field_name.startswith("_") or not hasattr(params, field_name):
+            raise ValueError(
+                f"unknown socket option {name!r}; use a TcpParams field "
+                f"name or one of {sorted(SOCKET_OPTION_ALIASES)}"
+            )
+        return params, field_name, invert
+
+    def set_option(self, name: str, value) -> None:
+        """Set one socket option."""
+        params, field_name, invert = self._resolve_option(name)
+        if not self._params_owned:
+            params = copy.copy(params)
+            setattr(self, self._OPTIONS, params)
+            self._params_owned = True
+        setattr(params, field_name, (not value) if invert else value)
+        self._option_set(field_name, value)
+
+    def get_option(self, name: str):
+        """Read one socket option (same names as :meth:`set_option`)."""
+        params, field_name, invert = self._resolve_option(name)
+        value = getattr(params, field_name)
+        return (not value) if invert else value
+
+    def _option_set(self, field_name: str, value) -> None:
+        """Hook: a live socket reacts to a changed option."""
 
 
 def node_instruments(metrics, node_id: int) -> tuple:
@@ -119,7 +144,7 @@ class TcpState(enum.Enum):
     TIME_WAIT = "time-wait"
 
 
-class TcpConnection:
+class TcpConnection(_SocketOptions):
     """One TCP connection endpoint (an active socket)."""
 
     # Slotted: past 29 attributes an instance dict stops sharing its
@@ -136,9 +161,9 @@ class TcpConnection:
         # negotiated features
         "mss", "sack_enabled", "ts_enabled", "ecn_enabled", "ts_recent",
         # loss recovery, ECN and FIN state
-        "dupacks", "rto_shift", "retransmit_budget", "_timed_seq",
+        "dupacks", "rto_shift", "_timed_seq",
         "_timed_at", "_ece_pending", "_cwr_pending", "_ecn_response_seq",
-        "_fin_pending", "_fin_seq", "_peer_offered_ecn",
+        "_fin_pending", "_fin_seq", "_peer_fin", "_peer_offered_ecn",
         # timers
         "rexmt_timer", "delack_timer", "persist_timer", "timewait_timer",
         "keepalive_timer", "_persist_shift", "_last_activity",
@@ -221,7 +246,6 @@ class TcpConnection:
         # loss recovery state
         self.dupacks = 0
         self.rto_shift = 0
-        self.retransmit_budget = p.max_retransmits
         self._timed_seq: Optional[int] = None  # Karn fallback timing
         self._timed_at = 0.0
 
@@ -233,6 +257,7 @@ class TcpConnection:
         # FIN bookkeeping
         self._fin_pending = False
         self._fin_seq: Optional[int] = None
+        self._peer_fin: Optional[int] = None  # its sequence number
         self._peer_offered_ecn = False
 
         # timers
@@ -318,15 +343,15 @@ class TcpConnection:
     def _unsent_bytes(self) -> int:
         return self.send_buf.used - seq_sub(self.snd_nxt, self.snd_una)
 
+    #: the states that exchange data, and those that may still send
+    _OPEN = (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
+             TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2)
+    _CAN_OUTPUT = _OPEN + (TcpState.CLOSING, TcpState.LAST_ACK)
+
     @property
     def is_open(self) -> bool:
         """True while data can still be exchanged."""
-        return self.state in (
-            TcpState.ESTABLISHED,
-            TcpState.CLOSE_WAIT,
-            TcpState.FIN_WAIT_1,
-            TcpState.FIN_WAIT_2,
-        )
+        return self.state in self._OPEN
 
     def _set_awaiting_ack(self, value: bool) -> None:
         if value != self._awaiting_ack:
@@ -341,33 +366,27 @@ class TcpConnection:
         """Active open: send SYN."""
         if self.state is not TcpState.CLOSED:
             raise RuntimeError("connect() on a non-closed connection")
-        self.state = TcpState.SYN_SENT
-        self.snd_una = self.iss
-        self.snd_nxt = seq_add(self.iss, 1)
-        self.snd_max = self.snd_nxt
-        self._send_syn(with_ack=False)
-        self.rexmt_timer.start(self.rtt.rto)
+        self._open(TcpState.SYN_SENT)
         self._set_awaiting_ack(True)
 
     def accept_syn(self, seg: Segment, packet) -> None:
         """Passive open: a listener handed us a SYN."""
-        self.state = TcpState.SYN_RECEIVED
-        self.irs = seg.seq
-        self.rcv_nxt = seq_add(seg.seq, 1)
-        self._process_syn_options(seg, packet)
+        self._take_peer_syn(seg, packet)
+        self._update_window(seg)
+        self._open(TcpState.SYN_RECEIVED)
+
+    def _open(self, state: TcpState) -> None:
+        """Both opens: our SYN takes sequence number ``iss``."""
+        self.state = state
         self.snd_una = self.iss
-        self.snd_nxt = seq_add(self.iss, 1)
-        self.snd_max = self.snd_nxt
-        self.snd_wnd = seg.window
-        self._send_syn(with_ack=True)
+        self.snd_nxt = self.snd_max = seq_add(self.iss, 1)
+        self._send_syn()
         self.rexmt_timer.start(self.rtt.rto)
 
     def send(self, data: bytes) -> int:
         """Queue application data; returns bytes accepted."""
-        if not self.is_open and self.state not in (
-            TcpState.SYN_SENT,
-            TcpState.SYN_RECEIVED,
-        ):
+        if self.state in (TcpState.CLOSED, TcpState.CLOSING,
+                          TcpState.LAST_ACK, TcpState.TIME_WAIT):
             raise RuntimeError(f"send() in state {self.state}")
         if self._fin_pending:
             raise RuntimeError("send() after close()")
@@ -387,8 +406,9 @@ class TcpConnection:
         if self.state in (TcpState.CLOSED, TcpState.TIME_WAIT):
             return
         if self.state is TcpState.SYN_SENT:
-            self._teardown("closed before establishment")
+            self._teardown()
             return
+        # in SYN_RECEIVED the FIN waits for _establish (RFC 793 §3.9)
         self._fin_pending = True
         if self.state is TcpState.ESTABLISHED:
             self.state = TcpState.FIN_WAIT_1
@@ -400,55 +420,15 @@ class TcpConnection:
         """Hard close: send RST and drop all state."""
         if self.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
             self._emit(flags=FLAG_RST | FLAG_ACK)
-        self._teardown("aborted")
+        self._teardown()
 
-    # ==================================================================
-    # socket options (BSD setsockopt/getsockopt surface)
-    # ==================================================================
-    def set_option(self, name: str, value) -> None:
-        """Set one socket option on this connection.
-
-        ``name`` is a :class:`TcpParams` field (``"rto_min"``,
-        ``"keepalive"``, ...) or a BSD alias (``"TCP_NODELAY"``,
-        ``"SO_KEEPALIVE"``, ``"SO_SNDBUF"``, ``"SO_RCVBUF"``,
-        ``"TCP_MAXSEG"``).  The connection's params object is copied on
-        first write, so options never leak to other sockets sharing the
-        same :class:`TcpParams` instance.  As with BSD ``setsockopt``,
-        fields consumed at connect time (buffer sizes, the negotiated
-        MSS) do not retroactively resize a live connection; fields read
-        on the fly (timers, thresholds, ``nagle``, ``keepalive``) take
-        effect immediately.
-        """
-        field_name, invert = resolve_socket_option(self.params, name)
-        if not self._params_owned:
-            self.params = copy.copy(self.params)
-            self._params_owned = True
-        setattr(self.params, field_name, (not value) if invert else value)
+    def _option_set(self, field_name: str, value) -> None:
         if field_name == "keepalive" and value and self.is_open:
             self._arm_keepalive()
-
-    def get_option(self, name: str):
-        """Read one socket option (same names as :meth:`set_option`)."""
-        field_name, invert = resolve_socket_option(self.params, name)
-        value = getattr(self.params, field_name)
-        return (not value) if invert else value
-
-    #: BSD-named thin aliases
-    setsockopt = set_option
-    getsockopt = get_option
 
     # ==================================================================
     # output engine
     # ==================================================================
-    _CAN_OUTPUT = (
-        TcpState.ESTABLISHED,
-        TcpState.CLOSE_WAIT,
-        TcpState.FIN_WAIT_1,
-        TcpState.FIN_WAIT_2,
-        TcpState.CLOSING,
-        TcpState.LAST_ACK,
-    )
-
     def output(self) -> None:
         """Send whatever the windows allow (data, FIN, probes)."""
         if self.state not in self._CAN_OUTPUT:
@@ -462,8 +442,6 @@ class TcpConnection:
             if unsent <= 0 or usable <= 0:
                 break
             length = min(self.mss, unsent, usable)
-            if length <= 0:
-                break
             # Nagle: hold sub-MSS segments while data is in flight
             if (
                 self.params.nagle
@@ -479,12 +457,13 @@ class TcpConnection:
             self.snd_nxt = seq_add(self.snd_nxt, len(data))
             self.snd_max = seq_max(self.snd_max, self.snd_nxt)
             sent_something = True
-        # FIN once all data is out
+        # FIN once all data is out (FIN_WAIT_1, LAST_ACK, or CLOSING
+        # when the peer's FIN overtook our unsent one), and again when a
+        # timeout's go-back-N has resent the data before it
         if (
             self._fin_pending
-            and self._fin_seq is None
             and self._unsent_bytes() == 0
-            and self.state in (TcpState.FIN_WAIT_1, TcpState.LAST_ACK)
+            and (self._fin_seq is None or self.snd_nxt == self._fin_seq)
         ):
             self._fin_seq = self.snd_nxt
             self._emit(flags=FLAG_FIN | FLAG_ACK, seq=self.snd_nxt)
@@ -512,15 +491,9 @@ class TcpConnection:
         return min(p.persist_max, max(p.persist_min, interval))
 
     def _window_reopened(self) -> None:
-        """The send window transitioned zero -> nonzero: end the
-        zero-window episode.
-
-        Every reopen path funnels through here so the persist backoff
-        can never leak across episodes — a stale ``_persist_shift``
-        would make the *next* episode's first probe fire at up to 64x
-        ``persist_min``, stalling live traffic behind a bug the batch
-        experiments never notice.
-        """
+        """The send window reopened (every path goes through
+        _update_window): the persist backoff ends with its episode, or
+        the next episode's first probe waits up to 64x persist_min."""
         self._persist_shift = 0
         self.persist_timer.stop()
 
@@ -552,7 +525,10 @@ class TcpConnection:
     ) -> None:
         """Build and send one segment."""
         if seq is None:
-            seq = self.snd_nxt
+            # a bare ACK or RST carries snd_max, as in FreeBSD's
+            # tcp_output: after a timeout rewinds snd_nxt the peer may
+            # hold data past it and would find snd_nxt unacceptable
+            seq = self.snd_max
         opts = options if options is not None else self._base_options()
         if (
             flags & FLAG_ACK
@@ -603,33 +579,18 @@ class TcpConnection:
             dst_is_cloud=self.dst_is_cloud,
         )
 
-    def _send_syn(self, with_ack: bool) -> None:
-        opts = self._base_options(for_syn=True)
+    def _send_syn(self) -> None:
+        """(Re)send our SYN: a SYN-ACK in SYN_RECEIVED.  Only the ECN
+        negotiation flags (RFC 3168 §6.1.1) are particular to it."""
         flags = FLAG_SYN
-        if with_ack:
+        if self.state is TcpState.SYN_RECEIVED:
             flags |= FLAG_ACK
             if self.params.ecn and self._peer_offered_ecn:
                 flags |= FLAG_ECE
                 self.ecn_enabled = True
-        else:
-            self._peer_offered_ecn = False
-            if self.params.ecn:
-                flags |= FLAG_ECE | FLAG_CWR
-        self.trace.counters.incr("tcp.segs_sent")
-        self._charge_cpu()
-        seg = Segment(
-            src_port=self.local_port,
-            dst_port=self.peer_port,
-            seq=self.iss,
-            ack=self.rcv_nxt if with_ack else 0,
-            flags=flags,
-            window=self._advertised_window(),
-            options=opts,
-        )
-        self.network.send(
-            self.peer_id, PROTO_TCP, seg, seg.wire_bytes,
-            dst_is_cloud=self.dst_is_cloud,
-        )
+        elif self.params.ecn:
+            flags |= FLAG_ECE | FLAG_CWR
+        self._emit(flags, seq=self.iss, options=self._base_options(for_syn=True))
 
     def _send_data_segment(self, seq: int, data: bytes, is_retransmit: bool = False) -> None:
         flags = FLAG_ACK
@@ -671,7 +632,7 @@ class TcpConnection:
                 self._error_out("connection timed out (SYN)")
                 return
             self.trace.counters.incr("tcp.syn_retransmits")
-            self._send_syn(with_ack=self.state is TcpState.SYN_RECEIVED)
+            self._send_syn()
             self.rexmt_timer.start(self._current_rto())
             return
         self.rto_shift += 1
@@ -696,8 +657,6 @@ class TcpConnection:
         self._timed_seq = None  # Karn: do not time retransmitted data
         # go-back-N: rewind and retransmit from the oldest unacked byte
         self.snd_nxt = self.snd_una
-        if self._fin_seq is not None and seq_ge(self.snd_nxt, self._fin_seq):
-            self._fin_seq = None  # FIN needs resending too
         self._retransmit_head()
         self.rexmt_timer.start(self._current_rto())
 
@@ -722,11 +681,10 @@ class TcpConnection:
             self._emit(flags=FLAG_ACK)
 
     def _on_persist_timeout(self) -> None:
-        if not self.is_open:
-            return
-        if self.snd_wnd > 0:
-            self._window_reopened()
-            self.output()
+        # LAST_ACK and CLOSING may still hold data behind a zero window;
+        # a reopen stops this timer (_window_reopened), so it only fires
+        # on a closed window
+        if self.state not in self._CAN_OUTPUT:
             return
         # window probe: one byte past the edge
         self.trace.counters.incr("tcp.zero_window_probes")
@@ -743,7 +701,7 @@ class TcpConnection:
         self.persist_timer.start(self._persist_interval())
 
     def _on_timewait_timeout(self) -> None:
-        self._teardown(None)
+        self._teardown()
 
     def _on_keepalive(self) -> None:
         """Probe an idle connection; tear it down after enough silence."""
@@ -798,8 +756,17 @@ class TcpConnection:
 
         # -- sequence acceptability (RFC 793 p.69) ----------------------
         if not self._segment_acceptable(seg):
-            if not seg.rst:
-                self._challenge_ack()
+            if seg.rst:
+                return
+            self._challenge_ack()
+            # A duplicate wholly left of the window still carries a live
+            # ACK: FreeBSD drops its data and keeps the ACK (tcp_input's
+            # "todrop").  Dropping both deadlocks two ends whose window
+            # probes were each accepted by the other.
+            if (seg.ack_flag and not seg.syn
+                    and self.state is not TcpState.SYN_RECEIVED
+                    and seq_le(seq_add(seg.seq, seg.seg_len), self.rcv_nxt)):
+                self._process_ack(seg)
             return
 
         # -- RST / SYN (RFC 5961 challenge-ACK discipline) --------------
@@ -821,20 +788,15 @@ class TcpConnection:
                 self.ts_recent = seg.options.ts_val
 
         if self.state is TcpState.SYN_RECEIVED:
-            if seq_gt(seg.ack, self.snd_una) and seq_le(seg.ack, self.snd_max):
-                self.state = TcpState.ESTABLISHED
-                old_wnd = self.snd_wnd
-                self.snd_wnd = seg.window
-                self.snd_wl1 = seg.seq
-                self.snd_wl2 = seg.ack
-                if old_wnd == 0 and self.snd_wnd > 0:
-                    self._window_reopened()
-                self._ack_advance(seg)
-                self._arm_keepalive()
-                if self.on_connect is not None:
-                    self.on_connect()
-            else:
+            if not (seq_gt(seg.ack, self.snd_una)
+                    and seq_le(seg.ack, self.snd_max)):
+                # an old duplicate or forged SYN began this handshake:
+                # reset it (RFC 793 §3.4, figure 10)
+                self._emit(flags=FLAG_RST, seq=seg.ack)
                 return
+            self._update_window(seg)
+            self._ack_advance(seg)
+            self._establish()
 
         self._process_ack(seg)
         if self.state is TcpState.CLOSED:
@@ -891,35 +853,39 @@ class TcpConnection:
             return
         if not seg.syn:
             return
-        self.irs = seg.seq
-        self.rcv_nxt = seq_add(seg.seq, 1)
-        self._process_syn_options(seg, packet)
+        self._take_peer_syn(seg, packet)
         if seg.ack_flag:
             # normal SYN-ACK
             self.snd_una = seg.ack
             self.rto_shift = 0
-            self.state = TcpState.ESTABLISHED
-            old_wnd = self.snd_wnd
-            self.snd_wnd = seg.window
-            self.snd_wl1 = seg.seq
-            self.snd_wl2 = seg.ack
-            if old_wnd == 0 and self.snd_wnd > 0:
-                self._window_reopened()
+            self._update_window(seg)
             if self.params.ecn and seg.ece and not seg.cwr:
                 self.ecn_enabled = True
             self.rexmt_timer.stop()
             self._set_awaiting_ack(False)
             self._send_ack_now()
-            self._arm_keepalive()
-            if self.on_connect is not None:
-                self.on_connect()
-            self.output()
+            self._establish()
         else:
             # simultaneous open
             self.state = TcpState.SYN_RECEIVED
-            self._send_syn(with_ack=True)
+            self._send_syn()
 
-    def _process_syn_options(self, seg: Segment, packet) -> None:
+    def _establish(self) -> None:
+        """Our SYN is acknowledged, by the SYN-ACK or by the handshake's
+        last ACK: enter the data phase.  A close() issued in
+        SYN_RECEIVED enters FIN_WAIT_1 here (RFC 793 §3.9), and its FIN
+        follows whatever data was queued before it."""
+        self.state = (TcpState.FIN_WAIT_1 if self._fin_pending
+                      else TcpState.ESTABLISHED)
+        self._arm_keepalive()
+        if self.on_connect is not None:
+            self.on_connect()
+        self.output()
+
+    def _take_peer_syn(self, seg: Segment, packet) -> None:
+        """The peer's SYN: its sequence space and its options."""
+        self.irs = seg.seq
+        self.rcv_nxt = seq_add(seg.seq, 1)
         p = self.params
         if seg.options.mss is not None:
             self.mss = min(p.mss, seg.options.mss)
@@ -933,18 +899,23 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
+    def _update_window(self, seg: Segment) -> bool:
+        """Take the peer's window from ``seg``; True if it reopened a
+        zero window."""
+        reopened = self.snd_wnd == 0 and seg.window > 0
+        self.snd_wnd = seg.window
+        self.snd_wl1 = seg.seq
+        self.snd_wl2 = seg.ack
+        if reopened:
+            self._window_reopened()
+        return reopened
+
     def _process_ack(self, seg: Segment) -> None:
         # window update (RFC 793 p.72)
-        if seq_lt(self.snd_wl1, seg.seq) or (
+        if (seq_lt(self.snd_wl1, seg.seq) or (
             self.snd_wl1 == seg.seq and seq_le(self.snd_wl2, seg.ack)
-        ):
-            old_wnd = self.snd_wnd
-            self.snd_wnd = seg.window
-            self.snd_wl1 = seg.seq
-            self.snd_wl2 = seg.ack
-            if old_wnd == 0 and self.snd_wnd > 0:
-                self._window_reopened()
-                self.output()
+        )) and self._update_window(seg):
+            self.output()
 
         if self.sack_enabled and seg.options.sack_blocks:
             self.scoreboard.update(seg.options.sack_blocks, self.snd_una)
@@ -961,8 +932,9 @@ class TcpConnection:
             self._cwr_pending = True
 
         if seq_gt(seg.ack, self.snd_max):
-            # acks something we never sent
-            self._send_ack_now()
+            # acks something we never sent: a rate-limited challenge ACK
+            # (RFC 5961 §5.2), or two such ends ACK each other forever
+            self._challenge_ack()
             return
         if seq_gt(seg.ack, self.snd_una):
             self._ack_advance(seg)
@@ -974,10 +946,11 @@ class TcpConnection:
         fin_acked = (
             self._fin_seq is not None and seq_gt(seg.ack, self._fin_seq)
         )
-        data_acked = acked - (1 if fin_acked else 0)
-        # The SYN consumed one sequence number; clamping to the buffer
-        # occupancy absorbs it (and any other non-data sequence space).
-        if data_acked > self.send_buf.used:
+        # the SYN (acked in SYN_RECEIVED) and the FIN each take one
+        # sequence number that is not data
+        data_acked = (acked - (self.state is TcpState.SYN_RECEIVED)
+                      - fin_acked)
+        if data_acked > self.send_buf.used:  # never more than is queued
             data_acked = self.send_buf.used
         if data_acked > 0:
             self.send_buf.ack(data_acked)
@@ -1029,7 +1002,7 @@ class TcpConnection:
             elif self.state is TcpState.CLOSING:
                 self._enter_time_wait()
             elif self.state is TcpState.LAST_ACK:
-                self._teardown(None)
+                self._teardown()
                 return
 
         if self.flight_size() > 0:
@@ -1141,7 +1114,11 @@ class TcpConnection:
         if advanced > 0:
             self.rcv_nxt = seq_add(self.rcv_nxt, advanced)
             self._deliver_data()
-            self._ack_policy(in_order=True, psh=seg.psh)
+            # delayed ACK: at least every second segment (RFC 1122)
+            if self.params.delayed_ack and not self.delack_timer.armed:
+                self.delack_timer.start(self.params.delayed_ack_timeout)
+            else:
+                self._send_ack_now()
         else:
             # out-of-order or duplicate: immediate (duplicate) ACK
             self.trace.counters.incr("tcp.ooo_segments")
@@ -1155,16 +1132,6 @@ class TcpConnection:
             self.bytes_delivered += len(data)
             self.trace.counters.incr("tcp.bytes_delivered", len(data))
             self.on_data(data)
-
-    def _ack_policy(self, in_order: bool, psh: bool) -> None:
-        if not self.params.delayed_ack:
-            self._send_ack_now()
-            return
-        if self.delack_timer.armed:
-            # second segment: ACK now (RFC 1122 "at least every 2nd")
-            self._send_ack_now()
-        else:
-            self.delack_timer.start(self.params.delayed_ack_timeout)
 
     def _maybe_send_window_update(self) -> None:
         """After the app reads, reopen the window if it was pinched."""
@@ -1182,11 +1149,13 @@ class TcpConnection:
     # FIN processing
     # ------------------------------------------------------------------
     def _process_fin(self, seg: Segment) -> None:
-        if not seg.fin:
+        if seg.fin:
+            # kept while data before it is missing, as FreeBSD's
+            # reassembly queue keeps it: else it costs a retransmission
+            self._peer_fin = seq_add(seg.seq, len(seg.data))
+        if self._peer_fin != self.rcv_nxt:
             return
-        fin_seq = seq_add(seg.seq, len(seg.data))
-        if fin_seq != self.rcv_nxt:
-            return  # data before the FIN still missing
+        self._peer_fin = None
         self.rcv_nxt = seq_add(self.rcv_nxt, 1)
         self._send_ack_now()
         if self.state is TcpState.ESTABLISHED:
@@ -1201,11 +1170,15 @@ class TcpConnection:
 
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
+        self._stop_timers()
+        self.timewait_timer.start(self.params.time_wait)
+
+    def _stop_timers(self) -> None:
         self.rexmt_timer.stop()
         self.persist_timer.stop()
         self.delack_timer.stop()
+        self.timewait_timer.stop()
         self.keepalive_timer.stop()
-        self.timewait_timer.start(self.params.time_wait)
 
     # ------------------------------------------------------------------
     # teardown
@@ -1213,17 +1186,13 @@ class TcpConnection:
     def _error_out(self, reason: str) -> None:
         self.trace.counters.incr("tcp.errors")
         cb = self.on_error
-        self._teardown(None)
+        self._teardown()
         if cb is not None:
             cb(reason)
 
-    def _teardown(self, _reason: Optional[str]) -> None:
+    def _teardown(self) -> None:
         self.state = TcpState.CLOSED
-        self.rexmt_timer.stop()
-        self.persist_timer.stop()
-        self.delack_timer.stop()
-        self.timewait_timer.stop()
-        self.keepalive_timer.stop()
+        self._stop_timers()
         self._set_awaiting_ack(False)
         if self.on_cleanup is not None:
             self.on_cleanup(self)

@@ -36,6 +36,8 @@ class SackScoreboard:
                 continue  # malformed block
             self._insert(left, right)
         self.advance(snd_una)
+        # by distance above snd_una: raw edges misorder across the wrap
+        self._ranges.sort(key=lambda pair: (pair[0] - snd_una) & 0xFFFFFFFF)
 
     def _insert(self, left: int, right: int) -> None:
         merged: List[Tuple[int, int]] = []
@@ -46,9 +48,6 @@ class SackScoreboard:
                 left = seq_min(left, lo)
                 right = seq_max(right, hi)
         merged.append((left, right))
-        # All ranges sit within one window of snd_una, far from the wrap
-        # point relative to each other, so sorting by raw left edge is safe.
-        merged.sort(key=lambda pair: pair[0])
         self._ranges = merged
 
     def advance(self, snd_una: int) -> None:

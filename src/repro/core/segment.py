@@ -58,10 +58,6 @@ class Segment:
         return bool(self.flags & FLAG_ACK)
 
     @property
-    def psh(self) -> bool:
-        return bool(self.flags & FLAG_PSH)
-
-    @property
     def ece(self) -> bool:
         return bool(self.flags & FLAG_ECE)
 

@@ -13,14 +13,13 @@ drops to 100 ms so the ACK is fetched promptly from the parent.
 
 from __future__ import annotations
 
-import copy
 import functools
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.connection import (
     TcpConnection,
+    _SocketOptions,
     node_instruments,
-    resolve_socket_option,
 )
 from repro.core.params import TcpParams
 from repro.core.segment import FLAG_ACK, FLAG_RST, Segment
@@ -53,13 +52,12 @@ class TcpListener:
         """Stop listening (existing connections are unaffected)."""
         self.stack._listeners.pop(self.port, None)
 
-    def _fire_accept(self, conn: TcpConnection) -> None:
-        """Deliver ``conn`` to the accept callback (on_connect hook)."""
-        self.on_accept(conn)
 
+class TcpStack(_SocketOptions):
+    """TCP demultiplexer bound to one node's network layer.  Its socket
+    options are the defaults of the sockets it opens later."""
 
-class TcpStack:
-    """TCP demultiplexer bound to one node's network layer."""
+    _OPTIONS = "default_params"
 
     def __init__(
         self,
@@ -77,7 +75,7 @@ class TcpStack:
         self.default_params = default_params or TcpParams()
         #: set_option copies default_params on first write (the caller's
         #: object may be shared across stacks)
-        self._default_params_owned = False
+        self._params_owned = False
         self.trace = trace or TraceRecorder()
         self.cpu = cpu
         self.sleepy = sleepy  # SleepyEndDevice for §9.2 fast-poll coupling
@@ -132,35 +130,6 @@ class TcpStack:
         """Number of live connections (tests and memory accounting)."""
         return len(self._connections)
 
-    def set_option(self, name: str, value) -> None:
-        """Set a default socket option for future sockets on this stack.
-
-        Same names as :meth:`TcpConnection.set_option` (a
-        :class:`TcpParams` field or a BSD alias such as
-        ``"TCP_NODELAY"``/``"SO_KEEPALIVE"``).  Mutates a private copy
-        of ``default_params``, so sockets created with an explicit
-        ``params=`` and other stacks sharing the original object are
-        unaffected.  Existing connections keep their own options — use
-        the connection-level :meth:`~TcpConnection.set_option` for
-        those.
-        """
-        field_name, invert = resolve_socket_option(self.default_params, name)
-        if not self._default_params_owned:
-            self.default_params = copy.copy(self.default_params)
-            self._default_params_owned = True
-        setattr(self.default_params, field_name,
-                (not value) if invert else value)
-
-    def get_option(self, name: str):
-        """Read a default socket option (see :meth:`set_option`)."""
-        field_name, invert = resolve_socket_option(self.default_params, name)
-        value = getattr(self.default_params, field_name)
-        return (not value) if invert else value
-
-    #: BSD-named thin aliases
-    setsockopt = set_option
-    getsockopt = get_option
-
     def crash(self) -> None:
         """Drop all connection state without notifying anyone.
 
@@ -177,7 +146,7 @@ class TcpStack:
             conn.on_connect = None
             conn.on_send_space = None
             conn.on_awaiting_ack = None
-            conn._teardown(None)
+            conn._teardown()
         self._connections.clear()
         self._awaiting.clear()
         if self.sleepy is not None:
@@ -264,7 +233,7 @@ class TcpStack:
                 dst_is_cloud=packet.src_is_cloud,
             )
             listener.accepted += 1
-            conn.on_connect = functools.partial(listener._fire_accept, conn)
+            conn.on_connect = functools.partial(listener.on_accept, conn)
             conn.accept_syn(seg, packet)
             return
         # no socket: RST unless the offender was itself a RST

@@ -7,7 +7,7 @@ Three promises are pinned here:
 2. ``repro.api`` re-exports exactly what its ``__all__`` advertises,
    and each name is the *same object* as the implementation's;
 3. the BSD-flavoured socket surface (``listen``/``connect``/
-   ``set_option``/``setsockopt``) behaves per the docstrings:
+   ``set_option``/``get_option``) behaves per the docstrings:
    copy-on-write params, alias resolution, ``TCP_NODELAY`` inversion.
 """
 
@@ -132,11 +132,8 @@ def _pair_with_stacks():
 def test_setsockopt_getsockopt_are_aliases():
     from repro.core.connection import TcpConnection
 
-    assert api.TcpStack.setsockopt is api.TcpStack.set_option
-    assert api.TcpStack.getsockopt is api.TcpStack.get_option
-    assert TcpConnection.setsockopt is TcpConnection.set_option
-    assert TcpConnection.getsockopt is TcpConnection.get_option
-    # TcpSocket is the connection class under its API-surface name
+    # the setsockopt/getsockopt aliases are gone (docs/api.md migration
+    # table); TcpSocket is the connection class under its API name
     assert api.TcpSocket is TcpConnection
 
 
@@ -148,17 +145,17 @@ def test_bsd_alias_resolution_and_nodelay_inversion():
     assert sock.is_open
 
     # TCP_NODELAY is the negation of the nagle field, both directions
-    sock.setsockopt("TCP_NODELAY", True)
+    sock.set_option("TCP_NODELAY", True)
     assert sock.params.nagle is False
-    assert sock.getsockopt("TCP_NODELAY") is True
+    assert sock.get_option("TCP_NODELAY") is True
     assert sock.get_option("nagle") is False
 
     sock.set_option("SO_KEEPALIVE", True)
     assert sock.params.keepalive is True
-    assert sock.getsockopt("SO_KEEPALIVE") is True
+    assert sock.get_option("SO_KEEPALIVE") is True
 
-    assert sock.getsockopt("SO_SNDBUF") == sock.params.send_buffer
-    assert sock.getsockopt("TCP_MAXSEG") == sock.params.mss
+    assert sock.get_option("SO_SNDBUF") == sock.params.send_buffer
+    assert sock.get_option("TCP_MAXSEG") == sock.params.mss
 
 
 def test_connection_set_option_copies_shared_params():

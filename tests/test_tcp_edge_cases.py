@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.congestion import NewRenoCongestion
 from repro.core.connection import TcpConnection, TcpState
+from repro.core.sack import SackScoreboard
 from repro.core.segment import FLAG_ACK, FLAG_RST, FLAG_SYN, Segment
 from repro.core.simplified import (
     FEATURE_MATRIX,
@@ -69,6 +71,31 @@ class TestZeroWindow:
         server.recv()
         net.sim.run(until=25.0)
         assert conn.snd_wnd >= params.mss
+
+    def test_last_ack_keeps_probing_a_zero_window(self):
+        wire = _Wire()
+        wire.establish()
+        a, b = wire.a, wire.b
+        a.send(b"x" * b.recv_buf.capacity)  # b never reads: fill it
+        while a.snd_wnd:
+            wire.deliver(a)
+            wire.sim.run(until=wire.sim.now + 0.2)  # b's delayed ACK
+            wire.deliver(b)
+        assert a.send(b"y" * 1000) == 1000
+        b.close()
+        wire.deliver(b)  # b's FIN: a enters CLOSE_WAIT
+        wire.deliver(a)
+        a.close()
+        assert a.state is TcpState.LAST_ACK
+        assert len(b.recv()) == b.recv_buf.capacity
+        b.network.clear()  # b's window update is lost
+        for _ in range(20):
+            wire.sim.run(until=wire.sim.now + 5.0)
+            wire.deliver(a)
+            wire.deliver(b)
+        assert a.state is TcpState.CLOSED
+        assert b.state in (TcpState.TIME_WAIT, TcpState.CLOSED)
+        assert b.recv() == b"y" * 1000
 
 
 class TestChallengeAcks:
@@ -207,16 +234,21 @@ class _From:
 class _Wire:
     """Two connections over fake networks; the test hands segments across."""
 
-    def __init__(self, params_b=None):
+    def __init__(self, params_b=None, params=None, iss=(5000, 9000),
+                 ts_clock=None, conn_cls=TcpConnection):
         self.sim = Simulator()
-        params = tcplp_params()
-        params.time_wait = 1.0
-        self.a = TcpConnection(self.sim, FakeNetwork(), local_id=1,
-                               local_port=1000, peer_id=2, peer_port=2000,
-                               params=params, iss=5000)
-        self.b = TcpConnection(self.sim, FakeNetwork(), local_id=2,
-                               local_port=2000, peer_id=1, peer_port=1000,
-                               params=params_b or params, iss=9000)
+        if params is None:
+            params = tcplp_params()
+            params.time_wait = 1.0
+        nets = FakeNetwork(), FakeNetwork()
+        for net in nets:
+            net.ts_clock = ts_clock  # read once, by the constructor
+        self.a = conn_cls(self.sim, nets[0], local_id=1,
+                          local_port=1000, peer_id=2, peer_port=2000,
+                          params=params, iss=iss[0])
+        self.b = conn_cls(self.sim, nets[1], local_id=2,
+                          local_port=2000, peer_id=1, peer_port=1000,
+                          params=params_b or params, iss=iss[1])
 
     def deliver(self, sender, count=None):
         """Hand the first ``count`` segments ``sender`` emitted (all by
@@ -236,6 +268,17 @@ class _Wire:
         self.deliver(self.b)  # SYN-ACK
         self.deliver(self.a)  # ACK
         assert self.a.state is self.b.state is TcpState.ESTABLISHED
+
+
+def _half_open():
+    """a's SYN handed to b; b's SYN-ACK not yet delivered."""
+    wire = _Wire()
+    wire.a.connect()
+    syn, = wire.a.network.sent
+    wire.a.network.clear()
+    wire.b.accept_syn(syn, _From(1))
+    assert wire.b.state is TcpState.SYN_RECEIVED
+    return wire
 
 
 class TestCloseStateMachine:
@@ -294,6 +337,152 @@ class TestCloseStateMachine:
         wire.establish()
         with pytest.raises(RuntimeError, match="connect"):
             wire.a.connect()
+
+    # shrunk counterexamples of tests/test_tcp_machine.py
+    def test_close_in_syn_received_sends_fin_once_established(self):
+        wire = _half_open()
+        wire.b.close()
+        wire.deliver(wire.b)  # SYN-ACK
+        wire.deliver(wire.a)  # the handshake's last ACK
+        assert wire.b.state is TcpState.FIN_WAIT_1
+        fin, = wire.deliver(wire.b)
+        assert fin.fin and wire.a.state is TcpState.CLOSE_WAIT
+        wire.a.close()
+        wire.deliver(wire.a)  # a's FIN
+        wire.deliver(wire.b)  # its ACK
+        assert wire.a.state is TcpState.CLOSED
+        assert wire.b.state is TcpState.TIME_WAIT
+
+    def test_fin_overtaken_by_the_peers_is_still_sent_from_closing(self):
+        wire = _Wire()
+        wire.establish()
+        wire.a.send(b"d" * (4 * wire.a.mss))  # half of it waits on cwnd
+        assert wire.a._unsent_bytes() > 0
+        wire.a.close()
+        wire.b.close()
+        wire.deliver(wire.b)  # b's FIN arrives before a's FIN was sent
+        assert wire.a.state is TcpState.CLOSING and wire.a._fin_seq is None
+        got = b""
+        for _ in range(3):
+            wire.deliver(wire.a)
+            got += wire.b.recv()
+            wire.sim.run(until=wire.sim.now + 0.2)
+            wire.deliver(wire.b)
+        assert wire.a.state is wire.b.state is TcpState.TIME_WAIT
+        assert got == b"d" * (4 * wire.a.mss)
+
+
+class TestMachineCounterexamples:
+    """Shrunk failures of tests/test_tcp_machine.py, one per fix."""
+
+    def test_data_queued_in_syn_received_arrives_whole(self):
+        wire = _half_open()
+        assert wire.b.send(b"hello") == 5
+        wire.deliver(wire.b)  # SYN-ACK
+        wire.deliver(wire.a)  # ACK: the SYN's sequence number is not data
+        wire.deliver(wire.b)
+        assert wire.a.recv() == b"hello"
+
+    def test_old_duplicate_syn_resets_the_handshake(self):
+        # RFC 793 figure 10: a stray SYN turns a's open into a
+        # simultaneous one with the wrong peer ISN; b answers a's ACK
+        # of that ISN with a reset instead of ignoring it forever
+        wire = _half_open()
+        stray = Segment(src_port=2000, dst_port=1000, seq=777,
+                        flags=FLAG_SYN, window=1000)
+        wire.a.on_segment(stray, _From(2))
+        assert wire.a.state is TcpState.SYN_RECEIVED
+        errors = []
+        wire.a.on_error = errors.append
+        for _ in range(3):
+            wire.deliver(wire.a)
+            wire.deliver(wire.b)
+        assert errors == ["connection reset by peer"]
+
+    def test_bare_ack_after_a_timeout_carries_snd_max(self):
+        wire = _Wire()
+        wire.establish()
+        wire.a.send(b"d" * (2 * wire.a.mss))
+        wire.deliver(wire.a)  # b has both segments; its ACK is lost
+        wire.b.network.clear()
+        wire.sim.run(until=wire.sim.now + wire.a._current_rto() + 0.01)
+        assert wire.a.snd_nxt != wire.a.snd_max  # go-back-N rewound it
+        wire.a.network.clear()
+        wire.a._send_ack_now()
+        ack, = wire.a.network.sent
+        # snd_nxt would sit left of b's window: b would drop the ACK
+        assert ack.seq == wire.a.snd_max == wire.b.rcv_nxt
+
+    def test_ack_left_of_the_window_still_updates_it(self):
+        # a's window probe byte was accepted; a's next bare ACK, which
+        # carries the reopened window, now sits one byte left of b's
+        # window and must not be dropped whole
+        wire = _Wire()
+        wire.establish()
+        a, b = wire.a, wire.b
+        probe = Segment(src_port=1000, dst_port=2000, seq=a.snd_nxt,
+                        ack=a.rcv_nxt, flags=FLAG_ACK, window=0, data=b"p")
+        b.on_segment(probe, _From(1))
+        assert b.snd_wnd == 0
+        update = Segment(src_port=1000, dst_port=2000, seq=a.snd_nxt,
+                         ack=a.rcv_nxt, flags=FLAG_ACK, window=1792)
+        b.on_segment(update, _From(1))
+        assert b.snd_wnd == 1792
+
+    def test_duplicated_acks_do_not_inflate_cwnd_without_bound(self):
+        cc = NewRenoCongestion(mss=448, max_window=448)
+        cc.enter_recovery(448, 1000, 0.0)
+        for _ in range(10):
+            cc.on_dupack_in_recovery(0.0)
+        assert cc.cwnd <= cc.max_window + 3 * cc.mss
+        assert cc.window() == cc.max_window
+
+    def test_acks_of_unsent_data_are_rate_limited(self):
+        # two ends whose window probes were each accepted ACK bytes the
+        # other never counted as sent; answering each at once is a storm
+        wire = _Wire()
+        wire.establish()
+        b = wire.b
+        ahead = Segment(src_port=1000, dst_port=2000, seq=b.rcv_nxt,
+                        ack=b.snd_max + 1, flags=FLAG_ACK, window=1792)
+        for _ in range(3 * b.params.challenge_ack_limit):
+            b.on_segment(ahead, _From(1))
+        assert len(b.network.sent) == b.params.challenge_ack_limit
+
+    def test_fin_ahead_of_a_hole_is_kept(self):
+        # else the FIN must be retransmitted after the hole fills, one
+        # more backed-off timeout before the close completes
+        wire = _Wire()
+        wire.establish()
+        wire.a.send(b"d" * 100)
+        wire.a.close()
+        data, fin = wire.a.network.sent
+        wire.b.on_segment(fin, _From(1))  # the FIN overtakes the data
+        assert wire.b.state is TcpState.ESTABLISHED
+        wire.b.on_segment(data, _From(1))
+        assert wire.b.state is TcpState.CLOSE_WAIT
+        assert wire.b.recv() == b"d" * 100
+
+    def test_fin_lost_with_data_follows_the_resent_data(self):
+        # not one backed-off timeout later
+        wire = _Wire()
+        wire.establish()
+        wire.a.send(b"d" * 100)
+        wire.a.close()
+        wire.a.network.clear()  # the data and the FIN are lost
+        wire.sim.run(until=wire.sim.now + wire.a._current_rto() + 0.01)
+        wire.deliver(wire.a)  # the data, resent by the timeout
+        wire.sim.run(until=wire.sim.now + 0.2)  # b's delayed ACK
+        wire.deliver(wire.b)
+        fin, = wire.a.network.sent
+        assert fin.fin and fin.seq == wire.a._fin_seq
+
+    def test_sack_ranges_stay_ordered_across_the_wrap(self):
+        top = 1 << 32
+        board = SackScoreboard()
+        board.update([(0, 500)], top - 1000)  # just past the wrap
+        board.update([(top - 500, top - 100)], top - 1000)
+        assert board.ranges == [(top - 500, top - 100), (0, 500)]
 
 
 class TestStackBehaviour:
