@@ -13,8 +13,10 @@ hidden-terminal collisions at a tiny throughput cost; the sweep over
 * :mod:`repro.mac.poll` — the Thread listen-after-send sleepy end
   device: data-request polling, pending bit, fast-poll while a
   transport ACK is outstanding (§9.2);
-* :mod:`repro.mac.trickle` — the Trickle interval algorithm used for
-  the adaptive sleep interval of Appendix C.2.
+* :mod:`repro.mac.trickle` — the Trickle interval algorithm that paces
+  RPL's DIO messages (:mod:`repro.net.rpl`).  The adaptive sleep
+  interval of Appendix C.2 does not use it: :mod:`repro.mac.poll`
+  doubles its own interval.
 """
 
 from repro.mac.frame import Frame, FrameKind, decode_frame

@@ -20,7 +20,6 @@ The layer exposes ``send`` downward-facing semantics to 6LoWPAN and an
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
@@ -121,8 +120,7 @@ class MacLayer:
         # data requests) ops, and an empty deque costs ~600 B per MAC
         self._queue: List[_TxOp] = []
         self._current: Optional[_TxOp] = None
-        #: when True, no new transmissions start (Appendix C's slotted
-        #: listen-after-send protocol holds uplink during listen phases)
+        #: when True, no new transmission starts; set through :meth:`hold`
         self.paused = False
         self._ack_timer_event = None
         self._seq = 0
@@ -151,7 +149,8 @@ class MacLayer:
         dst: int,
         on_done: Optional[Callable[[bool], None]] = None,
     ) -> bool:
-        """Queue a frame for ``dst``.  Returns False on tail drop."""
+        """Queue a frame for ``dst`` (park it if ``dst`` is a sleepy
+        child).  Returns False when that queue is full."""
         seq = self._seq = (self._seq + 1) & 0xFF
         frame = Frame(
             kind=FrameKind.DATA,
@@ -163,18 +162,27 @@ class MacLayer:
             payload_bytes=payload_bytes,
         )
         op = _TxOp(frame, on_done)
-        if dst in self._indirect:
-            return self._enqueue_indirect(dst, op)
+        parked = self._indirect.get(dst)
+        if parked is not None:
+            if len(parked) >= self.params.indirect_queue_limit:
+                return self._drop(op, "indirect_drop")
+            op.indirect_child = dst
+            parked.append(op)
+            return True
         if len(self._queue) >= self.params.tx_queue_limit:
-            self._counts["mac.tail_drops"] += 1
-            if self._bus is not None:
-                self._bus.emit("mac", self.node_id, "tail_drop", dst=dst)
-            if on_done is not None:
-                on_done(False)
-            return False
+            return self._drop(op, "tail_drop")
         self._queue.append(op)
         self._kick()
         return True
+
+    def _drop(self, op: _TxOp, kind: str) -> bool:
+        """Refuse ``op``: count ``mac.<kind>s``, emit ``kind``, fail it."""
+        self._counts[f"mac.{kind}s"] += 1
+        if self._bus is not None:
+            self._bus.emit("mac", self.node_id, kind, dst=op.frame.dst)
+        if op.on_done is not None:
+            op.on_done(False)
+        return False
 
     def send_data_request(self, parent: int) -> None:
         """Send a data-request command to ``parent`` (poll layer).
@@ -196,14 +204,25 @@ class MacLayer:
         self._queue.insert(0, op)
         self._kick()
 
-    def queue_depth(self) -> int:
-        """Frames waiting (not counting the one in flight)."""
-        return len(self._queue)
+    @property
+    def idle(self) -> bool:
+        """No frame in flight or queued (parked ones wait for a poll)."""
+        return self._current is None and not self._queue
 
-    def _indirect_depth(self, child: int) -> int:
-        """Frames parked for a sleepy child."""
-        q = self._indirect.get(child)
-        return len(q) if q else 0
+    def hold(self, on: bool) -> None:
+        """Hold all transmissions (a crash, App. C's listen phase) or
+        release them; a release starts the next queued frame."""
+        self.paused = on
+        if not on:
+            self._kick()
+
+    def _pending_for(self, child: int) -> bool:
+        """Frames for ``child`` still to come: parked, or released by an
+        earlier poll and not yet delivered."""
+        cur = self._current
+        ops = self._queue if cur is None else [cur, *self._queue]
+        return (bool(self._indirect.get(child))
+                or any(op.indirect_child == child for op in ops))
 
     def mark_sleepy_child(self, child: int) -> None:
         """Route future frames for ``child`` through the indirect queue."""
@@ -214,16 +233,15 @@ class MacLayer:
 
         Queued frames vanish without firing their ``on_done`` callbacks
         — the layers above are being wiped too, so nobody is listening.
-        The in-flight op is orphaned by clearing ``_current``; its
-        already-scheduled CSMA/ACK callbacks check ``op is not
-        self._current`` and become no-ops.  The dedup table is cleared
-        as well: a cold-started MAC has no memory of past sequence
-        numbers.
+        The in-flight op is orphaned by clearing ``_current``: its ACK
+        wait ends here, its load and frame on the air died with the
+        radio's power, and its CSMA or retry event checks ``op is not
+        self._current``.  The dedup table is cleared as well: a
+        cold-started MAC has no memory of past sequence numbers.
         """
         if self._ack_timer_event is not None:
             self._ack_timer_event.cancel()
-            self._ack_timer_event = None
-            self.radio.ack_seq = None
+            self._end_ack_wait()
         self._current = None
         self._queue.clear()
         for q in self._indirect.values():
@@ -234,22 +252,9 @@ class MacLayer:
     # ------------------------------------------------------------------
     # transmit state machine
     # ------------------------------------------------------------------
-    def _enqueue_indirect(self, child: int, op: _TxOp) -> bool:
-        q = self._indirect.setdefault(child, deque())
-        if len(q) >= self.params.indirect_queue_limit:
-            self.trace.counters.incr("mac.indirect_drops")
-            if op.on_done is not None:
-                op.on_done(False)
-            return False
-        op.indirect_child = child
-        q.append(op)
-        return True
-
     def _kick(self) -> None:
-        if self._current is not None or not self._queue:
+        if self._current is not None or not self._queue or self.paused:
             return
-        if self.paused:
-            return  # poll layer is holding uplink during a listen phase
         self._current = self._queue.pop(0)
         op = self._current
         # SPI-load the frame buffer first (the §6.4 overhead), *then*
@@ -318,8 +323,7 @@ class MacLayer:
         self._counts["mac.frames_tx"] += 1
 
     def _tx_done(self, op: _TxOp) -> None:
-        if op is not self._current:
-            return
+        # never stale: a crash disarms it, an op on the air is not preempted
         if not op.frame.ack_request:
             self._finish(op, True)
             return
@@ -331,12 +335,15 @@ class MacLayer:
         )
 
     def _ack_timeout(self, op: _TxOp) -> None:
-        if op is not self._current:
-            return
-        self._ack_timer_event = None
-        self.radio.ack_seq = None
+        # never stale: a crash cancels it, an ACK wait is not preempted
+        self._end_ack_wait()
         self._counts["mac.ack_timeouts"] += 1
         self._retry(op)
+
+    def _end_ack_wait(self) -> None:
+        """Forget the ACK timer and shut the radio's ACK window."""
+        self._ack_timer_event = None
+        self.radio.ack_seq = None
 
     def _retry(self, op: _TxOp) -> None:
         op.retries += 1
@@ -382,8 +389,18 @@ class MacLayer:
         self._current = None
         if success:
             self._counts["mac.tx_success"] += 1
-        if op.on_done is not None:
-            op.on_done(success)
+        child = op.indirect_child
+        if child is not None and not success:
+            # park it again; the child will poll later
+            self._counts["mac.indirect_requeue"] += 1
+            op.retries = 0
+            self._indirect[child].appendleft(op)
+        else:
+            if op.on_done is not None:
+                op.on_done(success)
+            if child is not None:
+                # keep draining while the child is listening
+                self._release_indirect(child)
         if self._queue:
             self._kick()
         elif self.on_idle is not None:
@@ -419,13 +436,14 @@ class MacLayer:
                 dst=frame.src,
                 seq=frame.seq,
                 pending=(kind is _DATA_REQUEST
-                         and self._indirect_depth(frame.src) > 0),
+                         and self._pending_for(frame.src)),
                 ack_request=False,
             )
             self.sim.schedule_unref(
                 self.radio.params.turnaround_time, self._ack_fire, ack)
         if kind is _DATA_REQUEST:
-            self._handle_data_request(frame)
+            # a sleepy child polled us: release its parked frames
+            self._release_indirect(frame.src)
             return
         # duplicate suppression: the sender repeats a frame whose ACK we
         # lost; accept each (src, seq) once.
@@ -442,7 +460,7 @@ class MacLayer:
         if not self.radio.powered:
             return  # node crashed between receiving the frame and ACKing
         if self.radio._tx_busy:
-            self.trace.counters.incr("mac.ack_suppressed")
+            self._counts["mac.ack_suppressed"] += 1
             return  # half-duplex: cannot ACK while transmitting
         self.radio.transmit(ack, ack.byte_size, self._ack_sent, skip_spi=True)
 
@@ -452,21 +470,12 @@ class MacLayer:
         if self._current is None and not self._queue and self.on_idle is not None:
             self.on_idle()
 
-    def _handle_data_request(self, frame: Frame) -> None:
-        """A sleepy child polled us: release its indirect queue."""
-        q = self._indirect.get(frame.src)
-        if not q:
-            return
-        self._release_indirect(frame.src)
-
     def _release_indirect(self, child: int) -> None:
         q = self._indirect.get(child)
         if not q:
             return
         op = q.popleft()
         op.frame.pending = len(q) > 0  # App. C: keep child awake if more
-        op.on_done = functools.partial(
-            self._indirect_done, op, child, op.on_done)
         # §9.5 improvement 1: indirect messages are prioritised over the
         # current packet being sent — they jump the queue, and an op
         # that is still contending for the channel (not yet on the air,
@@ -480,27 +489,11 @@ class MacLayer:
             and not self.radio._load_busy
             and self._ack_timer_event is None
         ):
-            self.trace.counters.incr("mac.preemptions")
-            self._current = None  # orphans cur's pending CSMA events
-            self._queue.insert(1, cur)
+            self._counts["mac.preemptions"] += 1
+            # cur's pending CSMA or retry event still names it, so the
+            # frame goes back as a fresh op that the event cannot revive
+            again = _TxOp(cur.frame, cur.on_done)
+            again.retries = cur.retries
+            self._current = None
+            self._queue.insert(1, again)
         self._kick()
-
-    def _indirect_done(
-        self,
-        op: _TxOp,
-        child: int,
-        original_done: Optional[Callable[[bool], None]],
-        success: bool,
-    ) -> None:
-        """Completion hook for an indirect frame released by a poll."""
-        if success:
-            if original_done is not None:
-                original_done(True)
-            # keep draining while the child is listening
-            self._release_indirect(child)
-        else:
-            # park it again; the child will poll later
-            self.trace.counters.incr("mac.indirect_requeue")
-            op.on_done = original_done
-            op.retries = 0
-            self._indirect.setdefault(child, deque()).appendleft(op)

@@ -67,9 +67,6 @@ class SleepyEndDevice:
         self._fast_poll = False
         self._awaiting_poll_ack = False
         self._listening_for_data = False
-        self._interval = (
-            self.params.smin if self.params.adaptive else self.params.poll_interval
-        )
         self._poll_sent_at = 0.0
         self._bus = getattr(sim, "trace_bus", None)
         metrics = getattr(sim, "metrics", None)
@@ -81,9 +78,7 @@ class SleepyEndDevice:
         mac.on_poll_ack = self._on_poll_ack
         mac.on_data_pending = self._on_data_pending
         mac.on_idle = self._maybe_sleep
-
-        self._poll_timer.start(self._current_interval())
-        self._maybe_sleep()
+        self.restart()
 
     # ------------------------------------------------------------------
     # public control
@@ -113,7 +108,8 @@ class SleepyEndDevice:
         self._listening_for_data = False
 
     def restart(self) -> None:
-        """Cold-start the polling loop after a reboot."""
+        """Cold-start the polling loop (at construction and after a
+        reboot)."""
         self._interval = (
             self.params.smin if self.params.adaptive else self.params.poll_interval
         )
@@ -141,7 +137,10 @@ class SleepyEndDevice:
         self.mac.send_data_request(self.parent)
         # If the data request dies (no link ACK after retries), the MAC
         # goes idle without calling on_poll_ack; guard with a timeout.
-        self._window_timer.start(self.params.listen_window * 4)
+        # During a listen its window is the guard: re-arming on every
+        # poll would keep a listen going as long as polls come.
+        if not self._listening_for_data:
+            self._window_timer.start(self.params.listen_window * 4)
         # the periodic event re-arms itself at exactly now + interval;
         # only restart if the effective interval has changed under us
         self._poll_timer.ensure(self._current_interval())
@@ -159,13 +158,14 @@ class SleepyEndDevice:
             self._listening_for_data = True
             self.mac.radio.listen()
             if self.params.hold_uplink_while_listening:
-                self.mac.paused = True
+                self.mac.hold(True)
             self._window_timer.start(self.params.listen_window)
         else:
             if self.params.adaptive:
                 self._grow_interval()
-            self._window_timer.stop()
-            self._maybe_sleep()
+            # the parent's pending bit also counts the frames it released
+            # and has not delivered yet: nothing more is on its way
+            self._end_listen()
 
     def _on_data_pending(self, more_pending: bool) -> None:
         # A downstream frame arrived while we listened.
@@ -176,9 +176,7 @@ class SleepyEndDevice:
             self._listening_for_data = True
             self._window_timer.start(self.params.listen_window)
         else:
-            self._listening_for_data = False
-            self._window_timer.stop()
-            self._maybe_sleep()
+            self._end_listen()
 
     def _window_closed(self) -> None:
         if self._awaiting_poll_ack:
@@ -188,7 +186,11 @@ class SleepyEndDevice:
             self._awaiting_poll_ack = False
         if self.params.adaptive and not self._listening_for_data:
             self._grow_interval()
+        self._end_listen()
+
+    def _end_listen(self) -> None:
         self._listening_for_data = False
+        self._window_timer.stop()
         self._maybe_sleep()
 
     def _grow_interval(self) -> None:
@@ -201,12 +203,9 @@ class SleepyEndDevice:
         """Sleep the radio if nothing needs it awake."""
         if not self._listening_for_data and self.mac.paused:
             # listen phase over: release held uplink traffic
-            self.mac.paused = False
-            self.mac._kick()
+            self.mac.hold(False)
         if self._awaiting_poll_ack or self._listening_for_data:
             return
-        if self.mac._current is not None or self.mac.queue_depth() > 0:
-            return
-        if self.mac.radio._tx_busy:
+        if not self.mac.idle or self.mac.radio._tx_busy:
             return
         self.mac.radio.sleep()

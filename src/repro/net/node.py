@@ -160,7 +160,7 @@ class Node:
         """
         self.radio.power_off()
         self.mac.reset()
-        self.mac.paused = True  # nothing transmits until reboot
+        self.mac.hold(True)  # nothing transmits until reboot
         if self.sleepy is not None:
             self.sleepy.halt()
         self.adaptation.reassembler.clear()
@@ -177,11 +177,9 @@ class Node:
         sleepy polling restarted.  TCP connections are *not* restored —
         applications must reconnect, exactly as on real hardware."""
         self.radio.power_on()
-        self.mac.paused = False
+        self.mac.hold(False)
         if self.sleepy is not None:
             self.sleepy.restart()
-        else:
-            self.mac._kick()
 
     # ------------------------------------------------------------------
     # metrics

@@ -48,12 +48,11 @@ def test_pause_holds_all_transmissions():
     sim, medium, macs = make_macs([(0, 0), (5, 0)])
     got = []
     macs[1].on_receive = lambda p, s, f: got.append(sim.now)
-    macs[0].paused = True
+    macs[0].hold(True)
     macs[0].send(b"held", 20, dst=1)
     sim.run(until=1.0)
     assert got == []
-    macs[0].paused = False
-    macs[0]._kick()
+    macs[0].hold(False)  # a release starts the queued frame
     sim.run(until=2.0)
     assert len(got) == 1 and got[0] > 1.0
 
@@ -66,7 +65,7 @@ def test_indirect_queue_overflow_drops():
     results = []
     for i in range(4):
         parent.send(i, 20, dst=1, on_done=results.append)
-    assert parent._indirect_depth(1) == 2
+    assert len(parent._indirect[1]) == 2
     assert results.count(False) == 2
     assert parent.trace.counters.get("mac.indirect_drops") == 2
 
@@ -104,7 +103,7 @@ def test_failed_indirect_frame_requeues_for_next_poll():
     sim.run(until=1.0)
     if not got:
         # frame failed and went back to the indirect queue
-        assert parent._indirect_depth(1) == 1
+        assert len(parent._indirect[1]) == 1
         child.radio.listen()
         child.send_data_request(parent=0)
         sim.run(until=2.0)
@@ -128,3 +127,29 @@ def test_data_request_jumps_send_queue():
     # the data request went out before at least the queue's tail
     first_request = kinds.index(FrameKind.DATA_REQUEST)
     assert first_request <= 2
+
+
+def test_preempted_frame_runs_one_csma_chain():
+    """A frame preempted while it waits (CSMA backoff or retry delay)
+    goes back to the queue as a fresh op: the event still pending for
+    it must not find it current again later and run a second CSMA chain
+    beside the one its reload starts."""
+    params = MacParams(retry_delay=0.1, max_retries=2)
+    sim, medium, macs = make_macs([(0, 0), (5, 0)], params=params)
+    parent, child = macs
+    parent.mark_sleepy_child(1)
+    done = []
+    parent.send(b"lost", 20, dst=9, on_done=done.append)  # nobody ACKs
+    parent.send(b"parked", 20, dst=1)
+    # the child polls while the first attempt's retry wait runs
+    sim.schedule(0.012, child.send_data_request, 0)
+    while not parent.trace.counters.get("mac.preemptions"):
+        sim.run(until=sim.peek_time())
+    waiting = parent._queue
+    assert [op.frame.dst for op in waiting] == [9]
+    assert not [ev for ev in sim.pending_events()
+                if getattr(ev.fn, "__self__", None) is parent
+                and ev.args and ev.args[0] in waiting]
+    sim.run(until=2.0)
+    assert done == [False]
+    assert parent.trace.counters.get("mac.frames_tx") == params.max_retries + 2

@@ -171,12 +171,12 @@ def test_sleepy_child_indirect_queue():
     # frame parks on the indirect queue; nothing transmits yet
     sim.run(until=1.0)
     assert got == []
-    assert parent._indirect_depth(1) == 1
+    assert len(parent._indirect[1]) == 1
     # child polls; the parent releases the queue
     child_mac.send_data_request(parent=0)
     sim.run(until=2.0)
     assert got == [b"down"]
-    assert parent._indirect_depth(1) == 0
+    assert len(parent._indirect[1]) == 0
 
 
 def test_poll_ack_carries_pending_bit():

@@ -141,3 +141,50 @@ def test_data_request_timeout_counted():
     parent.radio.medium.block_link(0, 1)
     sim.run(until=5.0)
     assert child.trace.counters.get("mac.poll_timeouts") >= 3
+
+
+def _lose_announced_frame(poll_params):
+    """The parent parks two frames; the child polls fast, and the
+    parent reboots as soon as the first arrives, losing the second
+    that the first's pending bit announced."""
+    sim, parent, child, device = make_pair(poll_params)
+    got = []
+
+    def reboot_parent():  # the second frame dies with the parent
+        parent.radio.power_off()
+        parent.reset()
+        parent.radio.power_on()
+
+    def on_receive(payload, src, frame):
+        got.append(payload)
+        sim.schedule(0.0, reboot_parent)
+
+    child.on_receive = on_receive
+    parent.send(b"d1", 20, dst=1)
+    parent.send(b"d2", 20, dst=1)
+    device.set_fast_poll(True)
+    sim.run(until=1.0)
+    assert got == [b"d1"]
+    child.radio.energy.reset()
+    sim.run(until=2.0)
+    return child
+
+
+def test_listen_ends_when_the_announced_frame_never_comes():
+    """The parent's ACK to the next poll says nothing is pending, and
+    the child goes back to sleeping between polls instead of listening
+    until some frame arrives."""
+    child = _lose_announced_frame(PollParams(poll_interval=1.0))
+    assert child.radio.energy.radio_duty_cycle() < 0.2
+
+
+def test_fast_polls_do_not_prolong_a_held_listen():
+    """Holding uplink while it listens (Appendix C.1) holds the child's
+    data requests too, so only the listen window can end the listen: a
+    poll that re-armed the poll guard on top of it kept the listen, and
+    the hold, going as long as fast polls came."""
+    child = _lose_announced_frame(PollParams(
+        poll_interval=1.0, listen_window=0.15,
+        hold_uplink_while_listening=True))
+    assert not child.paused and len(child._queue) <= 1
+    assert child.radio.energy.radio_duty_cycle() < 0.2

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.experiments.topology import CLOUD_ID, build_chain, build_pair
+from repro.mac.poll import PollParams
 from repro.net.node import Node, NodeConfig
 from repro.net.queues import RedParams
 from repro.net.routing import StaticRouting
+from repro.phy.energy import RadioState
 from repro.phy.medium import Medium
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -90,3 +92,20 @@ def test_per_node_configs_are_independent():
     net.nodes[1].mac.params.retry_delay = 0.5
     assert net.nodes[2].mac.params.retry_delay != 0.5
     assert config.mac.retry_delay != 0.5  # caller's template untouched
+
+
+def test_sleepy_reboot_sends_what_was_queued_while_down():
+    """A reboot releases the MAC like any other: a frame queued while a
+    sleepy node was down leaves at once, not at its next poll, and the
+    radio sleeps again instead of listening until then."""
+    net = build_pair(seed=0)
+    sim, leaf = net.sim, net.nodes[1]
+    leaf.make_sleepy(net.nodes[0], PollParams(poll_interval=240.0))
+    got = []
+    net.nodes[0].mac.on_receive = lambda p, s, f: got.append(sim.now)
+    sim.schedule_at(1.0, leaf.crash)
+    sim.schedule_at(2.0, leaf.mac.send, b"up", 20, 0)
+    sim.schedule_at(3.0, leaf.reboot)
+    sim.run(until=4.0)
+    assert len(got) == 1 and 3.0 < got[0] < 3.01
+    assert leaf.mac.idle and leaf.radio.state is RadioState.SLEEP

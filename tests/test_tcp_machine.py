@@ -35,7 +35,7 @@ must hold.
 
 The machine runs over TCPlp and the uIP, BLIP and GNRC profiles of
 Table 1.  Tier-1 runs each derandomized on a fixed example budget;
-``--hypothesis-profile=tcp-machine-deep`` (``tests/conftest.py``) runs
+``--hypothesis-profile=machine-deep`` (``tests/conftest.py``) runs
 20x the examples from a fresh seed.
 """
 
@@ -74,7 +74,7 @@ from repro.verify.postrun import (
     check_stream_integrity,
 )
 from repro.verify.probes import _probe_tcp_connection
-from tests.conftest import TCP_MACHINE_EXAMPLES
+from tests.conftest import MACHINE_EXAMPLES
 from tests.test_tcp_edge_cases import _From, _Wire
 
 WRAP = 1 << 32
@@ -82,11 +82,11 @@ MASK = WRAP - 1
 #: the recover-or-fail horizon every postrun check uses by default
 RECOVERY_BOUND = inspect.signature(check_all).parameters[
     "recovery_bound"].default
-if settings.get_current_profile_name() == "tcp-machine-deep":
+if settings.get_current_profile_name() == "machine-deep":
     MACHINE_SETTINGS = settings()  # the loaded profile decides
 else:
     MACHINE_SETTINGS = settings(
-        max_examples=TCP_MACHINE_EXAMPLES, derandomize=True, database=None,
+        max_examples=MACHINE_EXAMPLES, derandomize=True, database=None,
         deadline=None, suppress_health_check=[HealthCheck.too_slow],
     )
 
@@ -495,10 +495,25 @@ TestBlipMachine.settings = TestGnrcMachine.settings = MACHINE_SETTINGS
 
 
 # ----------------------------------------------------------------------
-# kill list: each tests/mutants/*.patch re-introduces a TCP bug that
-# once shipped; the machine must find it within its tier-1 budget
+# kill list: each tests/mutants/*.patch re-introduces a bug that once
+# shipped; the machine that claims its module must find it within its
+# tier-1 budget.  The MAC machine (test_mac_machine.py) shares this
+# harness.
 # ----------------------------------------------------------------------
+REPO_ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = sorted((Path(__file__).parent / "mutants").glob("*.patch"))
+
+
+def _target(patch: str) -> str:
+    """The repo-relative path a patch's ``--- a/`` header names."""
+    header = next(line for line in patch.splitlines()
+                  if line.startswith("--- a/"))
+    return header[len("--- a/"):].strip()
+
+
+def mutants_for(*targets: str):
+    """The kill-list patches aimed at one of ``targets``."""
+    return [p for p in MUTANTS if _target(p.read_text()) in targets]
 
 
 def _apply(patch: str, source: str) -> str:
@@ -517,12 +532,21 @@ def _apply(patch: str, source: str) -> str:
     return source.replace(old, new)
 
 
-@pytest.mark.parametrize("patch", MUTANTS, ids=lambda p: p.stem)
+def load_mutant(path: Path):
+    """``(target, module)``: the patched copy of the module ``path``
+    names, executed as a fresh module beside the real one."""
+    patch = path.read_text()
+    target = _target(patch)
+    source = _apply(patch, (REPO_ROOT / target).read_text())
+    mutant = types.ModuleType(f"mutant_{path.stem}")
+    exec(compile(source, str(path), "exec"), mutant.__dict__)
+    return target, mutant
+
+
+@pytest.mark.parametrize("patch", mutants_for("src/repro/core/connection.py"),
+                         ids=lambda p: p.stem)
 def test_machine_kills_mutant(patch):
-    source = _apply(patch.read_text(),
-                    Path(connection_module.__file__).read_text())
-    mutant = types.ModuleType(f"mutant_{patch.stem}")
-    exec(compile(source, str(patch), "exec"), mutant.__dict__)
+    _, mutant = load_mutant(patch)
     machine = type("MutantMachine", (TcpMachine,), {"module": mutant})
     with pytest.raises(AssertionError):
         run_state_machine_as_test(machine, settings=settings(
