@@ -25,8 +25,6 @@ Layers (one module each):
   bootstrap confidence intervals;
 * :mod:`~repro.campaign.engine` — job execution (serial / pool /
   supervised) and the ``run_campaign`` driver;
-* :mod:`~repro.campaign.search` — objective mode (golden-section or
-  grid over one axis);
 * :mod:`~repro.campaign.report` — ``CampaignReport``: deterministic
   document, JSONL export, grid tables.
 
@@ -38,7 +36,6 @@ from repro.campaign.engine import (CatalogResolver, ExecOptions, Job,
                                    execute_jobs, load_campaign,
                                    plan_campaign, run_campaign)
 from repro.campaign.report import CampaignReport, CellResult
-from repro.campaign.search import golden_section, grid_search
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate, bootstrap_ci
 from repro.campaign.store import ResultStore, code_salt
@@ -57,8 +54,6 @@ __all__ = [
     "bootstrap_ci",
     "code_salt",
     "execute_jobs",
-    "golden_section",
-    "grid_search",
     "load_campaign",
     "plan_campaign",
     "resolve_selection",

@@ -396,8 +396,8 @@ def run_campaign(
     run is a cache hit (content-addressed on the canonical RunSpec +
     code salt) and only the delta executes; completed runs are
     persisted as they land, so an interrupted campaign resumes for
-    free.  Repetition statistics and the optional search mode run on
-    top; see docs/campaigns.md for the full contract.
+    free.  Repetition statistics run on top; see docs/campaigns.md for
+    the full contract.
     """
     if isinstance(spec, (str, bytes)) or hasattr(spec, "read_text"):
         spec = CampaignSpec.from_json(spec)
@@ -418,9 +418,9 @@ def run_campaign(
         retries=spec.runner["retries"],
         retry_backoff=spec.runner["retry_backoff_s"],
     )
-    records, hits, misses, errors, interrupted = resolve_runs(
-        runs, run_ids, options, catalog, store, salt, progress=progress,
-        label=spec.name or "campaign")
+    records, hits, misses, errors, interrupted = _resolve_runs(
+        runs, run_ids, options, catalog, store, salt, progress,
+        spec.name or "campaign")
 
     report = _build_report(spec, runs, run_ids, records, salt)
     report.execution = {
@@ -435,38 +435,30 @@ def run_campaign(
         "store": str(store.root) if store is not None else None,
         "jobs": spec.runner["jobs"],
     }
-
-    if spec.objective is not None and not interrupted:
-        from repro.campaign.search import run_search
-
-        search_section, search_exec = run_search(
-            spec, catalog=catalog, store=store, progress=progress)
-        report.search = search_section
-        report.execution["search"] = search_exec
     return report
 
 
-def resolve_runs(
+def _resolve_runs(
     runs: List[RunSpec],
     run_ids: List[str],
     options: ExecOptions,
     catalog: ExperimentCatalog,
     store: Optional[ResultStore],
     salt: str,
-    progress=print,
-    label: Optional[str] = None,
+    progress,
+    label: str,
 ) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool]:
-    """Look each run up, execute the misses, save what succeeded: the
-    one path under :func:`run_campaign` and the search probes.
+    """Look each run up, execute the misses, save what succeeded.
 
     ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
     caller.  Returns ``(records, hits, misses, errors, interrupted)``:
     ``records`` maps run id to ``{"ok", "result"}`` for every run that
-    was cached or has finished — all a report or a search reads, so a
-    hit drops the rest of its stored record and a miss keeps only these
-    two of what it saves — ``misses`` counts the runs handed to
+    was cached or has finished — all a report reads, so a hit drops the
+    rest of its stored record and a miss keeps only these two of what
+    it saves — ``misses`` counts the runs handed to
     :func:`execute_jobs`, ``errors`` maps the failed ones to their
-    message.  A ``label`` announces the hit/miss split before they run.
+    message.  The ``label`` announces the hit/miss split before they
+    run.
     """
     records: Dict[str, Dict] = {}
     missing: Dict[str, RunSpec] = {}
@@ -508,9 +500,8 @@ def resolve_runs(
                 "salt": salt,
             })
 
-    if label is not None:
-        progress(f"[{label}] {len(runs)} runs: {hits} cached, "
-                 f"{len(jobs)} to execute")
+    progress(f"[{label}] {len(runs)} runs: {hits} cached, "
+             f"{len(jobs)} to execute")
     _, interrupted = execute_jobs(jobs, options, CatalogResolver(catalog),
                                   progress=progress, on_record=_on_record)
     return records, hits, len(jobs), errors, interrupted

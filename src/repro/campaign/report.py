@@ -59,7 +59,6 @@ class CampaignReport:
     spec_digest: str
     salt: str
     cells: List[CellResult]
-    search: Optional[Dict] = None
     #: volatile execution facts (wall clock, cache hits/misses,
     #: interruption, per-run errors) — excluded from the canonical
     #: document so cached re-runs reproduce it byte-identically
@@ -75,7 +74,6 @@ class CampaignReport:
             "salt": self.salt,
             "cells": [c.to_dict(include_results=include_results)
                       for c in self.cells],
-            "search": self.search,
         }
         if include_execution:
             d["execution"] = self.execution

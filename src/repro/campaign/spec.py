@@ -16,8 +16,7 @@ deterministically into :class:`RunSpec` cells::
       "runner": {"jobs": 4, "timeout_s": null, "retries": 0,
                  "retry_backoff_s": 2.0, "verify": false, "metrics": false},
       "stats": {"confidence": 0.95, "method": "t", "warmup": 0,
-                "outlier_iqr": null, "metrics": null},
-      "objective": null
+                "outlier_iqr": null, "metrics": null}
     }
 
 Expansion order is fixed — experiments in spec order, grid axes in
@@ -25,11 +24,8 @@ spec key order, values in spec order, seeds last — so the RunSpec
 list (and every content hash derived from it) is identical across
 processes and machines.  A *cell* is one ``(experiment, grid
 point)``; its seeds are the repetitions the statistics layer
-aggregates over.
-
-``objective`` switches on search mode (see
-:mod:`repro.campaign.search`): instead of (or in addition to) the
-grid, one axis is optimised against a scalar metric.
+aggregates over.  An optimum over one axis is a grid over it: take
+the report's argmin (docs/campaigns.md).
 """
 
 from __future__ import annotations
@@ -185,10 +181,9 @@ class CampaignSpec:
     faults: Optional[Dict] = None
     runner: Dict = field(default_factory=lambda: dict(_RUNNER_DEFAULTS))
     stats: Dict = field(default_factory=lambda: dict(_STATS_DEFAULTS))
-    objective: Optional[Dict] = None
 
     _TOP_KEYS = {"name", "experiment", "experiments", "quick", "grid",
-                 "seeds", "faults", "runner", "stats", "objective"}
+                 "seeds", "faults", "runner", "stats"}
 
     # -- construction --------------------------------------------------
 
@@ -304,12 +299,6 @@ class CampaignSpec:
                                    f"names or null, "
                                    f"got {stats['metrics']!r}")
 
-        objective = spec.get("objective")
-        if objective is not None:
-            from repro.campaign.search import validate_objective
-
-            objective = validate_objective(objective)
-
         return cls(
             name=str(spec.get("name", "")),
             experiments=experiments,
@@ -319,7 +308,6 @@ class CampaignSpec:
             faults=faults,
             runner=runner,
             stats=stats,
-            objective=objective,
         )
 
     @classmethod
@@ -370,7 +358,6 @@ class CampaignSpec:
             "faults": self.faults,
             "runner": dict(self.runner),
             "stats": dict(self.stats),
-            "objective": self.objective,
         }
 
     def digest(self) -> str:
@@ -385,7 +372,7 @@ class CampaignSpec:
         expressed this way (the legacy entry point has no grid), so
         this raises if the spec carries one.
         """
-        if self.grid or self.objective or self.seeds != [0]:
+        if self.grid or self.seeds != [0]:
             raise ValueError(
                 "only single-cell campaigns map onto the legacy "
                 "runner signature; run this spec through "

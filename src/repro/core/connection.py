@@ -755,22 +755,12 @@ class TcpConnection(_SocketOptions):
             return
 
         # -- sequence acceptability (RFC 793 p.69) ----------------------
-        if not self._segment_acceptable(seg):
-            if seg.rst:
-                return
-            self._challenge_ack()
-            # A duplicate wholly left of the window still carries a live
-            # ACK: FreeBSD drops its data and keeps the ACK (tcp_input's
-            # "todrop").  Dropping both deadlocks two ends whose window
-            # probes were each accepted by the other.
-            if (seg.ack_flag and not seg.syn
-                    and self.state is not TcpState.SYN_RECEIVED
-                    and seq_le(seq_add(seg.seq, seg.seg_len), self.rcv_nxt)):
-                self._process_ack(seg)
-            return
+        acceptable = self._segment_acceptable(seg)
 
         # -- RST / SYN (RFC 5961 challenge-ACK discipline) --------------
         if seg.rst:
+            if not acceptable:
+                return
             if seg.seq == self.rcv_nxt:
                 self._error_out("connection reset by peer")
             else:
@@ -779,13 +769,26 @@ class TcpConnection(_SocketOptions):
         if seg.syn:
             self._challenge_ack()
             return
+
+        # -- timestamp bookkeeping, before anything answers a duplicate:
+        # a retransmission whose first ACK was lost must be echoed, or
+        # the sender's next RTT sample spans every backoff (§9.4) ------
+        if (self.ts_enabled and seg.options.has_timestamps
+                and seq_le(seg.seq, self.rcv_nxt)):
+            self.ts_recent = seg.options.ts_val
+
+        if not acceptable:
+            self._challenge_ack()
+            # A duplicate wholly left of the window still carries a live
+            # ACK: FreeBSD drops its data and keeps the ACK (tcp_input's
+            # "todrop").  Dropping both deadlocks two ends whose window
+            # probes were each accepted by the other.
+            if (seg.ack_flag and self.state is not TcpState.SYN_RECEIVED
+                    and seq_le(seq_add(seg.seq, seg.seg_len), self.rcv_nxt)):
+                self._process_ack(seg)
+            return
         if not seg.ack_flag:
             return
-
-        # -- timestamp bookkeeping --------------------------------------
-        if self.ts_enabled and seg.options.has_timestamps:
-            if seq_le(seg.seq, self.rcv_nxt):
-                self.ts_recent = seg.options.ts_val
 
         if self.state is TcpState.SYN_RECEIVED:
             if not (seq_gt(seg.ack, self.snd_una)

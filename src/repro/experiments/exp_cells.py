@@ -107,9 +107,9 @@ def ayadi_energy(
 ) -> Dict:
     """Analytic Ayadi-style energy-per-byte cell (Eq. 2 objective).
 
-    Deterministic (no seed): the campaign search mode minimises
-    ``energy_per_byte_uj`` over ``frames`` to recover the optimal
-    segment size; see docs/campaigns.md.  ``quick`` is part of the
+    Deterministic (no seed): a campaign grid over ``frames`` whose
+    argmin over ``energy_per_byte_uj`` recovers the optimal segment
+    size; see docs/campaigns.md.  ``quick`` is part of the
     factory contract but has nothing to shorten here.
     """
     del quick  # analytic: nothing to shorten

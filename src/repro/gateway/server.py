@@ -393,7 +393,10 @@ def _netif_for(net, node_id: int):
 
 
 def _tcp_stack_for(net, node_id: int, params: Optional[TcpParams]) -> TcpStack:
-    """One shared TcpStack per node (register() is last-writer-wins)."""
+    """One shared TcpStack per node: ``Ipv6Layer.register`` chains
+    handlers, so a second stack would answer every segment for a port it
+    has not bound with a reset (and ``CloudHost.register`` keeps only the
+    last handler)."""
     stacks = getattr(net, "_gw_tcp_stacks", None)
     if stacks is None:
         stacks = {}

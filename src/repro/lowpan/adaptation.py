@@ -15,14 +15,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.lowpan.frag import Fragment, Fragmenter, Reassembler
-from repro.mac.frame import BROADCAST
 from repro.mac.link import MacLayer
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
-
-#: network-layer "all nodes on this link" destination (link-local
-#: multicast, e.g. RPL's all-RPL-nodes group); never forwarded
-MULTICAST_ALL = 0xFFFF
 
 
 class _FragCompletion:
@@ -80,15 +75,6 @@ class LowpanAdaptation:
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def send_multicast(self, packet: object, datagram_bytes: int) -> None:
-        """Broadcast an unfragmentable link-local datagram (RPL DIOs)."""
-        if datagram_bytes > self.fragmenter.max_frame_payload:
-            raise ValueError("multicast datagrams must fit one frame")
-        frags = self.fragmenter.fragment(packet, datagram_bytes,
-                                         MULTICAST_ALL)
-        self.trace.counters.incr("lowpan.multicasts_sent")
-        self.mac.send(frags[0], frags[0].wire_bytes, BROADCAST)
-
     def send_packet(
         self,
         packet: object,
@@ -117,10 +103,6 @@ class LowpanAdaptation:
             self.deliver_up(payload)
             return
         frag = payload
-        if frag.final_dst == MULTICAST_ALL:
-            # link-local multicast: consume locally, never forward
-            self._receive_for_reassembly(frag)
-            return
         if self.reassemble_per_hop:
             self._receive_for_reassembly(frag)
             return

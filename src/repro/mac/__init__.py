@@ -12,17 +12,13 @@ hidden-terminal collisions at a tiny throughput cost; the sweep over
   duplicate suppression, and the indirect (sleepy-child) queue;
 * :mod:`repro.mac.poll` — the Thread listen-after-send sleepy end
   device: data-request polling, pending bit, fast-poll while a
-  transport ACK is outstanding (§9.2);
-* :mod:`repro.mac.trickle` — the Trickle interval algorithm that paces
-  RPL's DIO messages (:mod:`repro.net.rpl`).  The adaptive sleep
-  interval of Appendix C.2 does not use it: :mod:`repro.mac.poll`
-  doubles its own interval.
+  transport ACK is outstanding (§9.2), and the adaptive sleep interval
+  of Appendix C.2 (``PollParams.adaptive``).
 """
 
 from repro.mac.frame import Frame, FrameKind, decode_frame
 from repro.mac.link import MacLayer, MacParams
 from repro.mac.poll import PollParams, SleepyEndDevice
-from repro.mac.trickle import TrickleTimer
 
 __all__ = [
     "Frame",
@@ -32,5 +28,4 @@ __all__ = [
     "MacParams",
     "SleepyEndDevice",
     "PollParams",
-    "TrickleTimer",
 ]

@@ -101,12 +101,12 @@ def segment_energy_model(
       ``1/(1 - p_seg)``; this *rises* with ``frames``.
 
     The sum has an interior optimum in ``frames`` — the segment size
-    the TCPlp paper fixes at ~5 frames, and the quantity the campaign
-    search mode recovers (``objective`` over the ``ayadi_energy``
-    catalog cell; see docs/campaigns.md).
+    the TCPlp paper fixes at ~5 frames, and the argmin of a campaign
+    grid over ``frames`` on the ``ayadi_energy`` catalog cell (see
+    docs/campaigns.md).
 
     Returns the cost breakdown; ``energy_per_byte_uj`` (microjoules
-    per delivered byte) is the scalar the search minimises.
+    per delivered byte) is the scalar to minimise.
     """
     if frames < 1:
         raise ValueError("a segment spans at least one frame")

@@ -9,9 +9,6 @@
   (Appendix A).
 * :mod:`repro.net.routing` — static and Thread-like mesh routing
   (border router, always-on routers, sleepy leaves with parents).
-* :mod:`repro.net.rpl` — RPL-lite (RFC 6550 storing mode): live DODAG
-  formation with Trickle-timed DIOs and DAO downward routes, the
-  routing family the pre-Thread baseline studies used.
 * :mod:`repro.net.icmpv6` — echo request/reply (ping diagnostics).
 * :mod:`repro.net.pcap` — capture wired-side traffic into real pcap
   files openable in Wireshark.
@@ -27,7 +24,6 @@ from repro.net.icmpv6 import IcmpStack
 from repro.net.ipv6 import PROTO_TCP, PROTO_UDP, Ipv6Layer, Ipv6Packet
 from repro.net.node import Node, NodeConfig
 from repro.net.pcap import PcapWriter
-from repro.net.rpl import RplRouting, enable_rpl
 from repro.net.queues import DropTailQueue, RedParams, RedQueue
 from repro.net.routing import MeshRouting, StaticRouting
 from repro.net.udp import UdpDatagram, UdpStack
@@ -53,6 +49,4 @@ __all__ = [
     "cloud_address",
     "IcmpStack",
     "PcapWriter",
-    "RplRouting",
-    "enable_rpl",
 ]

@@ -158,8 +158,10 @@ class Ipv6Layer:
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:
         """Register a transport handler for a protocol number.
 
-        Registering twice chains the handlers (ICMPv6 hosts both echo
-        and RPL control; each ignores payload types it doesn't own).
+        Registering twice chains the handlers, called in order.  The
+        gateway relies on it: its bridge's ``UdpStack`` and an in-sim
+        app's ``UdpStack`` can share one node, and each ignores ports it
+        has not bound.
         """
         existing = self._handlers.get(next_header)
         if existing is None:
@@ -220,11 +222,7 @@ class Ipv6Layer:
     # ------------------------------------------------------------------
     def deliver(self, packet: Ipv6Packet) -> None:
         """A packet reassembled at this node: demux or forward."""
-        from repro.lowpan.adaptation import MULTICAST_ALL
-
-        if packet.dst == MULTICAST_ALL or (
-            packet.dst == self.node_id and not packet.dst_is_cloud
-        ):
+        if packet.dst == self.node_id and not packet.dst_is_cloud:
             handler = self._handlers.get(packet.next_header)
             if handler is None:
                 self.trace.counters.incr("ipv6.no_handler")

@@ -1,5 +1,5 @@
 """Campaign engine: spec validation, expansion determinism, caching,
-statistics, search, and the legacy-runner compatibility shims."""
+statistics, grid optima, and the legacy-runner compatibility shims."""
 
 import functools
 import hashlib
@@ -25,8 +25,6 @@ from repro.campaign import (
     ResultStore,
     RunSpec,
     aggregate,
-    golden_section,
-    grid_search,
     plan_campaign,
     resolve_selection,
     run_campaign,
@@ -221,6 +219,9 @@ class TestSpecValidation:
         ({"runner": {1: 0, "x": 0}}, "runner"),
         ({"seeds": {1: 0, "x": 0}}, "seeds"),
         ({1: 0, "x": 0}, "top level"),
+        # objective search is retired: a grid and the report's argmin
+        ({"objective": {"metric": "m", "axis": "x", "bounds": [0, 10]}},
+         "top level"),
     ])
     def test_hostile_numbers_are_refused(self, block, path):
         with pytest.raises(ValueError,
@@ -268,22 +269,6 @@ class TestSpecValidation:
             {"experiments": ["seedless_cell"], "seeds": [0, 1]})
         with pytest.raises(ValueError, match="does not accept a seed"):
             spec.expand(make_catalog())
-
-    def test_objective_validation(self):
-        base = {"metric": "m", "axis": "x", "bounds": [0, 10]}
-        CampaignSpec.from_dict({"experiments": ["x"],
-                                "objective": dict(base)})
-        inf = float("inf")
-        for patch in ({"mode": "best"}, {"bounds": [5, 5]},
-                      {"method": "newton"}, {"steps": 1},
-                      {"tolerance": 0}, {"unknown_key": 1},
-                      {"bounds": [-inf, inf], "integer": True},
-                      {"bounds": [0, inf]}, {"bounds": [0, 10**400]},
-                      {"tolerance": True}, {"steps": 10**9}):
-            with pytest.raises(ValueError, match="objective"):
-                CampaignSpec.from_dict(
-                    {"experiments": ["x"],
-                     "objective": {**base, **patch}})
 
     def test_round_trip(self):
         doc = {"name": "n", "experiments": ["linear_cell"],
@@ -818,21 +803,21 @@ class TestReport:
         assert (value["n"], value["discarded_warmup"],
                 value["discarded_outliers"]) == (4, 1, 1)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "63f8ca404a34146ad8127873643cb2f8"
-            "f6f178d597c197aa5e423cd1d39375c2")
+            "a5a0312d130a6bf576a395300bfcd90c"
+            "46241edef36de5142e73243fb5d06ae4")
 
     @pytest.mark.parametrize("spec, catalog, sha", [
         ({"name": "lone", "experiments": ["ayadi_energy"],
           "grid": {"frames": [1, 3, 5], "frame_loss": [0.02, 0.1]}},
          None,
-         "557704b5456321eea6a543e59b467025"
-         "784c48e407b16fb901fbf5e72a350a4f"),
+         "749efb3f94c8c19ab09747d2dc3713c7"
+         "b24792b8e0285caa6d2b72e0e17cfbd2"),
         ({"name": "lone-named", "experiments": ["tagged_cell"],
           "grid": {"tag": ["", "ab"], "x": [-2, 7]}, "seeds": [3],
           "stats": {"metrics": ["value", "missing", "odd", "tag_len"]}},
          ExperimentCatalog({"tagged_cell": tagged_cell}),
-         "547062f166936c909a8bb6766e536f40"
-         "fb5a4f9cd2108ff97aa633d78a338b09"),
+         "239f198e4a1ef0e73cd5f70f18ac9301"
+         "4e41f9bb283b759c8c5db562195d20b1"),
     ], ids=["auto-metrics", "named-metrics"])
     def test_lone_sample_report_bytes_are_pinned(self, tmp_path, spec,
                                                  catalog, sha):
@@ -873,86 +858,20 @@ class TestReport:
 
 
 # ----------------------------------------------------------------------
-# search
+# an optimum is a grid's argmin
 # ----------------------------------------------------------------------
 
 
-class TestSearch:
-    def test_golden_matches_brute_force_integer(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return (x - 11) ** 2
-
-        best = golden_section(f, 0, 40, integer=True)
-        assert best == 11
-        assert len(set(calls)) < 41  # strictly fewer than brute force
-
-    def test_golden_continuous_tolerance(self):
-        best = golden_section(lambda x: (x - 3.2) ** 2, 0.0, 10.0,
-                              tolerance=1e-4)
-        assert best == pytest.approx(3.2, abs=1e-3)
-
-    def test_grid_search(self):
-        best = grid_search(lambda x: (x - 4) ** 2, 0, 10, steps=11,
-                           integer=True)
-        assert best == 4
-
-    def test_search_campaign_quadratic(self, tmp_path):
-        spec = {
-            "experiments": ["quadratic_cell"],
-            "objective": {"metric": "loss_metric", "axis": "x",
-                          "bounds": [0, 10], "integer": True},
-        }
-        store = ResultStore(tmp_path / "store", salt="s1")
-        report = run_quiet(dict(spec), store=store,
-                           catalog=make_catalog())
-        assert report.search["best"]["value"] == 3
-        probes1 = report.search["evaluations"]
-        # repeating the search is pure cache lookup
-        again = run_quiet(dict(spec), store=store,
-                          catalog=make_catalog())
-        assert again.search["evaluations"] == probes1
-        assert again.execution["search"]["executed"] == 0
-        assert again.to_json() == report.to_json()
-
-    def test_search_mode_max(self, tmp_path):
-        spec = {
-            "experiments": ["quadratic_cell"],
-            "objective": {"metric": "loss_metric", "axis": "x",
-                          "mode": "max", "bounds": [0, 10],
-                          "integer": True, "method": "grid",
-                          "steps": 11},
-        }
-        report = run_quiet(dict(spec), catalog=make_catalog())
-        # (x-3)^2 on [0,10] is maximised at the far boundary
-        assert report.search["best"]["value"] == 10
-        # probes record the raw metric, not the negated objective
-        assert report.search["best"]["objective"] == pytest.approx(50.0)
-
-    def test_ayadi_energy_optimum_is_five_frames(self, tmp_path):
-        """The paper-grounded case: golden-section over the Eq. 2
-        energy objective recovers the 5-frame segment-size optimum,
-        in fewer evaluations than the 16-point sweep."""
-        spec = {
-            "experiments": ["ayadi_energy"],
-            "objective": {"metric": "energy_per_byte_uj",
-                          "axis": "frames", "bounds": [1, 16],
-                          "integer": True},
-        }
-        report = run_quiet(dict(spec))
-        assert report.search["best"]["value"] == 5
-        assert report.search["evaluations"] < 16
-
-    def test_search_needs_single_experiment(self):
-        spec = {
-            "experiments": ["linear_cell", "seedless_cell"],
-            "objective": {"metric": "value", "axis": "x",
-                          "bounds": [0, 4], "integer": True},
-        }
-        with pytest.raises(ValueError, match="exactly one"):
-            run_quiet(spec, catalog=make_catalog())
+class TestGridOptimum:
+    def test_ayadi_energy_optimum_is_five_frames(self):
+        """The paper-grounded case: over a grid of segment sizes, the
+        Eq. 2 energy per byte is least at the paper's 5 frames."""
+        report = run_quiet({"experiments": ["ayadi_energy"],
+                            "grid": {"frames": list(range(1, 17))}})
+        assert len(report.cells) == 16
+        best = min(report.cells,
+                   key=lambda c: c.metrics["energy_per_byte_uj"]["mean"])
+        assert best.params == {"frames": 5}
 
 
 # ----------------------------------------------------------------------

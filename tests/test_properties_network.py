@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from repro.net.ipv6 import ECN_CE, ECN_ECT0, ECN_NOT_ECT, Ipv6Packet, PROTO_TCP
 from repro.net.queues import DropTailQueue, RedParams, RedQueue
-from repro.mac.trickle import TrickleTimer
-from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
 
@@ -74,35 +72,3 @@ class TestDropTailProperties:
         assert drained == accepted
         assert len(accepted) == min(n, capacity)
 
-
-class TestTrickleProperties:
-    @given(
-        imin=st.floats(0.01, 2.0),
-        doublings=st.integers(0, 8),
-        horizon=st.floats(1.0, 50.0),
-    )
-    @settings(max_examples=40)
-    def test_interval_always_within_bounds(self, imin, doublings, horizon):
-        imax = imin * (2 ** doublings)
-        sim = Simulator()
-        seen = []
-        t = TrickleTimer(sim, imin=imin, imax=imax,
-                         on_interval=seen.append)
-        t.start()
-        sim.run(until=horizon)
-        assert seen
-        for interval in seen:
-            assert imin <= interval <= imax + 1e-9
-
-    @given(reset_at=st.floats(0.1, 30.0))
-    @settings(max_examples=30)
-    def test_reset_always_returns_to_imin(self, reset_at):
-        sim = Simulator()
-        seen = []
-        t = TrickleTimer(sim, imin=0.5, imax=16.0, on_interval=seen.append)
-        t.start()
-        sim.schedule(reset_at, t.hear_inconsistent)
-        sim.run(until=reset_at + 0.01)
-        if seen[-1] != 0.5:
-            # reset only re-begins the interval when it had grown
-            assert sim.now < 1.0

@@ -58,10 +58,6 @@ FULL_CAMPAIGN = {
     "stats": {"confidence": 0.9, "method": "bootstrap", "warmup": 1,
               "outlier_iqr": 1.5, "bootstrap_samples": 200,
               "metrics": ["energy_per_byte"]},
-    "objective": {"metric": "energy_per_byte", "mode": "min",
-                  "axis": "frames", "bounds": [1.5, 16.2], "integer": True,
-                  "method": "golden", "steps": 8, "tolerance": 0.01,
-                  "fixed": {"loss": 0.09}},
 }
 
 LIMITS = {"max_connections": 8, "accept_rate": 50, "accept_burst": 4,
@@ -89,9 +85,9 @@ SMOKE_PIN = (
     '"timeout_s":null,"retries":0,"retry_backoff_s":2.0,"verify":false,'
     '"metrics":false},"stats":{"confidence":0.95,"method":"t",'
     '"warmup":0,"outlier_iqr":null,"bootstrap_samples":1000,'
-    '"metrics":null},"objective":null}')
+    '"metrics":null}}')
 SMOKE_DIGEST = \
-    "f49805b02bf24ec87c786559b72a5f3bc7275d1ecbb092649120859a9f476d50"
+    "8af550489402602c843d42e795ae3db5c8f27cb7741c2a44d3778e994db6a870"
 FULL_PIN = (
     '{"name":"full","experiments":["ayadi_energy"],"quick":false,'
     '"grid":{"frame_loss":[0.05,0.1],"window":[2,4]},"seeds":[5,6,7],'
@@ -99,12 +95,9 @@ FULL_PIN = (
     '"runner":{"jobs":2,"timeout_s":30,"retries":1,"retry_backoff_s":1,'
     '"verify":true,"metrics":true},"stats":{"confidence":0.9,'
     '"method":"bootstrap","warmup":1,"outlier_iqr":1.5,'
-    '"bootstrap_samples":200,"metrics":["energy_per_byte"]},'
-    '"objective":{"metric":"energy_per_byte","mode":"min",'
-    '"axis":"frames","bounds":[2,16],"integer":true,"method":"golden",'
-    '"steps":8,"tolerance":0.01,"fixed":{"loss":0.09}}}')
+    '"bootstrap_samples":200,"metrics":["energy_per_byte"]}}')
 FULL_DIGEST = \
-    "82321c6554ff10d825974b545763eb60fbc6e8f1494d5c0c1153aeadbe9477a8"
+    "66ccf8dace2569aeac35a8d06788632bf0b6df998dd84914551b9e9a559cf619"
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 

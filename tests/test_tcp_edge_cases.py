@@ -485,6 +485,31 @@ class TestMachineCounterexamples:
         assert board.ranges == [(top - 500, top - 100), (0, 500)]
 
 
+class TestTimestampEcho:
+    def test_retransmission_after_a_lost_ack_is_echoed(self):
+        # §9.4: with timestamps the ACK of a retransmission times the
+        # retransmission.  Echoing the original instead makes the RTT
+        # sample span the timeout, and the undo of footnote 8 then calls
+        # a genuine timeout spurious.
+        wire = _Wire()
+        wire.establish()
+        a, b = wire.a, wire.b
+        sent_at = wire.sim.now
+        a.send(b"d" * 100)
+        wire.deliver(a)
+        # b's delayed ACK is lost, and a's timeout fires
+        wire.sim.run(until=sent_at + a._current_rto() + 0.001)
+        assert b.network.sent and a.network.sent
+        b.network.clear()
+        resent, = wire.deliver(a)  # the retransmission: a duplicate at b
+        assert resent.seq == a.snd_una
+        wire.sim.run(until=wire.sim.now + 0.05)
+        wire.deliver(b)
+        assert a.snd_una == a.snd_max
+        assert a.rtt.last_sample == pytest.approx(0.051, abs=0.002)
+        assert a.trace.counters.get("tcp.bad_retransmits_undone") == 0
+
+
 class TestStackBehaviour:
     def test_listener_close_stops_accepting(self):
         net = build_pair(seed=3)

@@ -24,7 +24,10 @@ each side's delivered bytes are a prefix of what the peer sent; an
 app's ``close()`` is never lost (RFC 793 §3.9, also in SYN_RECEIVED);
 a sender that waits owns a timer; an open send window carries no
 persist backoff; an ACK that moves ``snd_una`` with a sane timestamp
-echo takes an RTT sample (§9.4: timestamps make every ACK a sample).
+echo takes an RTT sample (§9.4: timestamps make every ACK a sample);
+an ACK that answers a delivered duplicate echoes that duplicate's
+timestamp or a later one (RFC 7323 §4.3), else the peer's next sample
+spans every backoff since the original transmission.
 
 Liveness, after the last step: the pipe turns clean and the apps close;
 a stalled reader stays stalled for two ``persist_min``, then both read.
@@ -60,7 +63,7 @@ from hypothesis.stateful import (
 
 import repro.core.connection as connection_module
 from repro.core.segment import FLAG_ACK, FLAG_RST, FLAG_SYN, Segment
-from repro.core.seqnum import seq_add
+from repro.core.seqnum import seq_add, seq_le
 from repro.core.simplified import (
     blip_params,
     gnrc_params,
@@ -206,8 +209,21 @@ class TcpMachine(RuleBasedStateMachine):
                 conn.network.sent.append(_reset_for(seg))
             return
         before = conn.state, conn.snd_una, conn.rtt.samples
-        conn.on_segment(seg, src)
         opts = seg.options
+        answered = len(conn.network.sent)
+        duplicate = (
+            conn.state not in (self.S.SYN_SENT, self.S.TIME_WAIT)
+            and conn.ts_enabled and opts.has_timestamps
+            and not (seg.syn or seg.rst) and seg.seg_len > 0
+            and seq_le(seq_add(seg.seq, seg.seg_len), conn.rcv_nxt))
+        conn.on_segment(seg, src)
+        if duplicate:
+            for answer in conn.network.sent[answered:]:
+                if answer.ack_flag and answer.options.has_timestamps:
+                    assert ((answer.options.ts_ecr - opts.ts_val)
+                            & MASK) < 1 << 31, (
+                        f"duplicate {seg!r} answered with the stale echo "
+                        f"{answer.options.ts_ecr}")
         if (before[0] is not self.S.SYN_SENT and conn.snd_una != before[1]
                 and conn.ts_enabled and conn.params.rtt_estimation
                 and opts.has_timestamps

@@ -84,12 +84,6 @@ def _print_report(report, grid=None) -> None:
                          f" n={agg['n']}")
             parts.append(text)
         print(f"  {label}: " + ("; ".join(parts) or "(no metrics)"))
-    if report.search:
-        best = report.search["best"]
-        obj = report.search["objective"]
-        print(f"  search: {obj['axis']}={best['value']!r} minimises "
-              f"{obj['metric']} at {best['objective']:.6g} "
-              f"({report.search['evaluations']} probes)")
     if grid:
         metric, rows, cols = grid
         print()
