@@ -151,7 +151,7 @@ from repro.sim.rng import RngStreams
 from repro.verify import InvariantEngine
 
 
-def run_experiments(quick: bool = True, only=None, jobs: int = 1,
+def run_experiments(quick: bool = True, only=None, jobs=None,
                     progress=print, collect_metrics: bool = False,
                     fault_spec=None, verify: bool = False,
                     timeout: float = None, retries: int = 0,
@@ -163,6 +163,7 @@ def run_experiments(quick: bool = True, only=None, jobs: int = 1,
     the runner pulls in every experiment module).  ``only`` is an
     iterable of registry names (see ``runner --list``); ``meta``
     records per-experiment wall times, failures, and the selection.
+    ``jobs`` caps the worker processes (None: every usable core).
     ``verify`` attaches the live invariant engine; ``timeout`` runs
     each experiment under a watchdog (see docs/robustness.md).
     """

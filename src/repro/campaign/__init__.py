@@ -23,8 +23,8 @@ Layers (one module each):
   (code-salted hashes, one append-only segment per salt, free resume);
 * :mod:`~repro.campaign.stats` — repetition aggregation with t or
   bootstrap confidence intervals;
-* :mod:`~repro.campaign.engine` — job execution (serial / pool /
-  supervised) and the ``run_campaign`` driver;
+* :mod:`~repro.campaign.engine` — job execution (in-process until a
+  fork pool pays, or supervised) and the ``run_campaign`` driver;
 * :mod:`~repro.campaign.report` — ``CampaignReport``: deterministic
   document, JSONL export, grid tables.
 

@@ -1,10 +1,11 @@
 """Campaign execution engine: the one backend every entry point uses.
 
 :func:`execute_jobs` is the generalized run machinery that used to
-live inside ``repro.experiments.runner`` — serial, process-pool
-(``jobs``) and supervised (watchdog ``timeout`` + crash ``retries``)
-modes, with per-run metrics capture, fault injection and live
-invariant verification.  ``runner.run_all_detailed`` now delegates
+live inside ``repro.experiments.runner`` — one loop that runs
+in-process until the measured runs say a fork pool pays (up to
+``jobs`` workers, every usable core by default), and a supervised mode
+(watchdog ``timeout`` + crash ``retries``), with per-run metrics
+capture, fault injection and live invariant verification.  ``runner.run_all_detailed`` now delegates
 here with the legacy registry resolver; :func:`run_campaign` drives
 the same machinery over a :class:`~repro.campaign.spec.CampaignSpec`
 expansion with content-addressed caching and repetition statistics
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -53,13 +56,23 @@ class Job:
 class ExecOptions:
     """Execution knobs, mirroring the legacy runner flags."""
 
-    jobs: int = 1
+    jobs: Optional[int] = None  # ceiling on workers; None = every core
     collect_metrics: bool = False
     fault_spec: Optional[Dict] = None
     verify: bool = False
     timeout: Optional[float] = None
     retries: int = 0
     retry_backoff: float = 2.0
+
+
+#: what starting and stopping a fork pool costs: 11-25 ms for two
+#: workers on a 2-core x86-64 host under Python 3.11 (``Pool(2)``, two
+#: trivial tasks, close and join)
+POOL_COST_S = 0.025
+#: serial seconds of the runs still to go above which they fan out:
+#: two workers save half of it, so at this size a pool saves twice
+#: its own cost
+POOL_BREAK_EVEN_S = 4 * POOL_COST_S
 
 
 #: record tuple: (key, result, wall_s, ok, metrics_snapshots,
@@ -131,10 +144,10 @@ def _supervised_entry(job: Job, resolver, collect_metrics, fault_spec,
 
 
 def _run_supervised(
-    jobs: List[Job], options: ExecOptions, resolver, progress,
+    jobs: List[Job], cap: int, options: ExecOptions, resolver, progress,
     on_record,
 ) -> Tuple[List[Record], bool]:
-    """Run each job in a watched process.
+    """Run each job in a watched process, ``cap`` at a time.
 
     Returns ``(records, interrupted)``.  A worker that exceeds the
     wall-clock ``timeout`` is terminated and recorded as a failure
@@ -166,7 +179,7 @@ def _run_supervised(
             launchable = [
                 i for i, (_, _, nb) in enumerate(pending) if nb <= now
             ]
-            while launchable and len(active) < options.jobs:
+            while launchable and len(active) < cap:
                 key, attempt, _ = pending.pop(launchable.pop())
                 q = ctx.Queue()
                 proc = ctx.Process(
@@ -232,61 +245,142 @@ def _run_supervised(
     return done, interrupted
 
 
+def _worker_cap(jobs: Optional[int]) -> int:
+    """How many runs may execute at once: ``jobs`` when given, else
+    every usable core.
+
+    1 inside a daemonic process (a pool worker may not have children)
+    and while an in-process collector — ``metrics.auto_attach``,
+    ``faults.auto_inject`` or ``verify.auto_verify`` — is armed by the
+    caller: a forked worker's simulators would escape it.
+    """
+    from repro import faults as faults_mod
+    from repro import verify as verify_mod
+    from repro.sim import metrics as metrics_mod
+
+    if (metrics_mod._auto_enabled or faults_mod._auto_spec is not None
+            or verify_mod._auto_interval is not None):
+        return 1
+    # a process that never imported multiprocessing is no pool's child
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    if jobs is not None:
+        return max(1, jobs)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_pays(spent: float, runs: int, left: int) -> bool:
+    """Whether ``left`` more runs like the ``runs`` judged ones, which
+    took ``spent`` seconds together, are worth a fork pool.
+
+    The judged runs must have cost at least a pool's own start: fewer
+    are too little evidence, since one GC pause moves the mean of a
+    handful of microsecond runs past any break-even.
+    """
+    return (spent >= POOL_COST_S
+            and spent / runs * left > POOL_BREAK_EVEN_S)
+
+
+def _open_pool(workers: int):
+    """A fork pool of ``workers``, or None where the host cannot start
+    one (no working semaphores, e.g. without ``/dev/shm``).
+
+    Fork, not spawn: a forked worker inherits the parent's imports and
+    catalog, while a spawned one re-imports the experiments, which
+    takes 0.4-0.5 s on the host ``POOL_COST_S`` was measured on: more
+    than the break-even.
+    """
+    import multiprocessing  # only the pool and supervised paths fork
+
+    try:
+        return multiprocessing.get_context("fork").Pool(processes=workers)
+    except (OSError, ImportError):
+        return None
+
+
 def execute_jobs(
     jobs: List[Job],
     options: ExecOptions,
     resolver: Callable,
     progress=print,
     on_record: Optional[Callable[[Record], None]] = None,
-) -> Tuple[List[Record], bool]:
-    """Run ``jobs`` under ``options``; returns ``(records, interrupted)``.
+) -> Tuple[List[Record], bool, int]:
+    """Run ``jobs`` under ``options``.
 
-    Mode selection matches the legacy runner: ``timeout`` set →
-    supervised watched processes; else ``jobs > 1`` → process pool;
-    else serial in-process.  ``on_record`` fires in the parent as
-    each record lands (the campaign cache writes through it), in
-    completion order; the returned list is also completion-ordered.
+    Returns ``(records, interrupted, workers)``: ``workers`` is how
+    many processes ran the jobs at once — 1 in-process (or one watched
+    process at a time), 0 when there were no jobs.
+
+    ``timeout`` set → each job in a watched process, up to
+    :func:`_worker_cap` at a time.  Otherwise the jobs run in-process,
+    in order, until the runs so far say the rest pay for a fork pool
+    (:func:`_pool_pays`); the rest then fan out over ``min(cap, left)``
+    workers.  ``on_record`` fires in the parent as each record lands
+    (the campaign cache writes through it), in completion order; the
+    returned list is also completion-ordered.
     """
     on_record = on_record or (lambda record: None)
-    disp = {j.key: (j.label or j.key) for j in jobs}
+    cap = _worker_cap(options.jobs)
     if options.timeout is not None:
-        return _run_supervised(jobs, options, resolver, progress,
-                               on_record)
+        records, interrupted = _run_supervised(
+            jobs, cap, options, resolver, progress, on_record)
+        return records, interrupted, min(cap, len(jobs))
+    disp = {j.key: (j.label or j.key) for j in jobs}
+    run = functools.partial(
+        _run_job, resolver=resolver,
+        collect_metrics=options.collect_metrics,
+        fault_spec=options.fault_spec, verify=options.verify)
     records: List[Record] = []
-    interrupted = False
-    if options.jobs > 1 and len(jobs) > 1:
-        import multiprocessing
 
-        worker = functools.partial(
-            _run_job, resolver=resolver,
-            collect_metrics=options.collect_metrics,
-            fault_spec=options.fault_spec, verify=options.verify)
-        with multiprocessing.Pool(
-                processes=min(options.jobs, len(jobs))) as pool:
-            try:
-                for record in pool.imap_unordered(worker, jobs):
-                    records.append(record)
-                    on_record(record)
-                    progress(f"[{disp[record[0]]}] done in {record[2]:.1f}s")
-            except KeyboardInterrupt:
-                interrupted = True
-                pool.terminate()
-        return records, interrupted
-    for job in jobs:
-        progress(f"[{disp[job.key]}] running ...")
-        try:
-            record = _run_job(job, resolver,
-                             collect_metrics=options.collect_metrics,
-                             fault_spec=options.fault_spec,
-                             verify=options.verify)
-        except KeyboardInterrupt:
-            interrupted = True
-            progress(f"[{disp[job.key]}] interrupted")
-            break
+    def land(record: Record) -> None:
         records.append(record)
         on_record(record)
-        progress(f"[{disp[job.key]}] done in {record[2]:.1f}s")
-    return records, interrupted
+        progress(f"[{disp[record[0]]}] done in {record[2]:.1f}s")
+
+    first_s = spent = 0.0  # the first run's wall; the walls after it
+    for index, job in enumerate(jobs):
+        left = len(jobs) - index
+        if cap > 1 and left > 1 and index:
+            # the first run carries one-off start-up (imports, first-call
+            # caches), so it is judged alone only until a second lands
+            judged = (spent, index - 1) if index > 1 else (first_s, 1)
+            if _pool_pays(*judged, left):
+                workers = min(cap, left)
+                pool = _open_pool(workers)
+                if pool is not None:
+                    progress(f"[{left} runs left] fanning out over "
+                             f"{workers} worker processes")
+                    interrupted = _fan_out(pool, run, jobs[index:], land)
+                    return records, interrupted, workers
+                cap = 1  # no pool on this host: the rest run here
+        progress(f"[{disp[job.key]}] running ...")
+        try:
+            record = run(job)
+        except KeyboardInterrupt:
+            progress(f"[{disp[job.key]}] interrupted")
+            return records, True, 1
+        if index:
+            spent += record[2]
+        else:
+            first_s = record[2]
+        land(record)
+    return records, False, 1 if jobs else 0
+
+
+def _fan_out(pool, run, jobs: List[Job], land) -> bool:
+    """Run ``jobs`` on ``pool``, landing each record as it completes;
+    returns whether Ctrl-C cut it short."""
+    with pool:
+        try:
+            for record in pool.imap_unordered(run, jobs):
+                land(record)
+        except KeyboardInterrupt:
+            pool.terminate()
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +512,7 @@ def run_campaign(
         retries=spec.runner["retries"],
         retry_backoff=spec.runner["retry_backoff_s"],
     )
-    records, hits, misses, errors, interrupted = _resolve_runs(
+    records, hits, misses, errors, interrupted, workers = _resolve_runs(
         runs, run_ids, options, catalog, store, salt, progress,
         spec.name or "campaign")
 
@@ -434,6 +528,7 @@ def run_campaign(
         "wall_s": round(time.perf_counter() - t0, 3),
         "store": str(store.root) if store is not None else None,
         "jobs": spec.runner["jobs"],
+        "workers": workers,
     }
     return report
 
@@ -447,17 +542,18 @@ def _resolve_runs(
     salt: str,
     progress,
     label: str,
-) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool]:
+) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool, int]:
     """Look each run up, execute the misses, save what succeeded.
 
     ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
-    caller.  Returns ``(records, hits, misses, errors, interrupted)``:
-    ``records`` maps run id to ``{"ok", "result"}`` for every run that
-    was cached or has finished — all a report reads, so a hit drops the
+    caller.  Returns ``(records, hits, misses, errors, interrupted,
+    workers)``: ``records`` maps run id to ``{"ok", "result"}`` for
+    every run that was cached or has finished — all a report reads, so a hit drops the
     rest of its stored record and a miss keeps only these two of what
     it saves — ``misses`` counts the runs handed to
     :func:`execute_jobs`, ``errors`` maps the failed ones to their
-    message.  The ``label`` announces the hit/miss split before they
+    message, ``workers`` is :func:`execute_jobs`' own (0 with no
+    misses).  The ``label`` announces the hit/miss split before they
     run.
     """
     records: Dict[str, Dict] = {}
@@ -473,7 +569,7 @@ def _resolve_runs(
     hits = len(records)
     errors: Dict[str, str] = {}
     if not missing:
-        return records, hits, 0, errors, False
+        return records, hits, 0, errors, False, 0
     jobs = []
     for run_id, run in missing.items():
         accepted, var_kw = catalog.accepted_params(run.experiment)
@@ -502,9 +598,10 @@ def _resolve_runs(
 
     progress(f"[{label}] {len(runs)} runs: {hits} cached, "
              f"{len(jobs)} to execute")
-    _, interrupted = execute_jobs(jobs, options, CatalogResolver(catalog),
-                                  progress=progress, on_record=_on_record)
-    return records, hits, len(jobs), errors, interrupted
+    _, interrupted, workers = execute_jobs(
+        jobs, options, CatalogResolver(catalog), progress=progress,
+        on_record=_on_record)
+    return records, hits, len(jobs), errors, interrupted, workers
 
 
 def _error_text(result) -> str:

@@ -49,7 +49,7 @@ MAX_RUNS = 100_000
 #: runner-block defaults, mirroring ``runner.main()``'s legacy flags
 #: (the flag -> field migration table lives in docs/api.md)
 _RUNNER_DEFAULTS = {
-    "jobs": 1,            # --jobs
+    "jobs": None,         # --jobs; None = every usable core
     "timeout_s": None,    # --timeout
     "retries": 0,         # --retries
     "retry_backoff_s": 2.0,  # --retry-backoff
@@ -59,7 +59,7 @@ _RUNNER_DEFAULTS = {
 
 #: (int or float, rule, nullable); see repro.checks.check_fields
 _RUNNER_NUMBERS = {
-    "jobs": (int, ">= 1", False),
+    "jobs": (int, ">= 1", True),
     "timeout_s": (float, "> 0", True),
     "retries": (int, ">= 0", False),
     "retry_backoff_s": (float, ">= 0", False),
@@ -318,7 +318,8 @@ class CampaignSpec:
 
     @classmethod
     def single_cell(cls, experiments=None, quick: bool = True,
-                    faults: Optional[Dict] = None, jobs: int = 1,
+                    faults: Optional[Dict] = None,
+                    jobs: Optional[int] = None,
                     timeout_s=None, retries: int = 0,
                     retry_backoff_s: float = 2.0, verify: bool = False,
                     metrics: bool = False,
@@ -361,9 +362,16 @@ class CampaignSpec:
         }
 
     def digest(self) -> str:
-        """sha256 of the canonicalized spec (for report provenance)."""
+        """sha256 of the canonicalized spec (for report provenance).
+
+        ``runner.jobs`` is left out: how many processes ran a campaign
+        is not what it computes, so the report's bytes do not depend
+        on it.
+        """
+        document = self.to_dict()
+        del document["runner"]["jobs"]
         return hashlib.sha256(
-            _canonical_json(self.to_dict()).encode()).hexdigest()
+            _canonical_json(document).encode()).hexdigest()
 
     def runner_kwargs(self) -> Dict:
         """This spec as ``run_all_detailed`` keyword arguments.

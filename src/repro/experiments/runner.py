@@ -12,10 +12,13 @@ recorded in the output's ``_meta.only`` so a results file always says
 what produced it.
 
 Experiments are independent simulations (each seeds its own RNG), so
-``--jobs N`` fans them out over a process pool; the output is identical
-to a serial run apart from the recorded wall times.  The document's
-``_meta`` section carries per-experiment wall time, the job count, and
-the list of failed experiments; the CLI exits non-zero if any
+they run in-process until the finished ones say a fork pool pays, and
+the rest then fan out over every usable core; ``--jobs N`` caps the
+workers at N (``--jobs 1``: always in-process).  The output is
+identical to a serial run apart from the recorded wall times.  The
+document's ``_meta`` section carries per-experiment wall time, the
+requested ``jobs``, the ``workers`` actually used (1 = in-process),
+and the list of failed experiments; the CLI exits non-zero if any
 experiment raised, whether it ran in-process or in a worker.
 
 Supervised runs: ``--timeout SECONDS`` runs each experiment in its own
@@ -47,7 +50,7 @@ import functools
 import json
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 from repro.campaign.engine import ExecOptions, Job, execute_jobs
@@ -281,7 +284,7 @@ def run_all_detailed(
     quick: bool = True,
     only=None,
     progress=print,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     collect_metrics: bool = False,
     fault_spec=None,
     verify: bool = False,
@@ -294,7 +297,8 @@ def run_all_detailed(
     ``results`` is ``{experiment: result-or-error-dict}`` in registry
     order regardless of worker completion order.  ``meta`` carries
     ``wall_times_s``, ``errors`` (names of failed experiments, tracked
-    structurally from the worker's ok flag), ``jobs`` and
+    structurally from the worker's ok flag), ``jobs``, ``workers``
+    (the processes actually used at once; 1 = in-process) and
     ``total_wall_s``.  With ``collect_metrics``, every experiment runs
     with the observability registry attached and ``meta`` additionally
     carries ``metrics_snapshots``: ``{experiment: [snapshot, ...]}``
@@ -308,10 +312,11 @@ def run_all_detailed(
     With ``verify``, every network gets a live invariant engine and
     ``meta`` carries ``invariant_violations`` (only the experiments
     that violated).  ``timeout`` switches to supervised mode: each
-    experiment runs in its own watched process (up to ``jobs`` at a
-    time); hung workers are killed at the deadline and recorded as
-    failures, crashed workers are retried ``retries`` times with
-    ``retry_backoff``-seconds exponential backoff.
+    experiment runs in its own watched process (up to ``jobs``, by
+    default every usable core, at a time); hung workers are killed at
+    the deadline and recorded as failures, crashed workers are retried
+    ``retries`` times with ``retry_backoff``-seconds exponential
+    backoff.
 
     A ``KeyboardInterrupt`` in any mode stops cleanly: the returned
     ``results`` hold every experiment that finished, and
@@ -347,7 +352,7 @@ def run_all_detailed(
             errors.append(name)
 
     options = ExecOptions(
-        jobs=max(1, jobs),
+        jobs=jobs,
         collect_metrics=collect_metrics,
         fault_spec=fault_spec,
         verify=verify,
@@ -356,7 +361,7 @@ def run_all_detailed(
         retry_backoff=retry_backoff,
     )
     t0 = time.perf_counter()
-    _, interrupted = execute_jobs(
+    _, interrupted, workers = execute_jobs(
         [Job.build(key=name, experiment=name, quick=quick)
          for name in names],
         options, _registry_resolver, progress=progress,
@@ -366,6 +371,7 @@ def run_all_detailed(
     meta = {
         "quick": quick,
         "jobs": jobs,
+        "workers": workers,
         #: the resolved --only selection in registry order (None = all)
         "only": names if selection is not None else None,
         "wall_times_s": {name: round(wall_times[name], 3)
@@ -403,10 +409,12 @@ def main(argv=None) -> int:
                              "comma-separated; see --list)")
     parser.add_argument("--list", action="store_true",
                         help="print the experiment registry and exit")
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes (experiments are "
-                             "independent; results are identical to a "
-                             "serial run apart from wall times)")
+    parser.add_argument("-j", "--jobs", type=int, default=None,
+                        help="most worker processes (default: every "
+                             "usable core, once the finished runs say a "
+                             "fork pool pays; 1 = in-process).  Results "
+                             "are identical to a serial run apart from "
+                             "wall times")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="also run with the observability registry "
                              "attached and write per-experiment metrics "
@@ -442,7 +450,7 @@ def main(argv=None) -> int:
         for name in DEFAULT_CATALOG.names():
             print(name)
         return 0
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.only is not None and not [
             n for item in args.only

@@ -29,7 +29,9 @@ from repro.campaign import (
     resolve_selection,
     run_campaign,
 )
+from repro.campaign import engine
 from repro.campaign.stats import _auto_metrics, aggregate_cell
+from repro.sim import metrics as metrics_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -75,6 +77,26 @@ def slow_cell(quick, x=0, seed=0):
     del quick
     time.sleep(0.02)
     return {"value": 3 * x + seed}
+
+
+def napping_cell(quick, nap=0.06, seed=0):
+    """A cell whose wall time is a ``nap`` of sleep."""
+    del quick
+    time.sleep(nap)
+    return {"value": seed}
+
+
+#: set once ``cold_start_cell`` has paid its start-up in this process
+_WARM = []
+
+
+def cold_start_cell(quick, seed=0):
+    """Cheap, but its first call in a process pays 10 ms of start-up."""
+    del quick
+    if not _WARM:
+        _WARM.append(True)
+        time.sleep(0.01)
+    return {"value": seed}
 
 
 def make_catalog():
@@ -678,6 +700,149 @@ class TestCaching:
 
 
 # ----------------------------------------------------------------------
+# execution: misses run in-process until a fork pool pays
+# ----------------------------------------------------------------------
+
+#: after its 60 ms first run two runs are left, 120 ms > the 0.1 s
+#: break-even: only a cap of 1 keeps this campaign in-process
+_PAYS_AFTER_ONE = {"name": "pays-after-one", "experiments": ["napping_cell"],
+                   "grid": {"nap": [0.06, 0.0, 0.001]}}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Four usable cores whatever the host, and the size of every fork
+    pool the engine opens."""
+    opened = []
+    real = engine._open_pool
+
+    def counting(workers):
+        opened.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(engine, "_open_pool", counting)
+    return opened
+
+
+def _nap_catalog():
+    return ExperimentCatalog({"napping_cell": napping_cell,
+                              "linear_cell": linear_cell})
+
+
+def _run_in_daemon(spec, queue):
+    try:
+        report = run_quiet(spec, catalog=_nap_catalog())
+        queue.put((report.execution["workers"], report.execution["errors"]))
+    except Exception as exc:  # e.g. a daemon refused a pool's children
+        queue.put(repr(exc))
+
+
+class TestFanOut:
+    def test_cheap_campaign_never_forks(self, pools):
+        report = run_quiet({"experiments": ["linear_cell"],
+                            "seeds": {"count": 200}},
+                           catalog=_nap_catalog())
+        assert report.execution["executed"] == 200
+        assert pools == [] and report.execution["workers"] == 1
+
+    def test_one_off_slow_start_is_not_judged_alone(self, pools):
+        """10 ms x 199 runs left would pass the break-even; but the
+        first run is cheaper than a pool, so a second is awaited, and
+        the runs after the first never add up to a pool's cost."""
+        _WARM.clear()
+        report = run_quiet({"experiments": ["cold_start_cell"],
+                            "seeds": {"count": 200}},
+                           catalog=ExperimentCatalog(
+                               {"cold_start_cell": cold_start_cell}))
+        assert _WARM and report.execution["executed"] == 200
+        assert pools == [] and report.execution["workers"] == 1
+
+    def test_slow_campaign_forks_after_its_first_run(self, pools):
+        lines = []
+        report = run_campaign({"experiments": ["napping_cell"],
+                               "seeds": {"count": 4}},
+                              catalog=_nap_catalog(), progress=lines.append)
+        assert pools == [3]  # min(cap 4, 3 runs left)
+        assert report.execution["workers"] == 3
+        assert sum("running" in line for line in lines) == 1
+        assert not report.execution["errors"]
+        assert [c.seeds for c in report.cells] == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("guard", ["jobs-1", "metrics-armed"])
+    def test_guards_never_fork(self, pools, guard):
+        spec = dict(_PAYS_AFTER_ONE)
+        if guard == "jobs-1":
+            spec["runner"] = {"jobs": 1}
+        else:
+            metrics_mod.auto_attach(True)
+        try:
+            report = run_quiet(spec, catalog=_nap_catalog())
+        finally:
+            metrics_mod.auto_attach(False)
+        assert pools == [] and report.execution["workers"] == 1
+        assert report.execution["executed"] == 3
+
+    def test_daemonic_parent_never_forks(self, pools):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_run_in_daemon,
+                            args=(dict(_PAYS_AFTER_ONE), queue), daemon=True)
+        child.start()
+        result = queue.get(timeout=30)
+        child.join(timeout=30)
+        assert result == (1, {})
+        assert not child.is_alive()
+
+    def test_no_pool_on_the_host_runs_the_rest_here(self, pools,
+                                                     monkeypatch):
+        import multiprocessing
+
+        def no_semaphores(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_semaphores)
+        report = run_quiet(dict(_PAYS_AFTER_ONE), catalog=_nap_catalog())
+        assert pools == [2]
+        assert report.execution["workers"] == 1
+        assert report.execution["executed"] == 3
+        assert not report.execution["errors"]
+
+    def test_supervised_runs_with_the_default_cap(self):
+        report = run_quiet({"experiments": ["linear_cell"],
+                            "seeds": [0, 1],
+                            "runner": {"timeout_s": 30.0}},
+                           catalog=make_catalog())
+        assert report.execution["errors"] == {}
+        assert report.execution["completed"] == 2
+        assert report.execution["workers"] == min(
+            2, len(os.sched_getaffinity(0)))
+
+    def test_report_bytes_do_not_depend_on_scheduling(self, monkeypatch):
+        """A 2 x 2 grid of real bulk cells serializes the same at jobs 1,
+        the default and 2; the break-even is zeroed so that every run
+        after the first fans out wherever the cap allows it."""
+        monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
+        monkeypatch.setattr(engine, "POOL_BREAK_EVEN_S", 0.0)
+        spec = {"name": "scheduling", "experiments": ["single_hop_cell"],
+                "grid": {"frames": [1, 3], "duration": [1.0]},
+                "seeds": [0, 1]}
+        reports = {jobs: run_quiet(dict(spec, runner={"jobs": jobs}))
+                   for jobs in (1, None, 2)}
+        assert reports[1].execution["workers"] == 1
+        assert reports[2].execution["workers"] == 2
+        assert reports[None].execution["workers"] == min(
+            3, len(os.sched_getaffinity(0)))
+        first = reports[1].to_json()
+        for jobs in (None, 2):
+            assert not reports[jobs].execution["errors"]
+            assert reports[jobs].to_json() == first, jobs
+
+
+# ----------------------------------------------------------------------
 # statistics
 # ----------------------------------------------------------------------
 
@@ -803,21 +968,21 @@ class TestReport:
         assert (value["n"], value["discarded_warmup"],
                 value["discarded_outliers"]) == (4, 1, 1)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "a5a0312d130a6bf576a395300bfcd90c"
-            "46241edef36de5142e73243fb5d06ae4")
+            "089e15cd126716ffeedad1f185a584e0"
+            "fab4e8d8f6807541dea109e1b0b6a11a")
 
     @pytest.mark.parametrize("spec, catalog, sha", [
         ({"name": "lone", "experiments": ["ayadi_energy"],
           "grid": {"frames": [1, 3, 5], "frame_loss": [0.02, 0.1]}},
          None,
-         "749efb3f94c8c19ab09747d2dc3713c7"
-         "b24792b8e0285caa6d2b72e0e17cfbd2"),
+         "4385557667de4b26e6f353aff0c9c3ec"
+         "9425c6cd2f5667960e59e915fc13bbad"),
         ({"name": "lone-named", "experiments": ["tagged_cell"],
           "grid": {"tag": ["", "ab"], "x": [-2, 7]}, "seeds": [3],
           "stats": {"metrics": ["value", "missing", "odd", "tag_len"]}},
          ExperimentCatalog({"tagged_cell": tagged_cell}),
-         "239f198e4a1ef0e73cd5f70f18ac9301"
-         "4e41f9bb283b759c8c5db562195d20b1"),
+         "9ced010dc4ab11497824d526dbe7f09b"
+         "b4ee1adb72ed386029f3cc283daac553"),
     ], ids=["auto-metrics", "named-metrics"])
     def test_lone_sample_report_bytes_are_pinned(self, tmp_path, spec,
                                                  catalog, sha):

@@ -93,7 +93,8 @@ class TestRunner:
         subset = ["static_tables", "eq2_validation", "sec72_hops"]
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        assert main(["--quick", "-o", str(serial), "--only", *subset]) == 0
+        assert main(["--quick", "-o", str(serial), "--only", *subset,
+                     "--jobs", "1"]) == 0
         assert main(["--quick", "-o", str(parallel), "--only", *subset,
                      "--jobs", "4"]) == 0
         a = json.loads(serial.read_text())

@@ -81,13 +81,13 @@ EVERY_KIND_PIN = '{"name":"every-kind","faults":' + _EVERY_KIND_FAULTS + '}'
 SMOKE_PIN = (
     '{"name":"campaign-smoke","experiments":["ayadi_energy"],'
     '"quick":true,"grid":{"frames":[3,6],"frame_loss":[0.05,0.1],'
-    '"window":[2,4]},"seeds":[0],"faults":null,"runner":{"jobs":1,'
+    '"window":[2,4]},"seeds":[0],"faults":null,"runner":{"jobs":null,'
     '"timeout_s":null,"retries":0,"retry_backoff_s":2.0,"verify":false,'
     '"metrics":false},"stats":{"confidence":0.95,"method":"t",'
     '"warmup":0,"outlier_iqr":null,"bootstrap_samples":1000,'
     '"metrics":null}}')
 SMOKE_DIGEST = \
-    "8af550489402602c843d42e795ae3db5c8f27cb7741c2a44d3778e994db6a870"
+    "153946d48ab11f0828780fc98c247f187c2d6ae9f67510aa4e6c51e498b7daf2"
 FULL_PIN = (
     '{"name":"full","experiments":["ayadi_energy"],"quick":false,'
     '"grid":{"frame_loss":[0.05,0.1],"window":[2,4]},"seeds":[5,6,7],'
@@ -97,7 +97,7 @@ FULL_PIN = (
     '"method":"bootstrap","warmup":1,"outlier_iqr":1.5,'
     '"bootstrap_samples":200,"metrics":["energy_per_byte"]}}')
 FULL_DIGEST = \
-    "66ccf8dace2569aeac35a8d06788632bf0b6df998dd84914551b9e9a559cf619"
+    "e4ff76e089c92299b5a03a771fa709ef1208f45f8e74d4b471e4ca573f4f2cdd"
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 

@@ -34,7 +34,11 @@ Modes
   reopens the store, and must see exactly that one miss and the same
   bytes again.  Exits non-zero on any other miss, re-execution, or
   byte drift.
-* ``--jobs N``: override the spec's ``runner.jobs`` fan-out.
+* ``--jobs N``: override the spec's ``runner.jobs``, the most worker
+  processes.  Unset (the default), misses run in-process until the
+  finished ones say a fork pool pays, then fan out over every usable
+  core; ``--jobs 1`` keeps every run in-process.  The summary line
+  says how many workers ran.
 """
 
 from __future__ import annotations
@@ -161,7 +165,10 @@ def main(argv=None) -> int:
     parser.add_argument("--jsonl", default=None, metavar="PATH",
                         help="write the per-run/per-cell JSONL export")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="override the spec's runner.jobs")
+                        help="override the spec's runner.jobs: the "
+                             "most worker processes (default: every "
+                             "usable core, once the finished runs say "
+                             "a fork pool pays; 1 = in-process)")
     parser.add_argument("--dry-run", action="store_true",
                         help="print the expansion plan and cost estimate "
                              "without executing")
@@ -221,8 +228,8 @@ def main(argv=None) -> int:
     _print_report(report, grid=args.grid)
     ex = report.execution
     print(f"{ex['runs']} runs: {ex['cache_hits']} cached, "
-          f"{ex['executed']} executed, {len(ex['errors'])} failed, "
-          f"{ex['wall_s']:.1f}s wall")
+          f"{ex['executed']} executed on {ex['workers']} worker(s), "
+          f"{len(ex['errors'])} failed, {ex['wall_s']:.1f}s wall")
     if args.report:
         report.save(args.report)
         print(f"wrote {args.report}")
