@@ -67,22 +67,19 @@ and the loadgen drivers :func:`run_tcp_loadgen` /
 p50/p95/p99 latency plus shed/corrupt counts.  See
 ``docs/architecture.md`` §10.
 
-**Experiments** — :func:`run_experiments` runs the paper's experiment
-registry (all of it, or a named subset) and returns ``(results,
-meta)`` exactly like ``python -m repro.experiments.runner`` would
-write to JSON.
-
-**Campaigns** — the declarative sweep layer (see docs/campaigns.md):
+**Campaigns** — the one way to run the paper's experiments, declared
+as sweeps (see docs/campaigns.md):
 :class:`~repro.campaign.spec.CampaignSpec` (validated JSON/dict
-declaring experiments × parameter grid × seeds × faults × kernel
-knobs), :func:`run_campaign` / :func:`load_campaign` (execute a spec —
+declaring experiments × parameter grid × seeds × faults, and how
+to run them), :func:`run_campaign` / :func:`load_campaign` (execute a spec —
 or only its uncached delta, against a content-addressed
 :class:`~repro.campaign.store.ResultStore` — and return a
 :class:`~repro.campaign.report.CampaignReport` with per-cell
 repetition statistics), :class:`~repro.campaign.catalog
 .ExperimentCatalog` / :func:`default_catalog` (the experiment registry
-as an object), and :class:`~repro.campaign.spec.RunSpec` (the
-content-addressed unit of execution).
+as an object; a spec with no ``experiments`` runs all of it), and
+:class:`~repro.campaign.spec.RunSpec` (the content-addressed unit of
+execution).
 """
 
 from __future__ import annotations
@@ -151,38 +148,13 @@ from repro.sim.rng import RngStreams
 from repro.verify import InvariantEngine
 
 
-def run_experiments(quick: bool = True, only=None, jobs=None,
-                    progress=print, collect_metrics: bool = False,
-                    fault_spec=None, verify: bool = False,
-                    timeout: float = None, retries: int = 0,
-                    retry_backoff: float = 2.0):
-    """Run the paper's experiment registry; returns ``(results, meta)``.
-
-    A thin programmatic wrapper over
-    :func:`repro.experiments.runner.run_all_detailed` (imported lazily —
-    the runner pulls in every experiment module).  ``only`` is an
-    iterable of registry names (see ``runner --list``); ``meta``
-    records per-experiment wall times, failures, and the selection.
-    ``jobs`` caps the worker processes (None: every usable core).
-    ``verify`` attaches the live invariant engine; ``timeout`` runs
-    each experiment under a watchdog (see docs/robustness.md).
-    """
-    from repro.experiments.runner import run_all_detailed
-
-    return run_all_detailed(quick=quick, only=only, progress=progress,
-                            jobs=jobs, collect_metrics=collect_metrics,
-                            fault_spec=fault_spec, verify=verify,
-                            timeout=timeout, retries=retries,
-                            retry_backoff=retry_backoff)
-
-
 def default_catalog():
     """The process-wide default experiment catalog.
 
     A lazy wrapper over
-    :func:`repro.experiments.runner.default_catalog` (the runner pulls
-    in every experiment module, so importing it is deferred until a
-    campaign actually needs the built-in experiments).
+    :func:`repro.experiments.runner.default_catalog` (the catalog
+    imports every experiment module, so importing it is deferred until
+    a campaign actually needs the built-in experiments).
     """
     from repro.experiments.runner import default_catalog as _dc
 
@@ -244,8 +216,6 @@ __all__ = [
     "install_sink",
     "run_tcp_loadgen",
     "run_udp_loadgen",
-    # experiments
-    "run_experiments",
     # campaigns
     "CampaignReport",
     "CampaignSpec",

@@ -32,9 +32,7 @@ See docs/campaigns.md for the full schema and caching contract.
 """
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
-from repro.campaign.engine import (CatalogResolver, ExecOptions, Job,
-                                   execute_jobs, load_campaign,
-                                   plan_campaign, run_campaign)
+from repro.campaign.engine import load_campaign, plan_campaign, run_campaign
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate, bootstrap_ci
@@ -43,17 +41,13 @@ from repro.campaign.store import ResultStore, code_salt
 __all__ = [
     "CampaignReport",
     "CampaignSpec",
-    "CatalogResolver",
     "CellResult",
-    "ExecOptions",
     "ExperimentCatalog",
-    "Job",
     "ResultStore",
     "RunSpec",
     "aggregate",
     "bootstrap_ci",
     "code_salt",
-    "execute_jobs",
     "load_campaign",
     "plan_campaign",
     "resolve_selection",

@@ -11,10 +11,10 @@ Factories must be importable module-level callables (or
 ``functools.partial`` over them) so supervised and pooled runs can
 dispatch them to worker processes.
 
-:func:`resolve_selection` is the one name-resolver shared by the
-runner CLI (``--only``), the programmatic API (``only=``), and
-``CampaignSpec`` — comma- and space-separated forms both work
-everywhere, and unknown names fail with close-match suggestions.
+:func:`resolve_selection` is the one name-resolver for experiment
+selections (``CampaignSpec.expand``, :meth:`ExperimentCatalog.get`):
+comma- and space-separated forms both work, and unknown names fail
+with close-match suggestions.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ def resolve_selection(
     ``selection`` may be ``None`` (meaning "everything"; returns
     ``None``), a single string, or an iterable of strings; every
     string may itself be comma- or whitespace-separated
-    (``"a,b"``, ``"a b"``, ``["a", "b,c"]`` are all accepted — the
-    CLI's and the API's historical splitting rules, unified).  The
+    (``"a,b"``, ``"a b"``, ``["a", "b,c"]`` are all accepted).  The
     result preserves first-mention order and drops duplicates.
 
     Unknown names raise ``ValueError`` listing close matches (and the
-    full catalog), so a typo'd ``--only fig9_los`` says "did you mean
+    full catalog), so a typo'd ``fig9_los`` says "did you mean
     'fig9_loss'?" instead of dumping a wall of names.
     """
     if selection is None:

@@ -1,20 +1,18 @@
-"""Campaign execution engine: the one backend every entry point uses.
+"""Campaign execution engine: :func:`run_campaign` and what runs it.
 
-:func:`execute_jobs` is the generalized run machinery that used to
-live inside ``repro.experiments.runner`` — one loop that runs
-in-process until the measured runs say a fork pool pays (up to
-``jobs`` workers, every usable core by default), and a supervised mode
-(watchdog ``timeout`` + crash ``retries``), with per-run metrics
-capture, fault injection and live invariant verification.  ``runner.run_all_detailed`` now delegates
-here with the legacy registry resolver; :func:`run_campaign` drives
-the same machinery over a :class:`~repro.campaign.spec.CampaignSpec`
-expansion with content-addressed caching and repetition statistics
-on top.
+:func:`run_campaign` expands a :class:`~repro.campaign.spec.CampaignSpec`,
+answers every run it can from a content-addressed
+:class:`~repro.campaign.store.ResultStore`, executes the misses, and
+aggregates repetition statistics into a
+:class:`~repro.campaign.report.CampaignReport`.
 
-A *resolver* maps ``(experiment, quick, params)`` to a zero-argument
-callable; it must be a picklable module-level callable (or an
-instance of a picklable class) because pool and supervised modes
-dispatch it to worker processes.
+The misses go through :func:`_execute_jobs`: in-process until the
+measured runs say a fork pool pays (up to ``runner.jobs`` workers,
+every usable core by default), or, with ``runner.timeout_s``, each in
+a watched process (watchdog deadline + crash ``retries``).  Every run
+can carry per-run metrics capture (``runner.metrics``), fault injection
+(``faults``) and live invariant verification (``runner.verify``); a run
+with a violation fails.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog
@@ -32,38 +29,6 @@ from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate_cell
 from repro.campaign.store import ResultStore, code_salt
-
-
-@dataclass(frozen=True)
-class Job:
-    """One unit of work: run ``experiment`` with ``params``."""
-
-    key: str            # stable identity in records (run_id / name)
-    experiment: str
-    quick: bool = True
-    params: tuple = ()  # sorted ((name, value), ...), picklable
-    label: str = ""     # progress-line display; defaults to the key
-
-    @classmethod
-    def build(cls, key: str, experiment: str, quick: bool,
-              params: Optional[Dict] = None, label: str = "") -> "Job":
-        return cls(key=key, experiment=experiment, quick=quick,
-                   params=tuple(sorted((params or {}).items())),
-                   label=label)
-
-
-@dataclass
-class ExecOptions:
-    """Execution knobs, mirroring the legacy runner flags."""
-
-    jobs: Optional[int] = None  # ceiling on workers; None = every core
-    collect_metrics: bool = False
-    fault_spec: Optional[Dict] = None
-    verify: bool = False
-    timeout: Optional[float] = None
-    retries: int = 0
-    retry_backoff: float = 2.0
-
 
 #: what starting and stopping a fork pool costs: 11-25 ms for two
 #: workers on a 2-core x86-64 host under Python 3.11 (``Pool(2)``, two
@@ -74,37 +39,41 @@ POOL_COST_S = 0.025
 #: its own cost
 POOL_BREAK_EVEN_S = 4 * POOL_COST_S
 
+#: one unit of work: (run id, progress label, the factory call with
+#: its arguments bound); picklable while the factory is module-level
+Job = Tuple[str, str, Callable[[], object]]
 
-#: record tuple: (key, result, wall_s, ok, metrics_snapshots,
-#: fault_summaries, violations) — the shape ``runner._run_one``
-#: documented, keyed by job key instead of experiment name
+#: record tuple: (run id, result, wall_s, ok, metrics_snapshots,
+#: fault_injections, violations)
 Record = Tuple[str, object, float, bool, object, object, object]
 
+#: the stored-record fields that carry a run's extras
+EXTRAS = ("metrics_snapshots", "fault_injections", "violations")
 
-def _run_job(job: Job, resolver: Callable, collect_metrics: bool = False,
-            fault_spec=None, verify: bool = False) -> Record:
+
+def _run_job(job: Job, metrics: bool, faults: Optional[Dict],
+             verify: bool) -> Record:
     """Run one job; never raises (broken runs become error records).
 
-    Module-level so pools can dispatch it.  ``resolver(experiment,
-    quick, params_dict)`` produces the runnable; metrics auto-attach,
-    fault auto-injection and live verification wrap the call exactly
-    as the legacy runner did, so every entry point gets identical
-    semantics.
+    Module-level so pools can dispatch it.  ``metrics``, ``faults``
+    and ``verify`` arm the process-wide collectors around the call; a
+    run whose networks violated an invariant fails, and its error
+    names the count and the first violation.
     """
     from repro import faults as faults_mod
     from repro import verify as verify_mod
     from repro.sim import metrics as metrics_mod
 
+    key, _label, call = job
     start = time.perf_counter()
-    if collect_metrics:
+    if metrics:
         metrics_mod.auto_attach(True)
-    if fault_spec is not None:
-        faults_mod.auto_inject(fault_spec)
+    if faults is not None:
+        faults_mod.auto_inject(faults)
     if verify:
         verify_mod.auto_verify(0.5)
     try:
-        fn = resolver(job.experiment, job.quick, dict(job.params))
-        result = fn()
+        result = call()
         ok = True
     except KeyboardInterrupt:
         raise
@@ -112,14 +81,14 @@ def _run_job(job: Job, resolver: Callable, collect_metrics: bool = False,
         result = {"error": f"{type(exc).__name__}: {exc}"}
         ok = False
     snaps = None
-    if collect_metrics:
+    if metrics:
         snaps = [
             registry.snapshot()
             for registry, _bus in metrics_mod.drain_attached()
         ]
         metrics_mod.auto_attach(False)
     fault_summaries = None
-    if fault_spec is not None:
+    if faults is not None:
         fault_summaries = [
             inj.summary() for inj in faults_mod.drain_auto()
         ]
@@ -132,47 +101,53 @@ def _run_job(job: Job, resolver: Callable, collect_metrics: bool = False,
             for v in engine.violations
         ]
         verify_mod.auto_verify(None)
-    return (job.key, result, time.perf_counter() - start, ok, snaps,
+        if violations and ok:
+            first = violations[0]
+            result = {"error": f"{len(violations)} invariant "
+                               f"violation(s), first {first['probe']}: "
+                               f"{first['detail']}"}
+            ok = False
+    return (key, result, time.perf_counter() - start, ok, snaps,
             fault_summaries, violations)
 
 
-def _supervised_entry(job: Job, resolver, collect_metrics, fault_spec,
-                      verify, queue) -> None:
+def _supervised_entry(run: Callable[[Job], Record], job: Job,
+                      queue) -> None:
     """Worker-process entry point for supervised runs."""
-    queue.put(_run_job(job, resolver, collect_metrics=collect_metrics,
-                      fault_spec=fault_spec, verify=verify))
+    queue.put(run(job))
 
 
 def _run_supervised(
-    jobs: List[Job], cap: int, options: ExecOptions, resolver, progress,
-    on_record,
-) -> Tuple[List[Record], bool]:
-    """Run each job in a watched process, ``cap`` at a time.
+    jobs: List[Job], cap: int, runner: Dict, run, progress, on_record,
+) -> bool:
+    """Run each job in a watched process, ``cap`` at a time; returns
+    whether Ctrl-C cut it short.
 
-    Returns ``(records, interrupted)``.  A worker that exceeds the
-    wall-clock ``timeout`` is terminated and recorded as a failure
-    (timeouts are not retried — a hung run would hang again); a
-    worker that *crashes* (dies without posting a result) is retried
-    up to ``retries`` times with exponential backoff.  Ctrl-C
-    terminates the in-flight workers and returns what completed.
+    A worker that exceeds the wall-clock ``runner.timeout_s`` is
+    terminated and recorded as a failure (timeouts are not retried — a
+    hung run would hang again); a worker that *crashes* (dies without
+    posting a result) is retried up to ``runner.retries`` times with
+    exponential backoff from ``runner.retry_backoff_s``.  Ctrl-C
+    terminates the in-flight workers.
     """
     import multiprocessing  # only the supervised and pool paths fork
 
     ctx = multiprocessing.get_context("fork")
-    timeout = options.timeout
-    by_key = {j.key: j for j in jobs}
-    disp = {j.key: (j.label or j.key) for j in jobs}
+    timeout = runner["timeout_s"]
+    by_key = {job[0]: job for job in jobs}
     pending: List[Tuple[str, int, float]] = [
-        (j.key, 0, 0.0) for j in reversed(jobs)
+        (job[0], 0, 0.0) for job in reversed(jobs)
     ]  # (key, attempt, not_before_monotonic); stack, submission order
     active: Dict[str, Tuple] = {}  # key -> (proc, queue, deadline, attempt)
-    done: List[Record] = []
 
     def _finish(record: Record) -> None:
-        done.append(record)
         on_record(record)
+        progress(f"[{by_key[record[0]][1]}] done in {record[2]:.1f}s")
 
-    interrupted = False
+    def _fail(key: str, error: str) -> None:
+        on_record((key, {"error": error}, timeout, False, None, None, None))
+        progress(f"[{by_key[key][1]}] FAILED ({error})")
+
     try:
         while pending or active:
             now = time.monotonic()
@@ -182,16 +157,13 @@ def _run_supervised(
             while launchable and len(active) < cap:
                 key, attempt, _ = pending.pop(launchable.pop())
                 q = ctx.Queue()
-                proc = ctx.Process(
-                    target=_supervised_entry,
-                    args=(by_key[key], resolver, options.collect_metrics,
-                          options.fault_spec, options.verify, q),
-                )
+                proc = ctx.Process(target=_supervised_entry,
+                                   args=(run, by_key[key], q))
                 proc.start()
                 active[key] = (proc, q, time.monotonic() + timeout,
                                attempt)
                 label = f" (retry {attempt})" if attempt else ""
-                progress(f"[{disp[key]}] running{label} ...")
+                progress(f"[{by_key[key][1]}] running{label} ...")
             for key in list(active):
                 proc, q, deadline, attempt = active[key]
                 if not q.empty():
@@ -199,50 +171,41 @@ def _run_supervised(
                     _finish(q.get())
                     proc.join()
                     del active[key]
-                    progress(f"[{disp[key]}] done in {done[-1][2]:.1f}s")
                 elif not proc.is_alive():
                     # died without posting: one last racy-queue check
                     try:
                         _finish(q.get(timeout=0.5))
                         del active[key]
-                        progress(f"[{disp[key]}] done in {done[-1][2]:.1f}s")
                         continue
                     except Exception:
                         pass
                     del active[key]
-                    if attempt < options.retries:
-                        backoff = options.retry_backoff * (2 ** attempt)
-                        progress(f"[{disp[key]}] worker crashed "
+                    if attempt < runner["retries"]:
+                        backoff = runner["retry_backoff_s"] * (2 ** attempt)
+                        progress(f"[{by_key[key][1]}] worker crashed "
                                  f"(exit {proc.exitcode}); retrying in "
                                  f"{backoff:.1f}s")
                         pending.append(
                             (key, attempt + 1,
                              time.monotonic() + backoff))
                     else:
-                        _finish((key, {
-                            "error": f"worker crashed with exit code "
-                                     f"{proc.exitcode} after "
-                                     f"{attempt + 1} attempt(s)"},
-                            timeout, False, None, None, None))
-                        progress(f"[{disp[key]}] FAILED (crash)")
+                        _fail(key, f"worker crashed with exit code "
+                                   f"{proc.exitcode} after "
+                                   f"{attempt + 1} attempt(s)")
                 elif time.monotonic() > deadline:
                     proc.terminate()
                     proc.join()
                     del active[key]
-                    _finish((key, {
-                        "error": f"watchdog timeout after {timeout:.1f}s"},
-                        timeout, False, None, None, None))
-                    progress(f"[{disp[key]}] FAILED (watchdog timeout "
-                             f"after {timeout:.1f}s)")
+                    _fail(key, f"watchdog timeout after {timeout:.1f}s")
             if pending or active:
                 time.sleep(0.05)
     except KeyboardInterrupt:
-        interrupted = True
         for key, (proc, _q, _deadline, _attempt) in active.items():
             proc.terminate()
             proc.join()
-            progress(f"[{disp[key]}] interrupted")
-    return done, interrupted
+            progress(f"[{by_key[key][1]}] interrupted")
+        return True
+    return False
 
 
 def _worker_cap(jobs: Optional[int]) -> int:
@@ -301,44 +264,36 @@ def _open_pool(workers: int):
         return None
 
 
-def execute_jobs(
+def _execute_jobs(
     jobs: List[Job],
-    options: ExecOptions,
-    resolver: Callable,
-    progress=print,
-    on_record: Optional[Callable[[Record], None]] = None,
-) -> Tuple[List[Record], bool, int]:
-    """Run ``jobs`` under ``options``.
+    runner: Dict,
+    faults: Optional[Dict],
+    progress,
+    on_record: Callable[[Record], None],
+) -> Tuple[bool, int]:
+    """Run ``jobs`` under a spec's validated ``runner`` block and
+    ``faults``; returns ``(interrupted, workers)``, where ``workers``
+    is how many processes ran the jobs at once (1 in-process).
 
-    Returns ``(records, interrupted, workers)``: ``workers`` is how
-    many processes ran the jobs at once — 1 in-process (or one watched
-    process at a time), 0 when there were no jobs.
-
-    ``timeout`` set → each job in a watched process, up to
+    ``runner.timeout_s`` set → each job in a watched process, up to
     :func:`_worker_cap` at a time.  Otherwise the jobs run in-process,
     in order, until the runs so far say the rest pay for a fork pool
     (:func:`_pool_pays`); the rest then fan out over ``min(cap, left)``
-    workers.  ``on_record`` fires in the parent as each record lands
-    (the campaign cache writes through it), in completion order; the
-    returned list is also completion-ordered.
+    workers.  ``on_record`` fires in the parent as each record lands,
+    in completion order.
     """
-    on_record = on_record or (lambda record: None)
-    cap = _worker_cap(options.jobs)
-    if options.timeout is not None:
-        records, interrupted = _run_supervised(
-            jobs, cap, options, resolver, progress, on_record)
-        return records, interrupted, min(cap, len(jobs))
-    disp = {j.key: (j.label or j.key) for j in jobs}
-    run = functools.partial(
-        _run_job, resolver=resolver,
-        collect_metrics=options.collect_metrics,
-        fault_spec=options.fault_spec, verify=options.verify)
-    records: List[Record] = []
+    cap = _worker_cap(runner["jobs"])
+    run = functools.partial(_run_job, metrics=runner["metrics"],
+                            faults=faults, verify=runner["verify"])
+    if runner["timeout_s"] is not None:
+        interrupted = _run_supervised(jobs, cap, runner, run, progress,
+                                      on_record)
+        return interrupted, min(cap, len(jobs))
+    labels = {key: label for key, label, _call in jobs}
 
     def land(record: Record) -> None:
-        records.append(record)
         on_record(record)
-        progress(f"[{disp[record[0]]}] done in {record[2]:.1f}s")
+        progress(f"[{labels[record[0]]}] done in {record[2]:.1f}s")
 
     first_s = spent = 0.0  # the first run's wall; the walls after it
     for index, job in enumerate(jobs):
@@ -353,21 +308,20 @@ def execute_jobs(
                 if pool is not None:
                     progress(f"[{left} runs left] fanning out over "
                              f"{workers} worker processes")
-                    interrupted = _fan_out(pool, run, jobs[index:], land)
-                    return records, interrupted, workers
+                    return _fan_out(pool, run, jobs[index:], land), workers
                 cap = 1  # no pool on this host: the rest run here
-        progress(f"[{disp[job.key]}] running ...")
+        progress(f"[{job[1]}] running ...")
         try:
             record = run(job)
         except KeyboardInterrupt:
-            progress(f"[{disp[job.key]}] interrupted")
-            return records, True, 1
+            progress(f"[{job[1]}] interrupted")
+            return True, 1
         if index:
             spent += record[2]
         else:
             first_s = record[2]
         land(record)
-    return records, False, 1 if jobs else 0
+    return False, 1
 
 
 def _fan_out(pool, run, jobs: List[Job], land) -> bool:
@@ -388,18 +342,6 @@ def _fan_out(pool, run, jobs: List[Job], land) -> bool:
 # ----------------------------------------------------------------------
 
 
-class CatalogResolver:
-    """Resolver over an :class:`ExperimentCatalog` (picklable as long
-    as the catalog's factories are module-level callables)."""
-
-    def __init__(self, catalog: ExperimentCatalog):
-        self.catalog = catalog
-
-    def __call__(self, experiment: str, quick: bool, params: Dict):
-        factory = self.catalog.get(experiment)
-        return functools.partial(factory, quick, **params)
-
-
 def _run_label(run: RunSpec) -> str:
     """Human progress label: ``experiment(params) seed=N``."""
     params = ", ".join(f"{k}={v}" for k, v in run.params)
@@ -413,6 +355,23 @@ def _default_catalog() -> ExperimentCatalog:
     from repro.experiments.runner import default_catalog
 
     return default_catalog()
+
+
+def _extras_asked(spec: CampaignSpec) -> Tuple[str, ...]:
+    """The :data:`EXTRAS` that ``spec`` asks of every run."""
+    asked = (spec.runner["metrics"], spec.faults is not None,
+             spec.runner["verify"])
+    return tuple(name for name, on in zip(EXTRAS, asked) if on)
+
+
+def _lacks(record: Dict, asked: Tuple[str, ...]) -> bool:
+    """Whether a stored ``record`` misses an extra the spec asks for.
+
+    The runner block is not part of a run's identity, so a record
+    stored without, say, verification is a miss for a campaign that
+    verifies.
+    """
+    return any(record.get(name) is None for name in asked)
 
 
 def load_campaign(path) -> CampaignSpec:
@@ -436,6 +395,7 @@ def plan_campaign(
     catalog = catalog or _default_catalog()
     runs = spec.expand(catalog)
     salt = store.salt if store is not None else None
+    asked = _extras_asked(spec)
     entries = []
     known_wall: Dict[str, List[float]] = {}
     for run in runs:
@@ -449,7 +409,7 @@ def plan_campaign(
             "experiment": run.experiment,
             "params": run.params_dict,
             "seed": run.seed,
-            "cached": record is not None,
+            "cached": record is not None and not _lacks(record, asked),
             "wall_s": wall,
         })
     estimated = 0.0
@@ -503,20 +463,14 @@ def run_campaign(
 
     t0 = time.perf_counter()
     run_ids = [run.run_id(salt) for run in runs]
-    options = ExecOptions(
-        jobs=spec.runner["jobs"],
-        collect_metrics=spec.runner["metrics"],
-        fault_spec=spec.faults,
-        verify=spec.runner["verify"],
-        timeout=spec.runner["timeout_s"],
-        retries=spec.runner["retries"],
-        retry_backoff=spec.runner["retry_backoff_s"],
-    )
+    asked = _extras_asked(spec)
     records, hits, misses, errors, interrupted, workers = _resolve_runs(
-        runs, run_ids, options, catalog, store, salt, progress,
-        spec.name or "campaign")
+        spec, runs, run_ids, asked, catalog, store, salt, progress)
 
     report = _build_report(spec, runs, run_ids, records, salt)
+    if asked:
+        report.run_extras = {run_id: record["extras"]
+                             for run_id, record in records.items()}
     report.execution = {
         "runs": len(runs),
         "cache_hits": hits,
@@ -534,27 +488,27 @@ def run_campaign(
 
 
 def _resolve_runs(
+    spec: CampaignSpec,
     runs: List[RunSpec],
     run_ids: List[str],
-    options: ExecOptions,
+    asked: Tuple[str, ...],
     catalog: ExperimentCatalog,
     store: Optional[ResultStore],
     salt: str,
     progress,
-    label: str,
 ) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool, int]:
     """Look each run up, execute the misses, save what succeeded.
 
     ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
-    caller.  Returns ``(records, hits, misses, errors, interrupted,
-    workers)``: ``records`` maps run id to ``{"ok", "result"}`` for
-    every run that was cached or has finished — all a report reads, so a hit drops the
-    rest of its stored record and a miss keeps only these two of what
-    it saves — ``misses`` counts the runs handed to
-    :func:`execute_jobs`, ``errors`` maps the failed ones to their
-    message, ``workers`` is :func:`execute_jobs`' own (0 with no
-    misses).  The ``label`` announces the hit/miss split before they
-    run.
+    caller; ``asked`` is :func:`_extras_asked` of ``spec``.  Returns
+    ``(records, hits, misses, errors, interrupted, workers)``:
+    ``records`` maps run id to ``{"ok", "result"}`` for every run that
+    was cached or has finished — all a report reads, so a hit drops
+    the rest of its stored record — plus ``"extras"``, the ``asked``
+    fields, when ``asked`` is not empty.  ``misses`` counts the runs
+    handed to :func:`_execute_jobs`, ``errors`` maps the failed ones
+    to their message, ``workers`` is :func:`_execute_jobs`' own (0
+    with no misses).
     """
     records: Dict[str, Dict] = {}
     missing: Dict[str, RunSpec] = {}
@@ -562,25 +516,31 @@ def _resolve_runs(
         if run_id in records or run_id in missing:
             continue  # identical runs collapse to one execution
         cached = store.load(run_id) if store is not None else None
-        if cached is not None:
+        if cached is not None and not (asked and _lacks(cached, asked)):
             records[run_id] = {"ok": True, "result": cached["result"]}
+            if asked:
+                records[run_id]["extras"] = {name: cached[name]
+                                             for name in asked}
         else:
             missing[run_id] = run
     hits = len(records)
     errors: Dict[str, str] = {}
     if not missing:
         return records, hits, 0, errors, False, 0
-    jobs = []
+    jobs: List[Job] = []
     for run_id, run in missing.items():
         accepted, var_kw = catalog.accepted_params(run.experiment)
-        jobs.append(Job.build(key=run_id, experiment=run.experiment,
-                              quick=run.quick,
-                              params=run.call_params(accepted, var_kw),
-                              label=_run_label(run)))
+        jobs.append((run_id, _run_label(run), functools.partial(
+            catalog.get(run.experiment), run.quick,
+            **run.call_params(accepted, var_kw))))
 
     def _on_record(record: Record) -> None:
         run_id, result, wall, ok, snaps, fsum, viol = record
         records[run_id] = {"ok": ok, "result": result}
+        if asked:
+            records[run_id]["extras"] = {
+                name: value for name, value in zip(EXTRAS, record[4:])
+                if name in asked}
         if not ok:
             errors[run_id] = _error_text(result)
         elif store is not None:
@@ -596,11 +556,10 @@ def _resolve_runs(
                 "salt": salt,
             })
 
-    progress(f"[{label}] {len(runs)} runs: {hits} cached, "
-             f"{len(jobs)} to execute")
-    _, interrupted, workers = execute_jobs(
-        jobs, options, CatalogResolver(catalog), progress=progress,
-        on_record=_on_record)
+    progress(f"[{spec.name or 'campaign'}] {len(runs)} runs: {hits} "
+             f"cached, {len(jobs)} to execute")
+    interrupted, workers = _execute_jobs(jobs, spec.runner, spec.faults,
+                                         progress, _on_record)
     return records, hits, len(jobs), errors, interrupted, workers
 
 

@@ -12,8 +12,9 @@ Three export surfaces:
 * :meth:`to_dict` / :meth:`to_json` — the canonical document, built
   from the report's own lists and dicts rather than copies of them (a
   caller that edits the document edits the report);
-* :meth:`write_jsonl` — one line per run (full result payload) then
-  one line per cell (aggregates), for downstream tooling;
+* :meth:`write_jsonl` — one line per run (full result payload, plus
+  the extras the spec asked for) then one line per cell (aggregates),
+  for downstream tooling;
 * :meth:`grid_table` — a plain-text grid of one metric over two axes,
   the shape the paper's figures tabulate.
 """
@@ -63,6 +64,10 @@ class CampaignReport:
     #: interruption, per-run errors) — excluded from the canonical
     #: document so cached re-runs reproduce it byte-identically
     execution: Dict = field(default_factory=dict)
+    #: run id -> the extras the spec asked every run for
+    #: (``metrics_snapshots``, ``fault_injections``, ``violations``);
+    #: empty when it asked for none.  Only :meth:`write_jsonl` reads it
+    run_extras: Dict[str, Dict] = field(default_factory=dict)
 
     # -- canonical document -------------------------------------------
 
@@ -96,8 +101,9 @@ class CampaignReport:
 
     def write_jsonl(self, path) -> int:
         """One ``{"kind": "run"}`` line per repetition (with its full
-        result payload), then one ``{"kind": "cell"}`` line per cell;
-        returns the number of lines written."""
+        result payload and its :attr:`run_extras`), then one
+        ``{"kind": "cell"}`` line per cell; returns the number of lines
+        written."""
         lines = 0
         with open(path, "w") as fh:
             for cell in self.cells:
@@ -110,6 +116,7 @@ class CampaignReport:
                         "seed": seed,
                         "run_id": run_id,
                         "result": result,
+                        **self.run_extras.get(run_id, {}),
                     }, sort_keys=True, default=str) + "\n")
                     lines += 1
             for cell in self.cells:

@@ -46,15 +46,15 @@ from repro.checks import check_block, check_fields, is_int
 #: seed list or the run list is built
 MAX_RUNS = 100_000
 
-#: runner-block defaults, mirroring ``runner.main()``'s legacy flags
-#: (the flag -> field migration table lives in docs/api.md)
+#: runner-block defaults: how runs execute, never what they compute,
+#: so no run identity includes them
 _RUNNER_DEFAULTS = {
-    "jobs": None,         # --jobs; None = every usable core
-    "timeout_s": None,    # --timeout
-    "retries": 0,         # --retries
-    "retry_backoff_s": 2.0,  # --retry-backoff
-    "verify": False,      # --verify
-    "metrics": False,     # --metrics-out (the path is a CLI concern)
+    "jobs": None,         # most worker processes; None = every usable core
+    "timeout_s": None,    # watchdog per run (supervised mode)
+    "retries": 0,         # re-runs of a crashed supervised worker
+    "retry_backoff_s": 2.0,  # first retry's backoff, doubled per attempt
+    "verify": False,      # live invariant engine; a violation fails the run
+    "metrics": False,     # per-run metrics snapshots
 }
 
 #: (int or float, rule, nullable); see repro.checks.check_fields
@@ -214,8 +214,8 @@ class CampaignSpec:
             for part in item.replace(",", " ").split():
                 if part not in experiments:
                     experiments.append(part)
-        # an empty selection means "the whole catalog" (the legacy
-        # runner's no---only behaviour); resolved at expand() time
+        # an empty selection means "the whole catalog", resolved at
+        # expand() time
 
         quick = spec.get("quick", True)
         if not isinstance(quick, bool):
@@ -316,37 +316,6 @@ class CampaignSpec:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    @classmethod
-    def single_cell(cls, experiments=None, quick: bool = True,
-                    faults: Optional[Dict] = None,
-                    jobs: Optional[int] = None,
-                    timeout_s=None, retries: int = 0,
-                    retry_backoff_s: float = 2.0, verify: bool = False,
-                    metrics: bool = False,
-                    name: str = "") -> "CampaignSpec":
-        """The legacy runner's flag soup as a degenerate campaign.
-
-        One cell per selected experiment, no grid, no repetition
-        seeds — exactly what ``runner.main()``'s old ad-hoc flags
-        expressed.  ``runner.main()`` builds one of these and feeds
-        it back through :meth:`runner_kwargs`; the flag -> field
-        migration table is in docs/api.md.
-        """
-        return cls.from_dict({
-            "name": name,
-            "experiments": list(experiments) if experiments else [],
-            "quick": quick,
-            "faults": faults,
-            "runner": {
-                "jobs": jobs,
-                "timeout_s": timeout_s,
-                "retries": retries,
-                "retry_backoff_s": retry_backoff_s,
-                "verify": verify,
-                "metrics": metrics,
-            },
-        })
-
     # -- round trip ----------------------------------------------------
 
     def to_dict(self) -> Dict:
@@ -372,30 +341,6 @@ class CampaignSpec:
         del document["runner"]["jobs"]
         return hashlib.sha256(
             _canonical_json(document).encode()).hexdigest()
-
-    def runner_kwargs(self) -> Dict:
-        """This spec as ``run_all_detailed`` keyword arguments.
-
-        The inverse of :meth:`single_cell`: grid campaigns cannot be
-        expressed this way (the legacy entry point has no grid), so
-        this raises if the spec carries one.
-        """
-        if self.grid or self.seeds != [0]:
-            raise ValueError(
-                "only single-cell campaigns map onto the legacy "
-                "runner signature; run this spec through "
-                "repro.api.run_campaign instead")
-        return {
-            "quick": self.quick,
-            "only": list(self.experiments) or None,
-            "jobs": self.runner["jobs"],
-            "collect_metrics": self.runner["metrics"],
-            "fault_spec": self.faults,
-            "verify": self.runner["verify"],
-            "timeout": self.runner["timeout_s"],
-            "retries": self.runner["retries"],
-            "retry_backoff": self.runner["retry_backoff_s"],
-        }
 
     # -- expansion -----------------------------------------------------
 

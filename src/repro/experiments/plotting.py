@@ -2,9 +2,9 @@
 
 The library deliberately has no plotting dependency; these helpers
 render the paper's figures as terminal graphics — step-function time
-series (Fig. 7a-style) and a topology map (Fig. 3-style).  Examples and the batch runner use them;
-anything fancier can consume the JSON from
-:mod:`repro.experiments.runner`.
+series (Fig. 7a-style) and a topology map (Fig. 3-style).  Examples use
+them; anything fancier can consume a campaign's JSONL export
+(``tools/campaign.py SPEC.json --jsonl PATH``).
 """
 
 from __future__ import annotations

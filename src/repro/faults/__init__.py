@@ -28,7 +28,7 @@ bus/metrics when attached).  :mod:`repro.verify.postrun` checks the
 end-to-end contract after a run.
 
 The module-level ``auto_inject``/``maybe_attach`` pair mirrors
-``repro.sim.metrics.auto_attach``: the experiment runner cannot reach
+``repro.sim.metrics.auto_attach``: the campaign engine cannot reach
 into topology builders, so it registers a schedule spec here and every
 subsequently built :class:`~repro.experiments.topology.Network` arms an
 injector for it.
@@ -63,10 +63,10 @@ _auto_injectors: list = []
 def auto_inject(spec: Optional[dict]) -> None:
     """Arm ``spec`` on every Network built from now on (None disables).
 
-    Used by ``experiments.runner --faults spec.json``: the runner's
-    scenarios build their networks internally, so the schedule is
-    registered process-wide and picked up by ``maybe_attach`` inside
-    the topology builders.
+    Used by a campaign spec's ``faults`` block: catalog experiments
+    build their networks internally, so the schedule is registered
+    process-wide and picked up by ``maybe_attach`` inside the topology
+    builders.
     """
     global _auto_spec
     _auto_spec = spec

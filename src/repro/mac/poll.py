@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.checks import is_positive_number
 from repro.mac.link import MacLayer
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
@@ -43,6 +44,18 @@ class PollParams:
     #: downlink TCP stall in Figure 12/13 — ACKs wait out the listen
     #: phase.
     hold_uplink_while_listening: bool = False
+
+    def __post_init__(self) -> None:
+        # a zero would surface later, as schedule_periodic's error
+        for name in ("poll_interval", "fast_poll_interval", "listen_window",
+                     "smin", "smax"):
+            value = getattr(self, name)
+            if not is_positive_number(value):
+                raise ValueError(f"PollParams.{name}: must be a finite "
+                                 f"number > 0, got {value!r}")
+        if self.smin > self.smax:
+            raise ValueError(f"PollParams.smin: must be <= smax "
+                             f"({self.smax!r}), got {self.smin!r}")
 
 
 class SleepyEndDevice:
@@ -195,8 +208,6 @@ class SleepyEndDevice:
 
     def _grow_interval(self) -> None:
         self._interval = min(self._interval * 2, self.params.smax)
-        if self._interval <= 0:
-            self._interval = self.params.smin
         self._poll_timer.start(self._current_interval())
 
     def _maybe_sleep(self) -> None:

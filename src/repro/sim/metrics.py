@@ -6,7 +6,7 @@ qualitative half — typed event records — lives in
 
 * **Simulator-scoped, never process-wide.**  A :class:`MetricsRegistry`
   belongs to one :class:`~repro.sim.engine.Simulator`; two simulations
-  in one process (e.g. the parallel experiment runner) never share
+  in one process (e.g. a campaign's in-process runs) never share
   state.  The only module-level state is the opt-in *auto-attach* flag
   that tells freshly constructed simulators to carry a registry.
 * **Count each event once.**  A layer counts its events in its

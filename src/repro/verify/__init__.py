@@ -13,7 +13,7 @@ Two layers of defence against a simulation that is *running* but
   armed-timer registry, bounded recovery after the last fault).
 
 The module-level ``auto_verify``/``maybe_attach``/``drain_auto`` trio
-mirrors ``repro.faults.auto_inject``: the experiment runner cannot
+mirrors ``repro.faults.auto_inject``: the campaign engine cannot
 reach into topology builders, so it flips the switch here and every
 subsequently built :class:`~repro.experiments.topology.Network` gets
 an engine attached and started.
@@ -57,7 +57,7 @@ _auto_engines: List[InvariantEngine] = []
 def auto_verify(interval: Optional[float] = 0.5) -> None:
     """Attach an engine to every Network built from now on (None disables).
 
-    Used by ``experiments.runner --verify``: the runner's scenarios
+    Used by a campaign spec's ``runner.verify``: catalog experiments
     build their networks internally, so the switch is registered
     process-wide and picked up by ``maybe_attach`` inside the topology
     builders.

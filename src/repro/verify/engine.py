@@ -41,7 +41,7 @@ class Violation:
         self.detail = detail
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form (runner ``_meta``, soak artifacts, triage)."""
+        """JSON-ready form (campaign run lines, soak artifacts, triage)."""
         return {
             "time": round(self.time, 6),
             "layer": self.layer,
@@ -183,7 +183,7 @@ class InvariantEngine:
         return self.violations[0] if self.violations else None
 
     def summary(self) -> Dict[str, object]:
-        """JSON-ready digest for runner ``_meta`` / soak artifacts."""
+        """JSON-ready digest for soak artifacts."""
         return {
             "checks_run": self.checks_run,
             "violations": [v.as_dict() for v in self.violations],

@@ -105,15 +105,6 @@ def test_topology_builders_thread_kernel_knobs():
             build(seed=0, fidelity="full")
 
 
-def test_run_experiments_is_callable_with_runner_signature():
-    import inspect
-
-    sig = inspect.signature(api.run_experiments)
-    for param in ("quick", "only", "jobs", "collect_metrics",
-                  "fault_spec"):
-        assert param in sig.parameters
-
-
 # ----------------------------------------------------------------------
 # 3. BSD socket-option surface
 # ----------------------------------------------------------------------

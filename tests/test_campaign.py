@@ -1,5 +1,5 @@
 """Campaign engine: spec validation, expansion determinism, caching,
-statistics, grid optima, and the legacy-runner compatibility shims."""
+verification, statistics, grid optima, the facade and the CLI."""
 
 import functools
 import hashlib
@@ -113,7 +113,7 @@ def run_quiet(spec, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# selection resolver (shared by CLI --only, API only=, and specs)
+# selection resolver (shared by specs and catalog lookups)
 # ----------------------------------------------------------------------
 
 
@@ -700,6 +700,51 @@ class TestCaching:
 
 
 # ----------------------------------------------------------------------
+# runner.verify and the per-run extras
+# ----------------------------------------------------------------------
+
+
+class TestVerify:
+    def test_a_violation_fails_the_run_and_is_never_cached(self, tmp_path):
+        from repro.experiments.runner import default_catalog
+        from tests.test_runner_supervision import _kernel_corruptor
+
+        catalog = default_catalog().copy()
+        catalog.register("clock_rollback", _kernel_corruptor)
+        store = ResultStore(tmp_path / "store", salt="s1")
+        for _ in range(2):
+            report = run_quiet({"experiments": ["clock_rollback"],
+                                "runner": {"verify": True}},
+                               store=store, catalog=catalog)
+            [error] = report.execution["errors"].values()
+            assert re.fullmatch(r"[1-9]\d* invariant violation\(s\), "
+                                r"first probe_kernel: .*backwards.*", error)
+            assert report.execution["cache_hits"] == 0
+            assert report.cells[0].results == [None]
+        assert len(store) == 0
+
+    def test_a_run_stored_without_verification_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path / "store", salt="s1")
+        plain = {"experiments": ["linear_cell"], "grid": {"x": [1, 2]}}
+        run_quiet(dict(plain), store=store, catalog=make_catalog())
+        asked = dict(plain, runner={"verify": True, "metrics": True})
+        lines = []
+        for misses in (2, 0):  # then a hit reads its extras from the store
+            report = run_quiet(dict(asked), catalog=make_catalog(), store=(
+                ResultStore(tmp_path / "store", salt="s1")))
+            assert report.execution["cache_misses"] == misses
+            report.write_jsonl(tmp_path / "runs.jsonl")
+            lines.append((tmp_path / "runs.jsonl").read_bytes())
+        assert lines[0] == lines[1]
+        runs = [json.loads(line) for line in lines[0].splitlines()][:2]
+        assert [(r["violations"], r["metrics_snapshots"]) for r in runs] \
+            == [([], [])] * 2
+        # a spec that asks for nothing still hits, with bare run lines
+        bare = run_quiet(dict(plain), store=store, catalog=make_catalog())
+        assert bare.execution["cache_hits"] == 2 and bare.run_extras == {}
+
+
+# ----------------------------------------------------------------------
 # execution: misses run in-process until a fork pool pays
 # ----------------------------------------------------------------------
 
@@ -1068,29 +1113,11 @@ class TestFig9Campaign:
 
 
 # ----------------------------------------------------------------------
-# legacy-runner compatibility
+# the facade and the default catalog
 # ----------------------------------------------------------------------
 
 
 class TestLegacyShim:
-    def test_single_cell_round_trip(self):
-        spec = CampaignSpec.single_cell(
-            experiments=["fig4_mss"], quick=True, jobs=2,
-            timeout_s=30.0, retries=1, verify=True, metrics=True)
-        kwargs = spec.runner_kwargs()
-        assert kwargs == {
-            "quick": True, "only": ["fig4_mss"], "jobs": 2,
-            "collect_metrics": True, "fault_spec": None,
-            "verify": True, "timeout": 30.0, "retries": 1,
-            "retry_backoff": 2.0,
-        }
-
-    def test_grid_spec_refuses_legacy_signature(self):
-        spec = CampaignSpec.from_dict(
-            {"experiments": ["x"], "grid": {"a": [1, 2]}})
-        with pytest.raises(ValueError, match="single-cell"):
-            spec.runner_kwargs()
-
     def test_api_facade_exports(self):
         import repro.api as api
 

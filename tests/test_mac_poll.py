@@ -1,5 +1,9 @@
 """Sleepy end device: polling, fast-poll, adaptive interval, slotting."""
 
+import math
+
+import pytest
+
 from repro.mac.link import MacLayer
 from repro.mac.poll import PollParams, SleepyEndDevice
 from repro.phy.energy import RadioState
@@ -188,3 +192,18 @@ def test_fast_polls_do_not_prolong_a_held_listen():
         hold_uplink_while_listening=True))
     assert not child.paused and len(child._queue) <= 1
     assert child.radio.energy.radio_duty_cycle() < 0.2
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("poll_interval", {"poll_interval": 0}),
+    ("fast_poll_interval", {"fast_poll_interval": -0.1}),
+    ("listen_window", {"listen_window": math.nan}),
+    ("smin", {"smin": 0.0}),
+    ("smax", {"smax": math.inf}),
+    ("smin", {"adaptive": True, "smin": 2.0, "smax": 1.0}),
+])
+def test_poll_params_refuse_a_bad_interval_naming_the_field(field, kwargs):
+    """A zero interval used to surface only at make_sleepy, as the
+    kernel's schedule_periodic error."""
+    with pytest.raises(ValueError, match=f"^PollParams.{field}: "):
+        PollParams(**kwargs)

@@ -341,17 +341,18 @@ class TestBenchClassification:
 
 class TestRunnerMetricsOut:
     def test_metrics_out_writes_snapshots(self, tmp_path):
-        from repro.experiments.runner import main as runner_main
+        from repro.campaign import run_campaign
 
-        out = tmp_path / "r.json"
-        metrics_out = tmp_path / "metrics.json"
-        code = runner_main(["--quick", "-o", str(out),
-                            "--only", "static_tables",
-                            "--metrics-out", str(metrics_out)])
-        assert code == 0
-        snaps = json.loads(metrics_out.read_text())
-        # static_tables builds no simulator: present, but empty
-        assert snaps == {"static_tables": []}
-        # and the main document must not carry the snapshots
-        assert "metrics_snapshots" not in json.loads(
-            out.read_text())["_meta"]
+        report = run_campaign(
+            {"experiments": ["single_hop_cell"], "grid": {"duration": [2.0]},
+             "runner": {"metrics": True}}, progress=lambda *_: None)
+        path = tmp_path / "runs.jsonl"
+        report.write_jsonl(path)
+        run, cell = [json.loads(line) for line in path.read_text().splitlines()]
+        # one snapshot per simulator the run built, on its run line only
+        [snap] = run["metrics_snapshots"]
+        assert set(snap) == {"counters", "gauges", "histograms"}
+        assert snap["counters"]
+        assert "metrics_snapshots" not in cell
+        # and the canonical report must not carry the snapshots
+        assert "metrics_snapshots" not in report.to_json()

@@ -1,11 +1,11 @@
-"""Batch runner plumbing and ablation-harness smoke tests."""
-
-import json
+"""The experiment catalog through campaigns, and ablation-harness
+smoke tests."""
 
 import pytest
 
+from repro.campaign import run_campaign
 from repro.experiments.exp_ablations import ABLATIONS, _run_ablation
-from repro.experiments.runner import DEFAULT_CATALOG, main, run_all_detailed
+from repro.experiments.runner import DEFAULT_CATALOG
 
 
 class TestAblationHarness:
@@ -42,12 +42,9 @@ def _boom(quick):
     raise RuntimeError("injected")
 
 
-@pytest.fixture
-def boom():
-    """A ``boom`` experiment that raises, registered on the catalog."""
-    DEFAULT_CATALOG.register("boom", _boom)
-    yield
-    DEFAULT_CATALOG.unregister("boom")
+def run_quiet(experiments, catalog=None):
+    return run_campaign({"experiments": experiments}, catalog=catalog,
+                        progress=lambda *_: None)
 
 
 class TestRunner:
@@ -63,52 +60,18 @@ class TestRunner:
             assert required in names, required
 
     def test_run_all_subset_and_error_isolation(self):
-        results, _ = run_all_detailed(quick=True, only=["static_tables"],
-                                      progress=lambda *_: None)
-        assert set(results) == {"static_tables"}
-        assert results["static_tables"]["memory_model"][
-            "active_socket_bytes"] > 0
+        report = run_quiet(["static_tables"])
+        [cell] = report.cells
+        assert cell.experiment == "static_tables"
+        assert cell.results[0]["memory_model"]["active_socket_bytes"] > 0
 
-    def test_broken_experiment_reported_not_raised(self, boom):
-        results, _ = run_all_detailed(quick=True,
-                                      only=["boom", "static_tables"],
-                                      progress=lambda *_: None)
-        assert results["boom"] == {"error": "RuntimeError: injected"}
-        assert "memory_model" in results["static_tables"]
-
-    def test_cli_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        code = main(["--quick", "-o", str(out), "--only", "static_tables"])
-        assert code == 0
-        data = json.loads(out.read_text())
-        assert "static_tables" in data
-        meta = data["_meta"]
-        assert meta["errors"] == []
-        assert set(meta["wall_times_s"]) == {"static_tables"}
-
-    def test_parallel_jobs_match_serial_run(self, tmp_path):
-        """--jobs N must produce the same document as --jobs 1 apart
-        from the recorded wall times (experiments are independent and
-        internally seeded)."""
-        subset = ["static_tables", "eq2_validation", "sec72_hops"]
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        assert main(["--quick", "-o", str(serial), "--only", *subset,
-                     "--jobs", "1"]) == 0
-        assert main(["--quick", "-o", str(parallel), "--only", *subset,
-                     "--jobs", "4"]) == 0
-        a = json.loads(serial.read_text())
-        b = json.loads(parallel.read_text())
-        meta_a, meta_b = a.pop("_meta"), b.pop("_meta")
-        assert a == b
-        assert list(a) == subset  # registry order, not completion order
-        assert (meta_a["jobs"], meta_b["jobs"]) == (1, 4)
-
-    def test_worker_failure_propagates_to_exit_code(self, tmp_path, boom):
-        out = tmp_path / "r.json"
-        code = main(["--quick", "-o", str(out),
-                     "--only", "boom", "static_tables"])
-        assert code == 1
-        data = json.loads(out.read_text())
-        assert data["boom"] == {"error": "RuntimeError: injected"}
-        assert data["_meta"]["errors"] == ["boom"]
+    def test_broken_experiment_reported_not_raised(self):
+        catalog = DEFAULT_CATALOG.copy()
+        catalog.register("boom", _boom)
+        report = run_quiet(["boom", "static_tables"], catalog=catalog)
+        boom, tables = report.cells
+        assert boom.results == [None]
+        assert boom.errors == ["seed=None: RuntimeError: injected"]
+        assert list(report.execution["errors"].values()) == [
+            "RuntimeError: injected"]
+        assert "memory_model" in tables.results[0]

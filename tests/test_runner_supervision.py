@@ -1,15 +1,15 @@
-"""Supervised-run tests for the experiment runner.
+"""Supervised campaign runs: watchdog, crash retry, interrupt, verify.
 
-The acceptance contract: a hung experiment becomes a *recorded
-failure* at the watchdog deadline without disturbing the rest of the
-batch; a crashed worker is retried with backoff and then recorded; an
-interrupt still yields a valid partial document with
-``_meta.interrupted``; and ``--verify`` violations survive the worker
-process boundary.
+The acceptance contract: a hung run becomes a *recorded failure* at
+the ``runner.timeout_s`` deadline without disturbing the rest of the
+campaign; a crashed worker is retried with backoff and then recorded;
+an interrupt still yields a valid partial report with
+``execution.interrupted``; and ``runner.verify`` violations survive
+the worker process boundary.
 
-The hostile experiments are registered on ``runner.DEFAULT_CATALOG`` as
-module-level functions (supervised workers fork, but keeping them
-importable matches the documented contract).
+The hostile experiments are module-level functions registered on a
+copy of the default catalog (supervised workers fork, but keeping
+them importable matches the catalog contract).
 """
 
 import os
@@ -17,7 +17,8 @@ import time
 
 import pytest
 
-from repro.experiments import runner
+from repro.campaign import run_campaign
+from repro.experiments.runner import default_catalog
 from repro.experiments.topology import build_pair
 
 
@@ -39,7 +40,7 @@ def _interrupt(quick):
 
 
 def _kernel_corruptor(quick):
-    """Trip probe_kernel under --verify: fake a clock rollback."""
+    """Trip probe_kernel under runner.verify: fake a clock rollback."""
     net = build_pair(seed=2)
     if net.verify is not None:
         net.verify._last_now = 1e9
@@ -48,29 +49,35 @@ def _kernel_corruptor(quick):
 
 
 @pytest.fixture
-def registered():
-    names = []
-
-    def register(name, factory):
-        runner.DEFAULT_CATALOG.register(name, factory)
-        names.append(name)
-
-    yield register
-    for name in names:
-        runner.DEFAULT_CATALOG.unregister(name)
+def catalog():
+    return default_catalog().copy()
 
 
-def quiet(_msg):
-    pass
+def campaign(catalog, experiments, quick=True, **runner):
+    return run_campaign({"experiments": experiments, "quick": quick,
+                         "runner": runner},
+                        catalog=catalog, progress=lambda *_: None)
+
+
+def results(report):
+    """experiment -> its one run's result (None when it failed)."""
+    return {cell.experiment: cell.results[0] for cell in report.cells
+            if cell.results}
+
+
+def failures(report):
+    """experiment -> its one run's error line."""
+    return {cell.experiment: cell.errors[0] for cell in report.cells
+            if cell.errors}
 
 
 # ======================================================================
 # Registration mechanics
 # ======================================================================
-def test_register_and_unregister_experiment(registered):
-    registered("zz_extra", _ok)
-    catalog = runner.DEFAULT_CATALOG
+def test_register_and_unregister_experiment(catalog):
+    catalog.register("zz_extra", _ok)
     assert catalog.get("zz_extra")(True) == {"ok": True, "quick": True}
+    assert "zz_extra" not in default_catalog()
     catalog.unregister("zz_extra")
     assert "zz_extra" not in catalog.names()
     catalog.unregister("zz_extra")  # idempotent
@@ -79,88 +86,79 @@ def test_register_and_unregister_experiment(registered):
 # ======================================================================
 # Watchdog
 # ======================================================================
-def test_watchdog_converts_hang_into_recorded_failure(registered):
-    registered("zz_ok", _ok)
-    registered("zz_hang", _hang)
-    results, meta = runner.run_all_detailed(
-        quick=True, only=["static_tables", "zz_ok", "zz_hang"],
-        timeout=2.0, jobs=3, progress=quiet)
+def test_watchdog_converts_hang_into_recorded_failure(catalog):
+    catalog.register("zz_ok", _ok)
+    catalog.register("zz_hang", _hang)
+    report = campaign(catalog, ["static_tables", "zz_ok", "zz_hang"],
+                      timeout_s=2.0, jobs=3)
     # the hang is a recorded failure ...
-    assert meta["errors"] == ["zz_hang"]
-    assert "watchdog timeout after 2.0s" in results["zz_hang"]["error"]
-    # ... and the rest of the batch is untouched
-    assert results["zz_ok"] == {"ok": True, "quick": True}
-    assert "table5" in results["static_tables"]
-    assert meta["timeout_s"] == 2.0
-    assert meta["interrupted"] is False
-    assert set(meta["wall_times_s"]) == {"static_tables", "zz_ok",
-                                         "zz_hang"}
+    assert list(failures(report)) == ["zz_hang"]
+    assert "watchdog timeout after 2.0s" in failures(report)["zz_hang"]
+    # ... and the rest of the campaign is untouched
+    assert results(report)["zz_ok"] == {"ok": True, "quick": True}
+    assert "table5" in results(report)["static_tables"]
+    assert report.execution["interrupted"] is False
+    assert report.execution["completed"] == 3
 
 
 # ======================================================================
 # Crash retry with backoff
 # ======================================================================
-def test_crashed_worker_is_retried_then_recorded(registered):
-    registered("zz_crash", _crash)
+def test_crashed_worker_is_retried_then_recorded(catalog):
+    catalog.register("zz_crash", _crash)
     t0 = time.monotonic()
-    results, meta = runner.run_all_detailed(
-        quick=True, only=["zz_crash"], timeout=30.0, retries=2,
-        retry_backoff=0.1, progress=quiet)
-    assert meta["errors"] == ["zz_crash"]
+    report = campaign(catalog, ["zz_crash"], timeout_s=30.0, retries=2,
+                      retry_backoff_s=0.1)
     assert ("worker crashed with exit code 17 after 3 attempt(s)"
-            in results["zz_crash"]["error"])
+            in failures(report)["zz_crash"])
     # exponential backoff actually waited: 0.1s + 0.2s between attempts
     assert time.monotonic() - t0 > 0.3
 
 
-def test_successful_supervised_run_passes_result_through(registered):
-    registered("zz_ok", _ok)
-    results, meta = runner.run_all_detailed(
-        quick=False, only=["zz_ok"], timeout=30.0, progress=quiet)
-    assert results["zz_ok"] == {"ok": True, "quick": False}
-    assert meta["errors"] == [] and meta["interrupted"] is False
+def test_successful_supervised_run_passes_result_through(catalog):
+    catalog.register("zz_ok", _ok)
+    report = campaign(catalog, ["zz_ok"], quick=False, timeout_s=30.0)
+    assert results(report)["zz_ok"] == {"ok": True, "quick": False}
+    assert report.execution["errors"] == {}
+    assert report.execution["interrupted"] is False
 
 
 # ======================================================================
-# Interrupt: valid partial results
+# Interrupt: valid partial report
 # ======================================================================
-def test_serial_interrupt_yields_partial_document(registered):
-    registered("zz_boom", _interrupt)
-    registered("zz_after", _ok)
-    results, meta = runner.run_all_detailed(
-        quick=True, only=["static_tables", "zz_boom", "zz_after"],
-        progress=quiet)
-    assert meta["interrupted"] is True
+def test_serial_interrupt_yields_partial_document(catalog):
+    catalog.register("zz_boom", _interrupt)
+    catalog.register("zz_after", _ok)
+    report = campaign(catalog, ["static_tables", "zz_boom", "zz_after"], jobs=1)
+    assert report.execution["interrupted"] is True
     # everything that finished before the interrupt is present ...
-    assert "table5" in results["static_tables"]
-    # ... the interrupted experiment and everything after are not_run
-    assert meta["not_run"] == ["zz_boom", "zz_after"]
-    assert "zz_after" not in results
+    assert "table5" in results(report)["static_tables"]
+    # ... the interrupted run and everything after are absent
+    assert [cell.run_ids for cell in report.cells][1:] == [[], []]
+    assert report.execution["completed"] == 1
 
 
-def test_interrupted_flag_always_present():
-    _results, meta = runner.run_all_detailed(
-        quick=True, only=["static_tables"], progress=quiet)
-    assert meta["interrupted"] is False
-    assert "not_run" not in meta
+def test_interrupted_flag_always_present(catalog):
+    report = campaign(catalog, ["static_tables"])
+    assert report.execution["interrupted"] is False
+    assert report.execution["completed"] == 1
 
 
 # ======================================================================
-# --verify across the worker process boundary
+# runner.verify across the worker process boundary
 # ======================================================================
-def test_violations_survive_supervised_worker(registered):
-    registered("zz_corrupt", _kernel_corruptor)
-    results, meta = runner.run_all_detailed(
-        quick=True, only=["zz_corrupt"], timeout=30.0, verify=True,
-        progress=quiet)
-    assert results["zz_corrupt"] == {"done": True}
-    viols = meta["invariant_violations"]["zz_corrupt"]
+def test_violations_survive_supervised_worker(catalog):
+    catalog.register("zz_corrupt", _kernel_corruptor)
+    report = campaign(catalog, ["zz_corrupt"], timeout_s=30.0, verify=True)
+    error = failures(report)["zz_corrupt"]
+    assert "first probe_kernel: " in error and "backwards" in error
+    [viols] = [extras["violations"] for extras in report.run_extras.values()]
     assert viols and viols[0]["probe"] == "probe_kernel"
     assert "backwards" in viols[0]["detail"]
 
 
-def test_verify_clean_experiment_records_no_violations(registered):
-    registered("zz_ok", _ok)
-    _results, meta = runner.run_all_detailed(
-        quick=True, only=["zz_ok"], verify=True, progress=quiet)
-    assert meta["invariant_violations"] == {}
+def test_verify_clean_experiment_records_no_violations(catalog):
+    catalog.register("zz_ok", _ok)
+    report = campaign(catalog, ["zz_ok"], verify=True)
+    assert report.execution["errors"] == {}
+    assert list(report.run_extras.values()) == [{"violations": []}]
