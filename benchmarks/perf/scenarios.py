@@ -44,7 +44,6 @@ from repro.api import (
     FlowSet,
     FlowSpec,
     TcpParams,
-    TcpStack,
     build_chain,
     build_grid_mesh,
     build_pair,
@@ -55,17 +54,11 @@ from repro.mac.poll import PollParams
 from repro.phy.medium import UniformLoss
 
 
-def _stack(net, node_id: int, **kwargs) -> TcpStack:
-    node = net.nodes[node_id]
-    return TcpStack(net.sim, node.ipv6, node_id, cpu=node.radio.cpu,
-                    sleepy=node.sleepy, **kwargs)
-
-
 def one_hop_bulk(duration: float = 60.0, seed: int = 1) -> Dict:
     """Bulk TCP transfer between two embedded nodes, one clean hop."""
     net = build_pair(seed=seed)
     params = tcplp_params()
-    src, dst = _stack(net, 1), _stack(net, 0)
+    src, dst = net.tcp_stack(1), net.tcp_stack(0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
     res = xfer.measure(10.0, duration)
@@ -82,7 +75,7 @@ def three_hop_hidden(duration: float = 60.0, seed: int = 1) -> Dict:
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
-    src, dst = _stack(net, 3), _stack(net, 0)
+    src, dst = net.tcp_stack(3), net.tcp_stack(0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
     res = xfer.measure(10.0, duration)
@@ -101,8 +94,8 @@ def duty_cycled_polling(duration: float = 60.0, seed: int = 0) -> Dict:
                       hold_uplink_while_listening=True)
     net.nodes[1].make_sleepy(net.nodes[0], poll=poll)
     params = tcplp_params(window_segments=4)
-    router = _stack(net, 0)
-    leaf = _stack(net, 1)
+    router = net.tcp_stack(0)
+    leaf = net.tcp_stack(1)
     xfer = BulkTransfer(net.sim, leaf, router, receiver_id=0,
                         params=params, receiver_params=params)
     res = xfer.measure(20.0, duration)
@@ -124,7 +117,7 @@ def loss_sweep(duration: float = 40.0, seed: int = 1,
         if rate > 0:
             net.medium.loss_models.append(UniformLoss(rate, net.rng))
         params = tcplp_params()
-        src, dst = _stack(net, 1), _stack(net, 0)
+        src, dst = net.tcp_stack(1), net.tcp_stack(0)
         xfer = BulkTransfer(net.sim, src, dst, receiver_id=0,
                             params=params, receiver_params=params)
         res = xfer.measure(10.0, duration)
@@ -166,7 +159,7 @@ def chaos_faults(duration: float = 40.0, seed: int = 7) -> Dict:
     })
     injector = FaultInjector(net, schedule).arm()
     params = tcplp_params(window_segments=4)
-    src, dst = _stack(net, 2), _stack(net, 0)
+    src, dst = net.tcp_stack(2), net.tcp_stack(0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
     res = xfer.measure(5.0, duration)
@@ -223,7 +216,7 @@ def _campaign_cell(quick: bool, frames: int = 3, seed: int = 1,
     net = build_pair(seed=seed)
     mss = mss_for_frames(frames)
     params = TcpParams(mss=mss, send_buffer=4 * mss, recv_buffer=4 * mss)
-    src, dst = _stack(net, 1), _stack(net, 0)
+    src, dst = net.tcp_stack(1), net.tcp_stack(0)
     xfer = BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
                         receiver_params=params)
     res = xfer.measure(5.0, duration)

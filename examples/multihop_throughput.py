@@ -9,7 +9,7 @@ paper's measurements and the analytic B/min(h,3) bound, then shows the
 Run:  python examples/multihop_throughput.py
 """
 
-from repro.api import BulkTransfer, TcpStack, build_chain, tcplp_params
+from repro.api import BulkTransfer, build_chain, tcplp_params
 from repro.models.throughput import multihop_bound, single_hop_ceiling
 
 PAPER = {1: 64.1, 2: 28.3, 3: 19.5, 4: 17.5}
@@ -21,10 +21,8 @@ def run_chain(hops: int, retry_delay: float, duration: float = 45.0):
         node.mac.params.retry_delay = retry_delay
     # §7.2: the four-hop run needs a window beyond four segments
     params = tcplp_params(window_segments=4 if hops <= 3 else 6)
-    sender = TcpStack(net.sim, net.nodes[hops].ipv6, hops)
-    sink = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-    xfer = BulkTransfer(net.sim, sender, sink, receiver_id=0,
-                        params=params, receiver_params=params)
+    xfer = BulkTransfer(net.sim, net.tcp_stack(hops), net.tcp_stack(0),
+                        receiver_id=0, params=params, receiver_params=params)
     result = xfer.measure(warmup=10.0, duration=duration)
     return result, net
 

@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 
 from repro.api import (
     CLOUD_ID,
-    TcpStack,
     build_single_hop,
     linux_like_params,
     tcplp_params,
@@ -24,12 +23,12 @@ def main() -> None:
     net = build_single_hop(seed=42)
     mote = net.nodes[1]
 
-    # 2. Attach TCP stacks.  The mote runs TCPlp's evaluation config
-    #    (5-frame MSS, 4-segment windows); the cloud runs Linux-class
-    #    buffer sizes — both are the same protocol engine.
-    mote_stack = TcpStack(net.sim, mote.ipv6, 1, cpu=mote.radio.cpu)
-    cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
-                           default_params=linux_like_params())
+    # 2. Take each endpoint's TCP stack.  The mote runs TCPlp's
+    #    evaluation config (5-frame MSS, 4-segment windows); the cloud
+    #    runs Linux-class buffer sizes — both are the same protocol
+    #    engine.
+    mote_stack = net.tcp_stack(1)
+    cloud_stack = net.tcp_stack(CLOUD_ID, linux_like_params())
 
     # 3. The cloud listens; deliveries land in `received`.
     received = []

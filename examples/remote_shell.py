@@ -12,7 +12,6 @@ Run:  python examples/remote_shell.py
 
 from repro.api import (
     CLOUD_ID,
-    TcpStack,
     build_single_hop,
     linux_like_params,
     tcplp_params,
@@ -63,9 +62,8 @@ class MoteShell:
 def main() -> None:
     net = build_single_hop(seed=3)
     mote = net.nodes[1]
-    mote_stack = TcpStack(net.sim, mote.ipv6, 1)
-    cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
-                           default_params=linux_like_params())
+    mote_stack = net.tcp_stack(1)
+    cloud_stack = net.tcp_stack(CLOUD_ID, linux_like_params())
 
     # the mote listens — a passive socket costs almost nothing (§4.1)
     mote_stack.listen(23, lambda conn: MoteShell(mote, conn),

@@ -8,10 +8,10 @@ sleepy end devices, CoAP/CoCoA, and duty-cycle accounting.
 
 The stable public surface lives in :mod:`repro.api`::
 
-    from repro.api import TcpStack, tcplp_params, build_single_hop
+    from repro.api import tcplp_params, build_single_hop
 
     net = build_single_hop(seed=1)
-    stack = TcpStack(net.sim, net.nodes[1].ipv6, 1)
+    stack = net.tcp_stack(1)  # node 1's one TCP stack
 
 The same names are re-exported here for convenience (``from repro
 import TcpStack`` keeps working), and deep implementation paths remain

@@ -18,12 +18,14 @@ The surface, by area:
 gauges / histograms with deterministic snapshots).
 
 **Topologies** — :class:`~repro.experiments.topology.Network` (what a
-builder returns) and the builders: :func:`build_pair`,
+builder returns; it owns each endpoint's one transport stack per
+protocol: ``net.tcp_stack(id)``, ``net.udp_stack(id)``) and the
+builders: :func:`build_pair`,
 :func:`build_single_hop`, :func:`build_chain`, :func:`build_testbed`,
 and the hundred-node-scale :func:`build_grid_mesh` /
 :func:`build_random_mesh`.  ``CLOUD_ID`` is the wired server's node id.
 
-**TCP** — :class:`~repro.core.socket_api.TcpStack` (per-node
+**TCP** — :class:`~repro.core.socket_api.TcpStack` (an endpoint's
 demultiplexer with BSD-style ``listen``/``connect``/``set_option``),
 :class:`TcpListener`, ``TcpSocket`` (an active connection),
 :class:`~repro.core.params.TcpParams` plus the preset constructors

@@ -310,12 +310,12 @@ class CoapServer:
     def __init__(
         self,
         sim,
-        network,
+        udp: UdpStack,
         port: int = COAP_PORT,
         trace: Optional[TraceRecorder] = None,
     ):
         self.sim = sim
-        self.udp = UdpStack(network) if not isinstance(network, UdpStack) else network
+        self.udp = udp
         self.port = port
         self.trace = trace or TraceRecorder()
         #: (src, message_id) of recently seen messages (dedup window)

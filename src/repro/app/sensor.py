@@ -28,6 +28,7 @@ from typing import Deque, Optional
 from repro.app.coap import CoapClient, CoapServer
 from repro.core.params import TcpParams
 from repro.core.socket_api import TcpStack
+from repro.net.udp import UdpStack
 from repro.sim.timers import Timer
 from repro.sim.trace import TraceRecorder
 
@@ -262,9 +263,9 @@ class ReadingServer:
         self.tcp_bytes += len(data)
 
     # ------------------------------------------------------------------
-    def attach_coap(self, network, port: int = 5683) -> None:
-        """Run a CoAP server counting readings in POST payloads."""
-        self.coap_server = CoapServer(self.sim, network, port=port)
+    def attach_coap(self, udp: UdpStack, port: int = 5683) -> None:
+        """Run a CoAP server on ``udp`` counting readings in POST payloads."""
+        self.coap_server = CoapServer(self.sim, udp, port=port)
         self.coap_server.on_payload = self._on_coap_payload
 
     def _on_coap_payload(self, payload: bytes, packet) -> None:

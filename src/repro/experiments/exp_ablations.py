@@ -24,7 +24,6 @@ from typing import Callable, Dict, List
 from repro.api import (
     BulkTransfer,
     TcpParams,
-    TcpStack,
     build_chain,
     build_pair,
     tcplp_params,
@@ -70,10 +69,8 @@ def _run_ablation(
         net = build_chain(1, seed=seed, wired_loss=frame_loss)
         from repro.api import CLOUD_ID, linux_like_params
 
-        stack_tx = TcpStack(net.sim, net.nodes[1].ipv6, 1)
-        stack_rx = TcpStack(net.sim, net.cloud, CLOUD_ID,
-                            default_params=linux_like_params())
-        xfer = BulkTransfer(net.sim, stack_tx, stack_rx,
+        xfer = BulkTransfer(net.sim, net.tcp_stack(1),
+                            net.tcp_stack(CLOUD_ID, linux_like_params()),
                             receiver_id=CLOUD_ID, params=params,
                             dst_is_cloud=True)
         result = xfer.measure(warmup, duration)
@@ -83,16 +80,14 @@ def _run_ablation(
         sender_id, receiver_id = 3, 0
     else:
         raise ValueError(f"unknown scenario {scenario}")
-    stack_tx = TcpStack(net.sim, net.nodes[sender_id].ipv6, sender_id)
-    stack_rx = TcpStack(net.sim, net.nodes[receiver_id].ipv6, receiver_id)
-    xfer = BulkTransfer(net.sim, stack_tx, stack_rx, receiver_id=receiver_id,
+    xfer = BulkTransfer(net.sim, net.tcp_stack(sender_id),
+                        net.tcp_stack(receiver_id), receiver_id=receiver_id,
                         params=params, receiver_params=mutate(tcplp_params()))
     result = xfer.measure(warmup, duration)
     return _row(name, scenario, result)
 
 
 def _row(name: str, scenario: str, result) -> Dict:
-    rtts = result.rtt_samples
     return {
         "ablation": name,
         "scenario": scenario,
@@ -101,7 +96,7 @@ def _row(name: str, scenario: str, result) -> Dict:
         "rto_events": result.rto_events,
         "fast_retransmits": result.fast_retransmits,
         "retransmits": result.retransmits,
-        "rtt_mean": sum(rtts) / len(rtts) if rtts else 0.0,
+        "rtt_mean": result.rtt_mean,
     }
 
 

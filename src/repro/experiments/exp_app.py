@@ -33,7 +33,6 @@ from repro.app.sensor import (
 from repro.api import (
     CLOUD_ID,
     Network,
-    TcpStack,
     build_testbed,
     linux_like_params,
     tcplp_params,
@@ -95,48 +94,8 @@ def run_app_study(
         raise ValueError(f"unknown protocol {protocol}")
     net = build_testbed(seed=seed, leaf_poll=LEAF_POLL, wired_loss=injected_loss)
     server = ReadingServer(net.sim)
-    apps: List[AnemometerNode] = []
-
-    if protocol == "tcp":
-        cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
-                               default_params=linux_like_params())
-        server.attach_tcp(cloud_stack, port=8000)
-    else:
-        server.attach_coap(net.cloud)
-
-    for idx, leaf_id in enumerate(net.leaf_ids):
-        leaf = net.nodes[leaf_id]
-        if protocol == "tcp":
-            stack = TcpStack(net.sim, leaf.ipv6, leaf_id, trace=leaf.trace,
-                             cpu=leaf.radio.cpu, sleepy=leaf.sleepy)
-            transport = TcpTransport(
-                net.sim, stack, CLOUD_ID, server_port=8000,
-                params=tcplp_params(mss_frames=mss_frames, to_cloud=True),
-            )
-            queue_capacity = 64
-        else:
-            estimator = CocoaRtoEstimator() if protocol == "cocoa" else None
-            client = CoapClient(
-                net.sim, leaf.udp, net.rng, CLOUD_ID,
-                rto_estimator=estimator,
-                trace=leaf.trace,
-                on_ack_waiting=(
-                    leaf.sleepy.set_fast_poll if leaf.sleepy else None
-                ),
-            )
-            transport = CoapTransport(client, confirmable=confirmable)
-            queue_capacity = 104
-        config = AnemometerConfig(
-            queue_capacity=queue_capacity,
-            batching=batching,
-            batch_size=64,
-            sample_interval=sample_interval,
-            readings_per_message=_readings_per_message(mss_frames),
-        )
-        app = AnemometerNode(net.sim, transport, config)
-        # unsynchronised boot: stagger drains across the batch period
-        app.start(phase=idx * sample_interval * 64 / (len(net.leaf_ids) or 1))
-        apps.append(app)
+    apps = _deploy(net, server, protocol, mss_frames, confirmable, batching,
+                   sample_interval)
 
     net.sim.run(until=warmup)
     net.reset_meters()
@@ -160,6 +119,46 @@ def run_app_study(
         overflowed=sum(a.overflowed for a in apps),
         **counts,
     )
+
+
+def _deploy(net: Network, server: ReadingServer, protocol: str,
+            mss_frames: int, confirmable: bool, batching: bool,
+            sample_interval: float = 1.0) -> List[AnemometerNode]:
+    """The §9 deployment on a testbed: ``server`` on the cloud, and an
+    anemometer on every leaf over ``protocol`` ("tcp", "coap", or
+    "cocoa", which is CoAP with CoCoA's RTO estimator)."""
+    if protocol == "tcp":
+        server.attach_tcp(net.tcp_stack(CLOUD_ID, linux_like_params()),
+                          port=8000)
+    else:
+        server.attach_coap(net.udp_stack(CLOUD_ID))
+    apps = []
+    for idx, leaf_id in enumerate(net.leaf_ids):
+        leaf = net.nodes[leaf_id]
+        if protocol == "tcp":
+            transport = TcpTransport(
+                net.sim, net.tcp_stack(leaf_id), CLOUD_ID, server_port=8000,
+                params=tcplp_params(mss_frames=mss_frames, to_cloud=True),
+            )
+            queue_capacity = 64
+        else:
+            client = CoapClient(
+                net.sim, leaf.udp, net.rng, CLOUD_ID,
+                rto_estimator=CocoaRtoEstimator() if protocol == "cocoa" else None,
+                trace=leaf.trace,
+                on_ack_waiting=leaf.sleepy.set_fast_poll if leaf.sleepy else None,
+            )
+            transport = CoapTransport(client, confirmable=confirmable)
+            queue_capacity = 104
+        app = AnemometerNode(net.sim, transport, AnemometerConfig(
+            queue_capacity=queue_capacity, batching=batching, batch_size=64,
+            sample_interval=sample_interval,
+            readings_per_message=_readings_per_message(mss_frames),
+        ))
+        # unsynchronised boot: stagger drains across the batch period
+        app.start(phase=idx * sample_interval * 64 / len(net.leaf_ids))
+        apps.append(app)
+    return apps
 
 
 def _readings_per_message(mss_frames: int) -> int:
@@ -281,40 +280,8 @@ def _run_day(
     """
     net = build_testbed(seed=seed, leaf_poll=LEAF_POLL)
     server = ReadingServer(net.sim)
-    apps: List[AnemometerNode] = []
-    if protocol == "tcp":
-        cloud_stack = TcpStack(net.sim, net.cloud, CLOUD_ID,
-                               default_params=linux_like_params())
-        server.attach_tcp(cloud_stack, port=8000)
-    else:
-        server.attach_coap(net.cloud)
-    for idx, leaf_id in enumerate(net.leaf_ids):
-        leaf = net.nodes[leaf_id]
-        if protocol == "tcp":
-            stack = TcpStack(net.sim, leaf.ipv6, leaf_id, trace=leaf.trace,
-                             cpu=leaf.radio.cpu, sleepy=leaf.sleepy)
-            # §9.5: daytime interference warrants a 3-frame MSS
-            transport = TcpTransport(
-                net.sim, stack, CLOUD_ID, server_port=8000,
-                params=tcplp_params(mss_frames=3, to_cloud=True),
-            )
-            queue_capacity = 64
-        else:
-            client = CoapClient(
-                net.sim, leaf.udp, net.rng, CLOUD_ID,
-                trace=leaf.trace,
-                on_ack_waiting=(
-                    leaf.sleepy.set_fast_poll if leaf.sleepy else None
-                ),
-            )
-            transport = CoapTransport(client, confirmable=confirmable)
-            queue_capacity = 104
-        app = AnemometerNode(net.sim, transport, AnemometerConfig(
-            queue_capacity=queue_capacity, batching=batching, batch_size=64,
-            readings_per_message=_readings_per_message(3),
-        ))
-        app.start(phase=idx * 16.0)
-        apps.append(app)
+    # §9.5: daytime interference warrants a 3-frame MSS
+    apps = _deploy(net, server, protocol, 3, confirmable, batching)
 
     def loss_at(hour: float) -> float:
         current = DIURNAL_PROFILE[-1][1]

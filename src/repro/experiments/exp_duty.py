@@ -59,8 +59,9 @@ def run_duty_cycle_point(
     """
     net = _duty_cycled_pair(sleep_interval, adaptive=False, seed=seed)
     params = tcplp_params(window_segments=window_segments)
-    router = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-    leaf = TcpStack(net.sim, net.nodes[1].ipv6, 1)  # deliberately no sleepy
+    router = net.tcp_stack(0)
+    # not net.tcp_stack(1): Fig. 12 measures a static interval, uncoupled
+    leaf = TcpStack(net.sim, net.nodes[1].ipv6, 1)
     if uplink:
         xfer = BulkTransfer(net.sim, leaf, router, receiver_id=0,
                             params=params, receiver_params=params)
@@ -68,13 +69,12 @@ def run_duty_cycle_point(
         xfer = BulkTransfer(net.sim, router, leaf, receiver_id=1,
                             params=params, receiver_params=params)
     result = xfer.measure(warmup, duration)
-    rtts = result.rtt_samples
     return {
         "sleep_interval": sleep_interval,
         "direction": "uplink" if uplink else "downlink",
         "goodput_kbps": result.goodput_kbps,
-        "rtt_mean": sum(rtts) / len(rtts) if rtts else 0.0,
-        "rtt_samples": rtts,
+        "rtt_mean": result.rtt_mean,
+        "rtt_samples": result.rtt_samples,
     }
 
 
@@ -126,7 +126,8 @@ def run_adaptive_duty_cycle(
                             smin=smin, smax=smax)
     # §C.2 enlarged the buffers to 6 full-sized packets
     params = tcplp_params(window_segments=6)
-    router = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+    router = net.tcp_stack(0)
+    # not net.tcp_stack(1): §C.2 adapts the interval without fast polling
     leaf = TcpStack(net.sim, net.nodes[1].ipv6, 1)
     if uplink:
         xfer = BulkTransfer(net.sim, leaf, router, receiver_id=0,

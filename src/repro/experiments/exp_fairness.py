@@ -22,7 +22,6 @@ from repro.api import (
     Network,
     RngStreams,
     Simulator,
-    TcpStack,
     tcplp_params,
 )
 from repro.net.node import Node, NodeConfig
@@ -126,13 +125,11 @@ def _run_two_flows(
     red_params = RedParams(use_ecn=ecn) if red else None
     net = _build_fairness_net(hops, seed, red_params)
     params = tcplp_params(window_segments=window_segments, ecn=red and ecn)
-    sink = TcpStack(net.sim, net.nodes[0].ipv6, 0)
     xfers = []
     for port, sender in ((8000, 10), (8001, 11)):
-        stack = TcpStack(net.sim, net.nodes[sender].ipv6, sender)
         xfers.append(BulkTransfer(
-            net.sim, stack, sink, receiver_id=0, port=port,
-            params=params,
+            net.sim, net.tcp_stack(sender), net.tcp_stack(0),
+            receiver_id=0, port=port, params=params,
             receiver_params=tcplp_params(
                 window_segments=window_segments, ecn=red and ecn
             ),
@@ -176,10 +173,9 @@ def _run_single_flow_baseline(
     """One flow alone (the Table 9 'A' / 'B' single-flow rows), kb/s."""
     net = _build_fairness_net(hops, seed, None)
     params = tcplp_params()
-    sink = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-    stack = TcpStack(net.sim, net.nodes[10].ipv6, 10)
-    xfer = BulkTransfer(net.sim, stack, sink, receiver_id=0,
-                        params=params, receiver_params=tcplp_params())
+    xfer = BulkTransfer(net.sim, net.tcp_stack(10), net.tcp_stack(0),
+                        receiver_id=0, params=params,
+                        receiver_params=tcplp_params())
     return xfer.measure(10.0, duration).goodput_kbps
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.api import BulkTransfer, TcpStack, build_chain, tcplp_params
+from repro.api import BulkTransfer, build_chain, tcplp_params
 from repro.models.throughput import lln_model_goodput, mathis_goodput
 
 #: the paper's Figure 6 x-axis (seconds)
@@ -37,15 +37,11 @@ def _run_retry_delay_point(
     for n in net.nodes.values():
         n.mac.params.retry_delay = delay
     params = tcplp_params()
-    src = net.nodes[hops]
-    src_stack = TcpStack(net.sim, src.ipv6, hops, cpu=src.radio.cpu)
-    dst_stack = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-    xfer = BulkTransfer(net.sim, src_stack, dst_stack, receiver_id=0,
-                        params=params, receiver_params=params)
+    xfer = BulkTransfer(net.sim, net.tcp_stack(hops), net.tcp_stack(0),
+                        receiver_id=0, params=params, receiver_params=params)
     frames_before = net.total_frames_sent()
     result = xfer.measure(warmup, duration)
-    rtts = result.rtt_samples
-    rtt_mean = sum(rtts) / len(rtts) if rtts else 0.0
+    rtt_mean = result.rtt_mean
     w = params.segments_per_window()
     p = result.segment_loss
     row = {

@@ -125,9 +125,10 @@ def _run_stack_context(
         )
         sender.make_sleepy(net.nodes[hops - 1], poll=poll)
     params = ctx.params_factory()
+    # not net.tcp_stack(hops): a duty-cycled sender (uIP over ContikiMAC)
+    # runs without fast-poll coupling
     src_stack = TcpStack(net.sim, sender.ipv6, hops)
-    dst_stack = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-    xfer = BulkTransfer(net.sim, src_stack, dst_stack, receiver_id=0,
+    xfer = BulkTransfer(net.sim, src_stack, net.tcp_stack(0), receiver_id=0,
                         params=params, receiver_params=params)
     return xfer.measure(warmup, duration).goodput_kbps
 

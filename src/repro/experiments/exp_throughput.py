@@ -12,25 +12,12 @@ from repro.api import (
     CLOUD_ID,
     BulkResult,
     BulkTransfer,
-    Network,
     TcpParams,
-    TcpStack,
     build_chain,
     build_pair,
     linux_like_params,
     mss_for_frames,
 )
-
-
-def _cloud_stack(net: Network) -> TcpStack:
-    return TcpStack(net.sim, net.cloud, CLOUD_ID,
-                    default_params=linux_like_params())
-
-
-def _node_stack(net: Network, node_id: int) -> TcpStack:
-    node = net.nodes[node_id]
-    return TcpStack(net.sim, node.ipv6, node_id, cpu=node.radio.cpu,
-                    sleepy=node.sleepy)
 
 
 def run_single_hop_transfer(
@@ -46,8 +33,8 @@ def run_single_hop_transfer(
     net = build_chain(1, seed=seed)
     for n in net.nodes.values():
         n.mac.params.retry_delay = retry_delay
-    node_stack = _node_stack(net, 1)
-    cloud_stack = _cloud_stack(net)
+    node_stack = net.tcp_stack(1)
+    cloud_stack = net.tcp_stack(CLOUD_ID, linux_like_params())
     if uplink:
         xfer = BulkTransfer(
             net.sim, node_stack, cloud_stack, receiver_id=CLOUD_ID,
@@ -101,12 +88,11 @@ def run_fig5_buffer_sweep(
         result = run_single_hop_transfer(
             params, uplink=False, seed=seed, duration=duration
         )
-        rtts = result.rtt_samples
         rows.append({
             "window_segments": w,
             "window_bytes": w * mss,
             "goodput_kbps": result.goodput_kbps,
-            "rtt_mean": sum(rtts) / len(rtts) if rtts else 0.0,
+            "rtt_mean": result.rtt_mean,
         })
     return rows
 
@@ -120,9 +106,8 @@ def run_node_to_node(
     from repro.api import tcplp_params
 
     net = build_pair(seed=seed)
-    sa = _node_stack(net, 0)
-    sb = _node_stack(net, 1)
-    xfer = BulkTransfer(net.sim, sa, sb, receiver_id=1,
+    xfer = BulkTransfer(net.sim, net.tcp_stack(0), net.tcp_stack(1),
+                        receiver_id=1,
                         params=params or tcplp_params(),
                         receiver_params=params or tcplp_params())
     return xfer.measure(10.0, duration)
@@ -148,17 +133,15 @@ def run_sec72_hops(
         for n in net.nodes.values():
             n.mac.params.retry_delay = retry_delay
         params = tcplp_params(window_segments=4 if hops <= 3 else 6)
-        src_stack = _node_stack(net, hops)
-        dst_stack = _node_stack(net, 0)
-        xfer = BulkTransfer(net.sim, src_stack, dst_stack, receiver_id=0,
-                            params=params, receiver_params=params)
+        xfer = BulkTransfer(net.sim, net.tcp_stack(hops), net.tcp_stack(0),
+                            receiver_id=0, params=params,
+                            receiver_params=params)
         result = xfer.measure(10.0, duration)
-        rtts = result.rtt_samples
         rows.append({
             "hops": hops,
             "goodput_kbps": result.goodput_kbps,
             "bound_kbps": multihop_bound(single_hop_ceiling(), hops) / 1000.0,
-            "rtt_mean": sum(rtts) / len(rtts) if rtts else 0.0,
+            "rtt_mean": result.rtt_mean,
             "segment_loss": result.segment_loss,
         })
     return rows

@@ -29,8 +29,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro import verify as _verify
+from repro.core.params import TcpParams
+from repro.core.socket_api import TcpStack
 from repro.net.node import Node, NodeConfig
 from repro.net.routing import MeshRouting, StaticRouting
+from repro.net.udp import UdpStack
 from repro.net.wired import CloudHost, WiredLink
 from repro.phy.medium import Medium
 from repro.sim.engine import Simulator
@@ -57,10 +60,61 @@ class Network:
     faults: Optional[object] = None
     #: InvariantEngine attached via repro.verify.auto_verify (None otherwise)
     verify: Optional[object] = None
+    #: the wired hosts behind the border router (the cloud among them)
+    hosts: Dict[int, CloudHost] = field(default_factory=dict)
+    _tcp_stacks: Dict[int, TcpStack] = field(default_factory=dict, repr=False)
+    _udp_stacks: Dict[int, UdpStack] = field(default_factory=dict, repr=False)
 
     def node(self, node_id: int) -> Node:
         """Convenience accessor."""
         return self.nodes[node_id]
+
+    def endpoint(self, node_id: int):
+        """The ``register``/``send`` surface of ``node_id``: a mote's
+        IPv6 layer or a wired host."""
+        node = self.nodes.get(node_id)
+        if node is not None:
+            return node.ipv6
+        host = self.hosts.get(node_id)
+        if host is None:
+            raise ValueError(f"unknown node {node_id}")
+        return host
+
+    def tcp_stack(self, node_id: int,
+                  default_params: Optional[TcpParams] = None) -> TcpStack:
+        """The endpoint's one TCP stack, built on first use.
+
+        A mote's stack records into the node's recorder, charges its
+        CPU and couples §9.2 fast polling when the node is sleepy.
+        ``default_params`` applies when the stack is built; asking for
+        the built stack with different ones raises.
+        """
+        stack = self._tcp_stacks.get(node_id)
+        if stack is None:
+            netif = self.endpoint(node_id)
+            node = self.nodes.get(node_id)
+            stack = TcpStack(self.sim, netif, node_id, default_params,
+                             trace=netif.trace,
+                             cpu=node.radio.cpu if node else None,
+                             sleepy=node.sleepy if node else None)
+            self._tcp_stacks[node_id] = stack
+        elif (default_params is not None
+              and default_params != stack.default_params):
+            raise ValueError(f"node {node_id}'s TCP stack was built with "
+                             f"other default_params")
+        return stack
+
+    def udp_stack(self, node_id: int) -> UdpStack:
+        """The endpoint's one UDP stack: a mote's own, or a host's,
+        built on first use."""
+        node = self.nodes.get(node_id)
+        if node is not None:
+            return node.udp
+        stack = self._udp_stacks.get(node_id)
+        if stack is None:
+            stack = UdpStack(self.endpoint(node_id))
+            self._udp_stacks[node_id] = stack
+        return stack
 
     def total_frames_sent(self) -> int:
         """Frames transmitted by all radios (incl. ACKs) — Fig. 6d."""
@@ -116,7 +170,7 @@ def _attach_cloud(
     cloud = CloudHost(net.sim, CLOUD_ID)
     cloud.attach(wired, gateway_id=border.node_id)
     border.add_wired_link(CLOUD_ID, wired)
-    net.cloud = cloud
+    net.cloud = net.hosts[CLOUD_ID] = cloud
     net.wired = wired
 
 

@@ -6,7 +6,7 @@ goodput at the receiver.  :class:`GoodputMeter` can wrap any byte sink.
 
 :class:`FlowSet` scales that up: it launches, staggers, and meters N
 concurrent flows (saturating bulk transfers or paced sensor streams)
-over one network, sharing a TCP stack per node, and reports per-flow
+over one network on its per-node TCP stacks, and reports per-flow
 and aggregate goodput plus Jain's fairness index.  It is the workload
 engine behind the ``dense_mesh`` benchmark scenario and every
 many-flow experiment.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.params import TcpParams
 from repro.core.socket_api import TcpStack
@@ -75,6 +75,12 @@ class BulkResult:
     def goodput_kbps(self) -> float:
         """kb/s, the paper's unit."""
         return self.goodput_bps / 1000.0
+
+    @property
+    def rtt_mean(self) -> float:
+        """Mean RTT sample in seconds (0.0 without samples)."""
+        rtts = self.rtt_samples
+        return sum(rtts) / len(rtts) if rtts else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +356,6 @@ class FlowSet:
         self.specs = list(specs)
         self.params = params
         self.receiver_params = receiver_params
-        self._stacks: Dict[int, TcpStack] = {}
         self.drivers: List[Optional[object]] = [None] * len(self.specs)
         self.ports: List[int] = []
         self._measuring = False
@@ -368,20 +373,10 @@ class FlowSet:
             else:
                 self._launch(index)
 
-    def _stack_for(self, node_id: int) -> TcpStack:
-        """The shared per-node stack (built on first use)."""
-        stack = self._stacks.get(node_id)
-        if stack is None:
-            node = self.net.nodes[node_id]
-            stack = TcpStack(self.sim, node.ipv6, node_id,
-                             cpu=node.radio.cpu, sleepy=node.sleepy)
-            self._stacks[node_id] = stack
-        return stack
-
     def _launch(self, index: int) -> None:
         spec = self.specs[index]
-        sender = self._stack_for(spec.src)
-        receiver = self._stack_for(spec.dst)
+        sender = self.net.tcp_stack(spec.src)
+        receiver = self.net.tcp_stack(spec.dst)
         common = dict(
             port=self.ports[index],
             params=spec.params or self.params,

@@ -50,7 +50,6 @@ def run_once(seed: int = 7, deadline: float = 240.0,
              payload_bytes: int = 56 * 1024) -> Dict[str, object]:
     """One fault-injected transfer; returns everything the checks need."""
     from repro.core.simplified import tcplp_params
-    from repro.core.socket_api import TcpStack
     from repro.experiments.topology import build_chain
 
     net = build_chain(2, seed=seed, with_cloud=False)
@@ -60,8 +59,8 @@ def run_once(seed: int = 7, deadline: float = 240.0,
         net, FaultSchedule.from_dict(SMOKE_SCHEDULE)).arm()
 
     payload = bytes((i * 11 + 5) % 256 for i in range(payload_bytes))
-    stack_tx = TcpStack(net.sim, net.nodes[2].ipv6, 2)
-    stack_rx = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+    stack_tx = net.tcp_stack(2)
+    stack_rx = net.tcp_stack(0)
     got: List[bytes] = []
     errors: List[str] = []
     done_at: List[Optional[float]] = [None]

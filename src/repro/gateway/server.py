@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.params import TcpParams
@@ -43,7 +43,6 @@ from repro.gateway.limits import (
     TokenBucket,
 )
 from repro.gateway.runtime import PacedSimRunner
-from repro.net.udp import UdpStack
 from repro.net.wired import CloudHost
 from repro.sim.metrics import MetricsRegistry
 
@@ -117,19 +116,12 @@ class Gateway:
         # simulated endpoint: the cloud host when the topology has one
         # (external traffic enters through the border router's wired
         # uplink, as in the paper's §9 deployment), the border node
-        # otherwise
-        if net.cloud is not None:
-            self._netif = net.cloud
-            self._local_id = net.cloud.node_id
-        else:
-            border = net.nodes[net.border_id]
-            self._netif = border.ipv6
-            self._local_id = net.border_id
-        self.tcp_stack = TcpStack(
-            self.sim, self._netif, self._local_id,
-            default_params=params or TcpParams(),
-        )
-        self.udp_stack = UdpStack(self._netif)
+        # otherwise; its stacks are the network's, shared with any app
+        # installed there
+        local_id = net.cloud.node_id if net.cloud is not None else net.border_id
+        self.params = params or TcpParams()
+        self.tcp_stack = net.tcp_stack(local_id)
+        self.udp_stack = net.udp_stack(local_id)
         self._udp_ports = itertools.count(UDP_EPHEMERAL_BASE)
         self._servers: List = []
         self._udp_bridges: List[UdpBridge] = []
@@ -320,7 +312,7 @@ class Gateway:
     def sim_connect(self, binding: MoteBinding):
         """Open the simulated TCP leg toward a binding's mote."""
         return self.tcp_stack.connect(
-            binding.node_id, binding.sim_port,
+            binding.node_id, binding.sim_port, params=self.params,
             dst_is_cloud=self._is_cloud_dst(binding.node_id),
         )
 
@@ -380,55 +372,6 @@ class Gateway:
 # ----------------------------------------------------------------------
 # in-sim applications and topology helpers
 # ----------------------------------------------------------------------
-def _netif_for(net, node_id: int):
-    """The register/send surface for a node id (mesh, cloud, or wired)."""
-    if node_id in net.nodes:
-        return net.nodes[node_id].ipv6
-    if net.cloud is not None and node_id == net.cloud.node_id:
-        return net.cloud
-    hosts: Dict[int, CloudHost] = getattr(net, "_gw_wired_hosts", {})
-    if node_id in hosts:
-        return hosts[node_id]
-    raise ValueError(f"unknown node {node_id}")
-
-
-def _tcp_stack_for(net, node_id: int, params: Optional[TcpParams]) -> TcpStack:
-    """One shared TcpStack per node: ``Ipv6Layer.register`` chains
-    handlers, so a second stack would answer every segment for a port it
-    has not bound with a reset (and ``CloudHost.register`` keeps only the
-    last handler)."""
-    stacks = getattr(net, "_gw_tcp_stacks", None)
-    if stacks is None:
-        stacks = {}
-        net._gw_tcp_stacks = stacks
-    stack = stacks.get(node_id)
-    if stack is None:
-        netif = _netif_for(net, node_id)
-        node = net.nodes.get(node_id)
-        stack = TcpStack(
-            net.sim, netif, node_id,
-            default_params=params or (
-                tcplp_params() if node is not None else TcpParams()
-            ),
-            cpu=node.radio.cpu if node is not None else None,
-            sleepy=node.sleepy if node is not None else None,
-        )
-        stacks[node_id] = stack
-    return stack
-
-
-def _udp_stack_for(net, node_id: int) -> UdpStack:
-    stacks = getattr(net, "_gw_udp_stacks", None)
-    if stacks is None:
-        stacks = {}
-        net._gw_udp_stacks = stacks
-    stack = stacks.get(node_id)
-    if stack is None:
-        stack = UdpStack(_netif_for(net, node_id))
-        stacks[node_id] = stack
-    return stack
-
-
 class _TcpEchoApp:
     """Echo server on a simulated node: every byte received is sent
     back, buffering what the send window can't take yet.
@@ -439,13 +382,13 @@ class _TcpEchoApp:
     (the same watermark discipline :class:`TcpBridge` applies to real
     clients)."""
 
-    def __init__(self, stack: TcpStack, port: int,
+    def __init__(self, stack: TcpStack, port: int, params: TcpParams,
                  high_water: int = HIGH_WATER, low_water: int = LOW_WATER):
         self.bytes_echoed = 0
         self.accepted = 0
         self.high_water = high_water
         self.low_water = low_water
-        stack.listen(port, self._on_accept)
+        stack.listen(port, self._on_accept, params=params)
 
     def _on_accept(self, conn) -> None:
         self.accepted += 1
@@ -509,13 +452,13 @@ class _TcpSinkApp:
     window toward the uploader (a zero-window mote, from the gateway's
     point of view) until :meth:`resume`."""
 
-    def __init__(self, stack: TcpStack, port: int):
+    def __init__(self, stack: TcpStack, port: int, params: TcpParams):
         self.bytes = 0
         self.accepted = 0
         self.paused = False
         self._conns: List = []
         self._peer_done: set = set()
-        stack.listen(port, self._on_accept)
+        stack.listen(port, self._on_accept, params=params)
 
     def _on_accept(self, conn) -> None:
         self.accepted += 1
@@ -553,7 +496,7 @@ class _UdpEchoApp:
     """Datagram echo on a simulated node."""
 
     def __init__(self, net, node_id: int, port: int):
-        self.stack = _udp_stack_for(net, node_id)
+        self.stack = net.udp_stack(node_id)
         self.port = port
         self.datagrams = 0
         self.stack.bind(port, self._on_datagram)
@@ -573,11 +516,13 @@ def install_echo(net, node_id: int, port: int, kind: str = "tcp",
 
     ``kind="tcp"`` echoes a byte stream (the gateway bulk-transfer
     target); ``kind="udp"`` echoes datagrams (the CoAP-exchange-shaped
-    target).  Returns the app object (it exposes counters).
+    target).  TCP sessions use ``params``, TCPlp's profile by default.
+    Returns the app object (it exposes counters).
     ``high_water``/``low_water`` bound the TCP echo backlog (tcp only).
     """
     if kind == "tcp":
-        return _TcpEchoApp(_tcp_stack_for(net, node_id, params), port,
+        return _TcpEchoApp(net.tcp_stack(node_id), port,
+                           params or tcplp_params(),
                            high_water=high_water, low_water=low_water)
     if kind == "udp":
         return _UdpEchoApp(net, node_id, port)
@@ -587,7 +532,8 @@ def install_echo(net, node_id: int, port: int, kind: str = "tcp",
 def install_sink(net, node_id: int, port: int,
                  params: Optional[TcpParams] = None) -> _TcpSinkApp:
     """Run a TCP byte sink on a simulated node (upload target)."""
-    return _TcpSinkApp(_tcp_stack_for(net, node_id, params), port)
+    return _TcpSinkApp(net.tcp_stack(node_id), port,
+                       params or tcplp_params())
 
 
 def attach_wired_host(net, host_id: int = 1001) -> CloudHost:
@@ -600,9 +546,7 @@ def attach_wired_host(net, host_id: int = 1001) -> CloudHost:
     """
     if net.wired is None:
         raise ValueError("topology has no wired uplink (build with_cloud)")
-    existing = getattr(net, "_gw_wired_hosts", {})
-    if host_id in net.nodes or host_id in existing or (
-            net.cloud is not None and host_id == net.cloud.node_id):
+    if host_id in net.nodes or host_id in net.hosts:
         raise ValueError(f"node id {host_id} already in use")
     host = CloudHost(net.sim, host_id)
     host.attach(net.wired, gateway_id=net.border_id)
@@ -612,9 +556,5 @@ def attach_wired_host(net, host_id: int = 1001) -> CloudHost:
         # static routing needs an explicit entry; mesh routing already
         # sends off-mesh ids to the border router's wired links
         add_path([host_id, net.border_id])
-    hosts = getattr(net, "_gw_wired_hosts", None)
-    if hosts is None:
-        hosts = {}
-        net._gw_wired_hosts = hosts
-    hosts[host_id] = host
+    net.hosts[host_id] = host
     return host

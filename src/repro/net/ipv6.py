@@ -118,18 +118,15 @@ def decode_header(data: bytes) -> Ipv6Packet:
     )
 
 
-class _ChainedHandler:
-    """Two transport handlers on one protocol number, called in order."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def __call__(self, packet) -> None:
-        self.first(packet)
-        self.second(packet)
+def register_once(handlers: Dict[int, Callable[[Ipv6Packet], None]],
+                  node_id: int, next_header: int,
+                  handler: Callable[[Ipv6Packet], None]) -> None:
+    """Install ``handler`` for ``next_header``; an endpoint has one
+    transport stack per protocol."""
+    if next_header in handlers:
+        raise ValueError(f"node {node_id} already has a handler for "
+                         f"protocol {next_header}")
+    handlers[next_header] = handler
 
 
 class Ipv6Layer:
@@ -156,18 +153,9 @@ class Ipv6Layer:
         self._bus = getattr(sim, "trace_bus", None)
 
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:
-        """Register a transport handler for a protocol number.
-
-        Registering twice chains the handlers, called in order.  The
-        gateway relies on it: its bridge's ``UdpStack`` and an in-sim
-        app's ``UdpStack`` can share one node, and each ignores ports it
-        has not bound.
-        """
-        existing = self._handlers.get(next_header)
-        if existing is None:
-            self._handlers[next_header] = handler
-        else:
-            self._handlers[next_header] = _ChainedHandler(existing, handler)
+        """Register the transport handler for a protocol number: one per
+        protocol, so a second stack on this node raises."""
+        register_once(self._handlers, self.node_id, next_header, handler)
 
     # ------------------------------------------------------------------
     # origination

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.net.ipv6 import Ipv6Packet
+from repro.net.ipv6 import Ipv6Packet, register_once
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
@@ -97,8 +97,9 @@ class CloudHost:
         wired.connect(self.node_id, self.deliver)
 
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:
-        """Register a transport handler (same surface as Ipv6Layer)."""
-        self._handlers[next_header] = handler
+        """Register the transport handler for a protocol number (the
+        same surface and one-per-protocol rule as Ipv6Layer)."""
+        register_once(self._handlers, self.node_id, next_header, handler)
 
     def send(
         self,

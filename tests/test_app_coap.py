@@ -48,7 +48,7 @@ def make_coap_net(wired_loss=0.0, seed=0, estimator=None,
                   params=None, loss_direction="both"):
     net = build_chain(1, seed=seed, wired_loss=wired_loss)
     net.wired.loss_direction = loss_direction
-    server = CoapServer(net.sim, net.cloud)
+    server = CoapServer(net.sim, net.udp_stack(CLOUD_ID))
     payloads = []
     server.on_payload = lambda p, pkt: payloads.append(p)
     client = CoapClient(net.sim, net.nodes[1].udp, net.rng, CLOUD_ID,
@@ -142,7 +142,7 @@ def test_server_dedups_retransmitted_request():
 
 def test_ack_waiting_callback_toggles():
     net = build_chain(1, seed=0)
-    server = CoapServer(net.sim, net.cloud)
+    server = CoapServer(net.sim, net.udp_stack(CLOUD_ID))
     states = []
     client = CoapClient(net.sim, net.nodes[1].udp, net.rng, CLOUD_ID,
                         on_ack_waiting=states.append)

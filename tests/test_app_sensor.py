@@ -105,7 +105,7 @@ def test_tcp_transport_end_to_end():
 def test_coap_transport_end_to_end():
     net = build_chain(1, seed=3)
     server = ReadingServer(net.sim)
-    server.attach_coap(net.cloud)
+    server.attach_coap(net.udp_stack(CLOUD_ID))
     client = CoapClient(net.sim, net.nodes[1].udp, net.rng, CLOUD_ID)
     transport = CoapTransport(client)
     app = AnemometerNode(net.sim, transport, AnemometerConfig(

@@ -26,7 +26,6 @@ import random
 import pytest
 
 from repro.core.simplified import tcplp_params
-from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_chain, build_grid_mesh
 from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
@@ -42,12 +41,6 @@ CHAOS_SPEC = {
         {"kind": "node_reboot", "node": 1, "at": 10.0, "outage": 2.0},
     ],
 }
-
-
-def _stack(net, nid, params=None):
-    node = net.nodes[nid]
-    return TcpStack(net.sim, node.ipv6, nid, cpu=node.radio.cpu,
-                    sleepy=node.sleepy)
 
 
 #: sha256 of each traced run (see _digest and the module docstring)
@@ -99,7 +92,7 @@ def _chain_run(seed: int):
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
     trace = _trace(net.sim)
-    xfer = BulkTransfer(net.sim, _stack(net, 3), _stack(net, 0),
+    xfer = BulkTransfer(net.sim, net.tcp_stack(3), net.tcp_stack(0),
                         receiver_id=0, params=params, receiver_params=params)
     res = xfer.measure(5.0, 10.0)
     return trace, round(res.goodput_kbps, 3), net.medium.frames_delivered
@@ -128,7 +121,7 @@ def _chaos_run(seed: int):
     injector = FaultInjector(net, FaultSchedule.from_dict(CHAOS_SPEC)).arm()
     params = tcplp_params(window_segments=4)
     trace = _trace(net.sim)
-    xfer = BulkTransfer(net.sim, _stack(net, 2), _stack(net, 0),
+    xfer = BulkTransfer(net.sim, net.tcp_stack(2), net.tcp_stack(0),
                         receiver_id=0, params=params, receiver_params=params)
     res = xfer.measure(5.0, 10.0)
     return (trace, round(res.goodput_kbps, 3),

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.experiments.topology import build_chain
+from repro.core.connection import TcpState
+from repro.experiments.topology import CLOUD_ID, build_chain
 from repro.gateway import (
     Gateway,
     GatewayLimits,
@@ -733,3 +734,35 @@ class TestAttachWiredHost:
     def test_binding_kind_validated(self):
         with pytest.raises(ValueError):
             MoteBinding(node_id=1, sim_port=7, kind="sctp")
+        with pytest.raises(ValueError, match="unknown echo kind"):
+            install_echo(build_chain(1, seed=1), 1, 7, kind="sctp")
+
+
+class TestOneStackPerEndpoint:
+    """The gateway's simulated endpoint uses the network's stacks, so
+    it shares them with any app on the same node."""
+
+    def test_gateway_on_a_bare_border_leaves_its_apps_reachable(self):
+        net = build_chain(1, seed=1, with_cloud=False)
+        sink = install_sink(net, 0, 9000)
+        gw = Gateway(net, [])
+        assert gw.tcp_stack is net.tcp_stack(0)
+        assert gw.udp_stack is net.nodes[0].udp
+        conn = net.tcp_stack(1).connect(0, 9000)
+        errors = []
+        conn.on_error = errors.append
+        conn.on_connect = lambda: conn.send(b"u" * 300)
+        net.sim.run(until=10.0)
+        assert errors == []
+        assert conn.state is TcpState.ESTABLISHED
+        assert sink.bytes == 300
+
+    def test_second_cloud_stack_beside_the_gateway_raises(self):
+        net, _, _ = _gateway_net()
+        gw = Gateway(net, [MoteBinding(node_id=1, sim_port=7)])
+        with pytest.raises(ValueError, match=f"node {CLOUD_ID}"):
+            TcpStack(net.sim, net.cloud, CLOUD_ID)
+        conn = gw.sim_connect(gw.bindings[0])
+        net.sim.run(until=10.0)
+        assert conn.state is TcpState.ESTABLISHED
+        assert conn.params is gw.params

@@ -12,7 +12,6 @@ import sys
 import pytest
 
 from repro.core.simplified import tcplp_params
-from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_chain
 from repro.experiments.workload import BulkTransfer
 from repro.mac.frame import Frame, FrameKind
@@ -37,14 +36,8 @@ def _hidden_chain(brute: bool = False):
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
-
-    def stack(nid):
-        node = net.nodes[nid]
-        return TcpStack(net.sim, node.ipv6, nid, cpu=node.radio.cpu,
-                        sleepy=node.sleepy)
-
-    xfer = BulkTransfer(net.sim, stack(3), stack(0), receiver_id=0,
-                        params=params, receiver_params=params)
+    xfer = BulkTransfer(net.sim, net.tcp_stack(3), net.tcp_stack(0),
+                        receiver_id=0, params=params, receiver_params=params)
     return net, xfer
 
 

@@ -9,6 +9,7 @@ from repro.lowpan.frag import (
     Reassembler,
 )
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 
 def test_small_datagram_is_unfragmented():
@@ -95,7 +96,8 @@ def test_duplicate_fragment_ignored():
 
 def test_reassembly_timeout_discards_partial():
     sim = Simulator()
-    r = Reassembler(sim, timeout=2.0)
+    sim.trace_bus = TraceBus(sim)
+    r = Reassembler(sim, timeout=2.0, node_id=9)
     f = Fragmenter(node_id=1)
     frags = f.fragment("pkt", 500, final_dst=9)
     r.add(frags[0])
@@ -103,8 +105,24 @@ def test_reassembly_timeout_discards_partial():
     sim.run(until=3.0)
     assert r.pending() == 0
     assert r.trace.counters.get("lowpan.reassembly_timeouts") == 1
+    [event] = sim.trace_bus.events
+    assert (event.time, event.layer, event.node, event.kind) == (
+        2.0, "lowpan", 9, "reassembly_timeout")
+    assert event.fields == {"origin": 1, "tag": frags[0].tag}
     # late fragment starts a new (incomplete) buffer rather than crashing
     assert r.add(frags[1]) is None
+
+
+def test_clear_mid_reassembly_stops_the_timer():
+    sim = Simulator()
+    r = Reassembler(sim, timeout=2.0)
+    frags = Fragmenter(node_id=1).fragment("pkt", 500, final_dst=9)
+    r.add(frags[0])
+    r.clear()  # a crash mid-reassembly
+    assert r.pending() == 0
+    assert not sim._armed_timers
+    sim.run(until=3.0)
+    assert r.trace.counters.get("lowpan.reassembly_timeouts") == 0
 
 
 def test_reassembly_buffer_bound():

@@ -1,6 +1,13 @@
-"""End-to-end network layer tests: UDP over 6LoWPAN across hops."""
+"""End-to-end network layer tests: UDP over 6LoWPAN across hops, and
+the one transport stack per protocol an endpoint has."""
 
+import pytest
+
+from repro.core.params import linux_like_params
+from repro.core.simplified import tcplp_params
+from repro.core.socket_api import TcpStack
 from repro.experiments.topology import CLOUD_ID, build_chain, build_pair, build_testbed
+from repro.gateway import attach_wired_host
 from repro.net.udp import UdpStack
 
 
@@ -137,3 +144,77 @@ def test_udp_cloud_roundtrip_latency_reflects_wired_delay():
     net.sim.run(until=2.0)
     assert len(got) == 1
     assert got[0] >= 0.012  # two wired crossings alone are 12 ms
+
+
+class TestOneStackPerEndpoint:
+    """The network owns each endpoint's transport stacks, and a second
+    handler for a protocol is refused on motes and hosts alike."""
+
+    def test_tcp_stack_is_built_once_per_endpoint(self):
+        net = build_chain(1, seed=6)
+        for node_id in (0, 1, CLOUD_ID):
+            assert net.tcp_stack(node_id) is net.tcp_stack(node_id)
+        assert net.tcp_stack(0) is not net.tcp_stack(1)
+
+    def test_other_default_params_raise(self):
+        net = build_chain(1, seed=6)
+        stack = net.tcp_stack(CLOUD_ID, linux_like_params())
+        assert net.tcp_stack(CLOUD_ID, linux_like_params()) is stack
+        assert net.tcp_stack(CLOUD_ID) is stack  # no profile asked for
+        with pytest.raises(ValueError, match="default_params"):
+            net.tcp_stack(CLOUD_ID, tcplp_params())
+        net.tcp_stack(1)  # TcpStack's own default profile
+        with pytest.raises(ValueError, match="node 1's"):
+            net.tcp_stack(1, linux_like_params())
+
+    def test_mote_stack_is_wired_to_its_node(self):
+        net = build_testbed(seed=6)
+        leaf = net.nodes[12]
+        stack = net.tcp_stack(12)
+        assert stack.network is leaf.ipv6
+        assert stack.trace is leaf.trace
+        assert stack.cpu is leaf.radio.cpu
+        assert stack.sleepy is leaf.sleepy is not None
+
+    def test_udp_stack_is_the_motes_own_and_one_per_host(self):
+        net = build_chain(1, seed=6)
+        assert net.udp_stack(1) is net.nodes[1].udp
+        assert net.udp_stack(CLOUD_ID) is net.udp_stack(CLOUD_ID)
+        assert net.udp_stack(CLOUD_ID).network is net.cloud
+
+    @pytest.mark.parametrize("node_id", [1, CLOUD_ID])
+    def test_second_tcp_stack_raises(self, node_id):
+        net = build_chain(1, seed=6)
+        net.tcp_stack(node_id)
+        with pytest.raises(ValueError, match=f"node {node_id} .*protocol 6"):
+            TcpStack(net.sim, net.endpoint(node_id), node_id)
+
+    @pytest.mark.parametrize("node_id", [1, CLOUD_ID])
+    def test_second_udp_stack_raises(self, node_id):
+        net = build_chain(1, seed=6)
+        net.udp_stack(node_id)
+        with pytest.raises(ValueError,
+                           match=f"node {node_id} .*protocol 17"):
+            UdpStack(net.endpoint(node_id))
+
+    def test_endpoint_resolves_motes_and_hosts(self):
+        net = build_chain(1, seed=6)
+        assert net.endpoint(1) is net.nodes[1].ipv6
+        assert net.endpoint(CLOUD_ID) is net.cloud
+        host = attach_wired_host(net, 1001)
+        assert net.endpoint(1001) is host
+        assert net.tcp_stack(1001).network is host
+        with pytest.raises(ValueError, match="unknown node 77"):
+            net.endpoint(77)
+        bare = build_chain(1, seed=6, with_cloud=False)
+        with pytest.raises(ValueError, match=f"unknown node {CLOUD_ID}"):
+            bare.tcp_stack(CLOUD_ID)
+
+    def test_host_without_a_handler_counts_the_packet(self):
+        net = build_chain(1, seed=6)
+        net.nodes[1].udp.send(CLOUD_ID, 6000, 5683, b"x", 1,
+                              dst_is_cloud=True)
+        net.sim.run(until=1.0)
+        counters = net.cloud.trace.counters
+        assert counters.get("cloud.no_handler") == 1
+        assert counters.get("cloud.delivered") == 0

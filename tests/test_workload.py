@@ -170,8 +170,9 @@ class TestFlowSet:
                  FlowSpec(src=2, dst=0, kind="sensor", interval=0.5)]
         flows = FlowSet(net, specs, params=tcplp_params())
         res = flows.measure(warmup=4.0, duration=10.0)
-        assert flows._stack_for(2) is flows._stacks[2]
-        assert len(flows._stacks) == 2  # one per node, not per flow
+        # one stack per node, not per flow: both flows live in each
+        assert net.tcp_stack(2).active_connections() == 2
+        assert net.tcp_stack(0).active_connections() == 2
         assert res.flows_connected == 2
         assert res.flows[1].kind == "sensor"
 

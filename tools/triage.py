@@ -50,7 +50,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.api import (  # noqa: E402
     BulkTransfer,
     InvariantEngine,
-    TcpStack,
     build_chain,
     tcplp_params,
 )
@@ -97,14 +96,8 @@ def run_once(
     if spec.get("faults"):
         injector = FaultInjector(net, FaultSchedule.from_dict(spec)).arm()
     params = tcplp_params(window_segments=4)
-
-    def _stack(nid: int) -> TcpStack:
-        node = net.nodes[nid]
-        return TcpStack(net.sim, node.ipv6, nid, cpu=node.radio.cpu,
-                        sleepy=node.sleepy)
-
-    xfer = BulkTransfer(net.sim, _stack(hops), _stack(0), receiver_id=0,
-                        params=params, receiver_params=params)
+    xfer = BulkTransfer(net.sim, net.tcp_stack(hops), net.tcp_stack(0),
+                        receiver_id=0, params=params, receiver_params=params)
     engine = InvariantEngine(net, interval=0.5).start()
     if corrupt_at is not None:
         net.sim.schedule_at(corrupt_at, _Corruptor(xfer))
