@@ -4,9 +4,7 @@ Not a paper figure — this quantifies the Table 1 feature set the paper
 argues for, on this reproduction's own substrate.
 """
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_ablations import run_ablation_table
+from conftest import paper, print_table
 
 
 def _print(scenario, rows):
@@ -20,9 +18,8 @@ def _print(scenario, rows):
     )
 
 
-def test_ablations_clean_single_hop(benchmark):
-    rows = run_once(benchmark, run_ablation_table, "clean-1hop",
-                    duration=45.0)
+def test_ablations_clean_single_hop():
+    rows = paper("ablations_clean")
     _print("a clean single hop", rows)
     by_name = {r["ablation"]: r for r in rows}
     full = by_name["full TCPlp"]["goodput_kbps"]
@@ -33,9 +30,8 @@ def test_ablations_clean_single_hop(benchmark):
             assert row["goodput_kbps"] > 0.75 * full, name
 
 
-def test_ablations_lossy_single_hop(benchmark):
-    rows = run_once(benchmark, run_ablation_table, "lossy-1hop",
-                    duration=60.0)
+def test_ablations_lossy_single_hop():
+    rows = paper("ablations_lossy")
     _print("a single hop with 12% packet loss at the border router", rows)
     by_name = {r["ablation"]: r for r in rows}
     full = by_name["full TCPlp"]["goodput_kbps"]
@@ -50,9 +46,8 @@ def test_ablations_lossy_single_hop(benchmark):
     # valid through retransmissions (§9.4).  We print rather than assert.
 
 
-def test_ablations_hidden_terminal_three_hops(benchmark):
-    rows = run_once(benchmark, run_ablation_table, "hidden-3hop",
-                    duration=60.0)
+def test_ablations_hidden_terminal_three_hops():
+    rows = paper("ablations_3hop")
     _print("three hops with hidden terminals (d = 0)", rows)
     by_name = {r["ablation"]: r for r in rows}
     full = by_name["full TCPlp"]["goodput_kbps"]

@@ -1,19 +1,11 @@
 """Appendix C: TCP over a duty-cycled link (Figures 12-14, §C.2)."""
 
 import pytest
-from conftest import print_table, run_once
-
-from repro.experiments.exp_duty import (
-    run_adaptive_duty_cycle,
-    run_fig12_sweep,
-    run_fig13_rtt_distribution,
-)
-from repro.sim.trace import percentile
+from conftest import paper, print_table
 
 
-def test_fig12_fixed_sleep_interval(benchmark):
-    rows = run_once(benchmark, run_fig12_sweep,
-                    intervals=(0.02, 0.1, 0.5, 1.0, 2.0), duration=45.0)
+def test_fig12_fixed_sleep_interval():
+    rows = paper("appendixC_fig12")
     print_table(
         "Figure 12: goodput & RTT vs fixed sleep interval",
         ["Interval (s)", "Direction", "Goodput (kb/s)", "RTT (s)"],
@@ -28,32 +20,21 @@ def test_fig12_fixed_sleep_interval(benchmark):
     assert up[2.0]["goodput_kbps"] < 0.25 * up[0.02]["goodput_kbps"]
 
 
-def test_fig13_rtt_distribution(benchmark):
-    dists = run_once(benchmark, run_fig13_rtt_distribution,
-                     sleep_interval=2.0, duration=240.0)
-    rows = []
-    for direction, samples in dists.items():
-        rows.append([
-            direction, len(samples),
-            percentile(samples, 10), percentile(samples, 50),
-            percentile(samples, 90),
-        ])
+def test_fig13_rtt_distribution():
+    dists = paper("appendixC_fig13")
     print_table(
         "Figure 13: RTT distribution at a 2 s sleep interval",
         ["Direction", "Samples", "p10 (s)", "p50 (s)", "p90 (s)"],
-        rows,
+        [[k, dists[k]["samples"], dists[k]["p10"], dists[k]["p50"],
+          dists[k]["p90"]] for k in ("uplink", "downlink")],
     )
     # uplink clusters at ~1x interval; downlink reaches multiples of it
-    assert percentile(dists["uplink"], 50) == pytest.approx(2.0, rel=0.3)
-    assert percentile(dists["downlink"], 90) >= 1.5
+    assert dists["uplink"]["p50"] == pytest.approx(2.0, rel=0.3)
+    assert dists["downlink"]["p90"] >= 1.5
 
 
-def test_fig14_adaptive_sleep(benchmark):
-    def run_both():
-        return (run_adaptive_duty_cycle(uplink=True, duration=45.0),
-                run_adaptive_duty_cycle(uplink=False, duration=45.0))
-
-    up, down = run_once(benchmark, run_both)
+def test_fig14_adaptive_sleep():
+    up, down = paper("appendixC_adaptive")
     print_table(
         "§C.2: Trickle-adaptive sleep interval (paper: 68.6/55.6 kb/s, "
         "~0.1% idle duty cycle)",

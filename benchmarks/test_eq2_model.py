@@ -1,12 +1,10 @@
 """§8: the LLN TCP model (Eq. 2) against measurements and Eq. 1."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_retry_delay import run_eq2_validation
+from conftest import paper, print_table
 
 
-def test_eq2_vs_eq1(benchmark):
-    rows = run_once(benchmark, run_eq2_validation, duration=60.0)
+def test_eq2_vs_eq1():
+    rows = paper("eq2_validation")
     print_table(
         "§8: measured goodput vs Equation 2 (LLN) vs Equation 1 (Mathis)",
         ["Hops", "d (ms)", "Measured (kb/s)", "Eq.2 (kb/s)",

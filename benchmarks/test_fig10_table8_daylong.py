@@ -1,18 +1,11 @@
 """Figure 10 and Table 8: a (time-compressed) day in a lossy office."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_app import run_fig10_daylong, run_table8
+from conftest import paper, print_table
 
 
-def test_fig10_daylong_duty_cycle(benchmark):
-    def run_both():
-        return {
-            "tcp": run_fig10_daylong("tcp", hours=24, seconds_per_hour=150.0),
-            "coap": run_fig10_daylong("coap", hours=24, seconds_per_hour=150.0),
-        }
-
-    results = run_once(benchmark, run_both)
+def test_fig10_daylong_duty_cycle():
+    results = {"tcp": paper("fig10_daylong_tcp"),
+               "coap": paper("fig10_daylong_coap")}
     print_table(
         "Figure 10: hourly radio duty cycle (diurnal interference)",
         ["Hour", "Loss", "TCPlp radio DC (%)", "CoAP radio DC (%)"],
@@ -36,8 +29,8 @@ def test_fig10_daylong_duty_cycle(benchmark):
     assert mean_dc(tcp, day) < 4 * mean_dc(coap, day)
 
 
-def test_table8_day_averages(benchmark):
-    rows = run_once(benchmark, run_table8, hours=12, seconds_per_hour=150.0)
+def test_table8_day_averages():
+    rows = paper("table8")
     print_table(
         "Table 8: day-long averages (paper: TCPlp 99.3%/2.29%, CoAP "
         "99.5%/1.84%, unreliable 93-95%/0.7-1.1%)",

@@ -1,13 +1,10 @@
 """Figure 4: goodput vs Maximum Segment Size (in frames)."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_throughput import run_fig4_mss_sweep
+from conftest import paper, print_table
 
 
-def test_fig4_mss_sweep(benchmark):
-    rows = run_once(benchmark, run_fig4_mss_sweep,
-                    frames_range=range(2, 9), duration=45.0)
+def test_fig4_mss_sweep():
+    rows = paper("fig4_mss")
     print_table(
         "Figure 4: goodput vs MSS (frames), single hop via border router",
         ["MSS (frames)", "Uplink (kb/s)", "Downlink (kb/s)"],

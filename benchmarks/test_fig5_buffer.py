@@ -1,13 +1,10 @@
 """Figure 5: goodput and RTT vs window (receive-buffer) size."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_throughput import run_fig5_buffer_sweep
+from conftest import paper, print_table
 
 
-def test_fig5_buffer_sweep(benchmark):
-    rows = run_once(benchmark, run_fig5_buffer_sweep,
-                    window_segments=range(1, 7), duration=45.0)
+def test_fig5_buffer_sweep():
+    rows = paper("fig5_buffer")
     print_table(
         "Figure 5: effect of window size (downlink, single hop)",
         ["Window (segs)", "Window (bytes)", "Goodput (kb/s)", "RTT (s)"],

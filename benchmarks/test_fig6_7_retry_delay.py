@@ -1,19 +1,10 @@
 """Figures 6 and 7: the link-retry-delay sweep and TCP loss recovery."""
 
-from conftest import _emit, print_table, run_once
-
-from repro.experiments.exp_retry_delay import (
-    run_fig6_sweep,
-    run_fig7a_cwnd_trace,
-)
-
-DELAYS = (0.0, 0.005, 0.02, 0.04, 0.1)
+from conftest import _emit, paper, print_table
 
 
-def test_fig6a_one_hop(benchmark):
-    # a touch of ambient interference so link retries exist for d to act on
-    rows = run_once(benchmark, run_fig6_sweep, 1, delays=DELAYS,
-                    duration=45.0, ambient_frame_loss=0.03)
+def test_fig6a_one_hop():
+    rows = paper("fig6a_one_hop")
     print_table(
         "Figure 6a: one hop — goodput & segment loss vs retry delay d "
         "(3% ambient frame loss)",
@@ -28,9 +19,8 @@ def test_fig6a_one_hop(benchmark):
     assert rows[-1]["goodput_kbps"] > 0.7 * rows[0]["goodput_kbps"]
 
 
-def test_fig6bcd_three_hops(benchmark):
-    rows = run_once(benchmark, run_fig6_sweep, 3, delays=DELAYS,
-                    duration=60.0)
+def test_fig6bcd_three_hops():
+    rows = paper("fig6bcd_three_hops")
     print_table(
         "Figure 6b-d: three hops vs retry delay d",
         ["d (ms)", "Goodput (kb/s)", "Pred. Eq.2", "Seg. loss",
@@ -52,15 +42,12 @@ def test_fig6bcd_three_hops(benchmark):
     assert d[40.0]["fast_retransmits"] <= d[0.0]["fast_retransmits"]
 
 
-def test_fig7a_cwnd_trace(benchmark):
-    row = run_once(benchmark, run_fig7a_cwnd_trace, duration=100.0)
-    series = row["cwnd_series"]
-    # print a decimated trace (the paper's Fig. 7a look)
-    step = max(1, len(series) // 24)
+def test_fig7a_cwnd_trace():
+    row = paper("fig7a_cwnd")
     print_table(
         "Figure 7a: cwnd over time, d=0, three hops (decimated)",
         ["t (s)", "cwnd (bytes)"],
-        [[f"{t:.1f}", int(v)] for t, v in series[::step]],
+        [[f"{t:.1f}", int(v)] for t, v in row["cwnd_series"]],
     )
     _emit(f"fraction of time cwnd >= 75% of max: "
           f"{row['fraction_near_max']:.2f} (segment loss "

@@ -1,12 +1,10 @@
 """Figure 8: power effect of batching (favourable conditions)."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_app import run_fig8_batching
+from conftest import paper, print_table
 
 
-def test_fig8_batching(benchmark):
-    rows = run_once(benchmark, run_fig8_batching, duration=900.0)
+def test_fig8_batching():
+    rows = paper("fig8_batching")
     print_table(
         "Figure 8: radio/CPU duty cycle, batching vs not (night conditions)",
         ["Protocol", "Batching", "Radio DC (%)", "CPU DC (%)", "Reliability",

@@ -1,15 +1,10 @@
 """Figure 9: injected packet loss at the border router (0-21 %)."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_app import run_fig9_loss_sweep
-
-RATES = (0.0, 0.06, 0.09, 0.12, 0.15, 0.21)
+from conftest import paper, print_table
 
 
-def test_fig9_loss_sweep(benchmark):
-    rows = run_once(benchmark, run_fig9_loss_sweep, loss_rates=RATES,
-                    duration=900.0)
+def test_fig9_loss_sweep():
+    rows = paper("fig9_loss")
     print_table(
         "Figure 9: reliability / retransmissions / duty cycles vs loss",
         ["Protocol", "Loss", "Reliability", "Retx /10min", "RTOs /10min",

@@ -1,48 +1,27 @@
 """§6.3: node-to-node goodput and the deaf-listening ablation (§4/§6.2)."""
 
-from conftest import print_table, run_once
-
-from repro.core.simplified import tcplp_params
-from repro.core.socket_api import TcpStack
-from repro.experiments.exp_throughput import run_node_to_node
-from repro.experiments.topology import build_pair
-from repro.experiments.workload import BulkTransfer
-from repro.net.node import NodeConfig
+from conftest import paper, print_table
 
 
-def _run_deaf_ablation(duration=45.0):
-    """The §4 problem: hardware CSMA goes deaf during backoff."""
-    results = {}
-    for deaf in (False, True):
-        net = build_pair(seed=1, node_config=NodeConfig(deaf_csma=deaf))
-        sa = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-        sb = TcpStack(net.sim, net.nodes[1].ipv6, 1)
-        xfer = BulkTransfer(net.sim, sa, sb, receiver_id=1,
-                            params=tcplp_params(),
-                            receiver_params=tcplp_params())
-        results[deaf] = xfer.measure(10.0, duration).goodput_kbps
-    return results
-
-
-def test_sec63_node_to_node_goodput(benchmark):
-    result = run_once(benchmark, run_node_to_node, duration=60.0)
+def test_sec63_node_to_node_goodput():
+    result = paper("sec63_node_to_node")
     print_table(
         "§6.3: node-to-node TCP goodput (paper: 63-75 kb/s across stacks)",
         ["Setup", "Goodput (kb/s)"],
-        [["Hamilton <-> Hamilton, one hop", result.goodput_kbps]],
+        [["Hamilton <-> Hamilton, one hop", result["goodput_kbps"]]],
     )
-    assert 55 < result.goodput_kbps < 85
-    assert result.rto_events == 0
+    assert 55 < result["goodput_kbps"] < 85
+    assert result["rto_events"] == 0
 
 
-def test_sec4_deaf_listening_ablation(benchmark):
-    results = run_once(benchmark, _run_deaf_ablation)
+def test_sec4_deaf_listening_ablation():
+    results = paper("sec4_deaf_ablation")
     print_table(
         "§4 ablation: software CSMA (listening between attempts) vs "
         "hardware deaf-listening CSMA",
         ["CSMA", "Goodput (kb/s)"],
-        [["software (TCPlp's fix)", results[False]],
-         ["hardware (deaf during backoff)", results[True]]],
+        [["software (TCPlp's fix)", results["software"]],
+         ["hardware (deaf during backoff)", results["deaf"]]],
     )
     # deaf listening hurts the bidirectional TCP exchange
-    assert results[False] > results[True]
+    assert results["software"] > results["deaf"]

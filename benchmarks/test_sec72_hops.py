@@ -1,16 +1,13 @@
 """§7.2: goodput vs hop count (the B, B/2, B/3, B/3 law)."""
 
 import pytest
-from conftest import print_table, run_once
-
-from repro.experiments.exp_throughput import run_sec72_hops
+from conftest import paper, print_table
 
 PAPER = {1: 64.1, 2: 28.3, 3: 19.5, 4: 17.5}
 
 
-def test_sec72_goodput_vs_hops(benchmark):
-    rows = run_once(benchmark, run_sec72_hops, hops_range=(1, 2, 3, 4),
-                    duration=60.0)
+def test_sec72_goodput_vs_hops():
+    rows = paper("sec72_hops")
     print_table(
         "§7.2: goodput vs wireless hops (d = 40 ms)",
         ["Hops", "Goodput (kb/s)", "Paper (kb/s)", "Analytic bound (kb/s)",

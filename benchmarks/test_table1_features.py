@@ -4,7 +4,7 @@ The matrix is partly introspected from the parameter profiles that the
 simulator actually runs — if a feature flag changes, this table changes.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.core.simplified import (
     FEATURE_MATRIX,
@@ -44,8 +44,8 @@ def build_table():
     return rows
 
 
-def test_table1_feature_matrix(benchmark):
-    rows = run_once(benchmark, build_table)
+def test_table1_feature_matrix():
+    rows = build_table()
     print_table(
         "Table 1: TCP feature comparison (uIP / BLIP / GNRC / TCPlp)",
         ["Feature", "uIP", "BLIP", "GNRC", "TCPlp"],

@@ -1,6 +1,6 @@
 """Tables 2-4: platform resources and TCPlp's memory footprint."""
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.core.params import TcpParams
 from repro.models.memory import (
@@ -13,28 +13,24 @@ from repro.models.memory import (
 from repro.models.platforms import PLATFORMS
 
 
-def test_table2_platforms(benchmark):
-    rows = run_once(benchmark, lambda: [
+def test_table2_platforms():
+    rows = [
         [p.name, f"{p.cpu_bits}-bit, {p.clock_mhz:.0f} MHz",
          f"{p.rom_bytes // 1024} KiB" if p.rom_bytes else "SD Card",
          f"{p.ram_bytes // 1024} KiB" if p.ram_bytes < 2**20
          else f"{p.ram_bytes // 2**20} MB"]
         for p in PLATFORMS.values()
-    ])
+    ]
     print_table("Table 2: platform comparison",
                 ["Platform", "CPU", "ROM", "RAM"], rows)
     assert PLATFORMS["hamilton"].ram_bytes == 32 * 1024
 
 
-def test_table3_4_memory_footprint(benchmark):
-    def build():
-        t3, t4 = tcplp_memory_tinyos(), tcplp_memory_riot()
-        modelled = modelled_tcb_bytes()
-        passive = modelled_passive_bytes()
-        buffers = buffer_memory(TcpParams().mss, 4)
-        return t3, t4, modelled, passive, buffers
-
-    t3, t4, modelled, passive, buffers = run_once(benchmark, build)
+def test_table3_4_memory_footprint():
+    t3, t4 = tcplp_memory_tinyos(), tcplp_memory_riot()
+    modelled = modelled_tcb_bytes()
+    passive = modelled_passive_bytes()
+    buffers = buffer_memory(TcpParams().mss, 4)
     print_table(
         "Tables 3-4: TCPlp memory usage (paper-measured vs modelled)",
         ["Quantity", "TinyOS (T3)", "RIOT (T4)", "our model"],

@@ -1,14 +1,14 @@
 """Tables 5-6 and the §6.4 goodput ceiling: header/timing arithmetic."""
 
 import pytest
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.models.headers import table5_rows, table6_rows
 from repro.models.throughput import multihop_bound, single_hop_ceiling
 
 
-def test_table5_link_comparison(benchmark):
-    rows = run_once(benchmark, table5_rows)
+def test_table5_link_comparison():
+    rows = table5_rows()
     print_table(
         "Table 5: IEEE 802.15.4 vs traditional TCP/IP links",
         ["Physical Layer", "Bandwidth", "Frame Size", "Tx Time"],
@@ -19,8 +19,8 @@ def test_table5_link_comparison(benchmark):
     assert lln.tx_time == pytest.approx(4.1e-3, rel=0.02)
 
 
-def test_table6_header_overhead(benchmark):
-    rows = run_once(benchmark, table6_rows)
+def test_table6_header_overhead():
+    rows = table6_rows()
     print_table(
         "Table 6: 6LoWPAN header overhead per frame",
         ["Header", "First Frame (min-max)", "Other Frames (min-max)"],
@@ -32,12 +32,9 @@ def test_table6_header_overhead(benchmark):
     assert total.other_frames_min == 28
 
 
-def test_sec64_goodput_ceiling(benchmark):
-    def build():
-        one_hop = single_hop_ceiling()
-        return one_hop, [multihop_bound(one_hop, h) for h in (1, 2, 3, 4)]
-
-    one_hop, bounds = run_once(benchmark, build)
+def test_sec64_goodput_ceiling():
+    one_hop = single_hop_ceiling()
+    bounds = [multihop_bound(one_hop, h) for h in (1, 2, 3, 4)]
     print_table(
         "§6.4/§7.2: analytic goodput ceilings",
         ["Hops", "Bound (kb/s)"],

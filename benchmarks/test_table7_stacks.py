@@ -1,12 +1,10 @@
 """Table 7: TCPlp vs prior embedded TCP stacks (in their own contexts)."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_table7 import run_table7
+from conftest import paper, print_table
 
 
-def test_table7_stack_comparison(benchmark):
-    rows = run_once(benchmark, run_table7, duration=45.0)
+def test_table7_stack_comparison():
+    rows = paper("table7_stacks")
     print_table(
         "Table 7: goodput by stack (measured vs paper)",
         ["Stack", "1 hop (kb/s)", "paper", "3 hops (kb/s)", "paper"],

@@ -1,12 +1,10 @@
 """Table 9 and Appendix A: fairness among simultaneous flows."""
 
-from conftest import print_table, run_once
-
-from repro.experiments.exp_fairness import run_table9
+from conftest import paper, print_table
 
 
-def test_table9_fairness(benchmark):
-    rows = run_once(benchmark, run_table9, duration=90.0)
+def test_table9_fairness():
+    rows = paper("table9_fairness")
     print_table(
         "Table 9 + Appendix A: two upstream flows sharing the mesh",
         ["Hops", "Config", "Aggregate (kb/s)", "Flow A", "Flow B",

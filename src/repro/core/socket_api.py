@@ -89,9 +89,7 @@ class TcpStack(_SocketOptions):
         self._metrics = None
         self._instruments: Optional[tuple] = None
         network.register(PROTO_TCP, self._on_packet)
-        stacks = getattr(network, "tcp_stacks", None)
-        if stacks is not None:
-            stacks.append(self)
+        network.tcp_stack = self
 
     # ------------------------------------------------------------------
     # public API

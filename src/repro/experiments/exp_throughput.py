@@ -1,4 +1,4 @@
-"""Throughput experiments: Figures 4 and 5, §6.3, §7.2.
+"""Throughput experiments: Figures 4 and 5, §4, §6.3, §7.2.
 
 All functions return lists of plain dict rows shaped like the paper's
 figures, so benchmarks can print them and tests can assert on trends.
@@ -101,16 +101,29 @@ def run_node_to_node(
     params: Optional[TcpParams] = None,
     seed: int = 0,
     duration: float = 60.0,
+    deaf_csma: bool = False,
 ) -> BulkResult:
-    """§6.3: two embedded nodes over one hop, no border router."""
-    from repro.api import tcplp_params
+    """§6.3: two embedded nodes over one hop, no border router.
 
-    net = build_pair(seed=seed)
+    ``deaf_csma`` gives both radios hardware CSMA, which leaves the
+    radio deaf during its backoff (§4)."""
+    from repro.api import tcplp_params
+    from repro.net.node import NodeConfig
+
+    net = build_pair(seed=seed, node_config=NodeConfig(deaf_csma=deaf_csma))
     xfer = BulkTransfer(net.sim, net.tcp_stack(0), net.tcp_stack(1),
                         receiver_id=1,
                         params=params or tcplp_params(),
                         receiver_params=params or tcplp_params())
     return xfer.measure(10.0, duration)
+
+
+def run_deaf_ablation(seed: int = 1, duration: float = 45.0) -> Dict:
+    """§4: node-to-node goodput with software CSMA, which listens
+    between backoff slots (TCPlp's fix), and with deaf hardware CSMA."""
+    return {label: run_node_to_node(seed=seed, duration=duration,
+                                    deaf_csma=deaf).goodput_kbps
+            for label, deaf in (("software", False), ("deaf", True))}
 
 
 def run_sec72_hops(

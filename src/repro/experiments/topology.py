@@ -62,7 +62,6 @@ class Network:
     verify: Optional[object] = None
     #: the wired hosts behind the border router (the cloud among them)
     hosts: Dict[int, CloudHost] = field(default_factory=dict)
-    _tcp_stacks: Dict[int, TcpStack] = field(default_factory=dict, repr=False)
     _udp_stacks: Dict[int, UdpStack] = field(default_factory=dict, repr=False)
 
     def node(self, node_id: int) -> Node:
@@ -89,15 +88,14 @@ class Network:
         ``default_params`` applies when the stack is built; asking for
         the built stack with different ones raises.
         """
-        stack = self._tcp_stacks.get(node_id)
+        netif = self.endpoint(node_id)
+        stack = netif.tcp_stack
         if stack is None:
-            netif = self.endpoint(node_id)
             node = self.nodes.get(node_id)
             stack = TcpStack(self.sim, netif, node_id, default_params,
                              trace=netif.trace,
                              cpu=node.radio.cpu if node else None,
                              sleepy=node.sleepy if node else None)
-            self._tcp_stacks[node_id] = stack
         elif (default_params is not None
               and default_params != stack.default_params):
             raise ValueError(f"node {node_id}'s TCP stack was built with "
@@ -261,20 +259,17 @@ def build_testbed(
     medium = Medium(sim, rng=rng, comm_range=10.0)
     router_ids = [1, 2, 3, 4, 5]
     leaf_ids = [12, 13, 14, 15]
-    routing = MeshRouting(border_id=1, router_ids=router_ids)
+    placeholder = StaticRouting()  # replaced once radios are registered
     nodes: Dict[int, Node] = {}
     for nid, pos in TESTBED_POSITIONS.items():
         config = _clone_config(node_config)
         config.mac.retry_delay = retry_delay
-        nodes[nid] = Node(sim, medium, rng, nid, pos, routing, config)
+        nodes[nid] = Node(sim, medium, rng, nid, pos, placeholder, config)
     # leaf parent selection + mesh routes need the radios registered
-    for leaf in leaf_ids:
-        candidates = [r for r in router_ids if medium.in_range(leaf, r)]
-        if not candidates:
-            raise RuntimeError(f"testbed geometry broken: leaf {leaf} isolated")
-        parent = min(candidates, key=lambda r: (medium.distance(leaf, r), r))
-        routing.leaf_parents[leaf] = parent
-    routing.rebuild(medium)
+    routing = MeshRouting.build(medium, border_id=1, router_ids=router_ids,
+                                leaf_ids=leaf_ids)
+    for node in nodes.values():
+        node.routing = node.ipv6.routing = routing
     net = Network(
         sim, rng, medium, nodes, routing, border_id=1, leaf_ids=leaf_ids
     )

@@ -46,8 +46,8 @@ SMOKE_SCHEDULE = {
 LAST_FAULT_AT = 25.0
 
 
-def run_once(seed: int = 7, deadline: float = 240.0,
-             payload_bytes: int = 56 * 1024) -> Dict[str, object]:
+def _run_transfer(seed: int = 7, deadline: float = 240.0,
+                  payload_bytes: int = 56 * 1024) -> Dict[str, object]:
     """One fault-injected transfer; returns everything the checks need."""
     from repro.core.simplified import tcplp_params
     from repro.experiments.topology import build_chain
@@ -116,8 +116,8 @@ def main(argv=None) -> int:
                         help="write the fault-event log as JSONL")
     args = parser.parse_args(argv)
 
-    first = run_once(seed=args.seed)
-    second = run_once(seed=args.seed)
+    first = _run_transfer(seed=args.seed)
+    second = _run_transfer(seed=args.seed)
     injector = first["injector"]
     violations = list(first["violations"])
 

@@ -32,6 +32,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
 
 _LISTEN = RadioState.LISTEN
+_DEAF = RadioState.DEAF
 _ACK = FrameKind.ACK
 _DATA_REQUEST = FrameKind.DATA_REQUEST
 
@@ -307,6 +308,8 @@ class MacLayer:
             op.be = be if be < params.max_be else params.max_be
             if op.nb > params.max_csma_backoffs:
                 self._counts["mac.csma_failures"] += 1
+                if radio.energy.state is _DEAF:
+                    radio.listen()  # only the backoff is deaf (§4)
                 if self._bus is not None:
                     self._bus.emit("mac", self.node_id, "csma_failure",
                                    dst=op.frame.dst, retries=op.retries)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.lowpan.iphc import (
     PROTO_TCP,  # noqa: F401  (re-exported: repro.net's canonical home)
@@ -148,8 +148,9 @@ class Ipv6Layer:
         #: optional skewed timestamp clock (sim-seconds -> 32-bit ms);
         #: picked up by TCP connections built over this layer
         self.ts_clock: Optional[Callable[[float], int]] = None
-        #: TCP stacks bound to this layer (fault injection crashes them)
-        self.tcp_stacks: List[object] = []
+        #: the TCP stack bound to this layer, set by ``TcpStack``
+        #: (fault injection crashes it)
+        self.tcp_stack = None
         self._bus = getattr(sim, "trace_bus", None)
 
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:

@@ -169,8 +169,8 @@ class Node:
             while self.ipv6.forward_queue.dequeue() is not None:
                 pass
         self.ipv6._forward_busy = False
-        for stack in list(self.ipv6.tcp_stacks):
-            stack.crash()
+        if self.ipv6.tcp_stack is not None:
+            self.ipv6.tcp_stack.crash()
 
     def reboot(self) -> None:
         """Cold-start after :meth:`crash`: radio on, MAC unblocked,

@@ -88,6 +88,7 @@ class CloudHost:
         self.wired: Optional[WiredLink] = None
         self.gateway_id: Optional[int] = None
         self._handlers: Dict[int, Callable[[Ipv6Packet], None]] = {}
+        self.tcp_stack = None  # set by TcpStack, as on Ipv6Layer
 
     def attach(self, wired: WiredLink, gateway_id: int) -> None:
         """Connect this host to the border router via ``wired``."""

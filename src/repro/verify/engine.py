@@ -135,8 +135,8 @@ class InvariantEngine:
 
     def _check_node_layer(self, node_id: int, node, layer: str) -> None:
         if layer == "tcp":
-            ipv6 = getattr(node, "ipv6", node)
-            for stack in getattr(ipv6, "tcp_stacks", ()):
+            stack = getattr(getattr(node, "ipv6", node), "tcp_stack", None)
+            if stack is not None:
                 self._report("tcp", node_id, "probe_tcp_stack",
                              _probes.probe_tcp_stack(stack))
         elif layer == "lowpan":

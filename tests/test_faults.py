@@ -566,7 +566,7 @@ class TestInvariants:
 def test_smoke_run_passes_all_invariants():
     from repro.faults import smoke
 
-    result = smoke.run_once()
+    result = smoke._run_transfer()
     assert result["violations"] == []
     assert result["done_at"] is not None
     # the transfer must actually straddle the scheduled chaos

@@ -153,3 +153,26 @@ def test_preempted_frame_runs_one_csma_chain():
     sim.run(until=2.0)
     assert done == [False]
     assert parent.trace.counters.get("mac.frames_tx") == params.max_retries + 2
+
+
+def test_deaf_csma_radio_listens_again_after_a_csma_failure():
+    """Hardware CSMA is deaf during its backoff only: a frame that
+    fails channel access leaves the radio in receive mode, so the node
+    still hears the frames sent to it."""
+    params = MacParams(max_csma_backoffs=0, max_retries=0)
+    sim, medium, macs = make_macs([(0, 0), (5, 0)], params=params,
+                                  deaf=True)
+    carrier_busy = medium.carrier_busy
+    medium.carrier_busy = lambda node_id: True  # a jammed channel
+    done = []
+    macs[0].send(b"x", 50, dst=1, on_done=done.append)
+    sim.run(until=0.5)
+    assert done == [False]
+    assert macs[0].trace.counters.get("mac.csma_failures") == 1
+    assert macs[0].radio.state is RadioState.LISTEN
+    medium.carrier_busy = carrier_busy
+    got = []
+    macs[0].on_receive = lambda p, s, f: got.append(p)
+    macs[1].send(b"y", 50, dst=0)
+    sim.run(until=1.0)
+    assert got == [b"y"]

@@ -11,10 +11,13 @@ from repro.phy.medium import Medium
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus
 
 
-def make_pair(poll_params):
+def make_pair(poll_params, bus=False):
     sim = Simulator()
+    if bus:
+        sim.trace_bus = TraceBus(sim)
     rng = RngStreams(5)
     medium = Medium(sim, rng=rng, comm_range=10.0)
     parent_radio = Radio(sim, medium, 0, (0, 0))
@@ -207,3 +210,24 @@ def test_poll_params_refuse_a_bad_interval_naming_the_field(field, kwargs):
     kernel's schedule_periodic error."""
     with pytest.raises(ValueError, match=f"^PollParams.{field}: "):
         PollParams(**kwargs)
+
+
+def test_poll_ack_and_timeout_reach_the_trace_bus():
+    """A child's poll answered by its parent emits ``mac/poll_ack``
+    with the pending bit and the poll's latency; a poll nobody answers
+    emits ``mac/poll_timeout`` when its window closes."""
+    sim, parent, child, device = make_pair(PollParams(poll_interval=1.0),
+                                           bus=True)
+    parent.send(b"down", 20, dst=1)
+    sim.run(until=2.5)  # two polls: one finds the frame, one nothing
+    acks = [e for e in sim.trace_bus.events if e.kind == "poll_ack"]
+    assert [(e.layer, e.node, e.fields["pending"]) for e in acks] == [
+        ("mac", 1, True), ("mac", 1, False)]
+    assert all(0 < e.fields["latency"] < 0.05 for e in acks)
+    parent.radio.power_off()
+    sim.run(until=3.5)  # the third poll goes unanswered
+    [timeout] = [e for e in sim.trace_bus.events
+                 if e.kind == "poll_timeout"]
+    assert (timeout.layer, timeout.node, timeout.fields) == ("mac", 1, {})
+    assert timeout.time == pytest.approx(3.0 + 4 * 0.1, abs=0.05)
+    assert child.trace.counters.get("mac.poll_timeouts") == 1

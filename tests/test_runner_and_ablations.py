@@ -1,11 +1,16 @@
 """The experiment catalog through campaigns, and ablation-harness
 smoke tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import CampaignSpec, run_campaign
 from repro.experiments.exp_ablations import ABLATIONS, _run_ablation
 from repro.experiments.runner import DEFAULT_CATALOG
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestAblationHarness:
@@ -49,15 +54,16 @@ def run_quiet(experiments, catalog=None):
 
 class TestRunner:
     def test_registry_covers_every_table_and_figure(self):
-        names = set(DEFAULT_CATALOG.names())
-        for required in (
-            "static_tables", "fig4_mss", "fig5_buffer", "table7_stacks",
-            "fig6a_one_hop", "fig6bcd_three_hops", "fig7a_cwnd",
-            "eq2_validation", "sec72_hops", "fig8_batching", "fig9_loss",
-            "fig10_daylong_tcp", "table8", "table9_fairness",
-            "appendixC_fig12", "appendixC_adaptive",
-        ):
-            assert required in names, required
+        """``campaigns/paper.json`` names exactly the catalog rows the
+        paper suite reads, at their full (asserted) settings."""
+        spec = CampaignSpec.from_json(REPO / "campaigns" / "paper.json")
+        assert spec.quick is False
+        assert all(name in DEFAULT_CATALOG for name in spec.experiments)
+        read = set()
+        for path in (REPO / "benchmarks").glob("test_*.py"):
+            read.update(re.findall(r'\bpaper\("([^"]+)"\)',
+                                   path.read_text()))
+        assert sorted(spec.experiments) == sorted(read)
 
     def test_run_all_subset_and_error_isolation(self):
         report = run_quiet(["static_tables"])

@@ -180,8 +180,8 @@ def main(argv=None) -> int:
         hops = 2
 
         def fails_with(candidate: Dict[str, object]) -> bool:
-            probe = triage.run_once(candidate, seed=args.seed, hops=hops,
-                                    duration=60.0)
+            probe = triage.run_chaos(candidate, seed=args.seed, hops=hops,
+                                     duration=60.0)
             return not probe["engine"].ok
 
         schedule = report["schedule"]

@@ -76,7 +76,7 @@ class _Corruptor:
             conn.snd_nxt = (conn.snd_una - 1000) & 0xFFFFFFFF
 
 
-def run_once(
+def run_chaos(
     spec: Dict[str, object],
     seed: int = 7,
     hops: int = 2,
@@ -167,8 +167,8 @@ def replay_from_seed(minimized: Dict[str, object], first,
     """Re-run the minimized schedule from the seed to just past the
     ``first`` violation; returns a JSON-ready confirmation record."""
     horizon = first.time + REPLAY_SLACK
-    replay = run_once(minimized, seed=seed, hops=hops, duration=horizon,
-                      corrupt_at=corrupt_at)["engine"]
+    replay = run_chaos(minimized, seed=seed, hops=hops, duration=horizon,
+                       corrupt_at=corrupt_at)["engine"]
     reproduced = replay.first_violation()
     return {
         "first_violation_time": first.time,
@@ -192,8 +192,8 @@ def triage(
     """Full pipeline: reproduce, minimize, replay.  Returns the report."""
     progress(f"[triage] full run: {len(spec.get('faults', []))} fault(s), "
              f"{duration:.0f}s on a {hops}-hop chain (seed {seed})")
-    engine = run_once(spec, seed=seed, hops=hops, duration=duration,
-                      corrupt_at=corrupt_at)["engine"]
+    engine = run_chaos(spec, seed=seed, hops=hops, duration=duration,
+                       corrupt_at=corrupt_at)["engine"]
     report: Dict[str, object] = {
         "seed": seed,
         "hops": hops,
@@ -213,9 +213,9 @@ def triage(
              f"{first.layer}/node{first.node} {first.detail}")
 
     def fails_with(candidate: Dict[str, object]) -> bool:
-        probe = run_once(candidate, seed=seed, hops=hops,
-                         duration=min(duration, first.time + REPLAY_SLACK),
-                         corrupt_at=corrupt_at)
+        probe = run_chaos(candidate, seed=seed, hops=hops,
+                          duration=min(duration, first.time + REPLAY_SLACK),
+                          corrupt_at=corrupt_at)
         return not probe["engine"].ok
 
     progress("[triage] minimizing fault schedule (ddmin) ...")
