@@ -21,8 +21,9 @@ Layers (one module each):
   shared name resolver;
 * :mod:`~repro.campaign.store` — content-addressed ``ResultStore``
   (code-salted hashes, one append-only segment per salt, free resume);
-* :mod:`~repro.campaign.stats` — repetition aggregation with t or
-  bootstrap confidence intervals;
+* :mod:`~repro.campaign.stats` — repetition aggregation of every
+  numeric leaf of a result, named by its path, with Student-t
+  confidence intervals;
 * :mod:`~repro.campaign.engine` — job execution (in-process until a
   fork pool pays, or supervised) and the ``run_campaign`` driver;
 * :mod:`~repro.campaign.report` — ``CampaignReport``: deterministic
@@ -35,7 +36,7 @@ from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 from repro.campaign.engine import load_campaign, plan_campaign, run_campaign
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.campaign.stats import aggregate, bootstrap_ci
+from repro.campaign.stats import aggregate
 from repro.campaign.store import ResultStore, code_salt
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "aggregate",
-    "bootstrap_ci",
     "code_salt",
     "load_campaign",
     "plan_campaign",

@@ -18,7 +18,6 @@ with a violation fails.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import sys
 import time
@@ -591,13 +590,9 @@ def _build_report(spec: CampaignSpec, runs: List[RunSpec],
             cell.results.append(None)
             cell.errors.append(
                 f"seed={run.seed}: {_error_text(record['result'])}")
-    for cid, cell in by_cell.items():
-        # only the bootstrap draws random numbers: seed them per cell
-        rng_seed = int(hashlib.sha256(cid.encode()).hexdigest()[:12],
-                       16) if spec.stats["method"] == "bootstrap" else 0
+    for cell in by_cell.values():
         cell.metrics = aggregate_cell(
-            [r for r in cell.results if r is not None], rng_seed=rng_seed,
-            **spec.stats)
+            [r for r in cell.results if r is not None], **spec.stats)
     return CampaignReport(
         name=spec.name,
         spec_digest=spec.digest(),

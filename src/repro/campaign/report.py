@@ -164,13 +164,9 @@ class CampaignReport:
                     f"grid_table: multiple cells at ({rows}={r}, "
                     f"{cols}={c}); filter with experiment= or fewer "
                     f"axes")
-            if agg[stat] is None:
-                text = "-"
-            else:
-                text = _fmt(agg[stat])
-                if ci and agg["n"] > 1:
-                    text += f" [{_fmt(agg['ci_low'])}," \
-                            f" {_fmt(agg['ci_high'])}]"
+            text = _fmt(agg[stat])
+            if ci and agg["n"] > 1:
+                text += f" [{_fmt(agg['ci_low'])}, {_fmt(agg['ci_high'])}]"
             table[(r, c)] = text
             if r not in row_vals:
                 row_vals.append(r)

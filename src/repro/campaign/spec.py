@@ -15,8 +15,7 @@ deterministically into :class:`RunSpec` cells::
       "faults": null,
       "runner": {"jobs": 4, "timeout_s": null, "retries": 0,
                  "retry_backoff_s": 2.0, "verify": false, "metrics": false},
-      "stats": {"confidence": 0.95, "method": "t", "warmup": 0,
-                "outlier_iqr": null, "metrics": null}
+      "stats": {"confidence": 0.95, "metrics": null}
     }
 
 Expansion order is fixed — experiments in spec order, grid axes in
@@ -39,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
+from repro.campaign.stats import _T_CONFIDENCES
 from repro.checks import check_block, check_fields, is_int
 
 #: most runs (cells x seeds) one campaign may declare, and so the
@@ -66,17 +66,8 @@ _RUNNER_NUMBERS = {
 }
 
 _STATS_DEFAULTS = {
-    "confidence": 0.95,
-    "method": "t",        # "t" | "bootstrap"
-    "warmup": 0,          # repetitions discarded from the front
-    "outlier_iqr": None,  # IQR fence multiplier, e.g. 1.5; None = off
-    "bootstrap_samples": 1000,
-    "metrics": None,      # list of result fields to aggregate; None = auto
-}
-
-_STATS_NUMBERS = {
-    "warmup": (int, ">= 0", False),
-    "outlier_iqr": (float, "> 0", True),
+    "confidence": 0.95,   # one of the t table's levels
+    "metrics": None,      # list of result paths to aggregate; None = auto
 }
 
 
@@ -281,22 +272,14 @@ class CampaignSpec:
         stats = check_block(spec.get("stats"), _STATS_DEFAULTS,
                             "campaign spec: stats")
         if not (isinstance(stats["confidence"], float)
-                and 0.0 < stats["confidence"] < 1.0):
-            _fail("stats.confidence", f"must be a float in (0, 1), "
+                and stats["confidence"] in _T_CONFIDENCES):
+            _fail("stats.confidence", f"must be one of {_T_CONFIDENCES}, "
                                       f"got {stats['confidence']!r}")
-        if stats["method"] not in ("t", "bootstrap"):
-            _fail("stats.method", f"must be 't' or 'bootstrap', "
-                                  f"got {stats['method']!r}")
-        check_fields(stats, _STATS_NUMBERS, "campaign spec: stats.")
-        if not is_int(stats["bootstrap_samples"], 1) \
-                or stats["bootstrap_samples"] > MAX_RUNS:
-            _fail("stats.bootstrap_samples", f"must be an integer in 1.."
-                  f"{MAX_RUNS}, got {stats['bootstrap_samples']!r}")
         if stats["metrics"] is not None and not (
                 isinstance(stats["metrics"], list)
                 and all(isinstance(m, str) for m in stats["metrics"])):
-            _fail("stats.metrics", f"must be a list of result-field "
-                                   f"names or null, "
+            _fail("stats.metrics", f"must be a list of result "
+                                   f"paths or null, "
                                    f"got {stats['metrics']!r}")
 
         return cls(

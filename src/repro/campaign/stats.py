@@ -1,32 +1,24 @@
 """Repetition statistics: per-cell aggregation with confidence bounds.
 
 A campaign cell is repeated across seeds; this module turns the
-per-repetition scalar samples into an aggregate record: mean, median,
-spread, and a confidence interval — Student-t based by default
-(small-sample correct under approximate normality, the classic
-batched-campaign treatment), or a deterministic percentile bootstrap
-for metrics with no distributional assumption.
+per-repetition results into aggregate records: mean, median, spread,
+and a Student-t confidence interval (small-sample correct under
+approximate normality, the classic batched-campaign treatment).
 
-Policies applied before aggregation, in order:
+A result's metrics are its numeric leaves, each named by its path:
+dict keys and list indices joined by ``.``, so row ``i``'s
+``reliability`` in a list of rows is ``i.reliability`` and Fig. 13's
+``{"up": {"p50": ...}}`` gives ``up.p50``.  A flat dict's metrics are
+its numeric fields, under their own names.
 
-* **warm-up** — drop the first ``warmup`` repetitions (e.g. when the
-  first seed doubles as a cache/JIT warm-up run);
-* **outliers** — drop samples outside the Tukey fence
-  ``[q1 - k*iqr, q3 + k*iqr]`` when ``outlier_iqr=k`` is set.
-
-Both discards are recorded in the aggregate so a report always says
-how many samples actually contributed.
-
-Everything here is pure and deterministic: the bootstrap uses a
-caller-salted ``random.Random``, so the same samples give the same
-interval in every process — a requirement for the byte-identical
-cached-report contract (docs/campaigns.md).
+Everything here is pure and deterministic, so the same samples give
+the same bytes in every process — a requirement for the
+byte-identical cached-report contract (docs/campaigns.md).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Optional, Sequence
 
 #: two-sided Student-t critical values, t_{(1+c)/2, df}.  Rows: df.
@@ -56,11 +48,8 @@ _Z_LIMIT = (1.282, 1.645, 1.960, 2.326, 2.576)
 
 
 def _t_critical(df: int, confidence: float) -> float:
-    """Two-sided Student-t critical value for ``df`` degrees of freedom.
-
-    Supported confidence levels: 0.80, 0.90, 0.95, 0.98, 0.99 (other
-    levels should use the bootstrap method, which takes any level).
-    """
+    """Two-sided Student-t critical value for ``df`` degrees of freedom
+    at one of the table's confidence levels."""
     if df < 1:
         raise ValueError("t-based intervals need df >= 1")
     try:
@@ -68,8 +57,7 @@ def _t_critical(df: int, confidence: float) -> float:
     except ValueError:
         raise ValueError(
             f"t-based intervals support confidence levels "
-            f"{_T_CONFIDENCES}; use method='bootstrap' for "
-            f"{confidence}") from None
+            f"{_T_CONFIDENCES}, not {confidence}") from None
     if df in _T_TABLE:
         return _T_TABLE[df][col]
     rows = sorted(_T_TABLE)
@@ -86,19 +74,6 @@ def _t_critical(df: int, confidence: float) -> float:
                                        - _T_TABLE[lo][col])
 
 
-def _quartiles(ordered: List[float]):
-    """(q1, q3) by linear interpolation (the 'inclusive' method)."""
-    n = len(ordered)
-
-    def at(q: float) -> float:
-        pos = q * (n - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, n - 1)
-        return ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
-
-    return at(0.25), at(0.75)
-
-
 def _median(ordered: List[float]) -> float:
     n = len(ordered)
     mid = n // 2
@@ -106,152 +81,98 @@ def _median(ordered: List[float]) -> float:
                                              + ordered[mid])
 
 
-def _sample_stdev(kept: List[float], mean: float) -> float:
+def _sample_stdev(values: List[float], mean: float) -> float:
     """Sample standard deviation; ``inf`` when it is out of range."""
     try:
-        return math.sqrt(sum((v - mean) ** 2 for v in kept)
-                         / (len(kept) - 1))
+        return math.sqrt(sum((v - mean) ** 2 for v in values)
+                         / (len(values) - 1))
     except OverflowError:
         # float ** raises where ``*`` would give inf, and one huge
         # metric must not kill a whole report: hypot scales by the
         # largest magnitude instead of squaring it.  Only this branch
         # uses it, so every in-range report keeps its bytes.
-        return (math.hypot(*(v - mean for v in kept))
-                / math.sqrt(len(kept) - 1))
+        return (math.hypot(*(v - mean for v in values))
+                / math.sqrt(len(values) - 1))
 
 
 class _Record:
     """Builds every aggregate record, as its instance ``__dict__``.
 
     The records of a report then share one key table (CPython's
-    key-sharing instance dicts): each is a plain ``dict`` of about 170 B
-    instead of a 464-B dict literal that holds its own keys.
+    key-sharing instance dicts): each is a plain ``dict`` holding about
+    170 B instead of a 280-B dict literal that holds its own keys.
     """
 
     def __init__(self, *fields):
-        (self.n, self.confidence, self.method, self.discarded_warmup,
-         self.discarded_outliers, self.mean, self.median, self.stdev,
+        (self.n, self.confidence, self.mean, self.median, self.stdev,
          self.min, self.max, self.ci_low, self.ci_high) = fields
 
 
-def bootstrap_ci(values: Sequence[float], confidence: float,
-                 samples: int = 1000, rng_seed: int = 0):
-    """Percentile-bootstrap CI on the mean; deterministic in
-    ``rng_seed`` (which callers salt with the cell identity)."""
-    rng = random.Random(rng_seed)
+def aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
+    """One cell's repetition samples (at least one) -> aggregate record
+    ``{n, confidence, mean, median, stdev, min, max, ci_low, ci_high}``.
+    A single sample's interval collapses to the point (stdev 0)."""
+    values = [float(v) for v in values]
     n = len(values)
-    means = sorted(
-        sum(values[rng.randrange(n)] for _ in range(n)) / n
-        for _ in range(samples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lo_idx = max(0, min(samples - 1, int(math.floor(alpha * samples))))
-    hi_idx = max(0, min(samples - 1,
-                        int(math.ceil((1.0 - alpha) * samples)) - 1))
-    return means[lo_idx], means[hi_idx]
-
-
-def aggregate(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    method: str = "t",
-    warmup: int = 0,
-    outlier_iqr: Optional[float] = None,
-    bootstrap_samples: int = 1000,
-    rng_seed: int = 0,
-) -> Dict:
-    """One cell's repetition samples -> aggregate record.
-
-    Returns ``{n, mean, median, stdev, min, max, ci_low, ci_high,
-    confidence, method, discarded_warmup, discarded_outliers}``.
-    With a single surviving sample the CI collapses to the point
-    (stdev 0); with none (everything discarded) all statistics are
-    ``None`` and ``n`` is 0.
-    """
-    raw = [float(v) for v in values]
-    kept = raw[warmup:]
-    discarded_warmup = len(raw) - len(kept)
-    discarded_outliers = 0
-    if outlier_iqr is not None and len(kept) >= 4:
-        ordered = sorted(kept)
-        q1, q3 = _quartiles(ordered)
-        iqr = q3 - q1
-        lo, hi = q1 - outlier_iqr * iqr, q3 + outlier_iqr * iqr
-        survivors = [v for v in kept if lo <= v <= hi]
-        discarded_outliers = len(kept) - len(survivors)
-        kept = survivors
-    if not kept:
-        return _Record(0, confidence, method, discarded_warmup,
-                       discarded_outliers, None, None, None, None, None,
-                       None, None).__dict__
-    n = len(kept)
-    mean = sum(kept) / n
-    ordered = sorted(kept)
+    mean = sum(values) / n
+    ordered = sorted(values)
     if n == 1:
         stdev = 0.0
         ci_low = ci_high = mean
     else:
-        stdev = _sample_stdev(kept, mean)
-        if method == "t":
-            half = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
-            ci_low, ci_high = mean - half, mean + half
-        elif method == "bootstrap":
-            ci_low, ci_high = bootstrap_ci(
-                kept, confidence, samples=bootstrap_samples,
-                rng_seed=rng_seed)
-        else:
-            raise ValueError(f"unknown CI method {method!r}")
-    return _Record(n, confidence, method, discarded_warmup,
-                   discarded_outliers, mean, _median(ordered), stdev,
+        stdev = _sample_stdev(values, mean)
+        half = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
+        ci_low, ci_high = mean - half, mean + half
+    return _Record(n, confidence, mean, _median(ordered), stdev,
                    ordered[0], ordered[-1], ci_low, ci_high).__dict__
 
 
-def _auto_metrics(results: Sequence) -> List[str]:
-    """Result fields worth aggregating: numeric scalars present in
-    every repetition's result dict (bools excluded — they are flags,
-    not measurements).  Non-dict results have no auto metrics."""
-    if not results or not all(isinstance(r, dict) for r in results):
-        return []
-    common = None
-    for r in results:
-        numeric = {
-            k for k, v in r.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
-        common = numeric if common is None else (common & numeric)
-    return sorted(common or ())
+def _leaves(node, prefix: str, out: Dict) -> Dict:
+    """``out`` plus every numeric leaf under ``node`` (a dict, list or
+    tuple) by its path; bools are flags, not measurements."""
+    for key, v in node.items() if isinstance(node, dict) \
+            else enumerate(node):
+        if isinstance(v, (int, float)):
+            if v is not True and v is not False:
+                # a top-level key is its own path: ``"" + key`` and
+                # ``str(key)`` return ``key``, so no string is copied
+                out[prefix + str(key)] = v
+        elif isinstance(v, (dict, list, tuple)):
+            _leaves(v, f"{prefix}{key}.", out)
+    return out
 
 
 def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
-                   confidence: float = 0.95, method: str = "t",
-                   warmup: int = 0, outlier_iqr: Optional[float] = None,
-                   bootstrap_samples: int = 1000,
-                   rng_seed: int = 0) -> Dict[str, Dict]:
-    """One cell's successful results -> ``{metric: aggregate(samples)}``,
-    a metric's samples being its numeric values across the dict results
-    (none: left out); ``metrics=None`` aggregates :func:`_auto_metrics`."""
+                   confidence: float = 0.95) -> Dict[str, Dict]:
+    """One cell's successful results -> ``{path: aggregate(samples)}``.
+
+    A path's samples are its numeric leaves across the results (none:
+    left out).  ``metrics=None`` aggregates the paths every result
+    has, in sorted order; a result that is not a dict or a list has
+    none."""
+    walked = [_leaves(r, "", {}) if isinstance(r, (dict, list, tuple))
+              else {} for r in results]
+    if metrics is None:
+        common = walked[0].keys() if walked else ()
+        for leaves in walked[1:]:
+            common &= leaves.keys()
+        metrics = sorted(common)
     records = {}
-    if len(results) == 1 and isinstance(results[0], dict) and not warmup:
-        # a lone repetition has nothing to discard, sort or bound, so its
-        # records are built here (a cached re-run's hot loop); ``+ 0.0``
-        # is what ``sum()`` does to a lone sample (-0.0 -> 0.0)
-        items = results[0].items() if metrics is None \
-            else [(k, results[0].get(k)) for k in metrics]
-        samples = [(k, float(v)) for k, v in items
-                   if isinstance(v, (int, float))
-                   and v is not True and v is not False]
-        if metrics is None:
-            samples.sort()  # _auto_metrics' order
-        for name, v in samples:
-            mean = v + 0.0
-            records[name] = _Record(1, confidence, method, 0, 0, mean, v,
-                                    0.0, v, v, mean, mean).__dict__
+    if len(walked) == 1:
+        # a lone repetition has nothing to sort or bound, so its records
+        # are built here (a cached re-run's hot loop); ``+ 0.0`` is what
+        # ``sum()`` does to a lone sample (-0.0 -> 0.0)
+        leaves = walked[0]
+        for name in metrics:
+            v = leaves.get(name)
+            if v is not None:
+                v = float(v)
+                mean = v + 0.0
+                records[name] = _Record(1, confidence, mean, v, 0.0, v, v,
+                                        mean, mean).__dict__
         return records
-    dicts = [r for r in results if isinstance(r, dict)]
-    for name in _auto_metrics(results) if metrics is None else metrics:
-        samples = [v for v in (r.get(name) for r in dicts)
-                   if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    for name in metrics:
+        samples = [leaves[name] for leaves in walked if name in leaves]
         if samples:
-            records[name] = aggregate(samples, confidence, method, warmup,
-                                      outlier_iqr, bootstrap_samples, rng_seed)
+            records[name] = aggregate(samples, confidence)
     return records

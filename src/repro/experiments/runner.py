@@ -7,10 +7,11 @@ factory ``factory(quick, **params)`` that returns JSON-native rows
 one definition: ``campaigns/paper.json`` lists the rows, and the paper
 suite (``benchmarks/test_*.py``) reads them through that campaign and
 asserts the paper's claims on them.  ``quick=True`` runs the same rows
-at abbreviated durations.  Campaigns run the catalog: a spec with no
-``experiments`` runs all of it, ``tools/campaign.py SPEC.json`` is the
-command line, and ``repro.api.run_campaign`` the programmatic entry
-(docs/campaigns.md).
+at abbreviated durations.  Every simulated row takes the campaign's
+``seed`` (0 by default), so a ``seeds`` axis repeats it.  Campaigns
+run the catalog: a spec with no ``experiments`` runs all of it,
+``tools/campaign.py SPEC.json`` is the command line, and
+``repro.api.run_campaign`` the programmatic entry (docs/campaigns.md).
 """
 
 from __future__ import annotations
@@ -100,34 +101,35 @@ def _exp_static_tables(quick: bool) -> Dict:
     return _static_tables()
 
 
-def _exp_fig4_mss(quick: bool):
-    return run_fig4_mss_sweep(duration=_d(quick, 45.0))
+def _exp_fig4_mss(quick: bool, seed: int = 0):
+    return run_fig4_mss_sweep(seed=seed, duration=_d(quick, 45.0))
 
 
-def _exp_fig5_buffer(quick: bool):
-    return run_fig5_buffer_sweep(duration=_d(quick, 45.0))
+def _exp_fig5_buffer(quick: bool, seed: int = 0):
+    return run_fig5_buffer_sweep(seed=seed, duration=_d(quick, 45.0))
 
 
-def _exp_table7_stacks(quick: bool):
-    return run_table7(duration=_d(quick, 45.0))
+def _exp_table7_stacks(quick: bool, seed: int = 0):
+    return run_table7(seed=seed, duration=_d(quick, 45.0))
 
 
 #: Figure 6's retry delays d (seconds): five of the paper's nine
 _FIG6_DELAYS = (0.0, 0.005, 0.02, 0.04, 0.1)
 
 
-def _exp_fig6a_one_hop(quick: bool):
+def _exp_fig6a_one_hop(quick: bool, seed: int = 0):
     # a touch of ambient interference so link retries exist for d to act on
-    return run_fig6_sweep(1, delays=_FIG6_DELAYS, duration=_d(quick, 45.0),
-                          ambient_frame_loss=0.03)
+    return run_fig6_sweep(1, delays=_FIG6_DELAYS, seed=seed,
+                          duration=_d(quick, 45.0), ambient_frame_loss=0.03)
 
 
-def _exp_fig6bcd_three_hops(quick: bool):
-    return run_fig6_sweep(3, delays=_FIG6_DELAYS, duration=_d(quick, 60.0))
+def _exp_fig6bcd_three_hops(quick: bool, seed: int = 0):
+    return run_fig6_sweep(3, delays=_FIG6_DELAYS, seed=seed,
+                          duration=_d(quick, 60.0))
 
 
-def _exp_fig7a_cwnd(quick: bool):
-    row = run_fig7a_cwnd_trace(duration=_d(quick, 100.0))
+def _exp_fig7a_cwnd(quick: bool, seed: int = 0):
+    row = run_fig7a_cwnd_trace(seed=seed, duration=_d(quick, 100.0))
     del row["ssthresh_series"]
     series = row["cwnd_series"]
     # the paper's Fig. 7a look: about 24 points of the trace
@@ -135,62 +137,64 @@ def _exp_fig7a_cwnd(quick: bool):
     return row
 
 
-def _exp_eq2_validation(quick: bool):
-    return run_eq2_validation(duration=_d(quick, 60.0))
+def _exp_eq2_validation(quick: bool, seed: int = 0):
+    return run_eq2_validation(seed=seed, duration=_d(quick, 60.0))
 
 
-def _exp_sec72_hops(quick: bool):
-    return run_sec72_hops(duration=_d(quick, 60.0))
+def _exp_sec72_hops(quick: bool, seed: int = 0):
+    return run_sec72_hops(seed=seed, duration=_d(quick, 60.0))
 
 
-def _exp_sec63_node_to_node(quick: bool):
-    result = run_node_to_node(duration=_d(quick, 60.0))
+def _exp_sec63_node_to_node(quick: bool, seed: int = 0):
+    result = run_node_to_node(seed=seed, duration=_d(quick, 60.0))
     return {"goodput_kbps": result.goodput_kbps,
             "rto_events": result.rto_events}
 
 
-def _exp_sec4_deaf_ablation(quick: bool):
-    return run_deaf_ablation(duration=_d(quick, 45.0))
+def _exp_sec4_deaf_ablation(quick: bool, seed: int = 0):
+    # the row has always run at simulation seed 1: campaign seed 0 keeps it
+    return run_deaf_ablation(seed=seed + 1, duration=_d(quick, 45.0))
 
 
-def _exp_fig8_batching(quick: bool):
-    return run_fig8_batching(duration=_app_d(quick, 900.0))
+def _exp_fig8_batching(quick: bool, seed: int = 0):
+    return run_fig8_batching(duration=_app_d(quick, 900.0), seed=seed)
 
 
-def _exp_fig9_loss(quick: bool):
+def _exp_fig9_loss(quick: bool, seed: int = 0):
     return run_fig9_loss_sweep(
         loss_rates=(0.0, 0.06, 0.09, 0.12, 0.15, 0.21),
-        duration=_app_d(quick, 900.0))
+        duration=_app_d(quick, 900.0), seed=seed)
 
 
-def _exp_fig10_daylong_tcp(quick: bool):
+def _exp_fig10_daylong_tcp(quick: bool, seed: int = 0):
     return run_fig10_daylong("tcp", hours=6 if quick else 24,
-                             seconds_per_hour=150.0)
+                             seconds_per_hour=150.0, seed=seed)
 
 
-def _exp_fig10_daylong_coap(quick: bool):
+def _exp_fig10_daylong_coap(quick: bool, seed: int = 0):
     return run_fig10_daylong("coap", hours=6 if quick else 24,
-                             seconds_per_hour=150.0)
+                             seconds_per_hour=150.0, seed=seed)
 
 
-def _exp_table8(quick: bool):
-    return run_table8(hours=6 if quick else 12, seconds_per_hour=150.0)
+def _exp_table8(quick: bool, seed: int = 0):
+    return run_table8(hours=6 if quick else 12, seconds_per_hour=150.0,
+                      seed=seed)
 
 
-def _exp_table9_fairness(quick: bool):
-    return run_table9(duration=_d(quick, 90.0))
+def _exp_table9_fairness(quick: bool, seed: int = 0):
+    return run_table9(seed=seed, duration=_d(quick, 90.0))
 
 
-def _exp_appendixC_fig12(quick: bool):
-    rows = run_fig12_sweep(intervals=(0.02, 0.1, 0.5, 1.0, 2.0),
+def _exp_appendixC_fig12(quick: bool, seed: int = 0):
+    rows = run_fig12_sweep(intervals=(0.02, 0.1, 0.5, 1.0, 2.0), seed=seed,
                            duration=_d(quick, 45.0))
     for row in rows:
         del row["rtt_samples"]
     return rows
 
 
-def _exp_appendixC_fig13(quick: bool):
-    dists = run_fig13_rtt_distribution(sleep_interval=2.0,
+def _exp_appendixC_fig13(quick: bool, seed: int = 0):
+    dists = run_fig13_rtt_distribution(sleep_interval=2.0, seed=seed,
                                        duration=_d(quick, 240.0))
     return {direction: {"samples": len(samples),
                         "p10": percentile(samples, 10),
@@ -199,23 +203,27 @@ def _exp_appendixC_fig13(quick: bool):
             for direction, samples in dists.items()}
 
 
-def _exp_appendixC_adaptive(quick: bool):
+def _exp_appendixC_adaptive(quick: bool, seed: int = 0):
     return [
-        run_adaptive_duty_cycle(uplink=True, duration=_d(quick, 45.0)),
-        run_adaptive_duty_cycle(uplink=False, duration=_d(quick, 45.0)),
+        run_adaptive_duty_cycle(uplink=uplink, seed=seed,
+                                duration=_d(quick, 45.0))
+        for uplink in (True, False)
     ]
 
 
-def _exp_ablations_clean(quick: bool):
-    return run_ablation_table("clean-1hop", duration=_d(quick, 45.0))
+def _exp_ablations_clean(quick: bool, seed: int = 0):
+    return run_ablation_table("clean-1hop", seed=seed,
+                              duration=_d(quick, 45.0))
 
 
-def _exp_ablations_lossy(quick: bool):
-    return run_ablation_table("lossy-1hop", duration=_d(quick, 60.0))
+def _exp_ablations_lossy(quick: bool, seed: int = 0):
+    return run_ablation_table("lossy-1hop", seed=seed,
+                              duration=_d(quick, 60.0))
 
 
-def _exp_ablations_3hop(quick: bool):
-    return run_ablation_table("hidden-3hop", duration=_d(quick, 60.0))
+def _exp_ablations_3hop(quick: bool, seed: int = 0):
+    return run_ablation_table("hidden-3hop", seed=seed,
+                              duration=_d(quick, 60.0))
 
 
 #: the process-wide default catalog: the paper's figures/tables plus

@@ -30,7 +30,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import engine
-from repro.campaign.stats import _auto_metrics, aggregate_cell
+from repro.campaign.stats import aggregate_cell
 from repro.sim import metrics as metrics_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -97,6 +97,21 @@ def cold_start_cell(quick, seed=0):
         _WARM.append(True)
         time.sleep(0.01)
     return {"value": seed}
+
+
+def rows_cell(quick, seed=0):
+    """A list of row dicts, the shape of most paper rows (Fig. 9)."""
+    del quick
+    return [{"loss": 0.0, "reliability": 1.0, "protocol": "tcp"},
+            {"loss": 0.21, "reliability": 0.9 + 0.02 * seed,
+             "protocol": "tcp", "stable": seed > 0}]
+
+
+def nested_cell(quick, seed=0):
+    """A nested dict, the shape of Fig. 13's RTT percentiles."""
+    del quick
+    return {direction: {"samples": 10 + seed, "p50": base + 0.1 * seed}
+            for direction, base in (("up", 1.1), ("down", 2.0))}
 
 
 def make_catalog():
@@ -224,14 +239,22 @@ class TestSpecValidation:
         ({"runner": {"retries": True, "timeout_s": 1.0}}, "runner.retries"),
         ({"runner": {"timeout_s": True}}, "runner.timeout_s"),
         ({"runner": {"timeout_s": float("inf")}}, "runner.timeout_s"),
-        ({"stats": {"warmup": True}}, "stats.warmup"),
-        ({"stats": {"outlier_iqr": True}}, "stats.outlier_iqr"),
-        ({"stats": {"method": "bootstrap", "bootstrap_samples": 0}},
-         "stats.bootstrap_samples"),
-        ({"stats": {"method": "bootstrap", "bootstrap_samples": -5}},
-         "stats.bootstrap_samples"),
-        ({"stats": {"bootstrap_samples": "many"}}, "stats.bootstrap_samples"),
-        ({"stats": {"bootstrap_samples": 2.5}}, "stats.bootstrap_samples"),
+        # the retired interval policies are unknown keys; each row keeps
+        # the id it had while its key was a checked number
+        pytest.param({"stats": {"warmup": True}}, "stats",
+                     id="block8-stats.warmup"),
+        pytest.param({"stats": {"outlier_iqr": True}}, "stats",
+                     id="block9-stats.outlier_iqr"),
+        pytest.param({"stats": {"method": "bootstrap",
+                                "bootstrap_samples": 0}}, "stats",
+                     id="block10-stats.bootstrap_samples"),
+        pytest.param({"stats": {"method": "bootstrap",
+                                "bootstrap_samples": -5}}, "stats",
+                     id="block11-stats.bootstrap_samples"),
+        pytest.param({"stats": {"bootstrap_samples": "many"}}, "stats",
+                     id="block12-stats.bootstrap_samples"),
+        pytest.param({"stats": {"bootstrap_samples": 2.5}}, "stats",
+                     id="block13-stats.bootstrap_samples"),
         ({"runner": {"retry_backoff_s": "x"}}, "runner.retry_backoff_s"),
         ({"runner": {"retry_backoff_s": -1.0}}, "runner.retry_backoff_s"),
         ({"runner": {"retry_backoff_s": float("inf")}},
@@ -244,6 +267,9 @@ class TestSpecValidation:
         # objective search is retired: a grid and the report's argmin
         ({"objective": {"metric": "m", "axis": "x", "bounds": [0, 10]}},
          "top level"),
+        # a level the t table lacks is refused before anything runs
+        ({"stats": {"confidence": 0.97}, "seeds": [0, 1, 2]},
+         "stats.confidence"),
     ])
     def test_hostile_numbers_are_refused(self, block, path):
         with pytest.raises(ValueError,
@@ -895,7 +921,7 @@ class TestFanOut:
 class TestStats:
     def test_t_interval_hand_checked(self):
         # mean 3, stdev sqrt(2.5); t(0.95, df=4) = 2.776
-        agg = aggregate([1, 2, 3, 4, 5], confidence=0.95, method="t")
+        agg = aggregate([1, 2, 3, 4, 5], confidence=0.95)
         assert agg["n"] == 5
         assert agg["mean"] == pytest.approx(3.0)
         half = 2.776 * (2.5 ** 0.5) / (5 ** 0.5)
@@ -906,67 +932,61 @@ class TestStats:
         agg = aggregate([7.0])
         assert agg["ci_low"] == agg["ci_high"] == 7.0
 
-    def test_bootstrap_deterministic(self):
-        kw = dict(method="bootstrap", bootstrap_samples=200, rng_seed=42)
-        a = aggregate([1, 2, 3, 4, 5], **kw)
-        b = aggregate([1, 2, 3, 4, 5], **kw)
-        assert a == b
-        assert a["ci_low"] <= a["mean"] <= a["ci_high"]
-
-    def test_warmup_and_outlier_policy(self):
-        values = [100.0, 5.0, 6.0, 5.5, 50.0]
-        agg = aggregate(values, warmup=1, outlier_iqr=1.5)
-        assert agg["discarded_warmup"] == 1
-        assert agg["discarded_outliers"] == 1
-        assert agg["n"] == 3
-        assert agg["mean"] == pytest.approx((5.0 + 6.0 + 5.5) / 3)
-
-    @pytest.mark.parametrize("method", ["t", "bootstrap"])
-    def test_huge_samples_do_not_overflow(self, method):
+    @pytest.mark.parametrize("confidence", [0.95], ids=["t"])
+    def test_huge_samples_do_not_overflow(self, confidence):
         # deviations of 1e200 cannot be squared in a float; the spread
         # itself (1e200) is representable and must come back finite
-        agg = aggregate([1e200, 2e200, 3e200], method=method,
-                        bootstrap_samples=50)
+        agg = aggregate([1e200, 2e200, 3e200], confidence)
         assert agg["mean"] == pytest.approx(2e200)
         assert agg["stdev"] == pytest.approx(1e200)
         assert agg["ci_low"] <= agg["mean"] <= agg["ci_high"] < math.inf
         # a spread beyond the float range reads inf, never an exception
-        agg = aggregate([-1.7e308, 1.7e308], method=method,
-                        bootstrap_samples=50)
+        agg = aggregate([-1.7e308, 1.7e308], confidence)
         assert agg["stdev"] == math.inf
 
     def test_auto_metrics_numeric_common_fields(self):
         results = [{"a": 1, "b": True, "c": "x", "d": 2.5},
                    {"a": 2, "b": False, "c": "y", "d": 0.5, "e": 9}]
-        assert _auto_metrics(results) == ["a", "d"]
+        assert list(aggregate_cell(results)) == ["a", "d"]
 
     @pytest.mark.parametrize("policy", [
         {},
-        {"warmup": 1},
-        {"outlier_iqr": 1.5},
-        {"method": "bootstrap", "bootstrap_samples": 50, "rng_seed": 7},
         {"metrics": ["c", "missing", "s", "a"]},
-    ])
+    ], ids=["policy0", "policy4"])
     @pytest.mark.parametrize("results", [
         [{"c": 2.5, "s": "x", "b": -0.0, "flag": True, "a": 3}],
         [{"a": a, "c": 0.5 * a, "flag": False} for a in (4, 1, 2, 3, 90)],
         [{"a": 1, "c": 2.0, "s": "y"}, ["not", "a", "dict"]],
         [],
-    ], ids=["lone", "repeated", "non-dict", "empty"])
+        [[{"loss": 0.0, "r": r, "up": True}, {"loss": 0.21, "r": r - 0.1}]
+         for r in (0.9, 1.0, 0.95)],
+        [{"up": {"p50": p, "n": 3}, "c": p, "a": [p, -p]}
+         for p in (1.0, 2.5)] + [{"up": {"p50": 4}, "c": 0, "a": (7,)}],
+    ], ids=["lone", "repeated", "non-dict", "empty", "rows", "nested"])
     def test_aggregate_cell_is_aggregate_per_metric(self, results, policy):
-        policy = dict(policy)
-        metrics = policy.pop("metrics", None)
-        # the per-metric loop aggregate_cell replaced, kept as reference
-        names = _auto_metrics(results) if metrics is None else metrics
-        dicts = [r for r in results if isinstance(r, dict)]
+        metrics = policy.get("metrics")
+
+        def paths(node, prefix=""):
+            """The reference naming: every numeric leaf by its path."""
+            items = node.items() if isinstance(node, dict) \
+                else enumerate(node)
+            for key, v in items:
+                if isinstance(v, (dict, list, tuple)):
+                    yield from paths(v, f"{prefix}{key}.")
+                elif isinstance(v, (int, float)) \
+                        and not isinstance(v, bool):
+                    yield f"{prefix}{key}", v
+
+        flat = [dict(paths(r)) for r in results]
+        if metrics is None:
+            metrics = sorted(set.intersection(*map(set, flat))) \
+                if flat else []
         expected = {}
-        for name in names:
-            samples = [v for v in (r.get(name) for r in dicts)
-                       if isinstance(v, (int, float))
-                       and not isinstance(v, bool)]
+        for name in metrics:
+            samples = [f[name] for f in flat if name in f]
             if samples:
-                expected[name] = aggregate(samples, **policy)
-        got = aggregate_cell(results, metrics=metrics, **policy)
+                expected[name] = aggregate(samples)
+        got = aggregate_cell(results, **policy)
         # compared as the report's bytes: -0.0 == 0.0 would hide a sign
         assert json.dumps(got) == json.dumps(expected)
 
@@ -977,6 +997,41 @@ class TestStats:
         assert agg["n"] == 2
         assert agg["mean"] == pytest.approx(10.5)
         assert agg["ci_low"] <= 10.5 <= agg["ci_high"]
+
+    def test_rows_and_nested_results_get_t_intervals_by_path(self, capsys):
+        """The paper's two result shapes, a list of row dicts and a
+        nested dict, aggregate over seeds under path names, and the
+        CLI prints their intervals."""
+        report = run_quiet({"experiments": ["rows_cell", "nested_cell"],
+                            "seeds": [0, 1, 2]},
+                           catalog=ExperimentCatalog({
+                               "rows_cell": rows_cell,
+                               "nested_cell": nested_cell}))
+        rows, nested = report.cells
+        assert sorted(rows.metrics) == [
+            "0.loss", "0.reliability", "1.loss", "1.reliability"]
+        assert sorted(nested.metrics) == [
+            "down.p50", "down.samples", "up.p50", "up.samples"]
+        # reliability 0.90, 0.92, 0.94: mean 0.92, stdev 0.02, t(2) 4.303
+        agg = rows.metrics["1.reliability"]
+        half = 4.303 * 0.02 / 3 ** 0.5
+        assert agg["n"] == 3
+        assert agg["mean"] == pytest.approx(0.92)
+        assert (agg["ci_low"], agg["ci_high"]) == pytest.approx(
+            (0.92 - half, 0.92 + half), rel=1e-9)
+        assert nested.metrics["up.p50"]["mean"] == pytest.approx(1.2)
+        assert nested.metrics["up.p50"]["ci_low"] < 1.2
+
+        sys.path.insert(0, str(TOOLS))
+        try:
+            from campaign import _print_report
+        finally:
+            sys.path.remove(str(TOOLS))
+        _print_report(report)
+        out = capsys.readouterr().out
+        assert "(no metrics)" not in out
+        assert "1.reliability=0.92 [0.8703, 0.9697] n=3" in out
+        assert "up.p50=1.2 [" in out
 
 
 # ----------------------------------------------------------------------
@@ -1005,34 +1060,32 @@ class TestReport:
             {"name": "golden", "experiments": ["tagged_cell"],
              "grid": {"tag": ["plain", 'a,"seed":1'], "x": [1, 2]},
              "seeds": {"count": 6, "base": -2},
-             "stats": {"method": "bootstrap", "bootstrap_samples": 200,
-                       "warmup": 1, "outlier_iqr": 1.5}},
+             "stats": {"confidence": 0.9}},
             store=ResultStore(tmp_path / "store", salt="pinned"),
             catalog=ExperimentCatalog({"tagged_cell": tagged_cell}))
         value = report.cells[0].metrics["value"]
-        assert (value["n"], value["discarded_warmup"],
-                value["discarded_outliers"]) == (4, 1, 1)
+        assert (value["n"], value["confidence"]) == (6, 0.9)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "089e15cd126716ffeedad1f185a584e0"
-            "fab4e8d8f6807541dea109e1b0b6a11a")
+            "e43fad2335ca8cfba738fded61c9457c"
+            "bdc8afee5412df0c1144645fe5acb18b")
 
     @pytest.mark.parametrize("spec, catalog, sha", [
         ({"name": "lone", "experiments": ["ayadi_energy"],
           "grid": {"frames": [1, 3, 5], "frame_loss": [0.02, 0.1]}},
          None,
-         "4385557667de4b26e6f353aff0c9c3ec"
-         "9425c6cd2f5667960e59e915fc13bbad"),
+         "56e2e9ebc3b2931c7f85b59401a91d94"
+         "0f4826587b51a18ed74501509542fe31"),
         ({"name": "lone-named", "experiments": ["tagged_cell"],
           "grid": {"tag": ["", "ab"], "x": [-2, 7]}, "seeds": [3],
           "stats": {"metrics": ["value", "missing", "odd", "tag_len"]}},
          ExperimentCatalog({"tagged_cell": tagged_cell}),
-         "9ced010dc4ab11497824d526dbe7f09b"
-         "b4ee1adb72ed386029f3cc283daac553"),
+         "70b18b1dfe24fabeddbe8b420f072bd2"
+         "24007176e006c06b666431426e4aac28"),
     ], ids=["auto-metrics", "named-metrics"])
     def test_lone_sample_report_bytes_are_pinned(self, tmp_path, spec,
                                                  catalog, sha):
         """A single-seed grid takes aggregate_cell's lone-sample path;
-        its report bytes are pinned like the bootstrap golden's."""
+        its report bytes are pinned like the repeated golden's."""
         report = run_quiet(
             spec, store=ResultStore(tmp_path / "store", salt="pinned"),
             catalog=catalog)

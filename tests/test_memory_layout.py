@@ -179,28 +179,31 @@ _GRID = {"name": "memory", "experiments": ["ayadi_energy"],
                   "rtt": [0.05, 0.1, 0.2], "window": [2, 4]}}
 
 #: budgets for the grid above, in bytes: a cached re-run's report held
-#: 1.01 MB and ``to_json`` peaked at 4.05 MB (CPython 3.11, x86-64); a
+#: 0.96 MB and ``to_json`` peaked at 3.94 MB (CPython 3.11, x86-64); a
 #: report of 464-B records and copied containers took 1.60 and 5.23 MB
 RETAINED_BUDGET = 1_250_000
 TO_JSON_PEAK_BUDGET = 4_600_000
 
 
 def _literal_record():
-    return {"n": 1, "confidence": 0.95, "method": "t",
-            "discarded_warmup": 0, "discarded_outliers": 0, "mean": 1.0,
-            "median": 1.0, "stdev": 0.0, "min": 1.0, "max": 1.0,
-            "ci_low": 1.0, "ci_high": 1.0}
+    return {"n": 1, "confidence": 0.95, "mean": 1.0, "median": 1.0,
+            "stdev": 0.0, "min": 1.0, "max": 1.0, "ci_low": 1.0,
+            "ci_high": 1.0}
 
 
 def test_aggregate_records_share_their_keys():
-    literal = sys.getsizeof(_literal_record())
-    records = [aggregate([1.0, 2.0, 4.0]), aggregate([]),
+    records = [aggregate([1.0, 2.0, 4.0]),
                *aggregate_cell([{"a": 1.0, "b": 2}]).values(),
-               *aggregate_cell([{"a": 1.0}, {"a": 3.0}]).values()]
+               *aggregate_cell([[{"a": 1.0}], [{"a": 3.0}]]).values()]
     for record in records:
         assert type(record) is dict
         assert list(record) == list(_literal_record())
-        assert sys.getsizeof(record) < literal, record
+    # at nine keys ``sys.getsizeof`` reports a shared-key dict (288 B)
+    # above a literal (272 B), yet the allocator holds about 170 B
+    # against 280 B a record: compare what the allocator holds
+    shared = _traced(lambda: [aggregate([1.0]) for _ in range(500)])[1]
+    literal = _traced(lambda: [_literal_record() for _ in range(500)])[1]
+    assert shared < 0.75 * literal, (shared, literal)
 
 
 def _traced(fn):

@@ -55,9 +55,7 @@ FULL_CAMPAIGN = {
     "faults": EVERY_KIND,
     "runner": {"jobs": 2, "timeout_s": 30, "retries": 1,
                "retry_backoff_s": 1, "verify": True, "metrics": True},
-    "stats": {"confidence": 0.9, "method": "bootstrap", "warmup": 1,
-              "outlier_iqr": 1.5, "bootstrap_samples": 200,
-              "metrics": ["energy_per_byte"]},
+    "stats": {"confidence": 0.9, "metrics": ["energy_per_byte"]},
 }
 
 LIMITS = {"max_connections": 8, "accept_rate": 50, "accept_burst": 4,
@@ -83,21 +81,18 @@ SMOKE_PIN = (
     '"quick":true,"grid":{"frames":[3,6],"frame_loss":[0.05,0.1],'
     '"window":[2,4]},"seeds":[0],"faults":null,"runner":{"jobs":null,'
     '"timeout_s":null,"retries":0,"retry_backoff_s":2.0,"verify":false,'
-    '"metrics":false},"stats":{"confidence":0.95,"method":"t",'
-    '"warmup":0,"outlier_iqr":null,"bootstrap_samples":1000,'
-    '"metrics":null}}')
+    '"metrics":false},"stats":{"confidence":0.95,"metrics":null}}')
 SMOKE_DIGEST = \
-    "153946d48ab11f0828780fc98c247f187c2d6ae9f67510aa4e6c51e498b7daf2"
+    "8ead95053a30963e9ae4506408dfd025e63b19942e0e3f47ff655c01924938e2"
 FULL_PIN = (
     '{"name":"full","experiments":["ayadi_energy"],"quick":false,'
     '"grid":{"frame_loss":[0.05,0.1],"window":[2,4]},"seeds":[5,6,7],'
     '"faults":{"name":"every-kind","faults":' + _EVERY_KIND_FAULTS + '},'
     '"runner":{"jobs":2,"timeout_s":30,"retries":1,"retry_backoff_s":1,'
     '"verify":true,"metrics":true},"stats":{"confidence":0.9,'
-    '"method":"bootstrap","warmup":1,"outlier_iqr":1.5,'
-    '"bootstrap_samples":200,"metrics":["energy_per_byte"]}}')
+    '"metrics":["energy_per_byte"]}}')
 FULL_DIGEST = \
-    "e4ff76e089c92299b5a03a771fa709ef1208f45f8e74d4b471e4ca573f4f2cdd"
+    "c59eaf6f9177cd316a5d8ead0d9f16e28446420fe628fa92c19f44f5662870b1"
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 

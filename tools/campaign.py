@@ -80,8 +80,6 @@ def _print_report(report, grid=None) -> None:
             continue
         parts = []
         for metric, agg in sorted(cell.metrics.items()):
-            if agg["mean"] is None:
-                continue
             text = f"{metric}={agg['mean']:.4g}"
             if agg["n"] > 1:
                 text += (f" [{agg['ci_low']:.4g}, {agg['ci_high']:.4g}]"
