@@ -82,11 +82,19 @@ class ExperimentCatalog:
     time).  Catalogs are plain objects — copy one, register into the
     copy, and the original (including the process-wide default) is
     untouched.
+
+    A catalog also remembers what its experiments cost in this
+    process: :meth:`note_wall` adds each landed run's wall time and
+    :meth:`walls` gives the campaign engine what it judges a fork pool
+    by, so a later campaign of a timed experiment need not time it
+    again.
     """
 
     def __init__(self, entries: Optional[Dict[str, Callable]] = None):
         self._entries: Dict[str, Callable] = dict(entries or {})
         self._accepted: Dict[str, Tuple[frozenset, bool]] = {}
+        #: name -> [first run's wall, walls after it, runs after it]
+        self._walls: Dict[str, List] = {}
 
     # -- mutation ------------------------------------------------------
 
@@ -100,15 +108,35 @@ class ExperimentCatalog:
             raise ValueError(f"factory for {name!r} is not callable")
         self._entries[name] = factory
         self._accepted.pop(name, None)
+        self._walls.pop(name, None)
 
     def unregister(self, name: str) -> None:
         """Remove an entry (idempotent)."""
         self._entries.pop(name, None)
         self._accepted.pop(name, None)
+        self._walls.pop(name, None)
 
     def copy(self) -> "ExperimentCatalog":
-        """An independent catalog with the same entries."""
+        """An independent catalog with the same entries and no
+        measured walls."""
         return ExperimentCatalog(self._entries)
+
+    # -- measured cost -------------------------------------------------
+
+    def note_wall(self, name: str, wall_s: float) -> None:
+        """Add one run of ``name`` that took ``wall_s`` seconds."""
+        entry = self._walls.get(name)
+        if entry is None:
+            self._walls[name] = [wall_s, 0.0, 0]
+        else:
+            entry[1] += wall_s
+            entry[2] += 1
+
+    def walls(self, name: str) -> Optional[Tuple[float, float, int]]:
+        """``(first run's wall, walls after it, runs after it)`` of
+        ``name``, or None before any run of it has landed."""
+        entry = self._walls.get(name)
+        return None if entry is None else tuple(entry)
 
     # -- lookup --------------------------------------------------------
 

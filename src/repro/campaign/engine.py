@@ -9,16 +9,22 @@ aggregates repetition statistics into a
 The misses go through :func:`_execute_jobs`: in-process until the
 measured runs say a fork pool pays (up to ``runner.jobs`` workers,
 every usable core by default), or, with ``runner.timeout_s``, each in
-a watched process (watchdog deadline + crash ``retries``).  Every run
-can carry per-run metrics capture (``runner.metrics``), fault injection
-(``faults``) and live invariant verification (``runner.verify``); a run
-with a violation fails.
+a watched process (watchdog deadline + crash ``retries``).  Every
+landed run adds its wall time to its experiment's entry in the catalog
+(:meth:`ExperimentCatalog.note_wall`), so a campaign of an experiment
+this process has already timed past its first run may fan out from its
+own first run; an experiment the catalog has not timed counts at the
+mean of the campaign's runs so far.  Every run can carry per-run
+metrics capture (``runner.metrics``), fault injection (``faults``) and
+live invariant verification (``runner.verify``); a run with a
+violation fails.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import resource
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -31,16 +37,19 @@ from repro.campaign.store import ResultStore, code_salt
 
 #: what starting and stopping a fork pool costs: 11-25 ms for two
 #: workers on a 2-core x86-64 host under Python 3.11 (``Pool(2)``, two
-#: trivial tasks, close and join)
+#: trivial tasks, close and join); also the least judged wall time a
+#: mean wall is trusted on (:func:`_mean_wall`)
 POOL_COST_S = 0.025
-#: serial seconds of the runs still to go above which they fan out:
+#: estimated serial seconds of the runs still to go (each at a mean
+#: wall, :func:`_pool_pays`) above which they fan out:
 #: two workers save half of it, so at this size a pool saves twice
 #: its own cost
 POOL_BREAK_EVEN_S = 4 * POOL_COST_S
 
 #: one unit of work: (run id, progress label, the factory call with
-#: its arguments bound); picklable while the factory is module-level
-Job = Tuple[str, str, Callable[[], object]]
+#: its arguments bound, experiment name); picklable while the factory
+#: is module-level
+Job = Tuple[str, str, Callable[[], object], str]
 
 #: record tuple: (run id, result, wall_s, ok, metrics_snapshots,
 #: fault_injections, violations)
@@ -63,7 +72,7 @@ def _run_job(job: Job, metrics: bool, faults: Optional[Dict],
     from repro import verify as verify_mod
     from repro.sim import metrics as metrics_mod
 
-    key, _label, call = job
+    key, _label, call, _experiment = job
     start = time.perf_counter()
     if metrics:
         metrics_mod.auto_attach(True)
@@ -234,16 +243,56 @@ def _worker_cap(jobs: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _pool_pays(spent: float, runs: int, left: int) -> bool:
-    """Whether ``left`` more runs like the ``runs`` judged ones, which
-    took ``spent`` seconds together, are worth a fork pool.
+def _judged(walls: Optional[Tuple[float, float, int]],
+            own_first: bool) -> Optional[Tuple[float, int]]:
+    """``(seconds, runs)`` that ``walls``, an
+    :meth:`ExperimentCatalog.walls` triple, are judged by, or None.
 
-    The judged runs must have cost at least a pool's own start: fewer
-    are too little evidence, since one GC pause moves the mean of a
-    handful of microsecond runs past any break-even.
+    A first run carries one-off start-up (imports, first-call caches):
+    it is left out once a second has landed, and judged alone only by
+    the campaign that ran it (``own_first``).  A later campaign does
+    not inherit it, since its own first run would not pay that
+    start-up again.
     """
-    return (spent >= POOL_COST_S
-            and spent / runs * left > POOL_BREAK_EVEN_S)
+    if walls is None:
+        return None
+    first_s, spent, runs = walls
+    if runs:
+        return spent, runs
+    return (first_s, 1) if own_first else None
+
+
+def _mean_wall(judged: Optional[Tuple[float, int]]) -> Optional[float]:
+    """The mean of ``judged`` runs, or None unless they cost at least a
+    pool's own start: fewer are too little evidence, since one GC pause
+    moves the mean of a handful of microsecond runs past any
+    break-even."""
+    if judged is None or judged[0] < POOL_COST_S:
+        return None
+    return judged[0] / judged[1]
+
+
+def _pool_pays(catalog: ExperimentCatalog, left: Dict[str, int],
+               ran: set, campaign_mean: Optional[float]) -> bool:
+    """Whether the runs still to go, ``left[name]`` of each experiment,
+    are worth a fork pool.
+
+    Each run left counts at a mean wall: its experiment's own where
+    ``catalog`` holds judged runs of it (:func:`_judged`; ``ran`` holds
+    the experiments this campaign has run here), else
+    ``campaign_mean``, the mean of this campaign's runs so far.  A mean
+    counts only on enough evidence (:func:`_mean_wall`), and
+    ``campaign_mean`` is None without it.  On a fresh catalog, a
+    campaign of one experiment, or of distinct ones, thus decides on
+    its own runs alone.  O(experiments left), never O(runs left).
+    """
+    estimate = 0.0
+    for name, runs_left in left.items():
+        judged = _judged(catalog.walls(name), name in ran)
+        mean = campaign_mean if judged is None else _mean_wall(judged)
+        if mean is not None:
+            estimate += mean * runs_left
+    return estimate > POOL_BREAK_EVEN_S
 
 
 def _open_pool(workers: int):
@@ -269,17 +318,22 @@ def _execute_jobs(
     faults: Optional[Dict],
     progress,
     on_record: Callable[[Record], None],
-) -> Tuple[bool, int]:
+    catalog: ExperimentCatalog,
+) -> Tuple[bool, int, int]:
     """Run ``jobs`` under a spec's validated ``runner`` block and
-    ``faults``; returns ``(interrupted, workers)``, where ``workers``
-    is how many processes ran the jobs at once (1 in-process).
+    ``faults``; returns ``(interrupted, workers, in_process)``, where
+    ``workers`` is how many processes ran the jobs at once (1
+    in-process) and ``in_process`` how many landed in this process.
 
     ``runner.timeout_s`` set → each job in a watched process, up to
     :func:`_worker_cap` at a time.  Otherwise the jobs run in-process,
-    in order, until the runs so far say the rest pay for a fork pool
-    (:func:`_pool_pays`); the rest then fan out over ``min(cap, left)``
-    workers.  ``on_record`` fires in the parent as each record lands,
-    in completion order.
+    in order, until the measured walls (``catalog``'s per experiment,
+    else this campaign's) say the rest pay for a fork pool
+    (:func:`_pool_pays`), which may be before the first;
+    the rest then fan out over ``min(cap, left)`` workers.  Every
+    record, in-process or pooled, adds its wall to ``catalog``, and
+    ``on_record`` fires in the parent as each lands, in completion
+    order.
     """
     cap = _worker_cap(runner["jobs"])
     run = functools.partial(_run_job, metrics=runner["metrics"],
@@ -287,40 +341,51 @@ def _execute_jobs(
     if runner["timeout_s"] is not None:
         interrupted = _run_supervised(jobs, cap, runner, run, progress,
                                       on_record)
-        return interrupted, min(cap, len(jobs))
-    labels = {key: label for key, label, _call in jobs}
+        return interrupted, min(cap, len(jobs)), 0
+    by_key = {job[0]: job for job in jobs}
 
     def land(record: Record) -> None:
+        _key, label, _call, experiment = by_key[record[0]]
+        catalog.note_wall(experiment, record[2])
         on_record(record)
-        progress(f"[{labels[record[0]]}] done in {record[2]:.1f}s")
+        progress(f"[{label}] done in {record[2]:.1f}s")
 
-    first_s = spent = 0.0  # the first run's wall; the walls after it
+    left: Dict[str, int] = {}  # runs not yet started, per experiment
+    for job in jobs:
+        left[job[3]] = left.get(job[3], 0) + 1
+    ran = set()  # experiments that have landed a run here
+    own = [0.0, 0.0, 0]  # this campaign's walls, shaped as the catalog's
     for index, job in enumerate(jobs):
-        left = len(jobs) - index
-        if cap > 1 and left > 1 and index:
-            # the first run carries one-off start-up (imports, first-call
-            # caches), so it is judged alone only until a second lands
-            judged = (spent, index - 1) if index > 1 else (first_s, 1)
-            if _pool_pays(*judged, left):
-                workers = min(cap, left)
-                pool = _open_pool(workers)
-                if pool is not None:
-                    progress(f"[{left} runs left] fanning out over "
-                             f"{workers} worker processes")
-                    return _fan_out(pool, run, jobs[index:], land), workers
-                cap = 1  # no pool on this host: the rest run here
+        runs_left = len(jobs) - index
+        if cap > 1 and runs_left > 1 and _pool_pays(
+                catalog, left, ran,
+                _mean_wall(_judged(own, True) if index else None)):
+            workers = min(cap, runs_left)
+            pool = _open_pool(workers)
+            if pool is not None:
+                progress(f"[{runs_left} runs left] fanning out over "
+                         f"{workers} worker processes")
+                interrupted = _fan_out(pool, run, jobs[index:], land)
+                return interrupted, workers, index
+            cap = 1  # no pool on this host: the rest run here
+        experiment = job[3]
+        left[experiment] -= 1
+        if not left[experiment]:
+            del left[experiment]
         progress(f"[{job[1]}] running ...")
         try:
             record = run(job)
         except KeyboardInterrupt:
             progress(f"[{job[1]}] interrupted")
-            return True, 1
+            return True, 1, index
         if index:
-            spent += record[2]
+            own[1] += record[2]
+            own[2] += 1
         else:
-            first_s = record[2]
+            own[0] = record[2]
+        ran.add(experiment)
         land(record)
-    return False, 1
+    return False, 1, len(jobs)
 
 
 def _fan_out(pool, run, jobs: List[Job], land) -> bool:
@@ -461,10 +526,12 @@ def run_campaign(
     salt = store.salt if store is not None else code_salt()
 
     t0 = time.perf_counter()
+    cpu0 = _cpu_s()
     run_ids = [run.run_id(salt) for run in runs]
     asked = _extras_asked(spec)
-    records, hits, misses, errors, interrupted, workers = _resolve_runs(
-        spec, runs, run_ids, asked, catalog, store, salt, progress)
+    (records, hits, misses, errors, interrupted, workers,
+     in_process) = _resolve_runs(spec, runs, run_ids, asked, catalog,
+                                 store, salt, progress)
 
     report = _build_report(spec, runs, run_ids, records, salt)
     if asked:
@@ -479,11 +546,23 @@ def run_campaign(
         "errors": errors,
         "interrupted": interrupted,
         "wall_s": round(time.perf_counter() - t0, 3),
+        "cpu_s": round(_cpu_s() - cpu0, 3),
         "store": str(store.root) if store is not None else None,
         "jobs": spec.runner["jobs"],
         "workers": workers,
+        "in_process": in_process,
     }
     return report
+
+
+def _cpu_s() -> float:
+    """User + system CPU seconds of this process and of every child it
+    has reaped so far (pool and supervised workers once joined)."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
 
 
 def _resolve_runs(
@@ -495,19 +574,20 @@ def _resolve_runs(
     store: Optional[ResultStore],
     salt: str,
     progress,
-) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool, int]:
+) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool, int, int]:
     """Look each run up, execute the misses, save what succeeded.
 
     ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
     caller; ``asked`` is :func:`_extras_asked` of ``spec``.  Returns
-    ``(records, hits, misses, errors, interrupted, workers)``:
+    ``(records, hits, misses, errors, interrupted, workers,
+    in_process)``:
     ``records`` maps run id to ``{"ok", "result"}`` for every run that
     was cached or has finished — all a report reads, so a hit drops
     the rest of its stored record — plus ``"extras"``, the ``asked``
     fields, when ``asked`` is not empty.  ``misses`` counts the runs
     handed to :func:`_execute_jobs`, ``errors`` maps the failed ones
-    to their message, ``workers`` is :func:`_execute_jobs`' own (0
-    with no misses).
+    to their message, ``workers`` and ``in_process`` are
+    :func:`_execute_jobs`' own (both 0 with no misses).
     """
     records: Dict[str, Dict] = {}
     missing: Dict[str, RunSpec] = {}
@@ -525,13 +605,13 @@ def _resolve_runs(
     hits = len(records)
     errors: Dict[str, str] = {}
     if not missing:
-        return records, hits, 0, errors, False, 0
+        return records, hits, 0, errors, False, 0, 0
     jobs: List[Job] = []
     for run_id, run in missing.items():
         accepted, var_kw = catalog.accepted_params(run.experiment)
         jobs.append((run_id, _run_label(run), functools.partial(
             catalog.get(run.experiment), run.quick,
-            **run.call_params(accepted, var_kw))))
+            **run.call_params(accepted, var_kw)), run.experiment))
 
     def _on_record(record: Record) -> None:
         run_id, result, wall, ok, snaps, fsum, viol = record
@@ -557,9 +637,10 @@ def _resolve_runs(
 
     progress(f"[{spec.name or 'campaign'}] {len(runs)} runs: {hits} "
              f"cached, {len(jobs)} to execute")
-    interrupted, workers = _execute_jobs(jobs, spec.runner, spec.faults,
-                                         progress, _on_record)
-    return records, hits, len(jobs), errors, interrupted, workers
+    interrupted, workers, in_process = _execute_jobs(
+        jobs, spec.runner, spec.faults, progress, _on_record, catalog)
+    return (records, hits, len(jobs), errors, interrupted, workers,
+            in_process)
 
 
 def _error_text(result) -> str:

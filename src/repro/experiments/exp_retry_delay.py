@@ -11,13 +11,15 @@ from repro.models.throughput import lln_model_goodput, mathis_goodput
 
 #: the paper's Figure 6 x-axis (seconds)
 DEFAULT_DELAYS = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.1)
+#: simulated seconds each cell runs before its measured window opens
+WARMUP_S = 10.0
 
 
 def _run_retry_delay_point(
     hops: int,
     delay: float,
     seed: int = 0,
-    warmup: float = 10.0,
+    warmup: float = WARMUP_S,
     duration: float = 60.0,
     record_cwnd: bool = False,
     ambient_frame_loss: float = 0.0,

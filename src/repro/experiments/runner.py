@@ -16,6 +16,7 @@ run the catalog: a spec with no ``experiments`` runs all of it,
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict
 
 from repro.campaign.catalog import ExperimentCatalog
@@ -39,6 +40,7 @@ from repro.experiments.exp_duty import (
 )
 from repro.experiments.exp_fairness import run_table9
 from repro.experiments.exp_retry_delay import (
+    WARMUP_S,
     run_eq2_validation,
     run_fig6_sweep,
     run_fig7a_cwnd_trace,
@@ -128,12 +130,27 @@ def _exp_fig6bcd_three_hops(quick: bool, seed: int = 0):
                           duration=_d(quick, 60.0))
 
 
+#: Fig. 7a's printed trace: cwnd at this many evenly spaced instants
+_FIG7A_POINTS = 24
+
+
 def _exp_fig7a_cwnd(quick: bool, seed: int = 0):
-    row = run_fig7a_cwnd_trace(seed=seed, duration=_d(quick, 100.0))
+    duration = _d(quick, 100.0)
+    row = run_fig7a_cwnd_trace(seed=seed, duration=duration)
     del row["ssthresh_series"]
+    # the paper's Fig. 7a look: cwnd, a step function between change
+    # samples, read at fixed instants of the run (its warm-up and
+    # the measured window), so point k is one instant in every seed; an
+    # instant before the connection's first sample reads that sample
     series = row["cwnd_series"]
-    # the paper's Fig. 7a look: about 24 points of the trace
-    row["cwnd_series"] = series[::max(1, len(series) // 24)]
+    if series:
+        times = [t for t, _cwnd in series]
+        end = WARMUP_S + duration
+        instants = [end * (k + 1) / _FIG7A_POINTS
+                    for k in range(_FIG7A_POINTS)]
+        row["cwnd_series"] = [
+            (t, series[max(bisect.bisect_right(times, t), 1) - 1][1])
+            for t in instants]
     return row
 
 

@@ -86,16 +86,26 @@ def napping_cell(quick, nap=0.06, seed=0):
     return {"value": seed}
 
 
+def spinning_cell(quick, spin=0.05, seed=0):
+    """A cell that burns ``spin`` seconds of its own CPU."""
+    del quick
+    start = time.process_time()
+    while time.process_time() - start < spin:
+        pass
+    return {"value": seed}
+
+
 #: set once ``cold_start_cell`` has paid its start-up in this process
 _WARM = []
 
 
-def cold_start_cell(quick, seed=0):
-    """Cheap, but its first call in a process pays 10 ms of start-up."""
+def cold_start_cell(quick, seed=0, startup=0.01):
+    """Cheap, but its first call in a process pays ``startup`` seconds
+    of start-up."""
     del quick
     if not _WARM:
         _WARM.append(True)
-        time.sleep(0.01)
+        time.sleep(startup)
     return {"value": seed}
 
 
@@ -798,15 +808,42 @@ def pools(monkeypatch):
 
 def _nap_catalog():
     return ExperimentCatalog({"napping_cell": napping_cell,
-                              "linear_cell": linear_cell})
+                              "linear_cell": linear_cell,
+                              "spinning_cell": spinning_cell})
 
 
-def _run_in_daemon(spec, queue):
+def _timed(catalog, name, wall):
+    """``catalog`` after an earlier campaign in this process ran two
+    runs of ``name`` that took ``wall`` seconds each."""
+    catalog.note_wall(name, wall)
+    catalog.note_wall(name, wall)
+    return catalog
+
+
+def _run_in_daemon(spec, queue, known):
     try:
-        report = run_quiet(spec, catalog=_nap_catalog())
+        catalog = _nap_catalog()
+        if known:
+            _timed(catalog, "napping_cell", 0.06)
+        report = run_quiet(spec, catalog=catalog)
         queue.put((report.execution["workers"], report.execution["errors"]))
     except Exception as exc:  # e.g. a daemon refused a pool's children
         queue.put(repr(exc))
+
+
+def _daemon_result(spec, known):
+    """What :func:`_run_in_daemon` reports from a daemonic child."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_run_in_daemon, args=(spec, queue, known),
+                        daemon=True)
+    child.start()
+    result = queue.get(timeout=30)
+    child.join(timeout=30)
+    assert not child.is_alive()
+    return result
 
 
 class TestFanOut:
@@ -820,13 +857,25 @@ class TestFanOut:
     def test_one_off_slow_start_is_not_judged_alone(self, pools):
         """10 ms x 199 runs left would pass the break-even; but the
         first run is cheaper than a pool, so a second is awaited, and
-        the runs after the first never add up to a pool's cost."""
+        the runs after the first never add up to a pool's cost.  A
+        40 ms start-up paid by an earlier one-run campaign is not
+        inherited either: the next campaign's first run, which pays no
+        start-up, is judged instead."""
         _WARM.clear()
         report = run_quiet({"experiments": ["cold_start_cell"],
                             "seeds": {"count": 200}},
                            catalog=ExperimentCatalog(
                                {"cold_start_cell": cold_start_cell}))
         assert _WARM and report.execution["executed"] == 200
+        assert pools == [] and report.execution["workers"] == 1
+        _WARM.clear()
+        catalog = ExperimentCatalog({"cold_start_cell": cold_start_cell})
+        run_quiet({"experiments": ["cold_start_cell"],
+                   "grid": {"startup": [0.04]}}, catalog=catalog)
+        assert catalog.walls("cold_start_cell")[0] >= 0.04
+        report = run_quiet({"experiments": ["cold_start_cell"],
+                            "seeds": {"count": 200}}, catalog=catalog)
+        assert report.execution["in_process"] == 200
         assert pools == [] and report.execution["workers"] == 1
 
     def test_slow_campaign_forks_after_its_first_run(self, pools):
@@ -836,36 +885,38 @@ class TestFanOut:
                               catalog=_nap_catalog(), progress=lines.append)
         assert pools == [3]  # min(cap 4, 3 runs left)
         assert report.execution["workers"] == 3
+        assert report.execution["in_process"] == 1
         assert sum("running" in line for line in lines) == 1
         assert not report.execution["errors"]
         assert [c.seeds for c in report.cells] == [[0, 1, 2, 3]]
 
-    @pytest.mark.parametrize("guard", ["jobs-1", "metrics-armed"])
-    def test_guards_never_fork(self, pools, guard):
+    @pytest.mark.parametrize("guard, known", [
+        pytest.param("jobs-1", False, id="jobs-1"),
+        pytest.param("metrics-armed", False, id="metrics-armed"),
+        pytest.param("jobs-1", True, id="jobs-1-known"),
+        pytest.param("metrics-armed", True, id="metrics-armed-known")])
+    def test_guards_never_fork(self, pools, guard, known):
+        """``known``: a 60 ms entry makes the 3-run campaign pay from
+        its first run; only the guard keeps it in-process."""
         spec = dict(_PAYS_AFTER_ONE)
+        catalog = _nap_catalog()
+        if known:
+            _timed(catalog, "napping_cell", 0.06)
         if guard == "jobs-1":
             spec["runner"] = {"jobs": 1}
         else:
             metrics_mod.auto_attach(True)
         try:
-            report = run_quiet(spec, catalog=_nap_catalog())
+            report = run_quiet(spec, catalog=catalog)
         finally:
             metrics_mod.auto_attach(False)
         assert pools == [] and report.execution["workers"] == 1
         assert report.execution["executed"] == 3
+        assert report.execution["in_process"] == 3
 
     def test_daemonic_parent_never_forks(self, pools):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        queue = ctx.Queue()
-        child = ctx.Process(target=_run_in_daemon,
-                            args=(dict(_PAYS_AFTER_ONE), queue), daemon=True)
-        child.start()
-        result = queue.get(timeout=30)
-        child.join(timeout=30)
-        assert result == (1, {})
-        assert not child.is_alive()
+        for known in (False, True):
+            assert _daemon_result(dict(_PAYS_AFTER_ONE), known) == (1, {})
 
     def test_no_pool_on_the_host_runs_the_rest_here(self, pools,
                                                      monkeypatch):
@@ -898,10 +949,13 @@ class TestFanOut:
         after the first fans out wherever the cap allows it."""
         monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
         monkeypatch.setattr(engine, "POOL_BREAK_EVEN_S", 0.0)
+        from repro.experiments.runner import default_catalog
+
         spec = {"name": "scheduling", "experiments": ["single_hop_cell"],
                 "grid": {"frames": [1, 3], "duration": [1.0]},
                 "seeds": [0, 1]}
-        reports = {jobs: run_quiet(dict(spec, runner={"jobs": jobs}))
+        reports = {jobs: run_quiet(dict(spec, runner={"jobs": jobs}),
+                                   catalog=default_catalog().copy())
                    for jobs in (1, None, 2)}
         assert reports[1].execution["workers"] == 1
         assert reports[2].execution["workers"] == 2
@@ -911,6 +965,79 @@ class TestFanOut:
         for jobs in (None, 2):
             assert not reports[jobs].execution["errors"]
             assert reports[jobs].to_json() == first, jobs
+
+    # -- the catalog's measured walls outlive a campaign ---------------
+
+    def test_known_slow_experiment_forks_at_its_first_run(self, pools):
+        catalog = _nap_catalog()
+        spec = {"name": "prior", "experiments": ["napping_cell"],
+                "seeds": {"count": 4}}
+        first = run_quiet(dict(spec), catalog=catalog)
+        assert first.execution["in_process"] == 1 and pools == [3]
+        second = run_quiet(dict(spec), catalog=catalog)
+        assert pools == [3, 4]  # min(cap 4, 4 runs)
+        assert second.execution["in_process"] == 0
+        assert second.execution["workers"] == 4
+        assert second.execution["executed"] == 4
+        assert not second.execution["errors"]
+        assert second.to_json() == first.to_json()
+
+    def test_known_cheap_experiment_never_forks(self, pools):
+        catalog = _nap_catalog()
+        for _ in range(2):
+            report = run_quiet({"experiments": ["linear_cell"],
+                                "seeds": {"count": 200}}, catalog=catalog)
+            assert report.execution["in_process"] == 200
+        assert pools == []
+        assert catalog.walls("linear_cell")[2] == 399
+
+    def test_register_unregister_and_copy_forget_the_entry(self, pools):
+        catalog = _timed(_nap_catalog(), "napping_cell", 0.06)
+        spec = {"experiments": ["napping_cell"], "seeds": {"count": 3}}
+        fresh = catalog.copy()
+        assert fresh.walls("napping_cell") is None
+        # unknown again: the first run goes alone, as in a fresh process
+        assert run_quiet(dict(spec), catalog=fresh).execution[
+            "in_process"] == 1
+        catalog.register("napping_cell", napping_cell)
+        assert catalog.walls("napping_cell") is None
+        assert run_quiet(dict(spec), catalog=catalog).execution[
+            "in_process"] == 1
+        catalog.unregister("napping_cell")
+        assert catalog.walls("napping_cell") is None
+        assert pools == [2, 2]
+
+    def test_fresh_mixed_campaign_forks_after_its_first_run(self, pools):
+        """Three distinct 60 ms experiments, one run each: the catalog
+        knows none, so the two left count at the first run's mean."""
+        catalog = ExperimentCatalog({name: napping_cell
+                                     for name in ("nap_a", "nap_b", "nap_c")})
+        report = run_quiet({"experiments": ["nap_a", "nap_b", "nap_c"]},
+                           catalog=catalog)
+        assert pools == [2] and report.execution["in_process"] == 1
+        assert not report.execution["errors"]
+
+    def test_mixed_campaign_counts_each_experiment_at_its_mean(self, pools):
+        """napping_cell is known at 60 ms and linear_cell is not, and no
+        run of this campaign has landed to judge it by: one napping run
+        left is under the break-even, two are over it, wherever they
+        stand in the campaign."""
+        catalog = _timed(_nap_catalog(), "napping_cell", 0.06)
+        spec = {"experiments": ["linear_cell", "napping_cell"]}
+        report = run_quiet(dict(spec), catalog=catalog)
+        assert pools == [] and report.execution["in_process"] == 2
+        report = run_quiet(dict(spec, seeds=[0, 1]), catalog=catalog)
+        assert pools == [4] and report.execution["in_process"] == 0
+        assert not report.execution["errors"]
+
+    def test_cpu_s_counts_the_reaped_workers(self, pools):
+        """Four pooled runs that each burn 50 ms of CPU: the parent
+        idles, so the sidecar's CPU is its workers'."""
+        catalog = _timed(_nap_catalog(), "spinning_cell", 0.05)
+        report = run_quiet({"experiments": ["spinning_cell"],
+                            "seeds": {"count": 4}}, catalog=catalog)
+        assert pools == [4] and report.execution["in_process"] == 0
+        assert report.execution["cpu_s"] >= 0.15
 
 
 # ----------------------------------------------------------------------

@@ -81,3 +81,25 @@ class TestRunner:
         assert list(report.execution["errors"].values()) == [
             "RuntimeError: injected"]
         assert "memory_model" in tables.results[0]
+
+    def test_fig7a_samples_the_same_instants_in_every_seed(
+            self, monkeypatch):
+        """Fig. 7a's 24 points are cwnd at fixed instants of the run,
+        read off the step function, whatever each seed's change times."""
+        from repro.experiments import runner
+
+        def trace(seed, duration):
+            # cwnd changes at seed-dependent times; quick runs last 25 s
+            return {"cwnd_series": [(0.3 + 0.01 * seed, 1344),
+                                    (5.0 + seed, 1792), (20.0, 896)],
+                    "ssthresh_series": []}
+
+        monkeypatch.setattr(runner, "run_fig7a_cwnd_trace", trace)
+        rows = [runner._exp_fig7a_cwnd(True, seed=seed) for seed in (0, 1)]
+        end = runner.WARMUP_S + 25.0
+        instants = [[t for t, _cwnd in row["cwnd_series"]] for row in rows]
+        assert instants[0] == instants[1]
+        assert len(instants[0]) == 24 and instants[0][-1] == end
+        assert [dict(row["cwnd_series"])[end * 4 / 24] for row in rows] \
+            == [1792, 1344]  # 5.83 s: after seed 0's change, before seed 1's
+        assert "ssthresh_series" not in rows[0]

@@ -38,7 +38,8 @@ Modes
   processes.  Unset (the default), misses run in-process until the
   finished ones say a fork pool pays, then fan out over every usable
   core; ``--jobs 1`` keeps every run in-process.  The summary line
-  says how many workers ran.
+  says how many workers ran, how many runs the parent ran itself and
+  the CPU seconds of the parent and its workers.
 """
 
 from __future__ import annotations
@@ -226,8 +227,10 @@ def main(argv=None) -> int:
     _print_report(report, grid=args.grid)
     ex = report.execution
     print(f"{ex['runs']} runs: {ex['cache_hits']} cached, "
-          f"{ex['executed']} executed on {ex['workers']} worker(s), "
-          f"{len(ex['errors'])} failed, {ex['wall_s']:.1f}s wall")
+          f"{ex['executed']} executed on {ex['workers']} worker(s) "
+          f"({ex['in_process']} in-process), "
+          f"{len(ex['errors'])} failed, {ex['wall_s']:.1f}s wall, "
+          f"{ex['cpu_s']:.1f}s CPU")
     if args.report:
         report.save(args.report)
         print(f"wrote {args.report}")
