@@ -23,6 +23,8 @@ from repro.api import ResultStore, run_campaign
 REPO = Path(__file__).resolve().parent.parent
 #: the paper campaign: every simulated row the suite asserts on
 PAPER_SPEC = json.loads((REPO / "campaigns" / "paper.json").read_text())
+#: the store :func:`paper` reads and fills
+STORE = REPO / "results" / "campaign_store"
 
 _CAPMAN = [None]
 
@@ -37,8 +39,7 @@ def paper(name: str):
     """The result of the paper campaign's ``name`` row, run or read
     from the store; a failed run fails the calling test."""
     report = run_campaign({**PAPER_SPEC, "experiments": [name]},
-                          store=ResultStore(REPO / "results" /
-                                            "campaign_store"),
+                          store=ResultStore(STORE),
                           progress=lambda *_: None)
     errors = report.execution["errors"]
     if errors:

@@ -73,7 +73,7 @@ p50/p95/p99 latency plus shed/corrupt counts.  See
 as sweeps (see docs/campaigns.md):
 :class:`~repro.campaign.spec.CampaignSpec` (validated JSON/dict
 declaring experiments × parameter grid × seeds × faults, and how
-to run them), :func:`run_campaign` / :func:`load_campaign` (execute a spec —
+to run them), :func:`run_campaign` (execute a spec —
 or only its uncached delta, against a content-addressed
 :class:`~repro.campaign.store.ResultStore` — and return a
 :class:`~repro.campaign.report.CampaignReport` with per-cell
@@ -92,7 +92,6 @@ from repro.campaign import (
     ExperimentCatalog,
     ResultStore,
     RunSpec,
-    load_campaign,
     run_campaign,
 )
 from repro.core.params import (
@@ -225,6 +224,5 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "default_catalog",
-    "load_campaign",
     "run_campaign",
 ]

@@ -120,13 +120,11 @@ class AnemometerNode:
 
 
 class _TransportAdapter:
-    """Interface both transports implement."""
+    """What both transports share; each defines ``pull()``, which the
+    app calls when readings wait."""
 
     def attach(self, app: AnemometerNode) -> None:
         self.app = app
-
-    def pull(self) -> None:  # pragma: no cover - interface stub
-        raise NotImplementedError
 
 
 class TcpTransport(_TransportAdapter):

@@ -33,7 +33,7 @@ See docs/campaigns.md for the full schema and caching contract.
 """
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
-from repro.campaign.engine import load_campaign, plan_campaign, run_campaign
+from repro.campaign.engine import plan_campaign, run_campaign
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate
@@ -48,7 +48,6 @@ __all__ = [
     "RunSpec",
     "aggregate",
     "code_salt",
-    "load_campaign",
     "plan_campaign",
     "resolve_selection",
     "run_campaign",

@@ -150,10 +150,6 @@ class ExperimentCatalog:
             resolve_selection([name], self._entries, what="experiment")
         return self._entries[name]
 
-    def resolve(self, selection) -> Optional[List[str]]:
-        """Shared-resolver front end scoped to this catalog."""
-        return resolve_selection(selection, self._entries)
-
     def accepted_params(self, name: str) -> Tuple[frozenset, bool]:
         """``(keyword names, accepts_var_keyword)`` for ``name``.
 
@@ -194,11 +190,5 @@ class ExperimentCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __iter__(self):
-        return iter(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __repr__(self) -> str:
-        return f"ExperimentCatalog({len(self._entries)} experiments)"

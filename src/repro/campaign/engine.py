@@ -438,11 +438,6 @@ def _lacks(record: Dict, asked: Tuple[str, ...]) -> bool:
     return any(record.get(name) is None for name in asked)
 
 
-def load_campaign(path) -> CampaignSpec:
-    """Load and validate a JSON campaign spec file."""
-    return CampaignSpec.from_json(path)
-
-
 def plan_campaign(
     spec: CampaignSpec,
     store: Optional[ResultStore] = None,

@@ -101,8 +101,8 @@ class RunSpec:
     faults: Optional[tuple] = None   # canonical JSON string, or None
 
     @classmethod
-    def build(cls, experiment: str, params: Dict, seed, quick: bool,
-              faults: Optional[Dict]) -> "RunSpec":
+    def _build(cls, experiment: str, params: Dict, seed, quick: bool,
+               faults: Optional[Dict]) -> "RunSpec":
         return cls(
             experiment=experiment,
             params=tuple(sorted(params.items())),
@@ -376,7 +376,7 @@ class CampaignSpec:
             for values in itertools.product(*self.grid.values()):
                 point = dict(zip(axes, values))
                 for seed in seeds:
-                    runs.append(RunSpec.build(
+                    runs.append(RunSpec._build(
                         experiment=experiment, params=point, seed=seed,
                         quick=self.quick, faults=self.faults))
         return runs

@@ -167,6 +167,3 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def __repr__(self) -> str:
-        return f"ResultStore({str(self.root)!r}, {len(self)} records)"

@@ -64,10 +64,6 @@ class Network:
     hosts: Dict[int, CloudHost] = field(default_factory=dict)
     _udp_stacks: Dict[int, UdpStack] = field(default_factory=dict, repr=False)
 
-    def node(self, node_id: int) -> Node:
-        """Convenience accessor."""
-        return self.nodes[node_id]
-
     def endpoint(self, node_id: int):
         """The ``register``/``send`` surface of ``node_id``: a mote's
         IPv6 layer or a wired host."""

@@ -219,11 +219,6 @@ class SensorStream:
         self._conn.on_connect = self._on_connect
         self._conn.on_error = self._on_error
 
-    @property
-    def connection(self):
-        """The sender-side socket."""
-        return self._conn
-
     def _on_accept(self, conn) -> None:
         conn.on_data = self.meter.on_data
 
@@ -287,10 +282,6 @@ class FlowResult:
     bytes_delivered: int
     connected: bool
     errors: List[str] = field(default_factory=list)
-
-    @property
-    def goodput_kbps(self) -> float:
-        return self.goodput_bps / 1000.0
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -48,9 +48,9 @@ class LowpanAdaptation:
         node_id: int,
         route_lookup: Callable[[int], Optional[int]],
         deliver_up: Callable[[object], None],
+        should_reassemble: Callable[[int], bool],
         trace: Optional[TraceRecorder] = None,
         reassemble_per_hop: bool = False,
-        should_reassemble: Optional[Callable[[int], bool]] = None,
         reassembly_timeout: float = 5.0,
     ):
         self.sim = sim
@@ -60,10 +60,7 @@ class LowpanAdaptation:
         self.deliver_up = deliver_up
         self.trace = trace or TraceRecorder()
         self.reassemble_per_hop = reassemble_per_hop
-        # By default a node reassembles datagrams addressed to it; a
-        # border router also reassembles datagrams leaving the mesh.
-        self._should_reassemble = (
-            should_reassemble or self._reassemble_if_local)
+        self._should_reassemble = should_reassemble
         self.fragmenter = Fragmenter(node_id)
         self.reassembler = Reassembler(
             sim, timeout=reassembly_timeout, trace=self.trace, node_id=node_id
@@ -90,9 +87,6 @@ class LowpanAdaptation:
         frag_done = _FragCompletion(len(frags), on_done)
         for frag in frags:
             self.mac.send(frag, frag.wire_bytes, next_hop, on_done=frag_done)
-
-    def _reassemble_if_local(self, dst: int) -> bool:
-        return dst == self.node_id
 
     # ------------------------------------------------------------------
     # receive / forward path

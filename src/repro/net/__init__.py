@@ -10,8 +10,6 @@
 * :mod:`repro.net.routing` — static and Thread-like mesh routing
   (border router, always-on routers, sleepy leaves with parents).
 * :mod:`repro.net.icmpv6` — echo request/reply (ping diagnostics).
-* :mod:`repro.net.pcap` — capture wired-side traffic into real pcap
-  files openable in Wireshark.
 * :mod:`repro.net.node` — composes radio + MAC + 6LoWPAN + IPv6 into
   an embedded node.
 * :mod:`repro.net.wired` — the border-router uplink: a wired link with
@@ -23,7 +21,6 @@ from repro.net.addr import cloud_address, mesh_address
 from repro.net.icmpv6 import IcmpStack
 from repro.net.ipv6 import PROTO_TCP, PROTO_UDP, Ipv6Layer, Ipv6Packet
 from repro.net.node import Node, NodeConfig
-from repro.net.pcap import PcapWriter
 from repro.net.queues import DropTailQueue, RedParams, RedQueue
 from repro.net.routing import MeshRouting, StaticRouting
 from repro.net.udp import UdpDatagram, UdpStack
@@ -48,5 +45,4 @@ __all__ = [
     "mesh_address",
     "cloud_address",
     "IcmpStack",
-    "PcapWriter",
 ]

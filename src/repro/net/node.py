@@ -93,26 +93,8 @@ class Node:
         (:meth:`~repro.experiments.topology.Network.attach_metrics`)."""
         metrics.pull_counters("node", self.node_id, self.trace.counters)
         metrics.register_collector(self.radio.collect_metrics)
-        if self.ipv6.forward_queue is not None:
-            metrics.register_collector(self._collect_queue_metrics)
         if self.sleepy is not None:
             metrics.pull_counters("poll", self.node_id, self.trace.counters)
-
-    def _collect_queue_metrics(self, metrics) -> None:
-        """Export forward-queue state as gauges (snapshot-time pull)."""
-        queue = self.ipv6.forward_queue
-        metrics.gauge("net.forward_queue_depth", node=self.node_id).set(
-            len(queue)
-        )
-        metrics.gauge("net.queue_drops_total", node=self.node_id).set(
-            queue.drops
-        )
-        avg = getattr(queue, "avg", None)
-        if avg is not None:
-            metrics.gauge("net.red_avg_depth", node=self.node_id).set(avg)
-            metrics.gauge("net.red_marks_total", node=self.node_id).set(
-                queue.marks
-            )
 
     # ------------------------------------------------------------------
     # wiring helpers
@@ -196,6 +178,3 @@ class Node:
         """Restart energy/CPU accounting (exclude warm-up)."""
         self.radio.energy.reset()
         self.radio.cpu.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Node {self.node_id}>"

@@ -95,12 +95,6 @@ class Event:
         """True while the event is scheduled and may still fire."""
         return not (self.cancelled or self.fired)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        period = f" every {self.interval:.6f}" if self.interval is not None else ""
-        return f"<Event t={self.time:.6f}{period} {name} {state}>"
-
 
 _new_event = Event.__new__
 
@@ -131,11 +125,6 @@ class _HookView:
     def pending(self) -> bool:
         """True while the entry is still queued."""
         return not self.fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        state = "fired" if self.fired else "pending"
-        return f"<unref-event t={self.time:.6f} {name} {state}>"
 
 
 class RealtimePacer:
@@ -404,11 +393,6 @@ class Simulator:
         ev.sim = self
         _heappush(self._queue, (time, seq, ev))
         return ev
-
-    def cancel(self, event: Optional[Event]) -> None:
-        """Cancel ``event`` if it is pending; ``None`` is accepted."""
-        if event is not None:
-            event.cancel()
 
     # ------------------------------------------------------------------
     # tombstone accounting / heap compaction

@@ -106,19 +106,6 @@ class PeriodicTimer:
         """True while the timer is ticking."""
         return self._event is not None and not self._event.cancelled
 
-    @property
-    def interval(self) -> Optional[float]:
-        """The period currently in force, or None when stopped."""
-        return self._interval if self.armed else None
-
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute time of the next tick, or None when stopped."""
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
-
     def start(self, interval: float) -> None:
         """(Re)start firing every ``interval`` seconds, first in ``interval``."""
         self.stop()
@@ -140,9 +127,3 @@ class PeriodicTimer:
             self._interval = None
         if self._registry is not None:
             self._registry.discard(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            f"every {self._interval:.6f}" if self.armed else "idle"
-        )
-        return f"<PeriodicTimer {self.name or self.callback!r} {state}>"

@@ -40,9 +40,6 @@ class Counter:
         """Snapshot of all counters."""
         return dict(self._counts)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({dict(self._counts)!r})"
-
 
 class SeriesRecorder:
     """Records (time, value) samples for one quantity (e.g. cwnd)."""
@@ -126,10 +123,6 @@ class TraceEvent:
         if not isinstance(other, TraceEvent):
             return NotImplemented
         return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TraceEvent t={self.time:.6f} {self.layer}/{self.kind} "
-                f"node={self.node} {self.fields!r}>")
 
 
 class TraceBus:

@@ -50,10 +50,6 @@ class Violation:
             "detail": self.detail,
         }
 
-    def __repr__(self) -> str:
-        return (f"<Violation t={self.time:.3f} {self.layer}/node{self.node} "
-                f"{self.probe}: {self.detail}>")
-
 
 class InvariantEngine:
     """Periodic + trace-triggered invariant checking for one network."""

@@ -395,13 +395,13 @@ class TestExpansion:
         assert json.loads(out.stdout) == here
 
     def test_params_order_does_not_change_identity(self):
-        a = RunSpec.build("e", {"a": 1, "b": 2}, 0, True, None)
-        b = RunSpec.build("e", {"b": 2, "a": 1}, 0, True, None)
+        a = RunSpec._build("e", {"a": 1, "b": 2}, 0, True, None)
+        b = RunSpec._build("e", {"b": 2, "a": 1}, 0, True, None)
         assert a.run_id("s") == b.run_id("s")
 
     def test_seed_changes_run_id_but_not_cell_id(self):
-        a = RunSpec.build("e", {"x": 1}, 0, True, None)
-        b = RunSpec.build("e", {"x": 1}, 1, True, None)
+        a = RunSpec._build("e", {"x": 1}, 0, True, None)
+        b = RunSpec._build("e", {"x": 1}, 1, True, None)
         assert a.run_id("s") != b.run_id("s")
         assert a.cell_id() == b.cell_id()
 
@@ -419,7 +419,7 @@ class TestExpansion:
     @settings(max_examples=200, deadline=None)
     def test_cell_id_is_the_canonical_form_without_the_seed(
             self, experiment, params, seed, quick, faults):
-        run = RunSpec.build(experiment, params, seed, quick, faults)
+        run = RunSpec._build(experiment, params, seed, quick, faults)
         doc = run.to_dict()
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         assert run.run_id("s") == hashlib.sha256(
@@ -461,7 +461,7 @@ def _resume_catalog():
 
 
 def _numbered_runs(count):
-    return [RunSpec.build("e", {"x": x}, 0, True, None)
+    return [RunSpec._build("e", {"x": x}, 0, True, None)
             for x in range(count)]
 
 
@@ -540,7 +540,7 @@ class TestCaching:
 
     def test_store_roundtrip_and_atomicity(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s")
-        run = RunSpec.build("e", {"x": 1}, 0, True, None)
+        run = RunSpec._build("e", {"x": 1}, 0, True, None)
         key = store.key_for(run)
         assert store.load(key) is None
         store.save(key, {"ok": True, "result": {"v": 1}})
@@ -1177,7 +1177,7 @@ class TestReport:
     def test_run_id_and_report_bytes_are_pinned(self, tmp_path):
         """Golden values: a change to either re-keys every store or
         changes every cached report's bytes."""
-        run = RunSpec.build("fig9_cell", {"loss": 0.12, "seed": 5,
+        run = RunSpec._build("fig9_cell", {"loss": 0.12, "seed": 5,
                                           "tag": ',"seed":7'}, -3, True,
                             _FAULTS)
         assert run.run_id("pinned") == (
@@ -1301,7 +1301,7 @@ class TestLegacyShim:
     def test_api_facade_exports(self):
         import repro.api as api
 
-        for name in ("CampaignSpec", "run_campaign", "load_campaign",
+        for name in ("CampaignSpec", "run_campaign",
                      "ResultStore", "ExperimentCatalog",
                      "CampaignReport", "RunSpec", "default_catalog"):
             assert name in api.__all__ and hasattr(api, name)

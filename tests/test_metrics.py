@@ -17,6 +17,7 @@ from repro.experiments.topology import build_pair
 from repro.experiments.workload import BulkTransfer
 from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
+from repro.phy.medium import UniformLoss
 from repro.sim import metrics as metrics_mod
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
@@ -356,3 +357,21 @@ class TestRunnerMetricsOut:
         assert "metrics_snapshots" not in cell
         # and the canonical report must not carry the snapshots
         assert "metrics_snapshots" not in report.to_json()
+
+
+def test_lossy_transfer_traces_every_layers_repairs():
+    """Each layer's repair and loss events reach the bus: a frame lost
+    on the air, a link-layer give-up, a reassembly timeout, and TCP's
+    retransmissions by RTO and by duplicate ACKs."""
+    metrics_mod.auto_attach(True, capture_trace=True, trace_capacity=None)
+    net = build_pair(seed=3)
+    metrics_mod.auto_attach(False)
+    net.medium.loss_models.append(UniformLoss(0.6, net.rng))
+    params = tcplp_params()
+    BulkTransfer(net.sim, net.tcp_stack(1), net.tcp_stack(0),
+                 receiver_id=0, params=params, receiver_params=params)
+    net.sim.run(until=60.0)
+    kinds = {(ev.layer, ev.kind) for ev in net.sim.trace_bus.events}
+    assert {("phy", "loss"), ("mac", "tx_failure"),
+            ("lowpan", "reassembly_timeout"), ("tcp", "retransmit"),
+            ("tcp", "rto"), ("tcp", "fast_retransmit")} <= kinds

@@ -182,9 +182,24 @@ def test_duplicate_registration_rejected():
 
 
 def test_oversized_frame_rejected():
+    """Every guard of the radio's transmit path raises its declared
+    error."""
     sim, medium, radios = make_net([(0, 0), (5, 0)])
-    with pytest.raises(ValueError):
-        radios[0].transmit(frame(0, 1), 200, on_done=lambda: None)
+    radio = radios[0]
+    with pytest.raises(ValueError, match="exceeds 802.15.4 maximum"):
+        radio.transmit(frame(0, 1), 200, on_done=lambda: None)
+    with pytest.raises(ValueError, match="exceeds 802.15.4 maximum"):
+        radio.load(200, lambda: None)
+    radio.transmit(frame(0, 1), 50, lambda: None, skip_spi=True)
+    with pytest.raises(RuntimeError, match="transmit while busy"):
+        radio.transmit(frame(0, 1), 50, lambda: None, skip_spi=True)
+    with pytest.raises(RuntimeError, match="cannot sleep while transmitting"):
+        radio.sleep()
+    sim.run()
+    radio.sleep()  # the frame has left the air
+    radio.power_off()
+    with pytest.raises(RuntimeError, match="SPI load while powered off"):
+        radio.load(50, lambda: None)
 
 
 # ----------------------------------------------------------------------

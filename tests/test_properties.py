@@ -1,9 +1,5 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-import os
-import tempfile
-from types import SimpleNamespace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +20,6 @@ from repro.core.sack import SackScoreboard
 from repro.lowpan.frag import Fragmenter, Reassembler
 from repro.mac.frame import Frame, FrameKind, decode_frame
 from repro.net.ipv6 import PROTO_TCP, Ipv6Packet, decode_header
-from repro.net.pcap import PcapWriter, read_pcap
 from repro.sim.engine import Simulator
 
 seqs = st.integers(min_value=0, max_value=MOD - 1)
@@ -300,14 +295,6 @@ def _option_length_offsets(blob: bytes, base: int = 0) -> list:
     return offsets
 
 
-def _read_pcap_bytes(raw: bytes):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzz.pcap")
-        with open(path, "wb") as fh:
-            fh.write(raw)
-        return read_pcap(path)
-
-
 def _decoder_surfaces() -> dict:
     """name -> (decoder, a valid encoding, offsets of its length bytes)."""
     opts = TcpOptions(mss=1232, sack_permitted=True, ts_val=7, ts_ecr=3,
@@ -320,22 +307,12 @@ def _decoder_surfaces() -> dict:
                         payload_bytes=len(wire))
     frame = Frame(kind=FrameKind.DATA, src=1, dst=2, seq=9,
                   payload_bytes=len(wire))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "valid.pcap")
-        with PcapWriter(path, SimpleNamespace(now=1.5)) as writer:
-            writer.write(packet)
-            writer.write(packet)
-        with open(path, "rb") as fh:
-            pcap = fh.read()
-    second = 24 + 16 + 40 + len(wire)  # the second record's header
     return {
         "options": (TcpOptions.decode, blob, _option_length_offsets(blob)),
         "segment": (Segment.decode, wire,
                     [12] + _option_length_offsets(blob, base=20)),
         "frame": (decode_frame, frame.encode(wire), []),
         "ipv6": (decode_header, packet.encode_header(), [4, 5]),
-        "pcap": (_read_pcap_bytes, pcap,
-                 [24 + 8, 24 + 9, second + 8, second + 9]),
     }
 
 

@@ -45,7 +45,7 @@ def test_public_modules_have_docstrings():
     for module_name in (
         "repro.sim.engine", "repro.phy.radio", "repro.phy.medium",
         "repro.mac.link", "repro.mac.poll", "repro.lowpan.frag",
-        "repro.net.ipv6", "repro.net.pcap",
+        "repro.net.ipv6",
         "repro.core.connection", "repro.core.buffers",
         "repro.core.congestion", "repro.app.coap", "repro.app.cocoa",
         "repro.app.sensor", "repro.models.throughput",

@@ -17,12 +17,16 @@ from repro.experiments.topology import build_pair
 from repro.experiments.workload import BulkTransfer
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
+from repro.sim.trace import TraceBus
 from repro.verify import InvariantEngine, check_no_armed_tcp_timers
 
 
-def live_transfer(seed=5, run_until=4.0, **engine_kw):
-    """A mid-flight one-hop bulk transfer with an engine attached."""
+def live_transfer(seed=5, run_until=4.0, trace=False, **engine_kw):
+    """A mid-flight one-hop bulk transfer with an engine attached; with
+    ``trace`` the network's simulator carries a ``TraceBus``."""
     net = build_pair(seed=seed)
+    if trace:  # before the transfer builds its connections
+        net.sim.trace_bus = TraceBus(net.sim)
     params = tcplp_params()
     n1, n0 = net.nodes[1], net.nodes[0]
     src = TcpStack(net.sim, n1.ipv6, 1, cpu=n1.radio.cpu)
@@ -250,6 +254,25 @@ def test_trace_event_triggers_targeted_reprobe():
     engine._on_trace_event(
         SimpleNamespace(layer="phy", node=1, kind="x", fields={}))
     assert engine.checks_run == swept + 1
+
+
+def test_trace_bus_reprobes_a_corrupted_connection_before_the_sweep():
+    net, xfer, engine = live_transfer(trace=True, interval=60.0)
+    bus = net.sim.trace_bus
+    assert engine._on_trace_event in bus._subscribers  # start() subscribed
+    next_sweep = engine._event.time
+    xfer.connection.cc.ssthresh = 1
+    tcp_events = []
+    bus.subscribe(lambda ev: tcp_events.append(ev)
+                  if ev.layer == "tcp" and ev.node == 1 else None)
+    net.sim.run(until=net.sim.now + 1.0)
+    assert tcp_events, "the sender emitted no tcp event in a second"
+    first = engine.first_violation()
+    assert first is not None and "ssthresh" in first.detail
+    assert (first.layer, first.node) == ("tcp", 1)
+    assert first.time == tcp_events[0].time < next_sweep
+    engine.stop()
+    assert engine._on_trace_event not in bus._subscribers
 
 
 def test_on_violation_hook_fires_per_violation():
