@@ -646,7 +646,8 @@ def _error_text(result) -> str:
 def _build_report(spec: CampaignSpec, runs: List[RunSpec],
                   run_ids: List[str], records: Dict[str, Dict],
                   salt: str) -> CampaignReport:
-    """Group runs into cells and aggregate repetition statistics."""
+    """Group runs into cells, by the cell id each run carries, and
+    aggregate repetition statistics."""
     by_cell: Dict[str, CellResult] = {}
     for run, run_id in zip(runs, run_ids):
         cid = run.cell_id()

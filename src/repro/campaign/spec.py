@@ -34,6 +34,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -84,6 +85,41 @@ _canonical_json = json.JSONEncoder(sort_keys=True,
                                    separators=(",", ":")).encode
 
 
+def _member(name: str, value) -> str:
+    """One ``"name":value`` member of a run's canonical params object."""
+    return f"{_canonical_json(name)}:{_canonical_json(value)}"
+
+
+def _identity(experiment: str, faults: str, members: str, quick: bool,
+              seed: str) -> Tuple[str, str]:
+    """A run's ``(canonical form, cell id)`` from its parts, each already
+    canonical JSON; ``members`` are its params' :func:`_member` texts
+    joined by commas in sorted-name order.
+
+    The canonical form is ``_canonical_json(run.to_dict())`` spelled
+    out, so a campaign encodes each of its grid values once, not once
+    per run.  Sorted keys put ``"seed"``, an int or null, last: the
+    cell id is the same text without that member.
+    """
+    cell = (f'{{"experiment":{experiment},"faults":{faults},'
+            f'"params":{{{members}}},"quick":{"true" if quick else "false"}')
+    return f'{cell},"seed":{seed}}}', cell + "}"
+
+
+def _faults_parts(faults: Optional[Dict]) -> Tuple[Optional[tuple], str]:
+    """``(RunSpec.faults, its canonical JSON)`` of a fault schedule."""
+    if not faults:
+        return None, "null"
+    text = json.dumps(faults, sort_keys=True)
+    return (text,), _canonical_json(json.loads(text))
+
+
+@functools.lru_cache(maxsize=8)
+def _salted(salt: str):
+    """sha256 fed ``salt + "\\0"``: every run id of that salt copies it."""
+    return hashlib.sha256(f"{salt}\x00".encode())
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One fully-determined run: the unit of execution and caching.
@@ -99,16 +135,23 @@ class RunSpec:
     seed: Optional[int] = None
     quick: bool = True
     faults: Optional[tuple] = None   # canonical JSON string, or None
+    #: ``(canonical form, cell id)``, made with the run (:func:`_identity`)
+    _identity: Tuple[str, str] = field(kw_only=True, compare=False,
+                                       repr=False)
 
     @classmethod
     def _build(cls, experiment: str, params: Dict, seed, quick: bool,
                faults: Optional[Dict]) -> "RunSpec":
+        pairs = tuple(sorted(params.items()))
+        quick = bool(quick)
+        faults, faults_json = _faults_parts(faults)
         return cls(
-            experiment=experiment,
-            params=tuple(sorted(params.items())),
-            seed=seed,
-            quick=bool(quick),
-            faults=(json.dumps(faults, sort_keys=True),) if faults else None,
+            experiment=experiment, params=pairs, seed=seed, quick=quick,
+            faults=faults,
+            _identity=_identity(
+                _canonical_json(experiment), faults_json,
+                ",".join([_member(name, value) for name, value in pairs]),
+                quick, _canonical_json(seed)),
         )
 
     # -- views ---------------------------------------------------------
@@ -142,18 +185,11 @@ class RunSpec:
 
     # -- content addressing -------------------------------------------
 
-    @functools.cached_property
-    def _identity(self) -> Tuple[str, str]:
-        """``(canonical, cell_id)`` from one encode.  Sorted keys put
-        ``"seed"``, an int or null, last: the cell id is the canonical
-        form with that last ``,"seed":`` member cut off."""
-        canonical = _canonical_json(self.to_dict())
-        return canonical, canonical[:canonical.rindex(',"seed":')] + "}"
-
     def run_id(self, salt: str = "") -> str:
         """Content address: sha256(code-version salt + canonical spec)."""
-        return hashlib.sha256(
-            f"{salt}\x00{self._identity[0]}".encode()).hexdigest()
+        digest = _salted(salt).copy()
+        digest.update(self._identity[0].encode())
+        return digest.hexdigest()
 
     def cell_id(self) -> str:
         """Identity of the cell this run repeats (seed excluded)."""
@@ -341,8 +377,17 @@ class CampaignSpec:
                 resolve_selection(experiments, catalog.names())
             else:
                 experiments = catalog.names()
-        runs: List[RunSpec] = []
+        # every identity part is encoded once here, not once per run
+        quick = self.quick
+        faults, faults_json = _faults_parts(self.faults)
         axes = list(self.grid)
+        pairs = [[(axis, v) for v in self.grid[axis]] for axis in axes]
+        members = [[_member(axis, v) for v in self.grid[axis]]
+                   for axis in axes]
+        # a point comes in spec axis order; its params sort by name
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        by_name = operator.itemgetter(*order) if len(axes) > 1 else tuple
+        runs: List[RunSpec] = []
         for experiment in experiments:
             accepted, var_kw = (set(), True)
             if catalog is not None:
@@ -372,13 +417,19 @@ class CampaignSpec:
                                    f"seeds {self.seeds} cannot apply")
             else:
                 takes_seed = True
-            seeds = self.seeds if takes_seed else [None]
-            for values in itertools.product(*self.grid.values()):
-                point = dict(zip(axes, values))
-                for seed in seeds:
-                    runs.append(RunSpec._build(
-                        experiment=experiment, params=point, seed=seed,
-                        quick=self.quick, faults=self.faults))
+            seeds = [(seed, _canonical_json(seed))
+                     for seed in (self.seeds if takes_seed else [None])]
+            name = _canonical_json(experiment)
+            for point, texts in zip(itertools.product(*pairs),
+                                    itertools.product(*members)):
+                params = by_name(point)
+                text = ",".join(by_name(texts))
+                for seed, seed_json in seeds:
+                    runs.append(RunSpec(
+                        experiment=experiment, params=params, seed=seed,
+                        quick=quick, faults=faults,
+                        _identity=_identity(name, faults_json, text,
+                                            quick, seed_json)))
         return runs
 
     def cells(self) -> int:

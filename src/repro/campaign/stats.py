@@ -96,16 +96,29 @@ def _sample_stdev(values: List[float], mean: float) -> float:
 
 
 class _Record:
-    """Builds every aggregate record, as its instance ``__dict__``.
+    """What every aggregate record is the instance ``__dict__`` of.
 
     The records of a report then share one key table (CPython's
     key-sharing instance dicts): each is a plain ``dict`` holding about
     170 B instead of a 280-B dict literal that holds its own keys.
     """
 
-    def __init__(self, *fields):
-        (self.n, self.confidence, self.mean, self.median, self.stdev,
-         self.min, self.max, self.ci_low, self.ci_high) = fields
+
+def _record(n, confidence, mean, median, stdev, low, high, ci_low,
+            ci_high) -> Dict:
+    """One aggregate record; the attributes are set one by one, which
+    costs less than passing them through an ``__init__``."""
+    record = _Record()
+    record.n = n
+    record.confidence = confidence
+    record.mean = mean
+    record.median = median
+    record.stdev = stdev
+    record.min = low
+    record.max = high
+    record.ci_low = ci_low
+    record.ci_high = ci_high
+    return record.__dict__
 
 
 def aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
@@ -123,8 +136,8 @@ def aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
         stdev = _sample_stdev(values, mean)
         half = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
         ci_low, ci_high = mean - half, mean + half
-    return _Record(n, confidence, mean, _median(ordered), stdev,
-                   ordered[0], ordered[-1], ci_low, ci_high).__dict__
+    return _record(n, confidence, mean, _median(ordered), stdev,
+                   ordered[0], ordered[-1], ci_low, ci_high)
 
 
 def _leaves(node, prefix: str, out: Dict) -> Dict:
@@ -152,25 +165,25 @@ def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
     none."""
     walked = [_leaves(r, "", {}) if isinstance(r, (dict, list, tuple))
               else {} for r in results]
+    records = {}
+    if len(walked) == 1:
+        # a lone repetition has nothing to sort or bound, so its records
+        # are built straight from its leaves (a cached re-run's hot
+        # loop); ``+ 0.0`` is what ``sum()`` does to a lone sample
+        # (-0.0 -> 0.0)
+        leaves = walked[0]
+        for name, v in sorted(leaves.items()) if metrics is None else [
+                (name, leaves[name]) for name in metrics if name in leaves]:
+            v = float(v)
+            mean = v + 0.0
+            records[name] = _record(1, confidence, mean, v, 0.0, v, v,
+                                    mean, mean)
+        return records
     if metrics is None:
         common = walked[0].keys() if walked else ()
         for leaves in walked[1:]:
             common &= leaves.keys()
         metrics = sorted(common)
-    records = {}
-    if len(walked) == 1:
-        # a lone repetition has nothing to sort or bound, so its records
-        # are built here (a cached re-run's hot loop); ``+ 0.0`` is what
-        # ``sum()`` does to a lone sample (-0.0 -> 0.0)
-        leaves = walked[0]
-        for name in metrics:
-            v = leaves.get(name)
-            if v is not None:
-                v = float(v)
-                mean = v + 0.0
-                records[name] = _Record(1, confidence, mean, v, 0.0, v, v,
-                                        mean, mean).__dict__
-        return records
     for name in metrics:
         samples = [leaves[name] for leaves in walked if name in leaves]
         if samples:

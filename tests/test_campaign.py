@@ -29,7 +29,8 @@ from repro.campaign import (
     resolve_selection,
     run_campaign,
 )
-from repro.campaign import engine
+from repro.campaign import engine, stats
+from repro.campaign.spec import _canonical_json
 from repro.campaign.stats import aggregate_cell
 from repro.sim import metrics as metrics_mod
 
@@ -351,6 +352,11 @@ _EXPANSION_SPEC = {
 _FAULTS = {"faults": [{"kind": "bursty_loss", "p_good_bad": 0.03,
                        "p_bad_good": 0.3}], "seed": 4}
 
+#: a fault schedule as a spec gives it, with a name an encoder can trip on
+_SCHEDULE = {"name": 'lossy é,"seed":1', "faults": [
+    {"kind": "bursty_loss", "p_good_bad": 0.03, "p_bad_good": 0.3},
+    {"kind": "node_reboot", "node": 1, "at": 25, "outage": 3}]}
+
 
 class TestExpansion:
     def test_fixed_order(self):
@@ -426,6 +432,41 @@ class TestExpansion:
             f"s\x00{encode(doc)}".encode()).hexdigest()
         del doc["seed"]
         assert run.cell_id() == encode(doc)
+
+    @given(experiments=st.lists(st.text(min_size=1, max_size=6),
+                                min_size=1, max_size=2),
+           grid=st.dictionaries(
+               st.one_of(st.text(max_size=6),
+                         st.sampled_from([',"seed":', "seed", "é☃",
+                                          "frame_loss", "frames"])),
+               st.lists(st.one_of(
+                   st.none(), st.booleans(), st.integers(), st.floats(),
+                   st.sampled_from([-0.0, 10**30, -2**70, 1e300]),
+                   st.text(max_size=6)), min_size=1, max_size=3,
+                   unique_by=repr),
+               max_size=3),
+           seeds=st.lists(st.one_of(st.integers(),
+                                    st.sampled_from([-1, 10**30])),
+                          min_size=1, max_size=3, unique=True),
+           quick=st.booleans(),
+           faults=st.sampled_from([None, _SCHEDULE]))
+    @settings(max_examples=100, deadline=None)
+    def test_expanded_identities_are_those_of_the_encoded_run(
+            self, experiments, grid, seeds, quick, faults):
+        """``expand`` composes each run's identity from parts encoded
+        once per campaign; every one must equal what encoding the
+        run's whole dict gives."""
+        spec = CampaignSpec.from_dict({
+            "experiments": experiments, "grid": grid, "seeds": seeds,
+            "quick": quick, "faults": faults})
+        runs = spec.expand()
+        assert len(runs) == spec.cells() * len(seeds)
+        for run in runs:
+            doc = run.to_dict()
+            assert run.run_id("s") == hashlib.sha256(
+                f"s\x00{_canonical_json(doc)}".encode()).hexdigest()
+            del doc["seed"]
+            assert run.cell_id() == _canonical_json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -1046,6 +1087,23 @@ class TestFanOut:
 
 
 class TestStats:
+    @pytest.mark.parametrize("df, confidence, t", [
+        (11, 0.95, 2.201), (13, 0.99, 3.012), (200, 0.95, 1.972),
+        (10**6, 0.95, 1.960),
+    ])
+    def test_t_critical_off_the_table(self, df, confidence, t):
+        """df between two table rows, or past the last, interpolates on
+        1/df; a 12-seed cell (df 11) takes the first branch.  Expected:
+        published two-sided Student-t quantiles."""
+        assert stats._t_critical(df, confidence) == pytest.approx(
+            t, abs=0.002)
+
+    def test_t_critical_refuses_what_it_has_no_value_for(self):
+        with pytest.raises(ValueError, match="df >= 1"):
+            stats._t_critical(0, 0.95)
+        with pytest.raises(ValueError, match="confidence levels"):
+            stats._t_critical(4, 0.85)
+
     def test_t_interval_hand_checked(self):
         # mean 3, stdev sqrt(2.5); t(0.95, df=4) = 2.776
         agg = aggregate([1, 2, 3, 4, 5], confidence=0.95)
@@ -1167,6 +1225,15 @@ class TestStats:
 
 
 class TestReport:
+    def test_spec_file_gives_the_report_of_its_dict(self, tmp_path):
+        spec = {"name": "from-file", "experiments": ["linear_cell"],
+                "grid": {"x": [1, 2]}, "seeds": [0, 1]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        want = run_quiet(dict(spec), catalog=make_catalog()).to_json()
+        for form in (path, str(path)):
+            assert run_quiet(form, catalog=make_catalog()).to_json() == want
+
     def test_execution_sidecar_excluded_from_canonical(self):
         report = run_quiet(dict(_CACHE_SPEC), catalog=make_catalog())
         doc = report.to_dict()
@@ -1367,6 +1434,44 @@ class TestCampaignCli:
         assert out.returncode == 0, out.stderr
         assert "2 runs in 2 cells" in out.stdout
         assert "2 to execute" in out.stdout
+
+    @staticmethod
+    def _main(*args) -> int:
+        """``tools/campaign.py``'s ``main`` in this process."""
+        sys.path.insert(0, str(TOOLS))
+        try:
+            from campaign import main
+        finally:
+            sys.path.remove(str(TOOLS))
+        return main([str(arg) for arg in args])
+
+    def test_plan_run_and_exports_in_process(self, tmp_path, capsys):
+        spec_path, store = tmp_path / "spec.json", tmp_path / "store"
+        spec_path.write_text(json.dumps({
+            "name": "cli", "experiments": ["ayadi_energy"],
+            "grid": {"frames": [3, 5], "window": [2, 4]},
+        }))
+        assert self._main(spec_path, "--dry-run", "--store", store) == 0
+        out = capsys.readouterr().out
+        assert ("4 runs in 4 cells: 0 cached, 4 to execute "
+                "(~0.0s estimated, 4 with no history)") in out
+        report, jsonl = tmp_path / "report.json", tmp_path / "runs.jsonl"
+        assert self._main(spec_path, "--store", store, "--grid",
+                          "energy_per_byte_uj", "frames", "window",
+                          "--report", report, "--jsonl", jsonl) == 0
+        out = capsys.readouterr().out
+        assert "frames\\window  2" in out
+        assert f"wrote {report}\nwrote {jsonl} (8 lines)\n" in out
+        document = json.loads(report.read_text())
+        assert document["execution"]["cache_misses"] == 4
+        assert [cell["params"] for cell in document["cells"]] == [
+            {"frames": 3, "window": 2}, {"frames": 3, "window": 4},
+            {"frames": 5, "window": 2}, {"frames": 5, "window": 4}]
+        kinds = [json.loads(line)["kind"]
+                 for line in jsonl.read_text().splitlines()]
+        assert kinds == ["run"] * 4 + ["cell"] * 4
+        assert self._main(spec_path, "--dry-run", "--store", store) == 0
+        assert "4 cached, 0 to execute" in capsys.readouterr().out
 
     def test_invalid_spec_is_loud(self, tmp_path):
         spec_path = tmp_path / "spec.json"
