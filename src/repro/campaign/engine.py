@@ -526,7 +526,7 @@ def run_campaign(
     asked = _extras_asked(spec)
     (records, hits, misses, errors, interrupted, workers,
      in_process) = _resolve_runs(spec, runs, run_ids, asked, catalog,
-                                 store, salt, progress)
+                                 store, progress)
 
     report = _build_report(spec, runs, run_ids, records, salt)
     if asked:
@@ -567,15 +567,14 @@ def _resolve_runs(
     asked: Tuple[str, ...],
     catalog: ExperimentCatalog,
     store: Optional[ResultStore],
-    salt: str,
     progress,
 ) -> Tuple[Dict[str, Dict], int, int, Dict[str, str], bool, int, int]:
     """Look each run up, execute the misses, save what succeeded.
 
-    ``run_ids[i]`` is ``runs[i].run_id(salt)``, hashed once by the
-    caller; ``asked`` is :func:`_extras_asked` of ``spec``.  Returns
-    ``(records, hits, misses, errors, interrupted, workers,
-    in_process)``:
+    ``run_ids[i]`` is ``runs[i].run_id`` under the store's salt,
+    hashed once by the caller; ``asked`` is :func:`_extras_asked` of
+    ``spec``.  Returns ``(records, hits, misses, errors, interrupted,
+    workers, in_process)``:
     ``records`` maps run id to ``{"ok", "result"}`` for every run that
     was cached or has finished — all a report reads, so a hit drops
     the rest of its stored record — plus ``"extras"``, the ``asked``
@@ -609,7 +608,7 @@ def _resolve_runs(
             **run.call_params(accepted, var_kw)), run.experiment))
 
     def _on_record(record: Record) -> None:
-        run_id, result, wall, ok, snaps, fsum, viol = record
+        run_id, result, wall, ok = record[:4]
         records[run_id] = {"ok": ok, "result": result}
         if asked:
             records[run_id]["extras"] = {
@@ -618,17 +617,13 @@ def _resolve_runs(
         if not ok:
             errors[run_id] = _error_text(result)
         elif store is not None:
-            # failures are never cached: they must re-execute next time
-            store.save(run_id, {
-                "run": missing[run_id].to_dict(),
-                "ok": ok,
-                "result": result,
-                "wall_s": round(wall, 3),
-                "metrics_snapshots": snaps,
-                "fault_injections": fsum,
-                "violations": viol,
-                "salt": salt,
-            })
+            # failures are never cached: they must re-execute next time;
+            # an extra nobody asked for is None and stays out of the hit
+            hit = {"ok": ok, "result": result, "wall_s": round(wall, 3)}
+            for name, value in zip(EXTRAS, record[4:]):
+                if value is not None:
+                    hit[name] = value
+            store.save(run_id, hit, missing[run_id])
 
     progress(f"[{spec.name or 'campaign'}] {len(runs)} runs: {hits} "
              f"cached, {len(jobs)} to execute")

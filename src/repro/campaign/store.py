@@ -1,22 +1,31 @@
 """Content-addressed result store: re-running a campaign is a lookup.
 
 Every :class:`~repro.campaign.spec.RunSpec` has a canonical JSON form;
-its storage key is ``sha256(code_salt + canonical)``.  The *code
-salt* is a hash of every ``repro`` source file, so editing the
+its storage key is ``sha256(code_salt + "\\0" + canonical)``.  The
+*code salt* is a hash of every ``repro`` source file, so editing the
 simulator silently invalidates the whole cache — a cached result is
 only ever returned for the exact code that produced it.  (Pass an
 explicit ``salt`` to pin or namespace a store, e.g. in tests.)
 
 Records live in one append-only *segment* per salt,
-``root/<sha256(salt)[:32]>.jsonl``, one line ``<run_id>\\t<json>\\n``
-each.  Opening a store scans its segment for newlines once and keeps
-``run_id -> (offset, length)``; no JSON is parsed and no record body
-retained until :meth:`ResultStore.load` reads that one slice.
+``root/<sha256(salt)[:32]>.jsonl``, one line
+``<run_id>\\t<hit>\\t<run>\\n`` each.  ``<hit>`` is the JSON object
+:meth:`ResultStore.load` returns: ``ok``, ``result``, ``wall_s`` and
+the extras the run was asked for.  ``<run>`` is the run's canonical
+form, so a line proves itself: ``<run>`` hashes to its id.  JSON
+escapes every tab and newline inside a string, so neither field holds
+one.  Opening a store scans its segment for newlines once and keeps
+``run_id -> (offset, length)`` of each line's hit; no JSON is parsed
+and no body retained until :meth:`ResultStore.load` reads and parses
+that one slice, and nothing reads ``<run>``.  A line with no second
+tab, ``<run_id>\\t<record>\\n`` (a record saved without its run),
+loads whole.
 :meth:`ResultStore.save` is a single ``write`` on an ``O_APPEND``
 descriptor, so a record is in the file whole or (a writer killed
 mid-write, a full disk) as a torn last line — which is a miss, and is
-fenced off with a newline before anything is appended after it.  A
-line that parses but is not a record (not an object whose ``ok`` is
+fenced off with a newline before anything is appended after it (the
+fenced line then loads if the cut spared its whole hit).  A line
+whose hit parses but is not a record (not an object whose ``ok`` is
 ``true`` and that has a ``result``) is a miss as well.  That makes
 resume-after-interrupt free: the next run finds every completed
 record and executes only the delta.  A store sees its own writes at
@@ -87,7 +96,7 @@ class ResultStore:
         self._scan()
 
     def _scan(self) -> None:
-        """Index every whole line of the segment; bodies stay on disk."""
+        """Index the hit of every whole line; bodies stay on disk."""
         try:
             data = self.segment.read_bytes()
         except FileNotFoundError:
@@ -98,8 +107,10 @@ class ResultStore:
         while end >= 0:
             match = head(data, pos, end)
             if match is not None:
-                body = match.end()
-                index[match.group(1).decode()] = (body, end - body)
+                hit = match.end()
+                tab = find(b"\t", hit, end)  # the hit ends at the next tab
+                index[match.group(1).decode()] = (
+                    hit, (end if tab < 0 else tab) - hit)
             pos = end + 1
             end = find(b"\n", pos)
         self._torn = pos < len(data)
@@ -126,9 +137,9 @@ class ResultStore:
     # -- record IO -----------------------------------------------------
 
     def load(self, key: str) -> Optional[Dict]:
-        """The stored record, or ``None`` on a miss — which a line that
-        does not parse (a torn write) or is not a record is too, rather
-        than an exception that poisons the campaign."""
+        """The stored hit, or ``None`` on a miss — which a hit that does
+        not parse (a torn write) or is not a record is too, rather than
+        an exception that poisons the campaign."""
         where = self._index.get(key)
         if where is None:
             return None
@@ -142,13 +153,18 @@ class ResultStore:
             return record
         return None
 
-    def save(self, key: str, record: Dict) -> Path:
-        """Append one record line with a single ``write``."""
+    def save(self, key: str, hit: Dict,
+             run: Optional[RunSpec] = None) -> Path:
+        """Append one record line with a single ``write``: ``hit`` is
+        what :meth:`load` will return, ``run`` the run ``key`` names,
+        whose canonical form is the line's third field (without it the
+        line has two)."""
         head = key.encode() + b"\t"
         if not _LINE_HEAD.fullmatch(head):
             raise ValueError(f"not a run id: {key!r}")
-        body = json.dumps(record, sort_keys=True, default=str).encode()
-        line = head + body + b"\n"
+        body = json.dumps(hit, sort_keys=True, default=str).encode()
+        tail = b"\n" if run is None else f"\t{run._identity[0]}\n".encode()
+        line = head + body + tail
         if self._torn:
             line = b"\n" + line  # never glue a record onto a torn tail
         fd = self._descriptor()
@@ -158,7 +174,7 @@ class ResultStore:
         self._torn = False
         # O_APPEND left the descriptor's offset just past this line
         end = os.lseek(fd, 0, os.SEEK_CUR)
-        self._index[key] = (end - len(body) - 1, len(body))
+        self._index[key] = (end - len(tail) - len(body), len(body))
         return self.segment
 
     def __contains__(self, run) -> bool:

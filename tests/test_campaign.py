@@ -601,35 +601,123 @@ class TestCaching:
 
     def test_torn_tail_is_a_miss_and_never_poisons_a_neighbour(
             self, tmp_path):
-        keys = [run.run_id("s") for run in _numbered_runs(6)]
-        whole = ResultStore(tmp_path / "whole", salt="s")
-        for x, key in enumerate(keys[:5]):
-            whole.save(key, _numbered_record(x))
-        data = whole.segment.read_bytes()
-        fifth = data.rindex(b"\n", 0, -1) + 1  # where record 5 starts
-        assert data[fifth:].startswith(keys[4].encode())
+        runs = _numbered_runs(6)
+        keys = [run.run_id("s") for run in runs]
+        intact = [_numbered_record(x) for x in range(4)]
 
         def first_four(store):
             return [store.load(key) for key in keys[:4]]
 
-        intact = [_numbered_record(x) for x in range(4)]
-        for cut in range(fifth, len(data)):
-            root = tmp_path / f"cut-{cut}"
-            root.mkdir()
-            (root / whole.segment.name).write_bytes(data[:cut])
+        # records saved without their run, then with it: the second
+        # form's cuts land in the hit and in the run after it
+        for named in (False, True):
+
+            def save(store, x):
+                store.save(keys[x], _numbered_record(x),
+                           runs[x] if named else None)
+
+            whole = ResultStore(tmp_path / f"whole-{named}", salt="s")
+            for x in range(5):
+                save(whole, x)
+            data = whole.segment.read_bytes()
+            fifth = data.rindex(b"\n", 0, -1) + 1  # where record 5 starts
+            assert data[fifth:].startswith(keys[4].encode())
+            # a cut from here on leaves record 5's hit whole
+            hit_end = data.find(b"\t", fifth + 65)
+            assert (hit_end > 0) is named
+            if not named:
+                hit_end = len(data) - 1
+            for cut in range(fifth, len(data)):
+                root = tmp_path / f"cut-{named}-{cut}"
+                root.mkdir()
+                (root / whole.segment.name).write_bytes(data[:cut])
+                store = ResultStore(root, salt="s")
+                assert first_four(store) == intact
+                assert store.load(keys[4]) is None and keys[4] not in store
+                # the next record starts a line of its own, whatever the
+                # tail was, and a fresh open finds it and its neighbours
+                save(store, 5)
+                assert store.load(keys[5]) == _numbered_record(5)
+                fresh = ResultStore(root, salt="s")
+                assert fresh.load(keys[5]) == _numbered_record(5)
+                assert first_four(fresh) == intact
+                # the torn record is a miss, or — once the cut spared
+                # its whole hit — whole again; never somebody else's
+                assert fresh.load(keys[4]) == (
+                    _numbered_record(4) if cut >= hit_end else None)
+
+    @given(text=st.text(max_size=12), tag=st.text(max_size=12))
+    @example(text="a\tb\nc", tag="\t")
+    @example(text="é 雪 \u2028 \x00", tag="\n\r")
+    @settings(max_examples=40, deadline=None)
+    def test_tabs_newlines_and_non_ascii_round_trip(self, text, tag):
+        """No string a result or a run holds can split a line: its hit
+        loads as saved and its run still hashes to its id."""
+        run = RunSpec._build("e", {"tag": tag}, 0, True, None)
+        key = run.run_id("s")
+        hit = {"ok": True, "result": {"text": text, text: [text]},
+               "wall_s": 0.5}
+        with tempfile.TemporaryDirectory() as root:
             store = ResultStore(root, salt="s")
-            assert first_four(store) == intact
-            assert store.load(keys[4]) is None and keys[4] not in store
-            # the next record starts a line of its own, whatever the
-            # tail was, and a fresh open finds it and its neighbours
-            store.save(keys[5], _numbered_record(5))
-            assert store.load(keys[5]) == _numbered_record(5)
-            fresh = ResultStore(root, salt="s")
-            assert fresh.load(keys[5]) == _numbered_record(5)
-            assert first_four(fresh) == intact
-            # the torn record is a miss, or — when the cut took only
-            # its newline — whole again; never somebody else's bytes
-            assert fresh.load(keys[4]) in (None, _numbered_record(4))
+            store.save(key, hit, run)
+            assert store.load(key) == hit
+            assert ResultStore(root, salt="s").load(key) == hit
+            [line] = store.segment.read_bytes().split(b"\n")[:-1]
+            run_id, _hit, canonical = line.split(b"\t")
+            assert hashlib.sha256(b"s\0" + canonical).hexdigest() \
+                == run_id.decode() == key
+
+    @pytest.mark.parametrize("extra, asked", [
+        ({}, set()),
+        ({"faults": _SCHEDULE, "runner": {"metrics": True, "verify": True}},
+         {"metrics_snapshots", "fault_injections", "violations"}),
+    ], ids=["plain", "extras"])
+    def test_each_line_holds_its_hit_and_names_its_run(self, tmp_path,
+                                                       extra, asked):
+        spec = dict(_CACHE_SPEC, **extra)
+        store = ResultStore(tmp_path / "store", salt="s1")
+        first = run_quiet(dict(spec), store=store, catalog=make_catalog())
+        lines = store.segment.read_bytes().splitlines()
+        assert len(lines) == first.execution["runs"] == 4
+        named = set()
+        for line in lines:
+            run_id, hit, canonical = line.split(b"\t")
+            assert hashlib.sha256(b"s1\0" + canonical).hexdigest() \
+                == run_id.decode()
+            assert set(json.loads(hit)) == {"ok", "result", "wall_s"} | asked
+            named.add(canonical.decode())
+        assert named == {_canonical_json(run.to_dict()) for run in
+                         CampaignSpec.from_dict(dict(spec)).expand(
+                             make_catalog())}
+        again = run_quiet(dict(spec), catalog=make_catalog(),
+                          store=ResultStore(tmp_path / "store", salt="s1"))
+        assert again.execution["cache_hits"] == 4
+        assert again.to_json() == first.to_json()
+
+    def test_a_whole_record_line_loads_as_a_hit(self, tmp_path):
+        """A line ``<run_id>\\t<record>``, as stores held them before
+        hit and run took a field each, still hits: no migration."""
+        spec = CampaignSpec.from_dict(dict(_CACHE_SPEC))
+        cold = run_quiet(dict(_CACHE_SPEC), catalog=make_catalog(),
+                         store=ResultStore(tmp_path / "cold", salt="pinned"))
+        store = ResultStore(tmp_path / "old", salt="pinned")
+        lines = []
+        for run in spec.expand(make_catalog()):
+            record = {"run": run.to_dict(), "ok": True,
+                      "result": linear_cell(True, **run.params_dict,
+                                            seed=run.seed),
+                      "wall_s": 0.001, "metrics_snapshots": None,
+                      "fault_injections": None, "violations": None,
+                      "salt": "pinned"}
+            lines.append(run.run_id("pinned").encode() + b"\t"
+                         + json.dumps(record, sort_keys=True).encode())
+        store.segment.write_bytes(b"\n".join(lines) + b"\n")
+        old = ResultStore(tmp_path / "old", salt="pinned")
+        assert old.load(lines[0][:64].decode()) == json.loads(lines[0][65:])
+        report = run_quiet(dict(_CACHE_SPEC), store=old,
+                           catalog=make_catalog())
+        assert report.execution["cache_hits"] == 4
+        assert report.to_json() == cold.to_json()
 
     @given(body=st.binary(max_size=48) | _NOT_A_RECORD.map(
                lambda v: json.dumps(v).encode()),

@@ -29,11 +29,13 @@ Modes
   twice against a fresh store: the first pass must execute every run,
   the second — through a newly opened ``ResultStore``, so every hit is
   read back from the segment file — must be 100% cache hits and
-  serialize a byte-identical report.  A third pass overwrites one
-  record of the segment with a line that parses but is not a record,
-  reopens the store, and must see exactly that one miss and the same
-  bytes again.  Exits non-zero on any other miss, re-execution, or
-  byte drift.
+  serialize a byte-identical report.  Every segment line must then be
+  ``<run_id>\\t<hit>\\t<run>``, its run hashing to its id under the
+  store's salt.  A third pass overwrites one record of the segment
+  with a line that parses but is not a record, reopens the store, and
+  must see exactly that one miss and the same bytes again.  Exits
+  non-zero on any other miss, re-execution, byte drift or line that
+  does not name its run.
 * ``--jobs N``: override the spec's ``runner.jobs``, the most worker
   processes.  Unset (the default), misses run in-process until the
   finished ones say a fork pool pays, then fan out over every usable
@@ -45,6 +47,7 @@ Modes
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -93,10 +96,27 @@ def _print_report(report, grid=None) -> None:
         print(report.grid_table(metric, rows=rows, cols=cols))
 
 
+def _unnamed_line(store) -> str:
+    """The first segment line that is not ``<run_id>\\t<hit>\\t<run>``
+    with ``<run>`` hashing to ``<run_id>`` under the store's salt, as a
+    message; ``""`` when every line names its run."""
+    salt = store.salt.encode() + b"\0"
+    for number, line in enumerate(
+            store.segment.read_bytes().splitlines(), 1):
+        fields = line.split(b"\t")
+        if len(fields) != 3:
+            return f"line {number} has {len(fields)} fields, not 3"
+        if hashlib.sha256(salt + fields[2]).hexdigest().encode() \
+                != fields[0]:
+            return f"line {number}: its run does not hash to its id"
+    return ""
+
+
 def _smoke(store_dir: str) -> int:
-    """Run the built-in campaign twice; the second pass must be free,
-    and a third, with one record overwritten by a non-record, must
-    re-execute that run alone."""
+    """Run the built-in campaign twice; the second pass must be free
+    and every stored line must name its run, and a third, with one
+    record overwritten by a non-record, must re-execute that run
+    alone."""
     store = ResultStore(store_dir)
     first = run_campaign(dict(SMOKE_SPEC), store=store,
                          progress=lambda *_: None)
@@ -127,6 +147,10 @@ def _smoke(store_dir: str) -> int:
         print("smoke FAILED: cached re-run report is not byte-identical",
               file=sys.stderr)
         return 1
+    unnamed = _unnamed_line(store)
+    if unnamed:
+        print(f"smoke FAILED: segment {unnamed}", file=sys.stderr)
+        return 1
     # a line that parses but is not a record is a miss, not a crash
     data = store.segment.read_bytes()
     head, end = data.index(b"\t") + 1, data.index(b"\n")
@@ -145,8 +169,8 @@ def _smoke(store_dir: str) -> int:
               "overwritten record is not byte-identical", file=sys.stderr)
         return 1
     print(f"campaign smoke OK: second pass 100% cached, "
-          f"byte-identical report ({len(a)} bytes); a non-record line "
-          f"re-executed alone")
+          f"byte-identical report ({len(a)} bytes), every line names "
+          f"its run; a non-record line re-executed alone")
     return 0
 
 
