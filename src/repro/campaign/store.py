@@ -12,25 +12,28 @@ Records live in one append-only *segment* per salt,
 ``<run_id>\\t<hit>\\t<run>\\n`` each.  ``<hit>`` is the JSON object
 :meth:`ResultStore.load` returns: ``ok``, ``result``, ``wall_s`` and
 the extras the run was asked for.  ``<run>`` is the run's canonical
-form, so a line proves itself: ``<run>`` hashes to its id.  JSON
-escapes every tab and newline inside a string, so neither field holds
-one.  Opening a store scans its segment for newlines once and keeps
+form, so a whole line proves itself: ``<run>`` hashes to its id
+(:meth:`ResultStore.unnamed_line` checks every line).  JSON escapes
+every tab and newline inside a string, so neither field holds one.
+Opening a store scans its segment for newlines once and keeps
 ``run_id -> (offset, length)`` of each line's hit; no JSON is parsed
 and no body retained until :meth:`ResultStore.load` reads and parses
 that one slice, and nothing reads ``<run>``.  A line with no second
-tab, ``<run_id>\\t<record>\\n`` (a record saved without its run),
-loads whole.
+tab, ``<run_id>\\t<record>\\n`` (stores written before the run had a
+field of its own hold them), loads whole.
 :meth:`ResultStore.save` is a single ``write`` on an ``O_APPEND``
 descriptor, so a record is in the file whole or (a writer killed
 mid-write, a full disk) as a torn last line — which is a miss, and is
-fenced off with a newline before anything is appended after it (the
-fenced line then loads if the cut spared its whole hit).  A line
-whose hit parses but is not a record (not an object whose ``ok`` is
-``true`` and that has a ``result``) is a miss as well.  That makes
-resume-after-interrupt free: the next run finds every completed
-record and executes only the delta.  A store sees its own writes at
-once and other processes' appends the next time it is opened; older
-code versions' results sit in their own segment files.
+fenced off with a tab and a newline before anything is appended after
+it.  A whole line ends in JSON, never in a tab, so a line that does
+is never indexed: a torn line stays a miss wherever its cut fell, and
+the run re-executes and is saved again.  A line whose hit parses but
+is not a record (not an object whose ``ok`` is ``true`` and that has
+a ``result``) is a miss as well.  That makes resume-after-interrupt
+free: the next run finds every completed record and executes only
+the delta.  A store sees its own writes at once and other processes'
+appends the next time it is opened; older code versions' results sit
+in their own segment files.
 
 Failed runs are deliberately **not** cached: a crash or timeout
 should re-execute on the next attempt, not be replayed from disk.
@@ -45,12 +48,15 @@ import re
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro.campaign.spec import RunSpec
+from repro.campaign.spec import RunSpec, _salted
 
 _SALT_CACHE: Dict[str, str] = {}
 
 #: a record line opens with the run id ``RunSpec.run_id`` makes, then a tab
 _LINE_HEAD = re.compile(rb"([0-9a-f]{64})\t")
+
+#: what a store writes after a torn last line before its next record
+_FENCE = b"\t\n"
 
 
 def code_salt(package_root=None) -> str:
@@ -102,11 +108,12 @@ class ResultStore:
         except FileNotFoundError:
             return
         index, head, find = self._index, _LINE_HEAD.match, data.find
+        fenced = _FENCE[0]  # a fenced torn line ends in this tab
         pos = 0
         end = find(b"\n")
         while end >= 0:
             match = head(data, pos, end)
-            if match is not None:
+            if match is not None and data[end - 1] != fenced:
                 hit = match.end()
                 tab = find(b"\t", hit, end)  # the hit ends at the next tab
                 index[match.group(1).decode()] = (
@@ -153,20 +160,18 @@ class ResultStore:
             return record
         return None
 
-    def save(self, key: str, hit: Dict,
-             run: Optional[RunSpec] = None) -> Path:
+    def save(self, key: str, hit: Dict, run: RunSpec) -> Path:
         """Append one record line with a single ``write``: ``hit`` is
-        what :meth:`load` will return, ``run`` the run ``key`` names,
-        whose canonical form is the line's third field (without it the
-        line has two)."""
+        what :meth:`load` will return, and the canonical form of
+        ``run``, the run ``key`` names, is the line's third field."""
         head = key.encode() + b"\t"
         if not _LINE_HEAD.fullmatch(head):
             raise ValueError(f"not a run id: {key!r}")
         body = json.dumps(hit, sort_keys=True, default=str).encode()
-        tail = b"\n" if run is None else f"\t{run._identity[0]}\n".encode()
+        tail = f"\t{run._identity[0]}\n".encode()
         line = head + body + tail
         if self._torn:
-            line = b"\n" + line  # never glue a record onto a torn tail
+            line = _FENCE + line  # never glue a record onto a torn tail
         fd = self._descriptor()
         self._torn = True  # until the whole line is known to be out
         if os.write(fd, line) != len(line):
@@ -176,6 +181,26 @@ class ResultStore:
         end = os.lseek(fd, 0, os.SEEK_CUR)
         self._index[key] = (end - len(tail) - len(body), len(body))
         return self.segment
+
+    def unnamed_line(self) -> str:
+        """The first segment line that does not name its run — is not
+        ``<run_id>\\t<hit>\\t<run>`` with ``<run>`` hashing to
+        ``<run_id>`` under this store's salt — as a message; ``""``
+        when every line names its run."""
+        try:
+            data = self.segment.read_bytes()
+        except FileNotFoundError:
+            return ""
+        salted = _salted(self.salt)
+        for number, line in enumerate(data.splitlines(), 1):
+            fields = line.split(b"\t")
+            if len(fields) != 3:
+                return f"line {number} has {len(fields)} fields, not 3"
+            digest = salted.copy()
+            digest.update(fields[2])
+            if digest.hexdigest().encode() != fields[0]:
+                return f"line {number}: its run does not hash to its id"
+        return ""
 
     def __contains__(self, run) -> bool:
         key = run if isinstance(run, str) else self.key_for(run)

@@ -584,7 +584,7 @@ class TestCaching:
         run = RunSpec._build("e", {"x": 1}, 0, True, None)
         key = store.key_for(run)
         assert store.load(key) is None
-        store.save(key, {"ok": True, "result": {"v": 1}})
+        store.save(key, {"ok": True, "result": {"v": 1}}, run)
         assert store.load(key)["result"] == {"v": 1}
         assert run in store and len(store) == 1
         # corrupt record degrades to a miss, not an exception
@@ -594,9 +594,10 @@ class TestCaching:
 
     def test_save_refuses_a_key_that_is_not_a_run_id(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s")
+        [run] = _numbered_runs(1)
         for key in ("", "short", "g" * 64, "a" * 63 + "\n", "a" * 65):
             with pytest.raises(ValueError, match="not a run id"):
-                store.save(key, {"ok": True})
+                store.save(key, {"ok": True}, run)
         assert len(store) == 0 and not store.segment.exists()
 
     def test_torn_tail_is_a_miss_and_never_poisons_a_neighbour(
@@ -608,27 +609,23 @@ class TestCaching:
         def first_four(store):
             return [store.load(key) for key in keys[:4]]
 
-        # records saved without their run, then with it: the second
-        # form's cuts land in the hit and in the run after it
-        for named in (False, True):
-
-            def save(store, x):
-                store.save(keys[x], _numbered_record(x),
-                           runs[x] if named else None)
-
-            whole = ResultStore(tmp_path / f"whole-{named}", salt="s")
-            for x in range(5):
-                save(whole, x)
-            data = whole.segment.read_bytes()
+        whole = ResultStore(tmp_path / "whole", salt="s")
+        for x in range(5):
+            whole.save(keys[x], _numbered_record(x), runs[x])
+        # the same five records as two-field lines, as older stores
+        # hold them; a cut in the fifth lands in its hit, in its run
+        # (three-field lines only) or on its newline alone
+        legacy = b"".join(
+            keys[x].encode() + b"\t"
+            + json.dumps(_numbered_record(x), sort_keys=True).encode()
+            + b"\n" for x in range(5))
+        for form, data in (("legacy", legacy),
+                           ("named", whole.segment.read_bytes())):
             fifth = data.rindex(b"\n", 0, -1) + 1  # where record 5 starts
             assert data[fifth:].startswith(keys[4].encode())
-            # a cut from here on leaves record 5's hit whole
-            hit_end = data.find(b"\t", fifth + 65)
-            assert (hit_end > 0) is named
-            if not named:
-                hit_end = len(data) - 1
+            assert data.count(b"\t", fifth) == (form == "named") + 1
             for cut in range(fifth, len(data)):
-                root = tmp_path / f"cut-{named}-{cut}"
+                root = tmp_path / f"cut-{form}-{cut}"
                 root.mkdir()
                 (root / whole.segment.name).write_bytes(data[:cut])
                 store = ResultStore(root, salt="s")
@@ -636,15 +633,17 @@ class TestCaching:
                 assert store.load(keys[4]) is None and keys[4] not in store
                 # the next record starts a line of its own, whatever the
                 # tail was, and a fresh open finds it and its neighbours
-                save(store, 5)
+                store.save(keys[5], _numbered_record(5), runs[5])
                 assert store.load(keys[5]) == _numbered_record(5)
                 fresh = ResultStore(root, salt="s")
                 assert fresh.load(keys[5]) == _numbered_record(5)
                 assert first_four(fresh) == intact
-                # the torn record is a miss, or — once the cut spared
-                # its whole hit — whole again; never somebody else's
-                assert fresh.load(keys[4]) == (
-                    _numbered_record(4) if cut >= hit_end else None)
+                # the fenced record stays a miss wherever the cut fell;
+                # saved again, it loads
+                assert fresh.load(keys[4]) is None and keys[4] not in fresh
+                fresh.save(keys[4], _numbered_record(4), runs[4])
+                assert ResultStore(root, salt="s").load(keys[4]) \
+                    == _numbered_record(4)
 
     @given(text=st.text(max_size=12), tag=st.text(max_size=12))
     @example(text="a\tb\nc", tag="\t")
@@ -663,9 +662,41 @@ class TestCaching:
             assert store.load(key) == hit
             assert ResultStore(root, salt="s").load(key) == hit
             [line] = store.segment.read_bytes().split(b"\n")[:-1]
-            run_id, _hit, canonical = line.split(b"\t")
-            assert hashlib.sha256(b"s\0" + canonical).hexdigest() \
-                == run_id.decode() == key
+            assert line.startswith(key.encode() + b"\t")
+            assert store.unnamed_line() == ""
+
+    def test_unnamed_line_finds_a_line_that_does_not_name_its_run(
+            self, tmp_path):
+        store = ResultStore(tmp_path / "store", salt="s")
+        assert store.unnamed_line() == ""  # no segment yet
+        runs = _numbered_runs(3)
+        for x, run in enumerate(runs):
+            store.save(run.run_id("s"), _numbered_record(x), run)
+        assert store.unnamed_line() == ""
+        data = store.segment.read_bytes()
+        other = runs[2]._identity[0].encode()
+        second = data.index(b"\n") + 1
+        third = data.index(b"\n", second) + 1
+        for bad, message in [
+            # its run is another run's
+            (data[:third - len(other) - 1] + other + b"\n" + data[third:],
+             "line 2: its run does not hash to its id"),
+            # a line with no run, as older stores hold them
+            (data[:second] + data[second:third].rsplit(b"\t", 1)[0]
+             + b"\n", "line 2 has 2 fields, not 3"),
+            # a torn line, fenced off before the next record
+            (data[:third - 5] + b"\t\n" + data[third:],
+             "line 2 has 4 fields, not 3"),
+        ]:
+            store.segment.write_bytes(bad)
+            assert ResultStore(tmp_path / "store", salt="s").unnamed_line() \
+                == message
+        store.segment.write_bytes(data)
+        assert ResultStore(tmp_path / "store", salt="s").unnamed_line() == ""
+        # under another salt no line names its run
+        ResultStore(tmp_path / "store", salt="t").segment.write_bytes(data)
+        assert ResultStore(tmp_path / "store", salt="t").unnamed_line() \
+            == "line 1: its run does not hash to its id"
 
     @pytest.mark.parametrize("extra, asked", [
         ({}, set()),
@@ -679,11 +710,10 @@ class TestCaching:
         first = run_quiet(dict(spec), store=store, catalog=make_catalog())
         lines = store.segment.read_bytes().splitlines()
         assert len(lines) == first.execution["runs"] == 4
+        assert store.unnamed_line() == ""
         named = set()
         for line in lines:
-            run_id, hit, canonical = line.split(b"\t")
-            assert hashlib.sha256(b"s1\0" + canonical).hexdigest() \
-                == run_id.decode()
+            _run_id, hit, canonical = line.split(b"\t")
             assert set(json.loads(hit)) == {"ok", "result", "wall_s"} | asked
             named.add(canonical.decode())
         assert named == {_canonical_json(run.to_dict()) for run in
@@ -754,9 +784,10 @@ class TestCaching:
     def test_two_stores_interleave_saves_on_one_root(self, tmp_path):
         root = tmp_path / "store"
         writers = [ResultStore(root, salt="s"), ResultStore(root, salt="s")]
-        keys = [run.run_id("s") for run in _numbered_runs(200)]
+        runs = _numbered_runs(200)
+        keys = [run.run_id("s") for run in runs]
         for x, key in enumerate(keys):
-            writers[x % 2].save(key, _numbered_record(x, pad=x))
+            writers[x % 2].save(key, _numbered_record(x, pad=x), runs[x])
         for x, key in enumerate(keys):
             # own writes are visible at once (the offsets a store keeps
             # survive the other's appends), the other's on the next open
@@ -773,14 +804,16 @@ class TestCaching:
         """More writers than this host has cores, each with its own
         store on one root, appending records of up to several pages."""
         root = tmp_path / "store"
-        keys = [run.run_id("s") for run in _numbered_runs(240)]
+        runs = _numbered_runs(240)
+        keys = [run.run_id("s") for run in runs]
         failures = []
 
         def writer(share):
             try:
                 store = ResultStore(root, salt="s")
                 for x in share:
-                    store.save(keys[x], _numbered_record(x, pad=97 * x))
+                    store.save(keys[x], _numbered_record(x, pad=97 * x),
+                               runs[x])
                 for x in share:
                     assert store.load(keys[x]) == _numbered_record(
                         x, pad=97 * x)

@@ -47,7 +47,6 @@ Modes
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -96,22 +95,6 @@ def _print_report(report, grid=None) -> None:
         print(report.grid_table(metric, rows=rows, cols=cols))
 
 
-def _unnamed_line(store) -> str:
-    """The first segment line that is not ``<run_id>\\t<hit>\\t<run>``
-    with ``<run>`` hashing to ``<run_id>`` under the store's salt, as a
-    message; ``""`` when every line names its run."""
-    salt = store.salt.encode() + b"\0"
-    for number, line in enumerate(
-            store.segment.read_bytes().splitlines(), 1):
-        fields = line.split(b"\t")
-        if len(fields) != 3:
-            return f"line {number} has {len(fields)} fields, not 3"
-        if hashlib.sha256(salt + fields[2]).hexdigest().encode() \
-                != fields[0]:
-            return f"line {number}: its run does not hash to its id"
-    return ""
-
-
 def _smoke(store_dir: str) -> int:
     """Run the built-in campaign twice; the second pass must be free
     and every stored line must name its run, and a third, with one
@@ -147,7 +130,7 @@ def _smoke(store_dir: str) -> int:
         print("smoke FAILED: cached re-run report is not byte-identical",
               file=sys.stderr)
         return 1
-    unnamed = _unnamed_line(store)
+    unnamed = store.unnamed_line()
     if unnamed:
         print(f"smoke FAILED: segment {unnamed}", file=sys.stderr)
         return 1
