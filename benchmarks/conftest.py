@@ -3,13 +3,15 @@
 Every benchmark regenerates one of the paper's tables or figures,
 prints it as an aligned text table (plus the paper's reference numbers
 where applicable), and asserts the paper's claim about it.  A simulated
-row is defined once, as an entry of the experiment catalog
-(``repro.experiments.runner``) listed in ``campaigns/paper.json``:
+row is defined once, as an entry of ``campaigns/paper.json``: a
+catalog row of ``repro.experiments.runner``, or a grid over one of
+its cells (``repro.experiments.exp_cells``), one point a cell.
 :func:`paper` runs that one entry through ``run_campaign`` against
 ``results/campaign_store``, the store ``tools/campaign.py`` fills by
-default.  A row the store already holds for this exact ``src/repro``
-code is read back, not re-run; ``python tools/campaign.py
-campaigns/paper.json`` fills the store over every core.
+default.  A run the store already holds for this exact ``src/repro``
+code is read back, not re-run, and a point two entries share is one
+run; ``python tools/campaign.py campaigns/paper.json`` fills the store
+over every core.
 """
 
 import json
@@ -36,17 +38,25 @@ def pytest_configure(config):
 
 
 def paper(name: str):
-    """The result of the paper campaign's ``name`` row, run or read
-    from the store; a failed run fails the calling test."""
-    report = run_campaign({**PAPER_SPEC, "experiments": [name]},
+    """The result of the paper campaign's ``name`` entry, run or read
+    from the store: a row's result, or a grid's list of point results
+    in grid order.  A failed run fails the calling test."""
+    [entry] = [entry for entry in PAPER_SPEC["experiments"]
+               if (entry if isinstance(entry, str) else entry["name"])
+               == name]
+    report = run_campaign({**PAPER_SPEC, "experiments": [entry]},
                           store=ResultStore(STORE),
                           progress=lambda *_: None)
     errors = report.execution["errors"]
     if errors:
         pytest.fail(f"{name}: {'; '.join(errors.values())}", pytrace=False)
-    [result] = report.cells[0].results
     # what a store hit returns, so a cold and a warm pass read alike
-    return json.loads(json.dumps(result, sort_keys=True, default=str))
+    results = [json.loads(json.dumps(result, sort_keys=True, default=str))
+               for cell in report.cells for result in cell.results]
+    if isinstance(entry, dict):
+        return results
+    [result] = results
+    return result
 
 
 def _emit(text: str) -> None:

@@ -4,7 +4,12 @@ from conftest import paper, print_table
 
 
 def test_eq2_vs_eq1():
-    rows = paper("eq2_validation")
+    # Figure 6's d = 0 and d = 40 ms points, one hop then three
+    rows = [r for name in ("fig6a_one_hop", "fig6bcd_three_hops")
+            for r in paper(name) if r["delay_ms"] in (0.0, 40.0)]
+    for r in rows:
+        pred, meas = r["predicted_kbps"], r["goodput_kbps"]
+        r["model_error"] = abs(pred - meas) / meas if meas else float("inf")
     print_table(
         "§8: measured goodput vs Equation 2 (LLN) vs Equation 1 (Mathis)",
         ["Hops", "d (ms)", "Measured (kb/s)", "Eq.2 (kb/s)",

@@ -4,7 +4,14 @@ from conftest import paper, print_table
 
 
 def test_fig4_mss_sweep():
-    rows = paper("fig4_mss")
+    # one point per (frames, direction): a row per MSS, both directions
+    rows = {}
+    for point in paper("fig4_mss"):
+        row = rows.setdefault(point["frames"],
+                              {"mss_frames": point["frames"]})
+        row["uplink_kbps" if point["uplink"] else "downlink_kbps"] = (
+            point["goodput_kbps"])
+    rows = list(rows.values())
     print_table(
         "Figure 4: goodput vs MSS (frames), single hop via border router",
         ["MSS (frames)", "Uplink (kb/s)", "Downlink (kb/s)"],

@@ -4,7 +4,10 @@ from conftest import paper, print_table
 
 
 def test_fig5_buffer_sweep():
-    rows = paper("fig5_buffer")
+    rows = [{"window_segments": point["window"],
+             "window_bytes": point["window"] * point["mss_bytes"],
+             "goodput_kbps": point["goodput_kbps"],
+             "rtt_mean": point["rtt_mean"]} for point in paper("fig5_buffer")]
     print_table(
         "Figure 5: effect of window size (downlink, single hop)",
         ["Window (segs)", "Window (bytes)", "Goodput (kb/s)", "RTT (s)"],

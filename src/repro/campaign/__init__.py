@@ -8,7 +8,7 @@ document and one call::
 
     report = run_campaign({
         "name": "fig9-loss",
-        "experiments": ["fig9_cell"],
+        "experiments": ["app_cell"],
         "grid": {"protocol": ["tcp"], "loss": [0.0, 0.09, 0.15]},
         "seeds": [0, 1, 2],
     }, store=ResultStore("results/store"))

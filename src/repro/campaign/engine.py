@@ -486,7 +486,7 @@ def plan_campaign(
     return {
         "campaign": spec.name,
         "salt": salt,
-        "cells": spec.cells(),
+        "cells": len({run.cell_id() for run in runs}),
         "runs": len(entries),
         "cached": hits,
         "to_execute": len(entries) - hits,
@@ -586,8 +586,6 @@ def _resolve_runs(
     records: Dict[str, Dict] = {}
     missing: Dict[str, RunSpec] = {}
     for run_id, run in zip(run_ids, runs):
-        if run_id in records or run_id in missing:
-            continue  # identical runs collapse to one execution
         cached = store.load(run_id) if store is not None else None
         if cached is not None and not (asked and _lacks(cached, asked)):
             records[run_id] = {"ok": True, "result": cached["result"]}

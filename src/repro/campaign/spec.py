@@ -8,7 +8,7 @@ deterministically into :class:`RunSpec` cells::
 
     {
       "name": "fig9-loss",
-      "experiments": ["fig9_cell"],
+      "experiments": ["app_cell"],
       "quick": true,
       "grid": {"protocol": ["tcp", "coap"], "loss": [0.0, 0.09, 0.15]},
       "seeds": [0, 1, 2],
@@ -18,13 +18,18 @@ deterministically into :class:`RunSpec` cells::
       "stats": {"confidence": 0.95, "metrics": null}
     }
 
-Expansion order is fixed — experiments in spec order, grid axes in
-spec key order, values in spec order, seeds last — so the RunSpec
-list (and every content hash derived from it) is identical across
-processes and machines.  A *cell* is one ``(experiment, grid
-point)``; its seeds are the repetitions the statistics layer
-aggregates over.  An optimum over one axis is a grid over it: take
-the report's argmin (docs/campaigns.md).
+An ``experiments`` entry is a catalog name, swept over the top-level
+``grid``, or ``{"name": label, "experiment": catalog name, "grid":
+{...}}``, swept over a grid of its own; ``name`` labels the entry and
+is part of no run's identity.  Expansion order is fixed — entries in
+spec order, grid axes in spec key order, values in spec order, seeds
+last — so the RunSpec list (and every content hash derived from it)
+is identical across processes and machines.  Each distinct run comes
+once, at its first entry: a point two entries share runs once.  A
+*cell* is one ``(experiment, grid point)``; its seeds are the
+repetitions the statistics layer aggregates over.  An optimum over
+one axis is a grid over it: take the report's argmin
+(docs/campaigns.md).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 from repro.campaign.stats import _T_CONFIDENCES
@@ -96,10 +101,11 @@ def _identity(experiment: str, faults: str, members: str, quick: bool,
     canonical JSON; ``members`` are its params' :func:`_member` texts
     joined by commas in sorted-name order.
 
-    The canonical form is ``_canonical_json(run.to_dict())`` spelled
-    out, so a campaign encodes each of its grid values once, not once
-    per run.  Sorted keys put ``"seed"``, an int or null, last: the
-    cell id is the same text without that member.
+    The canonical form is the canonical JSON of the object
+    ``{experiment, faults, params, quick, seed}`` spelled out, so a
+    campaign encodes each of its grid values once, not once per run.
+    Sorted keys put ``"seed"``, an int or null, last: the cell id is
+    the same text without that member.
     """
     cell = (f'{{"experiment":{experiment},"faults":{faults},'
             f'"params":{{{members}}},"quick":{"true" if quick else "false"}')
@@ -139,30 +145,11 @@ class RunSpec:
     _identity: Tuple[str, str] = field(kw_only=True, compare=False,
                                        repr=False)
 
-    @classmethod
-    def _build(cls, experiment: str, params: Dict, seed, quick: bool,
-               faults: Optional[Dict]) -> "RunSpec":
-        pairs = tuple(sorted(params.items()))
-        quick = bool(quick)
-        faults, faults_json = _faults_parts(faults)
-        return cls(
-            experiment=experiment, params=pairs, seed=seed, quick=quick,
-            faults=faults,
-            _identity=_identity(
-                _canonical_json(experiment), faults_json,
-                ",".join([_member(name, value) for name, value in pairs]),
-                quick, _canonical_json(seed)),
-        )
-
     # -- views ---------------------------------------------------------
 
     @property
     def params_dict(self) -> Dict:
         return dict(self.params)
-
-    @property
-    def _faults_dict(self) -> Optional[Dict]:
-        return json.loads(self.faults[0]) if self.faults else None
 
     def call_params(self, accepted: set, var_kw: bool) -> Dict:
         """The kwargs actually passed to the factory.
@@ -173,15 +160,6 @@ class RunSpec:
         if self.seed is not None and (var_kw or "seed" in accepted):
             kwargs["seed"] = self.seed
         return kwargs
-
-    def to_dict(self) -> Dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params_dict,
-            "seed": self.seed,
-            "quick": self.quick,
-            "faults": self._faults_dict,
-        }
 
     # -- content addressing -------------------------------------------
 
@@ -201,7 +179,8 @@ class CampaignSpec:
     """A validated campaign document (use :meth:`from_dict`)."""
 
     name: str = ""
-    experiments: List[str] = field(default_factory=list)
+    #: catalog names, and entries with a grid of their own
+    experiments: List[Union[str, Dict]] = field(default_factory=list)
     quick: bool = True
     grid: Dict[str, List] = field(default_factory=dict)
     seeds: List[int] = field(default_factory=lambda: [0])
@@ -228,41 +207,36 @@ class CampaignSpec:
             _fail("experiments",
                   "give either 'experiment' or 'experiments', not both")
         raw_exps = spec.get("experiments", spec.get("experiment", []))
-        if isinstance(raw_exps, str):
+        if isinstance(raw_exps, (str, dict)):
             raw_exps = [raw_exps]
         if not isinstance(raw_exps, list) or not all(
-                isinstance(e, str) for e in raw_exps):
-            _fail("experiments", f"must be a name or list of names, "
-                                 f"got {raw_exps!r}")
-        # split comma/space forms through the shared resolver rules
-        # (availability is checked later, against the catalog)
-        experiments: List[str] = []
-        for item in raw_exps:
-            for part in item.replace(",", " ").split():
-                if part not in experiments:
-                    experiments.append(part)
+                isinstance(e, (str, dict)) for e in raw_exps):
+            _fail("experiments", f"must be a name, an entry or a list of "
+                                 f"them, got {raw_exps!r}")
+        # names split in comma/space forms through the shared resolver
+        # rules (availability is checked later, against the catalog);
         # an empty selection means "the whole catalog", resolved at
         # expand() time
+        experiments: List[Union[str, Dict]] = []
+        labels: List[str] = []
+        for index, item in enumerate(raw_exps):
+            for entry in ([_check_entry(item, f"experiments[{index}]")]
+                          if isinstance(item, dict)
+                          else item.replace(",", " ").split()):
+                if isinstance(entry, str) and entry in experiments:
+                    continue  # a name given twice is one entry
+                label = entry if isinstance(entry, str) else entry["name"]
+                if label in labels:
+                    _fail(f"experiments[{index}]",
+                          f"duplicate entry name {label!r}")
+                labels.append(label)
+                experiments.append(entry)
 
         quick = spec.get("quick", True)
         if not isinstance(quick, bool):
             _fail("quick", f"must be a boolean, got {quick!r}")
 
-        grid = spec.get("grid") or {}
-        if not isinstance(grid, dict):
-            _fail("grid", f"must be an object, got {grid!r}")
-        for axis, values in grid.items():
-            if not isinstance(axis, str):
-                _fail("grid", f"axis names must be strings, got {axis!r}")
-            if not isinstance(values, list) or not values:
-                _fail(f"grid.{axis}",
-                      f"must be a non-empty list, got {values!r}")
-            for v in values:
-                if not _json_scalar(v):
-                    _fail(f"grid.{axis}",
-                          f"values must be JSON scalars, got {v!r}")
-            if len(set(map(repr, values))) != len(values):
-                _fail(f"grid.{axis}", f"duplicate values in {values!r}")
+        grid = _check_grid(spec.get("grid") or {}, "grid")
 
         seeds = spec.get("seeds", [0])
         if isinstance(seeds, dict):
@@ -283,7 +257,8 @@ class CampaignSpec:
                            f"(or {{'count': N, 'base': B}}), got {seeds!r}")
         if len(set(seeds)) != len(seeds):
             _fail("seeds", f"duplicate seeds in {seeds!r}")
-        cells = _cell_count(grid, experiments)
+        cells = _cell_count([e["grid"] if isinstance(e, dict) else grid
+                             for e in experiments] or [grid])
         if cells * len(seeds) > MAX_RUNS:
             _fail("grid", f"{cells} cells x {len(seeds)} seeds is more "
                           f"than {MAX_RUNS} runs")
@@ -322,7 +297,7 @@ class CampaignSpec:
             name=str(spec.get("name", "")),
             experiments=experiments,
             quick=quick,
-            grid={k: list(v) for k, v in grid.items()},
+            grid=grid,
             seeds=list(seeds),
             faults=faults,
             runner=runner,
@@ -340,9 +315,12 @@ class CampaignSpec:
     def to_dict(self) -> Dict:
         return {
             "name": self.name,
-            "experiments": list(self.experiments),
+            "experiments": [
+                dict(entry, grid=_copy_grid(entry["grid"]))
+                if isinstance(entry, dict) else entry
+                for entry in self.experiments],
             "quick": self.quick,
-            "grid": {k: list(v) for k, v in self.grid.items()},
+            "grid": _copy_grid(self.grid),
             "seeds": list(self.seeds),
             "faults": self.faults,
             "runner": dict(self.runner),
@@ -365,30 +343,43 @@ class CampaignSpec:
 
     def expand(self, catalog: Optional[ExperimentCatalog] = None,
                ) -> List[RunSpec]:
-        """Deterministic expansion into :class:`RunSpec` cells x seeds.
+        """Deterministic expansion into :class:`RunSpec` cells x seeds,
+        each distinct run once: a point two entries share comes at the
+        first of them.
 
         With a ``catalog``, experiment names and every grid axis are
         validated against the factory signatures (unknown axes fail
         with close-match suggestions, like unknown experiment names).
         """
-        experiments = self.experiments
+        # one loop expands both entry forms: a name is an entry over
+        # the top-level grid, as (experiment, grid, its spec path)
+        entries = [(entry["experiment"], entry["grid"],
+                    f"experiments.{entry['name']}.grid")
+                   if isinstance(entry, dict) else (entry, self.grid, "grid")
+                   for entry in self.experiments]
         if catalog is not None:
-            if experiments:
-                resolve_selection(experiments, catalog.names())
+            if entries:
+                resolve_selection([e[0] for e in entries], catalog.names())
             else:
-                experiments = catalog.names()
+                entries = [(name, self.grid, "grid")
+                           for name in catalog.names()]
         # every identity part is encoded once here, not once per run
         quick = self.quick
         faults, faults_json = _faults_parts(self.faults)
-        axes = list(self.grid)
-        pairs = [[(axis, v) for v in self.grid[axis]] for axis in axes]
-        members = [[_member(axis, v) for v in self.grid[axis]]
-                   for axis in axes]
-        # a point comes in spec axis order; its params sort by name
-        order = sorted(range(len(axes)), key=axes.__getitem__)
-        by_name = operator.itemgetter(*order) if len(axes) > 1 else tuple
+        # only an experiment two entries sweep can meet a run twice
+        named = [e[0] for e in entries]
+        shared = {name for name in named if named.count(name) > 1}
+        seen = set()
         runs: List[RunSpec] = []
-        for experiment in experiments:
+        for experiment, grid, path in entries:
+            axes = list(grid)
+            pairs = [[(axis, v) for v in grid[axis]] for axis in axes]
+            members = [[_member(axis, v) for v in grid[axis]]
+                       for axis in axes]
+            # a point comes in spec axis order; its params sort by name
+            order = sorted(range(len(axes)), key=axes.__getitem__)
+            by_name = operator.itemgetter(*order) if len(axes) > 1 \
+                else tuple
             accepted, var_kw = (set(), True)
             if catalog is not None:
                 accepted, var_kw = catalog.accepted_params(experiment)
@@ -406,9 +397,9 @@ class CampaignSpec:
                             + (f" (did you mean "
                                f"{' or '.join(repr(c) for c in close)}?)"
                                if close else ""))
-                    _fail("grid", f"experiment {experiment!r} does not "
-                                  f"accept axis {', '.join(hints)}; "
-                                  f"it accepts {sorted(accepted)}")
+                    _fail(path, f"experiment {experiment!r} does not "
+                                f"accept axis {', '.join(hints)}; "
+                                f"it accepts {sorted(accepted)}")
                 takes_seed = var_kw or "seed" in accepted
                 if not takes_seed and (len(self.seeds) > 1
                                        or self.seeds != [0]):
@@ -420,23 +411,70 @@ class CampaignSpec:
             seeds = [(seed, _canonical_json(seed))
                      for seed in (self.seeds if takes_seed else [None])]
             name = _canonical_json(experiment)
+            dedup = experiment in shared
             for point, texts in zip(itertools.product(*pairs),
                                     itertools.product(*members)):
                 params = by_name(point)
                 text = ",".join(by_name(texts))
                 for seed, seed_json in seeds:
+                    identity = _identity(name, faults_json, text, quick,
+                                         seed_json)
+                    if dedup:
+                        if identity[0] in seen:
+                            continue
+                        seen.add(identity[0])
                     runs.append(RunSpec(
                         experiment=experiment, params=params, seed=seed,
-                        quick=quick, faults=faults,
-                        _identity=_identity(name, faults_json, text,
-                                            quick, seed_json)))
+                        quick=quick, faults=faults, _identity=identity))
         return runs
 
-    def cells(self) -> int:
-        """Number of grid cells (runs / repetitions)."""
-        return _cell_count(self.grid, self.experiments)
+
+#: the keys of an ``experiments`` entry that sweeps a grid of its own
+_ENTRY_KEYS = ("name", "experiment", "grid")
 
 
-def _cell_count(grid: Dict[str, List], experiments: List[str]) -> int:
-    return (math.prod(len(values) for values in grid.values())
-            * max(1, len(experiments)))
+def _check_entry(entry: Dict, path: str) -> Dict:
+    """An ``experiments`` entry, validated, with all of its keys."""
+    unknown = set(entry) - set(_ENTRY_KEYS)
+    if unknown:
+        _fail(path, f"unknown keys {sorted(unknown, key=str)} (expected "
+                    f"a subset of {list(_ENTRY_KEYS)})")
+    name, experiment = entry.get("name"), entry.get("experiment")
+    if not isinstance(name, str) or not name.strip():
+        _fail(f"{path}.name", f"must be a non-empty string, got {name!r}")
+    if not isinstance(experiment, str) or \
+            experiment.replace(",", " ").split() != [experiment]:
+        _fail(f"{path}.experiment",
+              f"must be one catalog name, got {experiment!r}")
+    return {"name": name, "experiment": experiment,
+            "grid": _check_grid(entry.get("grid") or {}, f"{path}.grid")}
+
+
+def _check_grid(grid, path: str) -> Dict[str, List]:
+    """A validated grid (``axis -> non-empty list of distinct JSON
+    scalars``), copied."""
+    if not isinstance(grid, dict):
+        _fail(path, f"must be an object, got {grid!r}")
+    for axis, values in grid.items():
+        if not isinstance(axis, str):
+            _fail(path, f"axis names must be strings, got {axis!r}")
+        if not isinstance(values, list) or not values:
+            _fail(f"{path}.{axis}",
+                  f"must be a non-empty list, got {values!r}")
+        for v in values:
+            if not _json_scalar(v):
+                _fail(f"{path}.{axis}",
+                      f"values must be JSON scalars, got {v!r}")
+        if len(set(map(repr, values))) != len(values):
+            _fail(f"{path}.{axis}", f"duplicate values in {values!r}")
+    return _copy_grid(grid)
+
+
+def _copy_grid(grid: Dict[str, List]) -> Dict[str, List]:
+    return {axis: list(values) for axis, values in grid.items()}
+
+
+def _cell_count(grids: List[Dict[str, List]]) -> int:
+    """How many cells ``grids``, one per entry, declare together."""
+    return sum(math.prod(len(values) for values in grid.values())
+               for grid in grids)

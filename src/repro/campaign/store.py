@@ -19,8 +19,7 @@ Opening a store scans its segment for newlines once and keeps
 ``run_id -> (offset, length)`` of each line's hit; no JSON is parsed
 and no body retained until :meth:`ResultStore.load` reads and parses
 that one slice, and nothing reads ``<run>``.  A line with no second
-tab, ``<run_id>\\t<record>\\n`` (stores written before the run had a
-field of its own hold them), loads whole.
+tab is not a record line and is never indexed.
 :meth:`ResultStore.save` is a single ``write`` on an ``O_APPEND``
 descriptor, so a record is in the file whole or (a writer killed
 mid-write, a full disk) as a torn last line — which is a miss, and is
@@ -116,8 +115,8 @@ class ResultStore:
             if match is not None and data[end - 1] != fenced:
                 hit = match.end()
                 tab = find(b"\t", hit, end)  # the hit ends at the next tab
-                index[match.group(1).decode()] = (
-                    hit, (end if tab < 0 else tab) - hit)
+                if tab >= 0:
+                    index[match.group(1).decode()] = (hit, tab - hit)
             pos = end + 1
             end = find(b"\n", pos)
         self._torn = pos < len(data)

@@ -1,6 +1,7 @@
 """The §9 application study: anemometers over TCPlp vs CoAP vs CoCoA.
 
-Reproduces:
+Reproduces (Figures 8 and 9 one point a run, as
+``exp_cells.app_cell``):
 
 * Figure 8 — radio/CPU duty cycle with and without batching
   (favourable conditions);
@@ -184,53 +185,6 @@ def _leaf_counters(net: Network) -> Dict[str, int]:
         field: sum(t.get(name) for t in traces for name in names)
         for field, names in _LEAF_COUNTERS.items()
     }
-
-
-def run_fig8_batching(
-    duration: float = 1800.0, seed: int = 0
-) -> List[Dict]:
-    """Figure 8: duty cycles with/without batching, per protocol."""
-    rows = []
-    for protocol in ("coap", "cocoa", "tcp"):
-        for batching in (False, True):
-            r = run_app_study(protocol, batching=batching,
-                              duration=duration, seed=seed)
-            rows.append({
-                "protocol": protocol,
-                "batching": batching,
-                "radio_dc": r.radio_duty_cycle,
-                "cpu_dc": r.cpu_duty_cycle,
-                "reliability": r.reliability,
-                "data_segments": r.data_segments,
-                "mac_tail_drops": r.mac_tail_drops,
-            })
-    return rows
-
-
-def run_fig9_loss_sweep(
-    loss_rates=(0.0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.21),
-    duration: float = 1800.0,
-    seed: int = 0,
-) -> List[Dict]:
-    """Figure 9: protocol behaviour vs injected loss at the border."""
-    rows = []
-    for protocol in ("tcp", "cocoa", "coap"):
-        for loss in loss_rates:
-            r = run_app_study(protocol, batching=True,
-                              injected_loss=loss, duration=duration,
-                              seed=seed)
-            rows.append({
-                "protocol": protocol,
-                "injected_loss": loss,
-                "reliability": r.reliability,
-                "retransmissions_per_10min": r.retransmissions * 600 / duration,
-                "rtos_per_10min": r.rto_events * 600 / duration,
-                "radio_dc": r.radio_duty_cycle,
-                "cpu_dc": r.cpu_duty_cycle,
-                "data_segments": r.data_segments,
-                "mac_tail_drops": r.mac_tail_drops,
-            })
-    return rows
 
 
 #: A diurnal interference profile: (start_hour, loss_rate); §9.5 runs

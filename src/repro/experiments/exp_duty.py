@@ -3,7 +3,7 @@
 * Figure 12 — goodput and RTT against a *fixed* sleep interval: the
   RTT tracks the sleep interval (TCP self-clocking, §C.1), so once the
   window can no longer cover ``B x sleep_interval`` bytes, goodput
-  collapses as ``w*MSS/s``.
+  collapses as ``w*MSS/s``; ``exp_cells.duty_cell`` is one point.
 * Figure 13 — RTT distributions at a 2 s sleep interval: uplink RTTs
   cluster at ~1x the interval, downlink at small multiples of it.
 * Figure 14 / §C.2 — the Trickle-based adaptive interval: near
@@ -76,22 +76,6 @@ def run_duty_cycle_point(
         "rtt_mean": result.rtt_mean,
         "rtt_samples": result.rtt_samples,
     }
-
-
-def run_fig12_sweep(
-    intervals=(0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0),
-    seed: int = 0,
-    duration: float = 60.0,
-) -> List[Dict]:
-    """Figure 12: goodput/RTT vs fixed sleep interval, both directions."""
-    rows = []
-    for s in intervals:
-        for uplink in (True, False):
-            rows.append(run_duty_cycle_point(
-                s, uplink=uplink, seed=seed, duration=duration,
-                warmup=max(20.0, 10 * s),
-            ))
-    return rows
 
 
 def run_fig13_rtt_distribution(

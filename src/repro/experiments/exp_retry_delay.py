@@ -1,16 +1,15 @@
-"""Figure 6 and Figure 7: the link-retry-delay sweep and congestion
-behaviour at three hops, plus the Equation 1/2 model comparison (§8).
+"""Figure 6 and Figure 7: one point of the link-retry-delay sweep
+(``exp_cells.retry_delay_cell`` sweeps it) with the Equation 1/2
+model comparison of §8, and the congestion behaviour at three hops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.api import BulkTransfer, build_chain, tcplp_params
 from repro.models.throughput import lln_model_goodput, mathis_goodput
 
-#: the paper's Figure 6 x-axis (seconds)
-DEFAULT_DELAYS = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.1)
 #: simulated seconds each cell runs before its measured window opens
 WARMUP_S = 10.0
 
@@ -74,21 +73,6 @@ def _run_retry_delay_point(
     return row
 
 
-def run_fig6_sweep(
-    hops: int,
-    delays=DEFAULT_DELAYS,
-    seed: int = 0,
-    duration: float = 60.0,
-    ambient_frame_loss: float = 0.0,
-) -> List[Dict]:
-    """Figure 6a (hops=1) / 6b-6d (hops=3): the full d sweep."""
-    return [
-        _run_retry_delay_point(hops, d, seed=seed, duration=duration,
-                              ambient_frame_loss=ambient_frame_loss)
-        for d in delays
-    ]
-
-
 def run_fig7a_cwnd_trace(
     seed: int = 0,
     duration: float = 100.0,
@@ -116,19 +100,3 @@ def run_fig7a_cwnd_trace(
         row["fraction_near_max"] = high_time / span if span > 0 else 1.0
         row["max_cwnd"] = max_cwnd
     return row
-
-
-def run_eq2_validation(
-    hops_delays: Tuple = ((1, 0.0), (1, 0.04), (3, 0.0), (3, 0.04)),
-    seed: int = 0,
-    duration: float = 60.0,
-) -> List[Dict]:
-    """§8: empirical goodput vs Equation 2 vs Equation 1."""
-    rows = []
-    for hops, d in hops_delays:
-        row = _run_retry_delay_point(hops, d, seed=seed, duration=duration)
-        pred = row["predicted_kbps"]
-        meas = row["goodput_kbps"]
-        row["model_error"] = abs(pred - meas) / meas if meas else float("inf")
-        rows.append(row)
-    return rows

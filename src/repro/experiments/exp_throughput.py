@@ -1,7 +1,5 @@
-"""Throughput experiments: Figures 4 and 5, §4, §6.3, §7.2.
-
-All functions return lists of plain dict rows shaped like the paper's
-figures, so benchmarks can print them and tests can assert on trends.
+"""Throughput experiments: the one-hop transfer behind Figures 4 and 5
+(``exp_cells.single_hop_cell`` is their point), §4, §6.3, §7.2.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from repro.api import (
     build_chain,
     build_pair,
     linux_like_params,
-    mss_for_frames,
 )
 
 
@@ -46,55 +43,6 @@ def run_single_hop_transfer(
             params=linux_like_params(), receiver_params=params,
         )
     return xfer.measure(warmup, duration)
-
-
-def run_fig4_mss_sweep(
-    frames_range=range(2, 9),
-    seed: int = 0,
-    duration: float = 60.0,
-) -> List[Dict]:
-    """Figure 4: goodput vs MSS (in frames), uplink and downlink.
-
-    (The paper could not run MSS = 1 frame because Linux ignores tiny
-    negotiated MSS values; our stack can, so callers may pass
-    ``range(1, 9)`` to extend the figure.)
-    """
-    rows = []
-    for frames in frames_range:
-        row = {"mss_frames": frames}
-        for uplink in (True, False):
-            mss = mss_for_frames(frames, to_cloud=uplink)
-            params = TcpParams(mss=mss, send_buffer=4 * mss, recv_buffer=4 * mss)
-            result = run_single_hop_transfer(
-                params, uplink=uplink, seed=seed, duration=duration
-            )
-            row["uplink_kbps" if uplink else "downlink_kbps"] = result.goodput_kbps
-        rows.append(row)
-    return rows
-
-
-def run_fig5_buffer_sweep(
-    window_segments=range(1, 7),
-    mss_frames: int = 5,
-    seed: int = 0,
-    duration: float = 60.0,
-) -> List[Dict]:
-    """Figure 5: goodput and RTT vs receive-buffer (window) size,
-    downlink (cloud -> embedded node)."""
-    rows = []
-    for w in window_segments:
-        mss = mss_for_frames(mss_frames, to_cloud=True)
-        params = TcpParams(mss=mss, send_buffer=w * mss, recv_buffer=w * mss)
-        result = run_single_hop_transfer(
-            params, uplink=False, seed=seed, duration=duration
-        )
-        rows.append({
-            "window_segments": w,
-            "window_bytes": w * mss,
-            "goodput_kbps": result.goodput_kbps,
-            "rtt_mean": result.rtt_mean,
-        })
-    return rows
 
 
 def run_node_to_node(

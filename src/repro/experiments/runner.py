@@ -1,12 +1,13 @@
 """The experiment catalog: the paper's tables and figures as factories.
 
-:data:`DEFAULT_CATALOG` maps one name per table/figure (plus the
-parameterised grid cells of :mod:`repro.experiments.exp_cells`) to a
-factory ``factory(quick, **params)`` that returns JSON-native rows
-(a store hit is their ``json.loads``).  ``quick=False`` is each row's
-one definition: ``campaigns/paper.json`` lists the rows, and the paper
-suite (``benchmarks/test_*.py``) reads them through that campaign and
-asserts the paper's claims on them.  ``quick=True`` runs the same rows
+:data:`DEFAULT_CATALOG` maps one name per table or figure that is one
+run, plus the cells of :mod:`repro.experiments.exp_cells`, each one
+point of a swept figure, to a factory ``factory(quick, **params)``
+that returns JSON-native rows (a store hit is their ``json.loads``).
+``quick=False`` is each row's or point's one definition:
+``campaigns/paper.json`` lists the rows and sweeps the cells over the
+figures' grids, and the paper suite (``benchmarks/test_*.py``) reads
+them through that campaign and asserts the paper's claims on them.  ``quick=True`` runs the same rows
 at abbreviated durations.  Every simulated row takes the campaign's
 ``seed`` (0 by default), so a ``seeds`` axis repeats it.  Campaigns
 run the catalog: a spec with no ``experiments`` runs all of it,
@@ -21,35 +22,23 @@ from typing import Dict
 
 from repro.campaign.catalog import ExperimentCatalog
 from repro.experiments.exp_ablations import run_ablation_table
-from repro.experiments.exp_app import (
-    run_fig8_batching,
-    run_fig9_loss_sweep,
-    run_fig10_daylong,
-    run_table8,
-)
+from repro.experiments.exp_app import run_fig10_daylong, run_table8
 from repro.experiments.exp_cells import (
+    app_cell,
     ayadi_energy,
     duty_cell,
-    fig9_cell,
+    retry_delay_cell,
     single_hop_cell,
 )
 from repro.experiments.exp_duty import (
     run_adaptive_duty_cycle,
-    run_fig12_sweep,
     run_fig13_rtt_distribution,
 )
 from repro.experiments.exp_fairness import run_table9
-from repro.experiments.exp_retry_delay import (
-    WARMUP_S,
-    run_eq2_validation,
-    run_fig6_sweep,
-    run_fig7a_cwnd_trace,
-)
+from repro.experiments.exp_retry_delay import WARMUP_S, run_fig7a_cwnd_trace
 from repro.experiments.exp_table7 import run_table7
 from repro.experiments.exp_throughput import (
     run_deaf_ablation,
-    run_fig4_mss_sweep,
-    run_fig5_buffer_sweep,
     run_node_to_node,
     run_sec72_hops,
 )
@@ -94,40 +83,12 @@ def _d(quick: bool, full: float) -> float:
     return 25.0 if quick else full
 
 
-def _app_d(quick: bool, full: float) -> float:
-    """An application-study row's simulated seconds (400 s quick)."""
-    return 400.0 if quick else full
-
-
 def _exp_static_tables(quick: bool) -> Dict:
     return _static_tables()
 
 
-def _exp_fig4_mss(quick: bool, seed: int = 0):
-    return run_fig4_mss_sweep(seed=seed, duration=_d(quick, 45.0))
-
-
-def _exp_fig5_buffer(quick: bool, seed: int = 0):
-    return run_fig5_buffer_sweep(seed=seed, duration=_d(quick, 45.0))
-
-
 def _exp_table7_stacks(quick: bool, seed: int = 0):
     return run_table7(seed=seed, duration=_d(quick, 45.0))
-
-
-#: Figure 6's retry delays d (seconds): five of the paper's nine
-_FIG6_DELAYS = (0.0, 0.005, 0.02, 0.04, 0.1)
-
-
-def _exp_fig6a_one_hop(quick: bool, seed: int = 0):
-    # a touch of ambient interference so link retries exist for d to act on
-    return run_fig6_sweep(1, delays=_FIG6_DELAYS, seed=seed,
-                          duration=_d(quick, 45.0), ambient_frame_loss=0.03)
-
-
-def _exp_fig6bcd_three_hops(quick: bool, seed: int = 0):
-    return run_fig6_sweep(3, delays=_FIG6_DELAYS, seed=seed,
-                          duration=_d(quick, 60.0))
 
 
 #: Fig. 7a's printed trace: cwnd at this many evenly spaced instants
@@ -154,10 +115,6 @@ def _exp_fig7a_cwnd(quick: bool, seed: int = 0):
     return row
 
 
-def _exp_eq2_validation(quick: bool, seed: int = 0):
-    return run_eq2_validation(seed=seed, duration=_d(quick, 60.0))
-
-
 def _exp_sec72_hops(quick: bool, seed: int = 0):
     return run_sec72_hops(seed=seed, duration=_d(quick, 60.0))
 
@@ -171,16 +128,6 @@ def _exp_sec63_node_to_node(quick: bool, seed: int = 0):
 def _exp_sec4_deaf_ablation(quick: bool, seed: int = 0):
     # the row has always run at simulation seed 1: campaign seed 0 keeps it
     return run_deaf_ablation(seed=seed + 1, duration=_d(quick, 45.0))
-
-
-def _exp_fig8_batching(quick: bool, seed: int = 0):
-    return run_fig8_batching(duration=_app_d(quick, 900.0), seed=seed)
-
-
-def _exp_fig9_loss(quick: bool, seed: int = 0):
-    return run_fig9_loss_sweep(
-        loss_rates=(0.0, 0.06, 0.09, 0.12, 0.15, 0.21),
-        duration=_app_d(quick, 900.0), seed=seed)
 
 
 def _exp_fig10_daylong_tcp(quick: bool, seed: int = 0):
@@ -200,14 +147,6 @@ def _exp_table8(quick: bool, seed: int = 0):
 
 def _exp_table9_fairness(quick: bool, seed: int = 0):
     return run_table9(seed=seed, duration=_d(quick, 90.0))
-
-
-def _exp_appendixC_fig12(quick: bool, seed: int = 0):
-    rows = run_fig12_sweep(intervals=(0.02, 0.1, 0.5, 1.0, 2.0), seed=seed,
-                           duration=_d(quick, 45.0))
-    for row in rows:
-        del row["rtt_samples"]
-    return rows
 
 
 def _exp_appendixC_fig13(quick: bool, seed: int = 0):
@@ -243,34 +182,27 @@ def _exp_ablations_3hop(quick: bool, seed: int = 0):
                               duration=_d(quick, 60.0))
 
 
-#: the process-wide default catalog: the paper's figures/tables plus
-#: the parameterised campaign grid cells (exp_cells)
+#: the process-wide default catalog: the paper's one-run tables and
+#: figures, plus the cells the swept figures are grids over (exp_cells)
 DEFAULT_CATALOG = ExperimentCatalog({
     "static_tables": _exp_static_tables,
-    "fig4_mss": _exp_fig4_mss,
-    "fig5_buffer": _exp_fig5_buffer,
     "table7_stacks": _exp_table7_stacks,
-    "fig6a_one_hop": _exp_fig6a_one_hop,
-    "fig6bcd_three_hops": _exp_fig6bcd_three_hops,
     "fig7a_cwnd": _exp_fig7a_cwnd,
-    "eq2_validation": _exp_eq2_validation,
     "sec72_hops": _exp_sec72_hops,
     "sec63_node_to_node": _exp_sec63_node_to_node,
     "sec4_deaf_ablation": _exp_sec4_deaf_ablation,
-    "fig8_batching": _exp_fig8_batching,
-    "fig9_loss": _exp_fig9_loss,
     "fig10_daylong_tcp": _exp_fig10_daylong_tcp,
     "fig10_daylong_coap": _exp_fig10_daylong_coap,
     "table8": _exp_table8,
     "table9_fairness": _exp_table9_fairness,
-    "appendixC_fig12": _exp_appendixC_fig12,
     "appendixC_fig13": _exp_appendixC_fig13,
     "appendixC_adaptive": _exp_appendixC_adaptive,
     "ablations_clean": _exp_ablations_clean,
     "ablations_lossy": _exp_ablations_lossy,
     "ablations_3hop": _exp_ablations_3hop,
     "single_hop_cell": single_hop_cell,
-    "fig9_cell": fig9_cell,
+    "retry_delay_cell": retry_delay_cell,
+    "app_cell": app_cell,
     "duty_cell": duty_cell,
     "ayadi_energy": ayadi_energy,
 })

@@ -30,12 +30,44 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import engine, stats
-from repro.campaign.spec import _canonical_json
+from repro.campaign.spec import (
+    _canonical_json,
+    _faults_parts,
+    _identity,
+    _member,
+)
 from repro.campaign.stats import aggregate_cell
 from repro.sim import metrics as metrics_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+# ----------------------------------------------------------------------
+# the canonical-form oracle: one run built and encoded from its dict
+# ----------------------------------------------------------------------
+
+
+def _build(experiment, params, seed, quick, faults):
+    """The :class:`RunSpec` of one run, its identity composed from its
+    parts the way ``CampaignSpec.expand`` composes it."""
+    pairs = tuple(sorted(params.items()))
+    quick = bool(quick)
+    faults, faults_json = _faults_parts(faults)
+    return RunSpec(
+        experiment=experiment, params=pairs, seed=seed, quick=quick,
+        faults=faults,
+        _identity=_identity(
+            _canonical_json(experiment), faults_json,
+            ",".join([_member(name, value) for name, value in pairs]),
+            quick, _canonical_json(seed)))
+
+
+def _run_dict(run):
+    """The dict whose canonical JSON a run's identity must be."""
+    return {"experiment": run.experiment, "params": run.params_dict,
+            "seed": run.seed, "quick": run.quick,
+            "faults": json.loads(run.faults[0]) if run.faults else None}
 
 
 # ----------------------------------------------------------------------
@@ -401,13 +433,13 @@ class TestExpansion:
         assert json.loads(out.stdout) == here
 
     def test_params_order_does_not_change_identity(self):
-        a = RunSpec._build("e", {"a": 1, "b": 2}, 0, True, None)
-        b = RunSpec._build("e", {"b": 2, "a": 1}, 0, True, None)
+        a = _build("e", {"a": 1, "b": 2}, 0, True, None)
+        b = _build("e", {"b": 2, "a": 1}, 0, True, None)
         assert a.run_id("s") == b.run_id("s")
 
     def test_seed_changes_run_id_but_not_cell_id(self):
-        a = RunSpec._build("e", {"x": 1}, 0, True, None)
-        b = RunSpec._build("e", {"x": 1}, 1, True, None)
+        a = _build("e", {"x": 1}, 0, True, None)
+        b = _build("e", {"x": 1}, 1, True, None)
         assert a.run_id("s") != b.run_id("s")
         assert a.cell_id() == b.cell_id()
 
@@ -425,8 +457,8 @@ class TestExpansion:
     @settings(max_examples=200, deadline=None)
     def test_cell_id_is_the_canonical_form_without_the_seed(
             self, experiment, params, seed, quick, faults):
-        run = RunSpec._build(experiment, params, seed, quick, faults)
-        doc = run.to_dict()
+        run = _build(experiment, params, seed, quick, faults)
+        doc = _run_dict(run)
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         assert run.run_id("s") == hashlib.sha256(
             f"s\x00{encode(doc)}".encode()).hexdigest()
@@ -460,13 +492,114 @@ class TestExpansion:
             "experiments": experiments, "grid": grid, "seeds": seeds,
             "quick": quick, "faults": faults})
         runs = spec.expand()
-        assert len(runs) == spec.cells() * len(seeds)
+        assert len(runs) == len({run.cell_id() for run in runs}) * len(seeds)
         for run in runs:
-            doc = run.to_dict()
+            doc = _run_dict(run)
             assert run.run_id("s") == hashlib.sha256(
                 f"s\x00{_canonical_json(doc)}".encode()).hexdigest()
             del doc["seed"]
             assert run.cell_id() == _canonical_json(doc)
+
+
+# ----------------------------------------------------------------------
+# entries: an experiment swept over a grid of its own
+# ----------------------------------------------------------------------
+
+
+def _entry(name, experiment="linear_cell", **grid):
+    return {"name": name, "experiment": experiment, "grid": grid}
+
+
+class TestEntries:
+    def test_unknown_entry_key(self):
+        with pytest.raises(ValueError, match=r"experiments\[0\]: unknown "
+                                             r"keys \['grids'\]"):
+            CampaignSpec.from_dict({"experiments": [
+                {"name": "a", "experiment": "linear_cell", "grids": {}}]})
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "a"}, {"name": "a", "experiment": 3},
+        {"name": "a", "experiment": "linear_cell,quadratic_cell"},
+        {"name": "", "experiment": "linear_cell"},
+        {"experiment": "linear_cell"},
+    ])
+    def test_an_entry_has_a_name_and_one_experiment(self, entry):
+        with pytest.raises(ValueError, match=r"experiments\[0\]\."
+                                             r"(name|experiment): must be"):
+            CampaignSpec.from_dict({"experiments": [entry]})
+
+    def test_unknown_entry_experiment_fails_at_expand(self):
+        spec = CampaignSpec.from_dict(
+            {"experiments": [_entry("a", "linear_cel")]})
+        with pytest.raises(ValueError, match="did you mean 'linear_cell'"):
+            spec.expand(make_catalog())
+
+    @pytest.mark.parametrize("experiments", [
+        [_entry("a"), _entry("a", "quadratic_cell")],
+        ["linear_cell", _entry("linear_cell")],
+        [_entry("linear_cell", "quadratic_cell"), "linear_cell"],
+    ])
+    def test_duplicate_entry_name(self, experiments):
+        with pytest.raises(ValueError, match="duplicate entry name"):
+            CampaignSpec.from_dict({"experiments": experiments})
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"x": [1, 1]}, r"\.grid\.x: duplicate values"),
+        ({"x": [[1]]}, r"\.grid\.x: values must be JSON scalars"),
+        ({"x": []}, r"\.grid\.x: must be a non-empty list"),
+        ([1], r"\.grid: must be an object"),
+    ])
+    def test_an_entry_grid_is_checked_as_the_top_level_one(self, grid,
+                                                           message):
+        with pytest.raises(ValueError,
+                           match=r"campaign spec: experiments\[1\]"
+                                 + message):
+            CampaignSpec.from_dict({"experiments": [
+                "seedless_cell",
+                {"name": "a", "experiment": "linear_cell", "grid": grid}]})
+
+    def test_an_axis_the_cell_refuses_suggests(self):
+        spec = CampaignSpec.from_dict(
+            {"experiments": ["seedless_cell", _entry("lin", scal=[1])]})
+        with pytest.raises(ValueError, match=r"experiments\.lin\.grid: .*"
+                                             r"did you mean 'scale'"):
+            spec.expand(make_catalog())
+
+    def test_an_entry_is_a_name_over_its_own_grid(self):
+        """``name`` labels the entry and nothing else: a name entry over
+        the top-level grid and a grid entry make the same runs."""
+        named = CampaignSpec.from_dict(
+            {"experiments": ["linear_cell"], "grid": {"x": [1, 2]}})
+        entry = CampaignSpec.from_dict(
+            {"experiments": [_entry("any label", x=[1, 2])]})
+        assert [r.run_id("s") for r in named.expand(make_catalog())] == [
+            r.run_id("s") for r in entry.expand(make_catalog())]
+        again = CampaignSpec.from_dict(entry.to_dict())
+        assert again.to_dict() == entry.to_dict()
+        assert again.digest() == entry.digest() != named.digest()
+
+    def test_a_shared_point_runs_once(self, tmp_path):
+        spec = {"name": "shared", "seeds": [0, 1], "experiments": [
+            _entry("wide", x=[1, 2], scale=[10]),
+            # the same point whatever the axis order
+            _entry("narrow", scale=[10], x=[2, 3]),
+            "quadratic_cell"]}
+        runs = CampaignSpec.from_dict(spec).expand(make_catalog())
+        assert [(r.experiment, r.params_dict.get("x"), r.seed)
+                for r in runs] == [
+            ("linear_cell", 1, 0), ("linear_cell", 1, 1),
+            ("linear_cell", 2, 0), ("linear_cell", 2, 1),
+            ("linear_cell", 3, 0), ("linear_cell", 3, 1),
+            ("quadratic_cell", None, 0), ("quadratic_cell", None, 1)]
+        store = ResultStore(tmp_path / "store", salt="s")
+        report = run_quiet(spec, store=store, catalog=make_catalog())
+        assert report.execution["executed"] == len(runs) == len(store)
+        assert [(c.params.get("x"), c.seeds) for c in report.cells] == [
+            (1, [0, 1]), (2, [0, 1]), (3, [0, 1]), (None, [0, 1])]
+        alone = run_quiet(dict(spec, experiments=[spec["experiments"][1]]),
+                          store=store, catalog=make_catalog())
+        assert alone.execution["cache_hits"] == 4
+        assert alone.cells[0].run_ids == report.cells[1].run_ids
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +635,7 @@ def _resume_catalog():
 
 
 def _numbered_runs(count):
-    return [RunSpec._build("e", {"x": x}, 0, True, None)
+    return [_build("e", {"x": x}, 0, True, None)
             for x in range(count)]
 
 
@@ -581,7 +714,7 @@ class TestCaching:
 
     def test_store_roundtrip_and_atomicity(self, tmp_path):
         store = ResultStore(tmp_path / "store", salt="s")
-        run = RunSpec._build("e", {"x": 1}, 0, True, None)
+        run = _build("e", {"x": 1}, 0, True, None)
         key = store.key_for(run)
         assert store.load(key) is None
         store.save(key, {"ok": True, "result": {"v": 1}}, run)
@@ -612,9 +745,10 @@ class TestCaching:
         whole = ResultStore(tmp_path / "whole", salt="s")
         for x in range(5):
             whole.save(keys[x], _numbered_record(x), runs[x])
-        # the same five records as two-field lines, as older stores
-        # hold them; a cut in the fifth lands in its hit, in its run
-        # (three-field lines only) or on its newline alone
+        # the same five records as two-field lines, which name no run
+        # and so are misses whole or cut; a cut in the fifth lands in
+        # its hit, in its run (three-field lines only) or on its
+        # newline alone
         legacy = b"".join(
             keys[x].encode() + b"\t"
             + json.dumps(_numbered_record(x), sort_keys=True).encode()
@@ -624,12 +758,13 @@ class TestCaching:
             fifth = data.rindex(b"\n", 0, -1) + 1  # where record 5 starts
             assert data[fifth:].startswith(keys[4].encode())
             assert data.count(b"\t", fifth) == (form == "named") + 1
+            kept = intact if form == "named" else [None] * 4
             for cut in range(fifth, len(data)):
                 root = tmp_path / f"cut-{form}-{cut}"
                 root.mkdir()
                 (root / whole.segment.name).write_bytes(data[:cut])
                 store = ResultStore(root, salt="s")
-                assert first_four(store) == intact
+                assert first_four(store) == kept
                 assert store.load(keys[4]) is None and keys[4] not in store
                 # the next record starts a line of its own, whatever the
                 # tail was, and a fresh open finds it and its neighbours
@@ -637,7 +772,7 @@ class TestCaching:
                 assert store.load(keys[5]) == _numbered_record(5)
                 fresh = ResultStore(root, salt="s")
                 assert fresh.load(keys[5]) == _numbered_record(5)
-                assert first_four(fresh) == intact
+                assert first_four(fresh) == kept
                 # the fenced record stays a miss wherever the cut fell;
                 # saved again, it loads
                 assert fresh.load(keys[4]) is None and keys[4] not in fresh
@@ -652,7 +787,7 @@ class TestCaching:
     def test_tabs_newlines_and_non_ascii_round_trip(self, text, tag):
         """No string a result or a run holds can split a line: its hit
         loads as saved and its run still hashes to its id."""
-        run = RunSpec._build("e", {"tag": tag}, 0, True, None)
+        run = _build("e", {"tag": tag}, 0, True, None)
         key = run.run_id("s")
         hit = {"ok": True, "result": {"text": text, text: [text]},
                "wall_s": 0.5}
@@ -716,38 +851,13 @@ class TestCaching:
             _run_id, hit, canonical = line.split(b"\t")
             assert set(json.loads(hit)) == {"ok", "result", "wall_s"} | asked
             named.add(canonical.decode())
-        assert named == {_canonical_json(run.to_dict()) for run in
+        assert named == {_canonical_json(_run_dict(run)) for run in
                          CampaignSpec.from_dict(dict(spec)).expand(
                              make_catalog())}
         again = run_quiet(dict(spec), catalog=make_catalog(),
                           store=ResultStore(tmp_path / "store", salt="s1"))
         assert again.execution["cache_hits"] == 4
         assert again.to_json() == first.to_json()
-
-    def test_a_whole_record_line_loads_as_a_hit(self, tmp_path):
-        """A line ``<run_id>\\t<record>``, as stores held them before
-        hit and run took a field each, still hits: no migration."""
-        spec = CampaignSpec.from_dict(dict(_CACHE_SPEC))
-        cold = run_quiet(dict(_CACHE_SPEC), catalog=make_catalog(),
-                         store=ResultStore(tmp_path / "cold", salt="pinned"))
-        store = ResultStore(tmp_path / "old", salt="pinned")
-        lines = []
-        for run in spec.expand(make_catalog()):
-            record = {"run": run.to_dict(), "ok": True,
-                      "result": linear_cell(True, **run.params_dict,
-                                            seed=run.seed),
-                      "wall_s": 0.001, "metrics_snapshots": None,
-                      "fault_injections": None, "violations": None,
-                      "salt": "pinned"}
-            lines.append(run.run_id("pinned").encode() + b"\t"
-                         + json.dumps(record, sort_keys=True).encode())
-        store.segment.write_bytes(b"\n".join(lines) + b"\n")
-        old = ResultStore(tmp_path / "old", salt="pinned")
-        assert old.load(lines[0][:64].decode()) == json.loads(lines[0][65:])
-        report = run_quiet(dict(_CACHE_SPEC), store=old,
-                           catalog=make_catalog())
-        assert report.execution["cache_hits"] == 4
-        assert report.to_json() == cold.to_json()
 
     @given(body=st.binary(max_size=48) | _NOT_A_RECORD.map(
                lambda v: json.dumps(v).encode()),
@@ -760,11 +870,12 @@ class TestCaching:
     @example(body=b"[" * 100000, victim=1)
     @settings(max_examples=60, deadline=None)
     def test_a_line_that_is_not_a_record_is_a_miss(self, body, victim):
-        """Whatever follows a valid run id, the campaign re-executes
-        exactly that run and reports the clean store's bytes."""
+        """Whatever a line holds in place of its hit, the campaign
+        re-executes exactly that run and reports the clean store's
+        bytes."""
         segment, run_ids, canonical = _clean_cache_store()
         start = segment.index(run_ids[victim].encode() + b"\t") + 65
-        end = segment.index(b"\n", start)
+        end = segment.index(b"\t", start)  # the line keeps its run
         with tempfile.TemporaryDirectory() as root:
             ResultStore(root, salt="s1").segment.write_bytes(
                 segment[:start] + body + segment[end:])
@@ -1365,7 +1476,7 @@ class TestReport:
     def test_run_id_and_report_bytes_are_pinned(self, tmp_path):
         """Golden values: a change to either re-keys every store or
         changes every cached report's bytes."""
-        run = RunSpec._build("fig9_cell", {"loss": 0.12, "seed": 5,
+        run = _build("fig9_cell", {"loss": 0.12, "seed": 5,
                                           "tag": ',"seed":7'}, -3, True,
                             _FAULTS)
         assert run.run_id("pinned") == (
@@ -1461,7 +1572,7 @@ class TestFig9Campaign:
     def test_loss_sweep_three_seeds_stable_cis(self):
         report = run_quiet({
             "name": "fig9-loss-sweep",
-            "experiments": ["fig9_cell"],
+            "experiments": ["app_cell"],
             "grid": {"loss": [0.0, 0.12], "duration": [200]},
             "seeds": [0, 1, 2],
         })
@@ -1500,8 +1611,8 @@ class TestLegacyShim:
         cat = default_catalog()
         for name in DEFAULT_CATALOG.names():
             assert name in cat
-        for cell in ("single_hop_cell", "fig9_cell", "duty_cell",
-                     "ayadi_energy"):
+        for cell in ("single_hop_cell", "retry_delay_cell", "app_cell",
+                     "duty_cell", "ayadi_energy"):
             assert cell in cat
 
     def test_every_catalog_cell_runs_at_its_smallest_size(self):
@@ -1513,7 +1624,8 @@ class TestLegacyShim:
         cat = default_catalog()
         cells = [name for name in cat.names()
                  if cat.get(name).__module__ == exp_cells.__name__]
-        assert len(cells) >= 4
+        assert cells == ["single_hop_cell", "retry_delay_cell", "app_cell",
+                         "duty_cell", "ayadi_energy"]
         report = run_quiet({"name": "every-cell", "experiments": cells,
                             "seeds": [0], "quick": True})
         assert not report.execution["errors"]

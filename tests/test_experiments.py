@@ -7,6 +7,7 @@ plumbing and the qualitative trends on abbreviated runs.
 import pytest
 
 from repro.experiments.exp_app import run_app_study
+from repro.experiments.exp_cells import single_hop_cell
 from repro.experiments.exp_duty import (
     run_adaptive_duty_cycle,
     run_duty_cycle_point,
@@ -18,8 +19,6 @@ from repro.experiments.exp_retry_delay import (
 )
 from repro.experiments.exp_table7 import TABLE7_ROWS, _run_stack_context
 from repro.experiments.exp_throughput import (
-    run_fig4_mss_sweep,
-    run_fig5_buffer_sweep,
     run_node_to_node,
     run_sec72_hops,
 )
@@ -32,13 +31,13 @@ class TestThroughputExperiments:
         assert 55 <= result.goodput_kbps <= 85
 
     def test_mss_sweep_rises_then_flattens(self):
-        rows = run_fig4_mss_sweep(frames_range=(2, 5), duration=25.0)
-        by_frames = {r["mss_frames"]: r for r in rows}
-        assert by_frames[5]["uplink_kbps"] > 1.3 * by_frames[2]["uplink_kbps"]
+        up = {frames: single_hop_cell(frames=frames)["goodput_kbps"]
+              for frames in (2, 5)}
+        assert up[5] > 1.3 * up[2]
 
     def test_buffer_sweep_saturates(self):
-        rows = run_fig5_buffer_sweep(window_segments=(1, 4), duration=25.0)
-        w1, w4 = rows[0], rows[1]
+        w1, w4 = (single_hop_cell(window=window, uplink=False)
+                  for window in (1, 4))
         assert w4["goodput_kbps"] > 1.5 * w1["goodput_kbps"]
         assert w4["rtt_mean"] > w1["rtt_mean"]
 

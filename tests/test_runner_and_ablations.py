@@ -54,16 +54,21 @@ def run_quiet(experiments, catalog=None):
 
 class TestRunner:
     def test_registry_covers_every_table_and_figure(self):
-        """``campaigns/paper.json`` names exactly the catalog rows the
-        paper suite reads, at their full (asserted) settings."""
+        """``campaigns/paper.json`` names exactly the entries the paper
+        suite reads, each a catalog row or a grid over a catalog cell,
+        at their full (asserted) settings."""
         spec = CampaignSpec.from_json(REPO / "campaigns" / "paper.json")
         assert spec.quick is False
-        assert all(name in DEFAULT_CATALOG for name in spec.experiments)
+        entries = [(entry, entry) if isinstance(entry, str)
+                   else (entry["name"], entry["experiment"])
+                   for entry in spec.experiments]
+        assert all(experiment in DEFAULT_CATALOG
+                   for _name, experiment in entries)
         read = set()
         for path in (REPO / "benchmarks").glob("test_*.py"):
             read.update(re.findall(r'\bpaper\("([^"]+)"\)',
                                    path.read_text()))
-        assert sorted(spec.experiments) == sorted(read)
+        assert sorted(name for name, _experiment in entries) == sorted(read)
 
     def test_run_all_subset_and_error_isolation(self):
         report = run_quiet(["static_tables"])

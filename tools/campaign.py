@@ -31,8 +31,8 @@ Modes
   read back from the segment file — must be 100% cache hits and
   serialize a byte-identical report.  Every segment line must then be
   ``<run_id>\\t<hit>\\t<run>``, its run hashing to its id under the
-  store's salt.  A third pass overwrites one record of the segment
-  with a line that parses but is not a record, reopens the store, and
+  store's salt.  A third pass overwrites the hit of one line with
+  JSON that parses but is not a record, reopens the store, and
   must see exactly that one miss and the same bytes again.  Exits
   non-zero on any other miss, re-execution, byte drift or line that
   does not name its run.
@@ -134,9 +134,10 @@ def _smoke(store_dir: str) -> int:
     if unnamed:
         print(f"smoke FAILED: segment {unnamed}", file=sys.stderr)
         return 1
-    # a line that parses but is not a record is a miss, not a crash
+    # a hit that parses but is not a record is a miss, not a crash
     data = store.segment.read_bytes()
-    head, end = data.index(b"\t") + 1, data.index(b"\n")
+    head = data.index(b"\t") + 1
+    end = data.index(b"\t", head)
     store.segment.write_bytes(data[:head] + b'{"ok": true}' + data[end:])
     third = run_campaign(dict(SMOKE_SPEC), store=ResultStore(store_dir),
                          progress=lambda *_: None)
