@@ -187,6 +187,10 @@ class CampaignSpec:
     faults: Optional[Dict] = None
     runner: Dict = field(default_factory=lambda: dict(_RUNNER_DEFAULTS))
     stats: Dict = field(default_factory=lambda: dict(_STATS_DEFAULTS))
+    #: each grid entry's index in the list it was read from, by name,
+    #: so expansion's errors address an entry as parsing's do
+    _at: Dict[str, int] = field(default_factory=dict, compare=False,
+                                repr=False)
 
     _TOP_KEYS = {"name", "experiment", "experiments", "quick", "grid",
                  "seeds", "faults", "runner", "stats"}
@@ -219,6 +223,7 @@ class CampaignSpec:
         # expand() time
         experiments: List[Union[str, Dict]] = []
         labels: List[str] = []
+        at: Dict[str, int] = {}
         for index, item in enumerate(raw_exps):
             for entry in ([_check_entry(item, f"experiments[{index}]")]
                           if isinstance(item, dict)
@@ -231,6 +236,8 @@ class CampaignSpec:
                           f"duplicate entry name {label!r}")
                 labels.append(label)
                 experiments.append(entry)
+                if isinstance(entry, dict):
+                    at[label] = index
 
         quick = spec.get("quick", True)
         if not isinstance(quick, bool):
@@ -302,6 +309,7 @@ class CampaignSpec:
             faults=faults,
             runner=runner,
             stats=stats,
+            _at=at,
         )
 
     @classmethod
@@ -354,9 +362,9 @@ class CampaignSpec:
         # one loop expands both entry forms: a name is an entry over
         # the top-level grid, as (experiment, grid, its spec path)
         entries = [(entry["experiment"], entry["grid"],
-                    f"experiments.{entry['name']}.grid")
+                    f"experiments[{self._at.get(entry['name'], i)}].grid")
                    if isinstance(entry, dict) else (entry, self.grid, "grid")
-                   for entry in self.experiments]
+                   for i, entry in enumerate(self.experiments)]
         if catalog is not None:
             if entries:
                 resolve_selection([e[0] for e in entries], catalog.names())
@@ -366,9 +374,6 @@ class CampaignSpec:
         # every identity part is encoded once here, not once per run
         quick = self.quick
         faults, faults_json = _faults_parts(self.faults)
-        # only an experiment two entries sweep can meet a run twice
-        named = [e[0] for e in entries]
-        shared = {name for name in named if named.count(name) > 1}
         seen = set()
         runs: List[RunSpec] = []
         for experiment, grid, path in entries:
@@ -411,7 +416,6 @@ class CampaignSpec:
             seeds = [(seed, _canonical_json(seed))
                      for seed in (self.seeds if takes_seed else [None])]
             name = _canonical_json(experiment)
-            dedup = experiment in shared
             for point, texts in zip(itertools.product(*pairs),
                                     itertools.product(*members)):
                 params = by_name(point)
@@ -419,10 +423,9 @@ class CampaignSpec:
                 for seed, seed_json in seeds:
                     identity = _identity(name, faults_json, text, quick,
                                          seed_json)
-                    if dedup:
-                        if identity[0] in seen:
-                            continue
-                        seen.add(identity[0])
+                    if identity[0] in seen:
+                        continue
+                    seen.add(identity[0])
                     runs.append(RunSpec(
                         experiment=experiment, params=params, seed=seed,
                         quick=quick, faults=faults, _identity=identity))

@@ -492,6 +492,9 @@ class TestExpansion:
             "experiments": experiments, "grid": grid, "seeds": seeds,
             "quick": quick, "faults": faults})
         runs = spec.expand()
+        assert len(runs) == math.prod(
+            len(values) for values in spec.grid.values()) * len(
+            spec.experiments) * len(seeds)
         assert len(runs) == len({run.cell_id() for run in runs}) * len(seeds)
         for run in runs:
             doc = _run_dict(run)
@@ -559,9 +562,11 @@ class TestEntries:
                 {"name": "a", "experiment": "linear_cell", "grid": grid}]})
 
     def test_an_axis_the_cell_refuses_suggests(self):
-        spec = CampaignSpec.from_dict(
-            {"experiments": ["seedless_cell", _entry("lin", scal=[1])]})
-        with pytest.raises(ValueError, match=r"experiments\.lin\.grid: .*"
+        """The entry is addressed by its index in the document, as a bad
+        grid value is, although the names before it split in two."""
+        spec = CampaignSpec.from_dict({"experiments": [
+            "seedless_cell, quadratic_cell", _entry("lin", scal=[1])]})
+        with pytest.raises(ValueError, match=r"experiments\[1\]\.grid: .*"
                                              r"did you mean 'scale'"):
             spec.expand(make_catalog())
 
