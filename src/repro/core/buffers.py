@@ -29,22 +29,20 @@ class SendBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._data = bytearray()
-
-    @property
-    def used(self) -> int:
-        """Bytes buffered (sent-but-unacked plus not-yet-sent)."""
-        return len(self._data)
-
-    @property
-    def free(self) -> int:
-        """Bytes of space available to the application."""
-        return self.capacity - len(self._data)
+        # kept in step with ``_data`` by write and ack: the per-segment
+        # path reads them as attributes, not through a property call
+        #: bytes buffered (sent-but-unacked plus not-yet-sent)
+        self.used = 0
+        #: bytes of space available to the application
+        self.free = capacity
 
     def write(self, data: bytes) -> int:
         """Append as much of ``data`` as fits; returns bytes accepted."""
         accepted = min(len(data), self.free)
         if accepted:
             self._data += data[:accepted]
+            self.used += accepted
+            self.free -= accepted
         return accepted
 
     def peek(self, offset: int, length: int) -> bytes:
@@ -60,6 +58,8 @@ class SendBuffer:
         if nbytes < 0 or nbytes > len(self._data):
             raise ValueError(f"cannot ack {nbytes} of {len(self._data)} bytes")
         del self._data[:nbytes]
+        self.used -= nbytes
+        self.free += nbytes
 
 
 class ReceiveBuffer:
@@ -75,7 +75,13 @@ class ReceiveBuffer:
         self._present = bytearray()
         self._read_pos = 0  # physical index of first unread in-seq byte
         self._unread = 0  # in-sequence bytes the app has not read yet
-        self._out_of_order = 0  # bitmap bytes set past rcv_nxt
+        #: the receive window to advertise: free space past rcv_nxt, the
+        #: Figure 1a relationship capacity - unread (kept in step with
+        #: ``_unread`` by write and read, so reading it is no call)
+        self.window = capacity
+        #: bytes parked in the reassembly region past rcv_nxt (bitmap
+        #: bytes set there), kept by write
+        self.out_of_order = 0
 
     # ------------------------------------------------------------------
     # state inspection
@@ -84,19 +90,6 @@ class ReceiveBuffer:
     def available(self) -> int:
         """In-sequence bytes ready for the application."""
         return self._unread
-
-    @property
-    def window(self) -> int:
-        """Receive window to advertise: free space past rcv_nxt.
-
-        This is the Figure 1a relationship: window = capacity - buffered
-        in-sequence data.
-        """
-        return self.capacity - self._unread
-
-    def out_of_order_bytes(self) -> int:
-        """Bytes parked in the reassembly region (diagnostics)."""
-        return self._out_of_order
 
     # ------------------------------------------------------------------
     # writing (from the network)
@@ -112,7 +105,7 @@ class ReceiveBuffer:
         if rel_offset < 0:
             data = data[-rel_offset:]
             rel_offset = 0
-        limit = self.capacity - self._unread  # the advertised window
+        limit = self.window
         if rel_offset >= limit:
             return 0
         data = data[: limit - rel_offset]
@@ -150,7 +143,8 @@ class ReceiveBuffer:
                 gap = present.find(0, 0, tail)
                 advanced += tail if gap < 0 else gap
         self._unread += advanced
-        self._out_of_order += fresh - advanced
+        self.window -= advanced
+        self.out_of_order += fresh - advanced
         return advanced
 
     # ------------------------------------------------------------------
@@ -171,6 +165,7 @@ class ReceiveBuffer:
             self._present[rp:rp + n] = bytes(n)
         self._read_pos = (rp + n) % cap
         self._unread -= n
+        self.window += n
         return out
 
     # ------------------------------------------------------------------

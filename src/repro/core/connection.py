@@ -41,9 +41,12 @@ from repro.core.segment import (
     FLAG_PSH,
     FLAG_RST,
     FLAG_SYN,
+    TCP_BASE_HEADER_BYTES,
     Segment,
 )
 from repro.core.seqnum import (
+    HALF,
+    MOD,
     seq_add,
     seq_ge,
     seq_gt,
@@ -144,6 +147,12 @@ class TcpState(enum.Enum):
     TIME_WAIT = "time-wait"
 
 
+_ESTABLISHED = TcpState.ESTABLISHED
+_CLOSED = TcpState.CLOSED
+#: the flags of a header-predicted segment, PSH or not
+_ACK_PSH = FLAG_ACK | FLAG_PSH
+
+
 class TcpConnection(_SocketOptions):
     """One TCP connection endpoint (an active socket)."""
 
@@ -174,8 +183,8 @@ class TcpConnection(_SocketOptions):
         "on_send_space", "on_awaiting_ack", "_awaiting_ack",
         "_last_advertised_window", "bytes_delivered",
         # observability
-        "_bus", "_rexmit_kind", "_g_cwnd", "_g_ssthresh", "_g_srtt",
-        "_g_rto", "_h_rtt",
+        "_bus", "_counts", "_rexmit_kind", "_g_cwnd", "_g_ssthresh",
+        "_g_srtt", "_g_rto", "_h_rtt",
     )
 
     def __init__(
@@ -293,6 +302,9 @@ class TcpConnection(_SocketOptions):
 
         # observability (no-op when the simulator carries no registry)
         self._bus = getattr(sim, "trace_bus", None)
+        #: the live ``tcp.*`` counts: the per-segment path adds with one
+        #: dict store (as MacLayer does) instead of ``Counter.incr``
+        self._counts = self.trace.counters._counts
         metrics = getattr(sim, "metrics", None)
         self._rexmit_kind = "rto"
         self._g_cwnd = None
@@ -391,7 +403,7 @@ class TcpConnection(_SocketOptions):
         if self._fin_pending:
             raise RuntimeError("send() after close()")
         accepted = self.send_buf.write(data)
-        if accepted and self.is_open:
+        if accepted and self.state in self._OPEN:
             self.output()
         return accepted
 
@@ -434,28 +446,31 @@ class TcpConnection(_SocketOptions):
         if self.state not in self._CAN_OUTPUT:
             return
         window = min(self.snd_wnd, self.cc.window())
+        mss = self.mss
+        send_buf = self.send_buf
         sent_something = False
         while True:
             in_flight = seq_sub(self.snd_nxt, self.snd_una)
             usable = window - in_flight
-            unsent = self._unsent_bytes()
+            unsent = send_buf.used - in_flight
             if unsent <= 0 or usable <= 0:
                 break
-            length = min(self.mss, unsent, usable)
+            length = min(mss, unsent, usable)
             # Nagle: hold sub-MSS segments while data is in flight
             if (
                 self.params.nagle
-                and length < self.mss
+                and length < mss
                 and length == unsent
                 and in_flight > 0
                 and not self._fin_pending
             ):
                 break
-            offset = seq_sub(self.snd_nxt, self.snd_una)
-            data = self.send_buf.peek(offset, length)
-            self._send_data_segment(self.snd_nxt, data)
-            self.snd_nxt = seq_add(self.snd_nxt, len(data))
-            self.snd_max = seq_max(self.snd_max, self.snd_nxt)
+            data = send_buf.peek(in_flight, length)
+            seq = self.snd_nxt
+            self._send_data_segment(seq, data)
+            self.snd_nxt = nxt = (seq + len(data)) % MOD
+            if (self.snd_max - nxt) % MOD >= HALF:  # seq_max
+                self.snd_max = nxt
             sent_something = True
         # FIN once all data is out (FIN_WAIT_1, LAST_ACK, or CLOSING
         # when the peer's FIN overtook our unsent one), and again when a
@@ -471,9 +486,11 @@ class TcpConnection(_SocketOptions):
             self.snd_max = seq_max(self.snd_max, self.snd_nxt)
             sent_something = True
         if sent_something:
-            self.rexmt_timer.start_if_idle(self._current_rto())
+            if not self.rexmt_timer.armed:
+                self.rexmt_timer.start(self._current_rto())
             self.persist_timer.stop()
-            self._set_awaiting_ack(True)
+            if not self._awaiting_ack:
+                self._set_awaiting_ack(True)
         elif (
             self.snd_wnd == 0
             and self._unsent_bytes() > 0
@@ -500,14 +517,12 @@ class TcpConnection(_SocketOptions):
     # ------------------------------------------------------------------
     # segment construction
     # ------------------------------------------------------------------
-    def _base_options(self, for_syn: bool = False) -> TcpOptions:
-        opts = TcpOptions()
+    def _syn_options(self) -> TcpOptions:
         p = self.params
-        if for_syn:
-            opts.mss = p.mss
-            if p.use_sack:
-                opts.sack_permitted = True
-        if (self.ts_enabled or for_syn) and p.use_timestamps:
+        opts = TcpOptions(mss=p.mss)
+        if p.use_sack:
+            opts.sack_permitted = True
+        if p.use_timestamps:
             opts.ts_val = self._now_ts()
             opts.ts_ecr = self.ts_recent
         return opts
@@ -529,55 +544,55 @@ class TcpConnection(_SocketOptions):
             # tcp_output: after a timeout rewinds snd_nxt the peer may
             # hold data past it and would find snd_nxt unacceptable
             seq = self.snd_max
-        opts = options if options is not None else self._base_options()
-        if (
-            flags & FLAG_ACK
-            and self.sack_enabled
-            and self.recv_buf.out_of_order_bytes() > 0
-        ):
-            opts.sack_blocks = self.recv_buf.sack_ranges(self.rcv_nxt)
+        if options is not None:
+            opts = options
+        elif self.ts_enabled and self.params.use_timestamps:
+            clock = self.ts_clock
+            now = self.sim.now
+            opts = TcpOptions(
+                ts_val=(clock(now) if clock is not None
+                        else int(now * 1000) & 0xFFFFFFFF),
+                ts_ecr=self.ts_recent)
+        else:
+            opts = TcpOptions()
+        recv_buf = self.recv_buf
+        if flags & FLAG_ACK and self.sack_enabled and recv_buf.out_of_order > 0:
+            opts.sack_blocks = recv_buf.sack_ranges(self.rcv_nxt)
         if self._ece_pending and self.ecn_enabled:
             flags |= FLAG_ECE
         if self._cwr_pending and data:
             flags |= FLAG_CWR
             self._cwr_pending = False
-        window = self._advertised_window()
-        seg = Segment(
-            src_port=self.local_port,
-            dst_port=self.peer_port,
-            seq=seq,
-            ack=self.rcv_nxt if flags & FLAG_ACK else 0,
-            flags=flags,
-            window=window,
-            options=opts,
-            data=data,
-        )
+        window = recv_buf.window
+        if window > 0xFFFF:
+            window = 0xFFFF
+        seg = Segment(self.local_port, self.peer_port, seq,
+                      self.rcv_nxt if flags & FLAG_ACK else 0, flags, window,
+                      opts, data)
         self._last_advertised_window = window
         ecn_bits = ECN_NOT_ECT
         if self.ecn_enabled and data:
             ecn_bits = ECN_ECT0
-        self._charge_cpu()
-        counters = self.trace.counters
-        counters.incr("tcp.segs_sent")
+        if self.cpu is not None:
+            self.cpu.charge(self.params.cpu_per_segment)
+        counts = self._counts
+        counts["tcp.segs_sent"] += 1
         if opts.sack_blocks:
-            counters.incr("tcp.sack_blocks_sent", len(opts.sack_blocks))
+            counts["tcp.sack_blocks_sent"] += len(opts.sack_blocks)
         if data:
-            counters.incr("tcp.data_segs_sent")
+            counts["tcp.data_segs_sent"] += 1
             if is_retransmit:
-                counters.incr("tcp.retransmits")
-                counters.incr(f"tcp.retransmits.{self._rexmit_kind}")
+                counts["tcp.retransmits"] += 1
+                counts[f"tcp.retransmits.{self._rexmit_kind}"] += 1
                 if self._bus is not None:
                     self._bus.emit("tcp", self.local_id, "retransmit",
                                    seq=seq, kind=self._rexmit_kind,
                                    bytes=len(data))
+        # the size is seg.wire_bytes, less its two calls
         self.network.send(
-            self.peer_id,
-            PROTO_TCP,
-            seg,
-            seg.wire_bytes,
-            ecn=ecn_bits,
-            dst_is_cloud=self.dst_is_cloud,
-        )
+            self.peer_id, PROTO_TCP, seg,
+            TCP_BASE_HEADER_BYTES + opts.wire_bytes() + len(data),
+            ecn_bits, self.dst_is_cloud)
 
     def _send_syn(self) -> None:
         """(Re)send our SYN: a SYN-ACK in SYN_RECEIVED.  Only the ECN
@@ -590,22 +605,21 @@ class TcpConnection(_SocketOptions):
                 self.ecn_enabled = True
         elif self.params.ecn:
             flags |= FLAG_ECE | FLAG_CWR
-        self._emit(flags, seq=self.iss, options=self._base_options(for_syn=True))
+        self._emit(flags, seq=self.iss, options=self._syn_options())
 
     def _send_data_segment(self, seq: int, data: bytes, is_retransmit: bool = False) -> None:
         flags = FLAG_ACK
-        offset_end = seq_add(seq, len(data))
         # PSH on the last segment of currently-queued data
-        if seq_sub(offset_end, self.snd_una) >= self.send_buf.used:
+        if self.send_buf.used <= (seq + len(data) - self.snd_una) % MOD < HALF:
             flags |= FLAG_PSH
         if self._timed_seq is None and not is_retransmit:
             self._timed_seq = seq
             self._timed_at = self.sim.now
-        self._emit(flags=flags, seq=seq, data=data, is_retransmit=is_retransmit)
+        self._emit(flags, seq, data, None, is_retransmit)
 
     def _send_ack_now(self) -> None:
         self.delack_timer.stop()
-        self._emit(flags=FLAG_ACK)
+        self._emit(FLAG_ACK)
 
     def _challenge_ack(self) -> None:
         """RFC 5961 challenge ACK, rate-limited per connection."""
@@ -614,10 +628,10 @@ class TcpConnection(_SocketOptions):
             self._challenge_window_start = now
             self._challenges_in_window = 0
         if self._challenges_in_window >= self.params.challenge_ack_limit:
-            self.trace.counters.incr("tcp.challenge_acks_suppressed")
+            self._counts["tcp.challenge_acks_suppressed"] += 1
             return
         self._challenges_in_window += 1
-        self.trace.counters.incr("tcp.challenge_acks")
+        self._counts["tcp.challenge_acks"] += 1
         self._send_ack_now()
 
     # ==================================================================
@@ -631,7 +645,7 @@ class TcpConnection(_SocketOptions):
             if self.rto_shift > self.params.max_syn_retries:
                 self._error_out("connection timed out (SYN)")
                 return
-            self.trace.counters.incr("tcp.syn_retransmits")
+            self._counts["tcp.syn_retransmits"] += 1
             self._send_syn()
             self.rexmt_timer.start(self._current_rto())
             return
@@ -639,7 +653,7 @@ class TcpConnection(_SocketOptions):
         if self.rto_shift > self.params.max_retransmits:
             self._error_out("connection timed out (data)")
             return
-        self.trace.counters.incr("tcp.rto_events")
+        self._counts["tcp.rto_events"] += 1
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "rto",
                            shift=self.rto_shift, snd_una=self.snd_una)
@@ -687,7 +701,7 @@ class TcpConnection(_SocketOptions):
         if self.state not in self._CAN_OUTPUT:
             return
         # window probe: one byte past the edge
-        self.trace.counters.incr("tcp.zero_window_probes")
+        self._counts["tcp.zero_window_probes"] += 1
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "zero_window_probe",
                            shift=self._persist_shift)
@@ -716,7 +730,7 @@ class TcpConnection(_SocketOptions):
             self._error_out("connection timed out (keepalive)")
             return
         self._keepalive_unanswered += 1
-        self.trace.counters.incr("tcp.keepalive_probes")
+        self._counts["tcp.keepalive_probes"] += 1
         # garbage-byte-style probe: one sequence number below snd_nxt is
         # outside the peer's window, so it must answer with an ACK
         self._emit(flags=FLAG_ACK, seq=(self.snd_nxt - 1) % (1 << 32))
@@ -730,18 +744,82 @@ class TcpConnection(_SocketOptions):
     # input engine
     # ==================================================================
     def on_segment(self, seg: Segment, packet) -> None:
-        """Process one inbound segment."""
+        """Process one inbound segment.
+
+        FreeBSD's header prediction (tcp_input.c) picks out the common
+        case: established, in order, a bare ACK (PSH aside), no
+        retransmission under way (``snd_nxt == snd_max``), the same
+        nonzero window, no reassembly, no recovery and no SACK option;
+        then either a pure ACK for new data, or in-order data that fits
+        the receive window and leaves the ACK where it was.  Such a
+        segment takes the straight line below: the state updates of
+        :meth:`_full_input`, in its order, minus the checks the
+        predicate has decided.  Every other segment takes the full path.
+        """
+        if not (self.state is _ESTABLISHED and seg.seq == self.rcv_nxt
+                and (seg.flags | FLAG_PSH) == _ACK_PSH
+                and self.snd_nxt == self.snd_max
+                and seg.window == self.snd_wnd != 0
+                and not self.recv_buf.out_of_order
+                and not self.cc.in_recovery
+                and not seg.options.sack_blocks):
+            self._full_input(seg, packet)
+            return
+        data = seg.data
+        if data:
+            if seg.ack != self.snd_una or len(data) > self.recv_buf.window:
+                self._full_input(seg, packet)
+                return
+        elif not (0 < (seg.ack - self.snd_una) % MOD < HALF  # seq_gt
+                  and (self.snd_max - seg.ack) % MOD <= HALF):  # seq_le
+            self._full_input(seg, packet)  # not an ACK for new data
+            return
+        p = self.params
+        counts = self._counts
+        if p.header_prediction:  # the full path's _header_predicted holds
+            counts["tcp.header_predictions"] += 1
+            if self.cpu is not None:
+                self.cpu.charge(p.cpu_per_segment * p.cpu_fast_path_factor)
+        elif self.cpu is not None:
+            self.cpu.charge(p.cpu_per_segment)
+        counts["tcp.segs_rcvd"] += 1
+        self._last_activity = self.sim.now
+        self._keepalive_unanswered = 0
+        opts = seg.options
+        if self.ts_enabled and opts.ts_val is not None:
+            self.ts_recent = opts.ts_val
+        # _process_ack's window update: the window is the same, so only
+        # snd_wl1/snd_wl2 can move, and nothing reopens
+        if ((self.snd_wl1 - seg.seq) % MOD >= HALF  # seq_lt
+                or (self.snd_wl1 == seg.seq
+                    and (seg.ack - self.snd_wl2) % MOD <= HALF)):  # seq_le
+            self.snd_wl1 = seg.seq
+            self.snd_wl2 = seg.ack
+        if data:
+            # _process_ack: an unchanged ACK on data is no duplicate ACK
+            self._process_payload(seg, packet)
+        else:
+            self._ack_advance(seg)
+            if self.state is _CLOSED:  # on_send_space closed it
+                return
+        if self._peer_fin == self.rcv_nxt:  # a FIN waiting for this data
+            self._process_fin(seg)
+        self._set_awaiting_ack(  # flight_size() > 0
+            0 < (self.snd_max - self.snd_una) % MOD < HALF)
+
+    def _full_input(self, seg: Segment, packet) -> None:
+        """RFC 793's segment arrival steps, for any segment."""
         if self.params.header_prediction and self._header_predicted(seg):
-            # fast path (§4.1): in-order pure data or pure ACK with no
-            # surprises costs a fraction of the full processing
-            self.trace.counters.incr("tcp.header_predictions")
+            # §4.1: the common-case segment costs a fraction of the
+            # full processing in simulated CPU time
+            self._counts["tcp.header_predictions"] += 1
             if self.cpu is not None:
                 self.cpu.charge(
                     self.params.cpu_per_segment * self.params.cpu_fast_path_factor
                 )
         else:
             self._charge_cpu()
-        self.trace.counters.incr("tcp.segs_rcvd")
+        self._counts["tcp.segs_rcvd"] += 1
         self._last_activity = self.sim.now
         self._keepalive_unanswered = 0
         if self.state is TcpState.CLOSED:
@@ -810,11 +888,16 @@ class TcpConnection(_SocketOptions):
 
     # ------------------------------------------------------------------
     def _header_predicted(self, seg: Segment) -> bool:
-        """FreeBSD-style header prediction: the common-case segment.
+        """The simulated CPU model's header prediction (§4.1).
 
         Either the next expected in-order data segment with a
-        non-advancing ACK, or a pure ACK for new data — with no special
-        flags, no SACK surprises, and an unchanged window.
+        non-advancing ACK, or a pure ACK for new data, with no flag but
+        ACK and PSH and an unchanged window.  Looser than FreeBSD's
+        predicate (``on_segment``): it requires neither the ACK flag, a
+        nonzero window, ``snd_nxt == snd_max``, an empty reassembly
+        queue, being out of recovery nor the absence of a SACK option,
+        so it counts more segments as predicted and charges them less
+        CPU than FreeBSD would (docs/robustness.md §5).
         """
         if self.state is not TcpState.ESTABLISHED:
             return False
@@ -929,7 +1012,7 @@ class TcpConnection(_SocketOptions):
             and seg.ece
             and seq_ge(self.snd_una, self._ecn_response_seq)
         ):
-            self.trace.counters.incr("tcp.ecn_responses")
+            self._counts["tcp.ecn_responses"] += 1
             self.cc.on_ecn_echo(self.flight_size(), self.sim.now)
             self._ecn_response_seq = self.snd_max
             self._cwr_pending = True
@@ -945,23 +1028,29 @@ class TcpConnection(_SocketOptions):
             self._maybe_duplicate_ack(seg)
 
     def _ack_advance(self, seg: Segment) -> None:
-        acked = seq_sub(seg.ack, self.snd_una)
+        """Take an ACK for new data: every caller has checked that
+        ``seg.ack`` is past ``snd_una``."""
+        ack = seg.ack
+        acked = (ack - self.snd_una) % MOD
         fin_acked = (
-            self._fin_seq is not None and seq_gt(seg.ack, self._fin_seq)
+            self._fin_seq is not None
+            and 0 < (ack - self._fin_seq) % MOD < HALF  # seq_gt
         )
         # the SYN (acked in SYN_RECEIVED) and the FIN each take one
         # sequence number that is not data
         data_acked = (acked - (self.state is TcpState.SYN_RECEIVED)
                       - fin_acked)
-        if data_acked > self.send_buf.used:  # never more than is queued
-            data_acked = self.send_buf.used
+        send_buf = self.send_buf
+        used = send_buf.used
+        if data_acked > used:  # never more than is queued
+            data_acked = used
         if data_acked > 0:
-            self.send_buf.ack(data_acked)
-            self.trace.counters.incr("tcp.bytes_acked", data_acked)
-        self.snd_una = seg.ack
-        if seq_lt(self.snd_nxt, self.snd_una):
-            self.snd_nxt = self.snd_una
-        self.scoreboard.advance(self.snd_una)
+            send_buf.ack(data_acked)
+            self._counts["tcp.bytes_acked"] += data_acked
+        self.snd_una = ack
+        if (self.snd_nxt - ack) % MOD >= HALF:  # seq_lt(snd_nxt, ack)
+            self.snd_nxt = ack
+        self.scoreboard.advance(ack)
 
         # FreeBSD bad-retransmit detection: the first ACK after an RTO
         # echoing a timestamp *older* than the retransmission answers
@@ -974,7 +1063,7 @@ class TcpConnection(_SocketOptions):
             if echo is not None \
                     and ((self._badrexmit["ts"] - echo) & 0xFFFFFFFF) < (1 << 28) \
                     and echo != self._badrexmit["ts"]:
-                self.trace.counters.incr("tcp.bad_retransmits_undone")
+                self._counts["tcp.bad_retransmits_undone"] += 1
                 self.cc.cwnd = self._badrexmit["cwnd"]
                 self.cc.ssthresh = self._badrexmit["ssthresh"]
                 self.cc._record(self.sim.now)
@@ -985,18 +1074,19 @@ class TcpConnection(_SocketOptions):
         self.rto_shift = 0
 
         # recovery bookkeeping
-        if self.cc.in_recovery:
-            if seq_ge(seg.ack, self.cc.recover):
-                self.cc.exit_recovery(self.sim.now)
+        cc = self.cc
+        if cc.in_recovery:
+            if seq_ge(ack, cc.recover):
+                cc.exit_recovery(self.sim.now)
                 self.dupacks = 0
             else:
                 # NewReno partial ACK: retransmit the next hole
-                self.trace.counters.incr("tcp.partial_acks")
-                self.cc.on_partial_ack(acked, self.sim.now)
+                self._counts["tcp.partial_acks"] += 1
+                cc.on_partial_ack(acked, self.sim.now)
                 self._fast_retransmit_hole()
         else:
             self.dupacks = 0
-            self.cc.on_ack(data_acked, self.sim.now)
+            cc.on_ack(data_acked, self.sim.now)
 
         # FIN state advancement
         if fin_acked:
@@ -1008,12 +1098,13 @@ class TcpConnection(_SocketOptions):
                 self._teardown()
                 return
 
-        if self.flight_size() > 0:
-            self.rexmt_timer.start(self._current_rto())
+        if 0 < (self.snd_max - self.snd_una) % MOD < HALF:  # flight_size() > 0
+            self.rexmt_timer.start(self.rtt.backed_off(self.rto_shift))
         else:
             self.rexmt_timer.stop()
-            self._set_awaiting_ack(False)
-        if self.on_send_space is not None and self.send_buf.free > 0:
+            if self._awaiting_ack:
+                self._set_awaiting_ack(False)
+        if self.on_send_space is not None and send_buf.free > 0:
             self.on_send_space()
         self.output()
 
@@ -1050,13 +1141,13 @@ class TcpConnection(_SocketOptions):
         if not is_dup:
             return
         self.dupacks += 1
-        self.trace.counters.incr("tcp.dupacks")
+        self._counts["tcp.dupacks"] += 1
         if self.cc.in_recovery:
             self.cc.on_dupack_in_recovery(self.sim.now)
             self.output()
             return
         if self.dupacks == self.params.dupack_threshold:
-            self.trace.counters.incr("tcp.fast_retransmits")
+            self._counts["tcp.fast_retransmits"] += 1
             if self._bus is not None:
                 self._bus.emit("tcp", self.local_id, "fast_retransmit",
                                snd_una=self.snd_una)
@@ -1091,32 +1182,37 @@ class TcpConnection(_SocketOptions):
     # ------------------------------------------------------------------
     # payload processing
     # ------------------------------------------------------------------
+    #: the states that take no more data from the peer
+    _NO_PAYLOAD = (TcpState.CLOSING, TcpState.LAST_ACK, TcpState.TIME_WAIT)
+
     def _process_payload(self, seg: Segment, packet) -> None:
-        if not seg.data:
-            return
-        if self.state in (
-            TcpState.CLOSING,
-            TcpState.LAST_ACK,
-            TcpState.TIME_WAIT,
-        ):
+        data = seg.data
+        if not data or self.state in self._NO_PAYLOAD:
             return
         # ECN: CE mark on the IP header means congestion happened
         if self.ecn_enabled and getattr(packet, "ecn", ECN_NOT_ECT) == ECN_CE:
-            self.trace.counters.incr("tcp.ce_received")
+            self._counts["tcp.ce_received"] += 1
             self._ece_pending = True
-        if seg.cwr:
+        if seg.flags & FLAG_CWR:
             self._ece_pending = False
 
-        rel = seq_sub(seg.seq, self.rcv_nxt)
+        rel = (seg.seq - self.rcv_nxt) % MOD  # seq_sub(seg.seq, rcv_nxt)
+        if rel >= HALF:
+            rel -= MOD
         if rel != 0 and not self.params.ooo_reassembly:
             # simplified stacks drop out-of-order data outright
-            self.trace.counters.incr("tcp.ooo_dropped")
+            self._counts["tcp.ooo_dropped"] += 1
             self._send_ack_now()
             return
-        advanced = self.recv_buf.write(rel, seg.data)
+        advanced = self.recv_buf.write(rel, data)
         if advanced > 0:
-            self.rcv_nxt = seq_add(self.rcv_nxt, advanced)
-            self._deliver_data()
+            self.rcv_nxt = (self.rcv_nxt + advanced) % MOD
+            if self.on_data is not None:
+                delivered = self.recv_buf.read()
+                if delivered:
+                    self.bytes_delivered += len(delivered)
+                    self._counts["tcp.bytes_delivered"] += len(delivered)
+                    self.on_data(delivered)
             # delayed ACK: at least every second segment (RFC 1122)
             if self.params.delayed_ack and not self.delack_timer.armed:
                 self.delack_timer.start(self.params.delayed_ack_timeout)
@@ -1124,17 +1220,8 @@ class TcpConnection(_SocketOptions):
                 self._send_ack_now()
         else:
             # out-of-order or duplicate: immediate (duplicate) ACK
-            self.trace.counters.incr("tcp.ooo_segments")
+            self._counts["tcp.ooo_segments"] += 1
             self._send_ack_now()
-
-    def _deliver_data(self) -> None:
-        if self.on_data is None:
-            return
-        data = self.recv_buf.read()
-        if data:
-            self.bytes_delivered += len(data)
-            self.trace.counters.incr("tcp.bytes_delivered", len(data))
-            self.on_data(data)
 
     def _maybe_send_window_update(self) -> None:
         """After the app reads, reopen the window if it was pinched."""
@@ -1145,7 +1232,7 @@ class TcpConnection(_SocketOptions):
             self._last_advertised_window < self.mss
             and new_wnd >= self._last_advertised_window + self.mss
         ):
-            self.trace.counters.incr("tcp.window_updates")
+            self._counts["tcp.window_updates"] += 1
             self._send_ack_now()
 
     # ------------------------------------------------------------------
@@ -1187,7 +1274,7 @@ class TcpConnection(_SocketOptions):
     # teardown
     # ------------------------------------------------------------------
     def _error_out(self, reason: str) -> None:
-        self.trace.counters.incr("tcp.errors")
+        self._counts["tcp.errors"] += 1
         cb = self.on_error
         self._teardown()
         if cb is not None:

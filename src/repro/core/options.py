@@ -21,7 +21,7 @@ KIND_SACK = 5
 KIND_TIMESTAMPS = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpOptions:
     """Options attached to one segment."""
 
@@ -43,7 +43,7 @@ class TcpOptions:
             size += 4
         if self.sack_permitted:
             size += 4  # NOP NOP SACK-permitted
-        if self.has_timestamps:
+        if self.ts_val is not None:  # has_timestamps
             size += 12  # NOP NOP timestamps
         if self.sack_blocks:
             size += 4 + 8 * len(self.sack_blocks)  # NOP NOP SACK hdr blocks

@@ -8,7 +8,8 @@ comparison operators so wraparound is handled everywhere.
 from __future__ import annotations
 
 MOD = 1 << 32
-_HALF = 1 << 31
+#: half the circle: a forward distance of HALF or more reads as backwards
+HALF = 1 << 31
 
 
 def seq_add(a: int, b: int) -> int:
@@ -19,36 +20,39 @@ def seq_add(a: int, b: int) -> int:
 def seq_sub(a: int, b: int) -> int:
     """Signed distance from b to a (positive if a is 'after' b)."""
     diff = (a - b) % MOD
-    if diff >= _HALF:
+    if diff >= HALF:
         diff -= MOD
     return diff
 
 
+# Each comparison is one expression over ``(a - b) % MOD`` (what
+# ``seq_sub`` would return before its sign fold), so a comparison costs
+# one call; ``tests/test_properties.py`` checks them against ``seq_sub``.
 def seq_lt(a: int, b: int) -> bool:
     """a < b on the circle."""
-    return seq_sub(a, b) < 0
+    return (a - b) % MOD >= HALF
 
 
 def seq_le(a: int, b: int) -> bool:
     """a <= b on the circle."""
-    return seq_sub(a, b) <= 0
+    return (b - a) % MOD <= HALF
 
 
 def seq_gt(a: int, b: int) -> bool:
     """a > b on the circle."""
-    return seq_sub(a, b) > 0
+    return 0 < (a - b) % MOD < HALF
 
 
 def seq_ge(a: int, b: int) -> bool:
     """a >= b on the circle."""
-    return seq_sub(a, b) >= 0
+    return (a - b) % MOD < HALF
 
 
 def seq_max(a: int, b: int) -> int:
     """The later of two sequence numbers."""
-    return a if seq_ge(a, b) else b
+    return a if (a - b) % MOD < HALF else b
 
 
 def seq_min(a: int, b: int) -> int:
     """The earlier of two sequence numbers."""
-    return a if seq_le(a, b) else b
+    return a if (b - a) % MOD <= HALF else b

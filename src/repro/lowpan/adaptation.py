@@ -67,6 +67,7 @@ class LowpanAdaptation:
         )
         #: (origin, tag) -> next hop for FRAGN forwarding
         self._forward_tags: Dict[Tuple[int, int], int] = {}
+        self._counts = self.trace.counters._counts  # a count is one dict store
         mac.on_receive = self._on_mac_receive
 
     # ------------------------------------------------------------------
@@ -82,11 +83,15 @@ class LowpanAdaptation:
     ) -> None:
         """Fragment and queue a compressed datagram toward ``next_hop``."""
         frags = self.fragmenter.fragment(packet, datagram_bytes, final_dst)
-        self.trace.counters.incr("lowpan.datagrams_sent")
-        self.trace.counters.incr("lowpan.fragments_sent", len(frags))
-        frag_done = _FragCompletion(len(frags), on_done)
+        counts = self._counts
+        counts["lowpan.datagrams_sent"] += 1
+        counts["lowpan.fragments_sent"] += len(frags)
+        # an originated datagram (no on_done) joins no per-frame outcomes
+        frag_done = (None if on_done is None
+                     else _FragCompletion(len(frags), on_done))
+        send = self.mac.send
         for frag in frags:
-            self.mac.send(frag, frag.wire_bytes, next_hop, on_done=frag_done)
+            send(frag, frag.wire_bytes, next_hop, frag_done)
 
     # ------------------------------------------------------------------
     # receive / forward path
@@ -97,23 +102,20 @@ class LowpanAdaptation:
             self.deliver_up(payload)
             return
         frag = payload
-        if self.reassemble_per_hop:
-            self._receive_for_reassembly(frag)
-            return
-        if frag.is_first:
-            if self._should_reassemble(frag.final_dst):
-                self._receive_for_reassembly(frag)
+        if not self.reassemble_per_hop:
+            if frag.is_first:
+                final_dst = frag.final_dst
+                if (final_dst != self.node_id
+                        and not self._should_reassemble(final_dst)):
+                    self._forward_first(frag)
+                    return
             else:
-                self._forward_first(frag)
-        else:
-            key = (frag.origin, frag.tag)
-            if key in self._forward_tags:
-                self._forward_next(frag, self._forward_tags[key])
-            else:
-                self._receive_for_reassembly(frag)
-
-    def _receive_for_reassembly(self, frag: Fragment) -> None:
-        packet = self.reassembler.add(frag)
+                next_hop = self._forward_tags.get((frag.origin, frag.tag))
+                if next_hop is not None:
+                    self._forward_next(frag, next_hop)
+                    return
+        # reassemble here; an unfragmented datagram is already whole
+        packet = self.reassembler.add(frag) if frag.fragmented else frag.packet
         if packet is None:
             return
         # The network layer demuxes local packets and forwards the rest
@@ -128,20 +130,20 @@ class LowpanAdaptation:
         if hop_limit is not None:
             frag.packet.hop_limit = hop_limit - 1
             if frag.packet.hop_limit <= 0:
-                self.trace.counters.incr("lowpan.hop_limit_exceeded")
+                self._counts["lowpan.hop_limit_exceeded"] += 1
                 return
         next_hop = self.route_lookup(frag.final_dst)
         if next_hop is None:
-            self.trace.counters.incr("lowpan.no_route")
+            self._counts["lowpan.no_route"] += 1
             return
         if frag.fragmented:
             self._forward_tags[(frag.origin, frag.tag)] = next_hop
             self._trim_forward_tags()
-        self.trace.counters.incr("lowpan.fragments_forwarded")
+        self._counts["lowpan.fragments_forwarded"] += 1
         self.mac.send(frag, frag.wire_bytes, next_hop)
 
     def _forward_next(self, frag: Fragment, next_hop: int) -> None:
-        self.trace.counters.incr("lowpan.fragments_forwarded")
+        self._counts["lowpan.fragments_forwarded"] += 1
         self.mac.send(frag, frag.wire_bytes, next_hop)
 
     def _trim_forward_tags(self, limit: int = 64) -> None:

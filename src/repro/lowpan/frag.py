@@ -148,17 +148,17 @@ class Reassembler:
         self.node_id = node_id
         self._partials: Dict[Tuple[int, int], _PartialDatagram] = {}
         self._bus = getattr(sim, "trace_bus", None)
+        self._counts = self.trace.counters._counts  # a count is one dict store
 
     def add(self, frag: Fragment) -> Optional[object]:
-        """Insert a fragment; returns the packet when it completes."""
-        if not frag.fragmented:
-            return frag.packet
+        """Insert a fragment of a fragmented datagram (an unfragmented
+        one is whole already); returns the packet when it completes."""
         key = (frag.origin, frag.tag)
         part = self._partials.get(key)
         if part is None:
             if len(self._partials) >= self.max_buffers:
                 # deterministic memory bound: drop the new datagram
-                self.trace.counters.incr("lowpan.reassembly_overflow")
+                self._counts["lowpan.reassembly_overflow"] += 1
                 return None
             part = _PartialDatagram(size=frag.datagram_size)
             part.timer = Timer(
@@ -167,7 +167,7 @@ class Reassembler:
             self._partials[key] = part
         span = (frag.offset, frag.length)
         if span in part.received:
-            self.trace.counters.incr("lowpan.duplicate_fragments")
+            self._counts["lowpan.duplicate_fragments"] += 1
             return None
         part.received.add(span)
         part.bytes_received += frag.length
@@ -177,7 +177,7 @@ class Reassembler:
             if part.timer is not None:
                 part.timer.stop()
             del self._partials[key]
-            self.trace.counters.incr("lowpan.reassembled")
+            self._counts["lowpan.reassembled"] += 1
             return part.packet
         return None
 
@@ -195,7 +195,7 @@ class Reassembler:
     def _expire(self, key: Tuple[int, int]) -> None:
         if key in self._partials:
             del self._partials[key]
-            self.trace.counters.incr("lowpan.reassembly_timeouts")
+            self._counts["lowpan.reassembly_timeouts"] += 1
             if self._bus is not None:
                 self._bus.emit("lowpan", self.node_id, "reassembly_timeout",
                                origin=key[0], tag=key[1])

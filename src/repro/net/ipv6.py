@@ -33,8 +33,13 @@ ECN_CE = 0b11
 
 IPV6_HEADER_BYTES = 40
 
+#: IPHC header bytes by (next header, source off-mesh, destination
+#: off-mesh, hop limit compressible, ECN carried): a run sends a few
+#: such shapes, and each is sized once by ``compressed_ipv6_bytes``
+_IPHC_BYTES: Dict[tuple, int] = {}
 
-@dataclass
+
+@dataclass(slots=True)
 class Ipv6Packet:
     """An IPv6 packet moving through the simulator.
 
@@ -66,11 +71,17 @@ class Ipv6Packet:
 
     def _compressed_header_bytes(self) -> int:
         """Wire size of the IPHC-compressed IPv6 header."""
-        return compressed_ipv6_bytes(self.next_header, self._compression_context())
+        return self.datagram_bytes() - self.payload_bytes
 
     def datagram_bytes(self) -> int:
         """Compressed header + payload: the 6LoWPAN datagram size."""
-        return self._compressed_header_bytes() + self.payload_bytes
+        shape = (self.next_header, self.src_is_cloud, self.dst_is_cloud,
+                 self.hop_limit in (1, 64, 255), self.ecn != ECN_NOT_ECT)
+        header = _IPHC_BYTES.get(shape)
+        if header is None:
+            header = _IPHC_BYTES[shape] = compressed_ipv6_bytes(
+                self.next_header, self._compression_context())
+        return header + self.payload_bytes
 
     # ------------------------------------------------------------------
     # byte codec (uncompressed form, used on the wired side and by tests)
@@ -152,6 +163,7 @@ class Ipv6Layer:
         #: (fault injection crashes it)
         self.tcp_stack = None
         self._bus = getattr(sim, "trace_bus", None)
+        self._counts = self.trace.counters._counts  # a count is one dict store
 
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:
         """Register the transport handler for a protocol number: one per
@@ -188,20 +200,20 @@ class Ipv6Layer:
     def route_out(self, packet: Ipv6Packet) -> None:
         """Send a packet toward its destination (origination or forward)."""
         if self.pre_route_hook is not None and not self.pre_route_hook(packet):
-            self.trace.counters.incr("ipv6.hook_drops")
+            self._counts["ipv6.hook_drops"] += 1
             return
         next_hop = self.routing.next_hop(self.node_id, packet.dst)
         if next_hop is None:
-            self.trace.counters.incr("ipv6.no_route")
+            self._counts["ipv6.no_route"] += 1
             return
         wired = self.wired_links.get(next_hop)
         if wired is not None:
-            self.trace.counters.incr("ipv6.sent_wired")
+            self._counts["ipv6.sent_wired"] += 1
             wired.send(packet, toward=next_hop)
             return
         if self.adaptation is None:
             raise RuntimeError("network layer not bound to an adaptation layer")
-        self.trace.counters.incr("ipv6.sent_mesh")
+        self._counts["ipv6.sent_mesh"] += 1
         self.adaptation.send_packet(
             packet, packet.datagram_bytes(), next_hop, packet.dst
         )
@@ -214,9 +226,9 @@ class Ipv6Layer:
         if packet.dst == self.node_id and not packet.dst_is_cloud:
             handler = self._handlers.get(packet.next_header)
             if handler is None:
-                self.trace.counters.incr("ipv6.no_handler")
+                self._counts["ipv6.no_handler"] += 1
                 return
-            self.trace.counters.incr("ipv6.delivered")
+            self._counts["ipv6.delivered"] += 1
             handler(packet)
             return
         self.forward(packet)
@@ -225,9 +237,9 @@ class Ipv6Layer:
         """Forward a whole packet (per-hop reassembly or wired ingress)."""
         packet.hop_limit -= 1
         if packet.hop_limit <= 0:
-            self.trace.counters.incr("ipv6.hop_limit_exceeded")
+            self._counts["ipv6.hop_limit_exceeded"] += 1
             return
-        self.trace.counters.incr("ipv6.forwards")
+        self._counts["ipv6.forwards"] += 1
         if self.forward_queue is not None:
             self._enqueue_forward(packet)
         else:
@@ -236,13 +248,13 @@ class Ipv6Layer:
     def _enqueue_forward(self, packet: Ipv6Packet) -> None:
         action = self.forward_queue.enqueue(packet)
         if action == "drop":
-            self.trace.counters.incr("ipv6.queue_drops")
+            self._counts["ipv6.queue_drops"] += 1
             if self._bus is not None:
                 self._bus.emit("net", self.node_id, "queue_drop",
                                src=packet.src, dst=packet.dst)
             return
         if action == "mark":
-            self.trace.counters.incr("ipv6.ecn_marks")
+            self._counts["ipv6.ecn_marks"] += 1
         self._pump_forward()
 
     def _pump_forward(self) -> None:
@@ -254,7 +266,7 @@ class Ipv6Layer:
         self._forward_busy = True
         next_hop = self.routing.next_hop(self.node_id, packet.dst)
         if next_hop is None:
-            self.trace.counters.incr("ipv6.no_route")
+            self._counts["ipv6.no_route"] += 1
             self._forward_busy = False
             self._pump_forward()
             return

@@ -103,10 +103,9 @@ class Node:
         return self.routing.next_hop(self.node_id, dst)
 
     def _should_reassemble(self, final_dst: int) -> bool:
-        if final_dst == self.node_id:
-            return True
-        # Border router: datagrams whose next hop leaves the mesh are
-        # reassembled here before crossing the wired link.
+        """Whether a datagram for another node is reassembled here (the
+        adaptation keeps its own): the border router reassembles those
+        whose next hop leaves the mesh, before the wired link."""
         next_hop = self.routing.next_hop(self.node_id, final_dst)
         return next_hop is not None and next_hop in self.ipv6.wired_links
 

@@ -86,9 +86,15 @@ def _probe_tcp_connection(conn) -> List[str]:
     if present < rb._unread:
         out.append(f"recv_buf bitmap {present}B < unread={rb._unread} "
                    f"(negative out-of-order bytes)")
-    if rb.out_of_order_bytes() != present - rb._unread:
-        out.append(f"recv_buf out-of-order count {rb.out_of_order_bytes()}B "
+    if rb.out_of_order != present - rb._unread:
+        out.append(f"recv_buf out-of-order count {rb.out_of_order}B "
                    f"!= bitmap {present}B - unread={rb._unread}")
+    if rb.window != rb.capacity - rb._unread:
+        out.append(f"recv_buf window={rb.window} != capacity - unread")
+    sb = conn.send_buf
+    if (sb.used, sb.free) != (len(sb._data), sb.capacity - len(sb._data)):
+        out.append(f"send_buf used={sb.used} free={sb.free} disagree with "
+                   f"its {len(sb._data)}B of data")
 
     # --- no data sequenced past our FIN ---
     if conn._fin_seq is not None:

@@ -17,14 +17,23 @@ change; with the ``Radio._end_air`` rows dropped, the ``(time,
 qualname)`` projection of all nine traces was identical before and
 after it (digests in CHANGES.md, PR16).  Flattening the frame path to
 one call per layer boundary (PR19) changed no event, so the pins held.
+
+TCP's header-prediction fast path (``TcpConnection.on_segment``) has a
+reference of the same kind: ``on_segment`` patched to ``_full_input``,
+the path every segment took before.  Each scenario runs a third time
+that way and must give the same trace, counters and CPU busy time; a
+fast-path mutant under ``tests/fastpath_mutants`` shows the check bites.
 """
 
 import hashlib
 import math
 import random
+import types
+from pathlib import Path
 
 import pytest
 
+from repro.core.connection import TcpConnection
 from repro.core.simplified import tcplp_params
 from repro.experiments.topology import build_chain, build_grid_mesh
 from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
@@ -69,13 +78,30 @@ def _digest(trace):
 
 
 def _slim_and_reference(run, seed, monkeypatch):
+    """The run as shipped, checked against the reference kernel and
+    against the full TCP input path."""
     slim = run(seed)
     with monkeypatch.context() as patch:
         patch.setattr(Simulator, "schedule_unref", _reference_schedule_unref)
         reference = run(seed)
     assert len(reference[0]) > 4000  # the run exercised the whole stack
     assert slim == reference
+    assert _full_input_run(run, seed, monkeypatch) == slim
     return slim
+
+
+def _full_input_run(run, seed, monkeypatch):
+    """``run(seed)`` with TCP's header-prediction fast path off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(TcpConnection, "on_segment", TcpConnection._full_input)
+        return run(seed)
+
+
+def _numbers(net):
+    """Every node's counters and simulated CPU busy time."""
+    return [(nid, sorted(node.trace.counters.as_dict().items()),
+             node.radio.cpu.busy_time())
+            for nid, node in sorted(net.nodes.items())]
 
 
 def _trace(sim):
@@ -95,7 +121,8 @@ def _chain_run(seed: int):
     xfer = BulkTransfer(net.sim, net.tcp_stack(3), net.tcp_stack(0),
                         receiver_id=0, params=params, receiver_params=params)
     res = xfer.measure(5.0, 10.0)
-    return trace, round(res.goodput_kbps, 3), net.medium.frames_delivered
+    return (trace, round(res.goodput_kbps, 3), net.medium.frames_delivered,
+            _numbers(net))
 
 
 def _mesh_run(seed: int):
@@ -110,7 +137,7 @@ def _mesh_run(seed: int):
     flows = FlowSet(net, specs, params=params)
     res = flows.measure(warmup=4.0, duration=6.0)
     return (trace, round(res.aggregate_goodput_kbps, 3),
-            net.medium.frames_delivered, res.flows_connected)
+            net.medium.frames_delivered, res.flows_connected, _numbers(net))
 
 
 def _chaos_run(seed: int):
@@ -125,7 +152,7 @@ def _chaos_run(seed: int):
                         receiver_id=0, params=params, receiver_params=params)
     res = xfer.measure(5.0, 10.0)
     return (trace, round(res.goodput_kbps, 3),
-            net.medium.frames_delivered, len(injector.events))
+            net.medium.frames_delivered, len(injector.events), _numbers(net))
 
 
 # ======================================================================
@@ -149,6 +176,30 @@ def test_chaos_trace_identical(seed, monkeypatch):
     slim = _slim_and_reference(_chaos_run, seed, monkeypatch)
     assert slim[3] > 0  # faults actually fired
     assert _digest(slim[0]) == PINNED["chaos", seed]
+
+
+# ======================================================================
+# the TCP fast path's oracle bites
+# ======================================================================
+FAST_PATH_MUTANTS = sorted(
+    (Path(__file__).parent / "fastpath_mutants").glob("*.patch"))
+
+
+@pytest.mark.parametrize("patch", FAST_PATH_MUTANTS, ids=lambda p: p.stem)
+def test_full_input_oracle_kills_fast_path_mutant(patch, monkeypatch):
+    """Each patch breaks ``on_segment``'s fast path; run with the
+    mutated method on the shipped class, chaos seed 7 must then differ
+    from its full-path reference (the full path is left intact)."""
+    from tests.test_tcp_machine import load_mutant
+
+    _, mutant = load_mutant(patch)
+    code = mutant.TcpConnection.on_segment.__code__
+    assert code != TcpConnection.on_segment.__code__
+    reference = _full_input_run(_chaos_run, 7, monkeypatch)
+    shipped_globals = TcpConnection.on_segment.__globals__
+    monkeypatch.setattr(TcpConnection, "on_segment", types.FunctionType(
+        code, shipped_globals, "on_segment"))
+    assert _chaos_run(7) != reference
 
 
 # ======================================================================

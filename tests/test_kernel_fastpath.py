@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
+from repro.core.params import TcpParams, mss_for_frames
 from repro.core.simplified import tcplp_params
-from repro.experiments.topology import build_chain
+from repro.experiments.topology import build_chain, build_pair
 from repro.experiments.workload import BulkTransfer
 from repro.mac.frame import Frame, FrameKind
 from repro.phy.medium import Medium
@@ -105,21 +106,8 @@ def test_observed_and_unobserved_delivery_are_the_same_simulation():
         assert _watched_chain_run(watch) == bare, watch
 
 
-def test_python_calls_per_frame_budget():
-    """Host time on the frame path follows Python-level calls almost
-    one for one (docs/architecture.md §7), and the count repeats
-    exactly, so a budget on it guards the path on any host: 27.8 calls
-    per delivered frame before the path was flattened to one call per
-    layer boundary and one per event, 19.6 after, 18.8 since the
-    radio's address filter (5,453 of these 14,192 receptions are
-    overheard, and each used to cost ``Radio.deliver`` and
-    ``MacLayer._on_frame``), and 18.08 since the collision marking
-    moved into ``begin_transmission`` (it was a call of its own, 0.71
-    per delivered frame, only because a second caller shared it)."""
-    net, _ = _hidden_chain()
-    sim, medium = net.sim, net.medium
-    sim.run(until=10.0)
-    events0, frames0 = sim.events_processed, medium.frames_delivered
+def _count_calls(run):
+    """Python-level calls made while ``run()`` runs."""
     calls = 0
 
     def count(frame, event, arg):
@@ -130,13 +118,64 @@ def test_python_calls_per_frame_budget():
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        sim.run(until=50.0)
+        run()
     finally:
         sys.setprofile(previous)
+    return calls
+
+
+def test_python_calls_per_frame_budget():
+    """Host time on the frame path follows Python-level calls almost
+    one for one (docs/architecture.md §7), and the count repeats
+    exactly, so a budget on it guards the path on any host: 27.8 calls
+    per delivered frame before the path was flattened to one call per
+    layer boundary and one per event, 19.6 after, 18.8 since the
+    radio's address filter (5,453 of these 14,192 receptions are
+    overheard, and each used to cost ``Radio.deliver`` and
+    ``MacLayer._on_frame``), 18.08 since the collision marking moved
+    into ``begin_transmission`` (it was a call of its own, 0.71 per
+    delivered frame, only because a second caller shared it), and 15.49
+    since the per-packet path above the MAC lost its call overhead
+    (``test_python_calls_per_segment_budget``)."""
+    net, _ = _hidden_chain()
+    sim, medium = net.sim, net.medium
+    sim.run(until=10.0)
+    events0, frames0 = sim.events_processed, medium.frames_delivered
+    calls = _count_calls(lambda: sim.run(until=50.0))
     frames = medium.frames_delivered - frames0
     # the same work as when the budget was set
     assert (frames, sim.events_processed - events0) == (14192, 30833)
-    assert calls / frames <= 19
+    assert calls / frames <= 16
+
+
+def test_python_calls_per_segment_budget():
+    """The per-packet path above the MAC (TCP, IPv6, 6LoWPAN) has a
+    budget like the frame path's, counted per TCP segment received on a
+    one-hop bulk transfer of one-frame segments (the shape of the
+    campaign cold runs, at the MSS where per-segment cost weighs most):
+    155.2 calls per segment before header prediction took its fast path
+    on the host and the layers above the MAC lost their call overhead
+    (one-expression sequence comparisons, buffer sizes and the receive
+    window kept as attributes, counters as dict stores, IPHC sizes
+    cached per header shape), 76.5 after."""
+    net = build_pair(seed=1)
+    mss = mss_for_frames(1)
+    params = TcpParams(mss=mss, send_buffer=4 * mss, recv_buffer=4 * mss)
+    stacks = (net.tcp_stack(1), net.tcp_stack(0))
+    BulkTransfer(net.sim, *stacks, receiver_id=0, params=params,
+                 receiver_params=params)
+    sim = net.sim
+    sim.run(until=2.0)
+
+    def received():
+        return sum(s.trace.counters.get("tcp.segs_rcvd") for s in stacks)
+
+    segments0, events0 = received(), sim.events_processed
+    calls = _count_calls(lambda: sim.run(until=12.0))
+    segments = received() - segments0
+    # the same work as when the budget was set
+    assert (segments, sim.events_processed - events0) == (1386, 7407)
+    assert calls / segments <= 77
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,9 +8,11 @@ from repro.core.buffers import ReceiveBuffer, SendBuffer
 from repro.core.options import KIND_NOP, TcpOptions
 from repro.core.segment import Segment
 from repro.core.seqnum import (
+    HALF,
     MOD,
     seq_add,
     seq_ge,
+    seq_gt,
     seq_le,
     seq_lt,
     seq_max,
@@ -45,6 +48,31 @@ class TestSeqnumProperties:
         lo, hi = seq_min(a, b), seq_max(a, b)
         assert {lo, hi} == {a, b}
         assert seq_le(lo, hi)
+
+    #: distances on the definition's edges: equal, adjacent, and either
+    #: side of the half circle (2**31 itself reads as "before")
+    EDGES = [0, 1, -1, HALF - 1, HALF, HALF + 1, -(HALF - 1), -HALF]
+
+    @staticmethod
+    def _check_against_seq_sub(a, b):
+        """Each one-expression comparison is seq_sub's sign."""
+        d = seq_sub(a, b)
+        assert (seq_lt(a, b), seq_le(a, b), seq_gt(a, b), seq_ge(a, b)) \
+            == (d < 0, d <= 0, d > 0, d >= 0), (a, b, d)
+        assert seq_max(a, b) == (a if d >= 0 else b)
+        assert seq_min(a, b) == (a if d <= 0 else b)
+
+    @given(seqs, st.one_of(st.sampled_from(EDGES),
+                           st.integers(-MOD, MOD)))
+    def test_comparisons_match_seq_sub(self, a, offset):
+        self._check_against_seq_sub(a, (a + offset) % MOD)
+
+    @pytest.mark.parametrize("a", [0, 1, HALF - 1, HALF, MOD - 1])
+    @pytest.mark.parametrize("offset", EDGES)
+    def test_comparisons_match_seq_sub_on_the_edges(self, a, offset):
+        b = (a + offset) % MOD
+        self._check_against_seq_sub(a, b)
+        self._check_against_seq_sub(b, a)
 
 
 class TestSendBufferProperties:
@@ -140,7 +168,7 @@ class TestReceiveBufferProperties:
                 buf.read(b)
             else:
                 rcv_nxt = seq_add(rcv_nxt, buf.write(a % cap, bytes(b)))
-            assert (buf.out_of_order_bytes()
+            assert (buf.out_of_order
                     == sum(buf._present) - buf.available)
             assert (buf.sack_ranges(rcv_nxt, max_blocks)
                     == _sack_ranges_per_byte(buf, rcv_nxt, max_blocks))
@@ -153,7 +181,7 @@ class TestReceiveBufferProperties:
         buf = ReceiveBuffer(cap)
         for n in reads:
             assert buf.read(n) == b""
-        assert (buf.available, buf.window, buf.out_of_order_bytes()) \
+        assert (buf.available, buf.window, buf.out_of_order) \
             == (0, cap, 0)
         assert buf.sack_ranges(0) == [] == _sack_ranges_per_byte(buf, 0, 3)
         assert not buf._buf and not buf._present
@@ -168,7 +196,7 @@ class TestReceiveBufferProperties:
         buf = ReceiveBuffer(cap)
         assert buf.write(rel, data) == 0
         assert not buf._buf and not buf._present
-        assert (buf.available, buf.window, buf.out_of_order_bytes()) \
+        assert (buf.available, buf.window, buf.out_of_order) \
             == (0, cap, 0)
         assert buf.sack_ranges(0) == []
         assert buf.write(0, b"\x07") == 1 and buf.read() == b"\x07"
@@ -186,7 +214,7 @@ class TestReceiveBufferProperties:
         kept = data[:max(0, cap - rel)]
         advanced = buf.write(rel, data)
         assert advanced == (len(kept) if rel == 0 else 0)
-        assert buf.out_of_order_bytes() == len(kept) - advanced
+        assert buf.out_of_order == len(kept) - advanced
         assert buf.sack_ranges(0) == _sack_ranges_per_byte(buf, 0, 3)
         if rel and kept:
             assert buf.sack_ranges(0) == [(rel, rel + len(kept))]

@@ -37,7 +37,9 @@ error was declared, and after TIME_WAIT ``check_no_armed_tcp_timers``
 must hold.
 
 The machine runs over TCPlp and the uIP, BLIP and GNRC profiles of
-Table 1.  Tier-1 runs each derandomized on a fixed example budget;
+Table 1, each twice: as shipped, and with header prediction's host fast
+path off (every segment through ``TcpConnection._full_input``).  Tier-1
+runs each derandomized on a fixed example budget;
 ``--hypothesis-profile=machine-deep`` (``tests/conftest.py``) runs
 20x the examples from a fresh seed.
 """
@@ -508,6 +510,31 @@ TestBlipMachine = BlipMachine.TestCase
 TestGnrcMachine = GnrcMachine.TestCase
 TestTcplpMachine.settings = TestUipMachine.settings = MACHINE_SETTINGS
 TestBlipMachine.settings = TestGnrcMachine.settings = MACHINE_SETTINGS
+
+
+class _FullInputConnection(connection_module.TcpConnection):
+    """Every segment through ``_full_input``: header prediction's host
+    fast path off, as ``tests/test_fastcore_equivalence.py`` runs it."""
+
+    __slots__ = ()
+    on_segment = connection_module.TcpConnection._full_input
+
+
+#: the four machines again, over the full input path
+FULL_INPUT = types.SimpleNamespace(TcpState=connection_module.TcpState,
+                                   TcpConnection=_FullInputConnection)
+TestTcplpFullInputMachine = type(
+    "TcplpFullInputMachine", (TcpMachine,), {"module": FULL_INPUT}).TestCase
+TestUipFullInputMachine = type(
+    "UipFullInputMachine", (UipMachine,), {"module": FULL_INPUT}).TestCase
+TestBlipFullInputMachine = type(
+    "BlipFullInputMachine", (BlipMachine,), {"module": FULL_INPUT}).TestCase
+TestGnrcFullInputMachine = type(
+    "GnrcFullInputMachine", (GnrcMachine,), {"module": FULL_INPUT}).TestCase
+TestTcplpFullInputMachine.settings = MACHINE_SETTINGS
+TestUipFullInputMachine.settings = MACHINE_SETTINGS
+TestBlipFullInputMachine.settings = MACHINE_SETTINGS
+TestGnrcFullInputMachine.settings = MACHINE_SETTINGS
 
 
 # ----------------------------------------------------------------------

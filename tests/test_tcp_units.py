@@ -134,10 +134,10 @@ class TestReceiveBuffer:
     def test_out_of_order_held_then_absorbed(self):
         buf = ReceiveBuffer(16)
         assert buf.write(5, b"world") == 0  # OOO: no advance
-        assert buf.out_of_order_bytes() == 5
+        assert buf.out_of_order == 5
         assert buf.write(0, b"hello") == 10  # gap filled: both absorbed
         assert buf.read() == b"helloworld"
-        assert buf.out_of_order_bytes() == 0
+        assert buf.out_of_order == 0
 
     def test_overlapping_retransmission_trimmed(self):
         buf = ReceiveBuffer(16)

@@ -132,8 +132,17 @@ def test_detects_recv_buffer_overflow():
 
 def test_detects_out_of_order_count_drift():
     _net, xfer, engine = live_transfer()
-    xfer.connection.recv_buf._out_of_order += 3
+    xfer.connection.recv_buf.out_of_order += 3
     assert_fires(engine, "out-of-order count", layer="tcp")
+
+
+def test_detects_buffer_size_drift():
+    _net, xfer, engine = live_transfer()
+    xfer.connection.recv_buf.window -= 1
+    assert_fires(engine, "recv_buf window", layer="tcp")
+    _net, xfer, engine = live_transfer()
+    xfer.connection.send_buf.free += 1
+    assert_fires(engine, "send_buf used", layer="tcp")
 
 
 def test_detects_data_sequenced_past_fin():
