@@ -40,17 +40,13 @@ class Fragment:
     offset: int  # byte offset of this fragment's payload
     length: int  # payload bytes in this fragment
     is_first: bool
+    #: bytes this fragment occupies in a MAC payload (its FRAG1/FRAGN
+    #: header and ``length``); set when it is made, as the MAC reads it
+    #: for every send
+    wire_bytes: int
     fragmented: bool = True
     packet: object = None  # carried only when is_first (simulator reference)
     final_dst: int = -1  # network destination (from the compressed header)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes this fragment occupies in a MAC payload."""
-        if not self.fragmented:
-            return self.length
-        header = FRAG1_HEADER_BYTES if self.is_first else FRAGN_HEADER_BYTES
-        return header + self.length
 
 
 class Fragmenter:
@@ -83,6 +79,7 @@ class Fragmenter:
                     offset=0,
                     length=datagram_bytes,
                     is_first=True,
+                    wire_bytes=datagram_bytes,
                     fragmented=False,
                     packet=packet,
                     final_dst=final_dst,
@@ -98,6 +95,7 @@ class Fragmenter:
                 offset=0,
                 length=first_len,
                 is_first=True,
+                wire_bytes=FRAG1_HEADER_BYTES + first_len,
                 packet=packet,
                 final_dst=final_dst,
             )
@@ -114,6 +112,7 @@ class Fragmenter:
                     offset=offset,
                     length=length,
                     is_first=False,
+                    wire_bytes=FRAGN_HEADER_BYTES + length,
                     final_dst=final_dst,
                 )
             )

@@ -24,7 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.mac.frame import BROADCAST, Frame, FrameKind
+from repro.mac.frame import (
+    ACK_FRAME_BYTES, BROADCAST, DATA_HEADER_BYTES, Frame, FrameKind,
+)
 from repro.phy.energy import RadioState
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
@@ -33,8 +35,10 @@ from repro.sim.trace import TraceRecorder
 
 _LISTEN = RadioState.LISTEN
 _DEAF = RadioState.DEAF
+_DATA = FrameKind.DATA
 _ACK = FrameKind.ACK
 _DATA_REQUEST = FrameKind.DATA_REQUEST
+_new_frame = Frame.__new__
 
 
 @dataclass(slots=True)
@@ -61,18 +65,19 @@ class MacParams:
 
 
 class _TxOp:
-    """State for the in-flight transmission attempt."""
+    """State for the in-flight transmission attempt (``nb`` and ``be``,
+    the CSMA state, are set by each CSMA run's start)."""
 
     __slots__ = ("frame", "nb", "be", "retries", "on_done", "indirect_child")
 
-    def __init__(self, frame: Frame, on_done: Optional[Callable[[bool], None]],
-                 indirect_child: Optional[int] = None):
+    def __init__(self, frame: Frame, on_done: Optional[Callable[[bool], None]]):
         self.frame = frame
-        self.nb = 0
-        self.be = 0
         self.retries = 0
         self.on_done = on_done
-        self.indirect_child = indirect_child
+        self.indirect_child = None
+
+
+_new_op = _TxOp.__new__
 
 
 class MacLayer:
@@ -153,16 +158,25 @@ class MacLayer:
         """Queue a frame for ``dst`` (park it if ``dst`` is a sleepy
         child).  Returns False when that queue is full."""
         seq = self._seq = (self._seq + 1) & 0xFF
-        frame = Frame(
-            kind=FrameKind.DATA,
-            src=self.node_id,
-            dst=dst,
-            seq=seq,
-            ack_request=(dst != BROADCAST),
-            payload=payload,
-            payload_bytes=payload_bytes,
-        )
-        op = _TxOp(frame, on_done)
+        # The frame and its op are built by slot stores, as the kernel
+        # builds an Event: one of each for every frame sent.
+        frame = _new_frame(Frame)
+        frame.kind = _DATA
+        frame.src = self.node_id
+        frame.dst = dst
+        frame.seq = seq
+        frame.pending = False
+        frame.ack_request = dst != BROADCAST
+        frame.payload = payload
+        frame.payload_bytes = payload_bytes
+        frame.retries_used = 0
+        frame.byte_size = DATA_HEADER_BYTES + payload_bytes
+        frame.is_ack = False
+        op = _new_op(_TxOp)
+        op.frame = frame
+        op.retries = 0
+        op.on_done = on_done
+        op.indirect_child = None
         parked = self._indirect.get(dst)
         if parked is not None:
             if len(parked) >= self.params.indirect_queue_limit:
@@ -256,20 +270,15 @@ class MacLayer:
     def _kick(self) -> None:
         if self._current is not None or not self._queue or self.paused:
             return
-        self._current = self._queue.pop(0)
-        op = self._current
+        op = self._current = self._queue.pop(0)
         # SPI-load the frame buffer first (the §6.4 overhead), *then*
-        # run CSMA so clear-channel assessment is fresh at air time.
-        # Retries reuse the loaded buffer.
-        self.radio.load(op.frame.byte_size, self._loaded, op)
-
-    def _loaded(self, op: _TxOp) -> None:
-        """The frame is in the radio's buffer: run CSMA from the start."""
-        if op is not self._current:
-            return
+        # run CSMA from the start, so that clear-channel assessment is
+        # fresh at air time.  Retries reuse the loaded buffer.  The load
+        # never completes for a stale op: only a crash ends an op
+        # mid-load, and the radio drops a load cut off by its crash.
         op.nb = 0
         op.be = self.params.min_be
-        self._backoff(op)
+        self.radio.load(op.frame.byte_size, self._backoff, op)
 
     def _backoff(self, op: _TxOp) -> None:
         self._counts["mac.csma_backoffs"] += 1
@@ -301,29 +310,40 @@ class MacLayer:
             return  # op was aborted
         radio = self.radio
         params = self.params
-        # clear-channel assessment: energy detect at this node
-        if radio._tx_busy or radio.medium.carrier_busy(self.node_id):
-            op.nb += 1
-            be = op.be + 1
-            op.be = be if be < params.max_be else params.max_be
-            if op.nb > params.max_csma_backoffs:
-                self._counts["mac.csma_failures"] += 1
-                if radio.energy.state is _DEAF:
-                    radio.listen()  # only the backoff is deaf (§4)
-                if self._bus is not None:
-                    self._bus.emit("mac", self.node_id, "csma_failure",
-                                   dst=op.frame.dst, retries=op.retries)
-                self._retry(op)
-            else:
-                self._backoff(op)
-            return
-        if radio.energy.state is not _LISTEN:
-            radio.listen()  # leave deaf state before TX
-        self._cpu._busy += params.per_frame_cpu
-        # the frame is already in the radio's buffer (``_kick`` loaded it)
-        frame = op.frame
-        radio.transmit(frame, frame.byte_size, self._tx_done, op, skip_spi=True)
-        self._counts["mac.frames_tx"] += 1
+        # clear-channel assessment: energy detect at this node, which
+        # hears every frame on the medium's audible list for it
+        if not radio._tx_busy:
+            medium = radio.medium
+            audible = medium._audible
+            if audible is None:
+                medium._build_cache()
+                audible = medium._audible
+            if not audible[self.node_id]:
+                if radio.energy.state is not _LISTEN:
+                    radio.listen()  # leave deaf state before TX
+                self._cpu._busy += params.per_frame_cpu
+                # the frame is already in the radio's buffer (``_kick``
+                # loaded it)
+                frame = op.frame
+                radio.transmit(frame, frame.byte_size, self._tx_done, op)
+                self._counts["mac.frames_tx"] += 1
+                return
+            if medium._metrics is not None:
+                medium._node_counter(medium._m_carrier_busy,
+                                     "phy.carrier_busy", self.node_id).inc()
+        op.nb += 1
+        be = op.be + 1
+        op.be = be if be < params.max_be else params.max_be
+        if op.nb > params.max_csma_backoffs:
+            self._counts["mac.csma_failures"] += 1
+            if radio.energy.state is _DEAF:
+                radio.listen()  # only the backoff is deaf (§4)
+            if self._bus is not None:
+                self._bus.emit("mac", self.node_id, "csma_failure",
+                               dst=op.frame.dst, retries=op.retries)
+            self._retry(op)
+        else:
+            self._backoff(op)
 
     def _tx_done(self, op: _TxOp) -> None:
         # never stale: a crash disarms it, an op on the air is not preempted
@@ -378,14 +398,20 @@ class MacLayer:
             if retry_rng is None:
                 retry_rng = self._retry_rng = self.rng.stream(
                     f"retry:{self.node_id}")
-            delay = retry_rng.uniform(0.0, d)
+            # Random.uniform(0.0, d) is 0.0 + (d - 0.0) * random():
+            # bit for bit this product, without uniform's call
+            delay = d * retry_rng.random()
         else:
             delay = 0.0
         self.sim.schedule_unref(delay, self._retry_fire, op)
 
     def _retry_fire(self, op: _TxOp) -> None:
         # a retry reuses the loaded buffer and re-runs CSMA from the start
-        self._loaded(op)
+        if op is not self._current:
+            return  # preempted during its retry wait
+        op.nb = 0
+        op.be = self.params.min_be
+        self._backoff(op)
 
     def _finish(self, op: _TxOp, success: bool) -> None:
         op.frame.retries_used = op.retries
@@ -433,15 +459,19 @@ class MacLayer:
         if frame.ack_request:
             # link ACK one RX->TX turnaround from now; a data request's
             # tells the child whether frames are parked for it
-            ack = Frame(
-                kind=_ACK,
-                src=self.node_id,
-                dst=frame.src,
-                seq=frame.seq,
-                pending=(kind is _DATA_REQUEST
-                         and self._pending_for(frame.src)),
-                ack_request=False,
-            )
+            ack = _new_frame(Frame)  # slot stores, as in ``send``
+            ack.kind = _ACK
+            ack.src = self.node_id
+            ack.dst = frame.src
+            ack.seq = frame.seq
+            ack.pending = (kind is _DATA_REQUEST
+                           and self._pending_for(frame.src))
+            ack.ack_request = False
+            ack.payload = None
+            ack.payload_bytes = 0
+            ack.retries_used = 0
+            ack.byte_size = ACK_FRAME_BYTES
+            ack.is_ack = True
             self.sim.schedule_unref(
                 self.radio.params.turnaround_time, self._ack_fire, ack)
         if kind is _DATA_REQUEST:
@@ -465,7 +495,7 @@ class MacLayer:
         if self.radio._tx_busy:
             self._counts["mac.ack_suppressed"] += 1
             return  # half-duplex: cannot ACK while transmitting
-        self.radio.transmit(ack, ack.byte_size, self._ack_sent, skip_spi=True)
+        self.radio.transmit(ack, ack.byte_size, self._ack_sent)
 
     def _ack_sent(self) -> None:
         # The radio ends a transmission in LISTEN; let the poll layer

@@ -21,9 +21,11 @@ rebuilds, once per topology change, the adjacency sets
 (``neighbor_sets``, for ``in_range``), a per-receiver list of the
 frames audible there right now, and one channel table that gives each
 sender its hearers as ``(receiver id, radio, audible list)`` in
-registration order.  Carrier sense is one truth test, and collision
-marking and delivery walk one sender's row: O(degree) whatever the
-size of the network.
+registration order.  Carrier sense (the MAC's ``_cca``) is one truth
+test on the audible list, and collision marking (``Radio.transmit``)
+and delivery walk one sender's row: O(degree) whatever the size of
+the network.  Those two passes live with their one caller each, so a
+frame pays no call to reach them.
 The original geometric path, which scans every frame in flight, lives
 on as ``tests/reference_medium.py``; the determinism regression tests
 assert both produce byte-identical event traces.
@@ -141,9 +143,6 @@ class Transmission:
         self.args = args
 
 
-_new_transmission = Transmission.__new__
-
-
 class Medium:
     """Range-based broadcast medium with collision detection."""
 
@@ -160,7 +159,9 @@ class Medium:
         self.comm_range = comm_range
         self.radios: Dict[int, "Radio"] = {}
         self.positions: Dict[int, Tuple[float, float]] = {}
-        self._active: List[Transmission] = []
+        #: the frames on the air, in the order they started (a dict, so
+        #: that a frame's end of air removes it in O(1))
+        self._active: Dict[Transmission, None] = {}
         self.loss_models: List[LossModel] = []
         #: (frame, sender, receiver) -> True to drop; for targeted
         #: fault-injection in tests (e.g. kill one datagram's fragments)
@@ -265,15 +266,6 @@ class Medium:
         self._audible = None
         self._channel = None
 
-    def _in_range_uncached(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        if (a, b) in self._blocked_links:
-            return False
-        if (a, b) in self._forced_links:
-            return True
-        return self.distance(a, b) <= self.comm_range
-
     def _spatial_buckets(self, cell: float) -> Dict[Tuple[int, int], List[int]]:
         """Uniform-grid bucketing of registered positions.
 
@@ -338,13 +330,11 @@ class Medium:
         # still answer in_range() truthfully, so include them as sources
         sources = list(ids)
         known = set(ids)
-        for a, b in self._forced_links:
-            if a not in known:
-                known.add(a)
-                sources.append(a)
-            if b not in known:
-                known.add(b)
-                sources.append(b)
+        for link in self._forced_links:
+            for end in link:
+                if end not in known:
+                    known.add(end)
+                    sources.append(end)
         sets = self._build_sets(sources, known)
         # registration-ordered receivers (registered radios only)
         order = {nid: i for i, nid in enumerate(ids)}
@@ -378,11 +368,8 @@ class Medium:
         sets = self._neighbor_sets
         if sets is None:
             sets = self._build_cache()
-        hears_a = sets.get(a)
-        if hears_a is not None:
-            return b in hears_a
-        # a is unknown to the cache (never registered, never forced)
-        return self._in_range_uncached(a, b)
+        # an id never registered nor forced is heard by nobody
+        return b in sets.get(a, ())
 
     def neighbors(self, node_id: int) -> List[int]:
         """Nodes that can hear ``node_id``."""
@@ -390,76 +377,11 @@ class Medium:
         if channel is None:
             self._build_cache()
             channel = self._channel
-        hearers = channel.get(node_id)
-        if hearers is not None:
-            return [rcv_id for rcv_id, _, _ in hearers]
-        return [n for n in self.radios if self._in_range_uncached(node_id, n)]
+        return [rcv_id for rcv_id, _, _ in channel.get(node_id, ())]
 
     # ------------------------------------------------------------------
     # channel activity
     # ------------------------------------------------------------------
-    def carrier_busy(self, node_id: int) -> bool:
-        """True if any ongoing transmission is audible at ``node_id``."""
-        audible = self._audible
-        if audible is None:
-            self._build_cache()
-            audible = self._audible
-        if not audible[node_id]:
-            return False
-        if self._metrics is not None:
-            self._node_counter(
-                self._m_carrier_busy, "phy.carrier_busy", node_id
-            ).inc()
-        return True
-
-    def begin_transmission(
-        self,
-        sender: "Radio",
-        frame: object,
-        air_time: float,
-        on_done: Optional[Callable[..., None]] = None,
-        args: tuple = (),
-    ) -> Transmission:
-        """Put a frame on the air; schedules its own completion.
-
-        One event ends the frame for everyone: ``_end_transmission``
-        delivers it to the hearers and then, given ``on_done``, returns
-        the sender to LISTEN and runs ``on_done(*args)``.  A receiver
-        that already hears something gets a corrupted copy of the new
-        frame and of every frame it was hearing.
-        """
-        sim = self.sim
-        now = sim.now
-        # built by slot stores, as the kernel builds an Event: one per
-        # frame on the air, so ``__init__``'s call is not paid here
-        tx = _new_transmission(Transmission)
-        tx.sender = sender
-        tx.frame = frame
-        tx.start = now
-        tx.end = now + air_time
-        tx.spoiled = spoiled = set()
-        tx.on_done = on_done
-        tx.args = args
-        channel = self._channel
-        if channel is None:
-            self._build_cache()
-            channel = self._channel
-        for rcv_id, _, heard in channel[sender.node_id]:
-            if heard:
-                spoiled.add(rcv_id)
-                for other in heard:
-                    other.spoiled.add(rcv_id)
-            heard.append(tx)
-        self._active.append(tx)
-        if self._metrics is not None:
-            self._node_counter(self._m_tx, "phy.tx", sender.node_id).inc()
-        if self._bus is not None:
-            self._bus.emit("phy", sender.node_id, "tx_begin", air_time=air_time)
-        # Handle-free schedule: nothing ever cancels a frame's air-time
-        # expiry, so the kernel can skip the Event allocation.
-        sim.schedule_unref(air_time, self._end_transmission, tx)
-        return tx
-
     def _end_transmission(self, tx: Transmission) -> None:
         """The one event that ends a frame: it leaves the air, every
         hearer that got a clean copy receives it, the sender is released."""
@@ -471,7 +393,7 @@ class Medium:
         if channel is None:
             self._build_cache()
             channel = self._channel
-        self._active.remove(tx)
+        del self._active[tx]
         receivers = channel[sender_id]
         for _, _, heard in receivers:
             heard.remove(tx)
@@ -488,32 +410,33 @@ class Medium:
             # Nothing observes or perturbs this run: a frame is clean
             # wherever it was not spoiled and was listened to throughout.
             # Inlined Radio.accepts, the frame classified once so that
-            # a clean hearer costs one comparison.
+            # a clean hearer costs one comparison, and Radio.deliver (a
+            # radio in LISTEN is powered): the SPI read-out is charged
+            # and the frame passed up.
             is_ack = getattr(frame, "is_ack", None)
+            size = getattr(frame, "byte_size", 32)
             if is_ack:
                 seq = frame.seq
-                for rcv_id, radio, _ in receivers:
-                    if rcv_id in spoiled:
-                        self.frames_collided += 1
-                    # listening continuously since tx start, as below
-                    elif (radio.energy.state is _LISTEN
-                            and radio._listen_since <= start):
-                        self.frames_delivered += 1
-                        if radio.ack_seq == seq:
-                            radio.deliver(frame, sender_id)
             else:
                 # None: nothing to match (a broadcast, a bare test frame)
                 dst = None if is_ack is None else frame.dst
                 if dst == BROADCAST:
                     dst = None
-                for rcv_id, radio, _ in receivers:
-                    if rcv_id in spoiled:
-                        self.frames_collided += 1
-                    elif (radio.energy.state is _LISTEN
-                            and radio._listen_since <= start):
-                        self.frames_delivered += 1
-                        if rcv_id == dst or dst is None:
-                            radio.deliver(frame, sender_id)
+            for rcv_id, radio, _ in receivers:
+                if rcv_id in spoiled:
+                    self.frames_collided += 1
+                # listening continuously since tx start, as below
+                elif (radio.energy.state is _LISTEN
+                        and radio._listen_since <= start):
+                    self.frames_delivered += 1
+                    if (radio.ack_seq == seq if is_ack
+                            else rcv_id == dst or dst is None):
+                        radio.frames_received += 1
+                        radio.cpu._busy += (
+                            (radio._air_base + size * radio._air_per_byte)
+                            * radio._spi_factor)
+                        if radio.on_frame is not None:
+                            radio.on_frame(frame, sender_id)
         else:
             for rcv_id, radio, _ in receivers:
                 if rcv_id in spoiled:

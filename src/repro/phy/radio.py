@@ -15,11 +15,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.phy.energy import CpuMeter, EnergyLedger, RadioState
-from repro.phy.medium import Medium
+from repro.phy.medium import Medium, Transmission
 from repro.phy.params import BROADCAST, PhyParams
 from repro.sim.engine import Simulator
 
 _TX = RadioState.TX
+_new_transmission = Transmission.__new__
 
 
 class Radio:
@@ -91,10 +92,6 @@ class Radio:
     # ------------------------------------------------------------------
     # state control (driven by the MAC)
     # ------------------------------------------------------------------
-    @property
-    def state(self) -> RadioState:
-        return self.energy.state
-
     def power_off(self) -> None:
         """Cut power (node crash): abort any load/transmit in progress.
 
@@ -136,14 +133,14 @@ class Radio:
             return
         if self._tx_busy:
             raise RuntimeError("cannot sleep while transmitting")
-        if self.state is not RadioState.SLEEP:
+        if self.energy.state is not RadioState.SLEEP:
             self.energy.transition(RadioState.SLEEP)
 
     def go_deaf(self) -> None:
         """Enter the hardware-CSMA backoff state: awake but not receiving."""
         if not self.powered:
             return
-        if self.state is not RadioState.DEAF:
+        if self.energy.state is not RadioState.DEAF:
             self.energy.transition(RadioState.DEAF)
 
     # ------------------------------------------------------------------
@@ -179,23 +176,18 @@ class Radio:
         self._load_busy = False
         on_done(*args)
 
-    def transmit(
-        self,
-        frame: object,
-        frame_bytes: int,
-        on_done: Callable[..., None],
-        *args: object,
-        skip_spi: bool = False,
-    ) -> None:
-        """Send a frame: SPI load (unless ``skip_spi``) then air phase.
+    def transmit(self, frame: object, frame_bytes: int,
+                 on_done: Callable[..., None], *args: object) -> None:
+        """Put a frame on the air from the radio's buffer.
 
-        ``skip_spi`` is used for link-layer ACKs (hardware-generated,
-        no frame upload) and for frames already uploaded via ``load``.
-        ``on_done(*args)`` fires when the frame leaves the air.
-
-        This call is the *commit point*: once it returns, the frame
-        will reach the air — now with ``skip_spi``, after the SPI
-        transfer without — unless the node crashes first.
+        A data frame was uploaded by :meth:`load` first; a link-layer
+        ACK is hardware-generated and needs no upload.  This call is the
+        commit point: the frame is on the air when it returns.  One
+        medium event ends it for everyone: ``Medium._end_transmission``
+        delivers it to the hearers, then returns this radio to LISTEN
+        and runs ``on_done(*args)``.  A receiver that already hears
+        something gets a corrupted copy of the new frame and of every
+        frame it was hearing.
         """
         if not self.powered:
             raise RuntimeError(f"node {self.node_id}: transmit while powered off")
@@ -205,36 +197,50 @@ class Radio:
             raise self._oversize(frame_bytes)
         self._tx_busy = True
         air = self._air_base + frame_bytes * self._air_per_byte
-        if not skip_spi:
-            delay = air * self._spi_factor
-            self.cpu._busy += delay
-            self.sim.schedule_unref(delay, self._start_air, self._power_epoch,
-                                    frame, air, on_done, args)
-            return
-        now = self.sim.now
-        # Commit and air start coincide.  Inlined EnergyLedger.transition(TX)
-        # — two transitions per frame on the air makes the call overhead
-        # itself measurable.
+        sim = self.sim
+        now = sim.now
+        # Inlined EnergyLedger.transition(TX): two transitions per frame
+        # on the air makes the call overhead itself measurable.
         energy = self.energy
         energy._totals[energy.state.index] += now - energy._since
         energy.state = _TX
         energy._since = now
-        # the medium's end-of-frame event also releases this radio
-        self.medium.begin_transmission(self, frame, air, on_done, args)
+        # The medium's side of the frame, here because this is its one
+        # caller; the Transmission is built by slot stores, as the
+        # kernel builds an Event.
+        medium = self.medium
+        tx = _new_transmission(Transmission)
+        tx.sender = self
+        tx.frame = frame
+        tx.start = now
+        tx.end = now + air
+        tx.spoiled = spoiled = set()
+        tx.on_done = on_done
+        tx.args = args
+        channel = medium._channel
+        if channel is None:
+            medium._build_cache()
+            channel = medium._channel
+        for rcv_id, _, heard in channel[self.node_id]:
+            if heard:
+                spoiled.add(rcv_id)
+                for other in heard:
+                    other.spoiled.add(rcv_id)
+            heard.append(tx)
+        medium._active[tx] = None
+        if medium._metrics is not None:
+            medium._node_counter(medium._m_tx, "phy.tx", self.node_id).inc()
+        if medium._bus is not None:
+            medium._bus.emit("phy", self.node_id, "tx_begin", air_time=air)
+        # Handle-free schedule: nothing ever cancels a frame's air-time
+        # expiry, so the kernel can skip the Event allocation.
+        sim.schedule_unref(air, medium._end_transmission, tx)
 
     def _oversize(self, frame_bytes: int) -> ValueError:
         return ValueError(
             f"frame of {frame_bytes} B exceeds 802.15.4 maximum "
             f"{self._max_frame_bytes} B"
         )
-
-    def _start_air(self, epoch: int, frame: object, air: float,
-                   on_done: Callable[..., None], args: tuple = ()) -> None:
-        """The air phase of a ``transmit``, once its SPI load is done."""
-        if epoch != self._power_epoch:
-            return  # crashed between commit and air phase
-        self.energy.transition(_TX)
-        self.medium.begin_transmission(self, frame, air, on_done, args)
 
     # ------------------------------------------------------------------
     # receive path (called by the medium)

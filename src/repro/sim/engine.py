@@ -88,7 +88,10 @@ class Event:
         self.cancelled = True
         sim = self.sim
         if sim is not None:
-            sim._note_cancel()
+            # one more queued entry is a tombstone: compact if >50% dead
+            dead = sim.cancelled_count = sim.cancelled_count + 1
+            if dead >= _COMPACT_MIN_TOMBSTONES and dead * 2 > len(sim._queue):
+                sim._compact()
 
     @property
     def pending(self) -> bool:
@@ -397,15 +400,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # tombstone accounting / heap compaction
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """One more queued entry became a tombstone; compact if >50% dead."""
-        self.cancelled_count += 1
-        if (
-            self.cancelled_count >= _COMPACT_MIN_TOMBSTONES
-            and self.cancelled_count * 2 > len(self._queue)
-        ):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop tombstoned entries and re-heapify, in place.
 

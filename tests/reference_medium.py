@@ -1,23 +1,81 @@
 """The medium before it cached anything, kept as the oracle.
 
 :class:`BruteMedium` answers every question from geometry: range is a
-distance test per pair; carrier sense and the collision marking in
-``begin_transmission`` (done before the frame joins ``_active``) scan
-every frame in flight; the end of a frame
-(``_end_transmission``: delivery, then the sender's release) sweeps
-every registered radio through one general loop; and the neighbour
-sets come from the O(n²) pairwise sweep.  The equivalence suites
+distance test per pair; carrier sense (the audible list the MAC's
+``_cca`` reads) and the collision marking in ``begin_transmission``
+(done before the frame joins ``_active``) scan every frame in flight;
+the end of a frame (``_end_transmission``: delivery, then the sender's
+release) sweeps every registered radio through one general loop; and
+the neighbour sets come from the O(n²) pairwise sweep.  Its radios are
+:class:`BruteRadio`, whose ``transmit`` hands the frame to
+``begin_transmission`` as a separate call, where ``Radio.transmit``
+does the medium's side itself.  The equivalence suites
 (tests/test_phy_medium.py, tests/test_kernel_fastpath.py) hold
-:class:`repro.phy.medium.Medium` to byte-identical behaviour against
-it.
+:class:`repro.phy.medium.Medium` and :class:`repro.phy.radio.Radio`
+to byte-identical behaviour against it.
 """
 
 from repro.phy.energy import RadioState
 from repro.phy.medium import Medium, Transmission
+from repro.phy.radio import Radio
+
+
+def carrier_busy(medium, node_id):
+    """Is any frame on the air audible at ``node_id``?  (What the MAC's
+    clear-channel assessment reads, without its counter.)"""
+    if medium._audible is None:
+        medium._build_cache()
+    return bool(medium._audible[node_id])
+
+
+class BruteRadio(Radio):
+    """A radio whose frames go on the air through the brute medium's
+    ``begin_transmission``."""
+
+    def transmit(self, frame, frame_bytes, on_done, *args):
+        if not self.powered:
+            raise RuntimeError(f"node {self.node_id}: transmit while powered off")
+        if self._tx_busy:
+            raise RuntimeError(f"node {self.node_id}: transmit while busy")
+        if frame_bytes > self._max_frame_bytes:
+            raise self._oversize(frame_bytes)
+        self._tx_busy = True
+        self.energy.transition(RadioState.TX)
+        air = self._air_base + frame_bytes * self._air_per_byte
+        self.medium.begin_transmission(self, frame, air, on_done, args)
+
+
+class _BruteAudible:
+    """``Medium._audible`` answered from geometry: receiver -> the
+    frames in flight that it is in range of."""
+
+    def __init__(self, medium):
+        self.medium = medium
+
+    def __getitem__(self, node_id):
+        medium = self.medium
+        return [tx for tx in medium._active
+                if medium._in_range_uncached(tx.sender.node_id, node_id)]
 
 
 class BruteMedium(Medium):
     """A :class:`Medium` that never consults the adjacency cache."""
+
+    def register(self, radio, position):
+        radio.__class__ = BruteRadio
+        super().register(radio, position)
+
+    def _in_range_uncached(self, a, b):
+        if a == b or (a, b) in self._blocked_links:
+            return False
+        if (a, b) in self._forced_links:
+            return True
+        return self.distance(a, b) <= self.comm_range
+
+    def _build_cache(self):
+        sets = super()._build_cache()
+        self._audible = _BruteAudible(self)
+        return sets
 
     def _build_sets(self, sources, known):
         """Neighbor sets via the original O(n²) pairwise sweep."""
@@ -31,18 +89,6 @@ class BruteMedium(Medium):
 
     def neighbors(self, node_id):
         return [n for n in self.radios if self._in_range_uncached(node_id, n)]
-
-    def carrier_busy(self, node_id):
-        if not any(
-            self._in_range_uncached(tx.sender.node_id, node_id)
-            for tx in self._active
-        ):
-            return False
-        if self._metrics is not None:
-            self._node_counter(
-                self._m_carrier_busy, "phy.carrier_busy", node_id
-            ).inc()
-        return True
 
     def begin_transmission(self, sender, frame, air_time, on_done=None,
                            args=()):
@@ -60,7 +106,7 @@ class BruteMedium(Medium):
                 ) and self._in_range_uncached(other.sender.node_id, rcv_id):
                     tx.spoiled.add(rcv_id)
                     other.spoiled.add(rcv_id)
-        self._active.append(tx)
+        self._active[tx] = None
         if self._metrics is not None:
             self._node_counter(self._m_tx, "phy.tx", sender_id).inc()
         if self._bus is not None:
@@ -79,7 +125,7 @@ class BruteMedium(Medium):
         sender, frame, now = tx.sender, tx.frame, self.sim.now
         sender_id = sender.node_id
         bus = self._bus
-        self._active.remove(tx)
+        del self._active[tx]
         for rcv_id, radio in self.radios.items():
             if rcv_id == sender_id or not self._in_range_uncached(
                     sender_id, rcv_id):
@@ -121,4 +167,6 @@ def use_brute_medium(medium: Medium) -> None:
     """Swap an already-built medium onto the brute path (the registered
     radios and link overrides carry over; anything cached is dropped)."""
     medium.__class__ = BruteMedium
+    for radio in medium.radios.values():
+        radio.__class__ = BruteRadio
     medium._invalidate_cache()

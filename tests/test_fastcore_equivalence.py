@@ -39,6 +39,7 @@ from repro.experiments.topology import build_chain, build_grid_mesh
 from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.rng import RngStreams
 from repro.verify.probes import probe_kernel
 
 CHAOS_SPEC = {
@@ -282,4 +283,20 @@ def test_backoff_draw_matches_randint():
                 assert r == expected
             # and the two streams remain aligned afterwards
             assert ref_rng.random() == inl_rng.random()
+
+
+def test_retry_jitter_draw_matches_uniform():
+    """The MAC draws its retry delay as ``d * random()``, not through
+    ``Random.uniform(0.0, d)``: from the same ``retry:<id>`` stream
+    state the two must agree bit for bit, over many ``d``, so that
+    seeded traces stay byte-identical (the comment in
+    MacLayer._retry)."""
+    d_values = [0.001 * k for k in range(1, 200)]
+    d_values += [1e-9, 0.005, 0.04, 0.1, 1 / 3, 0.7, 1.0, 3.0, 1e6]
+    for node in (0, 1, 7):
+        ref = RngStreams(node + 1).stream(f"retry:{node}")
+        inl = RngStreams(node + 1).stream(f"retry:{node}")
+        for d in d_values:
+            assert (d * inl.random()).hex() == ref.uniform(0.0, d).hex()
+        assert ref.random() == inl.random()
 

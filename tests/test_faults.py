@@ -421,20 +421,20 @@ class TestShortOutage:
         assert done == ["post-reboot"] and not radio._load_busy
 
     def test_transmit_cut_off_in_its_spi_phase_never_reaches_the_air(self):
-        # the same outage over a transmit that does its own SPI load
+        # the same outage over a load that hands its frame to transmit
         net = build_pair(seed=1)
         sim, radio, medium = net.sim, net.nodes[0].radio, net.medium
         heard, done = [], []
         net.nodes[1].radio.on_frame = lambda frame, src: heard.append(frame.seq)
-        radio.transmit(self._frame(1), 103, done.append, 1)
+        radio.load(103, radio.transmit, self._frame(1), 103, done.append, 1)
         sim.schedule_at(0.001, radio.power_off)
         sim.schedule_at(0.002, radio.power_on)
-        sim.schedule_at(0.0025, radio.transmit, self._frame(2), 103,
-                        done.append, 2)
+        sim.schedule_at(0.0025, radio.load, 103, radio.transmit,
+                        self._frame(2), 103, done.append, 2)
         sim.run(until=0.0065)  # frame 2 is on the air from 5.988 to 9.476 ms
         assert [tx.frame.seq for tx in medium._active] == [2]
         sim.run(until=0.0075)  # frame 1 would have left the air at 6.976 ms
-        assert radio._tx_busy and radio.state is RadioState.TX
+        assert radio._tx_busy and radio.energy.state is RadioState.TX
         sim.run(until=0.01)
         assert heard == [2] and done == [2] and radio.frames_sent == 1
 
@@ -444,13 +444,13 @@ class TestShortOutage:
         sim, radio = net.sim, net.nodes[0].radio
         heard, done = [], []
         net.nodes[1].radio.on_frame = lambda frame, src: heard.append(frame.seq)
-        radio.transmit(self._frame(1), 103, done.append, 1, skip_spi=True)
+        radio.transmit(self._frame(1), 103, done.append, 1)
         sim.schedule_at(0.001, radio.power_off)
         sim.schedule_at(0.0015, radio.power_on)
         sim.schedule_at(0.002, lambda: radio.transmit(
-            self._frame(2), 103, done.append, 2, skip_spi=True))
+            self._frame(2), 103, done.append, 2))
         sim.run(until=0.004)  # frame 1's end of air was due at 3.488 ms
-        assert radio._tx_busy and radio.state is RadioState.TX
+        assert radio._tx_busy and radio.energy.state is RadioState.TX
         assert done == [] and radio.frames_sent == 0
         sim.run(until=0.01)
         # frame 2 overlapped the truncated frame 1 at the receiver

@@ -1,6 +1,6 @@
 """Advanced MAC behaviours: preemption, pause, indirect overflow, deaf CSMA."""
 
-from repro.mac.frame import FrameKind
+from repro.mac.frame import Frame, FrameKind
 from repro.mac.link import MacLayer, MacParams
 from repro.phy.energy import RadioState
 from repro.phy.medium import Medium
@@ -77,7 +77,7 @@ def test_deaf_csma_radio_goes_deaf_during_backoff():
     macs[0].send(b"x", 50, dst=1)
 
     def probe():
-        states.append(macs[0].radio.state)
+        states.append(macs[0].radio.energy.state)
 
     # SPI load takes ~2.3 ms; backoff follows
     sim.schedule(0.0028, probe)
@@ -160,17 +160,27 @@ def test_deaf_csma_radio_listens_again_after_a_csma_failure():
     fails channel access leaves the radio in receive mode, so the node
     still hears the frames sent to it."""
     params = MacParams(max_csma_backoffs=0, max_retries=0)
-    sim, medium, macs = make_macs([(0, 0), (5, 0)], params=params,
+    # node 2, which only node 0 hears, jams the channel there with
+    # back-to-back frames to nobody
+    sim, medium, macs = make_macs([(0, 0), (5, 0), (-6, 0)], params=params,
                                   deaf=True)
-    carrier_busy = medium.carrier_busy
-    medium.carrier_busy = lambda node_id: True  # a jammed channel
+    jammer = macs[2].radio
+    noise = Frame(kind=FrameKind.DATA, src=2, dst=9, payload_bytes=100)
+    jamming = [True]
+
+    def jam():
+        if jamming[0]:
+            jammer.transmit(noise, noise.byte_size, jam)
+
+    jam()
     done = []
     macs[0].send(b"x", 50, dst=1, on_done=done.append)
     sim.run(until=0.5)
     assert done == [False]
     assert macs[0].trace.counters.get("mac.csma_failures") == 1
-    assert macs[0].radio.state is RadioState.LISTEN
-    medium.carrier_busy = carrier_busy
+    assert macs[0].radio.energy.state is RadioState.LISTEN
+    jamming[0] = False
+    sim.run(until=0.51)  # the last jamming frame leaves the air
     got = []
     macs[0].on_receive = lambda p, s, f: got.append(p)
     macs[1].send(b"y", 50, dst=0)

@@ -6,6 +6,7 @@ from repro.phy.medium import Medium
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus
 
 
 def make_macs(positions, comm_range=10.0, seed=3, params=None, deaf=False):
@@ -52,6 +53,29 @@ def test_tail_drop_beyond_queue_limit():
     assert macs[0].trace.counters.get("mac.tail_drops") >= 1
     sim.run()
     assert results.count(False) == macs[0].trace.counters.get("mac.tail_drops")
+
+
+def test_a_refused_frame_is_emitted_on_the_trace_bus():
+    """Each refusal names its queue and the frame's destination on an
+    attached trace bus, next to its counter."""
+    sim = Simulator()
+    sim.trace_bus = TraceBus(sim)
+    rng = RngStreams(3)
+    medium = Medium(sim, rng=rng)
+    macs = [MacLayer(sim, Radio(sim, medium, node_id=i, position=(5 * i, 0)),
+                     rng, params=MacParams(tx_queue_limit=1,
+                                           indirect_queue_limit=1))
+            for i in range(2)]
+    macs[0].mark_sleepy_child(1)
+    results = []
+    # parked, refused; in flight, queued, refused
+    for dst in (1, 1, 9, 9, 9):
+        macs[0].send(b"x", 20, dst=dst, on_done=results.append)
+    drops = [(e.layer, e.node, e.kind, e.fields)
+             for e in sim.trace_bus.events if e.kind.endswith("_drop")]
+    assert drops == [("mac", 0, "indirect_drop", {"dst": 1}),
+                     ("mac", 0, "tail_drop", {"dst": 9})]
+    assert results == [False, False]
 
 
 def test_retry_on_lost_frame_succeeds():
@@ -280,7 +304,7 @@ def test_address_filter_false_positive_on_a_shared_sequence_number():
     seq = macs[2].radio.ack_seq
     # node 1 acknowledges somebody else's frame with that number
     ack = Frame(kind=FrameKind.ACK, src=1, dst=0, seq=seq, ack_request=False)
-    macs[1].radio.transmit(ack, ack.byte_size, lambda: None, skip_spi=True)
+    macs[1].radio.transmit(ack, ack.byte_size, lambda: None)
     sim.run()
     assert done == [True]
     assert macs[2].trace.counters.get("mac.ack_timeouts") == 0
@@ -292,6 +316,6 @@ def test_address_filter_false_positive_on_a_shared_sequence_number():
     _run_to_ack_wait(sim, macs[2])
     ack = Frame(kind=FrameKind.ACK, src=1, dst=0,
                 seq=(macs[2].radio.ack_seq + 1) & 0xFF, ack_request=False)
-    macs[1].radio.transmit(ack, ack.byte_size, lambda: None, skip_spi=True)
+    macs[1].radio.transmit(ack, ack.byte_size, lambda: None)
     sim.run()
     assert done == [True, False]

@@ -24,9 +24,9 @@ Oracles after every rule and, while time advances, at every simulated
 instant: ``verify.probes.probe_mac`` and ``probe_kernel``; no radio has
 two live frames in ``Medium._active``; a radio's load and transmit
 flags match the load and the frame it really has pending; the current
-op of each MAC owns exactly one pending continuation (a ``_cca``,
-``_retry_fire`` or ``_loaded`` event, a radio load, its frame on the
-air, or the armed ACK timer) and a queued or parked op owns none; a MAC
+op of each MAC owns exactly one pending continuation (a ``_cca`` or
+``_retry_fire`` event, a radio load that hands it to ``_backoff``, its
+frame on the air, or the armed ACK timer) and a queued or parked op owns none; a MAC
 that is not held never sits on queued frames with nothing in flight;
 each ``EnergyLedger`` state total sums to the elapsed time; ``on_done``
 runs at most once per frame, synchronously ``False`` for a refused one,
@@ -90,10 +90,10 @@ TX_QUEUE, PARKED = 8, 6
 #: sim seconds the network gets to settle after the last step: a full
 #: queue of frames that all fail takes about 8 x 7 attempts x 0.1 s
 LIVENESS_BOUND = 60.0
-#: the MAC's own events that carry an op on: a CSMA step, the end of a
-#: retry wait, a finished load (a radio load, the frame's end of air and
-#: its ACK timer are the other continuations an op can own)
-_STEPS = ("_cca", "_retry_fire", "_loaded")
+#: the MAC's own events that carry an op on: a CSMA step and the end of
+#: a retry wait (a radio load, the frame's end of air and its ACK timer
+#: are the other continuations an op can own)
+_STEPS = ("_cca", "_retry_fire")
 #: modules the machine's network is built from, by the path a mutant
 #: patch names: the node module's name for each class it instantiates
 CLAIMED = {
@@ -291,7 +291,7 @@ class MacMachine(RuleBasedStateMachine):
                     epoch, done, done_args = args
                     if epoch == radio._power_epoch:
                         loads[radio] += 1
-                        if _fn_name(done) == "_loaded":
+                        if _fn_name(done) == "_backoff":
                             owned[done_args[0]] += 1
             else:
                 ev = entry[2]
@@ -350,7 +350,7 @@ class MacMachine(RuleBasedStateMachine):
                 and all(node.mac._current is None and not node.mac._queue
                         and not any(node.mac._indirect.values())
                         for node in self.nodes.values())
-                and self.nodes[CHILD].radio.state is RadioState.SLEEP)
+                and self.nodes[CHILD].radio.energy.state is RadioState.SLEEP)
 
     def teardown(self):
         for a, b in self.blocked:
@@ -368,7 +368,7 @@ class MacMachine(RuleBasedStateMachine):
             f"not settled {self.sim.now - start:.1f} s after the last step: "
             f"frames without on_done {lost} (sent {self.tokens}, "
             f"{self.crashes} crashes), (current, queued, parked) {busy}, "
-            f"sleepy radio {self.nodes[CHILD].radio.state}")
+            f"sleepy radio {self.nodes[CHILD].radio.energy.state}")
 
 
 class AdaptiveMacMachine(MacMachine):

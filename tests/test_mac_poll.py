@@ -32,7 +32,7 @@ def make_pair(poll_params, bus=False):
 def test_sleeps_between_polls():
     sim, parent, child, device = make_pair(PollParams(poll_interval=10.0))
     sim.run(until=5.0)
-    assert child.radio.state is RadioState.SLEEP
+    assert child.radio.energy.state is RadioState.SLEEP
 
 
 def test_poll_retrieves_parked_frame():
@@ -46,7 +46,7 @@ def test_poll_retrieves_parked_frame():
     assert got == [b"down"]
     # radio back asleep after the exchange (before the next poll at t=4)
     sim.run(until=3.9)
-    assert child.radio.state is RadioState.SLEEP
+    assert child.radio.energy.state is RadioState.SLEEP
 
 
 def test_fast_poll_reduces_latency():
@@ -70,7 +70,7 @@ def test_fast_poll_off_returns_to_slow_and_sleeps():
     sim.run(until=1.0)
     device.set_fast_poll(False)
     sim.run(until=2.0)
-    assert child.radio.state is RadioState.SLEEP
+    assert child.radio.energy.state is RadioState.SLEEP
     assert device.sleep_interval == 50.0
 
 

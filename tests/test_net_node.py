@@ -108,4 +108,4 @@ def test_sleepy_reboot_sends_what_was_queued_while_down():
     sim.schedule_at(3.0, leaf.reboot)
     sim.run(until=4.0)
     assert len(got) == 1 and 3.0 < got[0] < 3.01
-    assert leaf.mac.idle and leaf.radio.state is RadioState.SLEEP
+    assert leaf.mac.idle and leaf.radio.energy.state is RadioState.SLEEP

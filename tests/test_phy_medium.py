@@ -9,7 +9,7 @@ from repro.phy.medium import Medium, UniformLoss
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from tests.reference_medium import BruteMedium, use_brute_medium
+from tests.reference_medium import BruteMedium, carrier_busy, use_brute_medium
 
 
 def make_net(positions, comm_range=10.0, seed=1):
@@ -26,6 +26,11 @@ def frame(src, dst, nbytes=50):
     return Frame(
         kind=FrameKind.DATA, src=src, dst=dst, payload=b"x", payload_bytes=nbytes
     )
+
+
+def send(radio, f, nbytes, on_done=lambda: None):
+    """Upload ``f`` over SPI, then put it on the air: the MAC's order."""
+    radio.load(nbytes, radio.transmit, f, nbytes, on_done)
 
 
 def test_in_range_and_neighbors():
@@ -48,7 +53,7 @@ def test_clean_delivery():
     sim, medium, radios = make_net([(0, 0), (5, 0)])
     got = []
     radios[1].on_frame = lambda f, s: got.append((f, s))
-    radios[0].transmit(frame(0, 1), 73, on_done=lambda: None)
+    send(radios[0], frame(0, 1), 73)
     sim.run()
     assert len(got) == 1
     assert got[0][1] == 0
@@ -59,7 +64,7 @@ def test_out_of_range_no_delivery():
     sim, medium, radios = make_net([(0, 0), (50, 0)])
     got = []
     radios[1].on_frame = lambda f, s: got.append(f)
-    radios[0].transmit(frame(0, 1), 73, on_done=lambda: None)
+    send(radios[0], frame(0, 1), 73)
     sim.run()
     assert got == []
 
@@ -69,7 +74,7 @@ def test_sleeping_radio_misses_frame():
     got = []
     radios[1].on_frame = lambda f, s: got.append(f)
     radios[1].sleep()
-    radios[0].transmit(frame(0, 1), 73, on_done=lambda: None)
+    send(radios[0], frame(0, 1), 73)
     sim.run()
     assert got == []
 
@@ -79,7 +84,7 @@ def test_radio_waking_mid_frame_misses_it():
     got = []
     radios[1].on_frame = lambda f, s: got.append(f)
     radios[1].sleep()
-    radios[0].transmit(frame(0, 1), 127, on_done=lambda: None)
+    send(radios[0], frame(0, 1), 127)
     # wake 1 ms into the ~8.2 ms transmission (during air time)
     sim.schedule(0.0050, radios[1].listen)
     sim.run()
@@ -91,10 +96,9 @@ def test_hidden_terminal_collision():
     sim, medium, radios = make_net([(0, 0), (8, 0), (16, 0)])
     got = []
     radios[1].on_frame = lambda f, s: got.append(s)
-    radios[0].transmit(frame(0, 1), 100, on_done=lambda: None)
+    send(radios[0], frame(0, 1), 100)
     # 2 starts while 0's frame is in the air; neither carrier-senses the other
-    assert not medium.carrier_busy(2) or True
-    sim.schedule(0.001, lambda: radios[2].transmit(frame(2, 1), 100, lambda: None))
+    sim.schedule(0.001, lambda: send(radios[2], frame(2, 1), 100))
     sim.run()
     assert got == []  # both corrupted at node 1
     assert medium.frames_collided == 2
@@ -104,31 +108,31 @@ def test_non_overlapping_frames_both_delivered():
     sim, medium, radios = make_net([(0, 0), (8, 0), (16, 0)])
     got = []
     radios[1].on_frame = lambda f, s: got.append(s)
-    radios[0].transmit(frame(0, 1), 50, on_done=lambda: None)
-    sim.schedule(0.05, lambda: radios[2].transmit(frame(2, 1), 50, lambda: None))
+    send(radios[0], frame(0, 1), 50)
+    sim.schedule(0.05, lambda: send(radios[2], frame(2, 1), 50))
     sim.run()
     assert sorted(got) == [0, 2]
 
 
 def test_carrier_busy_during_air_phase():
     sim, medium, radios = make_net([(0, 0), (5, 0)])
-    radios[0].transmit(frame(0, 1), 127, on_done=lambda: None)
+    send(radios[0], frame(0, 1), 127)
     # during the SPI phase, the channel is still idle
-    assert not medium.carrier_busy(1)
+    assert not carrier_busy(medium, 1)
     seen = []
     # by mid-transmission the air phase is active
-    sim.schedule(0.0060, lambda: seen.append(medium.carrier_busy(1)))
+    sim.schedule(0.0060, lambda: seen.append(carrier_busy(medium, 1)))
     sim.run()
     assert seen == [True]
-    assert not medium.carrier_busy(1)
+    assert not carrier_busy(medium, 1)
 
 
 def test_half_duplex_transmitter_cannot_receive():
     sim, medium, radios = make_net([(0, 0), (5, 0)])
     got = []
     radios[0].on_frame = lambda f, s: got.append(f)
-    radios[0].transmit(frame(0, 1), 127, on_done=lambda: None)
-    sim.schedule(0.0001, lambda: radios[1].transmit(frame(1, 0), 127, lambda: None))
+    send(radios[0], frame(0, 1), 127)
+    sim.schedule(0.0001, lambda: send(radios[1], frame(1, 0), 127))
     sim.run()
     assert got == []  # node 0 was transmitting
 
@@ -140,12 +144,12 @@ def test_uniform_loss_drops_roughly_at_rate():
     got = []
     radios[1].on_frame = lambda f, s: got.append(f)
 
-    def send(n):
+    def send_n(n):
         if n == 0:
             return
-        radios[0].transmit(frame(0, 1), 30, on_done=lambda: send(n - 1))
+        send(radios[0], frame(0, 1), 30, lambda: send_n(n - 1))
 
-    send(200)
+    send_n(200)
     sim.run()
     assert 60 < len(got) < 140  # ~100 expected
 
@@ -187,12 +191,12 @@ def test_oversized_frame_rejected():
     sim, medium, radios = make_net([(0, 0), (5, 0)])
     radio = radios[0]
     with pytest.raises(ValueError, match="exceeds 802.15.4 maximum"):
-        radio.transmit(frame(0, 1), 200, on_done=lambda: None)
+        radio.transmit(frame(0, 1), 200, lambda: None)
     with pytest.raises(ValueError, match="exceeds 802.15.4 maximum"):
         radio.load(200, lambda: None)
-    radio.transmit(frame(0, 1), 50, lambda: None, skip_spi=True)
+    radio.transmit(frame(0, 1), 50, lambda: None)
     with pytest.raises(RuntimeError, match="transmit while busy"):
-        radio.transmit(frame(0, 1), 50, lambda: None, skip_spi=True)
+        radio.transmit(frame(0, 1), 50, lambda: None)
     with pytest.raises(RuntimeError, match="cannot sleep while transmitting"):
         radio.sleep()
     sim.run()
@@ -225,7 +229,7 @@ def _overhearing_net(loop):
 def test_address_filter_keeps_an_overheard_frame_from_the_mcu(loop):
     sim, medium, radios, heard = _overhearing_net(loop)
     unicast = frame(0, 1)
-    radios[0].transmit(unicast, unicast.byte_size, lambda: None, skip_spi=True)
+    radios[0].transmit(unicast, unicast.byte_size, lambda: None)
     sim.run()
     # both neighbours received it cleanly as far as the channel knows
     assert medium.frames_delivered == 2 and medium.frames_collided == 0
@@ -236,7 +240,7 @@ def test_address_filter_keeps_an_overheard_frame_from_the_mcu(loop):
     assert radios[2].cpu.busy_time() == 0.0
     # a broadcast, and a frame object with nothing to match, pass everywhere
     for everyone in (frame(0, BROADCAST), object()):
-        radios[0].transmit(everyone, 73, lambda: None, skip_spi=True)
+        radios[0].transmit(everyone, 73, lambda: None)
         sim.run()
         assert heard[1][-1] is everyone and heard[2][-1] is everyone
     assert medium.frames_delivered == 6
@@ -250,7 +254,7 @@ def test_address_filter_passes_an_imm_ack_only_where_it_is_awaited(loop):
     ack = Frame(kind=FrameKind.ACK, src=0, dst=1, seq=7, ack_request=False)
     radios[2].ack_seq = 7   # in an ack-wait on that number
     radios[1].ack_seq = 8   # waiting for another one; radio 0 for none
-    radios[0].transmit(ack, ack.byte_size, lambda: None, skip_spi=True)
+    radios[0].transmit(ack, ack.byte_size, lambda: None)
     sim.run()
     assert medium.frames_delivered == 2
     assert heard == {0: [], 1: [], 2: [ack]}
@@ -383,13 +387,19 @@ def _drive_random_schedule(medium_cls, seed):
                           log.append(("rx", sim.now, me, s, f)))
     txs = []
 
-    def begin(sender, air_time):
-        txs.append(medium.begin_transmission(
-            radios[sender], len(txs), air_time))
+    def begin(sender, nbytes):
+        radio = radios[sender]
+        if radio.powered and not radio._tx_busy:
+            radio.transmit(len(txs), nbytes, lambda: None)
+            txs.append(next(reversed(medium._active)))
+
+    def crash(node):
+        # the frame it has on the air is spoiled for every hearer
+        radios[node].power_off()
+        sim.schedule(0.002, radios[node].power_on)
 
     def sense():
-        log.append(("cs", sim.now,
-                    [medium.carrier_busy(n) for n in nodes]))
+        log.append(("cs", sim.now, [carrier_busy(medium, n) for n in nodes]))
 
     at = 0.0
     for _ in range(rng.randint(30, 80)):
@@ -397,7 +407,7 @@ def _drive_random_schedule(medium_cls, seed):
         roll = rng.random()
         a, b = rng.sample(nodes, 2)
         if roll < 0.65:
-            sim.schedule_at(at, begin, a, rng.choice((0.0005, 0.002, 0.006)))
+            sim.schedule_at(at, begin, a, rng.choice((10, 57, 127)))
         elif roll < 0.75:
             sim.schedule_at(at, medium.block_link, a, b)
         elif roll < 0.83:
@@ -405,7 +415,7 @@ def _drive_random_schedule(medium_cls, seed):
         elif roll < 0.92:
             sim.schedule_at(at, medium.force_link, a, b)
         else:
-            sim.schedule_at(at, medium.drop_in_flight, a)
+            sim.schedule_at(at, crash, a)
         if rng.random() < 0.5:  # else the next frame edge rebuilds
             sim.schedule_at(at, sense)
     sim.run()
@@ -421,7 +431,7 @@ def test_receiver_channel_state_matches_brute_force(seed):
     assert log == ref_log  # carrier sense answers and delivery order
     assert any(spoiled) and any(entry[0] == "rx" for entry in log)
     # nothing stays audible once the air is idle
-    assert not any(medium.carrier_busy(n) for n in medium.radios)
+    assert not any(carrier_busy(medium, n) for n in medium.radios)
 
 
 def _entries(value, seen):
@@ -461,7 +471,7 @@ def test_medium_state_does_not_grow_with_concurrent_sender_pairs():
                for r in range(0, side, 3) for c in range(0, side, 3)]
     for round_ in range(3):
         for radio in senders:
-            medium.begin_transmission(radio, round_, 0.004)
+            radio.transmit(round_, 119, lambda: None)
         assert len(medium._active) == len(senders)
         # 4,950 sender pairs are on the air: each frame costs its own
         # entry and one per hearer, each pair nothing
