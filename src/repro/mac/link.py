@@ -299,10 +299,13 @@ class MacLayer:
         while r >= n:
             r = getrandbits(k)
         radio = self.radio
-        if radio.deaf_csma:
-            radio.go_deaf()
-        elif radio.energy.state is not _LISTEN:
-            radio.listen()
+        # a radio on the air (this node's link ACK) is left alone: its
+        # end of air returns it to LISTEN
+        if not radio._tx_busy:
+            if radio.deaf_csma:
+                radio.go_deaf()
+            elif radio.energy.state is not _LISTEN:
+                radio.listen()
         self.sim.schedule_unref(r * radio.params.unit_backoff, self._cca, op)
 
     def _cca(self, op: _TxOp) -> None:

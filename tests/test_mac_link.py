@@ -1,7 +1,10 @@
 """Link-layer behaviour: delivery, ACKs, retries, dedup, hidden terminals."""
 
+import pytest
+
 from repro.mac.frame import BROADCAST, Frame, FrameKind
 from repro.mac.link import MacLayer, MacParams
+from repro.phy.energy import RadioState
 from repro.phy.medium import Medium
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
@@ -319,3 +322,38 @@ def test_address_filter_false_positive_on_a_shared_sequence_number():
     macs[1].radio.transmit(ack, ack.byte_size, lambda: None)
     sim.run()
     assert done == [True, False]
+
+
+def test_a_backoff_during_its_own_link_ack_leaves_the_ack_on_the_air():
+    """A node whose CSMA starts while it sends a link ACK leaves its
+    radio alone: the energy ledger books the whole ACK as TX, not the
+    rest of it as LISTEN."""
+    def run(send_at=None):
+        sim, medium, macs = make_macs([(0, 0), (5, 0)])
+        macs[0].send(b"data", 50, dst=1)
+        if send_at is not None:
+            sim.schedule_at(send_at, macs[1].send, b"own", 20, 0)
+        radio = macs[1].radio
+        while not radio._tx_busy:  # until node 1's ACK goes on the air
+            sim.run(until=sim.peek_time())
+        return sim, macs, radio
+
+    sim, _, radio = run()
+    ack_start = sim.now
+    # node 1's own frame finishes its SPI load 0.1 ms into that ACK, so
+    # its first backoff starts while the ACK is on the air
+    load = ((radio._air_base + (23 + 20) * radio._air_per_byte)
+            * radio._spi_factor)
+    sim, macs, radio = run(send_at=ack_start + 1e-4 - load)
+    assert sim.now == ack_start
+    backoffs = macs[1].trace.counters.get("mac.csma_backoffs")
+    sim.run(until=ack_start + 2e-4)
+    assert macs[1].trace.counters.get("mac.csma_backoffs") > backoffs
+    assert radio._tx_busy
+    sim.run(until=1.0)
+    assert macs[1].trace.counters.get("mac.tx_success") == 1
+    ack_air = radio._air_base + 5 * radio._air_per_byte
+    own_air = radio._air_base + (23 + 20) * radio._air_per_byte
+    tx_time = radio.energy._settled()[RadioState.TX]
+    assert tx_time == pytest.approx(ack_air + own_air, rel=1e-9)
+
