@@ -34,7 +34,7 @@ demultiplexer with BSD-style ``listen``/``connect``/``set_option``),
 :func:`mss_for_frames` (§6.1 frame-aligned MSS arithmetic).
 
 **Workloads** — :class:`~repro.experiments.workload.BulkTransfer`
-(saturating single flow), :class:`SensorStream` (paced reports),
+(saturating single flow),
 :class:`FlowSet` / :class:`FlowSpec` (N staggered concurrent flows
 with per-flow and aggregate goodput and Jain fairness), and
 :class:`GoodputMeter`.
@@ -125,7 +125,6 @@ from repro.experiments.workload import (
     FlowSetResult,
     FlowSpec,
     GoodputMeter,
-    SensorStream,
     jain_fairness,
 )
 from repro.faults import FaultInjector, FaultSchedule
@@ -191,7 +190,6 @@ __all__ = [
     # workloads
     "BulkTransfer",
     "BulkResult",
-    "SensorStream",
     "FlowSet",
     "FlowSpec",
     "FlowResult",

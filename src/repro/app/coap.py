@@ -63,7 +63,7 @@ class CoapMessage:
     block: Optional[Tuple[int, bool, int]] = None
 
     @property
-    def wire_bytes(self) -> int:
+    def _wire_bytes(self) -> int:
         """Bytes on the wire (UDP payload)."""
         size = 4 + 2  # header + 2-byte token
         if self.block is not None:
@@ -252,7 +252,7 @@ class CoapClient:
             self.local_port,
             self.server_port,
             msg,
-            msg.wire_bytes,
+            msg._wire_bytes,
             dst_is_cloud=self.dst_is_cloud,
         )
 
@@ -338,7 +338,7 @@ class CoapServer:
                 token=msg.token,
             )
             self.udp.send(
-                packet.src, self.port, dgram.src_port, ack, ack.wire_bytes,
+                packet.src, self.port, dgram.src_port, ack, ack._wire_bytes,
                 dst_is_cloud=packet.src_is_cloud,
             )
         if duplicate:

@@ -36,7 +36,6 @@ from repro.campaign.catalog import ExperimentCatalog, resolve_selection
 from repro.campaign.engine import plan_campaign, run_campaign
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.campaign.stats import aggregate
 from repro.campaign.store import ResultStore, code_salt
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "ExperimentCatalog",
     "ResultStore",
     "RunSpec",
-    "aggregate",
     "code_salt",
     "plan_campaign",
     "resolve_selection",

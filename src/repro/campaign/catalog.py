@@ -79,9 +79,9 @@ class ExperimentCatalog:
     A factory is ``factory(quick, **params)``: ``quick`` scales
     durations, ``params`` are the campaign grid-cell keyword
     arguments (validated against the factory's signature at spec
-    time).  Catalogs are plain objects — copy one, register into the
-    copy, and the original (including the process-wide default) is
-    untouched.
+    time).  Catalogs are plain objects built from a name -> factory
+    mapping; :meth:`copy` gives an independent one, so the process-wide
+    default is untouched.
 
     A catalog also remembers what its experiments cost in this
     process: :meth:`note_wall` adds each landed run's wall time and
@@ -92,29 +92,9 @@ class ExperimentCatalog:
 
     def __init__(self, entries: Optional[Dict[str, Callable]] = None):
         self._entries: Dict[str, Callable] = dict(entries or {})
-        self._accepted: Dict[str, Tuple[frozenset, bool]] = {}
+        self._accepted: Dict[str, frozenset] = {}
         #: name -> [first run's wall, walls after it, runs after it]
         self._walls: Dict[str, List] = {}
-
-    # -- mutation ------------------------------------------------------
-
-    def register(self, name: str, factory: Callable) -> None:
-        """Add (or replace) ``name``; ``factory(quick, **params)``.
-
-        Factories must be module-level callables so worker processes
-        can run them.
-        """
-        if not callable(factory):
-            raise ValueError(f"factory for {name!r} is not callable")
-        self._entries[name] = factory
-        self._accepted.pop(name, None)
-        self._walls.pop(name, None)
-
-    def unregister(self, name: str) -> None:
-        """Remove an entry (idempotent)."""
-        self._entries.pop(name, None)
-        self._accepted.pop(name, None)
-        self._walls.pop(name, None)
 
     def copy(self) -> "ExperimentCatalog":
         """An independent catalog with the same entries and no
@@ -150,13 +130,13 @@ class ExperimentCatalog:
             resolve_selection([name], self._entries, what="experiment")
         return self._entries[name]
 
-    def accepted_params(self, name: str) -> Tuple[frozenset, bool]:
-        """``(keyword names, accepts_var_keyword)`` for ``name``.
+    def accepted_params(self, name: str) -> frozenset:
+        """The keyword names ``name``'s factory takes.
 
         The first positional parameter (``quick``) is excluded; a
         factory wrapped in ``functools.partial`` is unwrapped so
         pre-bound arguments don't count as free parameters.  The
-        signature is inspected once per registration of ``name``.
+        signature is inspected once per catalog.
         """
         cached = self._accepted.get(name)
         if cached is None:
@@ -164,26 +144,16 @@ class ExperimentCatalog:
         return cached
 
     @staticmethod
-    def _inspect(fn: Callable) -> Tuple[frozenset, bool]:
-        try:
-            sig = inspect.signature(fn)
-        except (TypeError, ValueError):
-            return frozenset(), True  # unintrospectable: trust the caller
-        names = set()
-        var_kw = False
-        params = list(sig.parameters.values())
+    def _inspect(fn: Callable) -> frozenset:
+        params = list(inspect.signature(fn).parameters.values())
         # drop the leading `quick` positional unless partial() bound it
         if params and params[0].kind in (
                 inspect.Parameter.POSITIONAL_ONLY,
                 inspect.Parameter.POSITIONAL_OR_KEYWORD):
             params = params[1:]
-        for p in params:
-            if p.kind is inspect.Parameter.VAR_KEYWORD:
-                var_kw = True
-            elif p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                            inspect.Parameter.KEYWORD_ONLY):
-                names.add(p.name)
-        return frozenset(names), var_kw
+        return frozenset(p.name for p in params if p.kind in (
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            inspect.Parameter.KEYWORD_ONLY))
 
     # -- dunders -------------------------------------------------------
 

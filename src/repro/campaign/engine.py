@@ -390,13 +390,13 @@ def _execute_jobs(
 
 def _fan_out(pool, run, jobs: List[Job], land) -> bool:
     """Run ``jobs`` on ``pool``, landing each record as it completes;
-    returns whether Ctrl-C cut it short."""
+    returns whether Ctrl-C cut it short.  Leaving the ``with`` block
+    terminates the pool's workers either way."""
     with pool:
         try:
             for record in pool.imap_unordered(run, jobs):
                 land(record)
         except KeyboardInterrupt:
-            pool.terminate()
             return True
     return False
 
@@ -600,10 +600,10 @@ def _resolve_runs(
         return records, hits, 0, errors, False, 0, 0
     jobs: List[Job] = []
     for run_id, run in missing.items():
-        accepted, var_kw = catalog.accepted_params(run.experiment)
         jobs.append((run_id, _run_label(run), functools.partial(
             catalog.get(run.experiment), run.quick,
-            **run.call_params(accepted, var_kw)), run.experiment))
+            **run.call_params(catalog.accepted_params(run.experiment))),
+            run.experiment))
 
     def _on_record(record: Record) -> None:
         run_id, result, wall, ok = record[:4]
@@ -631,9 +631,8 @@ def _resolve_runs(
             in_process)
 
 
-def _error_text(result) -> str:
-    return result.get("error", "failed") if isinstance(result, dict) \
-        else "failed"
+def _error_text(result: Dict) -> str:
+    return result.get("error", "failed")
 
 
 def _build_report(spec: CampaignSpec, runs: List[RunSpec],

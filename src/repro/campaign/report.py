@@ -5,13 +5,12 @@ the per-run results — never of wall-clock time or cache state — so a
 campaign that re-runs as 100% cache hits serializes to **byte-
 identical** JSON (the ``campaign-smoke`` CI gate).  Volatile
 execution facts (wall times, hit/miss counts, interruption) live in
-``report.execution``, which ``to_dict()`` excludes by default.
+``report.execution``, which ``to_json()`` excludes by default.
 
 Three export surfaces:
 
-* :meth:`to_dict` / :meth:`to_json` — the canonical document, built
-  from the report's own lists and dicts rather than copies of them (a
-  caller that edits the document edits the report);
+* :meth:`to_json` — the canonical document, built from the report's
+  own lists and dicts rather than copies of them;
 * :meth:`write_jsonl` — one line per run (full result payload, plus
   the extras the spec asked for) then one line per cell (aggregates),
   for downstream tooling;
@@ -38,8 +37,8 @@ class CellResult:
     metrics: Dict[str, Dict]        # metric -> aggregate record
     errors: List[str] = field(default_factory=list)
 
-    def to_dict(self, include_results: bool = False) -> Dict:
-        d = {
+    def _to_dict(self) -> Dict:
+        return {
             "experiment": self.experiment,
             "params": self.params,
             "seeds": self.seeds,
@@ -47,9 +46,6 @@ class CellResult:
             "metrics": self.metrics,
             "errors": self.errors,
         }
-        if include_results:
-            d["results"] = self.results
-        return d
 
 
 @dataclass
@@ -71,14 +67,12 @@ class CampaignReport:
 
     # -- canonical document -------------------------------------------
 
-    def to_dict(self, include_execution: bool = False,
-                include_results: bool = False) -> Dict:
+    def _to_dict(self, include_execution: bool = False) -> Dict:
         d = {
             "campaign": self.name,
             "spec_digest": self.spec_digest,
             "salt": self.salt,
-            "cells": [c.to_dict(include_results=include_results)
-                      for c in self.cells],
+            "cells": [c._to_dict() for c in self.cells],
         }
         if include_execution:
             d["execution"] = self.execution
@@ -87,13 +81,13 @@ class CampaignReport:
     def to_json(self, **kwargs) -> str:
         """Canonical serialization: sorted keys, fixed separators —
         the byte-identity surface of the caching contract."""
-        return json.dumps(self.to_dict(**kwargs), sort_keys=True,
+        return json.dumps(self._to_dict(**kwargs), sort_keys=True,
                           separators=(",", ":"), default=str)
 
     def save(self, path, include_execution: bool = True) -> None:
         """Human-oriented file: indented, execution sidecar included."""
         with open(path, "w") as fh:
-            json.dump(self.to_dict(include_execution=include_execution),
+            json.dump(self._to_dict(include_execution=include_execution),
                       fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
 

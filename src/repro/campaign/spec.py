@@ -1,8 +1,7 @@
 """Campaign specs: a validated, declarative description of many runs.
 
 A campaign is a JSON/dict document (eager validation by the rules in
-:mod:`repro.checks`, as for ``FaultSchedule``; round-trippable
-``to_dict``) declaring
+:mod:`repro.checks`, as for ``FaultSchedule``) declaring
 experiments x a parameter grid x seeds x fault schedule, expanded
 deterministically into :class:`RunSpec` cells::
 
@@ -151,13 +150,13 @@ class RunSpec:
     def params_dict(self) -> Dict:
         return dict(self.params)
 
-    def call_params(self, accepted: set, var_kw: bool) -> Dict:
+    def call_params(self, accepted: frozenset) -> Dict:
         """The kwargs actually passed to the factory.
 
         The seed rides along when the factory accepts it.
         """
         kwargs = self.params_dict
-        if self.seed is not None and (var_kw or "seed" in accepted):
+        if self.seed is not None and "seed" in accepted:
             kwargs["seed"] = self.seed
         return kwargs
 
@@ -178,15 +177,15 @@ class RunSpec:
 class CampaignSpec:
     """A validated campaign document (use :meth:`from_dict`)."""
 
-    name: str = ""
+    name: str
     #: catalog names, and entries with a grid of their own
-    experiments: List[Union[str, Dict]] = field(default_factory=list)
-    quick: bool = True
-    grid: Dict[str, List] = field(default_factory=dict)
-    seeds: List[int] = field(default_factory=lambda: [0])
-    faults: Optional[Dict] = None
-    runner: Dict = field(default_factory=lambda: dict(_RUNNER_DEFAULTS))
-    stats: Dict = field(default_factory=lambda: dict(_STATS_DEFAULTS))
+    experiments: List[Union[str, Dict]]
+    quick: bool
+    grid: Dict[str, List]
+    seeds: List[int]
+    faults: Optional[Dict]
+    runner: Dict
+    stats: Dict
     #: each grid entry's index in the list it was read from, by name,
     #: so expansion's errors address an entry as parsing's do
     _at: Dict[str, int] = field(default_factory=dict, compare=False,
@@ -320,7 +319,7 @@ class CampaignSpec:
 
     # -- round trip ----------------------------------------------------
 
-    def to_dict(self) -> Dict:
+    def _to_dict(self) -> Dict:
         return {
             "name": self.name,
             "experiments": [
@@ -342,7 +341,7 @@ class CampaignSpec:
         is not what it computes, so the report's bytes do not depend
         on it.
         """
-        document = self.to_dict()
+        document = self._to_dict()
         del document["runner"]["jobs"]
         return hashlib.sha256(
             _canonical_json(document).encode()).hexdigest()
@@ -385,11 +384,9 @@ class CampaignSpec:
             order = sorted(range(len(axes)), key=axes.__getitem__)
             by_name = operator.itemgetter(*order) if len(axes) > 1 \
                 else tuple
-            accepted, var_kw = (set(), True)
             if catalog is not None:
-                accepted, var_kw = catalog.accepted_params(experiment)
-                bad = [a for a in axes if a not in accepted] \
-                    if not var_kw else []
+                accepted = catalog.accepted_params(experiment)
+                bad = [a for a in axes if a not in accepted]
                 if bad:
                     import difflib
 
@@ -405,7 +402,7 @@ class CampaignSpec:
                     _fail(path, f"experiment {experiment!r} does not "
                                 f"accept axis {', '.join(hints)}; "
                                 f"it accepts {sorted(accepted)}")
-                takes_seed = var_kw or "seed" in accepted
+                takes_seed = "seed" in accepted
                 if not takes_seed and (len(self.seeds) > 1
                                        or self.seeds != [0]):
                     _fail("seeds", f"experiment {experiment!r} does not "

@@ -121,7 +121,7 @@ def _record(n, confidence, mean, median, stdev, low, high, ci_low,
     return record.__dict__
 
 
-def aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
+def _aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
     """One cell's repetition samples (at least one) -> aggregate record
     ``{n, confidence, mean, median, stdev, min, max, ci_low, ci_high}``.
     A single sample's interval collapses to the point (stdev 0)."""
@@ -157,7 +157,7 @@ def _leaves(node, prefix: str, out: Dict) -> Dict:
 
 def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
                    confidence: float = 0.95) -> Dict[str, Dict]:
-    """One cell's successful results -> ``{path: aggregate(samples)}``.
+    """One cell's successful results -> ``{path: _aggregate(samples)}``.
 
     A path's samples are its numeric leaves across the results (none:
     left out).  ``metrics=None`` aggregates the paths every result
@@ -187,5 +187,5 @@ def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
     for name in metrics:
         samples = [leaves[name] for leaves in walked if name in leaves]
         if samples:
-            records[name] = aggregate(samples, confidence)
+            records[name] = _aggregate(samples, confidence)
     return records

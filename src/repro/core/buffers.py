@@ -84,14 +84,6 @@ class ReceiveBuffer:
         self.out_of_order = 0
 
     # ------------------------------------------------------------------
-    # state inspection
-    # ------------------------------------------------------------------
-    @property
-    def available(self) -> int:
-        """In-sequence bytes ready for the application."""
-        return self._unread
-
-    # ------------------------------------------------------------------
     # writing (from the network)
     # ------------------------------------------------------------------
     def write(self, rel_offset: int, data: bytes) -> int:

@@ -309,10 +309,6 @@ class TcpConnection(_SocketOptions):
         self._rexmit_kind = "rto"
         self._g_cwnd = None
         if metrics is not None:
-            if instruments is None:
-                # built outside a TcpStack: export this recorder itself
-                metrics.pull_counters("tcp", local_id, self.trace.counters)
-                instruments = node_instruments(metrics, local_id)
             (self._g_cwnd, self._g_ssthresh, self._g_srtt, self._g_rto,
              self._h_rtt) = instruments
         if metrics is not None or self._bus is not None:
@@ -348,7 +344,7 @@ class TcpConnection(_SocketOptions):
             return self.ts_clock(self.sim.now)
         return int(self.sim.now * 1000) & 0xFFFFFFFF
 
-    def flight_size(self) -> int:
+    def _flight_size(self) -> int:
         """Bytes sent but not yet acknowledged."""
         return seq_sub(self.snd_max, self.snd_una)
 
@@ -494,7 +490,7 @@ class TcpConnection(_SocketOptions):
         elif (
             self.snd_wnd == 0
             and self._unsent_bytes() > 0
-            and self.flight_size() == 0
+            and self._flight_size() == 0
         ):
             # zero window with data waiting: persist
             self.persist_timer.start_if_idle(self._persist_interval())
@@ -665,7 +661,7 @@ class TcpConnection(_SocketOptions):
                 "ssthresh": self.cc.ssthresh,
                 "ts": self._now_ts(),
             }
-        self.cc.on_timeout(self.flight_size(), self.sim.now)
+        self.cc.on_timeout(self._flight_size(), self.sim.now)
         self.scoreboard.clear()
         self.dupacks = 0
         self._timed_seq = None  # Karn: do not time retransmitted data
@@ -705,12 +701,9 @@ class TcpConnection(_SocketOptions):
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "zero_window_probe",
                            shift=self._persist_shift)
-        offset = seq_sub(self.snd_nxt, self.snd_una)
-        if self.send_buf.used > offset:
-            data = self.send_buf.peek(offset, 1)
-            self._emit(flags=FLAG_ACK, seq=self.snd_nxt, data=data)
-        else:
-            self._emit(flags=FLAG_ACK)
+        # the timer runs only while data waits unsent (output)
+        data = self.send_buf.peek(seq_sub(self.snd_nxt, self.snd_una), 1)
+        self._emit(flags=FLAG_ACK, seq=self.snd_nxt, data=data)
         self._persist_shift += 1
         self.persist_timer.start(self._persist_interval())
 
@@ -804,7 +797,7 @@ class TcpConnection(_SocketOptions):
                 return
         if self._peer_fin == self.rcv_nxt:  # a FIN waiting for this data
             self._process_fin(seg)
-        self._set_awaiting_ack(  # flight_size() > 0
+        self._set_awaiting_ack(  # _flight_size() > 0
             0 < (self.snd_max - self.snd_una) % MOD < HALF)
 
     def _full_input(self, seg: Segment, packet) -> None:
@@ -884,7 +877,7 @@ class TcpConnection(_SocketOptions):
             return
         self._process_payload(seg, packet)
         self._process_fin(seg)
-        self._set_awaiting_ack(self.flight_size() > 0)
+        self._set_awaiting_ack(self._flight_size() > 0)
 
     # ------------------------------------------------------------------
     def _header_predicted(self, seg: Segment) -> bool:
@@ -1013,7 +1006,7 @@ class TcpConnection(_SocketOptions):
             and seq_ge(self.snd_una, self._ecn_response_seq)
         ):
             self._counts["tcp.ecn_responses"] += 1
-            self.cc.on_ecn_echo(self.flight_size(), self.sim.now)
+            self.cc.on_ecn_echo(self._flight_size(), self.sim.now)
             self._ecn_response_seq = self.snd_max
             self._cwr_pending = True
 
@@ -1041,9 +1034,6 @@ class TcpConnection(_SocketOptions):
         data_acked = (acked - (self.state is TcpState.SYN_RECEIVED)
                       - fin_acked)
         send_buf = self.send_buf
-        used = send_buf.used
-        if data_acked > used:  # never more than is queued
-            data_acked = used
         if data_acked > 0:
             send_buf.ack(data_acked)
             self._counts["tcp.bytes_acked"] += data_acked
@@ -1098,7 +1088,7 @@ class TcpConnection(_SocketOptions):
                 self._teardown()
                 return
 
-        if 0 < (self.snd_max - self.snd_una) % MOD < HALF:  # flight_size() > 0
+        if 0 < (self.snd_max - self.snd_una) % MOD < HALF:  # _flight_size() > 0
             self.rexmt_timer.start(self.rtt.backed_off(self.rto_shift))
         else:
             self.rexmt_timer.stop()
@@ -1136,7 +1126,7 @@ class TcpConnection(_SocketOptions):
             len(seg.data) == 0
             and not seg.fin
             and seg.window == self.snd_wnd
-            and self.flight_size() > 0
+            and self._flight_size() > 0
         )
         if not is_dup:
             return
@@ -1151,7 +1141,7 @@ class TcpConnection(_SocketOptions):
             if self._bus is not None:
                 self._bus.emit("tcp", self.local_id, "fast_retransmit",
                                snd_una=self.snd_una)
-            self.cc.enter_recovery(self.flight_size(), self.snd_max, self.sim.now)
+            self.cc.enter_recovery(self._flight_size(), self.snd_max, self.sim.now)
             self._fast_retransmit_hole()
             self.rexmt_timer.start(self._current_rto())
 

@@ -68,10 +68,3 @@ class RttEstimator:
         """RTO after ``shift`` consecutive timeouts (exponential)."""
         return min(self.rto_max, self.rto * (1 << min(shift, 16)))
 
-    def reset(self) -> None:
-        """Forget all history (e.g. after repeated timeouts suggest a
-        route change)."""
-        self.srtt = None
-        self.rttvar = 0.0
-        self.samples = 0
-        self.last_sample = None

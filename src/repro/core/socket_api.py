@@ -48,10 +48,6 @@ class TcpListener:
         self.params = params
         self.accepted = 0
 
-    def close(self) -> None:
-        """Stop listening (existing connections are unaffected)."""
-        self.stack._listeners.pop(self.port, None)
-
 
 class TcpStack(_SocketOptions):
     """TCP demultiplexer bound to one node's network layer.  Its socket
@@ -202,8 +198,6 @@ class TcpStack(_SocketOptions):
         key = (conn.local_port, conn.peer_id, conn.peer_port)
         self._connections.pop(key, None)
         self._awaiting.discard(key)
-        if self.sleepy is not None:
-            self.sleepy.set_fast_poll(bool(self._awaiting))
 
     def _fast_poll(self, key, waiting: bool) -> None:
         """§9.2: poll every 100 ms while any connection expects an ACK."""

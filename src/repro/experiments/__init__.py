@@ -20,7 +20,6 @@ from repro.experiments.workload import (
     BulkTransfer,
     FlowSet,
     FlowSpec,
-    SensorStream,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "BulkTransfer",
     "FlowSet",
     "FlowSpec",
-    "SensorStream",
 ]

@@ -1,10 +1,11 @@
 """Campaign grid cells: one factory call is one paper point.
 
-The paper's swept figures (Figs. 4, 5, 6, 8, 9 and 12) are entries of
-``campaigns/paper.json`` that sweep one of these cells over a grid, so
-each point has this one definition and a point two figures share is
-one run: Fig. 5's window-4 point is Fig. 4's 5-frame downlink point,
-and Fig. 8's batched points are Fig. 9's loss-0 points.
+The paper's swept figures (Figs. 4, 5, 6, 8, 9 and 12, and §7.2's hop
+sweep) are entries of ``campaigns/paper.json`` that sweep one of these
+cells over a grid, so each point has this one definition and a point
+two figures share is one run: Fig. 5's window-4 point is Fig. 4's
+5-frame downlink point, Fig. 8's batched points are Fig. 9's loss-0
+points, and §7.2's three-hop point is Fig. 6b-d's d = 40 ms point.
 
 Every factory follows the catalog contract ``factory(quick,
 **params)``: ``quick=False`` runs the settings the paper suite asserts
@@ -62,8 +63,8 @@ def retry_delay_cell(
     ambient_loss: float = 0.0,
     seed: int = 0,
 ) -> Dict:
-    """One Figure 6 point: bulk goodput over a ``hops``-hop chain with a
-    link-retry delay of ``delay`` seconds, beside Eq. 1's and Eq. 2's
+    """One Figure 6 or §7.2 point: bulk goodput over a ``hops``-hop
+    chain with a link-retry delay of ``delay`` seconds, beside Eq. 1's and Eq. 2's
     predictions.  ``ambient_loss`` is a uniform frame loss: one hop
     needs a little, or no link retry fires for ``delay`` to act on."""
     return _run_retry_delay_point(hops, delay, seed=seed,

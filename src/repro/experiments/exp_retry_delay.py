@@ -1,6 +1,7 @@
-"""Figure 6 and Figure 7: one point of the link-retry-delay sweep
-(``exp_cells.retry_delay_cell`` sweeps it) with the Equation 1/2
-model comparison of §8, and the congestion behaviour at three hops.
+"""Figure 6, Figure 7 and §7.2: one point of the link-retry-delay
+sweep (``exp_cells.retry_delay_cell`` sweeps it over delays and hops)
+with the Equation 1/2 model comparison of §8, and the congestion
+behaviour at three hops.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ def _run_retry_delay_point(
     record_cwnd: bool = False,
     ambient_frame_loss: float = 0.0,
 ) -> Dict:
-    """One (hops, d) cell of Figure 6: goodput, segment loss, RTT,
-    frames transmitted, and loss-recovery breakdown (Fig. 7b).
+    """One (hops, d) cell of Figure 6 and §7.2: goodput, segment loss,
+    RTT, frames transmitted, and loss-recovery breakdown (Fig. 7b).
 
-    ``ambient_frame_loss`` models the testbed's residual interference;
+    Per §7.2, a chain of more than three hops needs a window larger
+    than four segments; it gets six.  ``ambient_frame_loss`` models the testbed's residual interference;
     the single-hop sweep needs a little of it or no link retry ever
     fires and ``d`` has nothing to delay.
     """
@@ -37,7 +39,7 @@ def _run_retry_delay_point(
         net.medium.loss_models.append(UniformLoss(ambient_frame_loss, net.rng))
     for n in net.nodes.values():
         n.mac.params.retry_delay = delay
-    params = tcplp_params()
+    params = tcplp_params(window_segments=4 if hops <= 3 else 6)
     xfer = BulkTransfer(net.sim, net.tcp_stack(hops), net.tcp_stack(0),
                         receiver_id=0, params=params, receiver_params=params)
     frames_before = net.total_frames_sent()

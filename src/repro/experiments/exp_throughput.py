@@ -1,10 +1,10 @@
 """Throughput experiments: the one-hop transfer behind Figures 4 and 5
-(``exp_cells.single_hop_cell`` is their point), §4, §6.3, §7.2.
+(``exp_cells.single_hop_cell`` is their point), §4 and §6.3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.api import (
     CLOUD_ID,
@@ -23,13 +23,10 @@ def run_single_hop_transfer(
     seed: int = 0,
     warmup: float = 10.0,
     duration: float = 60.0,
-    retry_delay: float = 0.0,
 ) -> BulkResult:
     """One bulk transfer between the embedded endpoint and the cloud
     through the border router (the Figure 2 setup)."""
     net = build_chain(1, seed=seed)
-    for n in net.nodes.values():
-        n.mac.params.retry_delay = retry_delay
     node_stack = net.tcp_stack(1)
     cloud_stack = net.tcp_stack(CLOUD_ID, linux_like_params())
     if uplink:
@@ -73,36 +70,3 @@ def run_deaf_ablation(seed: int = 1, duration: float = 45.0) -> Dict:
                                     deaf_csma=deaf).goodput_kbps
             for label, deaf in (("software", False), ("deaf", True))}
 
-
-def run_sec72_hops(
-    hops_range=(1, 2, 3, 4),
-    retry_delay: float = 0.04,
-    seed: int = 0,
-    duration: float = 60.0,
-) -> List[Dict]:
-    """§7.2: goodput vs hop count (64.1 / 28.3 / 19.5 / 17.5 kb/s).
-
-    Per the paper, the four-hop experiment needs a window larger than
-    four segments; we use six there.
-    """
-    from repro.api import tcplp_params
-    from repro.models.throughput import multihop_bound, single_hop_ceiling
-
-    rows = []
-    for hops in hops_range:
-        net = build_chain(hops, seed=seed)
-        for n in net.nodes.values():
-            n.mac.params.retry_delay = retry_delay
-        params = tcplp_params(window_segments=4 if hops <= 3 else 6)
-        xfer = BulkTransfer(net.sim, net.tcp_stack(hops), net.tcp_stack(0),
-                            receiver_id=0, params=params,
-                            receiver_params=params)
-        result = xfer.measure(10.0, duration)
-        rows.append({
-            "hops": hops,
-            "goodput_kbps": result.goodput_kbps,
-            "bound_kbps": multihop_bound(single_hop_ceiling(), hops) / 1000.0,
-            "rtt_mean": result.rtt_mean,
-            "segment_loss": result.segment_loss,
-        })
-    return rows

@@ -98,10 +98,7 @@ def render_network_map(net) -> str:
     for node_id in net.nodes:
         if node_id == net.border_id:
             continue
-        try:
-            nxt = net.routing.next_hop(node_id, net.border_id)
-        except Exception:
-            nxt = None
+        nxt = net.routing.next_hop(node_id, net.border_id)
         if nxt is not None:
             routes.append((node_id, nxt))
     labels = {net.border_id: f"[{net.border_id}]"}

@@ -40,7 +40,6 @@ from repro.experiments.exp_table7 import run_table7
 from repro.experiments.exp_throughput import (
     run_deaf_ablation,
     run_node_to_node,
-    run_sec72_hops,
 )
 from repro.models.headers import table5_rows, table6_rows
 from repro.models.memory import (
@@ -115,10 +114,6 @@ def _exp_fig7a_cwnd(quick: bool, seed: int = 0):
     return row
 
 
-def _exp_sec72_hops(quick: bool, seed: int = 0):
-    return run_sec72_hops(seed=seed, duration=_d(quick, 60.0))
-
-
 def _exp_sec63_node_to_node(quick: bool, seed: int = 0):
     result = run_node_to_node(seed=seed, duration=_d(quick, 60.0))
     return {"goodput_kbps": result.goodput_kbps,
@@ -188,7 +183,6 @@ DEFAULT_CATALOG = ExperimentCatalog({
     "static_tables": _exp_static_tables,
     "table7_stacks": _exp_table7_stacks,
     "fig7a_cwnd": _exp_fig7a_cwnd,
-    "sec72_hops": _exp_sec72_hops,
     "sec63_node_to_node": _exp_sec63_node_to_node,
     "sec4_deaf_ablation": _exp_sec4_deaf_ablation,
     "fig10_daylong_tcp": _exp_fig10_daylong_tcp,

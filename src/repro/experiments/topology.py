@@ -64,7 +64,7 @@ class Network:
     hosts: Dict[int, CloudHost] = field(default_factory=dict)
     _udp_stacks: Dict[int, UdpStack] = field(default_factory=dict, repr=False)
 
-    def endpoint(self, node_id: int):
+    def _endpoint(self, node_id: int):
         """The ``register``/``send`` surface of ``node_id``: a mote's
         IPv6 layer or a wired host."""
         node = self.nodes.get(node_id)
@@ -84,7 +84,7 @@ class Network:
         ``default_params`` applies when the stack is built; asking for
         the built stack with different ones raises.
         """
-        netif = self.endpoint(node_id)
+        netif = self._endpoint(node_id)
         stack = netif.tcp_stack
         if stack is None:
             node = self.nodes.get(node_id)
@@ -106,7 +106,7 @@ class Network:
             return node.udp
         stack = self._udp_stacks.get(node_id)
         if stack is None:
-            stack = UdpStack(self.endpoint(node_id))
+            stack = UdpStack(self._endpoint(node_id))
             self._udp_stacks[node_id] = stack
         return stack
 
@@ -366,10 +366,8 @@ def _finish_mesh(
     medium: Medium,
     nodes: Dict[int, Node],
     context: str,
-    with_cloud: bool,
-    wired_loss: float,
 ) -> Network:
-    """Shared tail of the mesh builders: routing, checks, cloud, faults."""
+    """Shared tail of the mesh builders: routing, checks, faults."""
     routing = MeshRouting(border_id=0, router_ids=list(nodes))
     for node in nodes.values():
         node.routing = routing
@@ -377,8 +375,6 @@ def _finish_mesh(
     routing.rebuild(medium)
     net = Network(sim, rng, medium, nodes, routing, border_id=0)
     _assert_connected(net, context)
-    if with_cloud:
-        _attach_cloud(net, nodes[0], wired_loss=wired_loss)
     net.faults = _faults.maybe_attach(net)
     net.verify = _verify.maybe_attach(net)
     return net
@@ -392,8 +388,6 @@ def build_grid_mesh(
     spacing: float = 8.0,
     comm_range: float = 10.0,
     retry_delay: float = 0.04,
-    with_cloud: bool = False,
-    wired_loss: float = 0.0,
 ) -> Network:
     """A ``rows x cols`` lattice of always-on routers.
 
@@ -423,7 +417,7 @@ def build_grid_mesh(
             nodes[nid] = Node(sim, medium, rng, nid,
                               (c * spacing, r * spacing), placeholder, config)
     return _finish_mesh(sim, rng, medium, nodes,
-                        f"grid_mesh({rows}x{cols})", with_cloud, wired_loss)
+                        f"grid_mesh({rows}x{cols})")
 
 
 def build_random_mesh(
@@ -433,8 +427,6 @@ def build_random_mesh(
     area: Optional[float] = None,
     comm_range: float = 10.0,
     retry_delay: float = 0.04,
-    with_cloud: bool = False,
-    wired_loss: float = 0.0,
     max_tries: int = 64,
 ) -> Network:
     """``num_nodes`` always-on routers placed uniformly at random.
@@ -470,5 +462,4 @@ def build_random_mesh(
         config.mac.retry_delay = retry_delay
         nodes[nid] = Node(sim, medium, rng, nid, pos, placeholder, config)
     return _finish_mesh(sim, rng, medium, nodes,
-                        f"random_mesh(n={num_nodes})", with_cloud,
-                        wired_loss)
+                        f"random_mesh(n={num_nodes})")

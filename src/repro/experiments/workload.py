@@ -5,7 +5,7 @@ iperf-style workload — the §6/§7 throughput experiments), measuring
 goodput at the receiver.  :class:`GoodputMeter` can wrap any byte sink.
 
 :class:`FlowSet` scales that up: it launches, staggers, and meters N
-concurrent flows (saturating bulk transfers or paced sensor streams)
+concurrent saturating bulk transfers
 over one network on its per-node TCP stacks, and reports per-flow
 and aggregate goodput plus Jain's fairness index.  It is the workload
 engine behind the ``dense_mesh`` benchmark scenario and every
@@ -43,17 +43,11 @@ class GoodputMeter:
         if self._start is not None:
             self.bytes += len(data)
 
-    def elapsed(self) -> float:
-        """Measurement-window length."""
-        if self._start is None:
-            return 0.0
-        return self.sim.now - self._start
-
     def goodput_bps(self) -> float:
         """Delivered application bits per second over the window."""
         if self._start is None:
             return 0.0
-        elapsed = self.elapsed()
+        elapsed = self.sim.now - self._start
         return self.bytes * 8.0 / elapsed if elapsed > 0 else 0.0
 
 
@@ -178,80 +172,12 @@ class BulkTransfer:
         )
 
 
-class SensorStream:
-    """A paced periodic report stream over one TCP connection.
-
-    The anemometer-class workload: ``report_bytes`` every ``interval``
-    seconds, skipped (not queued) when the send buffer has no room —
-    a sensor that cannot ship a reading drops it rather than stalling.
-    Exposes the same ``meter``/``connected``/``errors`` surface as
-    :class:`BulkTransfer` so :class:`FlowSet` can drive either.
-    """
-
-    def __init__(
-        self,
-        sim,
-        sender_stack: TcpStack,
-        receiver_stack: TcpStack,
-        receiver_id: int,
-        port: int = 8000,
-        params: Optional[TcpParams] = None,
-        receiver_params: Optional[TcpParams] = None,
-        dst_is_cloud: bool = False,
-        report_bytes: int = 82,
-        interval: float = 1.0,
-        payload_byte: bytes = b"s",
-    ):
-        self.sim = sim
-        self.meter = GoodputMeter(sim)
-        self.connected = False
-        self.errors: List[str] = []
-        self.reports_sent = 0
-        self.reports_skipped = 0
-        self._payload = payload_byte * report_bytes
-        self._tick_event = None
-        self._interval = interval
-
-        receiver_stack.listen(port, self._on_accept, params=receiver_params)
-        self._conn = sender_stack.connect(
-            receiver_id, port, params=params, dst_is_cloud=dst_is_cloud
-        )
-        self._conn.on_connect = self._on_connect
-        self._conn.on_error = self._on_error
-
-    def _on_accept(self, conn) -> None:
-        conn.on_data = self.meter.on_data
-
-    def _on_error(self, err) -> None:
-        self.errors.append(err)
-
-    def _on_connect(self) -> None:
-        self.connected = True
-        self._send_report()
-        self._tick_event = self.sim.schedule_periodic(
-            self._interval, self._send_report
-        )
-
-    def _send_report(self) -> None:
-        if not self._conn.is_open:
-            if self._tick_event is not None:
-                self._tick_event.cancel()
-                self._tick_event = None
-            return
-        if self._conn.send_buf.free >= len(self._payload):
-            self._conn.send(self._payload)
-            self.reports_sent += 1
-        else:
-            self.reports_skipped += 1
-
-
 @dataclass
 class FlowSpec:
     """One flow of a :class:`FlowSet`.
 
-    ``kind`` selects the driver: ``"bulk"`` (saturating
-    :class:`BulkTransfer`) or ``"sensor"`` (paced
-    :class:`SensorStream`).  ``start`` staggers the flow's launch (both
+    Each flow is a saturating :class:`BulkTransfer`.  ``start``
+    staggers the flow's launch (both
     the listener and the active open happen then).  ``port`` defaults
     to ``base_port + index`` so flows sharing a receiver never collide.
     """
@@ -259,14 +185,10 @@ class FlowSpec:
     src: int
     dst: int
     start: float = 0.0
-    kind: str = "bulk"
     port: Optional[int] = None
     params: Optional[TcpParams] = None
     receiver_params: Optional[TcpParams] = None
     dst_is_cloud: bool = False
-    #: sensor-kind pacing
-    report_bytes: int = 82
-    interval: float = 1.0
 
 
 @dataclass
@@ -277,7 +199,6 @@ class FlowResult:
     src: int
     dst: int
     port: int
-    kind: str
     goodput_bps: float
     bytes_delivered: int
     connected: bool
@@ -368,23 +289,14 @@ class FlowSet:
         spec = self.specs[index]
         sender = self.net.tcp_stack(spec.src)
         receiver = self.net.tcp_stack(spec.dst)
-        common = dict(
+        driver = BulkTransfer(
+            self.sim, sender, receiver, receiver_id=spec.dst,
             port=self.ports[index],
             params=spec.params or self.params,
             receiver_params=(spec.receiver_params or self.receiver_params
                              or spec.params or self.params),
             dst_is_cloud=spec.dst_is_cloud,
         )
-        if spec.kind == "bulk":
-            driver = BulkTransfer(self.sim, sender, receiver,
-                                  receiver_id=spec.dst, **common)
-        elif spec.kind == "sensor":
-            driver = SensorStream(self.sim, sender, receiver,
-                                  receiver_id=spec.dst,
-                                  report_bytes=spec.report_bytes,
-                                  interval=spec.interval, **common)
-        else:
-            raise ValueError(f"flow {index}: unknown kind {spec.kind!r}")
         self.drivers[index] = driver
         if self._measuring:
             driver.meter.start()
@@ -408,13 +320,13 @@ class FlowSet:
             if driver is None:  # never launched (start beyond the run)
                 flows.append(FlowResult(
                     index=index, src=spec.src, dst=spec.dst,
-                    port=self.ports[index], kind=spec.kind,
+                    port=self.ports[index],
                     goodput_bps=0.0, bytes_delivered=0, connected=False,
                 ))
                 continue
             flows.append(FlowResult(
                 index=index, src=spec.src, dst=spec.dst,
-                port=self.ports[index], kind=spec.kind,
+                port=self.ports[index],
                 goodput_bps=driver.meter.bytes * 8.0 / duration
                 if duration > 0 else 0.0,
                 bytes_delivered=driver.meter.bytes,

@@ -96,12 +96,7 @@ class LowpanAdaptation:
     # ------------------------------------------------------------------
     # receive / forward path
     # ------------------------------------------------------------------
-    def _on_mac_receive(self, payload: object, src: int, frame: object) -> None:
-        if not isinstance(payload, Fragment):
-            # Non-6LoWPAN traffic (not used in practice, but don't crash).
-            self.deliver_up(payload)
-            return
-        frag = payload
+    def _on_mac_receive(self, frag: Fragment, src: int, frame: object) -> None:
         if not self.reassemble_per_hop:
             if frag.is_first:
                 final_dst = frag.final_dst

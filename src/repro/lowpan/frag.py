@@ -180,10 +180,6 @@ class Reassembler:
             return part.packet
         return None
 
-    def pending(self) -> int:
-        """Number of incomplete datagrams buffered."""
-        return len(self._partials)
-
     def clear(self) -> None:
         """Discard all partial datagrams and their GC timers (node crash)."""
         for part in self._partials.values():

@@ -21,7 +21,7 @@ from repro.net.addr import cloud_address, mesh_address
 from repro.net.icmpv6 import IcmpStack
 from repro.net.ipv6 import PROTO_TCP, PROTO_UDP, Ipv6Layer, Ipv6Packet
 from repro.net.node import Node, NodeConfig
-from repro.net.queues import DropTailQueue, RedParams, RedQueue
+from repro.net.queues import RedParams, RedQueue
 from repro.net.routing import MeshRouting, StaticRouting
 from repro.net.udp import UdpDatagram, UdpStack
 from repro.net.wired import CloudHost, WiredLink
@@ -33,7 +33,6 @@ __all__ = [
     "PROTO_UDP",
     "UdpDatagram",
     "UdpStack",
-    "DropTailQueue",
     "RedQueue",
     "RedParams",
     "StaticRouting",

@@ -36,7 +36,7 @@ class IcmpEcho:
     payload_bytes: int = 8
 
     @property
-    def wire_bytes(self) -> int:
+    def _wire_bytes(self) -> int:
         return ICMP_HEADER_BYTES + self.payload_bytes
 
     def encode(self) -> bytes:
@@ -85,7 +85,7 @@ class IcmpStack:
         timer.start(timeout)
         self._pending[key] = (self.sim.now, on_reply, timer)
         self.trace.counters.incr("icmp.echo_requests")
-        self.network.send(dst, PROTO_ICMPV6, echo, echo.wire_bytes,
+        self.network.send(dst, PROTO_ICMPV6, echo, echo._wire_bytes,
                           dst_is_cloud=dst_is_cloud)
 
     def _timeout(self, key) -> None:
@@ -103,7 +103,7 @@ class IcmpStack:
             reply = IcmpEcho(TYPE_ECHO_REPLY, echo.identifier, echo.sequence,
                              echo.payload_bytes)
             self.network.send(
-                packet.src, PROTO_ICMPV6, reply, reply.wire_bytes,
+                packet.src, PROTO_ICMPV6, reply, reply._wire_bytes,
                 dst_is_cloud=packet.src_is_cloud,
             )
             return

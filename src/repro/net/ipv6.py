@@ -71,9 +71,9 @@ class Ipv6Packet:
 
     def _compressed_header_bytes(self) -> int:
         """Wire size of the IPHC-compressed IPv6 header."""
-        return self.datagram_bytes() - self.payload_bytes
+        return self._datagram_bytes() - self.payload_bytes
 
-    def datagram_bytes(self) -> int:
+    def _datagram_bytes(self) -> int:
         """Compressed header + payload: the 6LoWPAN datagram size."""
         shape = (self.next_header, self.src_is_cloud, self.dst_is_cloud,
                  self.hop_limit in (1, 64, 255), self.ecn != ECN_NOT_ECT)
@@ -154,8 +154,6 @@ class Ipv6Layer:
         #: optional packet queue for per-hop forwarding (RED, Appendix A)
         self.forward_queue = None
         self._forward_busy = False
-        #: optional hook observing every packet sent (loss injection, tests)
-        self.pre_route_hook: Optional[Callable[[Ipv6Packet], bool]] = None
         #: optional skewed timestamp clock (sim-seconds -> 32-bit ms);
         #: picked up by TCP connections built over this layer
         self.ts_clock: Optional[Callable[[float], int]] = None
@@ -199,9 +197,6 @@ class Ipv6Layer:
     # ------------------------------------------------------------------
     def route_out(self, packet: Ipv6Packet) -> None:
         """Send a packet toward its destination (origination or forward)."""
-        if self.pre_route_hook is not None and not self.pre_route_hook(packet):
-            self._counts["ipv6.hook_drops"] += 1
-            return
         next_hop = self.routing.next_hop(self.node_id, packet.dst)
         if next_hop is None:
             self._counts["ipv6.no_route"] += 1
@@ -215,7 +210,7 @@ class Ipv6Layer:
             raise RuntimeError("network layer not bound to an adaptation layer")
         self._counts["ipv6.sent_mesh"] += 1
         self.adaptation.send_packet(
-            packet, packet.datagram_bytes(), next_hop, packet.dst
+            packet, packet._datagram_bytes(), next_hop, packet.dst
         )
 
     # ------------------------------------------------------------------
@@ -272,7 +267,7 @@ class Ipv6Layer:
             return
         self.adaptation.send_packet(
             packet,
-            packet.datagram_bytes(),
+            packet._datagram_bytes(),
             next_hop,
             packet.dst,
             on_done=self._forward_done,

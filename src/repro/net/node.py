@@ -93,8 +93,6 @@ class Node:
         (:meth:`~repro.experiments.topology.Network.attach_metrics`)."""
         metrics.pull_counters("node", self.node_id, self.trace.counters)
         metrics.register_collector(self.radio.collect_metrics)
-        if self.sleepy is not None:
-            metrics.pull_counters("poll", self.node_id, self.trace.counters)
 
     # ------------------------------------------------------------------
     # wiring helpers

@@ -1,4 +1,4 @@
-"""Packet queues: drop-tail and RED with ECN marking.
+"""The relays' packet queue: RED with ECN marking.
 
 Appendix A of the paper shows that with 7-segment windows, two
 competing TCP flows share a relay unfairly because of tail drops, and
@@ -16,32 +16,6 @@ from typing import Deque, Optional
 
 from repro.net.ipv6 import ECN_CE, ECN_ECT0, ECN_ECT1, Ipv6Packet
 from repro.sim.rng import RngStreams
-
-
-class DropTailQueue:
-    """Bounded FIFO; enqueue returns "drop" when full."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._queue: Deque[Ipv6Packet] = deque()
-        self.drops = 0
-
-    def enqueue(self, packet: Ipv6Packet) -> str:
-        """Returns "enqueue" or "drop"."""
-        if len(self._queue) >= self.capacity:
-            self.drops += 1
-            return "drop"
-        self._queue.append(packet)
-        return "enqueue"
-
-    def dequeue(self) -> Optional[Ipv6Packet]:
-        """Pop the head packet, or None if empty."""
-        return self._queue.popleft() if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 @dataclass

@@ -26,7 +26,7 @@ class UdpDatagram:
     payload: object
     payload_bytes: int
 
-    def wire_bytes(self, compressed: bool = True) -> int:
+    def _wire_bytes(self, compressed: bool = True) -> int:
         """Wire size of header + payload."""
         if compressed:
             header = compressed_udp_bytes(self.src_port, self.dst_port)
@@ -87,7 +87,7 @@ class UdpStack:
             dst,
             PROTO_UDP,
             dgram,
-            dgram.wire_bytes(compressed=not dst_is_cloud),
+            dgram._wire_bytes(compressed=not dst_is_cloud),
             dst_is_cloud=dst_is_cloud,
         )
 

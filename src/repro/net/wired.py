@@ -33,15 +33,12 @@ class WiredLink:
         one_way_delay: float = 0.006,
         loss_rate: float = 0.0,
         stream: str = "wired-loss",
-        loss_direction: str = "both",  # "both", "to_cloud", "to_mesh"
     ):
         self.sim = sim
         self.rng = rng
         self.one_way_delay = one_way_delay
         self.loss_rate = loss_rate
         self.stream = stream
-        self.loss_direction = loss_direction
-        self.cloud_ids: set = set()
         self._receivers: Dict[int, Callable[[Ipv6Packet], None]] = {}
         self.packets_dropped = 0
         self.packets_delivered = 0
@@ -60,22 +57,12 @@ class WiredLink:
         receiver = self._receivers.get(toward)
         if receiver is None:
             raise ValueError(f"no wired endpoint {toward}")
-        if self.loss_rate > 0 and self._loss_applies(toward):
+        if self.loss_rate > 0:
             if self.rng.random(self.stream) < self.loss_rate:
                 self.packets_dropped += 1
                 return
         self.packets_delivered += 1
         self.sim.schedule(self.one_way_delay, receiver, packet)
-
-    def _loss_applies(self, toward: int) -> bool:
-        if self.loss_direction == "both":
-            return True
-        toward_cloud = toward in self.cloud_ids
-        if self.loss_direction == "to_cloud":
-            return toward_cloud
-        if self.loss_direction == "to_mesh":
-            return not toward_cloud
-        raise ValueError(f"bad loss_direction {self.loss_direction}")
 
 
 class CloudHost:
@@ -94,7 +81,6 @@ class CloudHost:
         """Connect this host to the border router via ``wired``."""
         self.wired = wired
         self.gateway_id = gateway_id
-        wired.cloud_ids.add(self.node_id)
         wired.connect(self.node_id, self.deliver)
 
     def register(self, next_header: int, handler: Callable[[Ipv6Packet], None]) -> None:

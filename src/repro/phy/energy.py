@@ -67,13 +67,9 @@ class EnergyLedger:
         totals[self.state] += self.sim.now - self._since
         return totals
 
-    def elapsed(self) -> float:
-        """Seconds since the ledger was created."""
-        return self.sim.now - self._start_time
-
     def radio_duty_cycle(self) -> float:
         """Fraction of elapsed time the radio was awake (not SLEEP)."""
-        elapsed = self.elapsed()
+        elapsed = self.sim.now - self._start_time
         if elapsed <= 0:
             return 0.0
         totals = self._settled()
@@ -112,13 +108,9 @@ class CpuMeter:
         """Total busy seconds charged so far."""
         return self._busy
 
-    def elapsed(self) -> float:
-        """Seconds since the meter was created."""
-        return self.sim.now - self._start_time
-
     def cpu_duty_cycle(self) -> float:
         """Fraction of elapsed time the CPU was busy."""
-        elapsed = self.elapsed()
+        elapsed = self.sim.now - self._start_time
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy / elapsed)

@@ -296,7 +296,6 @@ class Simulator:
         self._queue: List[tuple] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self.events_processed = 0
         #: tombstoned (cancelled) entries still sitting in the heap
         self.cancelled_count = 0
@@ -425,7 +424,6 @@ class Simulator:
         if until is not None and math.isnan(until):
             raise SimulationError("cannot run until t=nan")
         self._running = True
-        self._stopped = False
         # Hot loop: attribute lookups hoisted into locals.  The queue is
         # aliased, never rebound — compaction mutates it in place.  The
         # observer hook is sampled once: install it before run().
@@ -436,7 +434,7 @@ class Simulator:
         hook = self.on_event
         processed = 0
         try:
-            while queue and not self._stopped:
+            while queue:
                 if queue[0][0] > limit:
                     break
                 entry = heappop(queue)
@@ -471,15 +469,11 @@ class Simulator:
                 if hook is not None:
                     hook(ev)
                 ev.fn(*ev.args)
-            if until is not None and self.now < until and not self._stopped:
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             self.events_processed += processed
             self._running = False
-
-    def stop(self) -> None:
-        """Stop ``run`` after the current callback returns."""
-        self._stopped = True
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""

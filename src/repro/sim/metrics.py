@@ -229,8 +229,8 @@ class MetricsRegistry:
         """Read ``COUNTER_FAMILIES[table]`` from ``counts``, a layer's
         ``Counter``, into ``node=node_id`` counters at snapshot time.
 
-        The counters exist from this call on.  Counters registered under
-        one (table, node), such as two TCP stacks', are summed.
+        The counters exist from this call on; a second call for one
+        (table, node) is a no-op.
         """
         entry = self._pulled.get((table, node_id))
         if entry is None:
@@ -241,8 +241,6 @@ class MetricsRegistry:
                 handles.append((self.counter(name, node=node_id, **labels),
                                 key))
             self._pulled[(table, node_id)] = ([counts], handles)
-        elif all(c is not counts for c in entry[0]):
-            entry[0].append(counts)
 
     # ------------------------------------------------------------------
     # export

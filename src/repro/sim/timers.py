@@ -62,13 +62,6 @@ class Timer:
         if self._registry is not None:
             self._registry.discard(self)
 
-    def remaining(self) -> float:
-        """Seconds until expiry (0.0 if not armed)."""
-        if self.armed:
-            assert self._event is not None
-            return max(0.0, self._event.time - self.sim.now)
-        return 0.0
-
     def _fire(self) -> None:
         self._event = None
         if self._registry is not None:
@@ -101,11 +94,6 @@ class PeriodicTimer:
         self._interval: Optional[float] = None
         self._registry = getattr(sim, "_armed_timers", None)
 
-    @property
-    def armed(self) -> bool:
-        """True while the timer is ticking."""
-        return self._event is not None and not self._event.cancelled
-
     def start(self, interval: float) -> None:
         """(Re)start firing every ``interval`` seconds, first in ``interval``."""
         self.stop()
@@ -116,7 +104,8 @@ class PeriodicTimer:
 
     def ensure(self, interval: float) -> None:
         """Keep the cadence if unchanged; otherwise restart at ``interval``."""
-        if not self.armed or self._interval != interval:
+        event = self._event
+        if event is None or event.cancelled or self._interval != interval:
             self.start(interval)
 
     def stop(self) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict, deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 
 class Counter:
@@ -58,22 +58,6 @@ class SeriesRecorder:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def window(self, t0: float, t1: float) -> List[Tuple[float, float]]:
-        """Samples with t0 <= time <= t1."""
-        return [
-            (t, v) for t, v in zip(self.times, self.values) if t0 <= t <= t1
-        ]
-
-    def last(self) -> Optional[float]:
-        """Most recent value, or None if empty."""
-        return self.values[-1] if self.values else None
-
-    def mean(self) -> float:
-        """Unweighted mean of sample values (0.0 if empty)."""
-        if not self.values:
-            return 0.0
-        return sum(self.values) / len(self.values)
 
 
 class TraceRecorder:
@@ -168,38 +152,16 @@ class TraceBus:
         if fn not in self._subscribers:
             self._subscribers.append(fn)
 
-    def unsubscribe(self, fn) -> None:
-        """Remove a subscriber added with :meth:`subscribe` (idempotent)."""
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
     @property
     def events(self) -> List[TraceEvent]:
         """The retained events, oldest first."""
         return list(self._events)
 
-    def clear(self) -> None:
-        """Drop all retained events (``emitted`` keeps counting)."""
-        self._events.clear()
-
-    # ------------------------------------------------------------------
-    # export / import
-    # ------------------------------------------------------------------
-    def to_jsonl(self, path) -> int:
-        """Write retained events as JSON Lines; returns the line count."""
-        return write_jsonl(self._events, path)
-
 
 def write_jsonl(events, path) -> int:
-    """Write an iterable of :class:`TraceEvent` as JSON Lines.
-
-    Module-level counterpart of :meth:`TraceBus.to_jsonl` for code that
-    keeps its own event list (e.g. the fault injector's log, which must
-    exist even when no bus is attached); returns the line count.
-    """
+    """Write an iterable of :class:`TraceEvent` as JSON Lines (a
+    :class:`TraceBus`'s ``events``, or a list kept without a bus, such
+    as the fault injector's log); returns the line count."""
     count = 0
     with open(path, "w") as fh:
         for ev in events:

@@ -27,10 +27,6 @@ from repro.verify.engine import InvariantEngine, Violation
 from repro.verify.postrun import (
     check_all,
     check_gateway_quiescent,
-    check_no_armed_tcp_timers,
-    check_quiescent,
-    check_recovery_bound,
-    check_stream_integrity,
 )
 
 __all__ = [
@@ -38,10 +34,6 @@ __all__ = [
     "Violation",
     "check_all",
     "check_gateway_quiescent",
-    "check_no_armed_tcp_timers",
-    "check_quiescent",
-    "check_recovery_bound",
-    "check_stream_integrity",
     "auto_verify",
     "maybe_attach",
     "drain_auto",

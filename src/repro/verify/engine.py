@@ -86,16 +86,6 @@ class InvariantEngine:
             self._subscribed = True
         return self
 
-    def stop(self) -> None:
-        """Disarm the sweep and unsubscribe (violations are retained)."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        bus = getattr(self.sim, "trace_bus", None)
-        if bus is not None and self._subscribed:
-            bus.unsubscribe(self._on_trace_event)
-        self._subscribed = False
-
     # ------------------------------------------------------------------
     # checking
     # ------------------------------------------------------------------

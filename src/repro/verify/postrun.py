@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 
-def check_stream_integrity(
+def _check_stream_integrity(
     sent: bytes, received: bytes, errors: Sequence[object] = (),
     label: str = "stream",
 ) -> List[str]:
@@ -48,7 +48,7 @@ def check_stream_integrity(
     return violations
 
 
-def check_no_armed_tcp_timers(sim, label: str = "teardown") -> List[str]:
+def _check_no_armed_tcp_timers(sim, label: str = "teardown") -> List[str]:
     """No ``tcp-*`` timer may be armed once all connections are closed.
 
     Reads the simulator's explicit armed-timer registry
@@ -67,7 +67,7 @@ def check_no_armed_tcp_timers(sim, label: str = "teardown") -> List[str]:
     return violations
 
 
-def check_quiescent(sim, stacks: Sequence[object],
+def _check_quiescent(sim, stacks: Sequence[object],
                     label: str = "quiescence") -> List[str]:
     """All stacks empty *and* no TCP timer armed (clean-teardown check)."""
     violations: List[str] = []
@@ -79,7 +79,7 @@ def check_quiescent(sim, stacks: Sequence[object],
                 f"connection(s) at t={sim.now:.3f}"
             )
     if not violations:
-        violations.extend(check_no_armed_tcp_timers(sim, label=label))
+        violations.extend(_check_no_armed_tcp_timers(sim, label=label))
     return violations
 
 
@@ -114,7 +114,7 @@ def check_gateway_quiescent(gateway, label: str = "gateway") -> List[str]:
     return violations
 
 
-def check_recovery_bound(
+def _check_recovery_bound(
     done_at: Optional[float], last_fault_at: float, bound: float,
     errors: Sequence[object] = (), label: str = "recovery",
 ) -> List[str]:
@@ -154,10 +154,10 @@ def check_all(
     """Run every applicable invariant; returns all violations."""
     violations: List[str] = []
     if sent is not None and received is not None:
-        violations.extend(check_stream_integrity(sent, received, errors))
+        violations.extend(_check_stream_integrity(sent, received, errors))
     if stacks:
-        violations.extend(check_quiescent(sim, stacks))
+        violations.extend(_check_quiescent(sim, stacks))
     if last_fault_at is not None:
-        violations.extend(check_recovery_bound(
+        violations.extend(_check_recovery_bound(
             done_at, last_fault_at, recovery_bound, errors))
     return violations

@@ -43,7 +43,7 @@ LEGACY_IMPORTS = [
                                     "build_testbed", "build_grid_mesh",
                                     "build_random_mesh"]),
     ("repro.experiments.workload", ["BulkTransfer", "BulkResult",
-                                    "GoodputMeter", "SensorStream",
+                                    "GoodputMeter",
                                     "FlowSet", "FlowSpec", "FlowResult",
                                     "FlowSetResult", "jain_fairness"]),
     ("repro.experiments", ["build_chain", "build_testbed",

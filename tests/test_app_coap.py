@@ -35,7 +35,7 @@ class TestCodec:
 
     def test_wire_bytes_matches_encoding(self):
         msg = CoapMessage(CoapType.CON, CODE_POST, 1, 1, b"xyz", (0, False, 6))
-        assert len(msg.encode()) == msg.wire_bytes
+        assert len(msg.encode()) == msg._wire_bytes
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -44,10 +44,8 @@ class TestCodec:
             CoapMessage.decode(b"\xff\x00\x00\x00")  # bad version
 
 
-def make_coap_net(wired_loss=0.0, seed=0, estimator=None,
-                  params=None, loss_direction="both"):
+def make_coap_net(wired_loss=0.0, seed=0, estimator=None, params=None):
     net = build_chain(1, seed=seed, wired_loss=wired_loss)
-    net.wired.loss_direction = loss_direction
     server = CoapServer(net.sim, net.udp_stack(CLOUD_ID))
     payloads = []
     server.on_payload = lambda p, pkt: payloads.append(p)

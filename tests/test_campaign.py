@@ -24,7 +24,6 @@ from repro.campaign import (
     ExperimentCatalog,
     ResultStore,
     RunSpec,
-    aggregate,
     plan_campaign,
     resolve_selection,
     run_campaign,
@@ -36,7 +35,7 @@ from repro.campaign.spec import (
     _identity,
     _member,
 )
-from repro.campaign.stats import aggregate_cell
+from repro.campaign.stats import _aggregate, aggregate_cell
 from repro.sim import metrics as metrics_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -192,6 +191,12 @@ class TestResolveSelection:
         with pytest.raises(ValueError, match="did you mean 'fig9_loss'"):
             resolve_selection("fig9_los", ["fig9_loss", "fig4_mss"])
 
+    def test_name_without_a_close_match_is_named_alone(self):
+        with pytest.raises(ValueError) as err:
+            resolve_selection("zzz", ["fig9_loss", "fig4_mss"])
+        assert "unknown experiment(s): 'zzz'; choose from" in str(err.value)
+        assert "did you mean" not in str(err.value)
+
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             resolve_selection([""], ["a"])
@@ -215,17 +220,17 @@ class TestExperimentCatalog:
     def test_copy_is_isolated(self):
         cat = make_catalog()
         clone = cat.copy()
-        clone.register("extra", linear_cell)
-        assert "extra" in clone and "extra" not in cat
+        clone.note_wall("linear_cell", 1.0)
+        assert clone.walls("linear_cell") == (1.0, 0.0, 0)
+        assert cat.walls("linear_cell") is None
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ValueError, match="did you mean"):
             make_catalog().get("linear_cel")
 
     def test_accepted_params_drops_quick(self):
-        accepted, var_kw = make_catalog().accepted_params("linear_cell")
+        accepted = make_catalog().accepted_params("linear_cell")
         assert accepted == {"x", "scale", "seed"}
-        assert not var_kw
 
     def test_accepted_params_inspects_once_per_registration(
             self, monkeypatch):
@@ -239,20 +244,14 @@ class TestExperimentCatalog:
         monkeypatch.setattr(inspect, "signature", counting)
         cat = make_catalog()
         for _ in range(3):
-            assert cat.accepted_params("linear_cell")[0] == {
+            assert cat.accepted_params("linear_cell") == {
                 "x", "scale", "seed"}
         assert inspected == [linear_cell]
-        # the same name re-registered with another signature is seen
-        cat.register("linear_cell", seedless_cell)
-        assert cat.accepted_params("linear_cell") == ({"x"}, False)
-        assert inspected == [linear_cell, seedless_cell]
-        cat.unregister("linear_cell")
         with pytest.raises(ValueError, match="unknown experiment"):
-            cat.accepted_params("linear_cell")
-        # a copy inspects for itself: it may be re-registered apart
-        clone = make_catalog().copy()
-        clone.register("seedless_cell", linear_cell)
-        assert "scale" in clone.accepted_params("seedless_cell")[0]
+            cat.accepted_params("linear_cel")
+        # a copy inspects for itself
+        assert cat.copy().accepted_params("seedless_cell") == {"x"}
+        assert inspected == [linear_cell, seedless_cell]
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +364,8 @@ class TestSpecValidation:
         doc = {"name": "n", "experiments": ["linear_cell"],
                "grid": {"x": [1, 2]}, "seeds": [0, 1]}
         spec = CampaignSpec.from_dict(doc)
-        again = CampaignSpec.from_dict(spec.to_dict())
-        assert spec.to_dict() == again.to_dict()
+        again = CampaignSpec.from_dict(spec._to_dict())
+        assert spec._to_dict() == again._to_dict()
         assert spec.digest() == again.digest()
 
 
@@ -579,8 +578,8 @@ class TestEntries:
             {"experiments": [_entry("any label", x=[1, 2])]})
         assert [r.run_id("s") for r in named.expand(make_catalog())] == [
             r.run_id("s") for r in entry.expand(make_catalog())]
-        again = CampaignSpec.from_dict(entry.to_dict())
-        assert again.to_dict() == entry.to_dict()
+        again = CampaignSpec.from_dict(entry._to_dict())
+        assert again._to_dict() == entry._to_dict()
         assert again.digest() == entry.digest() != named.digest()
 
     def test_a_shared_point_runs_once(self, tmp_path):
@@ -1021,10 +1020,11 @@ class TestCaching:
 class TestVerify:
     def test_a_violation_fails_the_run_and_is_never_cached(self, tmp_path):
         from repro.experiments.runner import default_catalog
-        from tests.test_runner_supervision import _kernel_corruptor
+        from tests.test_runner_supervision import (_kernel_corruptor,
+                                                   with_entries)
 
-        catalog = default_catalog().copy()
-        catalog.register("clock_rollback", _kernel_corruptor)
+        catalog = with_entries(default_catalog(),
+                               clock_rollback=_kernel_corruptor)
         store = ResultStore(tmp_path / "store", salt="s1")
         for _ in range(2):
             report = run_quiet({"experiments": ["clock_rollback"],
@@ -1269,7 +1269,7 @@ class TestFanOut:
         assert pools == []
         assert catalog.walls("linear_cell")[2] == 399
 
-    def test_register_unregister_and_copy_forget_the_entry(self, pools):
+    def test_copy_forgets_the_entry(self, pools):
         catalog = _timed(_nap_catalog(), "napping_cell", 0.06)
         spec = {"experiments": ["napping_cell"], "seeds": {"count": 3}}
         fresh = catalog.copy()
@@ -1277,13 +1277,7 @@ class TestFanOut:
         # unknown again: the first run goes alone, as in a fresh process
         assert run_quiet(dict(spec), catalog=fresh).execution[
             "in_process"] == 1
-        catalog.register("napping_cell", napping_cell)
-        assert catalog.walls("napping_cell") is None
-        assert run_quiet(dict(spec), catalog=catalog).execution[
-            "in_process"] == 1
-        catalog.unregister("napping_cell")
-        assert catalog.walls("napping_cell") is None
-        assert pools == [2, 2]
+        assert pools == [2]
 
     def test_fresh_mixed_campaign_forks_after_its_first_run(self, pools):
         """Three distinct 60 ms experiments, one run each: the catalog
@@ -1343,7 +1337,7 @@ class TestStats:
 
     def test_t_interval_hand_checked(self):
         # mean 3, stdev sqrt(2.5); t(0.95, df=4) = 2.776
-        agg = aggregate([1, 2, 3, 4, 5], confidence=0.95)
+        agg = _aggregate([1, 2, 3, 4, 5], confidence=0.95)
         assert agg["n"] == 5
         assert agg["mean"] == pytest.approx(3.0)
         half = 2.776 * (2.5 ** 0.5) / (5 ** 0.5)
@@ -1351,19 +1345,19 @@ class TestStats:
         assert agg["ci_high"] == pytest.approx(3.0 + half, rel=1e-3)
 
     def test_single_sample_degenerate_interval(self):
-        agg = aggregate([7.0])
+        agg = _aggregate([7.0])
         assert agg["ci_low"] == agg["ci_high"] == 7.0
 
     @pytest.mark.parametrize("confidence", [0.95], ids=["t"])
     def test_huge_samples_do_not_overflow(self, confidence):
         # deviations of 1e200 cannot be squared in a float; the spread
         # itself (1e200) is representable and must come back finite
-        agg = aggregate([1e200, 2e200, 3e200], confidence)
+        agg = _aggregate([1e200, 2e200, 3e200], confidence)
         assert agg["mean"] == pytest.approx(2e200)
         assert agg["stdev"] == pytest.approx(1e200)
         assert agg["ci_low"] <= agg["mean"] <= agg["ci_high"] < math.inf
         # a spread beyond the float range reads inf, never an exception
-        agg = aggregate([-1.7e308, 1.7e308], confidence)
+        agg = _aggregate([-1.7e308, 1.7e308], confidence)
         assert agg["stdev"] == math.inf
 
     def test_auto_metrics_numeric_common_fields(self):
@@ -1407,7 +1401,7 @@ class TestStats:
         for name in metrics:
             samples = [f[name] for f in flat if name in f]
             if samples:
-                expected[name] = aggregate(samples)
+                expected[name] = _aggregate(samples)
         got = aggregate_cell(results, **policy)
         # compared as the report's bytes: -0.0 == 0.0 would hide a sign
         assert json.dumps(got) == json.dumps(expected)
@@ -1473,10 +1467,10 @@ class TestReport:
 
     def test_execution_sidecar_excluded_from_canonical(self):
         report = run_quiet(dict(_CACHE_SPEC), catalog=make_catalog())
-        doc = report.to_dict()
+        doc = report._to_dict()
         assert "execution" not in doc
         assert report.execution["runs"] == 4
-        assert "execution" in report.to_dict(include_execution=True)
+        assert "execution" in report._to_dict(include_execution=True)
 
     def test_run_id_and_report_bytes_are_pinned(self, tmp_path):
         """Golden values: a change to either re-keys every store or
@@ -1540,6 +1534,15 @@ class TestReport:
                            catalog=make_catalog())
         one = report.grid_table("value", rows="x")
         assert "value" in one and "20" in one
+
+    def test_grid_table_without_a_matching_cell_says_so(self):
+        """``tools/campaign.py --grid`` takes the metric and axes from
+        the command line, so a typo must name what matched nothing."""
+        report = run_quiet({"experiments": ["linear_cell"],
+                            "grid": {"x": [1, 2]}},
+                           catalog=make_catalog())
+        assert report.grid_table("valu", rows="x") == (
+            "(no cells with metric 'valu' on axes 'x' x None)")
 
     def test_write_jsonl(self, tmp_path):
         report = run_quiet(dict(_CACHE_SPEC), catalog=make_catalog())

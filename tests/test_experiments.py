@@ -18,10 +18,7 @@ from repro.experiments.exp_retry_delay import (
     _run_retry_delay_point,
 )
 from repro.experiments.exp_table7 import TABLE7_ROWS, _run_stack_context
-from repro.experiments.exp_throughput import (
-    run_node_to_node,
-    run_sec72_hops,
-)
+from repro.experiments.exp_throughput import run_node_to_node
 
 
 class TestThroughputExperiments:
@@ -42,8 +39,9 @@ class TestThroughputExperiments:
         assert w4["rtt_mean"] > w1["rtt_mean"]
 
     def test_hops_follow_one_half_third_law(self):
-        rows = run_sec72_hops(hops_range=(1, 2, 3), duration=40.0)
-        g = {r["hops"]: r["goodput_kbps"] for r in rows}
+        g = {hops: _run_retry_delay_point(hops, 0.04,
+                                          duration=40.0)["goodput_kbps"]
+             for hops in (1, 2, 3)}
         assert g[2] == pytest.approx(g[1] / 2, rel=0.25)
         assert g[3] == pytest.approx(g[1] / 3, rel=0.30)
 

@@ -210,11 +210,12 @@ def test_deepcopy_preserves_kernel_class():
     import copy
 
     sim = Simulator()
-    sim.schedule(1.0, sim.stop)
-    sim.schedule_unref(2.0, sim.stop)
+    sim.schedule(1.0, sim.schedule, 1.0, len, ())
+    sim.schedule_unref(2.0, sim.schedule, 1.0, len, ())
     clone = copy.deepcopy(sim)
-    clone.run()  # the copied callbacks stop the clone, not the original
-    assert (type(clone), clone.now, len(clone.pending_events())) == (Simulator, 1.0, 1)
+    # the copied callbacks schedule onto the clone, not the original
+    clone.run(until=2.5)
+    assert (type(clone), clone.now, len(clone.pending_events())) == (Simulator, 2.5, 1)
     assert (sim.now, len(sim.pending_events())) == (0.0, 2)
 
 

@@ -27,6 +27,7 @@ from repro.faults import (
 from repro.mac.frame import Frame, FrameKind
 from repro.phy.energy import RadioState
 from repro.phy.medium import UniformLoss
+from repro.sim import metrics
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.timers import Timer
@@ -179,6 +180,15 @@ class TestGilbertElliott:
         rng2.random("probe")
         assert rng.random("fault-ge") == rng2.random("fault-ge")
         assert before is not None
+
+    def test_bad_state_drops_a_share_of_frames(self):
+        """Elliott's variant: a state with a loss rate between 0 and 1
+        drops that share of its frames, each drop counted."""
+        ge = GilbertElliottLoss(1.0, 0.0, RngStreams(11), loss_bad=0.2)
+        n = 5_000
+        drops = sum(ge(0, 1, t * 0.01) for t in range(n))
+        assert drops / n == pytest.approx(0.2, abs=0.02)
+        assert ge.drops == drops
 
     def test_link_filter(self):
         rng = RngStreams(5)
@@ -383,6 +393,36 @@ class TestInjector:
         assert count == len(lines) == len(inj.events)
         assert json.loads(lines[0])["layer"] == "fault"
 
+    def test_uniform_loss_drops_every_frame_inside_its_window(self):
+        net = build_pair(seed=1)
+        FaultInjector(net, FaultSchedule.from_dict({"faults": [
+            {"kind": "uniform_loss", "rate": 1.0, "at": 3.0, "until": 6.0},
+        ]})).arm()
+        params = tcplp_params()
+        BulkTransfer(net.sim, TcpStack(net.sim, net.nodes[1].ipv6, 1),
+                     TcpStack(net.sim, net.nodes[0].ipv6, 0), receiver_id=0,
+                     params=params, receiver_params=params)
+        delivered = []
+        for t in (3.0, 5.999, 9.0):
+            net.sim.run(until=t)
+            delivered.append(net.medium.frames_delivered)
+        before, inside, after = delivered
+        assert before > 0  # the transfer runs before the window ...
+        assert inside == before  # ... no frame crosses inside it ...
+        assert after > inside  # ... and frames cross again after it
+
+    def test_injections_reach_an_attached_trace_bus(self):
+        metrics.auto_attach(True, capture_trace=True, trace_capacity=None)
+        try:
+            net = build_pair(seed=1)
+        finally:
+            metrics.auto_attach(False)
+        inj = FaultInjector(net, _flap_schedule()).arm()
+        net.sim.run(until=5.0)
+        bus_faults = [e for e in net.sim.trace_bus.events
+                      if e.layer == "fault"]
+        assert bus_faults == inj.events and len(bus_faults) == 4
+
     def test_summary_counts_by_kind(self):
         net = build_pair(seed=1)
         inj = FaultInjector(net, _flap_schedule()).arm()
@@ -525,13 +565,17 @@ def test_auto_inject_attaches_to_built_networks():
 class TestInvariants:
     def test_stream_integrity_pass_and_fail(self):
         sent = b"abcdef"
-        assert invariants.check_stream_integrity(sent, sent) == []
-        assert invariants.check_stream_integrity(sent, b"abc", errors=["x"]) == []
-        assert invariants.check_stream_integrity(sent, b"abc")  # short, no error
-        assert invariants.check_stream_integrity(sent, b"abX", errors=["x"])
+        assert invariants._check_stream_integrity(sent, sent) == []
+        assert invariants._check_stream_integrity(sent, b"abc", errors=["x"]) == []
+        [short] = invariants._check_stream_integrity(sent, b"abc")  # no error
+        assert "prefix is corrupted" not in short
+        [bad] = invariants._check_stream_integrity(sent, b"abX")
+        assert bad.endswith("without a declared error and the prefix is "
+                            "corrupted")
+        assert invariants._check_stream_integrity(sent, b"abX", errors=["x"])
 
     def test_recovery_bound(self):
-        check = invariants.check_recovery_bound
+        check = invariants._check_recovery_bound
         assert check(10.0, 5.0, 60.0) == []
         assert check(None, 5.0, 60.0, errors=["failed"]) == []
         assert check(None, 5.0, 60.0)           # limbo
@@ -541,14 +585,14 @@ class TestInvariants:
         sim = Simulator()
         timer = Timer(sim, lambda: None, "tcp-rexmt")
         timer.start(5.0)
-        assert invariants.check_no_armed_tcp_timers(sim)
+        assert invariants._check_no_armed_tcp_timers(sim)
         timer.stop()
-        assert invariants.check_no_armed_tcp_timers(sim) == []
+        assert invariants._check_no_armed_tcp_timers(sim) == []
 
     def test_non_tcp_timers_ignored(self):
         sim = Simulator()
         Timer(sim, lambda: None, "mac-ack").start(5.0)
-        assert invariants.check_no_armed_tcp_timers(sim) == []
+        assert invariants._check_no_armed_tcp_timers(sim) == []
 
     def test_check_quiescent_flags_live_connection(self):
         net = build_pair(seed=6)
@@ -557,7 +601,7 @@ class TestInvariants:
         stack1.listen(8000, lambda c: None, params=tcplp_params())
         stack0.connect(1, 8000, params=tcplp_params())
         net.sim.run(until=1.0)
-        assert invariants.check_quiescent(net.sim, (stack0, stack1))
+        assert invariants._check_quiescent(net.sim, (stack0, stack1))
 
 
 # ======================================================================

@@ -361,6 +361,6 @@ def test_periodic_timer_ensure_keeps_phase():
     sim.run(until=4.6)
     assert fires == [1.0, 2.0, 3.0, 4.0, 4.5]
     timer.stop()
-    assert not timer.armed
+    assert timer._event is None
     sim.run(until=10.0)
     assert len(fires) == 5

@@ -71,7 +71,7 @@ def test_reassembly_in_order():
     results = [r.add(g) for g in frags]
     assert results[:-1] == [None] * (len(frags) - 1)
     assert results[-1] == "pkt"
-    assert r.pending() == 0
+    assert len(r._partials) == 0
 
 
 def test_reassembly_out_of_order():
@@ -101,9 +101,9 @@ def test_reassembly_timeout_discards_partial():
     f = Fragmenter(node_id=1)
     frags = f.fragment("pkt", 500, final_dst=9)
     r.add(frags[0])
-    assert r.pending() == 1
+    assert len(r._partials) == 1
     sim.run(until=3.0)
-    assert r.pending() == 0
+    assert len(r._partials) == 0
     assert r.trace.counters.get("lowpan.reassembly_timeouts") == 1
     [event] = sim.trace_bus.events
     assert (event.time, event.layer, event.node, event.kind) == (
@@ -119,7 +119,7 @@ def test_clear_mid_reassembly_stops_the_timer():
     frags = Fragmenter(node_id=1).fragment("pkt", 500, final_dst=9)
     r.add(frags[0])
     r.clear()  # a crash mid-reassembly
-    assert r.pending() == 0
+    assert len(r._partials) == 0
     assert not sim._armed_timers
     sim.run(until=3.0)
     assert r.trace.counters.get("lowpan.reassembly_timeouts") == 0
@@ -132,7 +132,7 @@ def test_reassembly_buffer_bound():
     for i in range(3):
         frags = f.fragment(f"p{i}", 300, final_dst=9)
         r.add(frags[0])
-    assert r.pending() == 2
+    assert len(r._partials) == 2
     assert r.trace.counters.get("lowpan.reassembly_overflow") == 1
 
 

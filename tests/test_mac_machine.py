@@ -335,9 +335,10 @@ class MacMachine(RuleBasedStateMachine):
                                 f" MAC not held, nothing in flight")
             ledger = radio.energy
             total = sum(ledger._settled().values())
-            if abs(total - ledger.elapsed()) > 1e-9:
+            elapsed = self.sim.now - ledger._start_time
+            if abs(total - elapsed) > 1e-9:
                 problems.append(f"node {nid}: energy states sum to {total}, "
-                                f"elapsed {ledger.elapsed()}")
+                                f"elapsed {elapsed}")
         assert not problems, f"t={self.sim.now}: {problems}"
 
     @invariant()

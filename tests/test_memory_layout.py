@@ -27,7 +27,8 @@ from collections import deque
 import repro.core.buffers
 import repro.experiments.workload
 import repro.mac.link
-from repro.campaign import ResultStore, aggregate, run_campaign
+from repro.campaign import ResultStore, run_campaign
+from repro.campaign.stats import _aggregate
 from repro.campaign.stats import aggregate_cell
 from repro.core.connection import TcpConnection
 from repro.core.seqnum import seq_sub
@@ -192,7 +193,7 @@ def _literal_record():
 
 
 def test_aggregate_records_share_their_keys():
-    records = [aggregate([1.0, 2.0, 4.0]),
+    records = [_aggregate([1.0, 2.0, 4.0]),
                *aggregate_cell([{"a": 1.0, "b": 2}]).values(),
                *aggregate_cell([[{"a": 1.0}], [{"a": 3.0}]]).values()]
     for record in records:
@@ -201,7 +202,7 @@ def test_aggregate_records_share_their_keys():
     # at nine keys ``sys.getsizeof`` reports a shared-key dict (288 B)
     # above a literal (272 B), yet the allocator holds about 170 B
     # against 280 B a record: compare what the allocator holds
-    shared = _traced(lambda: [aggregate([1.0]) for _ in range(500)])[1]
+    shared = _traced(lambda: [_aggregate([1.0]) for _ in range(500)])[1]
     literal = _traced(lambda: [_literal_record() for _ in range(500)])[1]
     assert shared < 0.75 * literal, (shared, literal)
 

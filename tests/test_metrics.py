@@ -28,7 +28,7 @@ from repro.sim.metrics import (
     diff_snapshots,
     _metric_key,
 )
-from repro.sim.trace import TraceBus, read_jsonl
+from repro.sim.trace import TraceBus, read_jsonl, write_jsonl
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -201,14 +201,8 @@ class TestTraceBus:
         bus.emit("tcp", 4, "retransmit", seq=1000, kind="sack", bytes=98)
         bus.emit("net", 2, "queue_drop", src=1, dst=0)
         path = tmp_path / "trace.jsonl"
-        assert bus.to_jsonl(path) == 2
+        assert write_jsonl(bus.events, path) == 2
         assert read_jsonl(path) == bus.events
-
-    def test_clear_keeps_emitted_total(self):
-        _, bus = self._bus()
-        bus.emit("phy", 0, "tx")
-        bus.clear()
-        assert len(bus) == 0 and bus.emitted == 1
 
 
 def _run_instrumented_transfer(duration=8.0):
@@ -254,7 +248,7 @@ class TestEndToEnd:
     def test_trace_golden_round_trip(self, tmp_path):
         _, bus = _run_instrumented_transfer()
         golden = tmp_path / "golden.jsonl"
-        bus.to_jsonl(golden)
+        write_jsonl(bus.events, golden)
         assert read_jsonl(golden) == bus.events
 
 

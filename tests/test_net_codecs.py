@@ -69,7 +69,7 @@ class TestIpv6Codec:
         pkt = Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP,
                          payload=None, payload_bytes=0)
         assert pkt._compressed_header_bytes() < IPV6_HEADER_BYTES
-        assert pkt.datagram_bytes() == pkt._compressed_header_bytes()
+        assert pkt._datagram_bytes() == pkt._compressed_header_bytes()
 
     def test_cloud_destination_costs_more_header(self):
         mesh = Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP,
@@ -103,7 +103,7 @@ class TestUdpCodec:
 
     def test_compressed_wire_bytes_smaller(self):
         d = UdpDatagram(0xF0B1, 0xF0B2, b"x" * 10, 10)
-        assert d.wire_bytes(compressed=True) < d.wire_bytes(compressed=False)
+        assert d._wire_bytes(compressed=True) < d._wire_bytes(compressed=False)
 
     def test_decode_rejects_short(self):
         with pytest.raises(ValueError):
@@ -132,21 +132,3 @@ class TestWiredLink:
         with pytest.raises(ValueError):
             link.send(self.packet(), toward=5)
 
-    def test_directional_loss_to_cloud_only(self):
-        sim, link = self.make(loss_rate=1.0 - 1e-12,
-                              loss_direction="to_cloud")
-        link.cloud_ids.add(1000)
-        got = []
-        link.connect(1000, lambda p: got.append("cloud"))
-        link.connect(1, lambda p: got.append("mesh"))
-        link.send(self.packet(), toward=1000)  # dropped
-        link.send(self.packet(), toward=1)  # delivered
-        sim.run()
-        assert got == ["mesh"]
-        assert link.packets_dropped == 1
-
-    def test_bad_direction_rejected(self):
-        sim, link = self.make(loss_rate=0.5, loss_direction="sideways")
-        link.connect(1000, lambda p: None)
-        with pytest.raises(ValueError):
-            link.send(self.packet(), toward=1000)

@@ -17,7 +17,7 @@ def test_codec_round_trip():
     assert parsed.icmp_type == TYPE_ECHO_REQUEST
     assert (parsed.identifier, parsed.sequence) == (7, 3)
     assert parsed.payload_bytes == 16
-    assert len(echo.encode()) == echo.wire_bytes
+    assert len(echo.encode()) == echo._wire_bytes
 
 
 def test_codec_rejects_garbage():
@@ -37,6 +37,21 @@ def test_ping_one_hop():
     assert len(rtts) == 1
     assert rtts[0] is not None
     assert 0.001 < rtts[0] < 0.2
+
+
+def test_reply_after_timeout_is_a_stray():
+    """A reply that outlives its ping's timeout finds no request
+    pending: it is counted, and the caller hears only the timeout."""
+    net = build_pair(seed=40)
+    a = IcmpStack(net.sim, net.nodes[0].ipv6)
+    IcmpStack(net.sim, net.nodes[1].ipv6)
+    rtts = []
+    a.ping(1, rtts.append, timeout=0.001)
+    net.sim.run(until=2.0)
+    assert rtts == [None]
+    counts = a.trace.counters
+    assert counts.get("icmp.echo_timeouts") == 1
+    assert counts.get("icmp.stray_replies") == 1
 
 
 def test_ping_rtt_grows_with_hops():

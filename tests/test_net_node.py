@@ -55,7 +55,7 @@ def test_meters_reset():
     sim.now = 10.0
     node.reset_meters()
     sim.now = 20.0
-    assert node.radio.energy.elapsed() == pytest.approx(10.0)
+    assert sim.now - node.radio.energy._start_time == pytest.approx(10.0)
     assert 0.0 <= node.radio_duty_cycle() <= 1.0
     assert 0.0 <= node.cpu_duty_cycle() <= 1.0
 

@@ -1,38 +1,15 @@
-"""Drop-tail and RED queues with ECN marking."""
+"""The RED queue with ECN marking."""
 
 import pytest
 
 from repro.net.ipv6 import ECN_CE, ECN_ECT0, ECN_NOT_ECT, Ipv6Packet, PROTO_TCP
-from repro.net.queues import DropTailQueue, RedParams, RedQueue
+from repro.net.queues import RedParams, RedQueue
 from repro.sim.rng import RngStreams
 
 
 def pkt(ecn=ECN_NOT_ECT):
     return Ipv6Packet(src=1, dst=2, next_header=PROTO_TCP, payload=None,
                       payload_bytes=100, ecn=ecn)
-
-
-class TestDropTail:
-    def test_fifo_order(self):
-        q = DropTailQueue(4)
-        a, b = pkt(), pkt()
-        q.enqueue(a)
-        q.enqueue(b)
-        assert q.dequeue() is a
-        assert q.dequeue() is b
-        assert q.dequeue() is None
-
-    def test_drops_when_full(self):
-        q = DropTailQueue(2)
-        assert q.enqueue(pkt()) == "enqueue"
-        assert q.enqueue(pkt()) == "enqueue"
-        assert q.enqueue(pkt()) == "drop"
-        assert q.drops == 1
-        assert len(q) == 2
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            DropTailQueue(0)
 
 
 class TestRed:

@@ -8,7 +8,11 @@ from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
 from repro.experiments.topology import CLOUD_ID, build_chain, build_pair, build_testbed
 from repro.gateway import attach_wired_host
+from repro.net.ipv6 import PROTO_UDP, Ipv6Packet
+from repro.net.node import NodeConfig
+from repro.net.queues import RedParams
 from repro.net.udp import UdpStack
+from repro.sim import metrics
 
 
 def test_udp_one_hop_pair():
@@ -75,8 +79,6 @@ def test_hop_limit_prevents_loops():
     # create a two-node routing loop for an unknown destination
     net.routing.set_route(1, 99, 2)
     net.routing.set_route(2, 99, 1)
-    from repro.net.ipv6 import Ipv6Packet, PROTO_UDP
-
     pkt = Ipv6Packet(src=1, dst=99, next_header=PROTO_UDP, payload=None,
                      payload_bytes=10, hop_limit=5)
     net.nodes[1].ipv6.route_out(pkt)
@@ -187,7 +189,7 @@ class TestOneStackPerEndpoint:
         net = build_chain(1, seed=6)
         net.tcp_stack(node_id)
         with pytest.raises(ValueError, match=f"node {node_id} .*protocol 6"):
-            TcpStack(net.sim, net.endpoint(node_id), node_id)
+            TcpStack(net.sim, net._endpoint(node_id), node_id)
 
     @pytest.mark.parametrize("node_id", [1, CLOUD_ID])
     def test_second_udp_stack_raises(self, node_id):
@@ -195,17 +197,17 @@ class TestOneStackPerEndpoint:
         net.udp_stack(node_id)
         with pytest.raises(ValueError,
                            match=f"node {node_id} .*protocol 17"):
-            UdpStack(net.endpoint(node_id))
+            UdpStack(net._endpoint(node_id))
 
     def test_endpoint_resolves_motes_and_hosts(self):
         net = build_chain(1, seed=6)
-        assert net.endpoint(1) is net.nodes[1].ipv6
-        assert net.endpoint(CLOUD_ID) is net.cloud
+        assert net._endpoint(1) is net.nodes[1].ipv6
+        assert net._endpoint(CLOUD_ID) is net.cloud
         host = attach_wired_host(net, 1001)
-        assert net.endpoint(1001) is host
+        assert net._endpoint(1001) is host
         assert net.tcp_stack(1001).network is host
         with pytest.raises(ValueError, match="unknown node 77"):
-            net.endpoint(77)
+            net._endpoint(77)
         bare = build_chain(1, seed=6, with_cloud=False)
         with pytest.raises(ValueError, match=f"unknown node {CLOUD_ID}"):
             bare.tcp_stack(CLOUD_ID)
@@ -218,3 +220,88 @@ class TestOneStackPerEndpoint:
         counters = net.cloud.trace.counters
         assert counters.get("cloud.no_handler") == 1
         assert counters.get("cloud.delivered") == 0
+
+
+def _udp_packet(src, dst, hop_limit=64):
+    return Ipv6Packet(src=src, dst=dst, next_header=PROTO_UDP, payload=None,
+                      payload_bytes=10, hop_limit=hop_limit)
+
+
+class TestDrops:
+    """RFC 8200's discards: a router drops what it cannot forward, counts
+    it, and carries on with the rest of its traffic."""
+
+    def test_forwarded_packet_dies_when_its_hop_limit_reaches_zero(self):
+        net = build_chain(2, seed=6, with_cloud=False)
+        node = net.nodes[1]
+        node.ipv6.deliver(_udp_packet(2, 0, hop_limit=1))
+        counts = node.trace.counters
+        assert counts.get("ipv6.hop_limit_exceeded") == 1
+        assert counts.get("ipv6.forwards") == 0
+        node.ipv6.deliver(_udp_packet(2, 0, hop_limit=2))
+        assert counts.get("ipv6.hop_limit_exceeded") == 1
+        assert counts.get("ipv6.forwards") == 1
+
+    def test_packet_without_a_route_is_counted_and_dropped(self):
+        net = build_chain(2, seed=6, with_cloud=False)
+        node = net.nodes[1]
+        node.ipv6.route_out(_udp_packet(1, 99))
+        net.sim.run(until=1.0)
+        assert node.trace.counters.get("ipv6.no_route") == 1
+        assert node.trace.counters.get("ipv6.sent_mesh") == 0
+        assert net.total_frames_sent() == 0
+
+    def test_relay_without_a_route_drops_a_first_fragment(self):
+        net = build_chain(2, seed=6, with_cloud=False)
+        net.routing.set_route(2, 99, 1)  # node 1 knows no way on
+        net.nodes[2].ipv6.route_out(_udp_packet(2, 99))
+        net.sim.run(until=1.0)
+        counts = net.nodes[1].trace.counters
+        assert counts.get("lowpan.no_route") == 1
+        assert counts.get("lowpan.fragments_forwarded") == 0
+
+    @staticmethod
+    def _red_chain(capacity=12):
+        metrics.auto_attach(True, capture_trace=True, trace_capacity=None)
+        try:
+            return build_chain(2, seed=6, with_cloud=False,
+                               node_config=NodeConfig(
+                                   red=RedParams(capacity=capacity)))
+        finally:
+            metrics.auto_attach(False)
+
+    def test_queued_packet_without_a_route_frees_the_queue(self):
+        net = self._red_chain()
+        node = net.nodes[1]
+        # the first leaves at once; the unroutable one waits behind it,
+        # and the third waits behind that
+        for dst in (2, 99, 2):
+            node.ipv6.deliver(_udp_packet(0, dst))
+        assert len(node.ipv6.forward_queue) == 2
+        net.sim.run(until=2.0)
+        counts = node.trace.counters
+        assert counts.get("ipv6.no_route") == 1
+        assert len(node.ipv6.forward_queue) == 0
+        assert counts.get("lowpan.datagrams_sent") == 2
+
+    def test_queue_drop_is_traced(self):
+        net = self._red_chain(capacity=1)
+        node = net.nodes[1]
+        for _ in range(3):
+            node.ipv6.deliver(_udp_packet(0, 2))
+        assert node.trace.counters.get("ipv6.queue_drops") == 1
+        [drop] = [e for e in net.sim.trace_bus.events
+                  if e.kind == "queue_drop"]
+        assert (drop.layer, drop.node, drop.fields) == (
+            "net", 1, {"src": 0, "dst": 2})
+
+    def test_crash_empties_the_forward_queue(self):
+        """A crash loses the node's RAM: a packet queued for forwarding
+        is gone, not sent after the reboot."""
+        net = self._red_chain()
+        node = net.nodes[1]
+        for _ in range(2):
+            node.ipv6.deliver(_udp_packet(0, 2))
+        assert len(node.ipv6.forward_queue) == 1
+        node.crash()
+        assert len(node.ipv6.forward_queue) == 0

@@ -47,7 +47,7 @@ def test_ledger_reset():
     sim.now = 5.0
     ledger.reset()
     sim.now = 10.0
-    assert ledger.elapsed() == pytest.approx(5.0)
+    assert sim.now - ledger._start_time == pytest.approx(5.0)
     assert ledger.radio_duty_cycle() == pytest.approx(1.0)
 
 

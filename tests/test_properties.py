@@ -148,7 +148,7 @@ class TestReceiveBufferProperties:
         buf = ReceiveBuffer(cap)
         buf.write(rel, data)
         assert 0 <= buf.window <= cap
-        assert buf.available + buf.window == cap
+        assert buf._unread + buf.window == cap
 
     @given(st.integers(min_value=4, max_value=48),
            st.lists(st.tuples(st.booleans(), st.integers(0, 60),
@@ -169,7 +169,7 @@ class TestReceiveBufferProperties:
             else:
                 rcv_nxt = seq_add(rcv_nxt, buf.write(a % cap, bytes(b)))
             assert (buf.out_of_order
-                    == sum(buf._present) - buf.available)
+                    == sum(buf._present) - buf._unread)
             assert (buf.sack_ranges(rcv_nxt, max_blocks)
                     == _sack_ranges_per_byte(buf, rcv_nxt, max_blocks))
 
@@ -181,7 +181,7 @@ class TestReceiveBufferProperties:
         buf = ReceiveBuffer(cap)
         for n in reads:
             assert buf.read(n) == b""
-        assert (buf.available, buf.window, buf.out_of_order) \
+        assert (buf._unread, buf.window, buf.out_of_order) \
             == (0, cap, 0)
         assert buf.sack_ranges(0) == [] == _sack_ranges_per_byte(buf, 0, 3)
         assert not buf._buf and not buf._present
@@ -196,7 +196,7 @@ class TestReceiveBufferProperties:
         buf = ReceiveBuffer(cap)
         assert buf.write(rel, data) == 0
         assert not buf._buf and not buf._present
-        assert (buf.available, buf.window, buf.out_of_order) \
+        assert (buf._unread, buf.window, buf.out_of_order) \
             == (0, cap, 0)
         assert buf.sack_ranges(0) == []
         assert buf.write(0, b"\x07") == 1 and buf.read() == b"\x07"
@@ -231,7 +231,7 @@ def _sack_ranges_per_byte(buf, rcv_nxt, max_blocks):
     A buffer that has not yet received a byte holds no bitmap; it reads
     as all-absent."""
     present = buf._present or bytes(buf.capacity)
-    nxt = (buf._read_pos + buf.available) % buf.capacity
+    nxt = (buf._read_pos + buf._unread) % buf.capacity
     window = [present[(nxt + off) % buf.capacity]
               for off in range(buf.window)] + [0]
     blocks, run_start = [], None

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.ipv6 import ECN_CE, ECN_ECT0, ECN_NOT_ECT, Ipv6Packet, PROTO_TCP
-from repro.net.queues import DropTailQueue, RedParams, RedQueue
+from repro.net.queues import RedParams, RedQueue
 from repro.sim.rng import RngStreams
 
 
@@ -55,20 +55,3 @@ class TestRedProperties:
         kept = outcomes.count("enqueue") + outcomes.count("mark")
         assert kept == len(q)
         assert outcomes.count("drop") == q.drops == n - kept
-
-
-class TestDropTailProperties:
-    @given(st.integers(1, 30), st.integers(0, 100))
-    def test_fifo_conservation(self, capacity, n):
-        q = DropTailQueue(capacity)
-        packets = [pkt() for _ in range(n)]
-        accepted = [p for p in packets if q.enqueue(p) == "enqueue"]
-        drained = []
-        while True:
-            p = q.dequeue()
-            if p is None:
-                break
-            drained.append(p)
-        assert drained == accepted
-        assert len(accepted) == min(n, capacity)
-

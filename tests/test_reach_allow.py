@@ -3,8 +3,9 @@
 ``tools/reach.py`` traces tier-1, the paper campaign and suite, and the
 examples, which takes several times tier-1's wall, so CI runs it
 nightly.  Here: every entry of ``tools/reach_allow.txt`` parses and
-names code that exists, and the verdict logic flags an unlisted gap
-and a stale entry on hand-made hits.
+names code that exists, a ``debt`` entry names only the live tier,
+and the verdict logic flags an unlisted gap and a stale entry on
+hand-made hits.
 """
 
 import sys
@@ -21,6 +22,21 @@ def test_allow_list_parses_and_names_existing_code():
     entries = reach.parse_allow(reach.ALLOW.read_text())
     assert entries
     assert not reach.missing_code(entries), "entries naming no code"
+
+
+#: the live tier (ROADMAP item 5 deletes it whole): the only code a
+#: ``debt`` entry may name
+LIVE_TIER = ("gateway/", "faults/process.py", "sim/engine.py::RealtimePacer",
+             "verify/postrun.py::check_gateway_quiescent")
+
+
+def test_debt_names_only_the_live_tier():
+    outside = [key for _kind, key, _source, reason
+               in reach.parse_allow(reach.ALLOW.read_text())
+               if reason.startswith("debt:") and not key.startswith(LIVE_TIER)]
+    assert not outside, (
+        "debt outside the live tier: write a test or delete the code: "
+        f"{outside}")
 
 
 @pytest.mark.parametrize("line", [

@@ -9,6 +9,7 @@ import pytest
 from repro.campaign import CampaignSpec, run_campaign
 from repro.experiments.exp_ablations import ABLATIONS, _run_ablation
 from repro.experiments.runner import DEFAULT_CATALOG
+from tests.test_runner_supervision import with_entries
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -77,8 +78,7 @@ class TestRunner:
         assert cell.results[0]["memory_model"]["active_socket_bytes"] > 0
 
     def test_broken_experiment_reported_not_raised(self):
-        catalog = DEFAULT_CATALOG.copy()
-        catalog.register("boom", _boom)
+        catalog = with_entries(DEFAULT_CATALOG, boom=_boom)
         report = run_quiet(["boom", "static_tables"], catalog=catalog)
         boom, tables = report.cells
         assert boom.results == [None]

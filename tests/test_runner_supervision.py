@@ -7,17 +7,18 @@ an interrupt still yields a valid partial report with
 ``execution.interrupted``; and ``runner.verify`` violations survive
 the worker process boundary.
 
-The hostile experiments are module-level functions registered on a
-copy of the default catalog (supervised workers fork, but keeping
+The hostile experiments are module-level functions added to a copy
+of the default catalog (supervised workers fork, but keeping
 them importable matches the catalog contract).
 """
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import ExperimentCatalog, engine, run_campaign
 from repro.experiments.runner import default_catalog
 from repro.experiments.topology import build_pair
 
@@ -53,6 +54,12 @@ def catalog():
     return default_catalog().copy()
 
 
+def with_entries(catalog, **factories):
+    """A new catalog: ``catalog``'s entries plus ``factories``."""
+    return ExperimentCatalog({**{n: catalog.get(n) for n in catalog.names()},
+                              **factories})
+
+
 def campaign(catalog, experiments, quick=True, **runner):
     return run_campaign({"experiments": experiments, "quick": quick,
                          "runner": runner},
@@ -72,23 +79,10 @@ def failures(report):
 
 
 # ======================================================================
-# Registration mechanics
-# ======================================================================
-def test_register_and_unregister_experiment(catalog):
-    catalog.register("zz_extra", _ok)
-    assert catalog.get("zz_extra")(True) == {"ok": True, "quick": True}
-    assert "zz_extra" not in default_catalog()
-    catalog.unregister("zz_extra")
-    assert "zz_extra" not in catalog.names()
-    catalog.unregister("zz_extra")  # idempotent
-
-
-# ======================================================================
 # Watchdog
 # ======================================================================
 def test_watchdog_converts_hang_into_recorded_failure(catalog):
-    catalog.register("zz_ok", _ok)
-    catalog.register("zz_hang", _hang)
+    catalog = with_entries(catalog, zz_ok=_ok, zz_hang=_hang)
     report = campaign(catalog, ["static_tables", "zz_ok", "zz_hang"],
                       timeout_s=2.0, jobs=3)
     # the hang is a recorded failure ...
@@ -105,7 +99,7 @@ def test_watchdog_converts_hang_into_recorded_failure(catalog):
 # Crash retry with backoff
 # ======================================================================
 def test_crashed_worker_is_retried_then_recorded(catalog):
-    catalog.register("zz_crash", _crash)
+    catalog = with_entries(catalog, zz_crash=_crash)
     t0 = time.monotonic()
     report = campaign(catalog, ["zz_crash"], timeout_s=30.0, retries=2,
                       retry_backoff_s=0.1)
@@ -116,7 +110,7 @@ def test_crashed_worker_is_retried_then_recorded(catalog):
 
 
 def test_successful_supervised_run_passes_result_through(catalog):
-    catalog.register("zz_ok", _ok)
+    catalog = with_entries(catalog, zz_ok=_ok)
     report = campaign(catalog, ["zz_ok"], quick=False, timeout_s=30.0)
     assert results(report)["zz_ok"] == {"ok": True, "quick": False}
     assert report.execution["errors"] == {}
@@ -127,8 +121,7 @@ def test_successful_supervised_run_passes_result_through(catalog):
 # Interrupt: valid partial report
 # ======================================================================
 def test_serial_interrupt_yields_partial_document(catalog):
-    catalog.register("zz_boom", _interrupt)
-    catalog.register("zz_after", _ok)
+    catalog = with_entries(catalog, zz_boom=_interrupt, zz_after=_ok)
     report = campaign(catalog, ["static_tables", "zz_boom", "zz_after"], jobs=1)
     assert report.execution["interrupted"] is True
     # everything that finished before the interrupt is present ...
@@ -136,6 +129,60 @@ def test_serial_interrupt_yields_partial_document(catalog):
     # ... the interrupted run and everything after are absent
     assert [cell.run_ids for cell in report.cells][1:] == [[], []]
     assert report.execution["completed"] == 1
+
+
+def test_supervised_interrupt_terminates_the_workers(catalog):
+    catalog = with_entries(catalog, zz_hang=_hang, zz_hang_too=_hang)
+    started = []
+
+    def progress(line):
+        if line.endswith("running ..."):
+            started.append(line)
+            if len(started) == 2:  # Ctrl-C once both workers run
+                raise KeyboardInterrupt
+
+    t0 = time.monotonic()
+    report = run_campaign({"experiments": ["zz_hang", "zz_hang_too"],
+                           "runner": {"timeout_s": 30.0, "jobs": 2}},
+                          catalog=catalog, progress=progress)
+    assert report.execution["interrupted"] is True
+    assert report.execution["completed"] == 0
+    # both hung workers were terminated and reaped, not waited out
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - t0 < 20.0
+
+
+def test_pooled_interrupt_terminates_the_pool(catalog):
+    catalog = with_entries(catalog, zz_ok=_ok, zz_hang=_hang)
+    for name in ("zz_ok", "zz_hang"):  # earlier runs say a pool pays
+        catalog.note_wall(name, 1.0)
+        catalog.note_wall(name, 1.0)
+    lines = []
+
+    def progress(line):
+        lines.append(line)
+        if line.startswith("[zz_ok] done"):  # Ctrl-C once it lands
+            raise KeyboardInterrupt
+
+    t0 = time.monotonic()
+    report = run_campaign({"experiments": ["zz_ok", "zz_hang"],
+                           "runner": {"jobs": 2}},
+                          catalog=catalog, progress=progress)
+    assert any("fanning out over 2 worker processes" in ln for ln in lines)
+    assert report.execution["interrupted"] is True
+    assert results(report) == {"zz_ok": {"ok": True, "quick": True}}
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - t0 < 20.0
+
+
+def test_worker_cap_falls_back_to_the_cpu_count(monkeypatch):
+    """Where ``os.sched_getaffinity`` is missing (macOS, Windows), the
+    cap is the machine's CPU count."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert engine._worker_cap(None) == 7
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert engine._worker_cap(None) == 1
 
 
 def test_interrupted_flag_always_present(catalog):
@@ -148,7 +195,7 @@ def test_interrupted_flag_always_present(catalog):
 # runner.verify across the worker process boundary
 # ======================================================================
 def test_violations_survive_supervised_worker(catalog):
-    catalog.register("zz_corrupt", _kernel_corruptor)
+    catalog = with_entries(catalog, zz_corrupt=_kernel_corruptor)
     report = campaign(catalog, ["zz_corrupt"], timeout_s=30.0, verify=True)
     error = failures(report)["zz_corrupt"]
     assert "first probe_kernel: " in error and "backwards" in error
@@ -158,7 +205,7 @@ def test_violations_survive_supervised_worker(catalog):
 
 
 def test_verify_clean_experiment_records_no_violations(catalog):
-    catalog.register("zz_ok", _ok)
+    catalog = with_entries(catalog, zz_ok=_ok)
     report = campaign(catalog, ["zz_ok"], verify=True)
     assert report.execution["errors"] == {}
     assert list(report.run_extras.values()) == [{"violations": []}]

@@ -85,19 +85,6 @@ def test_schedule_from_callback():
     assert times == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_stop_halts_run():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, lambda: sim.stop())
-    sim.schedule(3.0, fired.append, 3)
-    sim.run()
-    assert fired == [1]
-    # run can be resumed
-    sim.run()
-    assert fired == [1, 3]
-
-
 def test_peek_time_skips_cancelled():
     sim = Simulator()
     ev = sim.schedule(1.0, lambda: None)

@@ -47,10 +47,9 @@ def test_start_if_idle_does_not_restart():
 def test_remaining_and_expiry():
     sim = Simulator()
     t = Timer(sim, lambda: None)
-    assert t.remaining() == 0.0
     assert t.expiry is None
     t.start(2.0)
-    assert t.remaining() == 2.0
+    assert t.expiry - sim.now == 2.0
     assert t.expiry == 2.0
 
 

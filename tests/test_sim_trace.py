@@ -25,9 +25,7 @@ def test_series_basic():
     s.record(0.0, 1.0)
     s.record(1.0, 3.0)
     assert len(s) == 2
-    assert s.last() == 3.0
-    assert s.mean() == 2.0
-    assert s.window(0.5, 1.5) == [(1.0, 3.0)]
+    assert (s.times, s.values) == ([0.0, 1.0], [1.0, 3.0])
 
 
 def test_series_rejects_time_travel():

@@ -109,12 +109,12 @@ class TestNormalizationPins:
         finally:
             sys.path.remove(str(TOOLS))
         spec = CampaignSpec.from_dict(SMOKE_SPEC)
-        assert _encode(spec.to_dict()) == SMOKE_PIN
+        assert _encode(spec._to_dict()) == SMOKE_PIN
         assert spec.digest() == SMOKE_DIGEST
 
     def test_full_campaign_spec(self):
         spec = CampaignSpec.from_dict(FULL_CAMPAIGN)
-        assert _encode(spec.to_dict()) == FULL_PIN
+        assert _encode(spec._to_dict()) == FULL_PIN
         assert spec.digest() == FULL_DIGEST
 
 
@@ -125,7 +125,7 @@ _SURFACES = {
     "process": (PROCESS, ProcessFaultSchedule.from_dict,
                 ProcessFaultSchedule.to_dict),
     "campaign": (FULL_CAMPAIGN, CampaignSpec.from_dict,
-                 CampaignSpec.to_dict),
+                 CampaignSpec._to_dict),
     "limits": (LIMITS, lambda kwargs: GatewayLimits(**kwargs),
                dataclasses.asdict),
 }

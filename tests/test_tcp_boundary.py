@@ -70,7 +70,7 @@ def test_recv_pull_model_without_callback():
     conn.send(b"pull me")
     net.sim.run(until=4.0)
     server = server_box[0]
-    assert server.recv_buf.available == 7
+    assert server.recv_buf._unread == 7
     assert server.recv(4) == b"pull"
     assert server.recv() == b" me"
     assert server.recv() == b""

@@ -15,6 +15,7 @@ from repro.core.simplified import (
 )
 from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_pair
+from repro.sim import metrics
 from repro.sim.engine import Simulator
 from tests.test_tcp_protocol import FakeNetwork
 
@@ -54,16 +55,42 @@ class TestZeroWindow:
         # now the app reads; everything eventually arrives
         server.recv()
         net.sim.run(until=120.0)
-        assert server.recv_buf.available + 0 >= 0  # no crash
+        assert server.recv_buf._unread >= 0  # no crash
         delivered = total - conn.send_buf.used - (total - sent[0])
         assert conn.snd_wnd > 0
+
+    def test_zero_window_probe_is_counted_and_traced(self):
+        """RFC 9293 §3.8.6.1: a sender facing a zero window probes it.
+        The receiver stops reading until its window closes; each probe
+        is one ``tcp.zero_window_probes`` count and one bus event."""
+        metrics.auto_attach(True, capture_trace=True, trace_capacity=None)
+        try:
+            params = tcplp_params()
+            net, conn, server = make_conn_pair(params_a=params,
+                                               params_b=params)
+        finally:
+            metrics.auto_attach(False)
+        conn.on_send_space = lambda: conn.send(b"q" * conn.send_buf.free)
+        conn.send(b"q" * conn.send_buf.free)
+        net.sim.run(until=40.0)
+        assert conn.snd_wnd == 0 and server.recv_buf.window == 0
+        probes = [e for e in net.sim.trace_bus.events
+                  if e.kind == "zero_window_probe"]
+        assert len(probes) >= 2
+        assert conn.trace.counters.get("tcp.zero_window_probes") \
+            == len(probes)
+        assert [(e.layer, e.node) for e in probes] == [("tcp", 0)] * len(
+            probes)
+        # the persist interval backs off from one probe to the next
+        assert [e.fields["shift"] for e in probes] == list(
+            range(len(probes)))
 
     def test_window_update_reopens_flow(self):
         params = tcplp_params()
         net, conn, server = make_conn_pair(params_a=params, params_b=params)
         conn.send(b"z" * params.recv_buffer)
         net.sim.run(until=20.0)
-        assert server.recv_buf.available == params.recv_buffer
+        assert server.recv_buf._unread == params.recv_buffer
         got = server.recv(100)
         assert len(got) == 100
         # reading 100 < MSS bytes should NOT trigger an update yet;
@@ -510,18 +537,33 @@ class TestTimestampEcho:
         assert a.trace.counters.get("tcp.bad_retransmits_undone") == 0
 
 
+class _Poller:
+    """A sleepy end device's fast-poll switch, recorded."""
+
+    def __init__(self):
+        self.fast = []
+
+    def set_fast_poll(self, active):
+        self.fast.append(active)
+
+    def notify_tx_pending(self):
+        pass
+
+
 class TestStackBehaviour:
-    def test_listener_close_stops_accepting(self):
+    def test_crash_leaves_fast_poll(self):
+        """§9.2: a sleepy node polls fast only while it awaits an ACK; a
+        crash drops every connection, so the node polls slowly again."""
         net = build_pair(seed=3)
-        sa = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+        poller = _Poller()
+        sa = TcpStack(net.sim, net.nodes[0].ipv6, 0, sleepy=poller)
         sb = TcpStack(net.sim, net.nodes[1].ipv6, 1)
-        listener = sb.listen(8000, lambda c: None)
-        listener.close()
-        errors = []
-        conn = sa.connect(1, 8000, params=tcplp_params())
-        conn.on_error = errors.append
-        net.sim.run(until=5.0)
-        assert errors == ["connection refused"]
+        sb.listen(8000, lambda c: None)
+        sa.connect(1, 8000, params=tcplp_params())
+        assert poller.fast == [True]  # the SYN awaits its SYN-ACK
+        sa.crash()
+        assert poller.fast == [True, False]
+        assert sa.active_connections() == 0
 
     def test_duplicate_listen_rejected(self):
         net = build_pair(seed=4)

@@ -143,7 +143,7 @@ class TestBadRetransmitUndo:
         net, conn, server = make_conn_pair(seed=seed)
         conn.send(b"Q" * 400)
         net.sim.run(until=net.sim.now + 0.02)  # data in flight, no ACK yet
-        assert conn.flight_size() > 0
+        assert conn._flight_size() > 0
         # pretend the RTO just fired: the engine snapshots cwnd/ssthresh
         # (values below max_window so later clamping can't mask the undo)
         saved_cwnd, saved_ssthresh = 900, 4444

@@ -185,13 +185,13 @@ def test_flow_control_zero_window_and_reopen():
     fill()
     net.sim.run(until=30.0)
     server = server_conns[0]
-    assert server.recv_buf.available == params.recv_buffer  # buffer full
+    assert server.recv_buf._unread == params.recv_buffer  # buffer full
     assert conn.snd_wnd == 0
     # now the app reads; the window update lets the rest flow
     drained = server.recv()
     assert len(drained) == params.recv_buffer
     net.sim.run(until=90.0)
-    assert server.recv_buf.available + len(drained) >= total - conn.send_buf.used
+    assert server.recv_buf._unread + len(drained) >= total - conn.send_buf.used
 
 
 def test_fast_retransmit_preferred_over_timeout():

@@ -33,7 +33,7 @@ Liveness, after the last step: the pipe turns clean and the apps close;
 a stalled reader stays stalled for two ``persist_min``, then both read.
 Each connection must then close or reach TIME_WAIT within
 ``verify.postrun``'s recovery bound, the streams must match unless an
-error was declared, and after TIME_WAIT ``check_no_armed_tcp_timers``
+error was declared, and after TIME_WAIT ``_check_no_armed_tcp_timers``
 must hold.
 
 The machine runs over TCPlp and the uIP, BLIP and GNRC profiles of
@@ -74,9 +74,9 @@ from repro.core.simplified import (
 )
 from repro.verify.postrun import (
     check_all,
-    check_no_armed_tcp_timers,
-    check_recovery_bound,
-    check_stream_integrity,
+    _check_no_armed_tcp_timers,
+    _check_recovery_bound,
+    _check_stream_integrity,
 )
 from repro.verify.probes import _probe_tcp_connection
 from tests.conftest import MACHINE_EXAMPLES
@@ -397,7 +397,7 @@ class TcpMachine(RuleBasedStateMachine):
             conn = app.conn
             if conn.state not in conn._CAN_OUTPUT:
                 continue
-            if conn.flight_size() > 0:
+            if conn._flight_size() > 0:
                 assert conn.rexmt_timer.armed, f"{side}: {conn.state}"
             elif conn.snd_wnd == 0 and conn._unsent_bytes() > 0:
                 assert conn.persist_timer.armed, (
@@ -480,12 +480,12 @@ class TcpMachine(RuleBasedStateMachine):
             start + RECOVERY_BOUND + 2 * self.params.time_wait)
         errors = [e for app in self.apps.values() for e in app.errors]
         errors += ["aborted" for app in self.apps.values() if app.aborted]
-        problems = check_recovery_bound(done_at, start, RECOVERY_BOUND)
+        problems = _check_recovery_bound(done_at, start, RECOVERY_BOUND)
         for side, app in self.apps.items():
             peer = self.apps[self._peer(side)]
-            problems += check_stream_integrity(
+            problems += _check_stream_integrity(
                 bytes(peer.sent), bytes(app.received), errors, label=side)
-        problems += check_no_armed_tcp_timers(self.sim)
+        problems += _check_no_armed_tcp_timers(self.sim)
         if not self._settled(done=("CLOSED",)):
             problems.append("TIME_WAIT never expired")
         states = {side: app.conn.state.name for side, app in self.apps.items()}

@@ -198,7 +198,7 @@ class TestWindowRules:
         ack_all = Segment(src_port=2000, dst_port=1000, seq=conn.rcv_nxt,
                           ack=conn.snd_max, flags=FLAG_ACK, window=4096)
         conn.on_segment(ack_all, FakePacket())
-        assert conn.flight_size() == 0
+        assert conn._flight_size() == 0
 
         # episode 2: the window slams shut again
         close = Segment(src_port=2000, dst_port=1000, seq=conn.rcv_nxt,

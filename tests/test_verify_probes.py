@@ -18,7 +18,8 @@ from repro.experiments.workload import BulkTransfer
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import TraceBus
-from repro.verify import InvariantEngine, check_no_armed_tcp_timers
+from repro.verify import InvariantEngine
+from repro.verify.postrun import _check_no_armed_tcp_timers
 
 
 def live_transfer(seed=5, run_until=4.0, trace=False, **engine_kw):
@@ -64,14 +65,6 @@ def test_clean_run_has_no_violations():
     assert engine.first_violation() is None
     assert engine.summary() == {"checks_run": engine.checks_run,
                                 "violations": []}
-
-
-def test_stop_disarms_the_sweep():
-    net, _xfer, engine = live_transfer(run_until=2.0)
-    swept = engine.checks_run
-    engine.stop()
-    net.sim.run(until=4.0)
-    assert engine.checks_run == swept
 
 
 # ======================================================================
@@ -280,8 +273,6 @@ def test_trace_bus_reprobes_a_corrupted_connection_before_the_sweep():
     assert first is not None and "ssthresh" in first.detail
     assert (first.layer, first.node) == ("tcp", 1)
     assert first.time == tcp_events[0].time < next_sweep
-    engine.stop()
-    assert engine._on_trace_event not in bus._subscribers
 
 
 def test_on_violation_hook_fires_per_violation():
@@ -312,12 +303,12 @@ def test_armed_tcp_timer_flagged_after_teardown():
     other = Timer(sim, _noop, name="mac-poll")
     leak.start(3.0)
     other.start(3.0)
-    violations = check_no_armed_tcp_timers(sim)
+    violations = _check_no_armed_tcp_timers(sim)
     assert len(violations) == 1
     assert "tcp-rexmit-leaked" in violations[0]
     assert "t=3.000" in violations[0]
     leak.stop()
-    assert check_no_armed_tcp_timers(sim) == []
+    assert _check_no_armed_tcp_timers(sim) == []
     other.stop()
 
 

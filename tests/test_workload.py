@@ -10,7 +10,6 @@ from repro.experiments.workload import (
     FlowSet,
     FlowSpec,
     GoodputMeter,
-    SensorStream,
     jain_fairness,
 )
 from repro.sim.engine import Simulator
@@ -49,7 +48,7 @@ class TestGoodputMeter:
         meter.on_data(b"xyz")
         meter.start()
         assert meter.bytes == 0
-        assert meter.elapsed() == 0.0
+        assert meter._start == sim.now
 
 
 class TestBulkTransfer:
@@ -105,24 +104,6 @@ class TestJainFairness:
         assert jain_fairness([0.0, 0.0]) == 1.0
 
 
-class TestSensorStream:
-    def test_paced_reports_arrive(self):
-        net = build_chain(2, seed=5)
-        sa = TcpStack(net.sim, net.nodes[2].ipv6, 2)
-        sb = TcpStack(net.sim, net.nodes[0].ipv6, 0)
-        stream = SensorStream(net.sim, sa, sb, receiver_id=0,
-                              report_bytes=80, interval=1.0,
-                              params=tcplp_params(),
-                              receiver_params=tcplp_params())
-        stream.meter.start()
-        net.sim.run(until=12.0)
-        assert stream.connected
-        assert stream.reports_sent >= 8
-        # paced, not saturating: delivered roughly reports * size
-        assert stream.meter.bytes <= stream.reports_sent * 80
-        assert stream.meter.bytes >= (stream.reports_sent - 3) * 80
-
-
 class TestFlowSet:
     def test_bulk_flows_measure_and_aggregate(self):
         net = build_chain(3, seed=6)
@@ -164,17 +145,15 @@ class TestFlowSet:
         assert res.flows[0].goodput_bps == 0.0
         assert res.fairness == 1.0  # all-zero allocation
 
-    def test_mixed_kinds_share_a_node_stack(self):
+    def test_two_flows_share_a_node_stack(self):
         net = build_chain(2, seed=10)
-        specs = [FlowSpec(src=2, dst=0, kind="bulk"),
-                 FlowSpec(src=2, dst=0, kind="sensor", interval=0.5)]
+        specs = [FlowSpec(src=2, dst=0), FlowSpec(src=2, dst=0)]
         flows = FlowSet(net, specs, params=tcplp_params())
         res = flows.measure(warmup=4.0, duration=10.0)
         # one stack per node, not per flow: both flows live in each
         assert net.tcp_stack(2).active_connections() == 2
         assert net.tcp_stack(0).active_connections() == 2
         assert res.flows_connected == 2
-        assert res.flows[1].kind == "sensor"
 
     def test_invalid_specs_rejected(self):
         net = build_chain(2, seed=11)
@@ -182,5 +161,3 @@ class TestFlowSet:
             FlowSet(net, [FlowSpec(src=1, dst=1)])
         with pytest.raises(ValueError, match="unknown node"):
             FlowSet(net, [FlowSpec(src=1, dst=55)])
-        with pytest.raises(ValueError, match="unknown kind"):
-            FlowSet(net, [FlowSpec(src=1, dst=0, kind="torrent")])
