@@ -7,9 +7,9 @@ factory`` entries, where a factory is a callable ``factory(quick,
 :func:`repro.experiments.runner.default_catalog`; campaigns may pass
 their own catalog and never touch it.
 
-Factories must be importable module-level callables (or
-``functools.partial`` over them) so supervised and pooled runs can
-dispatch them to worker processes.
+Factories are module-level callables (or ``functools.partial`` over
+them).  Fan-out workers fork with the catalog in memory, so a job
+reaches a worker as its index and no factory is pickled.
 
 :func:`resolve_selection` is the one name-resolver for experiment
 selections (``CampaignSpec.expand``, :meth:`ExperimentCatalog.get`):
@@ -85,8 +85,8 @@ class ExperimentCatalog:
 
     A catalog also remembers what its experiments cost in this
     process: :meth:`note_wall` adds each landed run's wall time and
-    :meth:`walls` gives the campaign engine what it judges a fork pool
-    by, so a later campaign of a timed experiment need not time it
+    :meth:`walls` gives the campaign engine what it judges forked
+    workers by, so a later campaign of a timed experiment need not time it
     again.
     """
 

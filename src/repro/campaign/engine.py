@@ -7,24 +7,27 @@ aggregates repetition statistics into a
 :class:`~repro.campaign.report.CampaignReport`.
 
 The misses go through :func:`_execute_jobs`: in-process until the
-measured runs say a fork pool pays (up to ``runner.jobs`` workers,
-every usable core by default), or, with ``runner.timeout_s``, each in
-a watched process (watchdog deadline + crash ``retries``).  Every
-landed run adds its wall time to its experiment's entry in the catalog
+measured runs say forked workers pay (up to ``runner.jobs``, every
+usable core by default), then on pipe-fed workers (:func:`_fan_out`),
+from the first run on under ``runner.timeout_s``'s watchdog.  A run
+that kills its worker fails alone.  Every landed run adds its wall
+time to its experiment's entry in the catalog
 (:meth:`ExperimentCatalog.note_wall`), so a campaign of an experiment
-this process has already timed past its first run may fan out from its
-own first run; an experiment the catalog has not timed counts at the
-mean of the campaign's runs so far.  Every run can carry per-run
-metrics capture (``runner.metrics``), fault injection (``faults``) and
-live invariant verification (``runner.verify``); a run with a
-violation fails.
+this process has timed past its first run may fan out from its own
+first run; an experiment the catalog has not timed counts at the mean
+of the campaign's runs so far.  Every run can carry per-run metrics
+(``runner.metrics``), fault injection (``faults``) and live invariant
+verification (``runner.verify``); a run with a violation fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
 import os
 import resource
+import signal
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -35,20 +38,19 @@ from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate_cell
 from repro.campaign.store import ResultStore, code_salt
 
-#: what starting and stopping a fork pool costs: 11-25 ms for two
-#: workers on a 2-core x86-64 host under Python 3.11 (``Pool(2)``, two
-#: trivial tasks, close and join); also the least judged wall time a
+#: what starting and stopping two fan-out workers costs: 8-29 ms on a
+#: 2-core x86-64 host under Python 3.11 (two trivial jobs, median 8 ms;
+#: a fork ``Pool(2)`` took 9-25 ms); also the least judged wall time a
 #: mean wall is trusted on (:func:`_mean_wall`)
 POOL_COST_S = 0.025
 #: estimated serial seconds of the runs still to go (each at a mean
 #: wall, :func:`_pool_pays`) above which they fan out:
-#: two workers save half of it, so at this size a pool saves twice
-#: its own cost
+#: two workers save half of it, so at this size they save twice
+#: their own cost
 POOL_BREAK_EVEN_S = 4 * POOL_COST_S
 
 #: one unit of work: (run id, progress label, the factory call with
-#: its arguments bound, experiment name); picklable while the factory
-#: is module-level
+#: its arguments bound, experiment name)
 Job = Tuple[str, str, Callable[[], object], str]
 
 #: record tuple: (run id, result, wall_s, ok, metrics_snapshots,
@@ -63,10 +65,10 @@ def _run_job(job: Job, metrics: bool, faults: Optional[Dict],
              verify: bool) -> Record:
     """Run one job; never raises (broken runs become error records).
 
-    Module-level so pools can dispatch it.  ``metrics``, ``faults``
-    and ``verify`` arm the process-wide collectors around the call; a
-    run whose networks violated an invariant fails, and its error
-    names the count and the first violation.
+    ``metrics``, ``faults`` and ``verify`` arm the process-wide
+    collectors around the call; a run whose networks violated an
+    invariant fails, and its error names the count and the first
+    violation.
     """
     from repro import faults as faults_mod
     from repro import verify as verify_mod
@@ -90,24 +92,17 @@ def _run_job(job: Job, metrics: bool, faults: Optional[Dict],
         ok = False
     snaps = None
     if metrics:
-        snaps = [
-            registry.snapshot()
-            for registry, _bus in metrics_mod.drain_attached()
-        ]
+        snaps = [registry.snapshot()
+                 for registry, _bus in metrics_mod.drain_attached()]
         metrics_mod.auto_attach(False)
     fault_summaries = None
     if faults is not None:
-        fault_summaries = [
-            inj.summary() for inj in faults_mod.drain_auto()
-        ]
+        fault_summaries = [inj.summary() for inj in faults_mod.drain_auto()]
         faults_mod.auto_inject(None)
     violations = None
     if verify:
-        violations = [
-            v.as_dict()
-            for engine in verify_mod.drain_auto()
-            for v in engine.violations
-        ]
+        violations = [v.as_dict() for engine in verify_mod.drain_auto()
+                      for v in engine.violations]
         verify_mod.auto_verify(None)
         if violations and ok:
             first = violations[0]
@@ -119,108 +114,11 @@ def _run_job(job: Job, metrics: bool, faults: Optional[Dict],
             fault_summaries, violations)
 
 
-def _supervised_entry(run: Callable[[Job], Record], job: Job,
-                      queue) -> None:
-    """Worker-process entry point for supervised runs."""
-    queue.put(run(job))
-
-
-def _run_supervised(
-    jobs: List[Job], cap: int, runner: Dict, run, progress, on_record,
-) -> bool:
-    """Run each job in a watched process, ``cap`` at a time; returns
-    whether Ctrl-C cut it short.
-
-    A worker that exceeds the wall-clock ``runner.timeout_s`` is
-    terminated and recorded as a failure (timeouts are not retried — a
-    hung run would hang again); a worker that *crashes* (dies without
-    posting a result) is retried up to ``runner.retries`` times with
-    exponential backoff from ``runner.retry_backoff_s``.  Ctrl-C
-    terminates the in-flight workers.
-    """
-    import multiprocessing  # only the supervised and pool paths fork
-
-    ctx = multiprocessing.get_context("fork")
-    timeout = runner["timeout_s"]
-    by_key = {job[0]: job for job in jobs}
-    pending: List[Tuple[str, int, float]] = [
-        (job[0], 0, 0.0) for job in reversed(jobs)
-    ]  # (key, attempt, not_before_monotonic); stack, submission order
-    active: Dict[str, Tuple] = {}  # key -> (proc, queue, deadline, attempt)
-
-    def _finish(record: Record) -> None:
-        on_record(record)
-        progress(f"[{by_key[record[0]][1]}] done in {record[2]:.1f}s")
-
-    def _fail(key: str, error: str) -> None:
-        on_record((key, {"error": error}, timeout, False, None, None, None))
-        progress(f"[{by_key[key][1]}] FAILED ({error})")
-
-    try:
-        while pending or active:
-            now = time.monotonic()
-            launchable = [
-                i for i, (_, _, nb) in enumerate(pending) if nb <= now
-            ]
-            while launchable and len(active) < cap:
-                key, attempt, _ = pending.pop(launchable.pop())
-                q = ctx.Queue()
-                proc = ctx.Process(target=_supervised_entry,
-                                   args=(run, by_key[key], q))
-                proc.start()
-                active[key] = (proc, q, time.monotonic() + timeout,
-                               attempt)
-                label = f" (retry {attempt})" if attempt else ""
-                progress(f"[{by_key[key][1]}] running{label} ...")
-            for key in list(active):
-                proc, q, deadline, attempt = active[key]
-                if not q.empty():
-                    # feeder threads can lag proc exit; drain first
-                    _finish(q.get())
-                    proc.join()
-                    del active[key]
-                elif not proc.is_alive():
-                    # died without posting: one last racy-queue check
-                    try:
-                        _finish(q.get(timeout=0.5))
-                        del active[key]
-                        continue
-                    except Exception:
-                        pass
-                    del active[key]
-                    if attempt < runner["retries"]:
-                        backoff = runner["retry_backoff_s"] * (2 ** attempt)
-                        progress(f"[{by_key[key][1]}] worker crashed "
-                                 f"(exit {proc.exitcode}); retrying in "
-                                 f"{backoff:.1f}s")
-                        pending.append(
-                            (key, attempt + 1,
-                             time.monotonic() + backoff))
-                    else:
-                        _fail(key, f"worker crashed with exit code "
-                                   f"{proc.exitcode} after "
-                                   f"{attempt + 1} attempt(s)")
-                elif time.monotonic() > deadline:
-                    proc.terminate()
-                    proc.join()
-                    del active[key]
-                    _fail(key, f"watchdog timeout after {timeout:.1f}s")
-            if pending or active:
-                time.sleep(0.05)
-    except KeyboardInterrupt:
-        for key, (proc, _q, _deadline, _attempt) in active.items():
-            proc.terminate()
-            proc.join()
-            progress(f"[{by_key[key][1]}] interrupted")
-        return True
-    return False
-
-
 def _worker_cap(jobs: Optional[int]) -> int:
     """How many runs may execute at once: ``jobs`` when given, else
     every usable core.
 
-    1 inside a daemonic process (a pool worker may not have children)
+    1 inside a daemonic process (a worker may not have children)
     and while an in-process collector — ``metrics.auto_attach``,
     ``faults.auto_inject`` or ``verify.auto_verify`` — is armed by the
     caller: a forked worker's simulators would escape it.
@@ -232,7 +130,7 @@ def _worker_cap(jobs: Optional[int]) -> int:
     if (metrics_mod._auto_enabled or faults_mod._auto_spec is not None
             or verify_mod._auto_interval is not None):
         return 1
-    # a process that never imported multiprocessing is no pool's child
+    # a process that never imported multiprocessing is no worker
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.current_process().daemon:
         return 1
@@ -263,8 +161,8 @@ def _judged(walls: Optional[Tuple[float, float, int]],
 
 
 def _mean_wall(judged: Optional[Tuple[float, int]]) -> Optional[float]:
-    """The mean of ``judged`` runs, or None unless they cost at least a
-    pool's own start: fewer are too little evidence, since one GC pause
+    """The mean of ``judged`` runs, or None unless they cost at least
+    the workers' own start: fewer are too little evidence, since one GC pause
     moves the mean of a handful of microsecond runs past any
     break-even."""
     if judged is None or judged[0] < POOL_COST_S:
@@ -275,7 +173,7 @@ def _mean_wall(judged: Optional[Tuple[float, int]]) -> Optional[float]:
 def _pool_pays(catalog: ExperimentCatalog, left: Dict[str, int],
                ran: set, campaign_mean: Optional[float]) -> bool:
     """Whether the runs still to go, ``left[name]`` of each experiment,
-    are worth a fork pool.
+    are worth forked workers.
 
     Each run left counts at a mean wall: its experiment's own where
     ``catalog`` holds judged runs of it (:func:`_judged`; ``ran`` holds
@@ -295,23 +193,6 @@ def _pool_pays(catalog: ExperimentCatalog, left: Dict[str, int],
     return estimate > POOL_BREAK_EVEN_S
 
 
-def _open_pool(workers: int):
-    """A fork pool of ``workers``, or None where the host cannot start
-    one (no working semaphores, e.g. without ``/dev/shm``).
-
-    Fork, not spawn: a forked worker inherits the parent's imports and
-    catalog, while a spawned one re-imports the experiments, which
-    takes 0.4-0.5 s on the host ``POOL_COST_S`` was measured on: more
-    than the break-even.
-    """
-    import multiprocessing  # only the pool and supervised paths fork
-
-    try:
-        return multiprocessing.get_context("fork").Pool(processes=workers)
-    except (OSError, ImportError):
-        return None
-
-
 def _execute_jobs(
     jobs: List[Job],
     runner: Dict,
@@ -325,30 +206,27 @@ def _execute_jobs(
     ``workers`` is how many processes ran the jobs at once (1
     in-process) and ``in_process`` how many landed in this process.
 
-    ``runner.timeout_s`` set → each job in a watched process, up to
-    :func:`_worker_cap` at a time.  Otherwise the jobs run in-process,
-    in order, until the measured walls (``catalog``'s per experiment,
-    else this campaign's) say the rest pay for a fork pool
-    (:func:`_pool_pays`), which may be before the first;
-    the rest then fan out over ``min(cap, left)`` workers.  Every
-    record, in-process or pooled, adds its wall to ``catalog``, and
-    ``on_record`` fires in the parent as each lands, in completion
-    order.
+    The jobs run in-process, in order, until the measured walls
+    (``catalog``'s per experiment, else this campaign's) say the rest
+    pay for worker processes (:func:`_pool_pays`), which may be before
+    the first; the rest then fan out over ``min(cap, left)`` workers
+    (:func:`_fan_out`).  With ``runner.timeout_s`` every job fans out,
+    since only a worker can be watched.  Every record, in-process or
+    not, adds its wall to ``catalog``, and ``on_record`` fires in the
+    parent as each lands, in completion order.
     """
     cap = _worker_cap(runner["jobs"])
     run = functools.partial(_run_job, metrics=runner["metrics"],
                             faults=faults, verify=runner["verify"])
-    if runner["timeout_s"] is not None:
-        interrupted = _run_supervised(jobs, cap, runner, run, progress,
-                                      on_record)
-        return interrupted, min(cap, len(jobs)), 0
+    watched = runner["timeout_s"] is not None
     by_key = {job[0]: job for job in jobs}
 
     def land(record: Record) -> None:
         _key, label, _call, experiment = by_key[record[0]]
         catalog.note_wall(experiment, record[2])
         on_record(record)
-        progress(f"[{label}] done in {record[2]:.1f}s")
+        progress(f"[{label}] done in {record[2]:.1f}s" if record[3] else
+                 f"[{label}] FAILED ({_error_text(record[1])})")
 
     left: Dict[str, int] = {}  # runs not yet started, per experiment
     for job in jobs:
@@ -357,17 +235,15 @@ def _execute_jobs(
     own = [0.0, 0.0, 0]  # this campaign's walls, shaped as the catalog's
     for index, job in enumerate(jobs):
         runs_left = len(jobs) - index
-        if cap > 1 and runs_left > 1 and _pool_pays(
+        if watched or cap > 1 and runs_left > 1 and _pool_pays(
                 catalog, left, ran,
                 _mean_wall(_judged(own, True) if index else None)):
             workers = min(cap, runs_left)
-            pool = _open_pool(workers)
-            if pool is not None:
-                progress(f"[{runs_left} runs left] fanning out over "
-                         f"{workers} worker processes")
-                interrupted = _fan_out(pool, run, jobs[index:], land)
+            interrupted = _fan_out(jobs[index:], workers, run, runner,
+                                   progress, land)
+            if interrupted is not None:
                 return interrupted, workers, index
-            cap = 1  # no pool on this host: the rest run here
+            cap = 1  # no worker starts on this host: the rest run here
         experiment = job[3]
         left[experiment] -= 1
         if not left[experiment]:
@@ -388,16 +264,138 @@ def _execute_jobs(
     return False, 1, len(jobs)
 
 
-def _fan_out(pool, run, jobs: List[Job], land) -> bool:
-    """Run ``jobs`` on ``pool``, landing each record as it completes;
-    returns whether Ctrl-C cut it short.  Leaving the ``with`` block
-    terminates the pool's workers either way."""
-    with pool:
-        try:
-            for record in pool.imap_unordered(run, jobs):
-                land(record)
-        except KeyboardInterrupt:
-            return True
+def _work(run: Callable[[Job], Record], jobs: List[Job], tasks, results,
+          parent_ends) -> None:
+    """A worker's loop: answers each index ``i`` read from ``tasks`` with
+    the record of ``jobs[i]`` on ``results``, until it reads None or its
+    parent is gone (killed, it leaves no writer on ``tasks``)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's to handle
+    for conn in parent_ends:  # the parent's pipe ends, copied by the fork
+        conn.close()
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        for index in iter(tasks.recv, None):
+            results.send(run(jobs[index]))
+
+
+class _Worker:
+    """A forked :func:`_work` and its two one-way pipes; of the job it
+    holds, ``index`` (None idle), ``attempt``, ``started``, ``deadline``."""
+
+    def __init__(self, ctx, run, jobs: List[Job], live: List["_Worker"]):
+        tasks, self.tasks = ctx.Pipe(duplex=False)
+        self.results, results = ctx.Pipe(duplex=False)
+        parent_ends = [c for w in live + [self] for c in (w.tasks, w.results)]
+        self.proc = ctx.Process(target=_work, daemon=True, args=(
+            run, jobs, tasks, results, parent_ends))
+        self.proc.start()
+        tasks.close()  # the worker's own ends live on in the worker alone
+        results.close()
+        self.index = None
+
+
+def _fan_out(jobs: List[Job], workers: int, run, runner: Dict, progress,
+             land) -> Optional[bool]:
+    """Run ``jobs`` on up to ``workers`` worker processes, landing each
+    record as it arrives; returns whether Ctrl-C cut it short, or None
+    when the first worker cannot start (``OSError``; raised instead
+    under ``runner.timeout_s``, as no in-process run can be watched).
+
+    Fork, not spawn: a forked worker inherits the imports, the catalog
+    and ``jobs`` (a job travels as its index); a spawned one would
+    re-import the experiments (0.4-0.5 s).  The parent blocks on the
+    pipes and sentinels, timing out only for a pending watchdog
+    deadline or retry backoff.  A worker that dies without answering
+    fails its run (re-run under ``runner.retries``); one past its
+    deadline is terminated and fails its run (never retried: a hung run
+    would hang again).  A lost worker is replaced while runs remain;
+    all are terminated and reaped on the way out.
+    """
+    import multiprocessing  # only fanned-out runs fork
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    timeout = runner["timeout_s"]
+    try:
+        live = [_Worker(ctx, run, jobs, [])]
+    except OSError:
+        if timeout is not None:
+            raise
+        return None
+    progress(f"[{len(jobs)} runs left] fanning out over {workers} "
+             f"worker processes")
+    # (index, attempt, the monotonic time it may start at)
+    pending = [(index, 0, 0.0) for index in range(len(jobs))]
+
+    def lose(worker: _Worker, error: Optional[str] = None) -> None:
+        live.remove(worker)  # reaped; with an error, its run fails
+        worker.proc.join()
+        worker.tasks.close()
+        worker.results.close()
+        if error is not None:
+            land((jobs[worker.index][0], {"error": error},
+                  time.monotonic() - worker.started, False, None, None,
+                  None))
+
+    try:
+        while pending or any(w.index is not None for w in live):
+            now = time.monotonic()
+            for entry in [p for p in pending if p[2] <= now]:
+                if all(w.index is not None for w in live):
+                    if len(live) == workers:
+                        break
+                    live.append(_Worker(ctx, run, jobs, live))
+                worker = next(w for w in live if w.index is None)
+                pending.remove(entry)
+                worker.index, worker.attempt, _ = entry
+                worker.tasks.send(worker.index)
+                worker.started = time.monotonic()
+                worker.deadline = worker.started + (timeout or math.inf)
+                if timeout is not None:
+                    progress(f"[{jobs[worker.index][1]}] running ...")
+            wake = min([w.deadline for w in live if w.index is not None]
+                       + [p[2] for p in pending if p[2] > now],
+                       default=math.inf)
+            ready = wait([c for w in live for c in (w.results,
+                                                    w.proc.sentinel)],
+                         None if wake == math.inf else max(0.0, wake - now))
+            for worker in [w for w in live if w.results in ready
+                           or w.proc.sentinel in ready]:
+                record = None
+                with contextlib.suppress(EOFError, OSError):  # it died
+                    if worker.results.poll():
+                        record = worker.results.recv()
+                if record is not None:
+                    worker.index = None
+                    land(record)
+                elif worker.index is None:  # it died idle
+                    lose(worker)
+                elif worker.attempt < runner["retries"]:
+                    lose(worker)
+                    backoff = runner["retry_backoff_s"] * 2 ** worker.attempt
+                    progress(f"[{jobs[worker.index][1]}] worker crashed "
+                             f"(exit {worker.proc.exitcode}); retrying in "
+                             f"{backoff:.1f}s")
+                    pending.append((worker.index, worker.attempt + 1,
+                                    time.monotonic() + backoff))
+                else:
+                    worker.proc.join()
+                    lose(worker, f"worker crashed with exit code "
+                                 f"{worker.proc.exitcode} after "
+                                 f"{worker.attempt + 1} attempt(s)")
+            now = time.monotonic()
+            for worker in [w for w in live
+                           if w.index is not None and now >= w.deadline]:
+                worker.proc.terminate()
+                lose(worker, f"watchdog timeout after {timeout:.1f}s")
+    except KeyboardInterrupt:
+        for worker in live:
+            if worker.index is not None:
+                progress(f"[{jobs[worker.index][1]}] interrupted")
+        return True
+    finally:
+        for worker in list(live):
+            worker.proc.terminate()
+            lose(worker)
     return False
 
 
@@ -552,7 +550,8 @@ def run_campaign(
 
 def _cpu_s() -> float:
     """User + system CPU seconds of this process and of every child it
-    has reaped so far (pool and supervised workers once joined)."""
+    has reaped so far (:func:`_fan_out` joins its workers before it
+    returns)."""
     total = 0.0
     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
         usage = resource.getrusage(who)

@@ -55,8 +55,8 @@ MAX_RUNS = 100_000
 #: so no run identity includes them
 _RUNNER_DEFAULTS = {
     "jobs": None,         # most worker processes; None = every usable core
-    "timeout_s": None,    # watchdog per run (supervised mode)
-    "retries": 0,         # re-runs of a crashed supervised worker
+    "timeout_s": None,    # watchdog per run (watched runs)
+    "retries": 0,         # re-runs of a watched run whose worker died
     "retry_backoff_s": 2.0,  # first retry's backoff, doubled per attempt
     "verify": False,      # live invariant engine; a violation fails the run
     "metrics": False,     # per-run metrics snapshots

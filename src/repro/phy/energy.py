@@ -68,11 +68,15 @@ class EnergyLedger:
         return totals
 
     def radio_duty_cycle(self) -> float:
-        """Fraction of elapsed time the radio was awake (not SLEEP)."""
+        """Fraction of elapsed time the radio was awake (not SLEEP):
+        exactly 1.0 for a radio that never slept, which a sum of the
+        per-state totals can miss by an ulp either way."""
         elapsed = self.sim.now - self._start_time
         if elapsed <= 0:
             return 0.0
         totals = self._settled()
+        if not totals[RadioState.SLEEP]:
+            return 1.0
         awake = sum(t for s, t in totals.items() if s is not RadioState.SLEEP)
         return awake / elapsed
 

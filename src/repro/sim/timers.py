@@ -94,6 +94,16 @@ class PeriodicTimer:
         self._interval: Optional[float] = None
         self._registry = getattr(sim, "_armed_timers", None)
 
+    @property
+    def armed(self) -> bool:
+        """True while the cadence runs."""
+        return self._event is not None and self._event.pending
+
+    @property
+    def expiry(self) -> Optional[float]:
+        """Absolute time of the next tick if armed, else None."""
+        return self._event.time if self.armed else None
+
     def start(self, interval: float) -> None:
         """(Re)start firing every ``interval`` seconds, first in ``interval``."""
         self.stop()

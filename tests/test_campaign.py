@@ -1070,17 +1070,17 @@ _PAYS_AFTER_ONE = {"name": "pays-after-one", "experiments": ["napping_cell"],
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Four usable cores whatever the host, and the size of every fork
-    pool the engine opens."""
+    """Four usable cores whatever the host, and the worker count of
+    every fan-out the engine enters."""
     opened = []
-    real = engine._open_pool
+    real = engine._fan_out
 
-    def counting(workers):
+    def counting(jobs, workers, *args):
         opened.append(workers)
-        return real(workers)
+        return real(jobs, workers, *args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(engine, "_open_pool", counting)
+    monkeypatch.setattr(engine, "_fan_out", counting)
     return opened
 
 
@@ -1200,11 +1200,11 @@ class TestFanOut:
                                                      monkeypatch):
         import multiprocessing
 
-        def no_semaphores(*args, **kwargs):
-            raise OSError("no /dev/shm")
+        def no_processes(*args, **kwargs):
+            raise OSError("fork: Resource temporarily unavailable")
 
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
-                            no_semaphores)
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+                            no_processes)
         report = run_quiet(dict(_PAYS_AFTER_ONE), catalog=_nap_catalog())
         assert pools == [2]
         assert report.execution["workers"] == 1
@@ -1223,8 +1223,9 @@ class TestFanOut:
 
     def test_report_bytes_do_not_depend_on_scheduling(self, monkeypatch):
         """A 2 x 2 grid of real bulk cells serializes the same at jobs 1,
-        the default and 2; the break-even is zeroed so that every run
-        after the first fans out wherever the cap allows it."""
+        the default and 2, and watched over two workers; the break-even
+        is zeroed so that every run after the first fans out wherever
+        the cap allows it."""
         monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
         monkeypatch.setattr(engine, "POOL_BREAK_EVEN_S", 0.0)
         from repro.experiments.runner import default_catalog
@@ -1243,6 +1244,18 @@ class TestFanOut:
         for jobs in (None, 2):
             assert not reports[jobs].execution["errors"]
             assert reports[jobs].to_json() == first, jobs
+        # the spec digest leaves out runner.jobs but not runner.timeout_s,
+        # so the watched leg differs in that one field and no other
+        watched_spec = dict(spec, runner={"jobs": 2, "timeout_s": 30})
+        watched = run_quiet(dict(watched_spec),
+                            catalog=default_catalog().copy())
+        assert watched.execution["workers"] == 2
+        assert watched.execution["in_process"] == 0
+        assert not watched.execution["errors"]
+        assert watched.spec_digest == CampaignSpec.from_dict(
+            watched_spec).digest()
+        watched.spec_digest = reports[1].spec_digest
+        assert watched.to_json() == first
 
     # -- the catalog's measured walls outlive a campaign ---------------
 

@@ -13,7 +13,7 @@ don't trip it.
 
 Also: ``import repro`` (the kernel and the stack) loads neither
 ``asyncio`` nor ``multiprocessing`` — only the live tier and the
-campaign engine's worker pools need them.
+campaign engine's forked workers need them.
 """
 
 import ast

@@ -30,6 +30,21 @@ def test_radio_duty_cycle_excludes_sleep():
     assert ledger.radio_duty_cycle() == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("tx_at, listen_at, now", [
+    (0.1, 0.2, 1.1),  # the per-state sum reads one ulp over 1
+    (0.1, 1.1, 1.3),  # ... and here under it
+])
+def test_radio_that_never_slept_reads_exactly_one(tx_at, listen_at, now):
+    sim = Simulator()
+    ledger = EnergyLedger(sim)
+    sim.now = tx_at
+    ledger.transition(RadioState.TX)
+    sim.now = listen_at
+    ledger.transition(RadioState.LISTEN)
+    sim.now = now
+    assert ledger.radio_duty_cycle() == 1.0
+
+
 def test_deaf_state_counts_as_awake_but_not_receiving():
     sim = Simulator()
     ledger = EnergyLedger(sim)

@@ -1,20 +1,26 @@
-"""Supervised campaign runs: watchdog, crash retry, interrupt, verify.
+"""Fanned-out and watched campaign runs: dead workers, watchdog, crash
+retry, interrupt, verify.
 
-The acceptance contract: a hung run becomes a *recorded failure* at
-the ``runner.timeout_s`` deadline without disturbing the rest of the
-campaign; a crashed worker is retried with backoff and then recorded;
-an interrupt still yields a valid partial report with
-``execution.interrupted``; and ``runner.verify`` violations survive
-the worker process boundary.
+The acceptance contract: a run that kills its worker fails alone,
+watched or not, and the campaign returns; a hung run becomes a
+*recorded failure* at the ``runner.timeout_s`` deadline without
+disturbing the rest of the campaign; a crashed worker is retried with
+backoff and then recorded; an interrupt still yields a valid partial
+report with ``execution.interrupted``; and ``runner.verify``
+violations survive the worker process boundary.
 
 The hostile experiments are module-level functions added to a copy
-of the default catalog (supervised workers fork, but keeping
-them importable matches the catalog contract).
+of the default catalog (the workers fork, but keeping them importable
+matches the catalog contract).
 """
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +38,16 @@ def _crash(quick):
     os._exit(17)
 
 
+def _exit_3(quick):
+    os._exit(3)
+
+
 def _ok(quick):
+    return {"ok": True, "quick": quick}
+
+
+def _slow_ok(quick):
+    time.sleep(0.3)
     return {"ok": True, "quick": quick}
 
 
@@ -107,6 +122,132 @@ def test_crashed_worker_is_retried_then_recorded(catalog):
             in failures(report)["zz_crash"])
     # exponential backoff actually waited: 0.1s + 0.2s between attempts
     assert time.monotonic() - t0 > 0.3
+
+
+def test_fanned_out_run_that_kills_its_worker_fails(catalog):
+    """No watchdog: the dead worker's run fails, the others land, and
+    the campaign returns instead of waiting on the lost run."""
+    names = ["zz_a", "zz_b", "zz_exit", "zz_d", "zz_e"]
+    catalog = with_entries(catalog, zz_a=_ok, zz_b=_ok, zz_exit=_exit_3,
+                           zz_d=_ok, zz_e=_ok)
+    for name in names:  # earlier runs say fanning out pays
+        catalog.note_wall(name, 1.0)
+        catalog.note_wall(name, 1.0)
+    t0 = time.monotonic()
+    report = campaign(catalog, names, jobs=2)
+    assert time.monotonic() - t0 < 20.0
+    assert report.execution["workers"] == 2
+    assert list(failures(report)) == ["zz_exit"]
+    assert ("worker crashed with exit code 3 after 1 attempt(s)"
+            in failures(report)["zz_exit"])
+    assert results(report) == {name: None if name == "zz_exit" else
+                               {"ok": True, "quick": True} for name in names}
+    assert report.execution["interrupted"] is False
+    assert multiprocessing.active_children() == []
+
+
+def test_idle_worker_that_dies_is_replaced(catalog):
+    """The crash's retry waits out its backoff while the other worker
+    idles; that idle worker is killed, and a fresh one takes the
+    retry."""
+    catalog = with_entries(catalog, zz_crash=_crash, zz_ok=_slow_ok)
+    lines = []
+
+    def progress(line):
+        lines.append(line)
+        if line.startswith("[zz_ok] done"):
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+
+    report = run_campaign({"experiments": ["zz_crash", "zz_ok"],
+                           "runner": {"jobs": 2, "timeout_s": 30.0,
+                                      "retries": 1,
+                                      "retry_backoff_s": 1.0}},
+                          catalog=catalog, progress=progress)
+    assert lines[4] == ("[zz_crash] worker crashed (exit 17); "
+                        "retrying in 1.0s")
+    assert lines[5].startswith("[zz_ok] done")  # its worker is killed
+    assert lines[6:] == [
+        "[zz_crash] running ...",  # on a fresh worker
+        "[zz_crash] FAILED (worker crashed with exit code 17 after 2 "
+        "attempt(s))"]
+    assert results(report)["zz_ok"] == {"ok": True, "quick": True}
+    assert ("worker crashed with exit code 17 after 2 attempt(s)"
+            in failures(report)["zz_crash"])
+    assert multiprocessing.active_children() == []
+
+
+def test_watched_runs_need_a_worker(catalog, monkeypatch):
+    """Where no worker starts, unwatched runs go in-process
+    (``test_campaign.py``); watched ones cannot, and the error stands."""
+    def no_processes(*args, **kwargs):
+        raise OSError("fork: Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+                        no_processes)
+    catalog = with_entries(catalog, zz_ok=_ok)
+    with pytest.raises(OSError, match="Resource temporarily"):
+        campaign(catalog, ["zz_ok"], timeout_s=30.0)
+
+
+#: a campaign process that SIGKILLs itself once its first run lands,
+#: after printing its two workers' pids: one idles, one naps 0.5 s
+_SELF_KILLING_CAMPAIGN = """
+import multiprocessing, os, signal, time
+from repro.campaign import ExperimentCatalog, run_campaign
+
+def ok(quick):
+    return {}
+
+def nap(quick):
+    time.sleep(0.5)
+    return {}
+
+def progress(line):
+    if line.startswith("[ok] done"):
+        print(*[child.pid for child in multiprocessing.active_children()],
+              flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+catalog = ExperimentCatalog({"ok": ok, "nap": nap})
+for name in ("ok", "nap"):  # timed: the campaign fans out at once
+    catalog.note_wall(name, 1.0)
+    catalog.note_wall(name, 1.0)
+run_campaign({"experiments": ["ok", "nap"], "runner": {"jobs": 2}},
+             catalog=catalog, progress=progress)
+"""
+
+
+def _gone(pid):
+    """Whether ``pid`` has exited (a zombie counts: nothing runs)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_of_a_killed_campaign_exit():
+    """Killed with SIGKILL, the campaign leaves its workers no writer on
+    their job pipes: the idle one exits at once, the busy one once its
+    run ends, instead of both waiting forever."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.Popen([sys.executable, "-c", _SELF_KILLING_CAMPAIGN],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             stdout=subprocess.PIPE, text=True)
+    with child.stdout:  # a worker left behind would hold it open
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+    assert child.wait(timeout=60) == -signal.SIGKILL
+    assert len(pids) == 2
+    deadline = time.monotonic() + 20
+    while not all(_gone(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            for pid in pids:  # leave nothing behind, then fail
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"workers {pids} outlived their campaign")
+        time.sleep(0.05)
 
 
 def test_successful_supervised_run_passes_result_through(catalog):

@@ -13,10 +13,10 @@ import pytest
 from repro import verify
 from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
-from repro.experiments.topology import build_pair
+from repro.experiments.topology import build_pair, build_testbed
 from repro.experiments.workload import BulkTransfer
 from repro.sim.engine import Simulator
-from repro.sim.timers import Timer
+from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.trace import TraceBus
 from repro.verify import InvariantEngine
 from repro.verify.postrun import _check_no_armed_tcp_timers
@@ -319,6 +319,31 @@ def test_armed_timers_registry_tracks_start_and_fire():
     assert t in sim.armed_timers()
     sim.run(until=2.0)  # fires and withdraws itself
     assert sim.armed_timers() == []
+
+
+def test_armed_timers_orders_one_shot_and_periodic_by_expiry():
+    sim = Simulator()
+    one_shot = Timer(sim, _noop, name="tcp-rexmit")
+    periodic = PeriodicTimer(sim, _noop, name="poll")
+    one_shot.start(1.2)
+    periodic.start(0.5)
+    assert sim.armed_timers() == [periodic, one_shot]
+    sim.run(until=1.1)  # two ticks: the next is due at 1.5
+    assert periodic.expiry == pytest.approx(1.5)
+    assert sim.armed_timers() == [one_shot, periodic]
+    periodic.stop()
+    assert not periodic.armed and periodic.expiry is None
+    assert sim.armed_timers() == [one_shot]
+
+
+def test_teardown_check_passes_a_testbed_with_sleepy_leaves():
+    """The leaves' poll timers are periodic and stay armed; the teardown
+    check only looks for ``tcp-*`` timers among them."""
+    net = build_testbed(seed=0)
+    stacks = (net.tcp_stack(1), net.tcp_stack(12))
+    net.sim.run(until=2.0)
+    assert any(isinstance(t, PeriodicTimer) for t in net.sim.armed_timers())
+    assert verify.check_all(net.sim, stacks=stacks) == []
 
 
 # ======================================================================

@@ -38,7 +38,7 @@ Modes
   does not name its run.
 * ``--jobs N``: override the spec's ``runner.jobs``, the most worker
   processes.  Unset (the default), misses run in-process until the
-  finished ones say a fork pool pays, then fan out over every usable
+  finished ones say forked workers pay, then fan out over every usable
   core; ``--jobs 1`` keeps every run in-process.  The summary line
   says how many workers ran, how many runs the parent ran itself and
   the CPU seconds of the parent and its workers.
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
                         help="override the spec's runner.jobs: the "
                              "most worker processes (default: every "
                              "usable core, once the finished runs say "
-                             "a fork pool pays; 1 = in-process)")
+                             "forked workers pay; 1 = in-process)")
     parser.add_argument("--dry-run", action="store_true",
                         help="print the expansion plan and cost estimate "
                              "without executing")
