@@ -1,7 +1,9 @@
 """Ablation study: what each TCPlp design choice buys (DESIGN.md §inventory).
 
 Not a paper figure — this quantifies the Table 1 feature set the paper
-argues for, on this reproduction's own substrate.
+argues for, on this reproduction's own substrate.  Each table is a grid
+of ``ablation_cell`` points; the 3-hop table's "full TCPlp" row is
+Fig. 6b's d = 0 point, the same simulation.
 """
 
 from conftest import paper, print_table
@@ -47,7 +49,11 @@ def test_ablations_lossy_single_hop():
 
 
 def test_ablations_hidden_terminal_three_hops():
-    rows = paper("ablations_3hop")
+    [d0] = [p for p in paper("fig6bcd_three_hops") if p["delay_ms"] == 0]
+    rows = [{"ablation": "full TCPlp", "goodput_kbps": d0["goodput_kbps"],
+             "segment_loss": d0["segment_loss"], "rto_events": d0["timeouts"],
+             "fast_retransmits": d0["fast_retransmits"],
+             "rtt_mean": d0["rtt_mean"]}] + paper("ablations_3hop")
     _print("three hops with hidden terminals (d = 0)", rows)
     by_name = {r["ablation"]: r for r in rows}
     full = by_name["full TCPlp"]["goodput_kbps"]

@@ -2,6 +2,8 @@
 
 from conftest import paper, print_table
 
+from repro.experiments.exp_app import table8_row
+
 
 def test_fig10_daylong_duty_cycle():
     results = {"tcp": paper("fig10_daylong_tcp"),
@@ -30,7 +32,10 @@ def test_fig10_daylong_duty_cycle():
 
 
 def test_table8_day_averages():
-    rows = paper("table8")
+    # the reliable rows are the first 12 hours of Fig. 10's days; the
+    # table8 entry simulates the two unreliable days
+    rows = [table8_row("tcp", paper("fig10_daylong_tcp")),
+            table8_row("coap", paper("fig10_daylong_coap"))] + paper("table8")
     print_table(
         "Table 8: day-long averages (paper: TCPlp 99.3%/2.29%, CoAP "
         "99.5%/1.84%, unreliable 93-95%/0.7-1.1%)",

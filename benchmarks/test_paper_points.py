@@ -25,10 +25,26 @@ ECHOES = {
                  "injected_loss": ("loss",)},
     "duty_cell": {"sleep_interval": ("sleep_interval",),
                   "direction": ("uplink",)},
+    "ablation_cell": {"ablation": ("ablation",), "scenario": ("scenario",)},
 }
 
+_LOSSY = "scenario=lossy-1hop"
 #: (entry, point, point) -> why those two points may read alike
-DECLARED = {}
+DECLARED = {
+    ("ablations_clean", "ablation=no SACK, scenario=clean-1hop",
+     "ablation=no OOO reassembly, scenario=clean-1hop"):
+        "the clean hop loses nothing, so there is no hole to repair "
+        "or to hold data behind (no OOO reassembly also drops SACK)",
+    ("ablations_lossy", f"ablation=full TCPlp, {_LOSSY}",
+     f"ablation=no delayed ACKs, {_LOSSY}"):
+        "only the sender is ablated: the unablated cloud receiver "
+        "sends every ACK, so the sender's delayed-ACK flag never acts",
+    ("ablations_lossy", f"ablation=no SACK, {_LOSSY}",
+     f"ablation=no OOO reassembly, {_LOSSY}"):
+        "the hop is RTO-bound at a 4-segment window and the sender "
+        "receives no data to reassemble, so dropping reassembly on top "
+        "of SACK changes nothing",
+}
 
 GRIDS = [entry for entry in PAPER_SPEC["experiments"]
          if isinstance(entry, dict)]

@@ -22,8 +22,10 @@ verification (``runner.verify``); a run with a violation fails.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
+import heapq
 import math
 import os
 import resource
@@ -323,8 +325,11 @@ def _fan_out(jobs: List[Job], workers: int, run, runner: Dict, progress,
         return None
     progress(f"[{len(jobs)} runs left] fanning out over {workers} "
              f"worker processes")
-    # (index, attempt, the monotonic time it may start at)
-    pending = [(index, 0, 0.0) for index in range(len(jobs))]
+    # (index, attempt) of the runs that may start now, in order, and
+    # (the monotonic time it may start at, index, attempt) of a crashed
+    # run backing off before its retry
+    ready = collections.deque((index, 0) for index in range(len(jobs)))
+    backoffs: List[Tuple[float, int, int]] = []
 
     def lose(worker: _Worker, error: Optional[str] = None) -> None:
         live.remove(worker)  # reaped; with an error, its run fails
@@ -337,29 +342,32 @@ def _fan_out(jobs: List[Job], workers: int, run, runner: Dict, progress,
                   None))
 
     try:
-        while pending or any(w.index is not None for w in live):
+        while ready or backoffs or any(w.index is not None for w in live):
             now = time.monotonic()
-            for entry in [p for p in pending if p[2] <= now]:
-                if all(w.index is not None for w in live):
+            while backoffs and backoffs[0][0] <= now:
+                ready.append(heapq.heappop(backoffs)[1:])
+            while ready:
+                worker = next((w for w in live if w.index is None), None)
+                if worker is None:
                     if len(live) == workers:
                         break
-                    live.append(_Worker(ctx, run, jobs, live))
-                worker = next(w for w in live if w.index is None)
-                pending.remove(entry)
-                worker.index, worker.attempt, _ = entry
+                    worker = _Worker(ctx, run, jobs, live)
+                    live.append(worker)
+                worker.index, worker.attempt = ready.popleft()
                 worker.tasks.send(worker.index)
                 worker.started = time.monotonic()
                 worker.deadline = worker.started + (timeout or math.inf)
                 if timeout is not None:
                     progress(f"[{jobs[worker.index][1]}] running ...")
             wake = min([w.deadline for w in live if w.index is not None]
-                       + [p[2] for p in pending if p[2] > now],
+                       + [at for at, _index, _attempt in backoffs[:1]],
                        default=math.inf)
-            ready = wait([c for w in live for c in (w.results,
-                                                    w.proc.sentinel)],
-                         None if wake == math.inf else max(0.0, wake - now))
-            for worker in [w for w in live if w.results in ready
-                           or w.proc.sentinel in ready]:
+            answered = wait([c for w in live for c in (w.results,
+                                                       w.proc.sentinel)],
+                            None if wake == math.inf
+                            else max(0.0, wake - now))
+            for worker in [w for w in live if w.results in answered
+                           or w.proc.sentinel in answered]:
                 record = None
                 with contextlib.suppress(EOFError, OSError):  # it died
                     if worker.results.poll():
@@ -375,8 +383,9 @@ def _fan_out(jobs: List[Job], workers: int, run, runner: Dict, progress,
                     progress(f"[{jobs[worker.index][1]}] worker crashed "
                              f"(exit {worker.proc.exitcode}); retrying in "
                              f"{backoff:.1f}s")
-                    pending.append((worker.index, worker.attempt + 1,
-                                    time.monotonic() + backoff))
+                    heapq.heappush(backoffs, (time.monotonic() + backoff,
+                                              worker.index,
+                                              worker.attempt + 1))
                 else:
                     worker.proc.join()
                     lose(worker, f"worker crashed with exit code "

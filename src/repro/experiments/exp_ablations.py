@@ -2,8 +2,10 @@
 
 The paper argues full-scale TCP features earn their memory cost
 (Table 1, §4, §9.4).  These ablations quantify each one on the same
-workload — a lossy single hop (uniform frame loss, partially masked by
-link retries) and the 3-hop hidden-terminal chain:
+workload — a clean single hop, a lossy one (uniform packet loss at the
+border router) and the 3-hop hidden-terminal chain — one
+:func:`ablation_cell` point a run, which ``campaigns/paper.json``
+sweeps over scenarios and ablations:
 
 * **delayed ACKs** — fewer reverse-path frames on a half-duplex channel;
 * **SACK** — precise loss repair instead of go-back-N;
@@ -19,13 +21,15 @@ link retries) and the 3-hop hidden-terminal chain:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.api import (
+    CLOUD_ID,
     BulkTransfer,
     TcpParams,
     build_chain,
     build_pair,
+    linux_like_params,
     tcplp_params,
 )
 
@@ -45,51 +49,51 @@ ABLATIONS: Dict[str, Callable[[TcpParams], TcpParams]] = {
 }
 
 
-def _run_ablation(
-    name: str,
-    scenario: str = "lossy-1hop",
-    seed: int = 0,
-    warmup: float = 10.0,
-    duration: float = 60.0,
-    frame_loss: float = 0.12,
-) -> Dict:
-    """Measure one ablated profile on one scenario.
+#: scenario -> its full (asserted) duration in simulated seconds
+_DURATIONS = {"clean-1hop": 45.0, "lossy-1hop": 60.0, "hidden-3hop": 60.0}
 
-    Scenarios: ``"clean-1hop"``, ``"lossy-1hop"`` (uniform frame loss,
-    beyond what link retries fully mask), ``"hidden-3hop"`` (d = 0).
+
+def ablation_cell(
+    quick: bool = True,
+    scenario: str = "lossy-1hop",
+    ablation: str = "full TCPlp",
+    seed: int = 0,
+) -> Dict:
+    """One ablation point: the full TCPlp profile with ``ablation``
+    applied, bulk goodput on one scenario after a 10 s warm-up.
+
+    Scenarios: ``"clean-1hop"``, ``"lossy-1hop"`` (12 % uniform packet
+    loss at the border router, beyond what link retries mask; the
+    cloud receiver is not ablated), ``"hidden-3hop"`` (d = 0, built as
+    the Figure 6 cell builds its chain, so that with nothing ablated it
+    is Fig. 6b's d = 0 point).
     """
-    mutate = ABLATIONS[name]
+    if scenario not in _DURATIONS:
+        raise ValueError(f"unknown scenario {scenario}")
+    mutate = ABLATIONS[ablation]
     params = mutate(tcplp_params())
-    if scenario == "clean-1hop":
-        net = build_pair(seed=seed)
-        sender_id, receiver_id = 0, 1
-    elif scenario == "lossy-1hop":
+    if scenario == "lossy-1hop":
         # uniform *packet* loss (link retries would mask frame loss):
         # one mesh hop, then the border router's lossy uplink (§9.4)
-        net = build_chain(1, seed=seed, wired_loss=frame_loss)
-        from repro.api import CLOUD_ID, linux_like_params
-
+        net = build_chain(1, seed=seed, wired_loss=0.12)
         xfer = BulkTransfer(net.sim, net.tcp_stack(1),
                             net.tcp_stack(CLOUD_ID, linux_like_params()),
                             receiver_id=CLOUD_ID, params=params,
                             dst_is_cloud=True)
-        result = xfer.measure(warmup, duration)
-        return _row(name, scenario, result)
-    elif scenario == "hidden-3hop":
-        net = build_chain(3, seed=seed, with_cloud=False)
-        sender_id, receiver_id = 3, 0
     else:
-        raise ValueError(f"unknown scenario {scenario}")
-    xfer = BulkTransfer(net.sim, net.tcp_stack(sender_id),
-                        net.tcp_stack(receiver_id), receiver_id=receiver_id,
-                        params=params, receiver_params=mutate(tcplp_params()))
-    result = xfer.measure(warmup, duration)
-    return _row(name, scenario, result)
-
-
-def _row(name: str, scenario: str, result) -> Dict:
+        if scenario == "clean-1hop":
+            net = build_pair(seed=seed)
+            sender_id, receiver_id = 0, 1
+        else:
+            net = build_chain(3, seed=seed)
+            sender_id, receiver_id = 3, 0
+        xfer = BulkTransfer(net.sim, net.tcp_stack(sender_id),
+                            net.tcp_stack(receiver_id),
+                            receiver_id=receiver_id, params=params,
+                            receiver_params=params)
+    result = xfer.measure(10.0, 25.0 if quick else _DURATIONS[scenario])
     return {
-        "ablation": name,
+        "ablation": ablation,
         "scenario": scenario,
         "goodput_kbps": result.goodput_kbps,
         "segment_loss": result.segment_loss,
@@ -98,15 +102,3 @@ def _row(name: str, scenario: str, result) -> Dict:
         "retransmits": result.retransmits,
         "rtt_mean": result.rtt_mean,
     }
-
-
-def run_ablation_table(
-    scenario: str = "lossy-1hop",
-    seed: int = 0,
-    duration: float = 60.0,
-) -> List[Dict]:
-    """All ablations on one scenario."""
-    return [
-        _run_ablation(name, scenario=scenario, seed=seed, duration=duration)
-        for name in ABLATIONS
-    ]

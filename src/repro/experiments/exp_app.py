@@ -20,7 +20,7 @@ server through a 3-5 hop mesh, exactly the Figure 3 topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.app.coap import CoapClient
 from repro.app.cocoa import CocoaRtoEstimator
@@ -205,32 +205,18 @@ def run_fig10_daylong(
     confirmable: bool = True,
     batching: bool = True,
 ) -> List[Dict]:
-    """Figure 10 / Table 8: a (scaled) day in a lossy environment.
+    """Figure 10: a (scaled) day in a lossy environment, one row an
+    hour.
 
     ``seconds_per_hour`` compresses each simulated 'hour'; the diurnal
     loss profile is applied to the border-router link hour by hour,
-    and the leaf radio duty cycle is sampled per hour.
-    """
-    return _run_day(protocol, hours, seconds_per_hour, seed,
-                    confirmable, batching)[0]
-
-
-def _run_day(
-    protocol: str,
-    hours: float,
-    seconds_per_hour: float,
-    seed: int,
-    confirmable: bool,
-    batching: bool,
-) -> Tuple[List[Dict], float]:
-    """The day behind Figure 10 and Table 8: its hourly rows, and the
-    whole run's reliability.
-
-    An hourly ``reliability`` charges a batch still queued when the
-    hour ends to that hour.  The run's does not: it is the server's
+    and the leaf radio duty cycle is sampled per hour.  An hourly
+    ``reliability`` charges a batch still queued when the hour ends to
+    that hour.  ``run_reliability`` is the run's so far: the server's
     share of the readings generated less those still waiting in the
-    leaves' queues at the end (an overflowed reading was generated and
-    is lost), so a run that loses nothing reads 1.0.
+    leaves' queues (an overflowed reading was generated and is lost),
+    so a run that loses nothing reads 1.0, and the first k rows of a
+    day are a k-hour day's (:func:`table8_row`).
     """
     net = build_testbed(seed=seed, leaf_poll=LEAF_POLL)
     server = ReadingServer(net.sim)
@@ -254,37 +240,32 @@ def _run_day(
         duty = _leaf_duty_cycles(net)
         generated = sum(a.generated for a in apps) - generated_before
         delivered = server.total_readings() - delivered_before
+        offered = sum(a.generated - len(a.queue) for a in apps)
         rows.append({
             "hour": hour,
             "loss_rate": net.wired.loss_rate,
             "radio_dc": duty["radio"],
             "cpu_dc": duty["cpu"],
             "reliability": min(1.0, delivered / generated) if generated else 1.0,
-        })
-    offered = sum(a.generated - len(a.queue) for a in apps)
-    return rows, (server.total_readings() / offered if offered else 1.0)
-
-
-def run_table8(
-    hours: float = 24.0,
-    seconds_per_hour: float = 150.0,
-    seed: int = 0,
-) -> List[Dict]:
-    """Table 8: day-long averages, including the unreliable rows."""
-    rows = []
-    for name, protocol, confirmable, batching in (
-        ("tcp", "tcp", True, True),
-        ("coap", "coap", True, True),
-        ("unreliable", "coap", False, False),
-        ("unreliable+batch", "coap", False, True),
-    ):
-        hourly, reliability = _run_day(
-            protocol, hours, seconds_per_hour, seed, confirmable, batching)
-        n = len(hourly)
-        rows.append({
-            "protocol": name,
-            "reliability": reliability,
-            "radio_dc": sum(h["radio_dc"] for h in hourly) / n,
-            "cpu_dc": sum(h["cpu_dc"] for h in hourly) / n,
+            "run_reliability": (server.total_readings() / offered
+                                if offered else 1.0),
         })
     return rows
+
+
+#: Table 8's day: the first 12 compressed hours of a Fig. 10 day
+TABLE8_HOURS = 12
+
+
+def table8_row(protocol: str, hourly: List[Dict]) -> Dict:
+    """Table 8's row for the day ``hourly`` (:func:`run_fig10_daylong`),
+    over its first :data:`TABLE8_HOURS`: the run's reliability at their
+    end and the mean hourly duty cycles.
+    """
+    day = hourly[:TABLE8_HOURS]
+    return {
+        "protocol": protocol,
+        "reliability": day[-1]["run_reliability"],
+        "radio_dc": sum(h["radio_dc"] for h in day) / len(day),
+        "cpu_dc": sum(h["cpu_dc"] for h in day) / len(day),
+    }

@@ -1,8 +1,9 @@
 """The experiment catalog: the paper's tables and figures as factories.
 
 :data:`DEFAULT_CATALOG` maps one name per table or figure that is one
-run, plus the cells of :mod:`repro.experiments.exp_cells`, each one
-point of a swept figure, to a factory ``factory(quick, **params)``
+run, plus the cells of :mod:`repro.experiments.exp_cells` and
+:func:`~repro.experiments.exp_ablations.ablation_cell`, each one point
+of a swept figure or table, to a factory ``factory(quick, **params)``
 that returns JSON-native rows (a store hit is their ``json.loads``).
 ``quick=False`` is each row's or point's one definition:
 ``campaigns/paper.json`` lists the rows and sweeps the cells over the
@@ -21,8 +22,12 @@ import bisect
 from typing import Dict
 
 from repro.campaign.catalog import ExperimentCatalog
-from repro.experiments.exp_ablations import run_ablation_table
-from repro.experiments.exp_app import run_fig10_daylong, run_table8
+from repro.experiments.exp_ablations import ablation_cell
+from repro.experiments.exp_app import (
+    TABLE8_HOURS,
+    run_fig10_daylong,
+    table8_row,
+)
 from repro.experiments.exp_cells import (
     app_cell,
     ayadi_energy,
@@ -136,8 +141,14 @@ def _exp_fig10_daylong_coap(quick: bool, seed: int = 0):
 
 
 def _exp_table8(quick: bool, seed: int = 0):
-    return run_table8(hours=6 if quick else 12, seconds_per_hour=150.0,
-                      seed=seed)
+    # the unreliable (nonconfirmable CoAP) rows: the TCP and CoAP rows
+    # are read from fig10_daylong_tcp's and _coap's first hours
+    hours = 6 if quick else TABLE8_HOURS
+    return [table8_row(name, run_fig10_daylong(
+                "coap", hours=hours, seconds_per_hour=150.0, seed=seed,
+                confirmable=False, batching=batching))
+            for name, batching in (("unreliable", False),
+                                   ("unreliable+batch", True))]
 
 
 def _exp_table9_fairness(quick: bool, seed: int = 0):
@@ -162,23 +173,9 @@ def _exp_appendixC_adaptive(quick: bool, seed: int = 0):
     ]
 
 
-def _exp_ablations_clean(quick: bool, seed: int = 0):
-    return run_ablation_table("clean-1hop", seed=seed,
-                              duration=_d(quick, 45.0))
-
-
-def _exp_ablations_lossy(quick: bool, seed: int = 0):
-    return run_ablation_table("lossy-1hop", seed=seed,
-                              duration=_d(quick, 60.0))
-
-
-def _exp_ablations_3hop(quick: bool, seed: int = 0):
-    return run_ablation_table("hidden-3hop", seed=seed,
-                              duration=_d(quick, 60.0))
-
-
 #: the process-wide default catalog: the paper's one-run tables and
-#: figures, plus the cells the swept figures are grids over (exp_cells)
+#: figures, plus the cells the swept figures and the ablation tables
+#: are grids over (exp_cells, exp_ablations)
 DEFAULT_CATALOG = ExperimentCatalog({
     "static_tables": _exp_static_tables,
     "table7_stacks": _exp_table7_stacks,
@@ -191,14 +188,12 @@ DEFAULT_CATALOG = ExperimentCatalog({
     "table9_fairness": _exp_table9_fairness,
     "appendixC_fig13": _exp_appendixC_fig13,
     "appendixC_adaptive": _exp_appendixC_adaptive,
-    "ablations_clean": _exp_ablations_clean,
-    "ablations_lossy": _exp_ablations_lossy,
-    "ablations_3hop": _exp_ablations_3hop,
     "single_hop_cell": single_hop_cell,
     "retry_delay_cell": retry_delay_cell,
     "app_cell": app_cell,
     "duty_cell": duty_cell,
     "ayadi_energy": ayadi_energy,
+    "ablation_cell": ablation_cell,
 })
 
 

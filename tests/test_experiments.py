@@ -6,7 +6,11 @@ plumbing and the qualitative trends on abbreviated runs.
 
 import pytest
 
-from repro.experiments.exp_app import run_app_study
+from repro.experiments.exp_app import (
+    run_app_study,
+    run_fig10_daylong,
+    table8_row,
+)
 from repro.experiments.exp_cells import single_hop_cell
 from repro.experiments.exp_duty import (
     run_adaptive_duty_cycle,
@@ -122,6 +126,17 @@ class TestAppStudy:
                               confirmable=False)
         assert unrel.reliability < rel.reliability
         assert unrel.radio_duty_cycle < rel.radio_duty_cycle
+
+    @pytest.mark.parametrize("protocol", ["tcp", "coap"])
+    def test_a_days_first_hours_are_a_shorter_day(self, protocol):
+        """Table 8 reads its reliable rows off Fig. 10's days: a day's
+        first k hourly rows, run totals included, are a k-hour day's,
+        so nothing done at a day's end may touch an hourly row."""
+        day = run_fig10_daylong(protocol, hours=5, seconds_per_hour=40.0)
+        short = run_fig10_daylong(protocol, hours=3, seconds_per_hour=40.0)
+        assert day[:3] == short
+        assert 0 < short[-1]["run_reliability"] <= 1.0
+        assert table8_row(protocol, day[:3]) == table8_row(protocol, short)
 
 
 class TestFairness:

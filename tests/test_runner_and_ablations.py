@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
-from repro.experiments.exp_ablations import ABLATIONS, _run_ablation
+from repro.experiments.exp_ablations import ABLATIONS, ablation_cell
+from repro.experiments.exp_cells import retry_delay_cell
 from repro.experiments.runner import DEFAULT_CATALOG
 from tests.test_runner_supervision import with_entries
 
@@ -16,10 +17,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 class TestAblationHarness:
     def test_all_named_ablations_runnable(self):
-        row = _run_ablation("full TCPlp", scenario="clean-1hop",
-                           duration=10.0)
-        assert row["goodput_kbps"] > 0
-        assert row["scenario"] == "clean-1hop"
+        assert "ablation_cell" in DEFAULT_CATALOG
+        for name in ABLATIONS:
+            row = ablation_cell(True, scenario="clean-1hop", ablation=name)
+            assert row["goodput_kbps"] > 0, name
+            assert (row["ablation"], row["scenario"]) == (name, "clean-1hop")
 
     def test_window_ablation_shrinks_buffers(self):
         from repro.core.simplified import tcplp_params
@@ -36,12 +38,26 @@ class TestAblationHarness:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            _run_ablation("full TCPlp", scenario="marsnet")
+            ablation_cell(True, scenario="marsnet")
 
     def test_lossy_scenario_produces_segment_loss(self):
-        row = _run_ablation("full TCPlp", scenario="lossy-1hop",
-                           duration=30.0, frame_loss=0.15)
+        row = ablation_cell(True, scenario="lossy-1hop",
+                            ablation="full TCPlp")
         assert row["segment_loss"] > 0.03
+
+    def test_unablated_hidden_3hop_is_the_fig6_point(self):
+        """The 3-hop table reads its "full TCPlp" row off Fig. 6b's
+        d = 0 point, so the two must be one simulation."""
+        row = ablation_cell(True, scenario="hidden-3hop",
+                            ablation="full TCPlp")
+        point = retry_delay_cell(True, hops=3, delay=0.0)
+        assert point["goodput_kbps"] > 0
+        assert ([row[k] for k in ("goodput_kbps", "segment_loss",
+                                  "rto_events", "fast_retransmits",
+                                  "rtt_mean")]
+                == [point[k] for k in ("goodput_kbps", "segment_loss",
+                                       "timeouts", "fast_retransmits",
+                                       "rtt_mean")])
 
 
 def _boom(quick):
@@ -70,6 +86,17 @@ class TestRunner:
             read.update(re.findall(r'\bpaper\("([^"]+)"\)',
                                    path.read_text()))
         assert sorted(name for name, _experiment in entries) == sorted(read)
+        # the ablation names live in ABLATIONS alone: each ablation grid
+        # sweeps them all, less the 3-hop "full TCPlp" (Fig. 6b's point)
+        axes = {entry["name"]: entry["grid"]["ablation"]
+                for entry in spec.experiments
+                if isinstance(entry, dict)
+                and entry["experiment"] == "ablation_cell"}
+        assert axes == {
+            "ablations_clean": list(ABLATIONS),
+            "ablations_lossy": list(ABLATIONS),
+            "ablations_3hop": [name for name in ABLATIONS
+                               if name != "full TCPlp"]}
 
     def test_run_all_subset_and_error_isolation(self):
         report = run_quiet(["static_tables"])
