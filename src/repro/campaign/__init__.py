@@ -24,9 +24,9 @@ Layers (one module each):
 * :mod:`~repro.campaign.stats` — repetition aggregation of every
   numeric leaf of a result, named by its path, with Student-t
   confidence intervals;
-* :mod:`~repro.campaign.engine` — job execution (in-process until
-  forked workers pay, or watched from the first run) and the
-  ``run_campaign`` driver;
+* :mod:`~repro.campaign.engine` — job execution (in-process at a
+  worker cap of 1 or for one miss, else fanned out from the first
+  run) and the ``run_campaign`` driver;
 * :mod:`~repro.campaign.report` — ``CampaignReport``: deterministic
   document, JSONL export, grid tables.
 

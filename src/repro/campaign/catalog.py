@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import difflib
 import inspect
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 
 def resolve_selection(
@@ -80,43 +80,13 @@ class ExperimentCatalog:
     durations, ``params`` are the campaign grid-cell keyword
     arguments (validated against the factory's signature at spec
     time).  Catalogs are plain objects built from a name -> factory
-    mapping; :meth:`copy` gives an independent one, so the process-wide
-    default is untouched.
-
-    A catalog also remembers what its experiments cost in this
-    process: :meth:`note_wall` adds each landed run's wall time and
-    :meth:`walls` gives the campaign engine what it judges forked
-    workers by, so a later campaign of a timed experiment need not time it
-    again.
+    mapping, fixed at construction: a campaign may pass its own and
+    never touch the process-wide default.
     """
 
     def __init__(self, entries: Optional[Dict[str, Callable]] = None):
         self._entries: Dict[str, Callable] = dict(entries or {})
         self._accepted: Dict[str, frozenset] = {}
-        #: name -> [first run's wall, walls after it, runs after it]
-        self._walls: Dict[str, List] = {}
-
-    def copy(self) -> "ExperimentCatalog":
-        """An independent catalog with the same entries and no
-        measured walls."""
-        return ExperimentCatalog(self._entries)
-
-    # -- measured cost -------------------------------------------------
-
-    def note_wall(self, name: str, wall_s: float) -> None:
-        """Add one run of ``name`` that took ``wall_s`` seconds."""
-        entry = self._walls.get(name)
-        if entry is None:
-            self._walls[name] = [wall_s, 0.0, 0]
-        else:
-            entry[1] += wall_s
-            entry[2] += 1
-
-    def walls(self, name: str) -> Optional[Tuple[float, float, int]]:
-        """``(first run's wall, walls after it, runs after it)`` of
-        ``name``, or None before any run of it has landed."""
-        entry = self._walls.get(name)
-        return None if entry is None else tuple(entry)
 
     # -- lookup --------------------------------------------------------
 

@@ -6,18 +6,14 @@ answers every run it can from a content-addressed
 aggregates repetition statistics into a
 :class:`~repro.campaign.report.CampaignReport`.
 
-The misses go through :func:`_execute_jobs`: in-process until the
-measured runs say forked workers pay (up to ``runner.jobs``, every
-usable core by default), then on pipe-fed workers (:func:`_fan_out`),
-from the first run on under ``runner.timeout_s``'s watchdog.  A run
-that kills its worker fails alone.  Every landed run adds its wall
-time to its experiment's entry in the catalog
-(:meth:`ExperimentCatalog.note_wall`), so a campaign of an experiment
-this process has timed past its first run may fan out from its own
-first run; an experiment the catalog has not timed counts at the mean
-of the campaign's runs so far.  Every run can carry per-run metrics
-(``runner.metrics``), fault injection (``faults``) and live invariant
-verification (``runner.verify``); a run with a violation fails.
+The misses go through :func:`_execute_jobs` under one rule: they run
+in-process when the worker cap is 1 (:func:`_worker_cap`) or there is
+one miss, and ``runner.timeout_s`` is unset; otherwise every miss fans
+out from the first over pipe-fed workers (:func:`_fan_out`), where a
+run that kills its worker fails alone.  Every run can carry per-run
+metrics (``runner.metrics``), fault injection (``faults``) and live
+invariant verification (``runner.verify``); a run with a violation
+fails.
 """
 
 from __future__ import annotations
@@ -40,20 +36,9 @@ from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.stats import aggregate_cell
 from repro.campaign.store import ResultStore, code_salt
 
-#: what starting and stopping two fan-out workers costs: 8-29 ms on a
-#: 2-core x86-64 host under Python 3.11 (two trivial jobs, median 8 ms;
-#: a fork ``Pool(2)`` took 9-25 ms); also the least judged wall time a
-#: mean wall is trusted on (:func:`_mean_wall`)
-POOL_COST_S = 0.025
-#: estimated serial seconds of the runs still to go (each at a mean
-#: wall, :func:`_pool_pays`) above which they fan out:
-#: two workers save half of it, so at this size they save twice
-#: their own cost
-POOL_BREAK_EVEN_S = 4 * POOL_COST_S
-
 #: one unit of work: (run id, progress label, the factory call with
-#: its arguments bound, experiment name)
-Job = Tuple[str, str, Callable[[], object], str]
+#: its arguments bound)
+Job = Tuple[str, str, Callable[[], object]]
 
 #: record tuple: (run id, result, wall_s, ok, metrics_snapshots,
 #: fault_injections, violations)
@@ -76,7 +61,7 @@ def _run_job(job: Job, metrics: bool, faults: Optional[Dict],
     from repro import verify as verify_mod
     from repro.sim import metrics as metrics_mod
 
-    key, _label, call, _experiment = job
+    key, _label, call = job
     start = time.perf_counter()
     if metrics:
         metrics_mod.auto_attach(True)
@@ -143,125 +128,48 @@ def _worker_cap(jobs: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _judged(walls: Optional[Tuple[float, float, int]],
-            own_first: bool) -> Optional[Tuple[float, int]]:
-    """``(seconds, runs)`` that ``walls``, an
-    :meth:`ExperimentCatalog.walls` triple, are judged by, or None.
-
-    A first run carries one-off start-up (imports, first-call caches):
-    it is left out once a second has landed, and judged alone only by
-    the campaign that ran it (``own_first``).  A later campaign does
-    not inherit it, since its own first run would not pay that
-    start-up again.
-    """
-    if walls is None:
-        return None
-    first_s, spent, runs = walls
-    if runs:
-        return spent, runs
-    return (first_s, 1) if own_first else None
-
-
-def _mean_wall(judged: Optional[Tuple[float, int]]) -> Optional[float]:
-    """The mean of ``judged`` runs, or None unless they cost at least
-    the workers' own start: fewer are too little evidence, since one GC pause
-    moves the mean of a handful of microsecond runs past any
-    break-even."""
-    if judged is None or judged[0] < POOL_COST_S:
-        return None
-    return judged[0] / judged[1]
-
-
-def _pool_pays(catalog: ExperimentCatalog, left: Dict[str, int],
-               ran: set, campaign_mean: Optional[float]) -> bool:
-    """Whether the runs still to go, ``left[name]`` of each experiment,
-    are worth forked workers.
-
-    Each run left counts at a mean wall: its experiment's own where
-    ``catalog`` holds judged runs of it (:func:`_judged`; ``ran`` holds
-    the experiments this campaign has run here), else
-    ``campaign_mean``, the mean of this campaign's runs so far.  A mean
-    counts only on enough evidence (:func:`_mean_wall`), and
-    ``campaign_mean`` is None without it.  On a fresh catalog, a
-    campaign of one experiment, or of distinct ones, thus decides on
-    its own runs alone.  O(experiments left), never O(runs left).
-    """
-    estimate = 0.0
-    for name, runs_left in left.items():
-        judged = _judged(catalog.walls(name), name in ran)
-        mean = campaign_mean if judged is None else _mean_wall(judged)
-        if mean is not None:
-            estimate += mean * runs_left
-    return estimate > POOL_BREAK_EVEN_S
-
-
 def _execute_jobs(
     jobs: List[Job],
     runner: Dict,
     faults: Optional[Dict],
     progress,
     on_record: Callable[[Record], None],
-    catalog: ExperimentCatalog,
 ) -> Tuple[bool, int, int]:
     """Run ``jobs`` under a spec's validated ``runner`` block and
     ``faults``; returns ``(interrupted, workers, in_process)``, where
     ``workers`` is how many processes ran the jobs at once (1
     in-process) and ``in_process`` how many landed in this process.
 
-    The jobs run in-process, in order, until the measured walls
-    (``catalog``'s per experiment, else this campaign's) say the rest
-    pay for worker processes (:func:`_pool_pays`), which may be before
-    the first; the rest then fan out over ``min(cap, left)`` workers
-    (:func:`_fan_out`).  With ``runner.timeout_s`` every job fans out,
-    since only a worker can be watched.  Every record, in-process or
-    not, adds its wall to ``catalog``, and ``on_record`` fires in the
-    parent as each lands, in completion order.
+    The jobs run in-process, in order, when the worker cap is 1 or
+    there is one job, and ``runner.timeout_s`` is unset.  Otherwise
+    every job fans out over ``min(cap, len(jobs))`` workers
+    (:func:`_fan_out`), unless no worker starts on this host: then
+    they run in-process after all.  ``on_record`` fires in the parent
+    as each record lands, in completion order.
     """
     cap = _worker_cap(runner["jobs"])
     run = functools.partial(_run_job, metrics=runner["metrics"],
                             faults=faults, verify=runner["verify"])
-    watched = runner["timeout_s"] is not None
-    by_key = {job[0]: job for job in jobs}
+    labels = {job[0]: job[1] for job in jobs}
 
     def land(record: Record) -> None:
-        _key, label, _call, experiment = by_key[record[0]]
-        catalog.note_wall(experiment, record[2])
         on_record(record)
+        label = labels[record[0]]
         progress(f"[{label}] done in {record[2]:.1f}s" if record[3] else
                  f"[{label}] FAILED ({_error_text(record[1])})")
 
-    left: Dict[str, int] = {}  # runs not yet started, per experiment
-    for job in jobs:
-        left[job[3]] = left.get(job[3], 0) + 1
-    ran = set()  # experiments that have landed a run here
-    own = [0.0, 0.0, 0]  # this campaign's walls, shaped as the catalog's
+    if runner["timeout_s"] is not None or cap > 1 and len(jobs) > 1:
+        workers = min(cap, len(jobs))
+        interrupted = _fan_out(jobs, workers, run, runner, progress, land)
+        if interrupted is not None:
+            return interrupted, workers, 0
     for index, job in enumerate(jobs):
-        runs_left = len(jobs) - index
-        if watched or cap > 1 and runs_left > 1 and _pool_pays(
-                catalog, left, ran,
-                _mean_wall(_judged(own, True) if index else None)):
-            workers = min(cap, runs_left)
-            interrupted = _fan_out(jobs[index:], workers, run, runner,
-                                   progress, land)
-            if interrupted is not None:
-                return interrupted, workers, index
-            cap = 1  # no worker starts on this host: the rest run here
-        experiment = job[3]
-        left[experiment] -= 1
-        if not left[experiment]:
-            del left[experiment]
         progress(f"[{job[1]}] running ...")
         try:
             record = run(job)
         except KeyboardInterrupt:
             progress(f"[{job[1]}] interrupted")
             return True, 1, index
-        if index:
-            own[1] += record[2]
-            own[2] += 1
-        else:
-            own[0] = record[2]
-        ran.add(experiment)
         land(record)
     return False, 1, len(jobs)
 
@@ -610,8 +518,7 @@ def _resolve_runs(
     for run_id, run in missing.items():
         jobs.append((run_id, _run_label(run), functools.partial(
             catalog.get(run.experiment), run.quick,
-            **run.call_params(catalog.accepted_params(run.experiment))),
-            run.experiment))
+            **run.call_params(catalog.accepted_params(run.experiment)))))
 
     def _on_record(record: Record) -> None:
         run_id, result, wall, ok = record[:4]
@@ -634,7 +541,7 @@ def _resolve_runs(
     progress(f"[{spec.name or 'campaign'}] {len(runs)} runs: {hits} "
              f"cached, {len(jobs)} to execute")
     interrupted, workers, in_process = _execute_jobs(
-        jobs, spec.runner, spec.faults, progress, _on_record, catalog)
+        jobs, spec.runner, spec.faults, progress, _on_record)
     return (records, hits, len(jobs), errors, interrupted, workers,
             in_process)
 

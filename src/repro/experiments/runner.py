@@ -200,8 +200,8 @@ DEFAULT_CATALOG = ExperimentCatalog({
 def default_catalog() -> ExperimentCatalog:
     """The process-wide default :class:`ExperimentCatalog`.
 
-    Campaigns that must not see runtime registrations should work on
-    ``default_catalog().copy()``.
+    It is fixed once built; a campaign that needs experiments of its
+    own builds a new catalog from these entries plus its own.
     """
     return DEFAULT_CATALOG
 

@@ -111,33 +111,12 @@ def slow_cell(quick, x=0, seed=0):
     return {"value": 3 * x + seed}
 
 
-def napping_cell(quick, nap=0.06, seed=0):
-    """A cell whose wall time is a ``nap`` of sleep."""
-    del quick
-    time.sleep(nap)
-    return {"value": seed}
-
-
 def spinning_cell(quick, spin=0.05, seed=0):
     """A cell that burns ``spin`` seconds of its own CPU."""
     del quick
     start = time.process_time()
     while time.process_time() - start < spin:
         pass
-    return {"value": seed}
-
-
-#: set once ``cold_start_cell`` has paid its start-up in this process
-_WARM = []
-
-
-def cold_start_cell(quick, seed=0, startup=0.01):
-    """Cheap, but its first call in a process pays ``startup`` seconds
-    of start-up."""
-    del quick
-    if not _WARM:
-        _WARM.append(True)
-        time.sleep(startup)
     return {"value": seed}
 
 
@@ -217,13 +196,6 @@ class TestExperimentCatalog:
         assert cat.names()[:2] == ["linear_cell", "quadratic_cell"]
         assert "linear_cell" in cat and len(cat) == 4
 
-    def test_copy_is_isolated(self):
-        cat = make_catalog()
-        clone = cat.copy()
-        clone.note_wall("linear_cell", 1.0)
-        assert clone.walls("linear_cell") == (1.0, 0.0, 0)
-        assert cat.walls("linear_cell") is None
-
     def test_unknown_name_suggests(self):
         with pytest.raises(ValueError, match="did you mean"):
             make_catalog().get("linear_cel")
@@ -249,9 +221,10 @@ class TestExperimentCatalog:
         assert inspected == [linear_cell]
         with pytest.raises(ValueError, match="unknown experiment"):
             cat.accepted_params("linear_cel")
-        # a copy inspects for itself
-        assert cat.copy().accepted_params("seedless_cell") == {"x"}
-        assert inspected == [linear_cell, seedless_cell]
+        # another catalog of the same entries inspects for itself
+        assert make_catalog().accepted_params("linear_cell") == {
+            "x", "scale", "seed"}
+        assert inspected == [linear_cell, linear_cell]
 
 
 # ----------------------------------------------------------------------
@@ -1059,13 +1032,12 @@ class TestVerify:
 
 
 # ----------------------------------------------------------------------
-# execution: misses run in-process until a fork pool pays
+# execution: one rule decides where misses run
 # ----------------------------------------------------------------------
 
-#: after its 60 ms first run two runs are left, 120 ms > the 0.1 s
-#: break-even: only a cap of 1 keeps this campaign in-process
-_PAYS_AFTER_ONE = {"name": "pays-after-one", "experiments": ["napping_cell"],
-                   "grid": {"nap": [0.06, 0.0, 0.001]}}
+#: three misses: over three workers unless a guard keeps them here
+_THREE_MISSES = {"name": "three-misses", "experiments": ["linear_cell"],
+                 "seeds": [0, 1, 2]}
 
 
 @pytest.fixture
@@ -1084,38 +1056,23 @@ def pools(monkeypatch):
     return opened
 
 
-def _nap_catalog():
-    return ExperimentCatalog({"napping_cell": napping_cell,
-                              "linear_cell": linear_cell,
-                              "spinning_cell": spinning_cell})
-
-
-def _timed(catalog, name, wall):
-    """``catalog`` after an earlier campaign in this process ran two
-    runs of ``name`` that took ``wall`` seconds each."""
-    catalog.note_wall(name, wall)
-    catalog.note_wall(name, wall)
-    return catalog
-
-
-def _run_in_daemon(spec, queue, known):
+def _run_in_daemon(spec, queue):
     try:
-        catalog = _nap_catalog()
-        if known:
-            _timed(catalog, "napping_cell", 0.06)
-        report = run_quiet(spec, catalog=catalog)
-        queue.put((report.execution["workers"], report.execution["errors"]))
-    except Exception as exc:  # e.g. a daemon refused a pool's children
+        report = run_quiet(spec, catalog=make_catalog())
+        queue.put((report.execution["workers"],
+                   report.execution["in_process"],
+                   report.execution["errors"]))
+    except Exception as exc:  # e.g. a daemon refused a worker
         queue.put(repr(exc))
 
 
-def _daemon_result(spec, known):
+def _daemon_result(spec):
     """What :func:`_run_in_daemon` reports from a daemonic child."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_run_in_daemon, args=(spec, queue, known),
+    child = ctx.Process(target=_run_in_daemon, args=(spec, queue),
                         daemon=True)
     child.start()
     result = queue.get(timeout=30)
@@ -1125,48 +1082,28 @@ def _daemon_result(spec, known):
 
 
 class TestFanOut:
-    def test_cheap_campaign_never_forks(self, pools):
-        report = run_quiet({"experiments": ["linear_cell"],
-                            "seeds": {"count": 200}},
-                           catalog=_nap_catalog())
-        assert report.execution["executed"] == 200
+    def test_one_miss_runs_in_process(self, pools):
+        report = run_quiet({"experiments": ["linear_cell"]},
+                           catalog=make_catalog())
         assert pools == [] and report.execution["workers"] == 1
-
-    def test_one_off_slow_start_is_not_judged_alone(self, pools):
-        """10 ms x 199 runs left would pass the break-even; but the
-        first run is cheaper than a pool, so a second is awaited, and
-        the runs after the first never add up to a pool's cost.  A
-        40 ms start-up paid by an earlier one-run campaign is not
-        inherited either: the next campaign's first run, which pays no
-        start-up, is judged instead."""
-        _WARM.clear()
-        report = run_quiet({"experiments": ["cold_start_cell"],
-                            "seeds": {"count": 200}},
-                           catalog=ExperimentCatalog(
-                               {"cold_start_cell": cold_start_cell}))
-        assert _WARM and report.execution["executed"] == 200
-        assert pools == [] and report.execution["workers"] == 1
-        _WARM.clear()
-        catalog = ExperimentCatalog({"cold_start_cell": cold_start_cell})
-        run_quiet({"experiments": ["cold_start_cell"],
-                   "grid": {"startup": [0.04]}}, catalog=catalog)
-        assert catalog.walls("cold_start_cell")[0] >= 0.04
-        report = run_quiet({"experiments": ["cold_start_cell"],
-                            "seeds": {"count": 200}}, catalog=catalog)
-        assert report.execution["in_process"] == 200
-        assert pools == [] and report.execution["workers"] == 1
-
-    def test_slow_campaign_forks_after_its_first_run(self, pools):
-        lines = []
-        report = run_campaign({"experiments": ["napping_cell"],
-                               "seeds": {"count": 4}},
-                              catalog=_nap_catalog(), progress=lines.append)
-        assert pools == [3]  # min(cap 4, 3 runs left)
-        assert report.execution["workers"] == 3
         assert report.execution["in_process"] == 1
-        assert sum("running" in line for line in lines) == 1
+
+    def test_two_cheap_misses_fan_out_from_the_first_run(self, pools):
+        """However cheap the runs, two misses go to two workers from
+        the first run on, and the report is a ``jobs: 1`` run's."""
+        spec = {"experiments": ["linear_cell"], "seeds": [0, 1]}
+        lines = []
+        report = run_campaign(dict(spec), catalog=make_catalog(),
+                              progress=lines.append)
+        assert pools == [2]
+        assert report.execution["workers"] == 2
+        assert report.execution["in_process"] == 0
+        assert not any("running" in line for line in lines)
         assert not report.execution["errors"]
-        assert [c.seeds for c in report.cells] == [[0, 1, 2, 3]]
+        assert [c.seeds for c in report.cells] == [[0, 1]]
+        serial = run_quiet(dict(spec, runner={"jobs": 1}),
+                           catalog=make_catalog())
+        assert report.to_json() == serial.to_json()
 
     @pytest.mark.parametrize("guard, known", [
         pytest.param("jobs-1", False, id="jobs-1"),
@@ -1174,12 +1111,15 @@ class TestFanOut:
         pytest.param("jobs-1", True, id="jobs-1-known"),
         pytest.param("metrics-armed", True, id="metrics-armed-known")])
     def test_guards_never_fork(self, pools, guard, known):
-        """``known``: a 60 ms entry makes the 3-run campaign pay from
-        its first run; only the guard keeps it in-process."""
-        spec = dict(_PAYS_AFTER_ONE)
-        catalog = _nap_catalog()
+        """Only the guard keeps three misses in-process; ``known``: an
+        unguarded campaign of the same runs fanned out on this catalog
+        first."""
+        spec = dict(_THREE_MISSES)
+        catalog = make_catalog()
         if known:
-            _timed(catalog, "napping_cell", 0.06)
+            run_quiet(dict(spec), catalog=catalog)
+            assert pools == [3]
+            pools.clear()
         if guard == "jobs-1":
             spec["runner"] = {"jobs": 1}
         else:
@@ -1193,8 +1133,7 @@ class TestFanOut:
         assert report.execution["in_process"] == 3
 
     def test_daemonic_parent_never_forks(self, pools):
-        for known in (False, True):
-            assert _daemon_result(dict(_PAYS_AFTER_ONE), known) == (1, {})
+        assert _daemon_result(dict(_THREE_MISSES)) == (1, 3, {})
 
     def test_no_pool_on_the_host_runs_the_rest_here(self, pools,
                                                      monkeypatch):
@@ -1205,10 +1144,11 @@ class TestFanOut:
 
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
                             no_processes)
-        report = run_quiet(dict(_PAYS_AFTER_ONE), catalog=_nap_catalog())
-        assert pools == [2]
+        report = run_quiet(dict(_THREE_MISSES), catalog=make_catalog())
+        assert pools == [3]
         assert report.execution["workers"] == 1
         assert report.execution["executed"] == 3
+        assert report.execution["in_process"] == 3
         assert not report.execution["errors"]
 
     def test_supervised_runs_with_the_default_cap(self):
@@ -1221,25 +1161,21 @@ class TestFanOut:
         assert report.execution["workers"] == min(
             2, len(os.sched_getaffinity(0)))
 
-    def test_report_bytes_do_not_depend_on_scheduling(self, monkeypatch):
+    def test_report_bytes_do_not_depend_on_scheduling(self):
         """A 2 x 2 grid of real bulk cells serializes the same at jobs 1,
-        the default and 2, and watched over two workers; the break-even
-        is zeroed so that every run after the first fans out wherever
-        the cap allows it."""
-        monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
-        monkeypatch.setattr(engine, "POOL_BREAK_EVEN_S", 0.0)
+        the default and 2, and watched over two workers."""
         from repro.experiments.runner import default_catalog
 
         spec = {"name": "scheduling", "experiments": ["single_hop_cell"],
                 "grid": {"frames": [1, 3], "duration": [1.0]},
                 "seeds": [0, 1]}
         reports = {jobs: run_quiet(dict(spec, runner={"jobs": jobs}),
-                                   catalog=default_catalog().copy())
+                                   catalog=default_catalog())
                    for jobs in (1, None, 2)}
         assert reports[1].execution["workers"] == 1
         assert reports[2].execution["workers"] == 2
         assert reports[None].execution["workers"] == min(
-            3, len(os.sched_getaffinity(0)))
+            4, len(os.sched_getaffinity(0)))
         first = reports[1].to_json()
         for jobs in (None, 2):
             assert not reports[jobs].execution["errors"]
@@ -1247,8 +1183,7 @@ class TestFanOut:
         # the spec digest leaves out runner.jobs but not runner.timeout_s,
         # so the watched leg differs in that one field and no other
         watched_spec = dict(spec, runner={"jobs": 2, "timeout_s": 30})
-        watched = run_quiet(dict(watched_spec),
-                            catalog=default_catalog().copy())
+        watched = run_quiet(dict(watched_spec), catalog=default_catalog())
         assert watched.execution["workers"] == 2
         assert watched.execution["in_process"] == 0
         assert not watched.execution["errors"]
@@ -1257,70 +1192,13 @@ class TestFanOut:
         watched.spec_digest = reports[1].spec_digest
         assert watched.to_json() == first
 
-    # -- the catalog's measured walls outlive a campaign ---------------
-
-    def test_known_slow_experiment_forks_at_its_first_run(self, pools):
-        catalog = _nap_catalog()
-        spec = {"name": "prior", "experiments": ["napping_cell"],
-                "seeds": {"count": 4}}
-        first = run_quiet(dict(spec), catalog=catalog)
-        assert first.execution["in_process"] == 1 and pools == [3]
-        second = run_quiet(dict(spec), catalog=catalog)
-        assert pools == [3, 4]  # min(cap 4, 4 runs)
-        assert second.execution["in_process"] == 0
-        assert second.execution["workers"] == 4
-        assert second.execution["executed"] == 4
-        assert not second.execution["errors"]
-        assert second.to_json() == first.to_json()
-
-    def test_known_cheap_experiment_never_forks(self, pools):
-        catalog = _nap_catalog()
-        for _ in range(2):
-            report = run_quiet({"experiments": ["linear_cell"],
-                                "seeds": {"count": 200}}, catalog=catalog)
-            assert report.execution["in_process"] == 200
-        assert pools == []
-        assert catalog.walls("linear_cell")[2] == 399
-
-    def test_copy_forgets_the_entry(self, pools):
-        catalog = _timed(_nap_catalog(), "napping_cell", 0.06)
-        spec = {"experiments": ["napping_cell"], "seeds": {"count": 3}}
-        fresh = catalog.copy()
-        assert fresh.walls("napping_cell") is None
-        # unknown again: the first run goes alone, as in a fresh process
-        assert run_quiet(dict(spec), catalog=fresh).execution[
-            "in_process"] == 1
-        assert pools == [2]
-
-    def test_fresh_mixed_campaign_forks_after_its_first_run(self, pools):
-        """Three distinct 60 ms experiments, one run each: the catalog
-        knows none, so the two left count at the first run's mean."""
-        catalog = ExperimentCatalog({name: napping_cell
-                                     for name in ("nap_a", "nap_b", "nap_c")})
-        report = run_quiet({"experiments": ["nap_a", "nap_b", "nap_c"]},
-                           catalog=catalog)
-        assert pools == [2] and report.execution["in_process"] == 1
-        assert not report.execution["errors"]
-
-    def test_mixed_campaign_counts_each_experiment_at_its_mean(self, pools):
-        """napping_cell is known at 60 ms and linear_cell is not, and no
-        run of this campaign has landed to judge it by: one napping run
-        left is under the break-even, two are over it, wherever they
-        stand in the campaign."""
-        catalog = _timed(_nap_catalog(), "napping_cell", 0.06)
-        spec = {"experiments": ["linear_cell", "napping_cell"]}
-        report = run_quiet(dict(spec), catalog=catalog)
-        assert pools == [] and report.execution["in_process"] == 2
-        report = run_quiet(dict(spec, seeds=[0, 1]), catalog=catalog)
-        assert pools == [4] and report.execution["in_process"] == 0
-        assert not report.execution["errors"]
-
     def test_cpu_s_counts_the_reaped_workers(self, pools):
         """Four pooled runs that each burn 50 ms of CPU: the parent
         idles, so the sidecar's CPU is its workers'."""
-        catalog = _timed(_nap_catalog(), "spinning_cell", 0.05)
         report = run_quiet({"experiments": ["spinning_cell"],
-                            "seeds": {"count": 4}}, catalog=catalog)
+                            "seeds": {"count": 4}},
+                           catalog=ExperimentCatalog(
+                               {"spinning_cell": spinning_cell}))
         assert pools == [4] and report.execution["in_process"] == 0
         assert report.execution["cpu_s"] >= 0.15
 

@@ -9,11 +9,12 @@ backoff and then recorded; an interrupt still yields a valid partial
 report with ``execution.interrupted``; and ``runner.verify``
 violations survive the worker process boundary.
 
-The hostile experiments are module-level functions added to a copy
-of the default catalog (the workers fork, but keeping them importable
-matches the catalog contract).
+The hostile experiments are module-level functions added to a new
+catalog built from the default's entries (the workers fork, but
+keeping them importable matches the catalog contract).
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -66,7 +67,7 @@ def _kernel_corruptor(quick):
 
 @pytest.fixture
 def catalog():
-    return default_catalog().copy()
+    return default_catalog()
 
 
 def with_entries(catalog, **factories):
@@ -130,9 +131,6 @@ def test_fanned_out_run_that_kills_its_worker_fails(catalog):
     names = ["zz_a", "zz_b", "zz_exit", "zz_d", "zz_e"]
     catalog = with_entries(catalog, zz_a=_ok, zz_b=_ok, zz_exit=_exit_3,
                            zz_d=_ok, zz_e=_ok)
-    for name in names:  # earlier runs say fanning out pays
-        catalog.note_wall(name, 1.0)
-        catalog.note_wall(name, 1.0)
     t0 = time.monotonic()
     report = campaign(catalog, names, jobs=2)
     assert time.monotonic() - t0 < 20.0
@@ -144,6 +142,46 @@ def test_fanned_out_run_that_kills_its_worker_fails(catalog):
                                {"ok": True, "quick": True} for name in names}
     assert report.execution["interrupted"] is False
     assert multiprocessing.active_children() == []
+
+
+#: a fresh process's first campaign: two misses at ``jobs: 2``, the
+#: first of which kills the process that runs it
+_FIRST_RUN_KILLS_ITS_PROCESS = """
+import json, multiprocessing, os
+from repro.campaign import ExperimentCatalog, run_campaign
+
+def exit_3(quick):
+    os._exit(3)
+
+def ok(quick):
+    return {"ok": True}
+
+report = run_campaign({"experiments": ["exit_3", "ok"],
+                       "runner": {"jobs": 2}},
+                      catalog=ExperimentCatalog({"exit_3": exit_3, "ok": ok}),
+                      progress=lambda *_: None)
+print(json.dumps({
+    "errors": list(report.execution["errors"].values()),
+    "results": {cell.experiment: cell.results for cell in report.cells},
+    "children": len(multiprocessing.active_children())}))
+"""
+
+
+def test_first_run_that_kills_its_process_fails_alone():
+    """Nothing has run before in the process: the campaign's first run
+    still goes to a worker, so its ``os._exit(3)`` fails that run and
+    not the campaign."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c",
+                            _FIRST_RUN_KILLS_ITS_PROCESS],
+                           env={**os.environ, "PYTHONPATH": str(src)},
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    out = json.loads(child.stdout)
+    [error] = out["errors"]
+    assert "worker crashed with exit code 3" in error
+    assert out["results"] == {"exit_3": [None], "ok": [{"ok": True}]}
+    assert out["children"] == 0
 
 
 def test_idle_worker_that_dies_is_replaced(catalog):
@@ -209,12 +247,9 @@ def progress(line):
               flush=True)
         os.kill(os.getpid(), signal.SIGKILL)
 
-catalog = ExperimentCatalog({"ok": ok, "nap": nap})
-for name in ("ok", "nap"):  # timed: the campaign fans out at once
-    catalog.note_wall(name, 1.0)
-    catalog.note_wall(name, 1.0)
 run_campaign({"experiments": ["ok", "nap"], "runner": {"jobs": 2}},
-             catalog=catalog, progress=progress)
+             catalog=ExperimentCatalog({"ok": ok, "nap": nap}),
+             progress=progress)
 """
 
 
@@ -295,9 +330,6 @@ def test_supervised_interrupt_terminates_the_workers(catalog):
 
 def test_pooled_interrupt_terminates_the_pool(catalog):
     catalog = with_entries(catalog, zz_ok=_ok, zz_hang=_hang)
-    for name in ("zz_ok", "zz_hang"):  # earlier runs say a pool pays
-        catalog.note_wall(name, 1.0)
-        catalog.note_wall(name, 1.0)
     lines = []
 
     def progress(line):

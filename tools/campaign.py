@@ -37,9 +37,9 @@ Modes
   non-zero on any other miss, re-execution, byte drift or line that
   does not name its run.
 * ``--jobs N``: override the spec's ``runner.jobs``, the most worker
-  processes.  Unset (the default), misses run in-process until the
-  finished ones say forked workers pay, then fan out over every usable
-  core; ``--jobs 1`` keeps every run in-process.  The summary line
+  processes.  Unset (the default), two or more misses fan out over
+  every usable core from the first run, and a lone miss runs
+  in-process; ``--jobs 1`` keeps every run in-process.  The summary line
   says how many workers ran, how many runs the parent ran itself and
   the CPU seconds of the parent and its workers.
 """
@@ -174,8 +174,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="override the spec's runner.jobs: the "
                              "most worker processes (default: every "
-                             "usable core, once the finished runs say "
-                             "forked workers pay; 1 = in-process)")
+                             "usable core, from the first run when "
+                             "two or more runs miss; 1 = in-process)")
     parser.add_argument("--dry-run", action="store_true",
                         help="print the expansion plan and cost estimate "
                              "without executing")
