@@ -17,8 +17,8 @@ Layers (one module each):
 
 * :mod:`~repro.campaign.spec` — ``CampaignSpec``/``RunSpec``:
   validation and deterministic expansion;
-* :mod:`~repro.campaign.catalog` — ``ExperimentCatalog`` and the
-  shared name resolver;
+* :mod:`~repro.campaign.catalog` — ``ExperimentCatalog`` and its
+  did-you-mean hint;
 * :mod:`~repro.campaign.store` — content-addressed ``ResultStore``
   (code-salted hashes, one append-only segment per salt, free resume);
 * :mod:`~repro.campaign.stats` — repetition aggregation of every
@@ -33,7 +33,7 @@ Layers (one module each):
 See docs/campaigns.md for the full schema and caching contract.
 """
 
-from repro.campaign.catalog import ExperimentCatalog, resolve_selection
+from repro.campaign.catalog import ExperimentCatalog
 from repro.campaign.engine import plan_campaign, run_campaign
 from repro.campaign.report import CampaignReport, CellResult
 from repro.campaign.spec import CampaignSpec, RunSpec
@@ -48,6 +48,5 @@ __all__ = [
     "RunSpec",
     "code_salt",
     "plan_campaign",
-    "resolve_selection",
     "run_campaign",
 ]

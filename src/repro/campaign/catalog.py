@@ -11,10 +11,9 @@ Factories are module-level callables (or ``functools.partial`` over
 them).  Fan-out workers fork with the catalog in memory, so a job
 reaches a worker as its index and no factory is pickled.
 
-:func:`resolve_selection` is the one name-resolver for experiment
-selections (``CampaignSpec.expand``, :meth:`ExperimentCatalog.get`):
-comma- and space-separated forms both work, and unknown names fail
-with close-match suggestions.
+:func:`close_match_hint` is the one did-you-mean helper: an unknown
+experiment name (:meth:`ExperimentCatalog.get`) and a grid axis a
+factory does not take (``CampaignSpec.expand``) both fail with it.
 """
 
 from __future__ import annotations
@@ -24,53 +23,14 @@ import inspect
 from typing import Callable, Dict, Iterable, List, Optional
 
 
-def resolve_selection(
-    selection,
-    available: Iterable[str],
-    what: str = "experiment",
-) -> Optional[List[str]]:
-    """Resolve a user-supplied name selection against ``available``.
-
-    ``selection`` may be ``None`` (meaning "everything"; returns
-    ``None``), a single string, or an iterable of strings; every
-    string may itself be comma- or whitespace-separated
-    (``"a,b"``, ``"a b"``, ``["a", "b,c"]`` are all accepted).  The
-    result preserves first-mention order and drops duplicates.
-
-    Unknown names raise ``ValueError`` listing close matches (and the
-    full catalog), so a typo'd ``fig9_los`` says "did you mean
-    'fig9_loss'?" instead of dumping a wall of names.
-    """
-    if selection is None:
-        return None
-    if isinstance(selection, str):
-        selection = [selection]
-    names: List[str] = []
-    for item in selection:
-        if not isinstance(item, str):
-            raise ValueError(
-                f"{what} selection entries must be strings, got {item!r}")
-        for part in item.replace(",", " ").split():
-            if part not in names:
-                names.append(part)
-    if not names:
-        raise ValueError(f"empty {what} selection")
-    available = list(available)
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        hints = []
-        for n in unknown:
-            close = difflib.get_close_matches(n, available, n=3, cutoff=0.5)
-            if close:
-                hints.append(f"{n!r} (did you mean "
-                             f"{' or '.join(repr(c) for c in close)}?)")
-            else:
-                hints.append(repr(n))
-        raise ValueError(
-            f"unknown {what}(s): {', '.join(hints)}; "
-            f"choose from {available}"
-        )
-    return names
+def close_match_hint(name: str, available: Iterable[str]) -> str:
+    """``name`` quoted, with up to three close matches among
+    ``available`` as a did-you-mean hint: a typo'd ``fig9_los`` reads
+    ``'fig9_los' (did you mean 'fig9_loss'?)``."""
+    close = difflib.get_close_matches(name, available, n=3, cutoff=0.5)
+    if not close:
+        return repr(name)
+    return f"{name!r} (did you mean {' or '.join(map(repr, close))}?)"
 
 
 class ExperimentCatalog:
@@ -96,8 +56,9 @@ class ExperimentCatalog:
 
     def get(self, name: str) -> Callable:
         if name not in self._entries:
-            # reuse the resolver purely for its error message
-            resolve_selection([name], self._entries, what="experiment")
+            raise ValueError(
+                f"unknown experiment {close_match_hint(name, self._entries)}"
+                f"; choose from {self.names()}")
         return self._entries[name]
 
     def accepted_params(self, name: str) -> frozenset:

@@ -576,7 +576,7 @@ def _build_report(spec: CampaignSpec, runs: List[RunSpec],
                 f"seed={run.seed}: {_error_text(record['result'])}")
     for cell in by_cell.values():
         cell.metrics = aggregate_cell(
-            [r for r in cell.results if r is not None], **spec.stats)
+            [r for r in cell.results if r is not None])
     return CampaignReport(
         name=spec.name,
         spec_digest=spec.digest(),

@@ -13,8 +13,7 @@ deterministically into :class:`RunSpec` cells::
       "seeds": [0, 1, 2],
       "faults": null,
       "runner": {"jobs": 4, "timeout_s": null, "retries": 0,
-                 "retry_backoff_s": 2.0, "verify": false, "metrics": false},
-      "stats": {"confidence": 0.95, "metrics": null}
+                 "retry_backoff_s": 2.0, "verify": false, "metrics": false}
     }
 
 An ``experiments`` entry is a catalog name, swept over the top-level
@@ -42,13 +41,11 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.campaign.catalog import ExperimentCatalog, resolve_selection
-from repro.campaign.stats import _T_CONFIDENCES
+from repro.campaign.catalog import ExperimentCatalog, close_match_hint
 from repro.checks import check_block, check_fields, is_int
 
-#: most runs (cells x seeds) one campaign may declare, and so the
-#: largest ``seeds.count``; checked on the declared sizes, before the
-#: seed list or the run list is built
+#: most runs (cells x seeds) one campaign may declare; checked on the
+#: declared sizes, before the run list is built
 MAX_RUNS = 100_000
 
 #: runner-block defaults: how runs execute, never what they compute,
@@ -68,11 +65,6 @@ _RUNNER_NUMBERS = {
     "timeout_s": (float, "> 0", True),
     "retries": (int, ">= 0", False),
     "retry_backoff_s": (float, ">= 0", False),
-}
-
-_STATS_DEFAULTS = {
-    "confidence": 0.95,   # one of the t table's levels
-    "metrics": None,      # list of result paths to aggregate; None = auto
 }
 
 
@@ -185,14 +177,9 @@ class CampaignSpec:
     seeds: List[int]
     faults: Optional[Dict]
     runner: Dict
-    stats: Dict
-    #: each grid entry's index in the list it was read from, by name,
-    #: so expansion's errors address an entry as parsing's do
-    _at: Dict[str, int] = field(default_factory=dict, compare=False,
-                                repr=False)
 
-    _TOP_KEYS = {"name", "experiment", "experiments", "quick", "grid",
-                 "seeds", "faults", "runner", "stats"}
+    _TOP_KEYS = {"name", "experiments", "quick", "grid", "seeds",
+                 "faults", "runner"}
 
     # -- construction --------------------------------------------------
 
@@ -206,65 +193,42 @@ class CampaignSpec:
             _fail("top level", f"unknown keys {sorted(unknown, key=str)} "
                                f"(expected a subset of "
                                f"{sorted(cls._TOP_KEYS)})")
-        if "experiment" in spec and "experiments" in spec:
-            _fail("experiments",
-                  "give either 'experiment' or 'experiments', not both")
-        raw_exps = spec.get("experiments", spec.get("experiment", []))
-        if isinstance(raw_exps, (str, dict)):
-            raw_exps = [raw_exps]
-        if not isinstance(raw_exps, list) or not all(
-                isinstance(e, (str, dict)) for e in raw_exps):
-            _fail("experiments", f"must be a name, an entry or a list of "
-                                 f"them, got {raw_exps!r}")
-        # names split in comma/space forms through the shared resolver
-        # rules (availability is checked later, against the catalog);
-        # an empty selection means "the whole catalog", resolved at
-        # expand() time
+        name = spec.get("name", "")
+        if not isinstance(name, str):
+            _fail("name", f"must be a string, got {name!r}")
+
+        raw_exps = spec.get("experiments")
+        if not isinstance(raw_exps, list) or not raw_exps:
+            _fail("experiments", f"must be a non-empty list of catalog "
+                                 f"names and entries, got {raw_exps!r}")
+        # availability is checked later, against the catalog
         experiments: List[Union[str, Dict]] = []
         labels: List[str] = []
-        at: Dict[str, int] = {}
         for index, item in enumerate(raw_exps):
-            for entry in ([_check_entry(item, f"experiments[{index}]")]
-                          if isinstance(item, dict)
-                          else item.replace(",", " ").split()):
-                if isinstance(entry, str) and entry in experiments:
-                    continue  # a name given twice is one entry
-                label = entry if isinstance(entry, str) else entry["name"]
-                if label in labels:
-                    _fail(f"experiments[{index}]",
-                          f"duplicate entry name {label!r}")
-                labels.append(label)
-                experiments.append(entry)
-                if isinstance(entry, dict):
-                    at[label] = index
+            path = f"experiments[{index}]"
+            entry = _check_entry(item, path) if isinstance(item, dict) \
+                else _check_name(item, path)
+            label = entry if isinstance(entry, str) else entry["name"]
+            if label in labels:
+                _fail(path, f"duplicate entry name {label!r}")
+            labels.append(label)
+            experiments.append(entry)
 
         quick = spec.get("quick", True)
         if not isinstance(quick, bool):
             _fail("quick", f"must be a boolean, got {quick!r}")
 
-        grid = _check_grid(spec.get("grid") or {}, "grid")
+        grid = _check_grid(spec.get("grid"), "grid")
 
         seeds = spec.get("seeds", [0])
-        if isinstance(seeds, dict):
-            extra = set(seeds) - {"count", "base"}
-            if extra:
-                _fail("seeds", f"unknown keys {sorted(extra, key=str)}")
-            count = seeds.get("count")
-            if not is_int(count, 1) or count > MAX_RUNS:
-                _fail("seeds.count", f"must be an integer in "
-                                     f"1..{MAX_RUNS}, got {count!r}")
-            base = seeds.get("base", 0)
-            if not is_int(base):
-                _fail("seeds.base", f"must be an integer, got {base!r}")
-            seeds = list(range(base, base + count))
         if not isinstance(seeds, list) or not seeds or not all(
                 is_int(s) for s in seeds):
-            _fail("seeds", f"must be a non-empty list of integers "
-                           f"(or {{'count': N, 'base': B}}), got {seeds!r}")
+            _fail("seeds", f"must be a non-empty list of integers, "
+                           f"got {seeds!r}")
         if len(set(seeds)) != len(seeds):
             _fail("seeds", f"duplicate seeds in {seeds!r}")
         cells = _cell_count([e["grid"] if isinstance(e, dict) else grid
-                             for e in experiments] or [grid])
+                             for e in experiments])
         if cells * len(seeds) > MAX_RUNS:
             _fail("grid", f"{cells} cells x {len(seeds)} seeds is more "
                           f"than {MAX_RUNS} runs")
@@ -280,35 +244,20 @@ class CampaignSpec:
         check_fields(runner, _RUNNER_NUMBERS, "campaign spec: runner.")
         if runner["retries"] and runner["timeout_s"] is None:
             _fail("runner.retries", "requires runner.timeout_s "
-                                    "(supervised mode)")
+                                    "(watched runs)")
         for flag in ("verify", "metrics"):
             if not isinstance(runner[flag], bool):
                 _fail(f"runner.{flag}", f"must be a boolean, "
                                         f"got {runner[flag]!r}")
 
-        stats = check_block(spec.get("stats"), _STATS_DEFAULTS,
-                            "campaign spec: stats")
-        if not (isinstance(stats["confidence"], float)
-                and stats["confidence"] in _T_CONFIDENCES):
-            _fail("stats.confidence", f"must be one of {_T_CONFIDENCES}, "
-                                      f"got {stats['confidence']!r}")
-        if stats["metrics"] is not None and not (
-                isinstance(stats["metrics"], list)
-                and all(isinstance(m, str) for m in stats["metrics"])):
-            _fail("stats.metrics", f"must be a list of result "
-                                   f"paths or null, "
-                                   f"got {stats['metrics']!r}")
-
         return cls(
-            name=str(spec.get("name", "")),
+            name=name,
             experiments=experiments,
             quick=quick,
             grid=grid,
             seeds=list(seeds),
             faults=faults,
             runner=runner,
-            stats=stats,
-            _at=at,
         )
 
     @classmethod
@@ -331,18 +280,17 @@ class CampaignSpec:
             "seeds": list(self.seeds),
             "faults": self.faults,
             "runner": dict(self.runner),
-            "stats": dict(self.stats),
         }
 
     def digest(self) -> str:
         """sha256 of the canonicalized spec (for report provenance).
 
-        ``runner.jobs`` is left out: how many processes ran a campaign
-        is not what it computes, so the report's bytes do not depend
+        The ``runner`` block is left out: it says how runs execute, not
+        what the campaign computes, so the report's bytes do not depend
         on it.
         """
         document = self._to_dict()
-        del document["runner"]["jobs"]
+        del document["runner"]
         return hashlib.sha256(
             _canonical_json(document).encode()).hexdigest()
 
@@ -361,15 +309,9 @@ class CampaignSpec:
         # one loop expands both entry forms: a name is an entry over
         # the top-level grid, as (experiment, grid, its spec path)
         entries = [(entry["experiment"], entry["grid"],
-                    f"experiments[{self._at.get(entry['name'], i)}].grid")
+                    f"experiments[{i}].grid")
                    if isinstance(entry, dict) else (entry, self.grid, "grid")
                    for i, entry in enumerate(self.experiments)]
-        if catalog is not None:
-            if entries:
-                resolve_selection([e[0] for e in entries], catalog.names())
-            else:
-                entries = [(name, self.grid, "grid")
-                           for name in catalog.names()]
         # every identity part is encoded once here, not once per run
         quick = self.quick
         faults, faults_json = _faults_parts(self.faults)
@@ -386,21 +328,11 @@ class CampaignSpec:
                 else tuple
             if catalog is not None:
                 accepted = catalog.accepted_params(experiment)
-                bad = [a for a in axes if a not in accepted]
+                bad = [close_match_hint(a, accepted)
+                       for a in axes if a not in accepted]
                 if bad:
-                    import difflib
-
-                    hints = []
-                    for axis in bad:
-                        close = difflib.get_close_matches(
-                            axis, sorted(accepted), n=3, cutoff=0.5)
-                        hints.append(
-                            f"{axis!r}"
-                            + (f" (did you mean "
-                               f"{' or '.join(repr(c) for c in close)}?)"
-                               if close else ""))
                     _fail(path, f"experiment {experiment!r} does not "
-                                f"accept axis {', '.join(hints)}; "
+                                f"accept axis {', '.join(bad)}; "
                                 f"it accepts {sorted(accepted)}")
                 takes_seed = "seed" in accepted
                 if not takes_seed and (len(self.seeds) > 1
@@ -439,20 +371,28 @@ def _check_entry(entry: Dict, path: str) -> Dict:
     if unknown:
         _fail(path, f"unknown keys {sorted(unknown, key=str)} (expected "
                     f"a subset of {list(_ENTRY_KEYS)})")
-    name, experiment = entry.get("name"), entry.get("experiment")
+    name = entry.get("name")
     if not isinstance(name, str) or not name.strip():
         _fail(f"{path}.name", f"must be a non-empty string, got {name!r}")
-    if not isinstance(experiment, str) or \
-            experiment.replace(",", " ").split() != [experiment]:
-        _fail(f"{path}.experiment",
-              f"must be one catalog name, got {experiment!r}")
-    return {"name": name, "experiment": experiment,
-            "grid": _check_grid(entry.get("grid") or {}, f"{path}.grid")}
+    return {"name": name,
+            "experiment": _check_name(entry.get("experiment"),
+                                      f"{path}.experiment"),
+            "grid": _check_grid(entry.get("grid"), f"{path}.grid")}
+
+
+def _check_name(name, path: str) -> str:
+    """One catalog name: a string with no separator or space in it."""
+    if not isinstance(name, str) or \
+            name.replace(",", " ").split() != [name]:
+        _fail(path, f"must be one catalog name, got {name!r}")
+    return name
 
 
 def _check_grid(grid, path: str) -> Dict[str, List]:
     """A validated grid (``axis -> non-empty list of distinct JSON
-    scalars``), copied."""
+    scalars``; ``None``: the empty grid), copied."""
+    if grid is None:
+        return {}
     if not isinstance(grid, dict):
         _fail(path, f"must be an object, got {grid!r}")
     for axis, values in grid.items():

@@ -19,59 +19,50 @@ byte-identical cached-report contract (docs/campaigns.md).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-#: two-sided Student-t critical values, t_{(1+c)/2, df}.  Rows: df.
-#: Columns: confidence level.  Standard table values; df beyond the
-#: table interpolate on 1/df down to the normal limit.
-_T_CONFIDENCES = (0.80, 0.90, 0.95, 0.98, 0.99)
-_T_TABLE: Dict[int, Sequence[float]] = {
-    1: (3.078, 6.314, 12.706, 31.821, 63.657),
-    2: (1.886, 2.920, 4.303, 6.965, 9.925),
-    3: (1.638, 2.353, 3.182, 4.541, 5.841),
-    4: (1.533, 2.132, 2.776, 3.747, 4.604),
-    5: (1.476, 2.015, 2.571, 3.365, 4.032),
-    6: (1.440, 1.943, 2.447, 3.143, 3.707),
-    7: (1.415, 1.895, 2.365, 2.998, 3.499),
-    8: (1.397, 1.860, 2.306, 2.896, 3.355),
-    9: (1.383, 1.833, 2.262, 2.821, 3.250),
-    10: (1.372, 1.812, 2.228, 2.764, 3.169),
-    12: (1.356, 1.782, 2.179, 2.681, 3.055),
-    15: (1.341, 1.753, 2.131, 2.602, 2.947),
-    20: (1.325, 1.725, 2.086, 2.528, 2.845),
-    30: (1.310, 1.697, 2.042, 2.457, 2.750),
-    60: (1.296, 1.671, 2.000, 2.390, 2.660),
-    120: (1.289, 1.658, 1.980, 2.358, 2.617),
+#: two-sided 95 % Student-t critical values, t_{0.975, df}, by df:
+#: standard table values; df beyond the table interpolate on 1/df down
+#: to the normal limit.  Every interval is a 95 % one.
+_T_TABLE: Dict[int, float] = {
+    1: 12.706,
+    2: 4.303,
+    3: 3.182,
+    4: 2.776,
+    5: 2.571,
+    6: 2.447,
+    7: 2.365,
+    8: 2.306,
+    9: 2.262,
+    10: 2.228,
+    12: 2.179,
+    15: 2.131,
+    20: 2.086,
+    30: 2.042,
+    60: 2.000,
+    120: 1.980,
 }
-#: df -> infinity: the normal quantiles
-_Z_LIMIT = (1.282, 1.645, 1.960, 2.326, 2.576)
+#: df -> infinity: the normal quantile
+_Z_LIMIT = 1.960
 
 
-def _t_critical(df: int, confidence: float) -> float:
-    """Two-sided Student-t critical value for ``df`` degrees of freedom
-    at one of the table's confidence levels."""
+def _t_critical(df: int) -> float:
+    """Two-sided 95 % Student-t critical value for ``df`` degrees of
+    freedom."""
     if df < 1:
         raise ValueError("t-based intervals need df >= 1")
-    try:
-        col = _T_CONFIDENCES.index(round(confidence, 2))
-    except ValueError:
-        raise ValueError(
-            f"t-based intervals support confidence levels "
-            f"{_T_CONFIDENCES}, not {confidence}") from None
     if df in _T_TABLE:
-        return _T_TABLE[df][col]
+        return _T_TABLE[df]
     rows = sorted(_T_TABLE)
     if df > rows[-1]:
         # interpolate on 1/df between the last table row and df=inf
         lo = rows[-1]
         frac = (1.0 / lo - 1.0 / df) / (1.0 / lo)
-        return _T_TABLE[lo][col] + frac * (_Z_LIMIT[col]
-                                           - _T_TABLE[lo][col])
+        return _T_TABLE[lo] + frac * (_Z_LIMIT - _T_TABLE[lo])
     hi = min(r for r in rows if r > df)
     lo = max(r for r in rows if r < df)
     frac = (1.0 / lo - 1.0 / df) / (1.0 / lo - 1.0 / hi)
-    return _T_TABLE[lo][col] + frac * (_T_TABLE[hi][col]
-                                       - _T_TABLE[lo][col])
+    return _T_TABLE[lo] + frac * (_T_TABLE[hi] - _T_TABLE[lo])
 
 
 def _median(ordered: List[float]) -> float:
@@ -104,13 +95,12 @@ class _Record:
     """
 
 
-def _record(n, confidence, mean, median, stdev, low, high, ci_low,
-            ci_high) -> Dict:
+def _record(n, mean, median, stdev, low, high, ci_low, ci_high) -> Dict:
     """One aggregate record; the attributes are set one by one, which
     costs less than passing them through an ``__init__``."""
     record = _Record()
     record.n = n
-    record.confidence = confidence
+    record.confidence = 0.95
     record.mean = mean
     record.median = median
     record.stdev = stdev
@@ -121,7 +111,7 @@ def _record(n, confidence, mean, median, stdev, low, high, ci_low,
     return record.__dict__
 
 
-def _aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
+def _aggregate(values: Sequence[float]) -> Dict:
     """One cell's repetition samples (at least one) -> aggregate record
     ``{n, confidence, mean, median, stdev, min, max, ci_low, ci_high}``.
     A single sample's interval collapses to the point (stdev 0)."""
@@ -134,10 +124,10 @@ def _aggregate(values: Sequence[float], confidence: float = 0.95) -> Dict:
         ci_low = ci_high = mean
     else:
         stdev = _sample_stdev(values, mean)
-        half = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
+        half = _t_critical(n - 1) * stdev / math.sqrt(n)
         ci_low, ci_high = mean - half, mean + half
-    return _record(n, confidence, mean, _median(ordered), stdev,
-                   ordered[0], ordered[-1], ci_low, ci_high)
+    return _record(n, mean, _median(ordered), stdev, ordered[0],
+                   ordered[-1], ci_low, ci_high)
 
 
 def _leaves(node, prefix: str, out: Dict) -> Dict:
@@ -155,14 +145,10 @@ def _leaves(node, prefix: str, out: Dict) -> Dict:
     return out
 
 
-def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
-                   confidence: float = 0.95) -> Dict[str, Dict]:
-    """One cell's successful results -> ``{path: _aggregate(samples)}``.
-
-    A path's samples are its numeric leaves across the results (none:
-    left out).  ``metrics=None`` aggregates the paths every result
-    has, in sorted order; a result that is not a dict or a list has
-    none."""
+def aggregate_cell(results: Sequence) -> Dict[str, Dict]:
+    """One cell's successful results -> ``{path: _aggregate(samples)}``
+    for every path all of them have, in sorted order; a result that is
+    not a dict or a list has none."""
     walked = [_leaves(r, "", {}) if isinstance(r, (dict, list, tuple))
               else {} for r in results]
     records = {}
@@ -171,21 +157,14 @@ def aggregate_cell(results: Sequence, metrics: Optional[Sequence] = None,
         # are built straight from its leaves (a cached re-run's hot
         # loop); ``+ 0.0`` is what ``sum()`` does to a lone sample
         # (-0.0 -> 0.0)
-        leaves = walked[0]
-        for name, v in sorted(leaves.items()) if metrics is None else [
-                (name, leaves[name]) for name in metrics if name in leaves]:
+        for name, v in sorted(walked[0].items()):
             v = float(v)
             mean = v + 0.0
-            records[name] = _record(1, confidence, mean, v, 0.0, v, v,
-                                    mean, mean)
+            records[name] = _record(1, mean, v, 0.0, v, v, mean, mean)
         return records
-    if metrics is None:
-        common = walked[0].keys() if walked else ()
-        for leaves in walked[1:]:
-            common &= leaves.keys()
-        metrics = sorted(common)
-    for name in metrics:
-        samples = [leaves[name] for leaves in walked if name in leaves]
-        if samples:
-            records[name] = _aggregate(samples, confidence)
+    common = walked[0].keys() if walked else ()
+    for leaves in walked[1:]:
+        common &= leaves.keys()
+    for name in sorted(common):
+        records[name] = _aggregate([leaves[name] for leaves in walked])
     return records

@@ -76,9 +76,10 @@ def _static_tables() -> Dict:
 
 # ----------------------------------------------------------------------
 # the built-in catalog: one module-level factory per table/figure
-# (module-level so pool and supervised workers can import them).  The
-# full (``quick=False``) branch is the row's one definition: the
-# arguments the paper suite asserts on (campaigns/paper.json)
+# (fan-out workers fork with the catalog in memory, so no factory is
+# pickled or imported by name).  The full (``quick=False``) branch is
+# the row's one definition: the arguments the paper suite asserts on
+# (campaigns/paper.json)
 # ----------------------------------------------------------------------
 
 

@@ -25,10 +25,10 @@ from repro.campaign import (
     ResultStore,
     RunSpec,
     plan_campaign,
-    resolve_selection,
     run_campaign,
 )
 from repro.campaign import engine, stats
+from repro.campaign.catalog import close_match_hint
 from repro.campaign.spec import (
     _canonical_json,
     _faults_parts,
@@ -149,40 +149,31 @@ def run_quiet(spec, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# selection resolver (shared by specs and catalog lookups)
+# selection: an experiments list names catalog entries one by one
 # ----------------------------------------------------------------------
 
 
 class TestResolveSelection:
-    def test_none_means_everything(self):
-        assert resolve_selection(None, ["a", "b"]) is None
-
-    def test_string_comma_and_space_forms(self):
-        avail = ["a", "b", "c"]
-        assert resolve_selection("a,b", avail) == ["a", "b"]
-        assert resolve_selection("a b", avail) == ["a", "b"]
-        assert resolve_selection(["a", "b,c"], avail) == ["a", "b", "c"]
-
-    def test_first_mention_dedup(self):
-        assert resolve_selection("a,b,a", ["a", "b"]) == ["a", "b"]
-
     def test_close_match_suggestion(self):
-        with pytest.raises(ValueError, match="did you mean 'fig9_loss'"):
-            resolve_selection("fig9_los", ["fig9_loss", "fig4_mss"])
+        assert close_match_hint("fig9_los", ["fig9_loss", "static"]) \
+            == "'fig9_los' (did you mean 'fig9_loss'?)"
 
     def test_name_without_a_close_match_is_named_alone(self):
+        assert close_match_hint("zzz", ["fig9_loss", "fig4_mss"]) == "'zzz'"
         with pytest.raises(ValueError) as err:
-            resolve_selection("zzz", ["fig9_loss", "fig4_mss"])
-        assert "unknown experiment(s): 'zzz'; choose from" in str(err.value)
+            make_catalog().get("zzz")
+        assert "unknown experiment 'zzz'; choose from" in str(err.value)
         assert "did you mean" not in str(err.value)
 
     def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            resolve_selection([""], ["a"])
+        with pytest.raises(ValueError, match=r"experiments\[0\]: must be "
+                                             r"one catalog name, got ''"):
+            CampaignSpec.from_dict({"experiments": [""]})
 
     def test_non_string_entry_rejected(self):
-        with pytest.raises(ValueError, match="must be strings"):
-            resolve_selection([3], ["a"])
+        with pytest.raises(ValueError, match=r"experiments\[0\]: must be "
+                                             r"one catalog name, got 3"):
+            CampaignSpec.from_dict({"experiments": [3]})
 
 
 # ----------------------------------------------------------------------
@@ -245,30 +236,35 @@ class TestSpecValidation:
                                         "kernel": knob})
 
     @pytest.mark.parametrize("block, path", [
-        ({"seeds": {"count": 10**9}}, "seeds.count"),
-        ({"seeds": {"count": 10**30}}, "seeds.count"),
-        ({"seeds": {"count": True}}, "seeds.count"),
-        ({"seeds": {"count": 1000},
+        # the retired seed-count form is refused whole; each row keeps
+        # the id it had while its count was a checked number
+        pytest.param({"seeds": {"count": 10**9}}, "seeds",
+                     id="block0-seeds.count"),
+        pytest.param({"seeds": {"count": 10**30}}, "seeds",
+                     id="block1-seeds.count"),
+        pytest.param({"seeds": {"count": True}}, "seeds",
+                     id="block2-seeds.count"),
+        ({"seeds": list(range(1000)),
           "grid": {"a": list(range(101))}}, "grid"),
         ({"runner": {"jobs": True}}, "runner.jobs"),
         ({"runner": {"retries": True, "timeout_s": 1.0}}, "runner.retries"),
         ({"runner": {"timeout_s": True}}, "runner.timeout_s"),
         ({"runner": {"timeout_s": float("inf")}}, "runner.timeout_s"),
-        # the retired interval policies are unknown keys; each row keeps
-        # the id it had while its key was a checked number
-        pytest.param({"stats": {"warmup": True}}, "stats",
+        # the retired stats block is an unknown key, whatever it holds;
+        # each row keeps the id it had while its key was a checked number
+        pytest.param({"stats": {"warmup": True}}, "top level",
                      id="block8-stats.warmup"),
-        pytest.param({"stats": {"outlier_iqr": True}}, "stats",
+        pytest.param({"stats": {"outlier_iqr": True}}, "top level",
                      id="block9-stats.outlier_iqr"),
         pytest.param({"stats": {"method": "bootstrap",
-                                "bootstrap_samples": 0}}, "stats",
+                                "bootstrap_samples": 0}}, "top level",
                      id="block10-stats.bootstrap_samples"),
         pytest.param({"stats": {"method": "bootstrap",
-                                "bootstrap_samples": -5}}, "stats",
+                                "bootstrap_samples": -5}}, "top level",
                      id="block11-stats.bootstrap_samples"),
-        pytest.param({"stats": {"bootstrap_samples": "many"}}, "stats",
+        pytest.param({"stats": {"bootstrap_samples": "many"}}, "top level",
                      id="block12-stats.bootstrap_samples"),
-        pytest.param({"stats": {"bootstrap_samples": 2.5}}, "stats",
+        pytest.param({"stats": {"bootstrap_samples": 2.5}}, "top level",
                      id="block13-stats.bootstrap_samples"),
         ({"runner": {"retry_backoff_s": "x"}}, "runner.retry_backoff_s"),
         ({"runner": {"retry_backoff_s": -1.0}}, "runner.retry_backoff_s"),
@@ -282,9 +278,9 @@ class TestSpecValidation:
         # objective search is retired: a grid and the report's argmin
         ({"objective": {"metric": "m", "axis": "x", "bounds": [0, 10]}},
          "top level"),
-        # a level the t table lacks is refused before anything runs
-        ({"stats": {"confidence": 0.97}, "seeds": [0, 1, 2]},
-         "stats.confidence"),
+        # every interval is a 95 % one: a level is refused as a key
+        pytest.param({"stats": {"confidence": 0.97}, "seeds": [0, 1, 2]},
+                     "top level", id="block22-stats.confidence"),
     ])
     def test_hostile_numbers_are_refused(self, block, path):
         with pytest.raises(ValueError,
@@ -306,10 +302,59 @@ class TestSpecValidation:
             CampaignSpec.from_dict({"experiments": ["x"],
                                     "seeds": [0, 0]})
 
-    def test_seed_count_form(self):
-        spec = CampaignSpec.from_dict(
-            {"experiments": ["x"], "seeds": {"count": 3, "base": 5}})
-        assert spec.seeds == [5, 6, 7]
+    @pytest.mark.parametrize("spec, refusal", [
+        pytest.param({"experiment": "linear_cell"},
+                     r"top level: unknown keys \['experiment'\]",
+                     id="experiment-alias"),
+        pytest.param({"experiment": "linear_cell",
+                      "experiments": ["quadratic_cell"]},
+                     r"top level: unknown keys \['experiment'\]",
+                     id="experiment-alias-beside-the-list"),
+        pytest.param({"experiments": "linear_cell"}, r"experiments: ",
+                     id="bare-name"),
+        pytest.param({"experiments": {"name": "a",
+                                      "experiment": "linear_cell"}},
+                     r"experiments: ",
+                     id="bare-entry"),
+        pytest.param({"experiments": ["linear_cell,quadratic_cell"]},
+                     r"experiments\[0\]: must be one catalog name",
+                     id="comma-joined"),
+        pytest.param({"experiments": ["linear_cell quadratic_cell"]},
+                     r"experiments\[0\]: must be one catalog name",
+                     id="space-joined"),
+        pytest.param({"experiments": ["linear_cell", "linear_cell"]},
+                     r"experiments\[1\]: duplicate entry name "
+                     r"'linear_cell'", id="name-twice"),
+        pytest.param({"experiments": []}, r"experiments: ",
+                     id="empty-list"),
+        pytest.param({}, r"experiments: ", id="no-experiments"),
+        pytest.param({"experiments": ["linear_cell"],
+                      "seeds": {"count": 3, "base": 5}}, r"seeds: ",
+                     id="seed-count"),
+        pytest.param({"experiments": ["linear_cell"],
+                      "stats": {"confidence": 0.95}},
+                     r"top level: unknown keys \['stats'\]",
+                     id="stats-confidence"),
+        pytest.param({"experiments": ["linear_cell"],
+                      "stats": {"metrics": ["value"]}},
+                     r"top level: unknown keys \['stats'\]",
+                     id="stats-metrics"),
+        # a value of another type is refused, not coerced
+        pytest.param({"experiments": ["linear_cell"], "name": None},
+                     r"name: must be a string", id="name-not-a-string"),
+        pytest.param({"experiments": ["linear_cell"], "grid": []},
+                     r"grid: must be an object", id="grid-an-empty-list"),
+        pytest.param({"experiments": [{"name": "a", "grid": 0,
+                                       "experiment": "linear_cell"}]},
+                     r"experiments\[0\]\.grid: must be an object",
+                     id="entry-grid-zero"),
+    ])
+    def test_a_retired_spelling_is_refused_by_its_key(self, spec, refusal):
+        """Each spelling no caller writes any more fails when the spec
+        is read, naming its key, instead of meaning something."""
+        with pytest.raises(ValueError,
+                           match=rf"^campaign spec: {refusal}"):
+            CampaignSpec.from_dict(spec)
 
     def test_retries_need_timeout(self):
         with pytest.raises(ValueError, match="timeout"):
@@ -382,12 +427,6 @@ class TestExpansion:
         assert [(r.params_dict["x"], r.seed) for r in runs] == [
             (2, None), (1, None)]
 
-    def test_empty_experiments_means_whole_catalog(self):
-        spec = CampaignSpec.from_dict({"experiments": []})
-        runs = spec.expand(ExperimentCatalog({"seedless_cell":
-                                              seedless_cell}))
-        assert [r.experiment for r in runs] == ["seedless_cell"]
-
     def test_run_ids_stable_across_processes(self):
         spec = CampaignSpec.from_dict(_EXPANSION_SPEC)
         here = [r.run_id("fixed-salt") for r in spec.expand()]
@@ -437,8 +476,11 @@ class TestExpansion:
         del doc["seed"]
         assert run.cell_id() == encode(doc)
 
-    @given(experiments=st.lists(st.text(min_size=1, max_size=6),
-                                min_size=1, max_size=2),
+    @given(experiments=st.lists(
+               # one catalog name each: no separator, no space
+               st.text(min_size=1, max_size=6).filter(
+                   lambda name: name.replace(",", " ").split() == [name]),
+               min_size=1, max_size=2, unique=True),
            grid=st.dictionaries(
                st.one_of(st.text(max_size=6),
                          st.sampled_from([',"seed":', "seed", "é☃",
@@ -535,9 +577,9 @@ class TestEntries:
 
     def test_an_axis_the_cell_refuses_suggests(self):
         """The entry is addressed by its index in the document, as a bad
-        grid value is, although the names before it split in two."""
+        grid value is."""
         spec = CampaignSpec.from_dict({"experiments": [
-            "seedless_cell, quadratic_cell", _entry("lin", scal=[1])]})
+            "seedless_cell", _entry("lin", scal=[1])]})
         with pytest.raises(ValueError, match=r"experiments\[1\]\.grid: .*"
                                              r"did you mean 'scale'"):
             spec.expand(make_catalog())
@@ -1180,23 +1222,18 @@ class TestFanOut:
         for jobs in (None, 2):
             assert not reports[jobs].execution["errors"]
             assert reports[jobs].to_json() == first, jobs
-        # the spec digest leaves out runner.jobs but not runner.timeout_s,
-        # so the watched leg differs in that one field and no other
-        watched_spec = dict(spec, runner={"jobs": 2, "timeout_s": 30})
-        watched = run_quiet(dict(watched_spec), catalog=default_catalog())
+        watched = run_quiet(dict(spec, runner={"jobs": 2, "timeout_s": 30}),
+                            catalog=default_catalog())
         assert watched.execution["workers"] == 2
         assert watched.execution["in_process"] == 0
         assert not watched.execution["errors"]
-        assert watched.spec_digest == CampaignSpec.from_dict(
-            watched_spec).digest()
-        watched.spec_digest = reports[1].spec_digest
         assert watched.to_json() == first
 
     def test_cpu_s_counts_the_reaped_workers(self, pools):
         """Four pooled runs that each burn 50 ms of CPU: the parent
         idles, so the sidecar's CPU is its workers'."""
         report = run_quiet({"experiments": ["spinning_cell"],
-                            "seeds": {"count": 4}},
+                            "seeds": [0, 1, 2, 3]},
                            catalog=ExperimentCatalog(
                                {"spinning_cell": spinning_cell}))
         assert pools == [4] and report.execution["in_process"] == 0
@@ -1209,26 +1246,25 @@ class TestFanOut:
 
 
 class TestStats:
-    @pytest.mark.parametrize("df, confidence, t", [
-        (11, 0.95, 2.201), (13, 0.99, 3.012), (200, 0.95, 1.972),
-        (10**6, 0.95, 1.960),
+    @pytest.mark.parametrize("df, t", [
+        # every interval is a 95 % one; the ids keep that level
+        pytest.param(11, 2.201, id="11-0.95-2.201"),
+        pytest.param(200, 1.972, id="200-0.95-1.972"),
+        pytest.param(10**6, 1.960, id="1000000-0.95-1.96"),
     ])
-    def test_t_critical_off_the_table(self, df, confidence, t):
+    def test_t_critical_off_the_table(self, df, t):
         """df between two table rows, or past the last, interpolates on
         1/df; a 12-seed cell (df 11) takes the first branch.  Expected:
         published two-sided Student-t quantiles."""
-        assert stats._t_critical(df, confidence) == pytest.approx(
-            t, abs=0.002)
+        assert stats._t_critical(df) == pytest.approx(t, abs=0.002)
 
     def test_t_critical_refuses_what_it_has_no_value_for(self):
         with pytest.raises(ValueError, match="df >= 1"):
-            stats._t_critical(0, 0.95)
-        with pytest.raises(ValueError, match="confidence levels"):
-            stats._t_critical(4, 0.85)
+            stats._t_critical(0)
 
     def test_t_interval_hand_checked(self):
         # mean 3, stdev sqrt(2.5); t(0.95, df=4) = 2.776
-        agg = _aggregate([1, 2, 3, 4, 5], confidence=0.95)
+        agg = _aggregate([1, 2, 3, 4, 5])
         assert agg["n"] == 5
         assert agg["mean"] == pytest.approx(3.0)
         half = 2.776 * (2.5 ** 0.5) / (5 ** 0.5)
@@ -1243,12 +1279,13 @@ class TestStats:
     def test_huge_samples_do_not_overflow(self, confidence):
         # deviations of 1e200 cannot be squared in a float; the spread
         # itself (1e200) is representable and must come back finite
-        agg = _aggregate([1e200, 2e200, 3e200], confidence)
+        agg = _aggregate([1e200, 2e200, 3e200])
+        assert agg["confidence"] == confidence
         assert agg["mean"] == pytest.approx(2e200)
         assert agg["stdev"] == pytest.approx(1e200)
         assert agg["ci_low"] <= agg["mean"] <= agg["ci_high"] < math.inf
         # a spread beyond the float range reads inf, never an exception
-        agg = _aggregate([-1.7e308, 1.7e308], confidence)
+        agg = _aggregate([-1.7e308, 1.7e308])
         assert agg["stdev"] == math.inf
 
     def test_auto_metrics_numeric_common_fields(self):
@@ -1256,10 +1293,7 @@ class TestStats:
                    {"a": 2, "b": False, "c": "y", "d": 0.5, "e": 9}]
         assert list(aggregate_cell(results)) == ["a", "d"]
 
-    @pytest.mark.parametrize("policy", [
-        {},
-        {"metrics": ["c", "missing", "s", "a"]},
-    ], ids=["policy0", "policy4"])
+    @pytest.mark.parametrize("policy", [{}], ids=["policy0"])
     @pytest.mark.parametrize("results", [
         [{"c": 2.5, "s": "x", "b": -0.0, "flag": True, "a": 3}],
         [{"a": a, "c": 0.5 * a, "flag": False} for a in (4, 1, 2, 3, 90)],
@@ -1271,8 +1305,6 @@ class TestStats:
          for p in (1.0, 2.5)] + [{"up": {"p50": 4}, "c": 0, "a": (7,)}],
     ], ids=["lone", "repeated", "non-dict", "empty", "rows", "nested"])
     def test_aggregate_cell_is_aggregate_per_metric(self, results, policy):
-        metrics = policy.get("metrics")
-
         def paths(node, prefix=""):
             """The reference naming: every numeric leaf by its path."""
             items = node.items() if isinstance(node, dict) \
@@ -1285,14 +1317,9 @@ class TestStats:
                     yield f"{prefix}{key}", v
 
         flat = [dict(paths(r)) for r in results]
-        if metrics is None:
-            metrics = sorted(set.intersection(*map(set, flat))) \
-                if flat else []
-        expected = {}
-        for name in metrics:
-            samples = [f[name] for f in flat if name in f]
-            if samples:
-                expected[name] = _aggregate(samples)
+        metrics = sorted(set.intersection(*map(set, flat))) if flat else []
+        expected = {name: _aggregate([f[name] for f in flat])
+                    for name in metrics}
         got = aggregate_cell(results, **policy)
         # compared as the report's bytes: -0.0 == 0.0 would hide a sign
         assert json.dumps(got) == json.dumps(expected)
@@ -1375,29 +1402,22 @@ class TestReport:
         report = run_quiet(
             {"name": "golden", "experiments": ["tagged_cell"],
              "grid": {"tag": ["plain", 'a,"seed":1'], "x": [1, 2]},
-             "seeds": {"count": 6, "base": -2},
-             "stats": {"confidence": 0.9}},
+             "seeds": [-2, -1, 0, 1, 2, 3]},
             store=ResultStore(tmp_path / "store", salt="pinned"),
             catalog=ExperimentCatalog({"tagged_cell": tagged_cell}))
         value = report.cells[0].metrics["value"]
-        assert (value["n"], value["confidence"]) == (6, 0.9)
+        assert (value["n"], value["confidence"]) == (6, 0.95)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "e43fad2335ca8cfba738fded61c9457c"
-            "bdc8afee5412df0c1144645fe5acb18b")
+            "50855e94510db2b830274ed6e96c0f90"
+            "c530035ad074f27de20e0af4402f2c2a")
 
     @pytest.mark.parametrize("spec, catalog, sha", [
         ({"name": "lone", "experiments": ["ayadi_energy"],
           "grid": {"frames": [1, 3, 5], "frame_loss": [0.02, 0.1]}},
          None,
-         "56e2e9ebc3b2931c7f85b59401a91d94"
-         "0f4826587b51a18ed74501509542fe31"),
-        ({"name": "lone-named", "experiments": ["tagged_cell"],
-          "grid": {"tag": ["", "ab"], "x": [-2, 7]}, "seeds": [3],
-          "stats": {"metrics": ["value", "missing", "odd", "tag_len"]}},
-         ExperimentCatalog({"tagged_cell": tagged_cell}),
-         "70b18b1dfe24fabeddbe8b420f072bd2"
-         "24007176e006c06b666431426e4aac28"),
-    ], ids=["auto-metrics", "named-metrics"])
+         "60ed93750e5e4b4c6b14ba1008a2ab74"
+         "81cda7f523495afffe17b47de6cb0d6b"),
+    ], ids=["auto-metrics"])
     def test_lone_sample_report_bytes_are_pinned(self, tmp_path, spec,
                                                  catalog, sha):
         """A single-seed grid takes aggregate_cell's lone-sample path;
@@ -1554,6 +1574,27 @@ class TestCampaignCli:
         assert "byte-identical report" in out.stdout
         assert "store: 8 records / 1 segments / " in out.stdout
         assert "pass 3: 8 runs, 1 executed, 7 cached" in out.stdout
+
+    def test_smoke_leaves_a_store_it_does_not_own_alone(self, tmp_path):
+        """The gate rewrites a line of its store, so it runs in a
+        temporary one, or in ``--store`` only while that holds no
+        record: a foreign record still loads after either."""
+        root = tmp_path / "results" / "campaign_store"
+        [run] = CampaignSpec.from_dict(
+            {"experiments": ["ayadi_energy"]}).expand()
+        hit = {"ok": True, "result": {"value": 1.0}, "wall_s": 0.5}
+        store = ResultStore(root)
+        store.save(store.key_for(run), hit, run)
+        store.close()
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        out = self._run("--smoke", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        out = self._run("--smoke", "--store", str(root), cwd=tmp_path)
+        assert out.returncode == 1
+        assert "already holds records" in out.stderr
+        assert {path.name: path.read_bytes()
+                for path in root.iterdir()} == before
+        assert ResultStore(root).load(store.key_for(run)) == hit
 
     def test_dry_run_plan(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -51,11 +51,10 @@ PROCESS = {"name": "abuse", "faults": [
 FULL_CAMPAIGN = {
     "name": "full", "experiments": ["ayadi_energy"], "quick": False,
     "grid": {"frame_loss": [0.05, 0.1], "window": [2, 4]},
-    "seeds": {"count": 3, "base": 5},
+    "seeds": [5, 6, 7],
     "faults": EVERY_KIND,
     "runner": {"jobs": 2, "timeout_s": 30, "retries": 1,
                "retry_backoff_s": 1, "verify": True, "metrics": True},
-    "stats": {"confidence": 0.9, "metrics": ["energy_per_byte"]},
 }
 
 LIMITS = {"max_connections": 8, "accept_rate": 50, "accept_burst": 4,
@@ -81,18 +80,17 @@ SMOKE_PIN = (
     '"quick":true,"grid":{"frames":[3,6],"frame_loss":[0.05,0.1],'
     '"window":[2,4]},"seeds":[0],"faults":null,"runner":{"jobs":null,'
     '"timeout_s":null,"retries":0,"retry_backoff_s":2.0,"verify":false,'
-    '"metrics":false},"stats":{"confidence":0.95,"metrics":null}}')
+    '"metrics":false}}')
 SMOKE_DIGEST = \
-    "8ead95053a30963e9ae4506408dfd025e63b19942e0e3f47ff655c01924938e2"
+    "2e82e1fe46246dcdc42db5feaf3d6723ae6ab6d04c38f64eb34b827ebbfb74cd"
 FULL_PIN = (
     '{"name":"full","experiments":["ayadi_energy"],"quick":false,'
     '"grid":{"frame_loss":[0.05,0.1],"window":[2,4]},"seeds":[5,6,7],'
     '"faults":{"name":"every-kind","faults":' + _EVERY_KIND_FAULTS + '},'
     '"runner":{"jobs":2,"timeout_s":30,"retries":1,"retry_backoff_s":1,'
-    '"verify":true,"metrics":true},"stats":{"confidence":0.9,'
-    '"metrics":["energy_per_byte"]}}')
+    '"verify":true,"metrics":true}}')
 FULL_DIGEST = \
-    "c59eaf6f9177cd316a5d8ead0d9f16e28446420fe628fa92c19f44f5662870b1"
+    "57768c2451fd76209da5dda453349fb74c0d1852a51ca5aa62d25a11632cedd2"
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 

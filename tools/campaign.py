@@ -26,7 +26,9 @@ Modes
   ``grid_table``).
 * ``--smoke``: the CI campaign gate.  Runs a built-in 2x2x2 campaign
   (``ayadi_energy`` over frames x loss, 2 seeds' worth of cells)
-  twice against a fresh store: the first pass must execute every run,
+  twice against a fresh store (a temporary directory, or ``--store``
+  if given, which must hold no records: the gate rewrites one of its
+  lines): the first pass must execute every run,
   the second — through a newly opened ``ResultStore``, so every hit is
   read back from the segment file — must be 100% cache hits and
   serialize a byte-identical report.  Every segment line must then be
@@ -49,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -162,10 +165,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("spec", nargs="?", metavar="SPEC.json",
                         help="campaign spec file (see docs/campaigns.md)")
-    parser.add_argument("--store", default="results/campaign_store",
-                        metavar="DIR",
+    parser.add_argument("--store", default=None, metavar="DIR",
                         help="content-addressed result store directory "
-                             "(default results/campaign_store)")
+                             "(default results/campaign_store; --smoke: "
+                             "a temporary one)")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the report document (indented JSON, "
                              "execution sidecar included)")
@@ -194,6 +197,16 @@ def main(argv=None) -> int:
     if args.smoke:
         if args.spec:
             parser.error("--smoke uses the built-in spec; drop SPEC.json")
+        if args.store is None:
+            with tempfile.TemporaryDirectory() as store_dir:
+                return _smoke(store_dir)
+        held = [path for path in Path(args.store).glob("*.jsonl")
+                if path.stat().st_size]
+        if held:
+            print(f"smoke refused: {args.store} already holds records "
+                  f"({held[0].name}); the gate overwrites one of its "
+                  f"lines, so give it an empty store", file=sys.stderr)
+            return 1
         return _smoke(args.store)
     if not args.spec:
         parser.error("a SPEC.json is required (or --smoke)")
@@ -207,7 +220,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
         spec.runner["jobs"] = args.jobs
-    store = ResultStore(args.store)
+    store = ResultStore(args.store or "results/campaign_store")
 
     if args.dry_run:
         plan = plan_campaign(spec, store=store)
